@@ -16,8 +16,12 @@ import numpy as np
 
 from . import compbase, comparability, core, groups, instances, spectral
 from .core import GridAlgebra
-from .errors import EffalgError
+from .errors import EffalgError, InvalidDepth
 from .matrices import MatrixEffectAlgebra
+
+# Deepest grid `spectral` lists row by row (2^20 + 1 rows); deeper
+# resolutions are read one lambda at a time with --lambda.
+MAX_LISTED_DEPTH = 20
 
 
 def _frac_str(f) -> str:
@@ -64,6 +68,17 @@ def _default_depth(E, requested):
     if requested is not None:
         return requested
     return 8 if isinstance(E, MatrixEffectAlgebra) else 16
+
+
+def _depth_arg(text):
+    """--depth as a nonnegative int (None when not given); InvalidDepth else."""
+    if text is None:
+        return None
+    try:
+        value = int(text, 10)
+    except ValueError:
+        raise InvalidDepth(f"--depth must be a nonnegative integer, not {text!r}") from None
+    return spectral.check_depth(value)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +138,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_spectral(args) -> int:
+    depth = _depth_arg(args.depth)
+    listing = not getattr(args, "lam", None)
+    if listing and depth is not None and depth > MAX_LISTED_DEPTH:
+        raise InvalidDepth(
+            f"listing the depth-{depth} grid would print 2^{depth} + 1 rows "
+            f"(at most depth {MAX_LISTED_DEPTH} is listed); "
+            f"use --lambda m/n to read one projection at this depth")
     E, cb = _load_instance(args.file)
     if args.element is None:
         raise SystemExit(_fail("--element is required", 2))
@@ -130,9 +152,9 @@ def cmd_spectral(args) -> int:
         a = instances.parse_element(E, _maybe_json(args.element))
     except EffalgError as exc:
         raise SystemExit(_fail(str(exc), 2))
-    depth = _default_depth(E, args.depth)
+    depth = _default_depth(E, depth)
     try:
-        if getattr(args, "lam", None):
+        if not listing:
             lam = Fraction(args.lam)
             val = spectral.rational_resolution(cb, a, lam, depth, details=True)
             text = (f"p[{_frac_str(lam)}] = {proj_repr(E, val.projection)} "
@@ -143,24 +165,41 @@ def cmd_spectral(args) -> int:
         res = spectral.binary_resolution(cb, a, depth)
     except EffalgError as exc:
         raise SystemExit(_fail(str(exc), 2))
-    rows = []
-    for lam in res.grid():
-        d = spectral.DyadicRational.from_fraction(lam)
-        rows.append((d.level, d.num, lam, res.entries[lam]))
-    if args.format == "csv":
-        print("level,k,lambda,projection")
-        for level, k, lam, p in rows:
-            print(f"{level},{k},{_frac_str(lam)},{proj_repr(E, p)}")
-    elif args.format == "json":
-        print(json.dumps({"element": E.label(a), "depth": depth,
-                          "entries": [{"level": lv, "k": k, "lambda": _frac_str(lam),
-                                       "projection": proj_repr(E, p)}
-                                      for lv, k, lam, p in rows]}, default=str))
-    else:
-        print(f"binary resolution of {E.label(a)} to depth {depth}")
-        for level, k, lam, p in rows:
-            print(f"  p[{_frac_str(lam):>8}] = {proj_repr(E, p)}")
+    sys.stdout.write(_resolution_text(E, a, res, args.format))
     return 0
+
+
+def _resolution_text(E, a, res, fmt: str) -> str:
+    """The whole grid listing, one row per grid index j.  lambda = j/2^n in
+    lowest terms is (j >> t) / 2^(n - t) with t the trailing zeros of j;
+    each run of one projection is formatted once."""
+    n = res.depth
+    scale = 1 << n
+    out = []
+    if fmt == "csv":
+        out.append("level,k,lambda,projection")
+    elif fmt == "table":
+        out.append(f"binary resolution of {E.label(a)} to depth {n}")
+    for lo, hi, p in res.runs():
+        shown = proj_repr(E, p)
+        if fmt == "json":
+            shown = json.dumps(shown, default=str)
+        for j in range(lo, hi + 1):
+            low = j & -j or scale  # j = 0 reads as 0/1, like 1/1
+            num, den = j // low, scale // low
+            lam = str(num) if den == 1 else f"{num}/{den}"
+            level = den.bit_length() - 1
+            if fmt == "csv":
+                out.append(f"{level},{num},{lam},{shown}")
+            elif fmt == "json":
+                out.append(f'{{"level": {level}, "k": {num}, "lambda": "{lam}", '
+                           f'"projection": {shown}}}')
+            else:
+                out.append(f"  p[{lam:>8}] = {shown}")
+    if fmt == "json":
+        head = json.dumps({"element": E.label(a), "depth": n}, default=str)[:-1]
+        return f'{head}, "entries": [{", ".join(out)}]}}\n'
+    return "\n".join(out) + "\n"
 
 
 def cmd_check_spectral(args) -> int:
@@ -206,7 +245,7 @@ def cmd_expect(args) -> int:
         a = instances.parse_element(E, _maybe_json(args.element))
     except EffalgError as exc:
         raise SystemExit(_fail(str(exc), 2))
-    depth = _default_depth(E, args.depth)
+    depth = _default_depth(E, _depth_arg(args.depth))
     if not isinstance(E, GridAlgebra):
         raise SystemExit(_fail("--state weights need a grid instance", 2))
     weights = [Fraction(t) for t in args.state.split(",")]
@@ -250,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", help="binary/rational resolution of an element")
     sp.add_argument("file")
     sp.add_argument("--element", required=True)
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", default=None,
+                    help=f"grid depth n >= 0 (default 16, 8 on matrices); "
+                         f"listings stop at {MAX_LISTED_DEPTH}")
     sp.add_argument("--lambda", dest="lam", default=None, help="rational m/n")
     sp.set_defaults(fn=cmd_spectral)
 
@@ -270,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--element", required=True)
     sp.add_argument("--state", required=True, help="rational weights, comma separated")
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", default=None,
+                    help="grid depth n >= 0 (default 16, 8 on matrices)")
     sp.set_defaults(fn=cmd_expect)
     return p
 

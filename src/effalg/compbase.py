@@ -28,7 +28,7 @@ from .core import (
     mackey_compatible,
     sharp_elements,
 )
-from .errors import DomainMismatch, NoCover, NotEnumerable
+from .errors import DomainMismatch, InternalConsistencyError, NoCover, NotEnumerable
 
 MAP_CACHE_ENTRIES = 48_000_000  # cache J tables only while |P|*n stays below
 
@@ -530,17 +530,17 @@ def pc(cb: CompressionBase, a: int) -> np.ndarray:
 
 
 def bicommutant(cb: CompressionBase, a: int):
-    """P(a); asserted to be a Boolean subalgebra of P."""
+    """P(a); checked to be a Boolean subalgebra of P."""
     if not cb.enumerable:
         return cb.bicommutant(a)  # sums of eigenprojections
     out = cb.bicommutant_set(a)
     pos = [cb.p_pos[int(p)] for p in out]
     compat = cb.pcompat()[np.ix_(pos, pos)]
     if not compat.all():
-        raise AssertionError("bicommutant is not pairwise compatible")
+        raise InternalConsistencyError("bicommutant is not pairwise compatible")
     for p in out:
         if cb.p_ortho(int(p)) not in set(int(x) for x in out):
-            raise AssertionError("bicommutant not closed under orthosupplement")
+            raise InternalConsistencyError("bicommutant not closed under orthosupplement")
     return out
 
 
@@ -566,7 +566,7 @@ def _check_boolean_block(cb: CompressionBase, block) -> None:
     bset = set(block)
     for p in block:
         if E.ortho(p) not in bset:
-            raise AssertionError(f"block not closed under ': {block}")
+            raise InternalConsistencyError(f"block not closed under ': {block}")
     # meets of compatible projections are J_p(q); check closure + distributivity
     meet = {}
     for p in block:
@@ -574,7 +574,7 @@ def _check_boolean_block(cb: CompressionBase, block) -> None:
         for q in block:
             m = int(jp[q])
             if m not in bset:
-                raise AssertionError("block not closed under meets")
+                raise InternalConsistencyError("block not closed under meets")
             meet[p, q] = m
     for p in block:
         for q in block:
@@ -583,7 +583,7 @@ def _check_boolean_block(cb: CompressionBase, block) -> None:
                 lhs = meet[p, j]
                 rhs = cb.join_proj(meet[p, q], meet[p, r])
                 if lhs != rhs:
-                    raise AssertionError("block fails distributivity")
+                    raise InternalConsistencyError("block fails distributivity")
 
 
 def c_block(cb: CompressionBase, block) -> np.ndarray:

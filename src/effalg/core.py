@@ -8,6 +8,7 @@ and whole-algebra scans degrade to seeded sampling.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -561,23 +562,13 @@ class State:
         rep.add("range", all(0 <= v <= 1 for v in vals))
         n = E.size
         if n * n <= budget and E.dense:
-            S = E.sum_table
-            ok = True
-            witness = None
-            arr = np.array([float(v) for v in vals])
-            for a in range(n):
-                idx = np.flatnonzero(S[a] >= 0)
-                if idx.size == 0:
-                    continue
-                bad = np.flatnonzero(np.abs(arr[S[a, idx]] - (arr[a] + arr[idx])) > 1e-12)
-                for b in bad:  # re-check candidates exactly
-                    bb = int(idx[b])
-                    if vals[S[a, bb]] != vals[a] + vals[bb]:
-                        ok, witness = False, (a, bb)
-                        break
-                if not ok:
-                    break
-            rep.add("additive", ok, witness=witness)
+            # exact: integer numerators over the common denominator, every
+            # defined pair at once; the first bad pair in row-major order
+            pairs = E.defined_pairs
+            num = _common_numerators(vals)
+            bad = np.flatnonzero(num[pairs.s] != num[pairs.a] + num[pairs.b])
+            witness = (int(pairs.a[bad[0]]), int(pairs.b[bad[0]])) if bad.size else None
+            rep.add("additive", bad.size == 0, witness=witness)
         else:
             rng = np.random.default_rng(seed)
             xs = rng.integers(0, n, size=SAMPLE_SIZE)
@@ -603,6 +594,16 @@ class State:
         if not self.is_faithful():
             bad = next(i for i, v in enumerate(self.values) if i != self.algebra.zero and v == 0)
             raise NotFaithful(f"state kills nonzero element {self.algebra.label(bad)}")
+
+
+def _common_numerators(values) -> np.ndarray:
+    """Numerators of ``values`` over their least common denominator, as
+    int64 when s(a) + s(b) cannot overflow and as Python ints otherwise."""
+    den = math.lcm(*(v.denominator for v in values))
+    num = [v.numerator * (den // v.denominator) for v in values]
+    if max(map(abs, num), default=0) < 2 ** 62:
+        return np.array(num, dtype=np.int64)
+    return np.array(num, dtype=object)
 
 
 # ---------------------------------------------------------------------------

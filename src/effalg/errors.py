@@ -71,3 +71,7 @@ class GridTooNarrow(EffalgError):
 
 class InternalConsistencyError(EffalgError):
     """A value that must be independent of arbitrary choices was not."""
+
+
+class InvalidDepth(EffalgError):
+    """A resolution depth is negative or not an integer, or too deep to list."""

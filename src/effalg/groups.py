@@ -15,10 +15,13 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import GridTooNarrow
+from .errors import GridTooNarrow, InternalConsistencyError
 
 
 def _vec(x) -> np.ndarray:
+    """int64 vector; an object array of Python ints passes unchanged."""
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return x
     return np.asarray(x, dtype=np.int64)
 
 
@@ -81,9 +84,10 @@ def orthogonal_decomposition(G: ZGroup, g):
     gp = np.maximum(g, 0)
     gm = np.maximum(-g, 0)
     p = G.projection(g > 0)
-    assert np.array_equal(G.compress(p, g), gp)
-    assert np.array_equal(G.compress(G.proj_complement(p), g), -gm)
-    assert np.minimum(gp, gm).max(initial=0) == 0
+    if not (np.array_equal(G.compress(p, g), gp)
+            and np.array_equal(G.compress(G.proj_complement(p), g), -gm)
+            and np.minimum(gp, gm).max(initial=0) == 0):
+        raise InternalConsistencyError(f"orthogonal decomposition of {g} fails")
     return gp, gm, p
 
 
@@ -103,7 +107,7 @@ def rickart(G: ZGroup, g, verify: bool = None) -> np.ndarray:
             lhs = (p <= star).all()
             rhs = G.in_commutant(g, p) and not G.compress(p, g).any()
             if lhs != rhs:
-                raise AssertionError(f"Rickart biconditional fails at {p} for {g}")
+                raise InternalConsistencyError(f"Rickart biconditional fails at {p} for {g}")
     return star
 
 
@@ -116,15 +120,18 @@ def positive_part_rickart(G: ZGroup, g) -> np.ndarray:
 def group_spectral(G: ZGroup, g, m: int, n: int) -> np.ndarray:
     """Spectral projection at m/n: ((n*g - m*u)_+)^*.
 
-    Well-definedness in the fraction m/n is asserted by evaluating the
+    Well-definedness in the fraction m/n is checked by evaluating the
     doubled representation 2m/2n as well.
     """
     if n <= 0:
         raise ValueError("need n > 0")
-    g = _vec(g)
-    p = positive_part_rickart(G, n * g - m * G.unit)
-    p2 = positive_part_rickart(G, 2 * n * g - 2 * m * G.unit)
-    assert np.array_equal(p, p2), "spectral projection depends on the fraction form"
+    g, u = _vec(g), G.unit
+    if 2 * max(abs(m), n) * (int(np.abs(g).max(initial=0)) + max(G.u)) >= 2 ** 62:
+        g, u = g.astype(object), u.astype(object)  # exact past int64
+    p = positive_part_rickart(G, n * g - m * u)
+    p2 = positive_part_rickart(G, 2 * n * g - 2 * m * u)
+    if not np.array_equal(p, p2):
+        raise InternalConsistencyError("spectral projection depends on the fraction form")
     return p
 
 
@@ -163,15 +170,17 @@ def dyadic_approximation(G: ZGroup, g, grid, scale: int):
         qs.append(np.minimum(r, qs[-1]))
     qs.append(np.zeros(G.dim, dtype=np.int64))
     pieces = [qs[i - 1] - qs[i] for i in range(1, N + 1)]
-    assert np.array_equal(np.sum(pieces, axis=0), G.unit)
+    if not np.array_equal(np.sum(pieces, axis=0), G.unit):
+        raise InternalConsistencyError("approximation pieces do not add up to the unit")
     for i, ui in enumerate(pieces, start=1):
         x = G.compress(ui, ng)
-        assert (grid[i - 1] * ui <= x).all() and (x <= grid[i] * ui).all()
+        if not ((grid[i - 1] * ui <= x).all() and (x <= grid[i] * ui).all()):
+            raise InternalConsistencyError(f"piece {i} leaves its slope bracket")
     combo = sum(grid[i] * pieces[i - 1] for i in range(1, N + 1))
     err = G.norm(ng - combo)
     max_gap = max(grid[i] - grid[i - 1] for i in range(1, N + 1))
     if err > max_gap:
-        raise AssertionError("approximation bound violated")
+        raise InternalConsistencyError("approximation bound violated")
     return pieces, err, Fraction(max_gap)
 
 

@@ -285,9 +285,10 @@ def closed_form_mv_resolution(E: GridAlgebra, a: int, n: int) -> SplittingTree:
     if support.any():
         tree._u[()] = int(np.where(support, k, 0) @ E.strides)
         tree._c[()] = a
+    exact = coords.tolist()  # Python ints: c_i 2^level outgrows int64 past depth ~60
     for level in range(1, n + 1):
         cells = {}
-        for i, ci in enumerate(coords):
+        for i, ci in enumerate(exact):
             if ci == 0:
                 continue
             # smallest kw with a_i <= (kw+1)/2^level, i.e. ceil(a_i 2^level) - 1
@@ -299,7 +300,7 @@ def closed_form_mv_resolution(E: GridAlgebra, a: int, n: int) -> SplittingTree:
             mask[idxs] = k
             cvec = np.zeros(E.d, dtype=np.int64)
             for i in idxs:
-                cvec[i] = coords[i] * 2 ** level - kw * k
+                cvec[i] = exact[i] * 2 ** level - kw * k
             tree._u[w] = int(mask @ E.strides)
             tree._c[w] = int(cvec @ E.strides)
     return tree

@@ -3,13 +3,18 @@
 A spectral base resolves every element a into projections p_lambda
 indexed by dyadic rationals: the splitting tree {u_w, c_w} refines the
 cover of a binary digit by binary digit, and prefix sums of each layer
-give the resolution.  Exact dyadic bookkeeping (binary strings w,
-lambda(w) = k(w)/2^l(w)) is kept in integers end to end.
+give the resolution.  A resolution is stored by its jumps: one per cell
+of the deepest layer, so at most |layer| + 1 however deep the grid.
+Exact dyadic bookkeeping (binary strings w, lambda(w) = k(w)/2^l(w),
+grid indices j for lambda = j/2^n) is kept in integers end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from bisect import bisect_right
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import comparability
 from .core import Report, is_archimedean
-from .errors import InternalConsistencyError, NotSpectral, Unstable
+from .errors import InternalConsistencyError, InvalidDepth, NotSpectral, Unstable
 
 # ---------------------------------------------------------------------------
 # binary strings and dyadic rationals
@@ -112,11 +117,6 @@ class DyadicRational:
             raise ValueError("numerator must be odd in canonical form")
 
 
-def grid(depth: int):
-    """All dyadics j / 2^depth in [0, 1], ascending."""
-    return [Fraction(j, 2 ** depth) for j in range(2 ** depth + 1)]
-
-
 # ---------------------------------------------------------------------------
 # splitting tree
 
@@ -155,6 +155,7 @@ class SplittingTree:
 
 def splitting_tree(cb, a, n: int, check: bool = True) -> SplittingTree:
     """Iterated halving of a below its cover, to depth n."""
+    n = check_depth(n)
     comparability.require_spectral(cb)
     E = cb.algebra
     tree = SplittingTree(E, a, n)
@@ -197,55 +198,118 @@ def _bicommutant_checker(cb, a):
 # binary resolution
 
 
-@dataclass
 class SpectralResolution:
-    """Projections p_lambda on the dyadic grid of one depth."""
+    """Projections p_lambda on the dyadic grid of one depth, stored by jumps.
 
-    algebra: object
-    element: object
-    depth: int
-    entries: Dict[Fraction, object] = field(default_factory=dict)
-    tree: Optional[SplittingTree] = None
+    ``jumps`` lists ``(j, p)`` in ascending ``j``, starting at ``j = 0``:
+    p_lambda = p for j / 2^depth <= lambda until the next jump.  Each
+    layer of the splitting tree partitions the cover, so a resolution
+    has at most ``|layer| + 1`` jumps however deep the grid.
+    """
+
+    def __init__(self, algebra, element, depth: int, jumps, tree=None):
+        self.algebra = algebra
+        self.element = element
+        self.depth = depth
+        self.jumps = tuple(jumps)
+        self.tree = tree
+        self._starts = [j for j, _ in self.jumps]
+
+    @property
+    def entries(self) -> "GridView":
+        """Read-only mapping lambda -> p_lambda over the whole grid."""
+        return GridView(self)
+
+    def at_index(self, j: int):
+        """p at lambda = j / 2^depth, by bisection over the jumps."""
+        if not 0 <= j <= 1 << self.depth:
+            raise KeyError(f"index {j} is not on the depth-{self.depth} grid")
+        return self.jumps[bisect_right(self._starts, j) - 1][1]
 
     def at(self, lam) -> object:
-        lam = Fraction(lam)
-        if lam not in self.entries:
-            raise KeyError(f"{lam} is not on the depth-{self.depth} grid")
-        return self.entries[lam]
+        return self.at_index(grid_index(lam, self.depth))
+
+    def runs(self):
+        """(first index, last index, p) for each stretch of constant p."""
+        ends = self._starts[1:] + [(1 << self.depth) + 1]
+        return [(j, end - 1, p) for (j, p), end in zip(self.jumps, ends)]
 
     def grid(self):
-        return sorted(self.entries)
+        return list(self.entries)
 
     def items(self):
-        return [(lam, self.entries[lam]) for lam in self.grid()]
+        scale = 1 << self.depth
+        return [(Fraction(j, scale), p) for lo, hi, p in self.runs()
+                for j in range(lo, hi + 1)]
+
+
+def grid_index(lam, depth: int) -> int:
+    """j with lambda = j / 2^depth; KeyError off the grid."""
+    if not isinstance(lam, Fraction):
+        lam = Fraction(lam)
+    den = lam.denominator
+    scale = 1 << depth
+    if den & (den - 1) or den > scale or not 0 <= lam <= 1:
+        raise KeyError(f"{lam} is not on the depth-{depth} grid")
+    return lam.numerator * (scale // den)
+
+
+class GridView(Mapping):
+    """lambda -> p_lambda over a resolution's grid, answered from its jumps.
+
+    Iterates the 2^depth + 1 grid points in ascending order (``len`` is
+    Python's, so it overflows past depth 62); lookups bisect the jumps.
+    """
+
+    def __init__(self, res: SpectralResolution):
+        self.resolution = res
+
+    def __getitem__(self, lam):
+        return self.resolution.at(lam)
+
+    def __len__(self) -> int:
+        return (1 << self.resolution.depth) + 1
+
+    def __iter__(self):
+        scale = 1 << self.resolution.depth
+        return (Fraction(j, scale) for j in range(scale + 1))
+
+
+def check_depth(n) -> int:
+    """n as an int; InvalidDepth unless it is a nonnegative integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidDepth(f"depth must be a nonnegative integer, not {n!r}") from None
+    if n < 0:
+        raise InvalidDepth(f"depth must be a nonnegative integer, not {n}")
+    return n
 
 
 def binary_resolution(cb, a, n: int) -> SpectralResolution:
-    """p_0 = (cover a)', then prefix sums of the depth-n layer, p_1 = 1."""
+    """p_0 = (cover a)', then one jump per cell of the depth-n layer, p_1 = 1.
+
+    The cell u_w with k(w) = j - 1 joins the resolution from the grid
+    index j on; monotonicity and the unit are checked per jump, so the
+    work is the tree's, O(depth * |layer|), not O(2^depth).
+    """
+    n = check_depth(n)
     E = cb.algebra
     tree = splitting_tree(cb, a, n)
     root = tree.u(()) if tree._u else E.zero
-    res = SpectralResolution(E, a, n, tree=tree)
-    by_k = {k_of(w): u for w, u in tree.layer(n)}
     acc = E.ortho(root)
-    res.entries[Fraction(0)] = acc
-    for j in range(1, 2 ** n + 1):
-        u = by_k.get(j - 1)
-        if u is not None:
-            s = E.sum(acc, u)
-            if s is None:
-                raise InternalConsistencyError("resolution prefix sum undefined")
-            acc = s
-        res.entries[Fraction(j, 2 ** n)] = acc
+    jumps = [(0, acc)]
+    for w, u in tree.layer(n):
+        s = E.sum(acc, u)
+        if s is None:
+            raise InternalConsistencyError("resolution prefix sum undefined")
+        if not E.leq(acc, s):
+            raise InternalConsistencyError("resolution is not monotone")
+        acc = s
+        jumps.append((k_of(w) + 1, acc))
     if not E.eq(acc, E.one):
         raise InternalConsistencyError("resolution does not reach the unit")
-    prev = None
-    for lam in res.grid():
-        cur = res.entries[lam]
-        if prev is not None and not E.leq(prev, cur):
-            raise InternalConsistencyError("resolution is not monotone")
-        prev = cur
-    return res
+    return SpectralResolution(E, a, n, jumps, tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +329,7 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     Requires an archimedean algebra (right continuity fails otherwise).
     Raises Unstable when the meet still moved between depths n-1 and n.
     """
+    n = check_depth(n)
     comparability.require_spectral(cb)
     E = cb.algebra
     if not is_archimedean(E):
@@ -274,14 +339,14 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
         raise ValueError("lambda must lie in [0, 1]")
     res = binary_resolution(cb, a, n)
     if lam == 1:
-        out = res.at(1)
+        out = res.at_index(1 << n)
         return RationalValue(out, 0, n) if details else out
 
-    def at_depth(m):
-        j = (lam * 2 ** m).__floor__() + 1
-        return res.at(min(Fraction(j, 2 ** m), Fraction(1)))
+    def above(m):
+        """Depth-n index of the first depth-m point above lam (lam < 1)."""
+        return ((lam * 2 ** m).__floor__() + 1) << (n - m)
 
-    values = [at_depth(m) for m in range(1, n + 1)]
+    values = [res.at_index(above(m)) for m in range(1, n + 1)]
     if len(values) >= 2 and not E.eq(values[-1], values[-2]):
         raise Unstable(n)
     stable_from = n
@@ -290,13 +355,16 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
             stable_from = m
         else:
             break
-    # cross-check: the stabilized value is the meet (in P) of the whole tail
-    tail = [p for mu, p in res.items() if mu > lam]
-    meet = tail[0]
-    for p in tail[1:]:
-        meet = cb.meet_proj(meet, p)
-        if meet is None:
-            raise InternalConsistencyError("projection meet missing along the tail")
+    # cross-check: the stabilized value is the meet (in P) of the whole
+    # tail, that is of the value at the first point above lam and of every
+    # jump after it
+    first = above(n)
+    meet = res.at_index(first)
+    for j, p in res.jumps:
+        if j > first:
+            meet = cb.meet_proj(meet, p)
+            if meet is None:
+                raise InternalConsistencyError("projection meet missing along the tail")
     if not E.eq(meet, values[-1]):
         raise InternalConsistencyError("stabilized value differs from the tail meet")
     return RationalValue(values[-1], stable_from, n) if details else values[-1]
@@ -334,7 +402,7 @@ def apply_fw(cb, w, b, q):
 # characterization verifier
 
 
-def verify_resolution(cb, a, family: Dict[Fraction, object], n: int) -> Report:
+def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     """Check the four characterizing clauses of a depth-n dyadic family.
 
     (i) entries are projections commuting with a; (ii) boundary values
@@ -347,30 +415,33 @@ def verify_resolution(cb, a, family: Dict[Fraction, object], n: int) -> Report:
     left placement that right continuity forces cell by cell).  For a
     spectral archimedean algebra the computed resolution is the unique
     family passing all four.
+
+    ``family`` is any mapping lambda -> p_lambda.  It is read as runs of
+    one projection (a resolution's ``entries`` already are; a plain dict
+    is compressed first), and every clause is checked per run, per jump
+    or per nonzero cell, with the same verdict and witness as a
+    point-by-point scan of the grid.
     """
+    n = check_depth(n)
     E = cb.algebra
     rep = Report(f"resolution family for {E.label(a)} at depth {n}")
-    want = grid(n)
-    family = {Fraction(k): v for k, v in family.items()}
-    rep.add("grid-complete", sorted(family) == want)
-    if not rep.passed:
+    fam = _as_resolution(E, a, family, n)
+    rep.add("grid-complete", fam is not None)
+    if fam is None:
         return rep
+    runs = fam.runs()
+    scale = 1 << n
 
     ok_i, w_i = True, None
-    for lam in want:
-        p = family[lam]
+    for lo, _, p in runs:
         if not (_is_projection(cb, p) and cb.in_commutant(a, p)):
-            ok_i, w_i = False, lam
+            ok_i, w_i = False, Fraction(lo, scale)
             break
     rep.add("(i)-projections-commuting-with-a", ok_i, witness=w_i)
 
-    p0, p1 = family[Fraction(0)], family[Fraction(1)]
-    ok_ii = E.leq(p0, E.ortho(a)) and E.eq(p1, E.one)
-    if ok_ii:
-        for lo, hi in zip(want, want[1:]):
-            if not E.leq(family[lo], family[hi]):
-                ok_ii = False
-                break
+    ok_ii = E.leq(runs[0][2], E.ortho(a)) and E.eq(runs[-1][2], E.one)
+    if ok_ii:  # within a run the order holds by reflexivity
+        ok_ii = all(E.leq(p, q) for (_, _, p), (_, _, q) in zip(runs, runs[1:]))
     rep.add("(ii)-boundary-and-monotone", ok_ii)
 
     if not (ok_i and ok_ii):
@@ -378,31 +449,46 @@ def verify_resolution(cb, a, family: Dict[Fraction, object], n: int) -> Report:
         rep.add("(iv)-doubling-maps-exist", False, detail="skipped: (i)/(ii) failed")
         return rep
 
-    # suffix meets: tail[i] = meet of all entries strictly above want[i]
+    # suffix meets: tails[r] = meet of the runs r, r+1, ..., which is the
+    # meet of all entries strictly above any point of run r but its last
     ok_iii, w_iii = True, None
-    tail = {}
-    acc = family[want[-1]]
-    tail[len(want) - 2] = acc
-    for i in range(len(want) - 2, 0, -1):
-        acc = cb.meet_proj(acc, family[want[i]])
+    tails = [None] * len(runs)
+    acc = runs[-1][2]
+    tails[-1] = acc
+    for r in range(len(runs) - 2, -1, -1):
+        acc = cb.meet_proj(acc, runs[r][2])
         if acc is None:
-            ok_iii, w_iii = False, (want[i], "meet")
+            ok_iii, w_iii = False, (Fraction(runs[r][1], scale), "meet")
             break
-        tail[i - 1] = acc
+        tails[r] = acc
     if ok_iii:
-        for i, lam in enumerate(want[:-1]):
-            if Fraction(lam).denominator == 2 ** n and n > 0:
-                continue  # level-n points: no strictly finer grid to the right
-            if not E.eq(tail[i], family[lam]):
-                ok_iii, w_iii = False, lam
+        # points of level < n (every point at depth 0): no strictly finer
+        # grid to the right of a level-n point, and the top is not checked
+        def first_checked(lo, hi):
+            j = lo if n == 0 or lo % 2 == 0 else lo + 1
+            return j if j <= min(hi, scale - 1) else None
+
+        for r, (lo, hi, p) in enumerate(runs):
+            j = first_checked(lo, hi - 1)  # tail inside the run: tails[r]
+            if j is not None and not E.eq(tails[r], p):
+                ok_iii, w_iii = False, Fraction(j, scale)
+                break
+            j = first_checked(hi, hi)  # tail at the run's last point
+            if j is not None and not E.eq(tails[r + 1], p):
+                ok_iii, w_iii = False, Fraction(j, scale)
                 break
     rep.add("(iii)-right-continuous", ok_iii, witness=w_iii)
 
+    # A zero cell (both ends in one run, u_w = p ^ p' = 0) passes (iv)
+    # trivially: apply_fw(cb, w, 0, 0) is 0 and cover(0) is 0.  So only
+    # the cells that contain a jump are checked, in grid order per level.
     ok_iv, w_iv = True, None
     for level in range(n + 1):
-        for j in range(2 ** level):
-            w = tuple((j >> (level - 1 - i)) & 1 for i in range(level))
-            u_w = cb.meet_proj(family[lam_succ(w)], E.ortho(family[lam_of(w)]))
+        shift = n - level
+        for k in sorted({(j - 1) >> shift for j, _ in fam.jumps[1:]}):
+            w = tuple((k >> (level - 1 - i)) & 1 for i in range(level))
+            u_w = cb.meet_proj(fam.at_index((k + 1) << shift),
+                               E.ortho(fam.at_index(k << shift)))
             if u_w is None:
                 ok_iv, w_iv = False, (w, "meet")
                 break
@@ -417,6 +503,31 @@ def verify_resolution(cb, a, family: Dict[Fraction, object], n: int) -> Report:
             break
     rep.add("(iv)-doubling-maps-exist", ok_iv, witness=w_iv)
     return rep
+
+
+def _as_resolution(E, a, family: Mapping, n: int):
+    """The family as jumps (one per run of one projection, in grid order);
+    None unless its keys are exactly the depth-n grid."""
+    if isinstance(family, GridView) and family.resolution.depth == n:
+        return family.resolution
+    scale = 1 << n
+    try:
+        by_j = {grid_index(lam, n): p for lam, p in family.items()}
+    except KeyError:
+        return None
+    if len(by_j) != scale + 1:
+        return None
+    jumps = [(0, by_j[0])]
+    for j in range(1, scale + 1):
+        if not _identical(jumps[-1][1], by_j[j]):
+            jumps.append((j, by_j[j]))
+    return SpectralResolution(E, a, n, jumps)
+
+
+def _identical(p, q) -> bool:
+    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
+        return np.array_equal(p, q)
+    return p == q
 
 
 def _is_projection(cb, p) -> bool:
@@ -455,7 +566,7 @@ def commutes_iff_spectrum(cb, a, q, n: int, states=()) -> Report:
     rep = Report(f"commutation vs spectrum for {E.label(a)} and {E.label(q)}")
     lhs = cb.in_commutant(a, q)
     res = binary_resolution(cb, a, n)
-    rhs = all(cb.in_commutant(p, q) for _, p in res.items())
+    rhs = all(cb.in_commutant(p, q) for _, p in res.jumps)
     rep.add("sides-agree", lhs == rhs,
             detail=f"element-commutes={lhs}, spectrum-commutes={rhs}")
     if rhs:

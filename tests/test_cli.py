@@ -116,3 +116,73 @@ def test_not_spectral_command_errors(docs, capsys):
     code = cli.main(["spectral", docs["mo2"], "--element", "2", "--depth", "2"])
     assert code == 2
     capsys.readouterr()
+
+
+def closed_form_rows(c, k, n):
+    """(level, num, lambda text, projection) per depth-n grid point, from the
+    closed-form tree of the grid element with numerators c over k."""
+    from fractions import Fraction
+
+    from effalg import core, instances
+
+    E = core.GridAlgebra(k, len(c))
+    tree = instances.closed_form_mv_resolution(E, E.index_of(c), n)
+    joins = {int("0" + "".join(map(str, w)), 2) + 1: E.coords[u] > 0
+             for w, u in tree.layer(n)}
+    on = E.coords[tree.u(())] == 0 if tree._u else [True] * len(c)
+    rows = []
+    for j in range(2 ** n + 1):
+        if j in joins:
+            on = [x or y for x, y in zip(on, joins[j])]
+        lam = Fraction(j, 2 ** n)
+        level = lam.denominator.bit_length() - 1
+        text = str(lam.numerator) if level == 0 else f"{lam.numerator}/{lam.denominator}"
+        rows.append((level, lam.numerator, text, "".join("1" if x else "0" for x in on)))
+    return rows
+
+
+def test_spectral_depth10_pinned(docs, capsys):
+    rows = closed_form_rows([2, 4, 7], 8, 10)
+    assert cli.main(["spectral", docs["mv83"], "--element", "2,4,7", "--depth", "10"]) == 0
+    assert capsys.readouterr().out == "".join(
+        ["binary resolution of 2/8,4/8,7/8 to depth 10\n"]
+        + [f"  p[{lam:>8}] = {p}\n" for _, _, lam, p in rows])
+    assert cli.main(["--format", "csv", "spectral", docs["mv83"], "--element", "2,4,7",
+                     "--depth", "10"]) == 0
+    assert capsys.readouterr().out == "".join(
+        ["level,k,lambda,projection\n"] + [f"{lv},{k},{lam},{p}\n" for lv, k, lam, p in rows])
+    assert cli.main(["--format", "json", "spectral", docs["mv83"], "--element", "2,4,7",
+                     "--depth", "10"]) == 0
+    want = {"element": "2/8,4/8,7/8", "depth": 10,
+            "entries": [{"level": lv, "k": k, "lambda": lam, "projection": p}
+                        for lv, k, lam, p in rows]}
+    assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
+def test_bad_depth_exits_2(docs, capsys):
+    for argv in (["spectral", docs["mv83"], "--element", "2,4,7", "--depth", "-3"],
+                 ["spectral", docs["mv83"], "--element", "2,4,7", "--depth", "2.5"],
+                 ["spectral", docs["mv83"], "--element", "2,4,7", "--depth", "x"],
+                 ["spectral", docs["mv83"], "--element", "2,4,7",
+                  "--depth", str(cli.MAX_LISTED_DEPTH + 1)],
+                 ["expect", docs["mv83"], "--element", "2,4,7", "--state", "1/3,1/3,1/3",
+                  "--depth", "-1"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert cli.main(["spectral", docs["mv83"], "--element", "2,4,7",
+                     "--depth", str(cli.MAX_LISTED_DEPTH + 1)]) == 2
+    assert "--lambda" in capsys.readouterr().err
+
+
+def test_lambda_at_depth_64(docs, capsys):
+    from effalg import core, groups, instances
+
+    E = core.GridAlgebra(8, 3)
+    G = instances.universal_group(E)
+    p = groups.group_spectral(G, [2, 4, 7], 1, 3)
+    want = "".join("1" if x > 0 else "0" for x in p)
+    assert cli.main(["spectral", docs["mv83"], "--element", "2,4,7", "--lambda", "1/3",
+                     "--depth", "64"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"p[1/3] = {want} (stable from depth ")

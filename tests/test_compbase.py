@@ -136,6 +136,18 @@ def test_blocks(bool3, mv83, mo2):
     assert len(c_block(mcb, [M.zero, M.one])) == M.size
 
 
+def test_block_invariants_raise_named_errors(bool3):
+    """Broken invariants raise InternalConsistencyError, which -O keeps."""
+    from effalg.errors import EffalgError, InternalConsistencyError
+
+    E, cb = bool3
+    with pytest.raises(InternalConsistencyError):
+        compbase._check_boolean_block(cb, [E.zero, 0b001, E.one])  # 001' missing
+    with pytest.raises(InternalConsistencyError):  # 011 ^ 110 = 010 missing
+        compbase._check_boolean_block(cb, [E.zero, 0b011, 0b100, 0b110, 0b001, E.one])
+    assert issubclass(InternalConsistencyError, EffalgError)
+
+
 def test_projection_cover(mv83, bool3):
     E, cb = mv83
     a = E.index_of([2, 4, 7])

@@ -140,6 +140,25 @@ def test_state_validation(mv83):
     assert not core.State(E, bad).validate().passed
 
 
+def test_state_additivity_is_exact(l8):
+    """A defect far below float resolution is still a defect."""
+    E, _ = l8
+    for eps in (Fraction(1, 10 ** 14), Fraction(1, 10 ** 40)):
+        vals = [Fraction(i, 8) for i in range(9)]
+        vals[2] += eps  # s(2/8) raised: 1/8 + 1/8 is the first pair off
+        rep = core.State(E, vals).validate()
+        additive = next(c for c in rep.checks if c.name == "additive")
+        assert not additive.passed and additive.witness == (1, 1)
+        assert additive.mode == "full"
+    vals = [Fraction(i, 8) for i in range(9)]
+    assert core.State(E, vals).validate().passed
+    # numerators past int64: additive on every pair whose sum is not the unit
+    big = 8 * 10 ** 30 + 1
+    vals = [Fraction(i * 10 ** 30, big) for i in range(8)] + [Fraction(1)]
+    additive = core.State(E, vals).validate().checks[-1]
+    assert not additive.passed and additive.witness == (1, 7)
+
+
 def test_product_algebra_is_componentwise(mv42, bool3):
     E = ProductAlgebra(mv42[0], bool3[0])
     rep = core.validate_axioms(E)

@@ -225,3 +225,277 @@ def test_commutes_iff_spectrum(mv83):
     s = instances.weighted_state(E, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     rep = spectral.commutes_iff_spectrum(cb, a, q, 3, states=[s])
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# jumps against the dense grid construction
+
+
+def dense_reference(E, tree, n):
+    """The grid built point by point from a splitting tree: p_0 = (cover a)',
+    then the prefix sums of the depth-n layer at every j / 2^n."""
+    by_k = {k_of(w): u for w, u in tree.layer(n)}
+    acc = E.ortho(tree.u(()) if tree._u else E.zero)
+    out = {Fraction(0): acc}
+    for j in range(1, 2 ** n + 1):
+        if j - 1 in by_k:
+            acc = E.sum(acc, by_k[j - 1])
+        out[Fraction(j, 2 ** n)] = acc
+    return out
+
+
+def dense_rational(cb, a, lam, n, dense):
+    """rational_resolution read off the dense grid: the entry at the first
+    point above lam per depth, stable over the last two depths, which is
+    also the meet of every entry above lam."""
+    from effalg.errors import Unstable
+
+    E = cb.algebra
+    if lam == 1:
+        return dense[Fraction(1)]
+    values = [dense[min(Fraction(int(lam * 2 ** m) + 1, 2 ** m), Fraction(1))]
+              for m in range(1, n + 1)]
+    if len(values) >= 2 and not E.eq(values[-1], values[-2]):
+        raise Unstable(n)
+    tail = [p for mu, p in sorted(dense.items()) if mu > lam]
+    meet = tail[0]
+    for p in tail[1:]:
+        meet = cb.meet_proj(meet, p)
+    assert E.eq(meet, values[-1])
+    return values[-1]
+
+
+def worked_elements(bool3, mv42, matrix2):
+    """(name, cb, element, same) over grid, product, boolean and matrix(2)."""
+    E, cb = mv42
+    P, pcb = instances.make_product(instances.make_boolean(2), mv42)
+    M, mcb = matrix2
+    rng = np.random.default_rng(11)
+    out = [("grid", cb, int(x), lambda p, q: p == q) for x in rng.choice(E.size, 4)]
+    out += [("product", pcb, int(x), lambda p, q: p == q) for x in rng.choice(P.size, 2)]
+    out += [("boolean", bool3[1], x, lambda p, q: p == q) for x in (0, 0b101, 0b111)]
+    for vals in ([5 / 16, 11 / 16], [1 / 4, 1 / 4], [0.0, 3 / 8]):
+        q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        a = q @ np.diag(vals) @ q.T
+        out.append(("matrix(2)", mcb, (a + a.T) / 2, np.array_equal))
+    return out
+
+
+def test_jumps_match_dense_grid(bool3, mv42, matrix2):
+    from effalg.errors import Unstable
+
+    lams = (Fraction(0), Fraction(1, 3), Fraction(5, 8), Fraction(1))
+    for name, cb, a, same in worked_elements(bool3, mv42, matrix2):
+        for n in range(11):
+            res = binary_resolution(cb, a, n)
+            dense = dense_reference(cb.algebra, res.tree, n)
+            assert len(res.entries) == len(dense) == 2 ** n + 1
+            assert list(res.entries) == sorted(dense)
+            assert all(same(res.entries[lam], p) for lam, p in dense.items()), (name, n)
+            assert [lam for lam, _ in res.items()] == sorted(dense)
+            assert all(same(p, dense[lam]) for lam, p in res.items())
+            assert all(same(p, q) for (_, p), q in zip(res.items(), dict(res.entries).values()))
+            if n == 0 or name == "matrix(2)" and n > 8:
+                continue  # the rational extension starts at depth 1
+            for lam in lams:
+                try:
+                    want = dense_rational(cb, a, lam, n, dense)
+                except Unstable:
+                    with pytest.raises(Unstable):
+                        rational_resolution(cb, a, lam, n)
+                    continue
+                assert same(rational_resolution(cb, a, lam, n), want), (name, n, lam)
+
+
+def test_grid_view_is_a_read_only_mapping(mv83):
+    E, cb = mv83
+    res = binary_resolution(cb, E.index_of([2, 4, 7]), 3)
+    view = res.entries
+    assert Fraction(3, 8) in view and Fraction(1, 3) not in view and 2 not in view
+    assert view[Fraction(1, 4)] == view["1/4"] == E.index_of([8, 0, 0])
+    with pytest.raises(KeyError):
+        view[Fraction(1, 16)]
+    with pytest.raises(TypeError):
+        view[Fraction(1, 4)] = E.one
+    assert view == dict(view) and len(view) == 9
+    # coordinate i joins p_lambda from lambda = a_i on: 2/8, 4/8, 7/8
+    assert res.jumps == ((0, E.zero), (2, E.index_of([8, 0, 0])),
+                         (4, E.index_of([8, 8, 0])), (7, E.one))
+
+
+@pytest.mark.parametrize("k, d", [(8, 3), (16, 2)])
+def test_deep_jumps_match_oracles(k, d):
+    """Depths 24, 32, 64 against the closed-form tree and the Z^X group
+    oracle, reading only the jumps (the grid is never listed)."""
+    from effalg import groups
+
+    E, cb = instances.make_mv_product(k, d, validate=False)
+    G = instances.universal_group(E)
+    rng = np.random.default_rng(k)
+    elements = [E.index_of(list(rng.integers(0, k + 1, d))) for _ in range(3)]
+
+    def oracle(a, j, n):
+        p = groups.group_spectral(G, instances.embed_element(E, a), j, 2 ** n)
+        return instances.projection_from_group(E, p)
+
+    for a in elements:
+        for n in (24, 32, 64):
+            res = binary_resolution(cb, a, n)
+            assert len(res.jumps) <= d + 1
+            closed = instances.closed_form_mv_resolution(E, a, n)
+            assert instances.trees_equal(res.tree, closed)
+            coords = E.coords
+            acc = E.ortho(closed.u(()) if closed._u else E.zero)
+            want = [(0, acc)]
+            for w, u in closed.layer(n):
+                acc = E.index_of(coords[acc] + coords[u])
+                want.append((k_of(w) + 1, acc))
+            assert list(res.jumps) == want
+            for (j, p), (nxt, _) in zip(res.jumps, res.jumps[1:] + ((2 ** n + 1, None),)):
+                assert oracle(a, j, n) == p == res.at(Fraction(j, 2 ** n))
+                assert oracle(a, nxt - 1, n) == p == res.at_index(nxt - 1)
+            lam = Fraction(1, 3)
+            want_lam = instances.projection_from_group(E, groups.group_spectral(
+                G, instances.embed_element(E, a), lam.numerator, lam.denominator))
+            assert rational_resolution(cb, a, lam, n) == want_lam
+            if n <= 32:
+                assert verify_resolution(cb, a, res.entries, n).passed
+
+
+def test_depth_must_be_a_nonnegative_integer(mv42):
+    from effalg.errors import EffalgError, InvalidDepth
+
+    E, cb = mv42
+    for bad in (-3, 2.5, 2.0, "4", None):
+        for call in (lambda n: binary_resolution(cb, 1, n),
+                     lambda n: splitting_tree(cb, 1, n),
+                     lambda n: rational_resolution(cb, 1, Fraction(1, 3), n),
+                     lambda n: verify_resolution(cb, 1, {}, n)):
+            with pytest.raises(InvalidDepth):
+                call(bad)
+    assert issubclass(InvalidDepth, EffalgError)
+    assert binary_resolution(cb, 1, np.int64(3)).depth == 3
+
+
+# ---------------------------------------------------------------------------
+# the verifier against a point-by-point scan
+
+
+def reference_verify(cb, a, family, n):
+    """Every clause checked at every grid point and every cell, as a list
+    of (name, passed, witness) rows."""
+    from effalg.spectral import _is_projection
+
+    E = cb.algebra
+    want = [Fraction(j, 2 ** n) for j in range(2 ** n + 1)]
+    family = {Fraction(k): v for k, v in family.items()}
+    rows = [("grid-complete", sorted(family) == want, None)]
+    if not rows[0][1]:
+        return rows
+    w_i = next((lam for lam in want if not (_is_projection(cb, family[lam])
+                                            and cb.in_commutant(a, family[lam]))), None)
+    rows.append(("(i)-projections-commuting-with-a", w_i is None, w_i))
+    ok_ii = (E.leq(family[want[0]], E.ortho(a)) and E.eq(family[want[-1]], E.one)
+             and all(E.leq(family[lo], family[hi]) for lo, hi in zip(want, want[1:])))
+    rows.append(("(ii)-boundary-and-monotone", ok_ii, None))
+    if not (w_i is None and ok_ii):
+        return rows + [("(iii)-right-continuous", False, None),
+                       ("(iv)-doubling-maps-exist", False, None)]
+    tail, acc, w_iii = {}, family[want[-1]], None
+    tail[len(want) - 2] = acc
+    for i in range(len(want) - 2, 0, -1):
+        acc = cb.meet_proj(acc, family[want[i]])
+        if acc is None:
+            w_iii = (want[i], "meet")
+            break
+        tail[i - 1] = acc
+    if w_iii is None:
+        w_iii = next((lam for i, lam in enumerate(want[:-1])
+                      if (n == 0 or lam.denominator < 2 ** n)
+                      and not E.eq(tail[i], family[lam])), None)
+    rows.append(("(iii)-right-continuous", w_iii is None, w_iii))
+    w_iv = None
+    for level in range(n + 1):
+        for j in range(2 ** level):
+            w = tuple((j >> (level - 1 - i)) & 1 for i in range(level))
+            u_w = cb.meet_proj(family[lam_succ(w)], E.ortho(family[lam_of(w)]))
+            img = apply_fw(cb, w, cb.apply(u_w, a), u_w)
+            if img is None or not E.leq(img, u_w):
+                w_iv = w
+            elif not E.eq(cb.cover(img), u_w):
+                w_iv = (w, "cover")
+            if w_iv is not None:
+                break
+        if w_iv is not None:
+            break
+    rows.append(("(iv)-doubling-maps-exist", w_iv is None, w_iv))
+    return rows
+
+
+def verdict_rows(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks][:2] + \
+        [(c.name, c.passed, c.witness if c.passed or "skipped" not in c.detail else None)
+         for c in rep.checks[2:]]
+
+
+def perturbed_families(E, cb, a, n, same):
+    """The perturbations the test suite and the benchmark build: every
+    single-entry substitution by a projection, the first two distinct
+    neighbours swapped, the entry at 0 set to zero, the unit too early."""
+    res = binary_resolution(cb, a, n)
+    base = dict(res.entries)
+    out = []
+    for lam in base:
+        for p in cb.projections:
+            if not same(p, base[lam]):
+                out.append({**base, lam: p})
+    grid = sorted(base)
+    for lo, hi in zip(grid, grid[1:]):
+        if not same(base[lo], base[hi]):
+            out.append({**base, lo: base[hi], hi: base[lo]})
+            break
+    for lam, p in ((Fraction(0), E.zero), (Fraction(1, 4), E.one)):
+        if not same(base[lam], p):
+            out.append({**base, lam: p})
+    sharp = set(int(p) for p in cb.projections)
+    unsharp = next((x for x in range(E.size) if x not in sharp), None)
+    if unsharp is not None:  # not a projection: fails (i) at its first point
+        out += [{**base, lam: unsharp} for lam in (Fraction(1, 16), Fraction(1, 2))]
+    return res, out
+
+
+def test_verify_matches_pointwise_scan(mv42, bool3):
+    for E, cb, elements in ((mv42[0], mv42[1], [mv42[0].index_of(c)
+                                                for c in ([1, 3], [2, 1], [0, 4], [4, 4])]),
+                            (bool3[0], bool3[1], [0b101, 0])):
+        for a in elements:
+            res, families = perturbed_families(E, cb, a, 4, lambda p, q: p == q)
+            rep = verify_resolution(cb, a, res.entries, 4)
+            assert rep.passed and verdict_rows(rep) == reference_verify(cb, a, res.entries, 4)
+            for fam in families:
+                rep = verify_resolution(cb, a, fam, 4)
+                assert not rep.passed
+                assert verdict_rows(rep) == reference_verify(cb, a, fam, 4), fam
+    E, cb = mv42
+    a, b = E.index_of([1, 3]), E.index_of([2, 3])
+    wrong = binary_resolution(cb, b, 4).entries
+    rep = verify_resolution(cb, a, wrong, 4)
+    assert not rep.passed and verdict_rows(rep) == reference_verify(cb, a, wrong, 4)
+    off_grid = dict(binary_resolution(cb, a, 3).entries)
+    assert verdict_rows(verify_resolution(cb, a, off_grid, 4)) == \
+        reference_verify(cb, a, off_grid, 4) == [("grid-complete", False, None)]
+
+
+def test_verify_matrix_families(matrix2):
+    E, cb = matrix2
+    rng = np.random.default_rng(9)
+    q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    a = q @ np.diag([5 / 16, 11 / 16]) @ q.T
+    a = (a + a.T) / 2
+    res = binary_resolution(cb, a, 6)
+    bad = dict(res.entries)
+    bad[Fraction(1, 2)] = E.one
+    for fam, ok in ((res.entries, True), (dict(res.entries), True), (bad, False)):
+        rep = verify_resolution(cb, a, fam, 6)
+        assert rep.passed is ok
+        assert verdict_rows(rep) == reference_verify(cb, a, fam, 6)
