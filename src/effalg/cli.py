@@ -2,7 +2,11 @@
 
 Instance documents are JSON with a "kind" key (boolean, mv_product,
 matrix, product, horizontal_sum, mo2, table).  Exit codes: 0 pass/yes,
-1 violation/no, 2 parse or usage error.
+1 violation/no, 2 parse or usage error.  Every command but ``validate``
+validates the document as it loads it and exits 2 when a law fails;
+``validate`` loads it unchecked, runs the axiom and base scans once and
+exits 1 with the failing report.  A malformed option value exits 2 with
+an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -40,14 +44,14 @@ def proj_repr(E, p):
     return E.label(p)
 
 
-def _load_instance(path: str):
+def _load_instance(path: str, validate: bool = True):
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(_fail(f"cannot read instance document: {exc}", 2))
     try:
-        return instances.parse_document(doc)
+        return instances.parse_document(doc, validate=validate)
     except (EffalgError, KeyError, ValueError, TypeError) as exc:
         raise SystemExit(_fail(f"bad instance document: {exc}", 2))
 
@@ -55,6 +59,34 @@ def _load_instance(path: str):
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+# what int, Fraction, json and the element parser raise on a malformed value
+_MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError, OverflowError)
+
+
+def _parse(option: str, text: str, parse):
+    """``parse(text)`` for one option value; exit 2 with an error line if
+    the value is malformed."""
+    try:
+        return parse(text)
+    except EffalgError as exc:
+        raise SystemExit(_fail(str(exc), 2))
+    except _MALFORMED as exc:
+        raise SystemExit(_fail(f"bad {option} value {text!r}: {exc}", 2))
+
+
+def _element_arg(E, text):
+    return _parse("--element", text, lambda t: instances.parse_element(E, _maybe_json(t)))
+
+
+def _int_vector(text):
+    return np.array([int(x) for x in text.split(",")], dtype=np.int64)
+
+
+def _slope_grid(text):
+    lo, hi, step = (int(x) for x in text.split(":"))
+    return range(lo, hi + 1, step)
 
 
 def _emit(payload: dict, text: str, fmt: str):
@@ -86,7 +118,8 @@ def _depth_arg(text):
 
 
 def cmd_validate(args) -> int:
-    E, cb = _load_instance(args.file)
+    # the scans below are the ones the load would run (at the default seed)
+    E, cb = _load_instance(args.file, validate=False)
     ax = core.validate_axioms(E, seed=args.seed)
     reports = [ax]
     if E.enumerable:
@@ -140,6 +173,7 @@ def cmd_analyze(args) -> int:
 def cmd_spectral(args) -> int:
     depth = _depth_arg(args.depth)
     listing = not getattr(args, "lam", None)
+    lam = None if listing else _parse("--lambda", args.lam, Fraction)
     if listing and depth is not None and depth > MAX_LISTED_DEPTH:
         raise InvalidDepth(
             f"listing the depth-{depth} grid would print 2^{depth} + 1 rows "
@@ -148,14 +182,10 @@ def cmd_spectral(args) -> int:
     E, cb = _load_instance(args.file)
     if args.element is None:
         raise SystemExit(_fail("--element is required", 2))
-    try:
-        a = instances.parse_element(E, _maybe_json(args.element))
-    except EffalgError as exc:
-        raise SystemExit(_fail(str(exc), 2))
+    a = _element_arg(E, args.element)
     depth = _default_depth(E, depth)
     try:
         if not listing:
-            lam = Fraction(args.lam)
             val = spectral.rational_resolution(cb, a, lam, depth, details=True)
             text = (f"p[{_frac_str(lam)}] = {proj_repr(E, val.projection)} "
                     f"(stable from depth {val.stable_from})")
@@ -163,7 +193,7 @@ def cmd_spectral(args) -> int:
                    "stable_from": val.stable_from, "depth": depth}, text, args.format)
             return 0
         res = spectral.binary_resolution(cb, a, depth)
-    except EffalgError as exc:
+    except (EffalgError, ValueError) as exc:  # ValueError: lambda outside [0, 1]
         raise SystemExit(_fail(str(exc), 2))
     sys.stdout.write(_resolution_text(E, a, res, args.format))
     return 0
@@ -217,22 +247,21 @@ def cmd_group(args) -> int:
         raise SystemExit(_fail(str(exc), 2))
     if not args.g:
         raise SystemExit(_fail("--g VECTOR is required", 2))
-    g = np.array([int(x) for x in args.g.split(",")])
+    g = _parse("--g", args.g, _int_vector)
     if g.shape != (G.dim,):
         raise SystemExit(_fail(f"need {G.dim} coordinates", 2))
     if args.approx:
-        lo, hi, step = (int(x) for x in args.approx.split(":"))
+        grid = _parse("--approx", args.approx, _slope_grid)
         try:
-            pieces, err, gap = groups.dyadic_approximation(
-                G, g, range(lo, hi + 1, step), args.scale)
-        except EffalgError as exc:
+            pieces, err, gap = groups.dyadic_approximation(G, g, grid, args.scale)
+        except (EffalgError, ValueError) as exc:  # ValueError: fewer than two grid points
             raise SystemExit(_fail(str(exc), 2))
         text = "\n".join([f"u_{i + 1} = {list(map(int, u))}" for i, u in enumerate(pieces)]
                          + [f"error = {_frac_str(err)} <= {_frac_str(gap)}"])
         _emit({"pieces": [list(map(int, u)) for u in pieces],
                "error": _frac_str(err), "bound": _frac_str(gap)}, text, args.format)
         return 0
-    lam = Fraction(args.lam) if args.lam else Fraction(1, 2)
+    lam = _parse("--lambda", args.lam, Fraction) if args.lam else Fraction(1, 2)
     p = groups.group_spectral(G, g, lam.numerator, lam.denominator)
     text = f"p[{_frac_str(lam)}] = {list(map(int, p))}"
     _emit({"lambda": _frac_str(lam), "projection": list(map(int, p))}, text, args.format)
@@ -241,14 +270,11 @@ def cmd_group(args) -> int:
 
 def cmd_expect(args) -> int:
     E, cb = _load_instance(args.file)
-    try:
-        a = instances.parse_element(E, _maybe_json(args.element))
-    except EffalgError as exc:
-        raise SystemExit(_fail(str(exc), 2))
+    a = _element_arg(E, args.element)
     depth = _default_depth(E, _depth_arg(args.depth))
     if not isinstance(E, GridAlgebra):
         raise SystemExit(_fail("--state weights need a grid instance", 2))
-    weights = [Fraction(t) for t in args.state.split(",")]
+    weights = _parse("--state", args.state, lambda t: [Fraction(w) for w in t.split(",")])
     try:
         s = instances.weighted_state(E, weights)
         lo, hi = spectral.expectation_bounds(cb, a, s, depth)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from . import kernels
@@ -407,7 +406,11 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
         ii2, jj2 = np.repeat(ii, m), np.repeat(jj, m)
         kk = np.tile(np.arange(m), ii.size)
         ok = pq[jj2, kk] >= 0
-        total = np.where(ok, E.sum_pairs(pq[ii2, jj2], pa[kk]), -1)
+        # (p+q)+r for every candidate; a gather from the dense table keeps
+        # the transient to a few index vectors of the candidate count
+        first, third = pq[ii2, jj2], pa[kk]
+        total = E.sum_table[first, third] if E.dense else E.sum_pairs(first, third)
+        total = np.where(ok, total, -1)
         good = np.flatnonzero(ok & (total >= 0))
         triples = [(int(pq[ii2[t], jj2[t]]), int(pa[jj2[t]]),
                     int(pq[jj2[t], kk[t]]), int(pa[kk[t]])) for t in good]
@@ -547,18 +550,48 @@ def bicommutant(cb: CompressionBase, a: int):
 def blocks(cb: CompressionBase) -> list:
     """Maximal pairwise-compatible subsets of P, each checked Boolean."""
     compat = cb.pcompat()
-    g = nx.Graph()
-    g.add_nodes_from(range(len(cb.projections)))
-    for i in range(len(cb.projections)):
-        for j in range(i + 1, len(cb.projections)):
-            if compat[i, j]:
-                g.add_edge(i, j)
+    adj = []
+    for i, row in enumerate(compat):
+        bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        adj.append(bits & ~(1 << i))
     out = []
-    for clique in nx.find_cliques(g):
-        block = sorted(cb.projections[i] for i in clique)
+    for clique in maximal_cliques(adj):
+        block = sorted(cb.projections[i] for i in _members(clique))
         _check_boolean_block(cb, block)
         out.append(block)
     return sorted(out)
+
+
+def maximal_cliques(adj) -> list:
+    """Maximal cliques of a simple graph, each as a bitset of vertices.
+
+    ``adj[v]`` is the neighbour bitset of vertex ``v`` (without ``v``).
+    Bron and Kerbosch's search with pivoting (CACM 16(9), 1973), run on an
+    explicit stack so that a large clique does not nest calls.
+    """
+    out = []
+    stack = [(0, (1 << len(adj)) - 1, 0)]  # (clique so far, candidates, excluded)
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        # branch only on candidates outside the pivot's neighbourhood
+        pivot = max(_members(p | x), key=lambda u: (adj[u] & p).bit_count())
+        for v in _members(p & ~adj[pivot]):
+            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return out
+
+
+def _members(bits: int):
+    """Vertices of a bitset, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _check_boolean_block(cb: CompressionBase, block) -> None:

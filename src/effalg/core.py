@@ -25,7 +25,7 @@ from .errors import (
     SizeLimit,
 )
 
-DENSE_LIMIT = 5000  # dense tables need n <= this (3 tables of n^2 entries)
+DENSE_LIMIT = 5000  # dense tables need n <= this (3 tables, 9 n^2 bytes)
 TRIPLE_BUDGET = 2_000_000_000  # full associativity scan when n^3 is below
 PAIR_BUDGET = 200_000_000
 SAMPLE_SIZE = 20_000
@@ -317,15 +317,19 @@ def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Element ``(x, y)`` has index ``x * len(B) + y``.  Boolean tables (order)
     combine by conjunction; index tables (sum, difference) combine
-    componentwise and are ``-1`` wherever either factor entry is.
+    componentwise and are ``-1`` wherever either factor entry is.  The
+    result is written in place, so the build needs no ``n x n`` array
+    besides the table itself.
     """
     na, nb = A.shape[0], B.shape[0]
-    A4 = A[:, None, :, None]
-    B4 = B[None, :, None, :]
     if A.dtype == bool:
-        out = A4 & B4
+        out = A[:, None, :, None] & B[None, :, None, :]
     else:
-        out = np.where((A4 >= 0) & (B4 >= 0), A4 * nb + B4, -1).astype(np.int32)
+        A4 = A.astype(np.int32, copy=False)[:, None, :, None]
+        B4 = B.astype(np.int32, copy=False)[None, :, None, :]
+        out = A4 * np.int32(nb) + B4
+        np.copyto(out, -1, where=A4 < 0)  # the masks broadcast like A4 and B4
+        np.copyto(out, -1, where=B4 < 0)
     return out.reshape(na * nb, na * nb)
 
 
@@ -762,6 +766,9 @@ def sharp_elements(E: FiniteAlgebra) -> np.ndarray:
 def is_principal(E: FiniteAlgebra, a) -> bool:
     """x, y <= a and x + y defined imply x + y <= a."""
     idx = np.flatnonzero(E.lower_bounds(a))
+    if E.dense:
+        sums = E.sum_table[np.ix_(idx, idx)]
+        return bool(E.leq_table[sums[sums >= 0], a].all())
     m = idx.size
     sums = E.sum_pairs(np.repeat(idx, m), np.tile(idx, m))
     defined = sums >= 0

@@ -1,9 +1,10 @@
 """Constructors for the worked instances, with document round-tripping.
 
 Every constructor returns (algebra, base) after running the axiom and
-base validators (sampled above the scan budget).  The built algebra
-carries ``document``, a JSON-serializable description that reparses to
-an index-isomorphic instance.
+base validators (sampled above the scan budget), unless called with
+``validate=False``.  The built algebra carries ``document``, a
+JSON-serializable description that reparses to an index-isomorphic
+instance.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ def make_mv_product(denominator: int, arity: int, validate: bool = True):
     return _validated(E, cb, "mv_product", validate)
 
 
-def make_matrix(dim: int, tol: float = 1e-9):
+def make_matrix(dim: int, tol: float = 1e-9, validate: bool = True):
     """Symmetric matrix effects with the full projection base (lazy carrier)."""
     E, cb = matrices.make_matrix_instance(dim, tol=tol)
     E.document = {"kind": "matrix", "dim": dim, "tol": tol}
+    if not validate:
+        return E, cb
     rep = validate_axioms(E)  # sampled triples; the carrier cannot be listed
     if not rep.passed:
         raise InternalConsistencyError(f"matrix axioms failed\n{rep.summary()}")
@@ -377,24 +380,27 @@ def projection_from_group(E: GridAlgebra, p: np.ndarray) -> int:
 # documents
 
 
-def parse_document(doc: dict):
+def parse_document(doc: dict, validate: bool = True):
+    """(algebra, base) from a document.  ``validate`` applies to the
+    outermost constructor only: factors and parts are always validated,
+    and ``table`` documents never are."""
     kind = doc.get("kind")
     if kind == "boolean":
-        return make_boolean(int(doc["n_atoms"]))
+        return make_boolean(int(doc["n_atoms"]), validate=validate)
     if kind == "mv_product":
-        return make_mv_product(int(doc["denominator"]), int(doc["arity"]))
+        return make_mv_product(int(doc["denominator"]), int(doc["arity"]), validate=validate)
     if kind == "matrix":
-        return make_matrix(int(doc["dim"]), tol=float(doc.get("tol", 1e-9)))
+        return make_matrix(int(doc["dim"]), tol=float(doc.get("tol", 1e-9)), validate=validate)
     if kind == "product":
         f1, f2 = doc["factors"]
-        return make_product(parse_document(f1), parse_document(f2))
+        return make_product(parse_document(f1), parse_document(f2), validate=validate)
     if kind == "horizontal_sum":
         p1, p2 = (parse_document(d) for d in doc["parts"])
         s1, s2 = doc["states"]
         return make_horizontal_sum(p1, p2, [as_fraction(v) for v in s1],
-                                   [as_fraction(v) for v in s2])
+                                   [as_fraction(v) for v in s2], validate=validate)
     if kind == "mo2":
-        return make_mo2()
+        return make_mo2(validate=validate)
     if kind == "table":
         E = make_table(doc["sums"], int(doc["n"]), int(doc["zero"]), int(doc["one"]),
                        labels=doc.get("labels"))

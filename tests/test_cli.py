@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effalg import cli
 
@@ -9,6 +10,10 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+BROKEN_TABLE = {"kind": "table", "n": 3, "zero": 0, "one": 2,
+                "sums": [[0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 1, 2], [1, 2, 2]]}
 
 
 @pytest.fixture()
@@ -24,9 +29,7 @@ def docs(tmp_path):
                        "parts": [{"kind": "mv_product", "denominator": 8, "arity": 1}] * 2,
                        "states": [ident, ident]}),
         "matrix": write(tmp_path, "matrix.json", {"kind": "matrix", "dim": 2}),
-        "broken": write(tmp_path, "broken.json",
-                        {"kind": "table", "n": 3, "zero": 0, "one": 2,
-                         "sums": [[0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 1, 2], [1, 2, 2]]}),
+        "broken": write(tmp_path, "broken.json", BROKEN_TABLE),
         "garbage": write(tmp_path, "garbage.json", "{not json"[:-1]),
     }
 
@@ -186,3 +189,133 @@ def test_lambda_at_depth_64(docs, capsys):
                      "--depth", "64"]) == 0
     out = capsys.readouterr().out
     assert out.startswith(f"p[1/3] = {want} (stable from depth ")
+
+
+def test_validate_scans_the_top_level_instance_once(tmp_path, monkeypatch, capsys):
+    from effalg import compbase, core, instances
+
+    doc = write(tmp_path, "prod.json",
+                {"kind": "product", "factors": [{"kind": "boolean", "n_atoms": 1},
+                                                {"kind": "mv_product", "denominator": 4,
+                                                 "arity": 1}]})
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(E, *args, **kwargs):
+            calls.append((name, E.kind))
+            return fn(E, *args, **kwargs)
+        return wrapper
+
+    axioms = counted("axioms", core.validate_axioms)
+    base = counted("base", compbase.validate_base)
+    for owner in (core, instances):
+        monkeypatch.setattr(owner, "validate_axioms", axioms)
+    for owner in (compbase, instances):
+        monkeypatch.setattr(owner, "validate_base", base)
+    assert cli.main(["--format", "json", "validate", doc]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert calls.count(("axioms", "product")) == 1
+    assert calls.count(("base", "product")) == 1
+    # the factors are still validated as they load
+    assert calls.count(("axioms", "boolean")) == calls.count(("axioms", "mv_product")) == 1
+    calls.clear()
+    assert cli.main(["analyze", doc]) == 0  # other commands validate at load
+    capsys.readouterr()
+    assert calls.count(("axioms", "product")) == calls.count(("base", "product")) == 1
+
+
+def test_validate_reports_a_broken_law_with_exit_1(tmp_path, capsys):
+    """A document that parses but breaks a law: validate prints the failing
+    report and exits 1; a command that needs a valid instance exits 2."""
+    doc = write(tmp_path, "bprod.json",
+                {"kind": "product", "factors": [BROKEN_TABLE, {"kind": "boolean", "n_atoms": 1}]})
+    assert cli.main(["validate", doc]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("axioms on product (6 elements): FAIL")
+    assert "FAIL E4-unit-maximal" in out.out
+    assert cli.main(["--format", "json", "validate", doc]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert cli.main(["analyze", doc]) == 2
+    assert capsys.readouterr().err.startswith("error: bad instance document: product: axioms")
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process run; argparse's own exits included."""
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_docs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("docs")
+    return {
+        "l4": write(root, "l4.json", {"kind": "mv_product", "denominator": 4, "arity": 1}),
+        "mv42": write(root, "mv42.json", {"kind": "mv_product", "denominator": 4, "arity": 2}),
+        "matrix": write(root, "matrix.json", {"kind": "matrix", "dim": 2}),
+    }
+
+
+MALFORMED = [
+    ["group", "l4", "--g", "1,2,x"],
+    ["group", "l4", "--g", "1", "--approx=bad"],
+    ["group", "l4", "--g", "1", "--approx=0:3:0"],
+    ["group", "l4", "--g", "2", "--approx=5:0:1"],
+    ["group", "l4", "--g", "1", "--lambda", "1/0"],
+    ["group", "l4", "--g", "99999999999999999999999"],
+    ["spectral", "l4", "--element", "1", "--lambda", "1/0"],
+    ["spectral", "l4", "--element", "1", "--lambda", "abc"],
+    ["spectral", "l4", "--element", "1", "--lambda", "3/2"],
+    ["spectral", "mv42", "--element", "zz"],
+    ["spectral", "mv42", "--element", "1/0,1"],
+    ["spectral", "mv42", "--element", "{bad"],
+    ["spectral", "matrix", "--element", "1,2,x"],
+    ["spectral", "matrix", "--element", "1,2,3"],
+    ["expect", "l4", "--element", "1", "--state", "1/0"],
+    ["expect", "l4", "--element", "1", "--state", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_option_exits_2(argv, small_docs):
+    code, err = run_cli([small_docs.get(a, a) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# option values the fuzz test draws from: numbers, fractions, lists, and junk
+_token = st.one_of(st.integers(-20, 20).map(str),
+                   st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map("{0[0]}/{0[1]}".format),
+                   st.text(alphabet="0123456789/-,:.xe {}[]\"", max_size=10))
+_value = st.one_of(_token, st.lists(_token, min_size=1, max_size=4).map(",".join),
+                   st.lists(_token, min_size=1, max_size=3).map(":".join))
+_depth = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["x", "2.5", "", "1e3"]))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_option_fuzz_never_tracebacks(small_docs, data):
+    doc = small_docs[data.draw(st.sampled_from(sorted(small_docs)))]
+    command = data.draw(st.sampled_from(["spectral", "group", "expect"]))
+    argv = [command, doc]
+    options = {"spectral": ("--element", "--lambda", "--depth"),
+               "group": ("--g", "--lambda", "--approx"),
+               "expect": ("--element", "--state", "--depth")}[command]
+    for option in options:
+        if data.draw(st.booleans()):
+            value = data.draw(_depth if option == "--depth" else _value)
+            argv.append(f"{option}={value}")
+    if command == "spectral" and not any(a.startswith("--lambda") for a in argv):
+        argv.append("--depth=3")  # keep listings short; --depth is drawn above otherwise
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)

@@ -136,6 +136,87 @@ def test_blocks(bool3, mv83, mo2):
     assert len(c_block(mcb, [M.zero, M.one])) == M.size
 
 
+def _brute_force_cliques(adj):
+    """Every maximal clique, by testing all vertex subsets."""
+    m = len(adj)
+    full = (1 << m) - 1
+    out = []
+    for mask in range(1 << m):
+        members = [v for v in range(m) if mask >> v & 1]
+        if any(mask & ~(1 << v) & ~adj[v] for v in members):
+            continue  # two members are not adjacent
+        if any(all(adj[u] >> v & 1 for v in members)
+               for u in range(m) if not (mask | ~full) >> u & 1):
+            continue  # an outside vertex extends it
+        out.append(mask)
+    return out
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = np.random.default_rng(11)
+    graphs = 0
+    for m in range(1, 13):
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            for _ in range(3):
+                upper = np.triu(rng.random((m, m)) < density, 1)
+                compat = upper | upper.T
+                adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in compat]
+                assert sorted(compbase.maximal_cliques(adj)) == _brute_force_cliques(adj), \
+                    (m, density, adj)
+                graphs += 1
+    assert graphs == 180
+    assert compbase.maximal_cliques([]) == [0]  # the empty clique of the null graph
+    # a clique far larger than the recursion limit
+    big = 1500
+    full = (1 << big) - 1
+    assert compbase.maximal_cliques([full & ~(1 << v) for v in range(big)]) == [full]
+
+
+_L8 = {"kind": "mv_product", "denominator": 8, "arity": 1}
+_HSUM = {"kind": "horizontal_sum", "parts": [_L8, _L8],
+         "states": [[f"{i}/8" for i in range(9)]] * 2}
+_MO2 = {"kind": "mo2"}
+_B2 = {"kind": "boolean", "n_atoms": 2}
+_MV42 = {"kind": "mv_product", "denominator": 4, "arity": 2}
+PINNED_BLOCKS = {  # as the networkx clique search gave them
+    "boolean(3)": ({"kind": "boolean", "n_atoms": 3}, [[0, 1, 2, 3, 4, 5, 6, 7]]),
+    "mv(4,2)": (_MV42, [[0, 4, 20, 24]]),
+    "mv(8,3)": ({"kind": "mv_product", "denominator": 8, "arity": 3},
+                [[0, 8, 72, 80, 648, 656, 720, 728]]),
+    "MO2": (_MO2, [[0, 1]]),
+    "L8+L8": (_HSUM, [[0, 1]]),
+    "MO2 x MO2": ({"kind": "product", "factors": [_MO2, _MO2]}, [[0, 1, 6, 7]]),
+    "L8+L8 x boolean(2)": ({"kind": "product", "factors": [_HSUM, _B2]},
+                           [[0, 1, 2, 3, 4, 5, 6, 7]]),
+    "boolean(2) x mv(4,2)": ({"kind": "product", "factors": [_B2, _MV42]},
+                             [[0, 4, 20, 24, 25, 29, 45, 49, 50, 54, 70, 74, 75, 79, 95, 99]]),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BLOCKS))
+def test_blocks_pinned(name):
+    from effalg import instances
+
+    doc, want = PINNED_BLOCKS[name]
+    _, cb = instances.parse_document(doc, validate=False)
+    assert blocks(cb) == want
+
+
+def test_import_leaves_networkx_out():
+    import os
+    import subprocess
+    import sys
+
+    import effalg
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(effalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, effalg.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_block_invariants_raise_named_errors(bool3):
     """Broken invariants raise InternalConsistencyError, which -O keeps."""
     from effalg.errors import EffalgError, InternalConsistencyError

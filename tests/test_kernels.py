@@ -216,6 +216,7 @@ SMALL_PRODUCTS = {
     "MO2 x L4": lambda: ProductAlgebra(_mo2(), GridAlgebra(4, 1)),
     "(boolean(1) x L2) x MO2": lambda: ProductAlgebra(
         ProductAlgebra(BooleanAlgebra(1), GridAlgebra(2, 1)), _mo2()),
+    "MO2 x mv(4,2)": lambda: ProductAlgebra(_mo2(), GridAlgebra(4, 2)),
     "mv(3,3)": lambda: GridAlgebra(3, 3),
     "boolean(4)": lambda: BooleanAlgebra(4),
 }
