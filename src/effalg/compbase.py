@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import DomainMismatch, InternalConsistencyError, NoCover, NotEnumerable
 
-MAP_CACHE_ENTRIES = 48_000_000  # cache J tables only while |P|*n stays below
+MAP_CACHE_ENTRIES = 48_000_000  # stack J tables only while |P|*n stays below
 
 
 class CompressionBase:
@@ -37,6 +37,9 @@ class CompressionBase:
 
     ``maps`` may hold explicit ``(n,)`` tables or zero-argument builders
     that produce them; builders keep memory bounded on large carriers.
+    While ``|P| * n <= MAP_CACHE_ENTRIES`` every table is built once into
+    one read-only int32 ``(|P|, n)`` stack, and ``map_table`` returns its
+    rows; past that bound each call builds its table afresh.
     """
 
     enumerable = True
@@ -47,7 +50,8 @@ class CompressionBase:
         self.p_set = frozenset(self.projections)
         self.p_pos = {p: i for i, p in enumerate(self.projections)}
         self._maps = dict(maps)
-        self._cache_maps = len(self.projections) * algebra.size <= MAP_CACHE_ENTRIES
+        self.caches_maps = len(self.projections) * algebra.size <= MAP_CACHE_ENTRIES
+        self._stack = None
         self._pcompat = None
         self._pc_matrix = None
         self._elem_leq_proj = None
@@ -57,14 +61,43 @@ class CompressionBase:
 
     # -- maps ----------------------------------------------------------------
 
-    def map_table(self, p: int) -> np.ndarray:
+    def _build(self, p: int) -> np.ndarray:
         entry = self._maps[p]
-        if callable(entry):
-            table = np.asarray(entry(), dtype=np.int64)
-            if self._cache_maps:
-                self._maps[p] = table
-            return table
-        return np.asarray(entry, dtype=np.int64)
+        return np.asarray(entry() if callable(entry) else entry, dtype=np.int32)
+
+    def map_stack(self) -> np.ndarray:
+        """int32 ``(|P|, n)`` table whose row ``i`` is J at ``projections[i]``.
+
+        Cached while ``caches_maps``; otherwise built afresh on each call.
+        """
+        if self._stack is not None:
+            return self._stack
+        stack = np.empty((len(self.projections), self.algebra.size), dtype=np.int32)
+        for i, p in enumerate(self.projections):
+            stack[i] = self._build(p)
+        if self.caches_maps:
+            stack.flags.writeable = False
+            self._stack = stack
+            self._maps = None  # every table now lives in the stack
+        return stack
+
+    def map_table(self, p: int) -> np.ndarray:
+        if self.caches_maps:
+            return self.map_stack()[self.p_pos[p]]
+        return self._build(p)
+
+    def map_values(self, ps, xs=None) -> np.ndarray:
+        """int32 ``(len(ps), len(xs))`` table of J_p(x), p in ``ps``, x in
+        ``xs`` (default: the whole carrier)."""
+        if self.caches_maps:
+            rows = [self.p_pos[int(p)] for p in ps]
+            stack = self.map_stack()
+            return stack[rows] if xs is None else stack[np.ix_(rows, xs)]
+        cols = slice(None) if xs is None else xs
+        out = np.empty((len(ps), self.algebra.size if xs is None else len(xs)), dtype=np.int32)
+        for i, p in enumerate(ps):
+            out[i] = self._build(int(p))[cols]
+        return out
 
     def apply(self, p: int, a: int) -> int:
         return int(self.map_table(p)[a])
@@ -162,18 +195,20 @@ class CompressionBase:
     def p_meet_table(self) -> np.ndarray:
         """Pairwise meets inside P (as a sub-poset); -1 where none."""
         if self._p_meet is None:
-            Pleq = self.proj_leq()
-            m = len(self.projections)
-            out = -np.ones((m, m), dtype=np.int64)
-            for i in range(m):
-                for j in range(m):
-                    below = Pleq[:, i] & Pleq[:, j]
-                    idx = np.flatnonzero(below)
-                    sub = Pleq[np.ix_(idx, idx)]
-                    ranks = sub.sum(axis=0)
-                    k = int(np.argmax(ranks))
-                    if ranks[k] == idx.size:
-                        out[i, j] = self.projections[idx[k]]
+            # the meet, when it exists, is the common lower bound with the
+            # most members of P below it, and every common lower bound is
+            # below it
+            down = self.proj_leq().T  # down[i, k]: P[k] <= P[i]
+            m = down.shape[0]
+            height = down.sum(axis=1)
+            P = np.array(self.projections, dtype=np.int64)
+            out = np.full((m, m), -1, dtype=np.int64)
+            step = max(1, kernels.CHUNK_BYTES // (16 * m * m))
+            for i in range(0, m, step):
+                common = down[i:i + step, None, :] & down[None, :, :]  # [i, j, k]
+                top = np.argmax(np.where(common, height, -1), axis=2)
+                found = common.any(axis=2) & ~(common & ~down[top]).any(axis=2)
+                out[i:i + step][found] = P[top[found]]
             self._p_meet = out
         return self._p_meet
 
@@ -226,48 +261,77 @@ def classify_map(E: FiniteAlgebra, J, budget: int = PAIR_BUDGET,
     Oversized carriers are checked on a seeded sample of elements (plus
     the boundary elements), matching the budgeted validation policy.
     """
-    J = np.asarray(J, dtype=np.int64)
-    n = E.size
-    if J.shape != (n,) or J.min() < 0 or J.max() >= n:
-        raise DomainMismatch("map table must send the carrier into itself")
-
-    witness = _additivity_violation(E, J, budget)
-    if witness is not None:
-        return MapClassification("not_additive", None, witness)
-
-    focus = int(J[E.one])
-    if n <= min(budget, 4 * SAMPLE_SIZE):
-        idx = np.arange(n)
-    else:
-        rng = np.random.default_rng(seed)
-        idx = np.unique(np.concatenate([
-            rng.integers(0, n, size=SAMPLE_SIZE),
-            [E.zero, E.one, focus, E.ortho(focus)]]))
-    below = idx[E.leq_pairs(idx, np.full(idx.size, focus))]
-    fixed = J[below] == below
-    if not fixed.all():
-        return MapClassification("not_additive", None, int(below[np.argmin(fixed)]))
-
-    kernel = J[idx] == E.zero
-    should = E.leq_pairs(idx, np.full(idx.size, E.ortho(focus)))
-    if (kernel == should).all():
-        return MapClassification("compression", focus)
-    return MapClassification("retraction", focus, int(idx[np.argmax(kernel != should)]))
+    return MapSample(E, budget, seed).classify(J)
 
 
-def _additivity_violation(E: FiniteAlgebra, J, budget: int, seed: int = 0):
-    n = E.size
-    if E.dense and n * n <= budget:
-        return kernels.map_additivity_violation(E.sum_table, J, E.defined_pairs)
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, n, size=SAMPLE_SIZE)
-    ys = rng.integers(0, n, size=SAMPLE_SIZE)
-    ss = E.sum_pairs(xs, ys)
-    ok = ss >= 0
-    lhs = np.where(ok, J[np.maximum(ss, 0)], -1)
-    rhs = np.where(ok, E.sum_pairs(J[xs], J[ys]), -1)
-    bad = np.flatnonzero(ok & (lhs != rhs))
-    return (int(xs[bad[0]]), int(ys[bad[0]])) if bad.size else None
+class MapSample:
+    """The pairs and elements ``classify_map`` examines on one carrier.
+
+    They depend on the carrier, the budget and the seed only, so a base
+    draws them once and classifies each of its maps against them.
+    """
+
+    def __init__(self, E: FiniteAlgebra, budget: int = PAIR_BUDGET, seed: int = 0):
+        self.E = E
+        n = E.size
+        self.all_pairs = E.dense and n * n <= budget
+        if not self.all_pairs:
+            rng = np.random.default_rng(0)
+            self.xs = rng.integers(0, n, size=SAMPLE_SIZE)
+            self.ys = rng.integers(0, n, size=SAMPLE_SIZE)
+            self.ss = E.sum_pairs(self.xs, self.ys)
+            self.defined = self.ss >= 0
+        if n <= min(budget, 4 * SAMPLE_SIZE):
+            self.idx, self.drawn = np.arange(n), False
+        else:
+            rng = np.random.default_rng(seed)
+            self.idx = np.unique(np.concatenate([
+                rng.integers(0, n, size=SAMPLE_SIZE), [E.zero, E.one]]))
+            self.drawn = True
+
+    def classify(self, J) -> MapClassification:
+        E = self.E
+        J = np.asarray(J)
+        if J.dtype != np.int32:  # the rows of a map stack are used as they are
+            J = J.astype(np.int64)
+        n = E.size
+        if J.shape != (n,) or J.min() < 0 or J.max() >= n:
+            raise DomainMismatch("map table must send the carrier into itself")
+
+        witness = self._additivity_violation(J)
+        if witness is not None:
+            return MapClassification("not_additive", None, witness)
+
+        focus = int(J[E.one])
+        idx = _with_elements(self.idx, [focus, E.ortho(focus)]) if self.drawn else self.idx
+        below = idx[E.leq_pairs(idx, np.full(idx.size, focus))]
+        fixed = J[below] == below
+        if not fixed.all():
+            return MapClassification("not_additive", None, int(below[np.argmin(fixed)]))
+
+        kernel = J[idx] == E.zero
+        should = E.leq_pairs(idx, np.full(idx.size, E.ortho(focus)))
+        if (kernel == should).all():
+            return MapClassification("compression", focus)
+        return MapClassification("retraction", focus, int(idx[np.argmax(kernel != should)]))
+
+    def _additivity_violation(self, J):
+        E = self.E
+        if self.all_pairs:
+            return kernels.map_additivity_violation(E.sum_table, J, E.defined_pairs)
+        xs, ys, ok = self.xs, self.ys, self.defined
+        lhs = np.where(ok, J[np.maximum(self.ss, 0)], -1)
+        rhs = np.where(ok, E.sum_pairs(J[xs], J[ys]), -1)
+        bad = np.flatnonzero(ok & (lhs != rhs))
+        return (int(xs[bad[0]]), int(ys[bad[0]])) if bad.size else None
+
+
+def _with_elements(idx: np.ndarray, extra) -> np.ndarray:
+    """The sorted union of the sorted unique ``idx`` with ``extra``."""
+    extra = np.unique(extra)
+    at = np.searchsorted(idx, extra)
+    new = extra[(at == idx.size) | (idx[np.minimum(at, idx.size - 1)] != extra)]
+    return np.insert(idx, np.searchsorted(idx, new), new) if new.size else idx
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +345,21 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
     Checks: P is a sub-effect algebra, every map is a compression focused
     at its index (C1), composites on Mackey-compatible pairs stay in the
     family (C2), P is normal, supplements pair up, and the triple law
-    J_{p+q} o J_{q+r} = J_r holds on summable triples.
+    J_{p+q} o J_{q+r} = J_q holds on summable triples.
+
+    C1 classifies each map against one ``MapSample`` of the carrier; C2
+    and the triple law compare composites of the stacked map tables in
+    chunked gathers (``kernels.composition_violation``).
     """
     rep = Report(f"compression base on {E.kind} (|P|={len(cb.projections)})")
     n = E.size
     P = cb.projections
+    pa = np.array(P, dtype=np.int64)
+    m = pa.size
+    in_p = np.zeros(n, dtype=bool)
+    in_p[pa] = True
+    ppos = np.full(n, -1, dtype=np.int64)  # position in P, -1 outside P
+    ppos[pa] = np.arange(m)
 
     # sub-effect algebra: contains 1, closed under ' and partial sums
     ok = E.one in cb.p_set and E.zero in cb.p_set
@@ -295,31 +369,32 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
             ok, closure_w = False, ("ortho", p)
             break
     if ok:
-        pa = np.array(P)
-        sums = E.sum_pairs(np.repeat(pa, pa.size), np.tile(pa, pa.size))
-        outside = [s for s in sums[sums >= 0] if int(s) not in cb.p_set]
-        if outside:
-            ok, closure_w = False, ("sum", int(outside[0]))
+        sums = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m))
+        sums = sums[sums >= 0]
+        outside = np.flatnonzero(~in_p[sums])
+        if outside.size:
+            ok, closure_w = False, ("sum", int(sums[outside[0]]))
     rep.add("P-sub-effect-algebra", ok, witness=closure_w)
 
     # (C1): each map is a compression with the right focus
     check_projs = list(P)
     proj_mode = "full"
-    if len(P) * n > budget // 4:
+    if m * n > budget // 4:
         rng0 = np.random.default_rng(seed + 7)
-        keep = rng0.choice(len(P), size=min(len(P), 256), replace=False)
+        keep = rng0.choice(m, size=min(m, 256), replace=False)
         check_projs = sorted({P[i] for i in keep} | {E.zero, E.one})
         proj_mode = "sampled"
     pair_budget = max(budget // max(len(check_projs), 1), 4 * SAMPLE_SIZE)
     c1_ok, c1_w = True, None
+    sample = MapSample(E, budget=pair_budget)
     for p in check_projs:
-        cls = classify_map(E, cb.map_table(p), budget=pair_budget)
+        cls = sample.classify(cb.map_table(p))
         if not (cls.is_compression and cls.focus == p):
             c1_ok, c1_w = False, (p, cls.kind, cls.witness)
             break
     mode = "full" if (proj_mode == "full" and E.dense and n * n <= pair_budget) else "sampled"
     rep.add("C1-compressions", c1_ok, mode=mode, witness=c1_w,
-            detail=f"{len(check_projs)} of {len(P)} maps checked")
+            detail=f"{len(check_projs)} of {m} maps checked")
     if not c1_ok:
         return rep
 
@@ -344,49 +419,36 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
     # (C2): composite of a Mackey-compatible pair is in the family
     c2_ok, c2_w, c2_mode = True, None, "full"
     rng = np.random.default_rng(seed)
-    full_c2 = E.dense and len(P) ** 2 * n <= budget
-    sample = None if full_c2 else rng.integers(0, n, size=min(n, 2000))
+    full_c2 = E.dense and m ** 2 * n <= budget
+    cols = None if full_c2 else rng.integers(0, n, size=min(n, 2000))
     if full_c2:
         compat = kernels.mackey_matrix(E.sum_table, E.ominus_table, E.leq_table, P)
-        pairs = [(P[i], P[j]) for i, j in np.argwhere(compat)]
+        ii, jj = np.nonzero(compat)  # row-major: p-major order
     else:
         c2_mode = "sampled"
-        pa = np.array(P)
-        drawn = list({(int(pa[i]), int(pa[j]))
-                      for i, j in zip(rng.integers(0, pa.size, 128),
-                                      rng.integers(0, pa.size, 128))})
-        pairs = (pq for pq in drawn if _mackey_pair(E, *pq))
-    for p, q in pairs:
-        jp = cb.map_table(p)
-        jq = cb.map_table(q)
-        r = int(jp[q])  # candidate focus: J_p(J_q(1))
-        if r not in cb.p_set:
-            c2_ok, c2_w = False, (p, q, "focus", r)
-            break
-        jr = cb.map_table(r)
-        if sample is None:
-            agree = (jp[jq] == jr).all()
-        else:
-            agree = (jp[jq[sample]] == jr[sample]).all()
-        if not agree:
-            c2_ok, c2_w = False, (p, q, "table", r)
-            break
+        drawn = list({(int(i), int(j))
+                      for i, j in zip(rng.integers(0, m, 128), rng.integers(0, m, 128))})
+        pairs = np.array([ij for ij in drawn if _mackey_pair(E, P[ij[0]], P[ij[1]])],
+                         dtype=np.int64).reshape(-1, 2)
+        ii, jj = pairs[:, 0], pairs[:, 1]
+    firsts, at = np.unique(ii, return_inverse=True)
+    focus = cb.map_values(pa[firsts], pa)[at, jj]  # candidate focus J_p(J_q(1)) = J_p(q)
+    t = _composition_failure(cb, ii, jj, ppos[focus], cols)
+    if t is not None:
+        kind = "focus" if ppos[focus[t]] < 0 else "table"
+        c2_ok, c2_w = False, (P[ii[t]], P[jj[t]], kind, int(focus[t]))
     rep.add("C2-composition", c2_ok, mode=c2_mode, witness=c2_w)
 
     # normality of P
-    in_p = np.zeros(n, dtype=bool)
-    in_p[list(cb.p_set)] = True
-    if E.dense and len(P) ** 2 * n <= budget:
-        w = kernels.normality_violation(E.sum_table, E.ominus_table, E.leq_table,
-                                        np.array(P), in_p)
+    if E.dense and m ** 2 * n <= budget:
+        w = kernels.normality_violation(E.sum_table, E.ominus_table, E.leq_table, pa, in_p)
         rep.add("P-normal", w is None, witness=w)
     else:
         rng = np.random.default_rng(seed + 1)
         ds = rng.integers(0, n, size=SAMPLE_SIZE)
         ok_n, w_n = True, None
-        pa = np.array(P)
-        ps = pa[rng.integers(0, pa.size, size=SAMPLE_SIZE)]
-        qs = pa[rng.integers(0, pa.size, size=SAMPLE_SIZE)]
+        ps = pa[rng.integers(0, m, size=SAMPLE_SIZE)]
+        qs = pa[rng.integers(0, m, size=SAMPLE_SIZE)]
         good = E.leq_pairs(ds, ps) & E.leq_pairs(ds, qs) & ~in_p[ds]
         es = np.where(good, E.ominus_pairs(ps, np.where(good, ds, 0)), -1)
         viol = good & (np.where(good, E.sum_pairs(np.maximum(es, 0), qs), -1) >= 0)
@@ -396,50 +458,91 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
         rep.add("P-normal", ok_n, mode="sampled", witness=w_n)
 
     # triple law on summable triples from P: the composite fixes exactly
-    # the shared summand, J_{p+q} o J_{q+r} = J_q
-    tl_ok, tl_w = True, None
-    pa = np.array(P)
-    m = pa.size
+    # the shared summand, J_{p+q} o J_{q+r} = J_q.  A triple is
+    # (p+q, q, q+r, r); a sum outside P has no map and fails the law.
     if m * m <= 1 << 22:
         pq = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m)).reshape(m, m)
-        ii, jj = np.nonzero(pq >= 0)
-        ii2, jj2 = np.repeat(ii, m), np.repeat(jj, m)
-        kk = np.tile(np.arange(m), ii.size)
-        ok = pq[jj2, kk] >= 0
-        # (p+q)+r for every candidate; a gather from the dense table keeps
-        # the transient to a few index vectors of the candidate count
-        first, third = pq[ii2, jj2], pa[kk]
-        total = E.sum_table[first, third] if E.dense else E.sum_pairs(first, third)
-        total = np.where(ok, total, -1)
-        good = np.flatnonzero(ok & (total >= 0))
-        triples = [(int(pq[ii2[t], jj2[t]]), int(pa[jj2[t]]),
-                    int(pq[jj2[t], kk[t]]), int(pa[kk[t]])) for t in good]
+
+        def chunks():
+            for i, j, k in _summable_triples(E, pa, pq):
+                yield pq[i, j], pa[j], pq[j, k], pa[k]
     else:
         rng2 = np.random.default_rng(seed + 2)
-        triples = []
+        drawn = []
         for _ in range(2048):
             p, q, r = (int(pa[rng2.integers(m)]) for _ in range(3))
             s1, s2 = E.sum(p, q), E.sum(q, r)
             if s1 is not None and s2 is not None and E.sum(s1, r) is not None:
-                triples.append((s1, q, s2, r))
-    tl_mode = "full" if (len(triples) * n <= budget and sample is None) else "sampled"
+                drawn.append((s1, q, s2, r))
+
+        def chunks():
+            yield tuple(np.array(drawn, dtype=np.int64).reshape(-1, 4).T)
+    count = sum(chunk[0].size for chunk in chunks())
+    tl_mode = "full" if (count * n <= budget and full_c2) else "sampled"
     cap = 512 if n <= 100_000 else 192
-    if tl_mode == "sampled" and len(triples) > cap:
-        keep = np.random.default_rng(seed + 3).choice(len(triples), size=cap, replace=False)
-        triples = [triples[t] for t in keep]
+    triples = chunks()
+    if tl_mode == "sampled" and count > cap:
+        keep = np.random.default_rng(seed + 3).choice(count, size=cap, replace=False)
+        triples = [_select(triples, keep)]
+    tl_cols = cols if tl_mode == "sampled" else None
+    tl_ok, tl_w = True, None
     for spq, q, sqr, r in triples:
-        jpq = cb.map_table(spq)
-        jqr = cb.map_table(sqr)
-        jq = cb.map_table(q)
-        if tl_mode == "full" or sample is None:
-            agree = (jpq[jqr] == jq).all()
-        else:
-            agree = (jpq[jqr[sample]] == jq[sample]).all()
-        if not agree:
-            tl_ok, tl_w = False, (spq, q, sqr, r)
+        t = _composition_failure(cb, ppos[spq], ppos[sqr], ppos[q], tl_cols)
+        if t is not None:
+            tl_ok, tl_w = False, (int(spq[t]), int(q[t]), int(sqr[t]), int(r[t]))
             break
     rep.add("triple-law", tl_ok, mode=tl_mode, witness=tl_w)
     return rep
+
+
+def _summable_triples(E: FiniteAlgebra, pa: np.ndarray, pq: np.ndarray):
+    """Chunks ``(i, j, k)`` of positions in P with ``pa[i] + pa[j]``,
+    ``pa[j] + pa[k]`` and ``(pa[i] + pa[j]) + pa[k]`` defined, in the order
+    of (i, j) row-major and then k; ``pq`` holds the sums of pairs of P."""
+    m = pa.size
+    ii, jj = np.nonzero(pq >= 0)
+    step = max(1, kernels.CHUNK_BYTES // (64 * m))  # (i, j) pairs; ~64 bytes per candidate
+    for start in range(0, ii.size, step):
+        i2 = np.repeat(ii[start:start + step], m)
+        j2 = np.repeat(jj[start:start + step], m)
+        k2 = np.tile(np.arange(m), min(step, ii.size - start))
+        ok = pq[j2, k2] >= 0
+        first, third = pq[i2, j2], pa[k2]
+        total = E.sum_table[first, third] if E.dense else E.sum_pairs(first, third)
+        good = np.flatnonzero(ok & (total >= 0))
+        yield i2[good], j2[good], k2[good]
+
+
+def _select(chunks, keep: np.ndarray) -> tuple:
+    """The entries at the positions ``keep`` of a run of chunks, each a
+    tuple of equally long arrays, in the order of ``keep``."""
+    order = np.sort(keep)
+    parts, seen = [], 0
+    for chunk in chunks:
+        size = chunk[0].size
+        at = order[(order >= seen) & (order < seen + size)] - seen
+        parts.append([a[at] for a in chunk])
+        seen += size
+    back = np.searchsorted(order, keep)
+    return tuple(np.concatenate(a)[back] for a in zip(*parts))
+
+
+def _composition_failure(cb: CompressionBase, outer, inner, target, cols=None):
+    """``kernels.composition_violation`` over the maps of P; the indices
+    are positions in P.  Past ``MAP_CACHE_ENTRIES`` the maps are not
+    stacked, and each batch builds the rows it compares."""
+    if cb.caches_maps:
+        return kernels.composition_violation(cb.map_stack(), outer, inner, target, cols)
+    step = max(1, kernels.CHUNK_BYTES // (12 * cb.algebra.size))
+    for start in range(0, len(outer), step):
+        flat = np.concatenate([a[start:start + step] for a in (outer, inner, target)])
+        need = np.unique(flat[flat >= 0])
+        local = np.where(flat >= 0, np.searchsorted(need, flat), -1)
+        rows = cb.map_values([cb.projections[i] for i in need])
+        t = kernels.composition_violation(rows, *np.split(local, 3), cols)
+        if t is not None:
+            return start + t
+    return None
 
 
 def _mackey_pair(E: FiniteAlgebra, p: int, q: int) -> bool:
@@ -595,28 +698,28 @@ def _members(bits: int):
 
 
 def _check_boolean_block(cb: CompressionBase, block) -> None:
+    """Raise InternalConsistencyError unless the block is closed under '
+    and under the meets J_p(q), and those meets distribute over the joins
+    q v r = (q' ^ r')'."""
     E = cb.algebra
-    bset = set(block)
-    for p in block:
-        if E.ortho(p) not in bset:
-            raise InternalConsistencyError(f"block not closed under ': {block}")
-    # meets of compatible projections are J_p(q); check closure + distributivity
-    meet = {}
-    for p in block:
-        jp = cb.map_table(p)
-        for q in block:
-            m = int(jp[q])
-            if m not in bset:
-                raise InternalConsistencyError("block not closed under meets")
-            meet[p, q] = m
-    for p in block:
-        for q in block:
-            for r in block:
-                j = cb.join_proj(q, r)
-                lhs = meet[p, j]
-                rhs = cb.join_proj(meet[p, q], meet[p, r])
-                if lhs != rhs:
-                    raise InternalConsistencyError("block fails distributivity")
+    block = np.asarray(block, dtype=np.int64)
+    b = block.size
+    where = np.full(E.size, -1, dtype=np.int64)  # position in the block
+    where[block] = np.arange(b)
+    ortho = where[E.ortho_all()[block]]
+    if (ortho < 0).any():
+        raise InternalConsistencyError(f"block not closed under ': {block.tolist()}")
+    # meets of compatible projections are J_p(q), as block positions
+    meet = where[cb.map_values(block, block)]
+    if (meet < 0).any():
+        raise InternalConsistencyError("block not closed under meets")
+    join = ortho[meet[np.ix_(ortho, ortho)]]
+    # p ^ (q v r) == (p ^ q) v (p ^ r), for a run of p's at a time
+    step = max(1, kernels.CHUNK_BYTES // (24 * b * b))
+    for i in range(0, b, step):
+        mp = meet[i:i + step]
+        if (mp[:, join] != join[mp[:, :, None], mp[:, None, :]]).any():
+            raise InternalConsistencyError("block fails distributivity")
 
 
 def c_block(cb: CompressionBase, block) -> np.ndarray:

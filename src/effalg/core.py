@@ -416,15 +416,24 @@ class GridAlgebra(FiniteAlgebra):
     def coords_of(self, a) -> np.ndarray:
         return self.coords[a]
 
+    # pair operations gather from the dense tables when those exist and
+    # work on coordinates past DENSE_LIMIT
+
     def sum_pairs(self, xs, ys):
+        if self.dense:
+            return self.sum_table[np.asarray(xs), np.asarray(ys)].astype(np.int64)
         cs = self.coords[np.asarray(xs)].astype(np.int64) + self.coords[np.asarray(ys)]
         ok = (cs <= self.k).all(axis=-1)
         return np.where(ok, np.minimum(cs, self.k) @ self.strides, -1)
 
     def leq_pairs(self, xs, ys):
+        if self.dense:
+            return self.leq_table[np.asarray(xs), np.asarray(ys)]
         return (self.coords[np.asarray(xs)] <= self.coords[np.asarray(ys)]).all(axis=-1)
 
     def ominus_pairs(self, bs, xs):
+        if self.dense:
+            return self.ominus_table[np.asarray(bs), np.asarray(xs)].astype(np.int64)
         cs = self.coords[np.asarray(bs)].astype(np.int64) - self.coords[np.asarray(xs)]
         ok = (cs >= 0).all(axis=-1)
         return np.where(ok, np.maximum(cs, 0) @ self.strides, -1)
@@ -642,8 +651,7 @@ def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0
     # E2: associativity
     if dense and n ** 3 <= budget:
         w = kernels.associativity_violation(E.sum_table, E.defined_pairs)
-        rep.add("E2-associative", w is None, witness=w,
-                detail=f"kernel backend {kernels.backend()}")
+        rep.add("E2-associative", w is None, witness=w)
     else:
         rng = np.random.default_rng(seed + 1)
         xs = rng.integers(0, n, size=SAMPLE_SIZE)

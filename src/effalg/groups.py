@@ -150,27 +150,30 @@ def dyadic_approximation(G: ZGroup, g, grid, scale: int):
     (pieces u_1..u_N, achieved_error, max_gap) with
     ||scale*g - sum_i m_i u_i|| <= max_i (m_i - m_{i-1}).
     """
-    g = _vec(g)
+    g, unit = _vec(g), G.unit
     grid = [int(m) for m in grid]
     if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("grid must be nondecreasing")
     if len(grid) < 2:
         raise ValueError("grid needs at least two points")
+    if 2 * max(abs(scale), abs(grid[0]), abs(grid[-1])) * (
+            int(np.abs(g).max(initial=0)) + max(G.u)) >= 2 ** 62:
+        g, unit = g.astype(object), unit.astype(object)  # exact past int64
     ng = scale * g
-    if (ng - grid[0] * G.unit < 0).any() or (ng - grid[-1] * G.unit > 0).any():
+    if (ng - grid[0] * unit < 0).any() or (ng - grid[-1] * unit > 0).any():
         lg, ug = bounds(G, g)
         raise GridTooNarrow(
             f"grid [{grid[0]}, {grid[-1]}] does not bracket scale*g "
             f"(needs m_0 <= {scale * lg}, m_N >= {scale * ug})")
     N = len(grid) - 1
     # nonincreasing chain q_i with q_i in P_+-(n*g - m_i*u); q_0 = u, q_N = 0
-    qs = [G.unit]
+    qs = [unit]
     for i in range(1, N):
-        r = G.projection(ng - grid[i] * G.unit > 0)
+        r = G.projection(ng - grid[i] * unit > 0)
         qs.append(np.minimum(r, qs[-1]))
-    qs.append(np.zeros(G.dim, dtype=np.int64))
+    qs.append(np.zeros(G.dim, dtype=unit.dtype))
     pieces = [qs[i - 1] - qs[i] for i in range(1, N + 1)]
-    if not np.array_equal(np.sum(pieces, axis=0), G.unit):
+    if not np.array_equal(np.sum(pieces, axis=0), unit):
         raise InternalConsistencyError("approximation pieces do not add up to the unit")
     for i, ui in enumerate(pieces, start=1):
         x = G.compress(ui, ng)

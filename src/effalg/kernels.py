@@ -1,52 +1,20 @@
-"""Hot brute-force scans over dense sum tables.
+"""Brute-force law scans over dense tables and stacked map tables.
 
-Each law scan exists twice: a numba ``@njit`` version and a numpy
-version.  The numpy associativity and map-additivity scans walk the list
-of defined pairs (``DefinedPairs``) instead of the full table, so they
-meet the validation budgets without numba.  The active backend is chosen
-by the ``EA_KERNELS`` environment variable (``numba``, ``numpy`` or
-``auto``; default ``auto`` picks numba when importable).  All kernels
-take the dense sum table ``S`` where ``S[a, b] = a + b`` and ``-1`` marks
-an undefined sum, and return the first violating witness (in
-lexicographic scan order) or ``None``.  ``mackey_matrix`` is numpy only
-and serves both backends.
+The scans take the dense sum table ``S`` where ``S[a, b] = a + b`` and
+``-1`` marks an undefined sum (and, where needed, the difference and
+order tables), and return the first violating witness in lexicographic
+scan order, or ``None``.  Associativity and map additivity walk the list
+of defined pairs (``DefinedPairs``) instead of the full table.  The
+normality and composition scans gather in chunks whose transient memory
+stays within ``CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend() -> str:
-    """Active kernel backend, resolved from EA_KERNELS at call time."""
-    choice = os.environ.get("EA_KERNELS", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"EA_KERNELS must be auto|numba|numpy, got {choice!r}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("EA_KERNELS=numba but numba is not importable")
-    return choice
-
-
 CHUNK = 1 << 21  # triples gathered per step of the associativity scan
+CHUNK_BYTES = 8 << 20  # transient bytes of one step of a chunked gather
 
 
 class DefinedPairs:
@@ -72,25 +40,10 @@ class DefinedPairs:
 # associativity: (a+b)+c defined  =>  b+c defined and a+(b+c) == (a+b)+c
 
 
-@njit(cache=True)
-def _assoc_numba(S):  # pragma: no cover - exercised via dispatcher
-    n = S.shape[0]
-    for a in range(n):
-        for b in range(n):
-            ab = S[a, b]
-            if ab < 0:
-                continue
-            for c in range(n):
-                abc = S[ab, c]
-                if abc < 0:
-                    continue
-                bc = S[b, c]
-                if bc < 0 or S[a, bc] != abc:
-                    return a, b, c
-    return -1, -1, -1
-
-
-def _assoc_numpy(S, pairs):
+def associativity_violation(S, pairs=None):
+    S = np.ascontiguousarray(S)
+    if pairs is None:
+        pairs = DefinedPairs(S)
     # walk the defined triples (a, b, c) in lexicographic order: each defined
     # pair (a, b) is joined with the defined entries c of row a+b
     width = np.diff(pairs.indptr)[pairs.s]
@@ -111,41 +64,16 @@ def _assoc_numpy(S, pairs):
             i = int(np.argmax(bad))
             return int(pairs.a[t[i]]), int(pairs.b[t[i]]), int(c[i])
         start = stop
-    return -1, -1, -1
-
-
-def associativity_violation(S, pairs=None):
-    S = np.ascontiguousarray(S)
-    if backend() == "numba":
-        a, b, c = _assoc_numba(S)
-    else:
-        a, b, c = _assoc_numpy(S, DefinedPairs(S) if pairs is None else pairs)
-    return None if a < 0 else (int(a), int(b), int(c))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # cancellation: a+c == b+c (both defined)  =>  a == b
 
 
-@njit(cache=True)
-def _cancel_numba(S):  # pragma: no cover
-    n = S.shape[0]
-    owner = np.empty(n, np.int64)
-    for c in range(n):
-        owner[:] = -1
-        for a in range(n):
-            s = S[a, c]
-            if s < 0:
-                continue
-            if owner[s] >= 0:
-                return owner[s], a, c
-            owner[s] = a
-    return -1, -1, -1
-
-
-def _cancel_numpy(S):
-    n = S.shape[0]
-    for c in range(n):
+def cancellation_violation(S):
+    S = np.ascontiguousarray(S)
+    for c in range(S.shape[0]):
         col = S[:, c]
         defined = np.flatnonzero(col >= 0)
         vals = col[defined]
@@ -154,13 +82,7 @@ def _cancel_numpy(S):
         if dup.size:
             i = dup[0]
             return int(defined[order[i]]), int(defined[order[i + 1]]), c
-    return -1, -1, -1
-
-
-def cancellation_violation(S):
-    fn = _cancel_numba if backend() == "numba" else _cancel_numpy
-    a, b, c = fn(np.ascontiguousarray(S))
-    return None if a < 0 else (int(a), int(b), int(c))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -168,125 +90,101 @@ def cancellation_violation(S):
 # Scan runs over pairs (p, q) in P and d <= p, q with e = p-d, f = q-d.
 
 
-@njit(cache=True)
-def _normality_numba(S, ominus, leq, pidx, in_p):  # pragma: no cover
-    n = S.shape[0]
-    for i in range(pidx.shape[0]):
-        p = pidx[i]
-        for j in range(pidx.shape[0]):
-            q = pidx[j]
-            for d in range(n):
-                if in_p[d] or not (leq[d, p] and leq[d, q]):
-                    continue
-                e = ominus[p, d]
-                if S[e, q] >= 0:
-                    return p, q, d
-    return -1, -1, -1
-
-
-def _normality_numpy(S, ominus, leq, pidx, in_p):
-    n = S.shape[0]
-    d_all = np.arange(n)
-    for p in pidx:
-        below_p = leq[:, p]
-        e_all = np.where(below_p, ominus[p, np.minimum(d_all, n - 1)], -1)
-        for q in pidx:
-            cand = below_p & leq[:, q] & ~in_p
-            if not cand.any():
-                continue
-            d = d_all[cand]
-            bad = S[e_all[cand], q] >= 0
-            if bad.any():
-                return int(p), int(q), int(d[np.argmax(bad)])
-    return -1, -1, -1
-
-
 def normality_violation(S, ominus, leq, pidx, in_p):
-    fn = _normality_numba if backend() == "numba" else _normality_numpy
-    p, q, d = fn(
-        np.ascontiguousarray(S),
-        np.ascontiguousarray(ominus),
-        np.ascontiguousarray(leq),
-        np.ascontiguousarray(np.asarray(pidx, dtype=np.int64)),
-        np.ascontiguousarray(in_p),
-    )
-    return None if p < 0 else (int(p), int(q), int(d))
+    """First ``(p, q, d)`` in the order of ``pidx`` for p, then q, then
+    ascending d, with d outside P, d <= p, d <= q and (p - d) + q defined."""
+    pidx = np.asarray(pidx, dtype=np.int64)
+    m = pidx.size
+    below = leq[:, pidx] & ~in_p[:, None]  # [d, i]: d <= pidx[i], d outside P
+    ends = np.cumsum(np.count_nonzero(below, axis=0))
+    step = max(1, CHUNK_BYTES // (8 * m))  # rows (p, d); about 8 bytes per (row, q)
+    i = 0
+    while i < m:
+        # a run of p's with at most `step` rows between them, or one p alone
+        base = ends[i - 1] if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, base + step, side="right")))
+        pi, d = np.nonzero(below[:, i:j].T)
+        pi += i
+        best = None
+        for r in range(0, d.size, step):
+            pr, dr = pi[r:r + step], d[r:r + step]
+            e = ominus[pidx[pr], dr]
+            bad = leq[dr[:, None], pidx] & (S[e[:, None], pidx] >= 0)
+            rows, qs = np.nonzero(bad)
+            if rows.size:
+                k = np.lexsort((dr[rows], qs, pr[rows]))[0]
+                hit = (int(pr[rows[k]]), int(qs[k]), int(dr[rows[k]]))
+                best = hit if best is None else min(best, hit)
+        if best is not None:
+            return int(pidx[best[0]]), int(pidx[best[1]]), best[2]
+        i = j
+    return None
+
+
+# ---------------------------------------------------------------------------
+# composition of stacked map tables: M[outer] o M[inner] == M[target]
+
+
+def composition_violation(M, outer, inner, target, cols=None):
+    """First ``t`` at which ``outer[t]``, ``inner[t]`` or ``target[t]`` is -1,
+    or ``M[outer[t]][M[inner[t]]]`` differs from ``M[target[t]]``; ``None``
+    when there is none.
+
+    ``M`` is a ``(k, n)`` stack of map tables, each sending ``0..n-1`` into
+    itself, and the other arguments index its rows.  With ``cols`` the maps
+    are compared on those elements only.
+    """
+    n = M.shape[1]
+    flat = M.ravel()
+    width = n if cols is None else cols.size
+    # per compared entry: an int64 flat index, two int32 gathers and a mask
+    step = max(1, CHUNK_BYTES // (24 * max(width, 1)))
+    for start in range(0, len(outer), step):
+        o, i, t = (np.asarray(a[start:start + step], dtype=np.int64)
+                   for a in (outer, inner, target))
+        missing = (o < 0) | (i < 0) | (t < 0)
+        if missing.any():
+            o, i, t = (np.where(missing, 0, a) for a in (o, i, t))
+        if cols is None:
+            inner_vals, want = M[i], M[t]
+        else:
+            inner_vals, want = M[i[:, None], cols], M[t[:, None], cols]
+        bad = missing | (flat[o[:, None] * n + inner_vals] != want).any(axis=1)
+        if bad.any():
+            return start + int(np.argmax(bad))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # additivity of a map table: J[a + b] == J[a] + J[b] on defined pairs
 
 
-@njit(cache=True)
-def _map_additivity_numba(S, J):  # pragma: no cover
-    n = S.shape[0]
-    for a in range(n):
-        ja = J[a]
-        for b in range(n):
-            s = S[a, b]
-            if s >= 0 and J[s] != S[ja, J[b]]:
-                return a, b
-    return -1, -1
-
-
-def _map_additivity_numpy(S, J, pairs):
-    bad = np.flatnonzero(J[pairs.s] != S[J[pairs.a], J[pairs.b]])
-    if bad.size == 0:
-        return -1, -1
-    return int(pairs.a[bad[0]]), int(pairs.b[bad[0]])
-
-
 def map_additivity_violation(S, J, pairs=None):
     S = np.ascontiguousarray(S)
-    J = np.ascontiguousarray(np.asarray(J, dtype=S.dtype))
-    if backend() == "numba":
-        a, b = _map_additivity_numba(S, J)
-    else:
-        a, b = _map_additivity_numpy(S, J, DefinedPairs(S) if pairs is None else pairs)
-    return None if a < 0 else (int(a), int(b))
+    J = np.asarray(J)
+    if pairs is None:
+        pairs = DefinedPairs(S)
+    bad = np.flatnonzero(J[pairs.s] != S[J[pairs.a], J[pairs.b]])
+    if bad.size == 0:
+        return None
+    return int(pairs.a[bad[0]]), int(pairs.b[bad[0]])
 
 
 # ---------------------------------------------------------------------------
 # Mackey witness: c with c <= a, c <= b, (a-c)+(b-c)+c defined
 
 
-@njit(cache=True)
-def _mackey_numba(S, ominus, leq, a, b):  # pragma: no cover
-    n = S.shape[0]
-    for c in range(n):
-        if not (leq[c, a] and leq[c, b]):
-            continue
-        a1 = ominus[a, c]
-        b1 = ominus[b, c]
-        s = S[a1, b1]
-        if s >= 0 and S[s, c] >= 0:
-            return c
-    return -1
-
-
-def _mackey_numpy(S, ominus, leq, a, b):
+def mackey_witness(S, ominus, leq, a, b):
     cand = np.flatnonzero(leq[:, a] & leq[:, b])
     if cand.size == 0:
-        return -1
+        return None
     a1 = ominus[a, cand]
     b1 = ominus[b, cand]
     s = S[a1, b1]
     ok = s >= 0
     ok[ok] = S[s[ok], cand[ok]] >= 0
     hits = np.flatnonzero(ok)
-    return int(cand[hits[0]]) if hits.size else -1
-
-
-def mackey_witness(S, ominus, leq, a, b):
-    fn = _mackey_numba if backend() == "numba" else _mackey_numpy
-    c = fn(
-        np.ascontiguousarray(S),
-        np.ascontiguousarray(ominus),
-        np.ascontiguousarray(leq),
-        a,
-        b,
-    )
-    return None if c < 0 else int(c)
+    return int(cand[hits[0]]) if hits.size else None
 
 
 def mackey_matrix(S, ominus, leq, pidx):

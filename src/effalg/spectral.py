@@ -12,6 +12,7 @@ grid indices j for lambda = j/2^n) is kept in integers end to end.
 from __future__ import annotations
 
 import operator
+import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -257,18 +258,27 @@ def grid_index(lam, depth: int) -> int:
 class GridView(Mapping):
     """lambda -> p_lambda over a resolution's grid, answered from its jumps.
 
-    Iterates the 2^depth + 1 grid points in ascending order (``len`` is
-    Python's, so it overflows past depth 62); lookups bisect the jumps.
+    Iterates the ``grid_size = 2^depth + 1`` grid points in ascending
+    order; lookups bisect the jumps.  ``len`` raises ``InvalidDepth`` past
+    depth 62, where the count no longer fits Python's ``len``.
     """
 
     def __init__(self, res: SpectralResolution):
         self.resolution = res
 
+    @property
+    def grid_size(self) -> int:
+        return (1 << self.resolution.depth) + 1
+
     def __getitem__(self, lam):
         return self.resolution.at(lam)
 
     def __len__(self) -> int:
-        return (1 << self.resolution.depth) + 1
+        if self.grid_size > sys.maxsize:
+            raise InvalidDepth(f"the depth-{self.resolution.depth} grid has 2^"
+                               f"{self.resolution.depth} + 1 points, too many for len(); "
+                               "read grid_size")
+        return self.grid_size
 
     def __iter__(self):
         scale = 1 << self.resolution.depth

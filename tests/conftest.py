@@ -1,19 +1,8 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from effalg import instances, kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger jit compilation once so timed suites measure the scans only
-    S = np.array([[0, 1], [1, -1]], dtype=np.int32)
-    kernels.associativity_violation(S)
-    kernels.cancellation_violation(S)
-    kernels.mackey_witness(S, np.array([[0, -1], [1, 0]], dtype=np.int32),
-                           np.array([[True, True], [False, True]]), 0, 1)
+from effalg import instances
 
 
 @pytest.fixture(scope="session")

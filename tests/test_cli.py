@@ -291,6 +291,15 @@ def test_malformed_option_exits_2(argv, small_docs):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_approximation_grid_past_int64_exits_2(small_docs):
+    """scale * g = 3 * 2^62 is not bracketed by [-2^60, 2^60]."""
+    code, err = run_cli(["group", small_docs["l4"], "--g", "3",
+                         "--approx=-1152921504606846976:1152921504606846976:1152921504606846976",
+                         "--scale", "4611686018427387904"])
+    assert code == 2
+    assert err.startswith("error: ") and "does not bracket" in err
+
+
 # option values the fuzz test draws from: numbers, fractions, lists, and junk
 _token = st.one_of(st.integers(-20, 20).map(str),
                    st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map("{0[0]}/{0[1]}".format),

@@ -286,3 +286,309 @@ def test_check_oml(bool3, mv83, mv42, hsum_l8):
     for E, cb in (bool3, mv83, mv42, hsum_l8):
         rep = check_oml(cb)
         assert rep.passed, rep.summary()
+
+
+def test_non_distributive_block_raises(mo2):
+    """MO2 with J_p(x) = p ^ x is closed under ' and these meets, but
+    a ^ (b v b') = a while (a ^ b) v (a ^ b') = 0."""
+    from effalg.errors import InternalConsistencyError
+
+    E, _ = mo2
+    elems = list(range(E.size))
+    maps = {p: np.array([E.meet(p, x) for x in elems]) for p in elems}
+    cb = CompressionBase(E, elems, maps)
+    with pytest.raises(InternalConsistencyError, match="distributivity"):
+        compbase._check_boolean_block(cb, elems)
+
+
+# ---------------------------------------------------------------------------
+# stacked scans against the per-map and per-pair loops they replace
+
+
+def _ref_p_meet_table(cb):
+    Pleq = cb.proj_leq()
+    m = len(cb.projections)
+    out = -np.ones((m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            idx = np.flatnonzero(Pleq[:, i] & Pleq[:, j])
+            ranks = Pleq[np.ix_(idx, idx)].sum(axis=0)
+            k = int(np.argmax(ranks))
+            if ranks[k] == idx.size:
+                out[i, j] = cb.projections[idx[k]]
+    return out
+
+
+def _bases():
+    from fractions import Fraction
+
+    from effalg import instances
+
+    l8 = instances.make_mv_product(8, 1, validate=False)
+    ident = [Fraction(i, 8) for i in range(9)]
+    return {
+        "boolean(3)": instances.make_boolean(3, validate=False),
+        "mv(4,2)": instances.make_mv_product(4, 2, validate=False),
+        "MO2": instances.make_mo2(validate=False),
+        "L8+L8": instances.make_horizontal_sum(l8, l8, ident, ident, validate=False),
+        "boolean(2) x mv(4,2)": instances.make_product(
+            instances.make_boolean(2, validate=False),
+            instances.make_mv_product(4, 2, validate=False), validate=False),
+        "MO2 x boolean(2)": instances.make_product(
+            instances.make_mo2(validate=False),
+            instances.make_boolean(2, validate=False), validate=False),
+        "boolean(3) x boolean(3)": instances.make_product(
+            instances.make_boolean(3, validate=False),
+            instances.make_boolean(3, validate=False), validate=False),
+    }
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return _bases()
+
+
+def test_p_meet_table_matches_pairwise(bases):
+    for name, (E, cb) in bases.items():
+        assert np.array_equal(cb.p_meet_table(), _ref_p_meet_table(cb)), name
+    # no lattice: 0111 and 1011 have the lower bounds 0001 and 0010 but no meet
+    E = core.BooleanAlgebra(4)
+    subset = [0b0000, 0b0001, 0b0010, 0b0111, 0b1011]
+    sub = CompressionBase(E, subset, {p: np.arange(E.size) for p in subset})
+    got = sub.p_meet_table()
+    assert np.array_equal(got, _ref_p_meet_table(sub)) and (got < 0).any()
+    # without 0 two atoms have no common lower bound in P at all
+    atoms = CompressionBase(E, [0b0001, 0b0010], {p: np.arange(E.size) for p in (1, 2)})
+    assert atoms.p_meet_table().tolist() == [[1, -1], [-1, 2]]
+
+
+def test_map_stack_equals_the_builders(bases, monkeypatch):
+    for name, (E, cb) in bases.items():
+        stack = cb.map_stack()
+        assert stack.dtype == np.int32 and stack.shape == (len(cb.projections), E.size)
+        assert not stack.flags.writeable
+        for p in cb.projections:
+            assert cb.map_table(p).base is stack  # a row, not a copy
+    # past MAP_CACHE_ENTRIES nothing is stacked and each call runs the builder
+    monkeypatch.setattr(compbase, "MAP_CACHE_ENTRIES", 0)
+    for name, (E, cb) in _bases().items():
+        assert not cb.caches_maps
+        stack = bases[name][1].map_stack()
+        for i, p in enumerate(cb.projections):
+            table = cb.map_table(p)
+            assert table.flags.writeable and table.base is None
+            assert np.array_equal(table, stack[i]), (name, p)
+        assert np.array_equal(cb.map_stack(), stack) and cb._stack is None
+
+
+def _ref_classify(E, J, budget, seed=0):
+    """classify_map as one call per map, with its own draws."""
+    from effalg import kernels
+    from effalg.core import SAMPLE_SIZE
+
+    J = np.asarray(J, dtype=np.int64)
+    n = E.size
+    if E.dense and n * n <= budget:
+        witness = kernels.map_additivity_violation(E.sum_table, J, E.defined_pairs)
+    else:
+        rng = np.random.default_rng(0)
+        xs = rng.integers(0, n, size=SAMPLE_SIZE)
+        ys = rng.integers(0, n, size=SAMPLE_SIZE)
+        ss = E.sum_pairs(xs, ys)
+        ok = ss >= 0
+        lhs = np.where(ok, J[np.maximum(ss, 0)], -1)
+        rhs = np.where(ok, E.sum_pairs(J[xs], J[ys]), -1)
+        bad = np.flatnonzero(ok & (lhs != rhs))
+        witness = (int(xs[bad[0]]), int(ys[bad[0]])) if bad.size else None
+    if witness is not None:
+        return ("not_additive", None, witness)
+    focus = int(J[E.one])
+    if n <= min(budget, 4 * SAMPLE_SIZE):
+        idx = np.arange(n)
+    else:
+        rng = np.random.default_rng(seed)
+        idx = np.unique(np.concatenate([
+            rng.integers(0, n, size=SAMPLE_SIZE), [E.zero, E.one, focus, E.ortho(focus)]]))
+    below = idx[E.leq_pairs(idx, np.full(idx.size, focus))]
+    fixed = J[below] == below
+    if not fixed.all():
+        return ("not_additive", None, int(below[np.argmin(fixed)]))
+    kernel = J[idx] == E.zero
+    should = E.leq_pairs(idx, np.full(idx.size, E.ortho(focus)))
+    if (kernel == should).all():
+        return ("compression", focus, None)
+    return ("retraction", focus, int(idx[np.argmax(kernel != should)]))
+
+
+@pytest.mark.parametrize("budget", [compbase.PAIR_BUDGET, 50])
+def test_shared_map_sample_matches_per_map_classify(bases, budget, monkeypatch):
+    """One MapSample per base classifies like a fresh classify per map,
+    also when pairs and elements are drawn (budget 50 < n * n, n), from
+    samples small enough to miss the focus of a map."""
+    if budget == 50:
+        monkeypatch.setattr(core, "SAMPLE_SIZE", 40)
+        monkeypatch.setattr(compbase, "SAMPLE_SIZE", 40)
+    rng = np.random.default_rng(21)
+    kinds = set()
+    for name, (E, cb) in bases.items():
+        sample = compbase.MapSample(E, budget=budget)
+        maps = []
+        for p in cb.projections:
+            J = np.array(cb.map_table(p))
+            for trial in range(3):
+                bad = J.copy()
+                if trial:
+                    bad[rng.integers(0, E.size, trial)] = rng.integers(0, E.size)
+                maps.append(bad)
+            if p != E.zero:  # J_p(p) = p fails, seen only if p is examined
+                bad = J.copy()
+                bad[p] = E.zero
+                maps.append(bad)
+        if name == "MO2":  # see test_horizontal_sum_retraction_not_compression
+            retraction = np.zeros(E.size, dtype=int)
+            retraction[[2, 1, 4]] = 2
+            maps.append(retraction)
+        for bad in maps:
+            got = sample.classify(bad)
+            want = _ref_classify(E, bad, budget)
+            assert (got.kind, got.focus, got.witness) == want, name
+            cls = classify_map(E, bad, budget=budget)
+            assert (cls.kind, cls.focus, cls.witness) == want
+            kinds.add(got.kind)
+    assert kinds == {"compression", "not_additive", "retraction"}
+
+
+def _ref_base_laws(E, cb, budget, seed=0):
+    """The C2, P-normal and triple-law rows of validate_base as per-pair and
+    per-triple loops over single map tables; a sum outside P has no map and
+    fails the triple law."""
+    from effalg import kernels
+    from effalg.core import SAMPLE_SIZE
+
+    n, P = E.size, cb.projections
+    pa = np.array(P)
+    m = pa.size
+    rows = {}
+    # C2
+    rng = np.random.default_rng(seed)
+    full_c2 = E.dense and m ** 2 * n <= budget
+    sample = None if full_c2 else rng.integers(0, n, size=min(n, 2000))
+    if full_c2:
+        compat = kernels.mackey_matrix(E.sum_table, E.ominus_table, E.leq_table, P)
+        pairs = [(P[i], P[j]) for i, j in np.argwhere(compat)]
+    else:
+        drawn = list({(int(pa[i]), int(pa[j]))
+                      for i, j in zip(rng.integers(0, m, 128), rng.integers(0, m, 128))})
+        pairs = [pq for pq in drawn if compbase._mackey_pair(E, *pq)]
+    w = None
+    for p, q in pairs:
+        jp, jq = cb.map_table(p), cb.map_table(q)
+        r = int(jp[q])
+        if r not in cb.p_set:
+            w = (p, q, "focus", r)
+            break
+        jr = cb.map_table(r)
+        cols = slice(None) if sample is None else sample
+        if not (jp[jq[cols]] == jr[cols]).all():
+            w = (p, q, "table", r)
+            break
+    rows["C2-composition"] = (w is None, "full" if full_c2 else "sampled", w)
+    # P-normal, the dense scan: one (p, q) pair at a time
+    in_p = np.zeros(n, dtype=bool)
+    in_p[pa] = True
+    if E.dense and m ** 2 * n <= budget:
+        S, omi, leq = E.sum_table, E.ominus_table, E.leq_table
+        w = None
+        for p in pa:
+            for q in pa:
+                d = np.flatnonzero(leq[:, p] & leq[:, q] & ~in_p)
+                bad = S[omi[p, d], q] >= 0
+                if bad.any():
+                    w = (int(p), int(q), int(d[np.argmax(bad)]))
+                    break
+            if w:
+                break
+        rows["P-normal"] = (w is None, "full", w)
+    # triple law
+    pq = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m)).reshape(m, m)
+    triples = []
+    for i, j in zip(*np.nonzero(pq >= 0)):
+        third = (pq[j] >= 0) & (E.sum_pairs(np.full(m, pq[i, j]), pa) >= 0)
+        for k in np.flatnonzero(third):
+            triples.append((int(pq[i, j]), int(pa[j]), int(pq[j, k]), int(pa[k])))
+    mode = "full" if (len(triples) * n <= budget and sample is None) else "sampled"
+    cap = 512 if n <= 100_000 else 192
+    if mode == "sampled" and len(triples) > cap:
+        keep = np.random.default_rng(seed + 3).choice(len(triples), size=cap, replace=False)
+        triples = [triples[t] for t in keep]
+    cols = slice(None) if (mode == "full" or sample is None) else sample
+    w = None
+    for spq, q, sqr, r in triples:
+        if spq not in cb.p_set or sqr not in cb.p_set:
+            w = (spq, q, sqr, r)
+            break
+        jpq, jqr, jq = cb.map_table(spq), cb.map_table(sqr), cb.map_table(q)
+        if not (jpq[jqr[cols]] == jq[cols]).all():
+            w = (spq, q, sqr, r)
+            break
+    rows["triple-law"] = (w is None, mode, w)
+    return rows
+
+
+def _broken_bases(E, cb, rng):
+    """Seeded breaks that keep every J_p(1) = p: one changed map entry, and
+    P without one of its members (composite foci outside P, P not normal)."""
+    P = cb.projections
+    out = []
+    for _ in range(3):
+        maps = {q: np.array(cb.map_table(q)) for q in P}
+        p = P[int(rng.integers(len(P)))]
+        a = int(rng.integers(E.size - 1))
+        a += a >= E.one
+        maps[p][a] = (maps[p][a] + 1 + rng.integers(E.size - 1)) % E.size
+        out.append(("entry", CompressionBase(E, P, maps)))
+    inner = [q for q in P if q not in (E.zero, E.one)]
+    for q in rng.choice(inner, size=min(2, len(inner)), replace=False):
+        keep = [x for x in P if x != q]
+        out.append(("drop", CompressionBase(E, keep, {x: cb.map_table(x) for x in keep})))
+    return out
+
+
+@pytest.mark.parametrize("budget", [core.TRIPLE_BUDGET, 200_000])
+def test_stacked_laws_match_pairwise_loops(bases, budget, monkeypatch):
+    # let every map through C1 so that broken maps reach C2 and the triple law
+    monkeypatch.setattr(compbase.MapSample, "classify", lambda self, J: compbase.MapClassification(
+        "compression", int(np.asarray(J)[self.E.one])))
+    rng = np.random.default_rng(22)
+    failed = set()
+    modes = set()
+    for name, (E, cb) in bases.items():
+        for kind, broken in [("valid", cb)] + _broken_bases(E, cb, rng):
+            rep = validate_base(E, broken, budget=budget)
+            want = _ref_base_laws(E, broken, budget)
+            got = {c.name: (c.passed, c.mode, c.witness) for c in rep.checks if c.name in want}
+            assert got == want, (name, kind)
+            if kind == "valid":
+                assert rep.passed, rep.summary()
+            failed |= {(k, kind) for k, v in got.items() if not v[0]}
+            modes |= {v[1] for v in got.values()}
+    assert {("C2-composition", "entry"), ("triple-law", "entry"), ("C2-composition", "drop"),
+            ("P-normal", "drop"), ("triple-law", "drop")} <= failed
+    assert modes == ({"full"} if budget == core.TRIPLE_BUDGET else {"full", "sampled"})
+
+
+def test_unstacked_maps_give_the_same_reports(bases, monkeypatch):
+    """Past MAP_CACHE_ENTRIES the laws build map rows per batch; the
+    reports equal those of the stacked maps, broken bases included."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for name, (E, cb) in bases.items():
+        for kind, broken in [("valid", cb)] + _broken_bases(E, cb, rng):
+            maps = {p: np.array(broken.map_table(p)) for p in broken.projections}
+            cases.append((E, broken.projections, maps, validate_base(E, broken).to_dict()))
+    monkeypatch.setattr(compbase, "MAP_CACHE_ENTRIES", 0)
+    monkeypatch.setattr(compbase.kernels, "CHUNK_BYTES", 4096)  # several batches
+    for E, P, maps, want in cases:
+        cb = CompressionBase(E, P, maps)
+        assert not cb.caches_maps
+        assert validate_base(E, cb).to_dict() == want

@@ -63,6 +63,21 @@ def test_dyadic_approximation():
         dyadic_approximation(G22, [3, -1], [0, 1], 1)
 
 
+def test_dyadic_approximation_is_exact_past_int64():
+    # 3 * 2^62 is past int64: the grid [-2^60, 2^60] does not bracket it
+    L4 = ZGroup([4])
+    with pytest.raises(GridTooNarrow):
+        dyadic_approximation(L4, [3], [-2 ** 60, 0, 2 ** 60], 2 ** 62)
+    # the same approximation scaled by 2^68 has the same pieces, and its
+    # error and gap scale with it
+    G = ZGroup([4, 3])
+    grid = [m * 2 ** 68 for m in range(-8, 13, 2)]
+    big, err, gap = dyadic_approximation(G, [3, -1], grid, 2 ** 70)
+    small, err1, gap1 = dyadic_approximation(G, [3, -1], [m // 2 ** 68 for m in grid], 4)
+    assert [list(p) for p in big] == [list(p) for p in small]
+    assert (err, gap) == (err1 * 2 ** 68, gap1 * 2 ** 68)
+
+
 @settings(max_examples=150, deadline=None)
 @given(vectors)
 def test_rickart_laws(g):

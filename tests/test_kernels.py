@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from effalg import instances, kernels
+from effalg import core, instances, kernels
 from effalg.core import BooleanAlgebra, FiniteAlgebra, GridAlgebra, ProductAlgebra
 
 
@@ -13,69 +13,35 @@ def grid_tables():
     return E.sum_table, E.ominus_table, E.leq_table
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_clean_tables_have_no_violations(grid_tables, backend, monkeypatch):
-    if backend == "numba" and not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("EA_KERNELS", backend)
+def test_clean_tables_have_no_violations(grid_tables):
     S, omi, leq = grid_tables
-    assert kernels.backend() == backend
     assert kernels.associativity_violation(S) is None
     assert kernels.cancellation_violation(S) is None
     assert kernels.mackey_witness(S, omi, leq, 3, 7) is not None
 
 
-def test_backends_agree_on_broken_tables(grid_tables, monkeypatch):
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    S, omi, leq = grid_tables
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        bad = S.copy()
-        i, j = rng.integers(0, S.shape[0], 2)
-        bad[i, j] = int(rng.integers(0, S.shape[0]))
-        results = {}
-        for backend in ("numpy", "numba"):
-            monkeypatch.setenv("EA_KERNELS", backend)
-            results[backend] = (
-                kernels.associativity_violation(bad) is None,
-                kernels.cancellation_violation(bad) is None,
-            )
-        assert results["numpy"] == results["numba"]
-
-
-def test_map_additivity_backends_agree(grid_tables, monkeypatch):
+def test_map_additivity_flags_a_broken_map():
     E = GridAlgebra(4, 2)
     S = E.sum_table
     good = np.minimum(E.coords, E.coords[E.index_of([4, 0])]) @ E.strides
     bad = good.copy()
     bad[7] = E.one
-    for backend in ("numpy", "numba") if kernels.HAS_NUMBA else ("numpy",):
-        monkeypatch.setenv("EA_KERNELS", backend)
-        assert kernels.map_additivity_violation(S, good) is None
-        assert kernels.map_additivity_violation(S, bad) is not None
+    assert kernels.map_additivity_violation(S, good) is None
+    assert kernels.map_additivity_violation(S, bad) is not None
 
 
-def test_env_flag_rejects_unknown(monkeypatch):
-    monkeypatch.setenv("EA_KERNELS", "cuda")
-    with pytest.raises(ValueError):
-        kernels.backend()
-
-
-def test_normality_kernel(grid_tables, monkeypatch):
+def test_normality_kernel(grid_tables):
     S, omi, leq = grid_tables
     n = S.shape[0]
     projections = np.array([0, n - 1])
     in_p = np.zeros(n, dtype=bool)
     in_p[[0, n - 1]] = True
-    for backend in ("numpy", "numba") if kernels.HAS_NUMBA else ("numpy",):
-        monkeypatch.setenv("EA_KERNELS", backend)
-        assert kernels.normality_violation(S, omi, leq, projections, in_p) is None
-        # dropping the unit from P makes d = 1 a violation witness
-        smaller = np.zeros(n, dtype=bool)
-        smaller[0] = True
-        assert kernels.normality_violation(
-            S, omi, leq, np.array([0, n - 1]), smaller) is not None
+    assert kernels.normality_violation(S, omi, leq, projections, in_p) is None
+    # dropping the unit from P makes d = 1 a violation witness
+    smaller = np.zeros(n, dtype=bool)
+    smaller[0] = True
+    assert kernels.normality_violation(
+        S, omi, leq, np.array([0, n - 1]), smaller) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +108,7 @@ def _broken(S, rng, edits):
 
 
 @pytest.mark.parametrize("kind", ["grid", "product", "table", "mo2"])
-def test_associativity_matches_reference(reference_algebras, kind, monkeypatch):
-    monkeypatch.setenv("EA_KERNELS", "numpy")
+def test_associativity_matches_reference(reference_algebras, kind):
     E, _ = reference_algebras[kind]
     S = E.sum_table
     assert kernels.associativity_violation(S, E.defined_pairs) is None
@@ -159,7 +124,6 @@ def test_associativity_matches_reference(reference_algebras, kind, monkeypatch):
 
 def test_associativity_scan_crosses_chunks(monkeypatch):
     # a chunk far smaller than the triple count must not change the witness
-    monkeypatch.setenv("EA_KERNELS", "numpy")
     monkeypatch.setattr(kernels, "CHUNK", 7)
     E = GridAlgebra(4, 2)
     rng = np.random.default_rng(12)
@@ -170,8 +134,7 @@ def test_associativity_scan_crosses_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["grid", "product", "table", "mo2"])
-def test_map_additivity_matches_reference(reference_algebras, kind, monkeypatch):
-    monkeypatch.setenv("EA_KERNELS", "numpy")
+def test_map_additivity_matches_reference(reference_algebras, kind):
     E, cb = reference_algebras[kind]
     S = E.sum_table
     n = E.size
@@ -227,13 +190,123 @@ def _mo2():
 
 
 @pytest.mark.parametrize("name", list(SMALL_PRODUCTS))
-def test_broadcast_tables_equal_row_by_row(name):
+def test_broadcast_tables_equal_row_by_row(name, monkeypatch):
     E = SMALL_PRODUCTS[name]()
+    fast = {op: getattr(E, f"{op}_table") for op in ("sum", "leq", "ominus")}
+    bounds = [E.lower_bounds(a) for a in range(E.size)]
+    # grids read their pair operations from these very tables while they are
+    # dense, so the row-by-row reference runs on the coordinate path
+    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     for op in ("sum", "leq", "ominus"):
-        fast = getattr(E, f"{op}_table")
         slow = FiniteAlgebra._tabulate(E, op)
-        assert fast.dtype == slow.dtype, op
-        assert np.array_equal(fast, slow), op
+        assert fast[op].dtype == slow.dtype, op
+        assert np.array_equal(fast[op], slow), op
     allv = np.arange(E.size)
     for a in range(E.size):
-        assert np.array_equal(E.lower_bounds(a), E.leq_pairs(allv, np.full(E.size, a)))
+        assert np.array_equal(bounds[a], E.leq_pairs(allv, np.full(E.size, a)))
+
+
+# ---------------------------------------------------------------------------
+# grid pair operations: dense-table gathers against the coordinate path
+
+CRITERION_GRIDS = {
+    "boolean(1)": lambda: BooleanAlgebra(1),
+    "boolean(2)": lambda: BooleanAlgebra(2),
+    "boolean(3)": lambda: BooleanAlgebra(3),
+    "boolean(4)": lambda: BooleanAlgebra(4),
+    "mv(4,2)": lambda: GridAlgebra(4, 2),
+    "mv(8,3)": lambda: GridAlgebra(8, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(CRITERION_GRIDS))
+def test_grid_pair_operations_read_the_tables(name, monkeypatch):
+    E = CRITERION_GRIDS[name]()
+    assert E.dense
+    rng = np.random.default_rng(15)
+    xs = rng.integers(0, E.size, size=(40, 50))
+    ys = rng.integers(0, E.size, size=(40, 50))
+    ops = ("sum_pairs", "leq_pairs", "ominus_pairs")
+    dense = {op: getattr(E, op)(xs, ys) for op in ops}
+    scalar = (E.sum(3 % E.size, E.one), E.ominus(E.one, E.zero), E.leq(E.zero, E.one))
+    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
+    assert not E.dense
+    for op in ops:
+        coords = getattr(E, op)(xs, ys)
+        assert dense[op].dtype == coords.dtype, op
+        assert np.array_equal(dense[op], coords), op
+    assert scalar == (E.sum(3 % E.size, E.one), E.ominus(E.one, E.zero), E.leq(E.zero, E.one))
+    # the draws hit both defined and undefined sums and differences
+    for op in ("sum_pairs", "ominus_pairs"):
+        assert (dense[op] < 0).any() and (dense[op] >= 0).any(), op
+
+
+def _ref_normality(S, omi, leq, pidx, in_p):
+    n = len(S)
+    for p in pidx:
+        for q in pidx:
+            for d in range(n):
+                if in_p[d] or not (leq[d][p] and leq[d][q]):
+                    continue
+                if S[omi[p][d]][q] >= 0:
+                    return p, q, d
+    return None
+
+
+@pytest.mark.parametrize("kind", ["grid", "product", "table", "mo2"])
+def test_normality_matches_reference(reference_algebras, kind, monkeypatch):
+    E, cb = reference_algebras[kind]
+    S, omi, leq = E.sum_table, E.ominus_table, E.leq_table
+    lists = S.tolist(), omi.tolist(), leq.tolist()
+    rng = np.random.default_rng(16)
+    found = 0
+    for trial in range(36):
+        # P minus a few members is no longer normal in general
+        pidx = np.array(cb.projections)
+        drop = rng.choice(pidx.size, size=trial % 3, replace=False)
+        in_p = np.zeros(E.size, dtype=bool)
+        in_p[np.delete(pidx, drop)] = True
+        if trial % 4 == 3:
+            in_p[rng.integers(0, E.size, 3)] = True
+        if trial >= 24:  # any subset, scanned in any order
+            pidx = rng.permutation(E.size)[:int(rng.integers(1, E.size))]
+            in_p = rng.random(E.size) < 0.5
+        expected = _ref_normality(*lists, pidx.tolist(), in_p.tolist())
+        assert kernels.normality_violation(S, omi, leq, pidx, in_p) == expected
+        # a tiny chunk splits the rows of one p across several gathers
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "CHUNK_BYTES", 8 * pidx.size)
+            assert kernels.normality_violation(S, omi, leq, pidx, in_p) == expected
+        found += expected is not None
+    assert found >= 6
+
+
+def _ref_composition(M, outer, inner, target, cols):
+    for t, (o, i, g) in enumerate(zip(outer, inner, target)):
+        if min(o, i, g) < 0:
+            return t
+        if any(M[o][M[i][x]] != M[g][x] for x in cols):
+            return t
+    return None
+
+
+def test_composition_matches_reference(monkeypatch):
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        k, n = 1 + trial % 5, 2 + trial % 7
+        M = rng.integers(0, n, size=(k, n)).astype(np.int32)
+        M[0] = np.arange(n)  # the identity composes without a mismatch
+        size = int(rng.integers(0, 30))
+        idx = [rng.integers(0, k, size) for _ in range(3)]
+        if trial % 3 == 0:  # mostly identities; a few composites that hold
+            idx = [np.where(rng.random(size) < 0.9, 0, a) for a in idx]
+            idx[2] = np.where((idx[0] == 0) & (idx[1] == 0), 0, idx[2])
+        if trial % 4 == 1 and size:
+            idx[int(rng.integers(3))][int(rng.integers(size))] = -1
+        cols = None if trial % 2 else np.unique(rng.integers(0, n, 3))
+        expected = _ref_composition(M.tolist(), *(a.tolist() for a in idx),
+                                    range(n) if cols is None else cols.tolist())
+        assert kernels.composition_violation(M, *idx, cols) == expected
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "CHUNK_BYTES", 1)  # one item per gather
+            assert kernels.composition_violation(M, *idx, cols) == expected

@@ -360,6 +360,23 @@ def test_deep_jumps_match_oracles(k, d):
             assert rational_resolution(cb, a, lam, n) == want_lam
             if n <= 32:
                 assert verify_resolution(cb, a, res.entries, n).passed
+            assert res.entries.grid_size == 2 ** n + 1
+
+
+def test_grid_size_past_len(mv42):
+    """len() of the grid view is Python's up to depth 62 and a named error
+    past it; grid_size counts the points at any depth."""
+    from effalg.errors import EffalgError, InvalidDepth
+
+    E, cb = mv42
+    a = E.index_of([1, 3])
+    assert len(binary_resolution(cb, a, 62).entries) == 2 ** 62 + 1
+    for n in (63, 64, 70):
+        view = binary_resolution(cb, a, n).entries
+        assert view.grid_size == 2 ** n + 1
+        with pytest.raises(InvalidDepth, match="grid_size"):
+            len(view)
+    assert issubclass(InvalidDepth, EffalgError)
 
 
 def test_depth_must_be_a_nonnegative_integer(mv42):
