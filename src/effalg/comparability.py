@@ -16,8 +16,6 @@ import numpy as np
 from .compbase import CompressionBase, validate_base
 from .core import (
     FiniteAlgebra,
-    GridAlgebra,
-    ProductAlgebra,
     Report,
     TableAlgebra,
     PAIR_BUDGET,
@@ -124,17 +122,15 @@ def check_b_comparability(cb, budget: int = PAIR_BUDGET, seed: int = 0) -> Repor
     rep = Report(f"b-comparability on {E.kind} ({n} elements, |P|={m})")
 
     full = E.dense and n * n * m <= budget
+    # all_b scans every element whenever this check is full, as m <= n
+    ok_b = all_b(cb, budget=budget, seed=seed)
+    rep.add("b-property", ok_b, mode="full" if full else "sampled")
+    if not ok_b:
+        return rep
     if full:
         pcm = cb.pc_matrix().astype(np.int16)
-        bic = cb.bicommutant_mask_all()
         ncomp = (~cb.pcompat()).astype(np.int16)
-        miss = bic.astype(np.int16) @ ncomp
-        contained = miss == 0
-        rep.add("b-property", bool((contained == cb.pc_matrix()).all()))
-        if not rep.passed:
-            return rep
-
-        bic16 = bic.astype(np.int16)
+        bic16 = cb.bicommutant_mask_all().astype(np.int16)
         comm = (bic16 @ ncomp @ bic16.T) == 0  # commuting pairs
         smask = pcm[:, None, :] & pcm[None, :, :]
         padmiss = np.einsum("efp,pq->efq", smask.astype(np.int16), ncomp)
@@ -155,10 +151,6 @@ def check_b_comparability(cb, budget: int = PAIR_BUDGET, seed: int = 0) -> Repor
         rep.add("comparability", ok, witness=witness)
     else:
         rng = np.random.default_rng(seed)
-        ok_b = all_b(cb, budget=budget, seed=seed)
-        rep.add("b-property", ok_b, mode="sampled")
-        if not ok_b:
-            return rep
         ok, witness = True, None
         for _ in range(1024):
             e, f = int(rng.integers(n)), int(rng.integers(n))
@@ -186,23 +178,6 @@ def check_b_comparability(cb, budget: int = PAIR_BUDGET, seed: int = 0) -> Repor
     return rep
 
 
-def _meet_pairs(E: FiniteAlgebra, xs, ys):
-    if isinstance(E, GridAlgebra):
-        return np.minimum(E.coords[xs], E.coords[ys]) @ E.strides
-    if isinstance(E, ProductAlgebra):
-        xa, xb = E.split_index(xs)
-        ya, yb = E.split_index(ys)
-        ma = _meet_pairs(E.left, xa, ya)
-        mb = _meet_pairs(E.right, xb, yb)
-        ok = (ma >= 0) & (mb >= 0)
-        return np.where(ok, ma * E.right.size + mb, -1)
-    out = np.empty(len(xs), dtype=np.int64)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        v = E.meet(int(x), int(y))
-        out[i] = -1 if v is None else v
-    return out
-
-
 def _is_mv_subalgebra(E: FiniteAlgebra, elems: np.ndarray, seed: int = 0):
     """Lattice + the MV identity (a v b) - a = b - (a ^ b); RDP spot check."""
     k = elems.size
@@ -212,11 +187,11 @@ def _is_mv_subalgebra(E: FiniteAlgebra, elems: np.ndarray, seed: int = 0):
         rng = np.random.default_rng(seed)
         xs = elems[rng.integers(0, k, size=2000)]
         ys = elems[rng.integers(0, k, size=2000)]
-    meets = _meet_pairs(E, xs, ys)
+    meets = E.meet_pairs(xs, ys)
     if (meets < 0).any():
         i = int(np.argmax(meets < 0))
         return False, ("meet-missing", E.label(int(xs[i])), E.label(int(ys[i])))
-    joins = _meet_pairs(E, E.ortho_all()[xs], E.ortho_all()[ys])
+    joins = E.meet_pairs(E.ortho_all()[xs], E.ortho_all()[ys])
     if (joins < 0).any():
         return False, ("join-missing",)
     joins = E.ortho_all()[joins]

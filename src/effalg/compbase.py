@@ -18,7 +18,6 @@ from .core import (
     Check,
     FiniteAlgebra,
     GridAlgebra,
-    ProductAlgebra,
     Report,
     TRIPLE_BUDGET,
     PAIR_BUDGET,
@@ -162,7 +161,7 @@ class CompressionBase:
             n, m = E.size, P.size
             out = np.empty((n, m), dtype=bool)
             for i, p in enumerate(P):
-                out[:, i] = E.leq_pairs(np.arange(n), np.full(n, p))
+                out[:, i] = E.lower_bounds(p)
             self._elem_leq_proj = out
         return self._elem_leq_proj
 
@@ -219,15 +218,6 @@ class CompressionBase:
     def join_proj(self, p: int, q: int) -> Optional[int]:
         v = self.meet_proj(self.p_ortho(p), self.p_ortho(q))
         return None if v is None else self.p_ortho(v)
-
-    def meet_proj_many(self, ps) -> Optional[int]:
-        ps = list(ps)
-        out = ps[0]
-        for p in ps[1:]:
-            out = self.meet_proj(out, p)
-            if out is None:
-                return None
-        return out
 
     # spectrality verdict is computed in the comparability module and cached here
     def is_spectral(self) -> bool:
@@ -304,13 +294,17 @@ class MapSample:
 
         focus = int(J[E.one])
         idx = _with_elements(self.idx, [focus, E.ortho(focus)]) if self.drawn else self.idx
-        below = idx[E.leq_pairs(idx, np.full(idx.size, focus))]
-        fixed = J[below] == below
+
+        def below(b):  # over idx; lower_bounds builds no product order table
+            return E.leq_pairs(idx, b) if self.drawn else E.lower_bounds(b)
+
+        lower = idx[below(focus)]
+        fixed = J[lower] == lower
         if not fixed.all():
-            return MapClassification("not_additive", None, int(below[np.argmin(fixed)]))
+            return MapClassification("not_additive", None, int(lower[np.argmin(fixed)]))
 
         kernel = J[idx] == E.zero
-        should = E.leq_pairs(idx, np.full(idx.size, E.ortho(focus)))
+        should = below(E.ortho(focus))
         if (kernel == should).all():
             return MapClassification("compression", focus)
         return MapClassification("retraction", focus, int(idx[np.argmax(kernel != should)]))
@@ -369,7 +363,7 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
             ok, closure_w = False, ("ortho", p)
             break
     if ok:
-        sums = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m))
+        sums = E.sum_pairs(pa[:, None], pa)
         sums = sums[sums >= 0]
         outside = np.flatnonzero(~in_p[sums])
         if outside.size:
@@ -410,7 +404,7 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
             rng_mask = E.lower_bounds(E.ortho(p))
         else:
             kernel = cb.map_table(p)[supp_idx] == E.zero
-            rng_mask = E.leq_pairs(supp_idx, np.full(supp_idx.size, E.ortho(p)))
+            rng_mask = E.leq_pairs(supp_idx, E.ortho(p))
         if not (kernel == rng_mask).all():
             supp_ok, supp_w = False, p
             break
@@ -461,7 +455,7 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
     # the shared summand, J_{p+q} o J_{q+r} = J_q.  A triple is
     # (p+q, q, q+r, r); a sum outside P has no map and fails the law.
     if m * m <= 1 << 22:
-        pq = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m)).reshape(m, m)
+        pq = E.sum_pairs(pa[:, None], pa)
 
         def chunks():
             for i, j, k in _summable_triples(E, pa, pq):
@@ -507,9 +501,7 @@ def _summable_triples(E: FiniteAlgebra, pa: np.ndarray, pq: np.ndarray):
         j2 = np.repeat(jj[start:start + step], m)
         k2 = np.tile(np.arange(m), min(step, ii.size - start))
         ok = pq[j2, k2] >= 0
-        first, third = pq[i2, j2], pa[k2]
-        total = E.sum_table[first, third] if E.dense else E.sum_pairs(first, third)
-        good = np.flatnonzero(ok & (total >= 0))
+        good = np.flatnonzero(ok & (E.sum_pairs(pq[i2, j2], pa[k2]) >= 0))
         yield i2[good], j2[good], k2[good]
 
 
@@ -574,23 +566,8 @@ def _central_candidates(E: FiniteAlgebra) -> np.ndarray:
 
 def meet_with_all(E: FiniteAlgebra, p: int) -> Optional[np.ndarray]:
     """Vector of meets a ^ p over the carrier; None when some meet fails."""
-    if isinstance(E, GridAlgebra):
-        return np.minimum(E.coords, E.coords[p]) @ E.strides
-    if isinstance(E, ProductAlgebra):
-        pa, pb = E.split_index(p)
-        la = meet_with_all(E.left, int(pa))
-        lb = meet_with_all(E.right, int(pb))
-        if la is None or lb is None:
-            return None
-        ia, ib = E.split_index(np.arange(E.size))
-        return la[ia] * E.right.size + lb[ib]
-    out = np.empty(E.size, dtype=np.int64)
-    for a in range(E.size):
-        v = E.meet(a, p)
-        if v is None:
-            return None
-        out[a] = v
-    return out
+    out = E.meet_pairs(np.arange(E.size), p)
+    return None if (out < 0).any() else out
 
 
 def central_base(E: FiniteAlgebra) -> CompressionBase:

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class Report:
     @property
     def sampled(self) -> bool:
         return any(c.mode != "full" for c in self.checks)
-
-    def first_failure(self) -> Optional[Check]:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
 
     def summary(self) -> str:
         lines = [f"{self.title}: {'PASS' if self.passed else 'FAIL'}"]
@@ -160,11 +154,10 @@ class FiniteAlgebra(EffectAlgebra):
 
     enumerable = True
 
-    def __init__(self, n, zero, one, tol=0.0):
+    def __init__(self, n, zero, one):
         self._n = int(n)
         self.zero = int(zero)
         self.one = int(one)
-        self.tol = tol
         self._sum_table = None
         self._leq_table = None
         self._ominus_table = None
@@ -192,36 +185,66 @@ class FiniteAlgebra(EffectAlgebra):
             raise ElementNotInCarrier(f"{a!r} is not an index into a carrier of size {self._n}")
         return int(a)
 
-    # vectorized primitives; subclasses must supply at least sum_pairs/leq_pairs
+    # pair operations on index arrays that broadcast against each other.
+    # A dense carrier gathers from its tables; past DENSE_LIMIT the
+    # structural primitives _sum_pairs/_leq_pairs/_ominus_pairs answer.
+    # The full law scans of kernels.py take the tables whole, not through
+    # these.
 
     def sum_pairs(self, xs, ys) -> np.ndarray:
-        """Pointwise partial sums of two index arrays; -1 where undefined."""
-        raise NotImplementedError
+        """Pointwise partial sums; -1 where undefined."""
+        if self.dense:
+            return self.sum_table[xs, ys].astype(np.int64)
+        return self._sum_pairs(xs, ys)
 
     def leq_pairs(self, xs, ys) -> np.ndarray:
-        raise NotImplementedError
+        if self.dense:
+            return self.leq_table[xs, ys]
+        return self._leq_pairs(xs, ys)
 
     def ominus_pairs(self, bs, xs) -> np.ndarray:
         """Pointwise b - x; -1 where x is not below b."""
-        raise NotImplementedError
+        if self.dense:
+            return self.ominus_table[bs, xs].astype(np.int64)
+        return self._ominus_pairs(bs, xs)
+
+    # the structural primitives of a carrier given by its tables read them
+    # as stored; grids and products override these with their structure
+
+    def _sum_pairs(self, xs, ys):
+        return self._sum_table[xs, ys].astype(np.int64)
+
+    def _leq_pairs(self, xs, ys):
+        return self._leq_table[xs, ys]
+
+    def _ominus_pairs(self, bs, xs):
+        return self._ominus_table[bs, xs].astype(np.int64)
+
+    def meet_pairs(self, xs, ys) -> np.ndarray:
+        """Pointwise meets; -1 where a pair has none.  One scalar ``meet``
+        search per distinct pair."""
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
+        keys, inv = np.unique((xs * self._n + ys).ravel(), return_inverse=True)
+        meets = [self.meet(int(k) // self._n, int(k) % self._n) for k in keys]
+        out = np.array([-1 if m is None else m for m in meets], dtype=np.int64)
+        return out[inv].reshape(xs.shape)
 
     def ortho_all(self) -> np.ndarray:
         if self._ortho_vec is None:
-            n = self._n
-            self._ortho_vec = self.ominus_pairs(np.full(n, self.one), np.arange(n))
+            self._ortho_vec = self.ominus_pairs(self.one, np.arange(self._n))
         return self._ortho_vec
 
     # scalar wrappers
 
     def sum(self, a, b):
-        s = int(self.sum_pairs(np.array([a]), np.array([b]))[0])
+        s = int(self.sum_pairs(a, b))
         return None if s < 0 else s
 
     def leq(self, a, b) -> bool:
-        return bool(self.leq_pairs(np.array([a]), np.array([b]))[0])
+        return bool(self.leq_pairs(a, b))
 
     def ominus(self, b, a):
-        c = int(self.ominus_pairs(np.array([b]), np.array([a]))[0])
+        c = int(self.ominus_pairs(b, a))
         return None if c < 0 else c
 
     def ortho(self, a):
@@ -235,13 +258,14 @@ class FiniteAlgebra(EffectAlgebra):
 
     def _tabulate(self, op: str) -> np.ndarray:
         """Dense ``n x n`` table of ``sum``/``leq``/``ominus``, row by row
-        through the pair primitives; subclasses with factor tables override."""
-        pairs = getattr(self, f"{op}_pairs")
+        through the structural primitives; subclasses with factor tables
+        override."""
+        pairs = getattr(self, f"_{op}_pairs")
         n = self._n
         rows = np.arange(n)
         out = np.empty((n, n), dtype=bool if op == "leq" else np.int32)
         for a in range(n):
-            out[a] = pairs(np.full(n, a), rows)
+            out[a] = pairs(a, rows)
         return out
 
     @property
@@ -275,9 +299,7 @@ class FiniteAlgebra(EffectAlgebra):
     # order helpers ----------------------------------------------------------
 
     def lower_bounds(self, a) -> np.ndarray:
-        if self.dense:
-            return self.leq_table[:, a].copy()
-        return self.leq_pairs(np.arange(self._n), np.full(self._n, a))
+        return self.leq_pairs(np.arange(self._n), a)
 
     def meet(self, a, b):
         """Greatest common lower bound, or None when it does not exist."""
@@ -285,8 +307,7 @@ class FiniteAlgebra(EffectAlgebra):
         if cand.size == 1:
             return int(cand[0])
         # the maximum, if any, is the candidate every candidate sits below
-        sub = self._leq_submatrix(cand)
-        ranks = sub.sum(axis=0)
+        ranks = self.leq_pairs(cand[:, None], cand).sum(axis=0)
         best = int(np.argmax(ranks))
         if ranks[best] == cand.size:
             return int(cand[best])
@@ -304,12 +325,6 @@ class FiniteAlgebra(EffectAlgebra):
             if out is None:
                 return None
         return out
-
-    def _leq_submatrix(self, idx) -> np.ndarray:
-        if self.dense:
-            return self.leq_table[np.ix_(idx, idx)]
-        m = idx.size
-        return self.leq_pairs(np.repeat(idx, m), np.tile(idx, m)).reshape(m, m)
 
 
 def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -338,14 +353,14 @@ class TableAlgebra(FiniteAlgebra):
 
     kind = "table"
 
-    def __init__(self, sum_table, zero, one, labels=None, tol=0.0):
+    def __init__(self, sum_table, zero, one, labels=None):
         sum_table = np.asarray(sum_table, dtype=np.int32)
         n = sum_table.shape[0]
         if sum_table.shape != (n, n):
             raise ValueError("sum table must be square")
         if n > DENSE_LIMIT:
             raise SizeLimit(f"explicit tables are capped at n={DENSE_LIMIT}")
-        super().__init__(n, zero, one, tol=tol)
+        super().__init__(n, zero, one)
         self._sum_table = sum_table
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         self._derive_order()
@@ -372,17 +387,7 @@ class TableAlgebra(FiniteAlgebra):
             omi[row[idx], a] = idx
         self._leq_table = leq
         self._ominus_table = omi
-        ov = omi[self.one].copy()
-        self._ortho_vec = ov
-
-    def sum_pairs(self, xs, ys):
-        return self._sum_table[np.asarray(xs), np.asarray(ys)].astype(np.int64)
-
-    def leq_pairs(self, xs, ys):
-        return self._leq_table[np.asarray(xs), np.asarray(ys)]
-
-    def ominus_pairs(self, bs, xs):
-        return self._ominus_table[np.asarray(bs), np.asarray(xs)].astype(np.int64)
+        self._ortho_vec = omi[self.one].copy()
 
     def label(self, a) -> str:
         return self.labels[a]
@@ -394,11 +399,11 @@ class GridAlgebra(FiniteAlgebra):
 
     kind = "mv_product"
 
-    def __init__(self, k, d, tol=0.0):
+    def __init__(self, k, d):
         if k < 1 or d < 1:
             raise ValueError("need k >= 1 and d >= 1")
         n = (k + 1) ** d
-        super().__init__(n, 0, n - 1, tol=tol)
+        super().__init__(n, 0, n - 1)
         self.k = int(k)
         self.d = int(d)
         # little-endian index: coordinate i carries stride (k+1)^i
@@ -413,30 +418,23 @@ class GridAlgebra(FiniteAlgebra):
             raise ElementNotInCarrier(f"coords {coords} outside grid (k={self.k}, d={self.d})")
         return int(coords @ self.strides)
 
-    def coords_of(self, a) -> np.ndarray:
-        return self.coords[a]
+    # structural primitives: coordinatewise, on the trailing axis
 
-    # pair operations gather from the dense tables when those exist and
-    # work on coordinates past DENSE_LIMIT
-
-    def sum_pairs(self, xs, ys):
-        if self.dense:
-            return self.sum_table[np.asarray(xs), np.asarray(ys)].astype(np.int64)
+    def _sum_pairs(self, xs, ys):
         cs = self.coords[np.asarray(xs)].astype(np.int64) + self.coords[np.asarray(ys)]
         ok = (cs <= self.k).all(axis=-1)
         return np.where(ok, np.minimum(cs, self.k) @ self.strides, -1)
 
-    def leq_pairs(self, xs, ys):
-        if self.dense:
-            return self.leq_table[np.asarray(xs), np.asarray(ys)]
+    def _leq_pairs(self, xs, ys):
         return (self.coords[np.asarray(xs)] <= self.coords[np.asarray(ys)]).all(axis=-1)
 
-    def ominus_pairs(self, bs, xs):
-        if self.dense:
-            return self.ominus_table[np.asarray(bs), np.asarray(xs)].astype(np.int64)
+    def _ominus_pairs(self, bs, xs):
         cs = self.coords[np.asarray(bs)].astype(np.int64) - self.coords[np.asarray(xs)]
         ok = (cs >= 0).all(axis=-1)
         return np.where(ok, np.maximum(cs, 0) @ self.strides, -1)
+
+    def meet_pairs(self, xs, ys):
+        return np.minimum(self.coords[np.asarray(xs)], self.coords[np.asarray(ys)]) @ self.strides
 
     def _tabulate(self, op):
         # the grid is a product of d chains, coordinate d-1 the most significant
@@ -452,7 +450,7 @@ class GridAlgebra(FiniteAlgebra):
         return out
 
     def meet(self, a, b):
-        return int(np.minimum(self.coords[a], self.coords[b]) @ self.strides)
+        return int(self.meet_pairs(a, b))
 
     def join(self, a, b):
         return int(np.maximum(self.coords[a], self.coords[b]) @ self.strides)
@@ -504,43 +502,48 @@ class ProductAlgebra(FiniteAlgebra):
     def pair_index(self, ia, ib) -> int:
         return int(ia) * self.right.size + int(ib)
 
-    def sum_pairs(self, xs, ys):
-        xa, xb = self.split_index(xs)
-        ya, yb = self.split_index(ys)
-        sa = self.left.sum_pairs(xa, ya)
-        sb = self.right.sum_pairs(xb, yb)
-        ok = (sa >= 0) & (sb >= 0)
-        return np.where(ok, sa * self.right.size + sb, -1)
+    def _pair(self, ia, ib):
+        """Product indices of factor indices; -1 where either is -1."""
+        return np.where((ia >= 0) & (ib >= 0), ia * self.right.size + ib, -1)
 
-    def leq_pairs(self, xs, ys):
-        xa, xb = self.split_index(xs)
-        ya, yb = self.split_index(ys)
+    # structural primitives: componentwise, through the factors
+
+    def _sum_pairs(self, xs, ys):
+        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
+        return self._pair(self.left.sum_pairs(xa, ya), self.right.sum_pairs(xb, yb))
+
+    def _leq_pairs(self, xs, ys):
+        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
         return self.left.leq_pairs(xa, ya) & self.right.leq_pairs(xb, yb)
 
-    def ominus_pairs(self, bs, xs):
-        ba, bb = self.split_index(bs)
-        xa, xb = self.split_index(xs)
-        ca = self.left.ominus_pairs(ba, xa)
-        cb = self.right.ominus_pairs(bb, xb)
-        ok = (ca >= 0) & (cb >= 0)
-        return np.where(ok, ca * self.right.size + cb, -1)
+    def _ominus_pairs(self, bs, xs):
+        (ba, bb), (xa, xb) = self.split_index(bs), self.split_index(xs)
+        return self._pair(self.left.ominus_pairs(ba, xa), self.right.ominus_pairs(bb, xb))
+
+    def meet_pairs(self, xs, ys):
+        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
+        return self._pair(self.left.meet_pairs(xa, ya), self.right.meet_pairs(xb, yb))
+
+    def meet(self, a, b):
+        m = int(self.meet_pairs(a, b))
+        return None if m < 0 else m
+
+    def ortho_all(self) -> np.ndarray:
+        # from the factors, so that it builds no difference table
+        if self._ortho_vec is None:
+            ia, ib = self.split_index(np.arange(self._n))
+            self._ortho_vec = self._pair(self.left.ortho_all()[ia], self.right.ortho_all()[ib])
+        return self._ortho_vec
 
     def _tabulate(self, op):
         table = f"{op}_table"
         return _product_table(getattr(self.left, table), getattr(self.right, table))
 
     def lower_bounds(self, a) -> np.ndarray:
+        # the outer product of the factor masks builds no order table
         ia, ib = self.split_index(a)
         return np.outer(self.left.lower_bounds(int(ia)),
                         self.right.lower_bounds(int(ib))).ravel()
-
-    def meet(self, a, b):
-        (aa, ab), (ba, bb) = self.split_index(a), self.split_index(b)
-        ma = self.left.meet(int(aa), int(ba))
-        mb = self.right.meet(int(ab), int(bb))
-        if ma is None or mb is None:
-            return None
-        return self.pair_index(ma, mb)
 
     def label(self, a) -> str:
         ia, ib = self.split_index(a)
@@ -685,14 +688,14 @@ def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0
         ok = True
         witness = None
         for a in rng.integers(0, n, size=8):
-            row = E.sum_pairs(np.full(n, a), np.arange(n))
+            row = E.sum_pairs(a, np.arange(n))
             if (row == E.one).sum() != 1:
                 ok, witness = False, int(a)
                 break
         rep.add("E3-orthosupplement-unique", ok, mode="sampled", witness=witness)
 
     # E4: a + 1 defined only for a = 0
-    col = E.sum_pairs(np.arange(n), np.full(n, E.one))
+    col = E.sum_pairs(np.arange(n), E.one)
     offenders = np.flatnonzero(col >= 0)
     ok = offenders.size == 1 and offenders[0] == E.zero
     witness = None
@@ -774,15 +777,11 @@ def sharp_elements(E: FiniteAlgebra) -> np.ndarray:
 def is_principal(E: FiniteAlgebra, a) -> bool:
     """x, y <= a and x + y defined imply x + y <= a."""
     idx = np.flatnonzero(E.lower_bounds(a))
-    if E.dense:
+    if E.dense:  # the block stays int32; sum_pairs would widen it to int64
         sums = E.sum_table[np.ix_(idx, idx)]
         return bool(E.leq_table[sums[sums >= 0], a].all())
-    m = idx.size
-    sums = E.sum_pairs(np.repeat(idx, m), np.tile(idx, m))
-    defined = sums >= 0
-    if not defined.any():
-        return True
-    return bool(E.leq_pairs(sums[defined], np.full(int(defined.sum()), a)).all())
+    sums = E.sum_pairs(idx[:, None], idx)
+    return bool(E.leq_pairs(sums[sums >= 0], a).all())
 
 
 def mackey_compatible(E: FiniteAlgebra, a, b):
@@ -791,15 +790,11 @@ def mackey_compatible(E: FiniteAlgebra, a, b):
     Returns (True, (a1, b1, c)) or (False, None).  The scan walks common
     lower bounds c in ascending index order, so witnesses are canonical.
     """
-    if E.dense:
+    if E.dense:  # perfbench/tracing.py times kernels.mackey_witness by name
         c = kernels.mackey_witness(E.sum_table, E.ominus_table, E.leq_table, a, b)
     else:
-        n = E.size
-        allv = np.arange(n)
-        cand = np.flatnonzero(E.leq_pairs(allv, np.full(n, a)) & E.leq_pairs(allv, np.full(n, b)))
-        a1 = E.ominus_pairs(np.full(cand.size, a), cand)
-        b1 = E.ominus_pairs(np.full(cand.size, b), cand)
-        s = E.sum_pairs(a1, b1)
+        cand = np.flatnonzero(E.lower_bounds(a) & E.lower_bounds(b))
+        s = E.sum_pairs(E.ominus_pairs(a, cand), E.ominus_pairs(b, cand))
         ok = s >= 0
         ok[ok] = E.sum_pairs(s[ok], cand[ok]) >= 0
         hits = np.flatnonzero(ok)

@@ -5,15 +5,14 @@ The scans take the dense sum table ``S`` where ``S[a, b] = a + b`` and
 order tables), and return the first violating witness in lexicographic
 scan order, or ``None``.  Associativity and map additivity walk the list
 of defined pairs (``DefinedPairs``) instead of the full table.  The
-normality and composition scans gather in chunks whose transient memory
-stays within ``CHUNK_BYTES``.
+associativity, normality and composition scans gather in chunks whose
+transient memory stays within ``CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-CHUNK = 1 << 21  # triples gathered per step of the associativity scan
 CHUNK_BYTES = 8 << 20  # transient bytes of one step of a chunked gather
 
 
@@ -48,10 +47,11 @@ def associativity_violation(S, pairs=None):
     # pair (a, b) is joined with the defined entries c of row a+b
     width = np.diff(pairs.indptr)[pairs.s]
     ends = np.cumsum(width)
+    step = max(1, CHUNK_BYTES // 64)  # triples; about 64 bytes of gathers each
     start = 0
     while start < len(pairs):
         base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + CHUNK, side="right")))
+        stop = max(start + 1, int(np.searchsorted(ends, base + step, side="right")))
         w = width[start:stop]
         t = np.repeat(np.arange(start, stop), w)
         offs = np.repeat(pairs.indptr[pairs.s[start:stop]] - (np.cumsum(w) - w), w)

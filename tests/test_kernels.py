@@ -1,10 +1,13 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from effalg import core, instances, kernels
-from effalg.core import BooleanAlgebra, FiniteAlgebra, GridAlgebra, ProductAlgebra
+from effalg.core import (BooleanAlgebra, FiniteAlgebra, GridAlgebra, ProductAlgebra,
+                         TableAlgebra)
 
 
 @pytest.fixture()
@@ -123,8 +126,9 @@ def test_associativity_matches_reference(reference_algebras, kind):
 
 
 def test_associativity_scan_crosses_chunks(monkeypatch):
-    # a chunk far smaller than the triple count must not change the witness
-    monkeypatch.setattr(kernels, "CHUNK", 7)
+    # a step of seven triples, far fewer than the scan covers, must not
+    # change the witness
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 7 * 64)
     E = GridAlgebra(4, 2)
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -194,8 +198,8 @@ def test_broadcast_tables_equal_row_by_row(name, monkeypatch):
     E = SMALL_PRODUCTS[name]()
     fast = {op: getattr(E, f"{op}_table") for op in ("sum", "leq", "ominus")}
     bounds = [E.lower_bounds(a) for a in range(E.size)]
-    # grids read their pair operations from these very tables while they are
-    # dense, so the row-by-row reference runs on the coordinate path
+    # dense carriers read their pair operations from these very tables, so
+    # the row-by-row reference runs on the structural path
     monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     for op in ("sum", "leq", "ominus"):
         slow = FiniteAlgebra._tabulate(E, op)
@@ -207,38 +211,105 @@ def test_broadcast_tables_equal_row_by_row(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# grid pair operations: dense-table gathers against the coordinate path
+# pair operations: dense-table gathers against the structural path
 
-CRITERION_GRIDS = {
+def _even_subsets(atoms):
+    """The even subsets of ``atoms`` atoms under disjoint union: a
+    sub-effect algebra of a Boolean algebra that is not a lattice once
+    ``atoms >= 6`` (1234 and 1235 have the three maximal common lower
+    bounds 12, 13 and 23)."""
+    elems = [x for x in range(1 << atoms) if bin(x).count("1") % 2 == 0]
+    pos = {x: i for i, x in enumerate(elems)}
+    triples = [(pos[x], pos[y], pos[x | y]) for x in elems for y in elems if not x & y]
+    return TableAlgebra.from_triples(len(elems), triples, 0, len(elems) - 1, symmetrize=False)
+
+
+def _hsum_l8():
+    l8 = instances.make_mv_product(8, 1, validate=False)
+    ident = [Fraction(i, 8) for i in range(9)]
+    return instances.make_horizontal_sum(l8, l8, ident, ident, validate=False)[0]
+
+
+CRITERION_CARRIERS = {
     "boolean(1)": lambda: BooleanAlgebra(1),
     "boolean(2)": lambda: BooleanAlgebra(2),
     "boolean(3)": lambda: BooleanAlgebra(3),
     "boolean(4)": lambda: BooleanAlgebra(4),
     "mv(4,2)": lambda: GridAlgebra(4, 2),
     "mv(8,3)": lambda: GridAlgebra(8, 3),
+    "MO2": _mo2,
+    "L8+L8": _hsum_l8,
 }
 
 
-@pytest.mark.parametrize("name", list(CRITERION_GRIDS))
+@functools.lru_cache(maxsize=None)
+def _named_carrier(name):
+    if name == "even(6)":
+        return _even_subsets(6)
+    return CRITERION_CARRIERS[name]()
+
+
+def _carrier(name):
+    """A carrier by name; ``A x B`` is a fresh product of cached factors."""
+    if " x " in name:
+        left, right = name.split(" x ")
+        return ProductAlgebra(_named_carrier(left), _named_carrier(right))
+    return _named_carrier(name)
+
+
+# the criterion-01 carriers that keep dense tables: tables, grids and
+# products, among them products with table factors
+DENSE_CRITERION = list(CRITERION_CARRIERS) + [
+    f"{a} x {b}" for a, b in itertools.combinations_with_replacement(sorted(CRITERION_CARRIERS), 2)
+    if _named_carrier(a).size * _named_carrier(b).size <= core.DENSE_LIMIT]
+
+
+@pytest.mark.parametrize("name", DENSE_CRITERION)
 def test_grid_pair_operations_read_the_tables(name, monkeypatch):
-    E = CRITERION_GRIDS[name]()
+    """Every dense carrier answers its pair operations from its tables,
+    with the values and dtypes of its structural path (coordinates for
+    grids, factors for products, the stored tables for a table carrier)."""
+    E = _carrier(name)
     assert E.dense
     rng = np.random.default_rng(15)
-    xs = rng.integers(0, E.size, size=(40, 50))
-    ys = rng.integers(0, E.size, size=(40, 50))
+    xs = rng.integers(0, E.size, size=(40, 1))
+    ys = rng.integers(0, E.size, size=(1, 50))  # broadcast to 40 x 50
     ops = ("sum_pairs", "leq_pairs", "ominus_pairs")
     dense = {op: getattr(E, op)(xs, ys) for op in ops}
     scalar = (E.sum(3 % E.size, E.one), E.ominus(E.one, E.zero), E.leq(E.zero, E.one))
     monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     assert not E.dense
     for op in ops:
-        coords = getattr(E, op)(xs, ys)
-        assert dense[op].dtype == coords.dtype, op
-        assert np.array_equal(dense[op], coords), op
+        structural = getattr(E, op)(xs, ys)
+        assert dense[op].shape == (40, 50), op
+        assert dense[op].dtype == structural.dtype, op
+        assert np.array_equal(dense[op], structural), op
     assert scalar == (E.sum(3 % E.size, E.one), E.ominus(E.one, E.zero), E.leq(E.zero, E.one))
     # the draws hit both defined and undefined sums and differences
     for op in ("sum_pairs", "ominus_pairs"):
         assert (dense[op] < 0).any() and (dense[op] >= 0).any(), op
+
+
+MEET_CARRIERS = ["even(6)", "MO2", "L8+L8", "mv(4,2)", "boolean(3)", "MO2 x boolean(2)",
+                 "even(6) x boolean(1)", "mv(4,2) x MO2", "boolean(2) x L8+L8"]
+
+
+@pytest.mark.parametrize("name", MEET_CARRIERS)
+def test_meet_pairs_matches_the_lower_bound_search(name):
+    """meet_pairs gives -1 exactly where the generic search finds no meet,
+    and the meet everywhere else."""
+    E = _carrier(name)
+    rng = np.random.default_rng(17)
+    xs = rng.integers(0, E.size, size=(30, 1))
+    ys = rng.integers(0, E.size, size=(1, 40))
+    got = E.meet_pairs(xs, ys)
+    want = [[FiniteAlgebra.meet(E, int(x), int(y)) for y in ys[0]] for x in xs[:, 0]]
+    assert np.array_equal(got, np.array([[-1 if m is None else m for m in row]
+                                         for row in want]))
+    a, b = int(xs[0, 0]), int(ys[0, 0])
+    assert E.meet(a, b) == want[0][0]
+    if name.startswith("even"):
+        assert (got < 0).any() and (got >= 0).any()
 
 
 def _ref_normality(S, omi, leq, pidx, in_p):
