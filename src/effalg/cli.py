@@ -52,7 +52,7 @@ def _load_instance(path: str, validate: bool = True):
         raise SystemExit(_fail(f"cannot read instance document: {exc}", 2))
     try:
         return instances.parse_document(doc, validate=validate)
-    except (EffalgError, KeyError, ValueError, TypeError) as exc:
+    except EffalgError as exc:
         raise SystemExit(_fail(f"bad instance document: {exc}", 2))
 
 
@@ -70,10 +70,10 @@ def _parse(option: str, text: str, parse):
     the value is malformed."""
     try:
         return parse(text)
+    except _MALFORMED as exc:  # MalformedInput included: it is a ValueError
+        raise SystemExit(_fail(f"bad {option} value {text!r}: {exc}", 2))
     except EffalgError as exc:
         raise SystemExit(_fail(str(exc), 2))
-    except _MALFORMED as exc:
-        raise SystemExit(_fail(f"bad {option} value {text!r}: {exc}", 2))
 
 
 def _element_arg(E, text):

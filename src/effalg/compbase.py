@@ -24,9 +24,17 @@ from .core import (
     SAMPLE_SIZE,
     is_principal,
     mackey_compatible,
+    product_report,
+    remembered,
     sharp_elements,
 )
-from .errors import DomainMismatch, InternalConsistencyError, NoCover, NotEnumerable
+from .errors import (
+    DomainMismatch,
+    IncompleteBase,
+    InternalConsistencyError,
+    NoCover,
+    NotEnumerable,
+)
 
 MAP_CACHE_ENTRIES = 48_000_000  # stack J tables only while |P|*n stays below
 
@@ -39,12 +47,19 @@ class CompressionBase:
     While ``|P| * n <= MAP_CACHE_ENTRIES`` every table is built once into
     one read-only int32 ``(|P|, n)`` stack, and ``map_table`` returns its
     rows; past that bound each call builds its table afresh.
+
+    ``factors`` holds the two factor bases of a product base whose maps
+    are ``J_(p1, p2) = J_p1 x J_p2`` (``instances.make_product``);
+    ``validate_base`` validates such a base through them.
     """
 
     enumerable = True
 
-    def __init__(self, algebra: FiniteAlgebra, projections: Iterable[int], maps: Dict):
+    def __init__(self, algebra: FiniteAlgebra, projections: Iterable[int], maps: Dict,
+                 factors: Optional[tuple] = None):
         self.algebra = algebra
+        self.factors = factors
+        self._reports = {}  # validate_base reports by (budget, seed)
         self.projections = sorted(int(p) for p in projections)
         self.p_set = frozenset(self.projections)
         self.p_pos = {p: i for i, p in enumerate(self.projections)}
@@ -118,9 +133,23 @@ class CompressionBase:
         s = E.sum(self.apply(p, a), self.apply(self.p_ortho(p), a))
         return s is not None and s == a
 
+    def _require_projections(self, closed=False):
+        """Raise IncompleteBase if P is empty or, with ``closed``, if it
+        misses the orthosupplement of a member (an unchecked base can)."""
+        E = self.algebra
+        if not self.projections:
+            raise IncompleteBase(f"the compression base on {E.kind} has no projections")
+        if closed:
+            ortho = E.ortho_all()[self.projections]
+            missing = ortho[~np.isin(ortho, self.projections)]
+            if missing.size:
+                raise IncompleteBase(f"the compression base on {E.kind} has no map "
+                                     f"at {E.label(int(missing[0]))}")
+
     def pc_matrix(self) -> np.ndarray:
         """Boolean (n, |P|) table of commutant membership."""
         if self._pc_matrix is None:
+            self._require_projections(closed=True)
             cols = [self.commutant_mask(p) for p in self.projections]
             self._pc_matrix = np.stack(cols, axis=1)
         return self._pc_matrix
@@ -156,6 +185,7 @@ class CompressionBase:
 
     def elem_leq_proj(self) -> np.ndarray:
         if self._elem_leq_proj is None:
+            self._require_projections()
             E = self.algebra
             P = np.array(self.projections)
             n, m = E.size, P.size
@@ -339,7 +369,99 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
     Checks: P is a sub-effect algebra, every map is a compression focused
     at its index (C1), composites on Mackey-compatible pairs stay in the
     family (C2), P is normal, supplements pair up, and the triple law
-    J_{p+q} o J_{q+r} = J_q holds on summable triples.
+    J_{p+q} o J_{q+r} = J_q holds on summable triples.  ``cb`` keeps its
+    report, keyed by ``(budget, seed)``.
+
+    A base with ``factors`` (a product base) is not scanned: the factor
+    bases are validated and the rows are ``structural``
+    (``core.product_report``).  Its projections are the pairs
+    ``P = P1 x P2`` and its maps ``J_(p1, p2) = J_p1 x J_p2``; sums,
+    differences and the order are componentwise, so each law holds for
+    the product iff it holds in both factors.  A factor witness lifts by
+    pairing projections with the other factor's one (``J_1`` is the
+    identity) and elements with its zero, except where a law says else:
+
+    * P-sub-effect-algebra: ``0`` and ``1`` lie in ``P1 x P2`` iff they lie
+      in both; ``(p1, p2)' = (p1', p2')`` and a defined sum of pairs is the
+      pair of the sums, so P is closed iff both are.  A sum ``s = p + q``
+      outside P1 lifts with zero, as ``(p, 0) + (q, 0)``.
+    * C1: ``J_p1 x J_p2`` is additive iff both maps are, as sums are
+      componentwise; it sends 1 to ``(J_p1(1), J_p2(1))``, fixes
+      ``[0, p1] x [0, p2]`` pointwise and has kernel ``ker J_p1 x
+      ker J_p2``, so it is a compression focused at ``(p1, p2)`` iff both
+      are compressions focused at ``p1`` and ``p2``.
+    * supplement pairing: the kernel ``ker J_p1 x ker J_p2`` equals the
+      range ``[0, p1'] x [0, p2']`` of ``J_(p1, p2)'`` iff the factor
+      kernels equal their ranges (all of them contain 0).
+    * C2: Mackey compatibility is componentwise, as a witness
+      ``p = a + c``, ``q = b + c`` with ``a + b + c`` defined is a pair of
+      factor witnesses; the composite ``J_p o J_q`` is the pair of the
+      factor composites, in the family iff both are.  ``1`` is compatible
+      with itself, so ``(p, 1)`` and ``(q, 1)`` lift a factor pair.
+    * P-normal: ``d`` lies outside P iff a component lies outside its
+      factor's P, and ``d <= p, q`` with ``(p - d) + q`` defined holds iff
+      it holds componentwise.  All three of ``(p, q, d)`` lift with one:
+      ``(p - d, 0) + (q, 1)`` is defined.
+    * triple law: ``p, q, r`` in P are summable iff they are componentwise,
+      and ``J_{p+q} o J_{q+r} = J_q`` holds iff it does in each component.
+      ``q`` lifts with one and ``p``, ``r`` with zero, so the witness
+      ``(p + q, q, q + r, r)`` lifts to one, one, one and zero.
+
+    Where a factor's report stops early (a failing C1), the product's
+    stops at the same row.
+    """
+    return _base(E, cb, budget, seed)
+
+
+def _base(E: FiniteAlgebra, cb: CompressionBase, budget: int, seed: int) -> Report:
+    """``validate_base``, kept on ``cb``."""
+    def make():
+        if cb.factors is None:
+            return _scan_base(E, cb, budget, seed)
+        left, right = cb.factors
+        return product_report(
+            f"compression base on {E.kind} (|P|={len(cb.projections)})",
+            _base(left.algebra, left, budget, seed), _base(right.algebra, right, budget, seed),
+            "product base J_(p1,p2) = J_p1 x J_p2",
+            lambda name, side, w: _lift_base_witness(E, name, side, w))
+    return remembered(cb, (budget, seed), make)
+
+
+def _lift_base_witness(E, name: str, side: int, w):
+    """A factor's witness for the law ``name`` as a product witness; see
+    ``validate_base`` for why each part lifts with zero or with one."""
+    def elem(x):
+        return E.embed(side, x)
+
+    def proj(x):
+        return E.embed(side, x, at_one=True)
+
+    if name == "P-sub-effect-algebra":
+        what, x = w
+        return what, proj(x) if what == "ortho" else elem(x)
+    if name == "C1-compressions":
+        p, kind, inner = w
+        if isinstance(inner, tuple):
+            inner = tuple(elem(x) for x in inner)
+        elif inner is not None:
+            inner = elem(inner)
+        return proj(p), kind, inner
+    if name == "supplement-pairing":
+        return proj(w)
+    if name == "C2-composition":
+        p, q, kind, focus = w
+        return proj(p), proj(q), kind, proj(focus)
+    if name == "P-normal":
+        return tuple(proj(x) for x in w)
+    spq, q, sqr, r = w  # triple-law
+    return proj(spq), proj(q), proj(sqr), elem(r)
+
+
+def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
+               budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
+    """The base-law scans over the whole carrier and family (sampled past
+    ``budget``); ``validate_base`` runs them on every base but a product
+    base, and the tests take them as the reference for products.
 
     C1 classifies each map against one ``MapSample`` of the carrier; C2
     and the triple law compare composites of the stacked map tables in
@@ -369,6 +491,8 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
         if outside.size:
             ok, closure_w = False, ("sum", int(sums[outside[0]]))
     rep.add("P-sub-effect-algebra", ok, witness=closure_w)
+    if not m:  # nothing below has a map to check
+        return rep
 
     # (C1): each map is a compression with the right focus
     check_projs = list(P)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import kernels
 from .errors import (
     ElementNotInCarrier,
     InvalidState,
+    MalformedInput,
     NotEnumerable,
     NotFaithful,
     SizeLimit,
@@ -42,8 +43,11 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
-    raise ValueError(f"not an exact rational: {x!r}")
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise MalformedInput(f"not an exact rational: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +74,7 @@ class Check:
 class Report:
     title: str
     checks: list = field(default_factory=list)
+    parts: list = field(default_factory=list)  # the factor reports behind structural rows
 
     def add(self, name, passed, mode="full", witness=None, detail=""):
         self.checks.append(Check(name, bool(passed), mode, witness, detail))
@@ -81,15 +86,16 @@ class Report:
 
     @property
     def sampled(self) -> bool:
-        return any(c.mode != "full" for c in self.checks)
+        return any(c.mode == "sampled" for c in self.checks)
 
     def summary(self) -> str:
         lines = [f"{self.title}: {'PASS' if self.passed else 'FAIL'}"]
         lines += [f"  {c}" for c in self.checks]
+        lines += [f"  {line}" for part in self.parts for line in part.summary().splitlines()]
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "title": self.title,
             "passed": self.passed,
             "checks": [
@@ -103,6 +109,52 @@ class Report:
                 for c in self.checks
             ],
         }
+        if self.parts:
+            out["parts"] = [part.to_dict() for part in self.parts]
+        return out
+
+
+def remembered(owner, key, make) -> Report:
+    """The report ``owner`` keeps under ``key``, made by ``make()`` on the
+    first request.  Validated objects are not changed afterwards, so a
+    report stays true for the object that keeps it."""
+    if key not in owner._reports:
+        owner._reports[key] = make()
+    return owner._reports[key]
+
+
+def product_report(title: str, left: Report, right: Report, detail: str, lift) -> Report:
+    """The report of a direct product, from the reports of its factors.
+
+    The law behind each row holds in a direct product exactly when it
+    holds in both factors (see ``validate_axioms`` and
+    ``compbase.validate_base`` for the argument, law by law), so:
+
+    * a row is present when both factor reports have it, in their order
+      (a factor report that stops early stops the product's at that row);
+    * it passes iff it passes in both factors;
+    * its mode is ``structural`` when both factor rows are ``full`` or
+      ``structural``, and ``sampled`` otherwise;
+    * a failing row carries the witness of its first failing factor
+      (``side`` 0 for the left, 1 for the right), lifted to the product
+      by ``lift(name, side, witness)``.
+
+    The factor reports become ``parts`` of the product's report.
+    """
+    rep = Report(title, parts=[left, right])
+    theirs = {c.name: c for c in right.checks}
+    for mine in left.checks:
+        other = theirs.get(mine.name)
+        if other is None:
+            continue
+        mode = "structural" if {mine.mode, other.mode} <= {"full", "structural"} else "sampled"
+        failed = [(side, c) for side, c in enumerate((mine, other)) if not c.passed]
+        witness = None
+        if failed and failed[0][1].witness is not None:
+            side, c = failed[0]
+            witness = lift(mine.name, side, c.witness)
+        rep.add(mine.name, not failed, mode, witness, detail)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +215,7 @@ class FiniteAlgebra(EffectAlgebra):
         self._ominus_table = None
         self._defined_pairs = None
         self._ortho_vec = None
+        self._reports = {}  # validate_axioms reports by (budget, seed)
 
     # -- interface ---------------------------------------------------------
 
@@ -304,8 +357,8 @@ class FiniteAlgebra(EffectAlgebra):
     def meet(self, a, b):
         """Greatest common lower bound, or None when it does not exist."""
         cand = np.flatnonzero(self.lower_bounds(a) & self.lower_bounds(b))
-        if cand.size == 1:
-            return int(cand[0])
+        if cand.size <= 1:  # a broken table can leave a pair no lower bound
+            return int(cand[0]) if cand.size else None
         # the maximum, if any, is the candidate every candidate sits below
         ranks = self.leq_pairs(cand[:, None], cand).sum(axis=0)
         best = int(np.argmax(ranks))
@@ -360,16 +413,25 @@ class TableAlgebra(FiniteAlgebra):
             raise ValueError("sum table must be square")
         if n > DENSE_LIMIT:
             raise SizeLimit(f"explicit tables are capped at n={DENSE_LIMIT}")
+        if not (0 <= zero < n and 0 <= one < n):
+            raise ElementNotInCarrier(f"zero {zero} and one {one} must be indices below {n}")
         super().__init__(n, zero, one)
         self._sum_table = sum_table
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
+        if len(self.labels) != n:
+            raise MalformedInput(f"a table of {n} elements needs {n} labels")
         self._derive_order()
 
     @classmethod
     def from_triples(cls, n, triples, zero, one, labels=None, symmetrize=True):
         """Build from explicit (a, b, a+b) triples; everything else undefined."""
+        if not 1 <= n <= DENSE_LIMIT:
+            raise SizeLimit(f"explicit tables need 1 <= n <= {DENSE_LIMIT}, not {n}")
         S = -np.ones((n, n), dtype=np.int32)
         for a, b, s in triples:
+            if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (a, b, s)):
+                raise ElementNotInCarrier(f"table entry {[a, b, s]} is not three indices "
+                                          f"below {n}")
             S[a, b] = s
             if symmetrize:
                 S[b, a] = s
@@ -502,6 +564,13 @@ class ProductAlgebra(FiniteAlgebra):
     def pair_index(self, ia, ib) -> int:
         return int(ia) * self.right.size + int(ib)
 
+    def embed(self, side: int, x, at_one: bool = False) -> int:
+        """The element with ``x`` in factor ``side`` (0 left, 1 right) and
+        the other factor's zero there, or its one with ``at_one``."""
+        other = self.right if side == 0 else self.left
+        y = other.one if at_one else other.zero
+        return self.pair_index(x, y) if side == 0 else self.pair_index(y, x)
+
     def _pair(self, ia, ib):
         """Product indices of factor indices; -1 where either is -1."""
         return np.where((ia >= 0) & (ib >= 0), ia * self.right.size + ib, -1)
@@ -559,6 +628,8 @@ class State:
 
     def __init__(self, algebra: FiniteAlgebra, values: Iterable):
         self.algebra = algebra
+        if not isinstance(values, Iterable):
+            raise MalformedInput(f"state values are a list of rationals, not {values!r}")
         self.values = [as_fraction(v) for v in values]
         if len(self.values) != algebra.size:
             raise InvalidState("state needs one value per carrier element")
@@ -630,10 +701,63 @@ def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0
     """Check E1-E4 plus orthosupplement uniqueness and cancellation.
 
     Scans that would exceed ``budget`` elementary operations run on seeded
-    samples instead and are flagged ``sampled`` in the report.
+    samples instead and are flagged ``sampled`` in the report.  A finite
+    algebra keeps its report, keyed by ``(budget, seed)``.
+
+    A ``ProductAlgebra`` is not scanned: its factors are validated (each
+    through its own factors, if it is a product) and its rows are
+    ``structural`` (``product_report``).  Its operations are componentwise,
+    ``(a1, a2) + (b1, b2) = (a1 + b1, a2 + b2)`` defined iff both sums are,
+    so each law holds in the product iff it holds in both factors.  The
+    factor witness lifts to the product by pairing each element with the
+    other factor's zero, which sends it to a witness there when that
+    factor is an effect algebra; the verdict of the whole report is exact
+    in any case, since the product is an effect algebra iff both factors
+    are.
+
+    * E1: ``a + b`` and ``b + a`` agree, in definedness and value, iff they
+      agree in each component; ``0 + 0 = 0`` in the other factor lifts
+      ``(a, b)``.
+    * E2: ``(a + b) + c`` is defined iff it is in each component, and then
+      ``a + (b + c)`` is defined and equal iff it is in each component.
+    * E3: the orthosupplement of ``(a1, a2)`` is ``(a1', a2')``: it exists
+      and sums with ``(a1, a2)`` to ``1`` iff that holds in both factors.
+      Uniqueness: the solutions of ``a + x = 1`` are the pairs of factor
+      solutions, so their count is the product of the factor counts, which
+      is 1 iff both are.
+    * E4: ``(a1, a2) + 1`` is defined iff ``a1 + 1`` and ``a2 + 1`` are;
+      with ``0 + 1`` defined in the other factor, ``a + 1`` is defined off
+      ``a = 0`` in a factor iff it is in the product.
+    * cancellation: ``x + c = y + c`` holds iff it holds componentwise, and
+      ``x != y`` iff some component differs.
     """
     if not E.enumerable:
         return _validate_axioms_sampled(E, seed)
+    return _axioms(E, budget, seed)
+
+
+def _axioms(E: FiniteAlgebra, budget: int, seed: int) -> Report:
+    """``validate_axioms`` of a finite algebra, kept on ``E``."""
+    def make():
+        if not isinstance(E, ProductAlgebra):
+            return _scan_axioms(E, budget, seed)
+
+        def lift(name, side, w):
+            if isinstance(w, tuple):
+                return tuple(E.embed(side, x) for x in w)
+            return E.embed(side, w)
+
+        return product_report(
+            f"axioms on {E.kind} ({E.size} elements)",
+            _axioms(E.left, budget, seed), _axioms(E.right, budget, seed),
+            f"direct product {E.left.kind} x {E.right.kind}", lift)
+    return remembered(E, (budget, seed), make)
+
+
+def _scan_axioms(E: FiniteAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
+    """The axiom scans over the whole carrier (sampled past ``budget``);
+    ``validate_axioms`` runs them on every finite carrier but a product,
+    and the tests take them as the reference for products."""
     n = E.size
     rep = Report(f"axioms on {E.kind} ({n} elements)")
     dense = E.dense

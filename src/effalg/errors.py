@@ -21,6 +21,16 @@ class DomainMismatch(EffalgError):
     """A function table does not match the algebra's carrier."""
 
 
+class MalformedInput(EffalgError, ValueError):
+    """A document, element address or state value has a missing key, a
+    value of the wrong type, or a number that does not parse."""
+
+
+class IncompleteBase(EffalgError):
+    """A compression base lacks a projection that an operation needs: P is
+    empty, or a projection asked for (such as p' for p in P) is not in P."""
+
+
 class NoCover(EffalgError):
     """The set of projections above an element has no least member."""
 

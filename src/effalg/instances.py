@@ -1,14 +1,15 @@
 """Constructors for the worked instances, with document round-tripping.
 
 Every constructor returns (algebra, base) after running the axiom and
-base validators (sampled above the scan budget), unless called with
-``validate=False``.  The built algebra carries ``document``, a
+base validators (sampled above the scan budget; a product through its
+factors, whose reports it reuses), unless called with ``validate=False``.  The built algebra carries ``document``, a
 JSON-serializable description that reparses to an index-isomorphic
 instance.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,10 @@ from .core import (
     validate_axioms,
 )
 from .errors import (
+    EffalgError,
     ElementNotInCarrier,
     InternalConsistencyError,
+    MalformedInput,
     ScaleMismatch,
     SizeLimit,
 )
@@ -132,7 +135,8 @@ def make_product(left, right, validate: bool = True):
             maps[p] = build
     E.document = {"kind": "product",
                   "factors": [E1.document, E2.document]}
-    return _validated(E, CompressionBase(E, projs, maps), "product", validate)
+    cb = CompressionBase(E, projs, maps, factors=(cb1, cb2))
+    return _validated(E, cb, "product", validate)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +384,47 @@ def projection_from_group(E: GridAlgebra, p: np.ndarray) -> int:
 # documents
 
 
+def _untrusted(parse):
+    """``parse`` of outside input, raising only ``EffalgError``: what a
+    missing key, a value of the wrong type or a bad number makes it raise
+    becomes ``MalformedInput``."""
+    @functools.wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except EffalgError:
+            raise
+        except KeyError as exc:
+            raise MalformedInput(f"missing key {exc}") from exc
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise MalformedInput(str(exc)) from exc
+    return checked
+
+
+def _whole(doc: dict, key: str) -> int:
+    """The integer at ``doc[key]``, given as a JSON integer or as text."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise MalformedInput(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
+@_untrusted
 def parse_document(doc: dict, validate: bool = True):
     """(algebra, base) from a document.  ``validate`` applies to the
     outermost constructor only: factors and parts are always validated,
-    and ``table`` documents never are."""
+    and ``table`` documents never are.  A malformed document raises
+    ``MalformedInput`` (or another ``EffalgError``)."""
+    if not isinstance(doc, dict):
+        raise MalformedInput(f"an instance document is a JSON object, not {doc!r}")
     kind = doc.get("kind")
     if kind == "boolean":
-        return make_boolean(int(doc["n_atoms"]), validate=validate)
+        return make_boolean(_whole(doc, "n_atoms"), validate=validate)
     if kind == "mv_product":
-        return make_mv_product(int(doc["denominator"]), int(doc["arity"]), validate=validate)
+        return make_mv_product(_whole(doc, "denominator"), _whole(doc, "arity"),
+                               validate=validate)
     if kind == "matrix":
-        return make_matrix(int(doc["dim"]), tol=float(doc.get("tol", 1e-9)), validate=validate)
+        return make_matrix(_whole(doc, "dim"), tol=float(doc.get("tol", 1e-9)), validate=validate)
     if kind == "product":
         f1, f2 = doc["factors"]
         return make_product(parse_document(f1), parse_document(f2), validate=validate)
@@ -402,13 +436,14 @@ def parse_document(doc: dict, validate: bool = True):
     if kind == "mo2":
         return make_mo2(validate=validate)
     if kind == "table":
-        E = make_table(doc["sums"], int(doc["n"]), int(doc["zero"]), int(doc["one"]),
+        E = make_table(doc["sums"], _whole(doc, "n"), _whole(doc, "zero"), _whole(doc, "one"),
                        labels=doc.get("labels"))
         cb = central_base(E)
         return E, cb
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
+@_untrusted
 def parse_element(E, spec):
     """Element addresses: index, bitmask, numerator vector, row-major matrix,
     or a tagged pair for products and pastings."""
@@ -425,7 +460,7 @@ def parse_element(E, spec):
         if hasattr(E, "part_index") and "part" in spec:
             side = "L" if int(spec["part"]) == 0 else "R"
             inner = int(spec["element"])
-            return E.part_index.get((side, inner), inner)
+            return E.check_element(E.part_index.get((side, inner), inner))
         raise ElementNotInCarrier(f"bad element spec {spec!r}")
     if isinstance(spec, str) and isinstance(E, GridAlgebra) and ("," in spec or "/" in spec):
         toks = spec.split(",")

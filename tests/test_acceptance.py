@@ -50,17 +50,26 @@ def test_criterion_01_axiom_suites(named_instances):
     for (na, a), (nb, b) in itertools.combinations_with_replacement(
             sorted(named_instances.items()), 2):
         suites[f"{na} x {nb}"] = instances.make_product(a, b, validate=False)
+    structural = 0
     for name, (E, cb) in suites.items():
         t1 = time.perf_counter()
-        ax = core.validate_axioms(E)
+        # the brute-force scans on every suite, products included
+        ax = core._scan_axioms(E)
         assert ax.passed, f"{name}: {ax.summary()}"
-        bs = compbase.validate_base(E, cb)
+        bs = compbase._scan_base(E, cb)
         assert bs.passed, f"{name}: {bs.summary()}"
+        # the public verdict: products through their factors
+        for scan, rep in ((ax, core.validate_axioms(E)), (bs, compbase.validate_base(E, cb))):
+            assert rep.passed, f"{name}: {rep.summary()}"
+            assert [c.name for c in rep.checks] == [c.name for c in scan.checks], name
+            if isinstance(E, core.ProductAlgebra):
+                assert {c.mode for c in rep.checks} == {"structural"}, f"{name}: {rep.summary()}"
+                structural += len(rep.checks)
         took = time.perf_counter() - t1
         worst = max(worst, took)
         assert took < 10.0, f"{name} suite took {took:.2f} s, over 10 s"
-    _verdict(1, True, f"{len(suites)} suites, slowest {worst:.2f}s < 10s",
-             time.perf_counter() - t0)
+    _verdict(1, True, f"{len(suites)} suites, slowest {worst:.2f}s < 10s, "
+             f"{structural} product rows structural", time.perf_counter() - t0)
 
 
 def test_criterion_02_closed_form_oracle():

@@ -328,3 +328,118 @@ def test_option_fuzz_never_tracebacks(small_docs, data):
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, (argv, err)
+
+
+PRODUCT_DOC = {"kind": "product", "factors": [{"kind": "boolean", "n_atoms": 2},
+                                              {"kind": "mv_product", "denominator": 8,
+                                               "arity": 3}]}
+AXIOM_ROWS = ["E1-commutative", "E2-associative", "E3-orthosupplement-exists",
+              "E3-orthosupplement-valid", "E3-orthosupplement-unique", "E4-unit-maximal",
+              "cancellation"]
+BASE_ROWS = ["P-sub-effect-algebra", "C1-compressions", "supplement-pairing",
+             "C2-composition", "P-normal", "triple-law"]
+PRODUCT_VALIDATE_TEXT = """\
+axioms on product (2916 elements): PASS
+  PASS [structural] E1-commutative (direct product boolean x mv_product)
+  PASS [structural] E2-associative (direct product boolean x mv_product)
+  PASS [structural] E3-orthosupplement-exists (direct product boolean x mv_product)
+  PASS [structural] E3-orthosupplement-valid (direct product boolean x mv_product)
+  PASS [structural] E3-orthosupplement-unique (direct product boolean x mv_product)
+  PASS [structural] E4-unit-maximal (direct product boolean x mv_product)
+  PASS [structural] cancellation (direct product boolean x mv_product)
+  axioms on boolean (4 elements): PASS
+    PASS E1-commutative
+    PASS E2-associative
+    PASS E3-orthosupplement-exists
+    PASS E3-orthosupplement-valid
+    PASS E3-orthosupplement-unique
+    PASS E4-unit-maximal
+    PASS cancellation
+  axioms on mv_product (729 elements): PASS
+    PASS E1-commutative
+    PASS E2-associative
+    PASS E3-orthosupplement-exists
+    PASS E3-orthosupplement-valid
+    PASS E3-orthosupplement-unique
+    PASS E4-unit-maximal
+    PASS cancellation
+compression base on product (|P|=32): PASS
+  PASS [structural] P-sub-effect-algebra (product base J_(p1,p2) = J_p1 x J_p2)
+  PASS [structural] C1-compressions (product base J_(p1,p2) = J_p1 x J_p2)
+  PASS [structural] supplement-pairing (product base J_(p1,p2) = J_p1 x J_p2)
+  PASS [structural] C2-composition (product base J_(p1,p2) = J_p1 x J_p2)
+  PASS [structural] P-normal (product base J_(p1,p2) = J_p1 x J_p2)
+  PASS [structural] triple-law (product base J_(p1,p2) = J_p1 x J_p2)
+  compression base on boolean (|P|=4): PASS
+    PASS P-sub-effect-algebra
+    PASS C1-compressions (4 of 4 maps checked)
+    PASS supplement-pairing
+    PASS C2-composition
+    PASS P-normal
+    PASS triple-law
+  compression base on mv_product (|P|=8): PASS
+    PASS P-sub-effect-algebra
+    PASS C1-compressions (8 of 8 maps checked)
+    PASS supplement-pairing
+    PASS C2-composition
+    PASS P-normal
+    PASS triple-law
+"""
+
+
+def _report(title, names, mode="full", details=None, parts=None):
+    details = details or {}
+    out = {"title": title, "passed": True,
+           "checks": [{"name": n, "passed": True, "mode": mode, "witness": None,
+                       "detail": details.get(n, details.get(None, ""))} for n in names]}
+    if parts:
+        out["parts"] = parts
+    return out
+
+
+def test_validate_product_output_pinned(tmp_path, capsys):
+    """Products are validated through their factors: structural rows whose
+    detail names the construction, the factor reports nested as parts."""
+    doc = write(tmp_path, "prod.json", PRODUCT_DOC)
+    assert cli.main(["validate", doc]) == 0
+    assert capsys.readouterr().out == PRODUCT_VALIDATE_TEXT
+    assert cli.main(["--format", "json", "validate", doc]) == 0
+    c1 = "C1-compressions"
+    want = {"passed": True, "reports": [
+        _report("axioms on product (2916 elements)", AXIOM_ROWS, "structural",
+                {None: "direct product boolean x mv_product"},
+                [_report("axioms on boolean (4 elements)", AXIOM_ROWS),
+                 _report("axioms on mv_product (729 elements)", AXIOM_ROWS)]),
+        _report("compression base on product (|P|=32)", BASE_ROWS, "structural",
+                {None: "product base J_(p1,p2) = J_p1 x J_p2"},
+                [_report("compression base on boolean (|P|=4)", BASE_ROWS,
+                         details={c1: "4 of 4 maps checked"}),
+                 _report("compression base on mv_product (|P|=8)", BASE_ROWS,
+                         details={c1: "8 of 8 maps checked"})])]}
+    assert json.loads(capsys.readouterr().out) == want
+
+
+FOUND_TABLE = {"kind": "table", "n": 3, "zero": 0, "one": 2,
+               "sums": [[1, 1, 2], [0, 2, 2], [2, 0, 2], [0, 0, 0]]}
+
+
+def test_table_without_a_meet_is_reported_not_raised(tmp_path, capsys):
+    """0 and 1 have no common lower bound here, so the central base is
+    empty: validate reports the broken laws, and the commands that need a
+    base exit 2 with an error line."""
+    doc = write(tmp_path, "found.json", FOUND_TABLE)
+    assert cli.main(["validate", doc]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines()[-2:] == ["compression base on table (|P|=0): FAIL",
+                                         "  FAIL P-sub-effect-algebra"]
+    assert "FAIL E2-associative witness=(1, 1, 0)" in out.out
+    for command in ("analyze", "check-spectral"):
+        code, err = run_cli([command, doc])
+        assert code == 2
+        assert err == "error: the compression base on table has no projections\n"
+    # a central base that misses the orthosupplement 2 of its member 0
+    broken = write(tmp_path, "broken.json", BROKEN_TABLE)
+    for command in ("analyze", "check-spectral"):
+        assert run_cli([command, broken]) == (
+            2, "error: the compression base on table has no map at 2\n")

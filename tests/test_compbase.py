@@ -564,7 +564,7 @@ def test_stacked_laws_match_pairwise_loops(bases, budget, monkeypatch):
     modes = set()
     for name, (E, cb) in bases.items():
         for kind, broken in [("valid", cb)] + _broken_bases(E, cb, rng):
-            rep = validate_base(E, broken, budget=budget)
+            rep = compbase._scan_base(E, broken, budget=budget)
             want = _ref_base_laws(E, broken, budget)
             got = {c.name: (c.passed, c.mode, c.witness) for c in rep.checks if c.name in want}
             assert got == want, (name, kind)
@@ -585,10 +585,10 @@ def test_unstacked_maps_give_the_same_reports(bases, monkeypatch):
     for name, (E, cb) in bases.items():
         for kind, broken in [("valid", cb)] + _broken_bases(E, cb, rng):
             maps = {p: np.array(broken.map_table(p)) for p in broken.projections}
-            cases.append((E, broken.projections, maps, validate_base(E, broken).to_dict()))
+            cases.append((E, broken.projections, maps, compbase._scan_base(E, broken).to_dict()))
     monkeypatch.setattr(compbase, "MAP_CACHE_ENTRIES", 0)
     monkeypatch.setattr(compbase.kernels, "CHUNK_BYTES", 4096)  # several batches
     for E, P, maps, want in cases:
         cb = CompressionBase(E, P, maps)
         assert not cb.caches_maps
-        assert validate_base(E, cb).to_dict() == want
+        assert compbase._scan_base(E, cb).to_dict() == want

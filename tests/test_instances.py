@@ -1,13 +1,15 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effalg import compbase, comparability, core, instances, spectral
 from effalg.compbase import CompressionBase, validate_base
 from effalg.core import State
-from effalg.errors import NotFaithful, ScaleMismatch, SizeLimit
+from effalg.errors import EffalgError, NotFaithful, ScaleMismatch, SizeLimit
 
 
 def test_boolean_sizes():
@@ -222,3 +224,110 @@ def test_weighted_state_guards(mv42):
         instances.weighted_state(E, [Fraction(1, 2)])
     with pytest.raises(ValueError):
         instances.weighted_state(E, [Fraction(3, 4), Fraction(3, 4)])
+
+
+# ---------------------------------------------------------------------------
+# untrusted input: documents, element addresses and state values raise only
+# EffalgError subclasses, never KeyError, TypeError, IndexError and the like
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.just(10 ** 30),
+                  st.floats(allow_nan=True), st.sampled_from(["", "x", "1/0", "2/4", "1e3", "-1"]),
+                  st.just([]), st.just({}))
+_number = st.one_of(st.integers(-1, 6), st.sampled_from(["2", "x", "1/2"]), st.floats(0, 4))
+_rational = st.one_of(st.sampled_from(["0", "1", "1/2", "1/4", "3/4", "1/0", "x", "2", "-1/4"]),
+                      st.integers(-1, 2), st.floats(0, 1), st.none())
+_leaf = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("boolean"), "n_atoms": st.integers(1, 4)}),
+    st.fixed_dictionaries({"kind": st.just("mv_product"), "denominator": st.sampled_from([2, 4]),
+                           "arity": st.integers(1, 2)}),
+    st.just({"kind": "mo2"}),
+    st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
+        "kind": st.just("table"), "n": st.just(n), "zero": st.integers(0, n - 1),
+        "one": st.integers(0, n - 1),
+        "sums": st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3), max_size=8)})),
+    st.fixed_dictionaries({
+        "kind": st.just("horizontal_sum"),
+        "parts": st.just([{"kind": "mv_product", "denominator": 2, "arity": 1}] * 2),
+        "states": st.lists(st.lists(_rational, min_size=2, max_size=4), min_size=2, max_size=2)}),
+)
+_document = st.recursive(_leaf, lambda inner: st.fixed_dictionaries({
+    "kind": st.just("product"), "factors": st.lists(inner, min_size=2, max_size=2)}),
+    max_leaves=3)
+
+
+def _spoil(data, doc):
+    """A copy of ``doc`` with a drawn key of it or of a nested document
+    dropped or given a junk value, or as it is."""
+    doc = node = json.loads(json.dumps(doc))
+    while node.get("kind") == "product" and data.draw(st.booleans()):
+        node = node["factors"][data.draw(st.integers(0, 1))]
+    action = data.draw(st.sampled_from(["keep", "drop", "junk", "number"]))
+    if action != "keep":
+        key = data.draw(st.sampled_from(sorted(node)))
+        if action == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(_junk if action == "junk" else _number)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_document_fuzz_raises_only_named_errors(data):
+    doc = _spoil(data, data.draw(_document))
+    try:
+        E, cb = instances.parse_document(doc, validate=data.draw(st.booleans()))
+    except EffalgError:
+        return
+    assert E.size > 0 and all(0 <= p < E.size for p in cb.projections)
+
+
+@functools.cache
+def _host(name):
+    """The parsed algebra that element addresses are fuzzed against."""
+    doc = {"b2": {"kind": "boolean", "n_atoms": 2},
+           "mv42": {"kind": "mv_product", "denominator": 4, "arity": 2},
+           "prod": {"kind": "product", "factors": [{"kind": "boolean", "n_atoms": 1},
+                                                   {"kind": "mv_product", "denominator": 2,
+                                                    "arity": 1}]},
+           "hsum": {"kind": "horizontal_sum",
+                    "parts": [{"kind": "mv_product", "denominator": 2, "arity": 1}] * 2,
+                    "states": [["0", "1/2", "1"]] * 2},
+           "matrix": {"kind": "matrix", "dim": 2}}[name]
+    return instances.parse_document(doc)[0]
+
+
+_text = st.lists(st.sampled_from(["0", "1", "2", "4", "1/2", "3/4", "1/0", "x", "-1", "9"]),
+                 min_size=1, max_size=5).map(",".join)
+_spec = st.recursive(
+    st.one_of(_text, st.integers(-2, 30), _junk),
+    lambda inner: st.one_of(
+        st.fixed_dictionaries({"factors": st.lists(inner, max_size=3)}),
+        st.fixed_dictionaries({"part": st.one_of(st.integers(-1, 2), _junk),
+                               "element": st.one_of(st.integers(-1, 20), _junk)}),
+        st.lists(inner, max_size=4)),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["b2", "mv42", "prod", "hsum", "matrix"]), _spec)
+def test_element_fuzz_raises_only_named_errors(name, spec):
+    E = _host(name)
+    try:
+        a = instances.parse_element(E, spec)
+    except EffalgError:
+        return
+    if name != "matrix":
+        assert 0 <= a < E.size
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["b2", "prod", "hsum"]),
+       st.one_of(st.lists(_rational, max_size=9), _junk))
+def test_state_fuzz_raises_only_named_errors(name, values):
+    E = _host(name)
+    try:
+        state = core.State(E, values)
+        state.validate()
+    except EffalgError:
+        return

@@ -1,0 +1,235 @@
+"""Products validated through their factors, against the brute-force scans.
+
+``core.validate_axioms`` and ``compbase.validate_base`` decide a product
+from its factors' reports; ``core._scan_axioms`` and ``compbase._scan_base``
+scan the product itself and are the reference here.  Each failing
+structural row's witness is checked in plain Python on the product's
+tables.  (Criterion 01 compares the two on every valid product suite.)
+"""
+
+import numpy as np
+import pytest
+
+from effalg import compbase, core, instances
+from effalg.compbase import CompressionBase, central_base
+
+GRIDS = ((2, 1), (1, 2), (3, 1), (2, 2), (4, 1))  # (k, d) of the tables broken below
+MUTATIONS = ("retarget", "undefine", "define", "one-sided")
+
+
+def _broken_table(rng, k, d, kind):
+    """A grid's sum table with one entry off the zero row and column changed."""
+    S = core.GridAlgebra(k, d).sum_table.copy()
+    n = S.shape[0]
+    inner = S[1:, 1:]
+    cells = np.argwhere(inner < 0) if kind == "define" else np.argwhere(inner >= 0)
+    a, b = cells[rng.integers(len(cells))] + 1
+    value = -1 if kind == "undefine" else int(rng.choice([s for s in range(n) if s != S[a, b]]))
+    S[a, b] = value
+    if kind != "one-sided":
+        S[b, a] = value
+    T = core.TableAlgebra(S, 0, n - 1)
+    T.document = {"kind": "table"}  # make_product records its factors' documents
+    return T, central_base(T)
+
+
+def _partners():
+    """Valid factors to pair a broken one with; the one of MO2 is index 1."""
+    return instances.make_boolean(1), instances.make_mo2()
+
+
+def _both_orders(broken, partner):
+    yield instances.make_product(broken, partner, validate=False)
+    yield instances.make_product(partner, broken, validate=False)
+
+
+def _outline(rep):
+    """(verdict, first failing row, the rows present)."""
+    return (rep.passed, next((c.name for c in rep.checks if not c.passed), None),
+            [c.name for c in rep.checks])
+
+
+class Plain:
+    """A product's sum table and maps as Python lists, and for each law a
+    test that one witness breaks it."""
+
+    def __init__(self, E, cb=None):
+        self.S = E.sum_table.tolist()
+        self.n, self.zero, self.one = E.size, E.zero, E.one
+        self.P = set(cb.projections) if cb is not None else set()
+        self.J = {p: cb.map_table(p).tolist() for p in self.P}
+
+    def leq(self, x, y):
+        return y in self.S[x]
+
+    def ominus(self, y, x):
+        """The last z with x + z = y, as the difference table holds it."""
+        hits = [z for z, s in enumerate(self.S[x]) if s == y]
+        return hits[-1] if hits else -1
+
+    def ortho(self, x):
+        return self.ominus(self.one, x)
+
+    def mackey(self, p, q):
+        S = self.S
+        for c in range(self.n):
+            if self.leq(c, p) and self.leq(c, q):
+                a, b = self.ominus(p, c), self.ominus(q, c)
+                if S[a][b] >= 0 and S[S[a][b]][c] >= 0:
+                    return True
+        return False
+
+    def breaks(self, name, w):
+        S, zero, one, P = self.S, self.zero, self.one, self.P
+        if name == "E1-commutative":
+            a, b = w
+            return S[a][b] != S[b][a]
+        if name == "E2-associative":
+            a, b, c = w
+            ab, bc = S[a][b], S[b][c]
+            return ab >= 0 and S[ab][c] >= 0 and (bc < 0 or S[a][bc] != S[ab][c])
+        if name == "E3-orthosupplement-exists":
+            return one not in S[w]
+        if name == "E3-orthosupplement-unique":
+            return S[w].count(one) != 1
+        if name == "E4-unit-maximal":
+            return w != zero and S[w][one] >= 0
+        if name == "cancellation":
+            x, y, c = w
+            return x != y and S[x][c] >= 0 and S[x][c] == S[y][c]
+        if name == "P-sub-effect-algebra":
+            what, x = w
+            if what == "ortho":
+                return x in P and self.ortho(x) not in P
+            return x not in P and any(S[p][q] == x for p in P for q in P)
+        if name == "C1-compressions":
+            p, kind, inner = w
+            J = self.J[p]
+            focus = J[one]
+            if isinstance(inner, tuple):
+                x, y = inner
+                return S[x][y] >= 0 and J[S[x][y]] != S[J[x]][J[y]]
+            if inner is None:
+                return focus != p
+            if kind == "not_additive":
+                return self.leq(inner, focus) and J[inner] != inner
+            return (J[inner] == zero) != self.leq(inner, self.ortho(focus))
+        if name == "supplement-pairing":
+            J, q = self.J[w], self.ortho(w)
+            return any((J[x] == zero) != self.leq(x, q) for x in range(self.n))
+        if name == "C2-composition":
+            p, q, kind, f = w
+            if not (p in P and q in P and self.mackey(p, q) and self.J[p][q] == f):
+                return False
+            return f not in P or [self.J[p][x] for x in self.J[q]] != self.J[f]
+        if name == "P-normal":
+            p, q, d = w
+            return (p in P and q in P and d not in P and self.leq(d, p) and self.leq(d, q)
+                    and S[self.ominus(p, d)][q] >= 0)
+        if name == "triple-law":
+            spq, q, sqr, r = w
+            if not (q in P and r in P and S[q][r] == sqr and S[spq][r] >= 0
+                    and any(S[p][q] == spq for p in P)):
+                return False
+            if spq not in P or sqr not in P:
+                return True
+            return [self.J[spq][x] for x in self.J[sqr]] != self.J[q]
+        raise AssertionError(f"no witness test for {name}")
+
+
+def _check_witnesses(rep, plain):
+    for c in rep.checks:
+        if not c.passed and c.witness is not None:
+            assert plain.breaks(c.name, c.witness), (c.name, c.witness)
+
+
+def test_broken_table_factors_match_the_scans():
+    rng = np.random.default_rng(8)
+    partners = _partners()
+    failed = set()
+    for i in range(4 * len(GRIDS)):
+        broken = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        for partner in partners:
+            for E, cb in _both_orders(broken, partner):
+                plain = Plain(E, cb)
+                for structural, scan in ((core.validate_axioms(E), core._scan_axioms(E)),
+                                         (compbase.validate_base(E, cb),
+                                          compbase._scan_base(E, cb))):
+                    assert _outline(structural) == _outline(scan), (i, structural.summary())
+                    assert {c.mode for c in structural.checks} == {"structural"}
+                    _check_witnesses(structural, plain)
+                    failed |= {c.name for c in structural.checks if not c.passed}
+    assert failed == {"E1-commutative", "E2-associative", "E3-orthosupplement-exists",
+                      "E3-orthosupplement-unique", "E4-unit-maximal", "cancellation",
+                      "P-sub-effect-algebra", "C1-compressions", "C2-composition", "P-normal",
+                      "triple-law"}
+
+
+def _changed_bases(rng, E, cb):
+    """``cb`` with one entry of one map (off the unit) moved, three times,
+    and ``cb`` without one of its members other than 0 and 1."""
+    out = []
+    for _ in range(3):
+        maps = {q: np.array(cb.map_table(q)) for q in cb.projections}
+        p = cb.projections[rng.integers(len(cb.projections))]
+        a = int(rng.integers(E.size - 1))
+        a += a >= E.one
+        maps[p][a] = (maps[p][a] + 1 + rng.integers(E.size - 1)) % E.size
+        out.append(CompressionBase(E, cb.projections, maps))
+    inner = [q for q in cb.projections if q not in (E.zero, E.one)]
+    if inner:
+        q = inner[rng.integers(len(inner))]
+        keep = [x for x in cb.projections if x != q]
+        out.append(CompressionBase(E, keep, {x: cb.map_table(x) for x in keep}))
+    return out
+
+
+@pytest.mark.parametrize("through_c1", [False, True])
+def test_changed_bases_match_the_scans(through_c1, monkeypatch):
+    if through_c1:  # let every map through C1 so that broken maps reach the later laws
+        monkeypatch.setattr(compbase.MapSample, "classify", lambda self, J: (
+            compbase.MapClassification("compression", int(np.asarray(J)[self.E.one]))))
+    rng = np.random.default_rng(9)
+    partners = _partners()
+    factors = [instances.make_boolean(2), instances.make_mv_product(2, 2), instances.make_mo2(),
+               instances.make_mv_product(4, 1)]
+    cases = [(E1, broken) for E1, cb1 in factors for broken in _changed_bases(rng, E1, cb1)]
+    # an additive J_1 onto [0, atom] whose kernel spills past [0, 0]: a retraction
+    M, mcb = factors[2]
+    retraction = np.zeros(M.size, dtype=int)
+    retraction[[2, 1, 4]] = 2  # see test_horizontal_sum_retraction_not_compression
+    cases.append((M, CompressionBase(M, mcb.projections, {0: mcb.map_table(0), 1: retraction})))
+    failed, c1_kinds = set(), set()
+    for E1, broken in cases:
+        for partner in partners:
+            for E, cb in _both_orders((E1, broken), partner):
+                structural = compbase.validate_base(E, cb)
+                assert _outline(structural) == _outline(compbase._scan_base(E, cb))
+                _check_witnesses(structural, Plain(E, cb))
+                failed |= {c.name for c in structural.checks if not c.passed}
+                c1_kinds |= {c.witness[1] for c in structural.checks
+                             if c.name == "C1-compressions" and not c.passed}
+    # through C1 the retraction still has its focus off 1
+    assert c1_kinds == ({"compression"} if through_c1 else {"not_additive", "retraction"})
+    assert failed == ({"P-sub-effect-algebra", "C1-compressions", "supplement-pairing",
+                       "C2-composition", "triple-law"} if through_c1 else
+                      {"P-sub-effect-algebra", "C1-compressions"})
+
+
+def test_nested_products_and_sampled_factors():
+    """A factor's rows stay ``structural`` through nesting; a sampled factor
+    row makes the product row ``sampled``; memoised reports are reused."""
+    b1, mv = instances.make_boolean(1), instances.make_mv_product(4, 1)
+    inner = instances.make_product(b1, mv, validate=False)
+    E, cb = instances.make_product(inner, b1, validate=False)
+    rep = core.validate_axioms(E)
+    assert rep.passed and {c.mode for c in rep.checks} == {"structural"}
+    assert rep.parts[0] is core.validate_axioms(inner[0])
+    assert rep.parts[1] is core.validate_axioms(b1[0])
+    assert core.validate_axioms(E) is rep
+    assert compbase.validate_base(E, cb).parts[0] is compbase.validate_base(*inner)
+    # a budget below mv(4,1)'s n^3 samples its associativity, and only that row
+    small = core.validate_axioms(E, budget=100)
+    sampled = {c.name for c in small.checks if c.mode == "sampled"}
+    assert small.passed and sampled == {"E2-associative"}
+    assert small.sampled and not rep.sampled
