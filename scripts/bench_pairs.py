@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent PARENT [--change CHANGE]
         [--pairs 10] [--seconds 30] [--workloads validate resolve cli]
-        [--seed N] [--out BENCH_8.json]
+        [--seed N] --out BENCH_N.json
 
 PARENT and CHANGE are each a directory holding a checkout (with
 ``perfbench/run.py`` and ``src/``) or a git revision of this repository,
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", nargs="+", default=["validate", "resolve", "cli"])
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default="BENCH_8.json")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]

@@ -50,6 +50,8 @@ def _load_instance(path: str, validate: bool = True):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(_fail(f"cannot read instance document: {exc}", 2))
+    except RecursionError:
+        raise SystemExit(_fail("cannot read instance document: it nests too deep", 2))
     try:
         return instances.parse_document(doc, validate=validate)
     except EffalgError as exc:
@@ -62,7 +64,8 @@ def _fail(message: str, code: int) -> int:
 
 
 # what int, Fraction, json and the element parser raise on a malformed value
-_MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError, OverflowError)
+_MALFORMED = (ValueError, ZeroDivisionError, KeyError, TypeError, OverflowError,
+              RecursionError)
 
 
 def _parse(option: str, text: str, parse):

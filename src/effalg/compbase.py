@@ -49,7 +49,7 @@ class CompressionBase:
     rows; past that bound each call builds its table afresh.
 
     ``factors`` holds the two factor bases of a product base whose maps
-    are ``J_(p1, p2) = J_p1 x J_p2`` (``instances.make_product``);
+    are ``J_(p1, p2) = J_p1 x J_p2`` (``product_base``);
     ``validate_base`` validates such a base through them.
     """
 
@@ -372,9 +372,15 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
     J_{p+q} o J_{q+r} = J_q holds on summable triples.  ``cb`` keeps its
     report, keyed by ``(budget, seed)``.
 
-    A base with ``factors`` (a product base) is not scanned: the factor
-    bases are validated and the rows are ``structural``
-    (``core.product_report``).  Its projections are the pairs
+    A base with ``factors`` (built by ``product_base``) is not scanned:
+    the factor bases are validated and the rows are ``structural``
+    (``core.product_report``).  That covers the bases of products and of
+    grids ``{0..k}^d`` with ``d > 1``, Boolean algebras included: a grid is
+    the direct product of the chain of its top coordinate and the grid of
+    the others, in the same index layout, with tables built by
+    ``core._product_table``, and its base is the product of the chain's
+    central base and the base of the rest, so the argument below applies
+    as written.  Its projections are the pairs
     ``P = P1 x P2`` and its maps ``J_(p1, p2) = J_p1 x J_p2``; sums,
     differences and the order are componentwise, so each law holds for
     the product iff it holds in both factors.  A factor witness lifts by
@@ -460,8 +466,8 @@ def _lift_base_witness(E, name: str, side: int, w):
 def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
                budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
     """The base-law scans over the whole carrier and family (sampled past
-    ``budget``); ``validate_base`` runs them on every base but a product
-    base, and the tests take them as the reference for products.
+    ``budget``); ``validate_base`` runs them on every base without
+    ``factors``, and the tests take them as the reference for products.
 
     C1 classifies each map against one ``MapSample`` of the carrier; C2
     and the triple law compare composites of the stacked map tables in
@@ -713,6 +719,23 @@ def central_base(E: FiniteAlgebra) -> CompressionBase:
             centre.append(p)
             maps[p] = mp
     return CompressionBase(E, centre, maps)
+
+
+def product_base(E: FiniteAlgebra, left: CompressionBase,
+                 right: CompressionBase) -> CompressionBase:
+    """The base ``J_(p1, p2) = J_p1 x J_p2`` over ``P1 x P2`` on the direct
+    product ``E`` of ``left.algebra`` and ``right.algebra``.  The maps are
+    built on first use, from the factor maps."""
+    n2 = right.algebra.size
+    ia, ib = E.split_index(np.arange(E.size))
+    maps = {}
+    for p1 in left.projections:
+        for p2 in right.projections:
+            def build(p1=p1, p2=p2):
+                return left.map_table(p1)[ia] * n2 + right.map_table(p2)[ib]
+
+            maps[E.pair_index(p1, p2)] = build
+    return CompressionBase(E, maps.keys(), maps, factors=(left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -202,9 +202,16 @@ class EffectAlgebra:
 
 
 class FiniteAlgebra(EffectAlgebra):
-    """Enumerable algebra over dense indices 0..n-1."""
+    """Enumerable algebra over dense indices 0..n-1.
+
+    ``factors`` is None, or the pair ``(left, right)`` of a direct product
+    that this algebra is, with ``(x, y)`` at index ``x * right.size + y``;
+    the validators and ``sharp_elements`` decide such an algebra from its
+    factors.
+    """
 
     enumerable = True
+    factors = None
 
     def __init__(self, n, zero, one):
         self._n = int(n)
@@ -286,6 +293,24 @@ class FiniteAlgebra(EffectAlgebra):
         if self._ortho_vec is None:
             self._ortho_vec = self.ominus_pairs(self.one, np.arange(self._n))
         return self._ortho_vec
+
+    # the index layout of a direct product (``factors`` set)
+
+    def split_index(self, idx):
+        """Factor indices ``(x, y)`` of product indices."""
+        right = self.factors[1].size
+        idx = np.asarray(idx)
+        return idx // right, idx % right
+
+    def pair_index(self, ia, ib) -> int:
+        return int(ia) * self.factors[1].size + int(ib)
+
+    def embed(self, side: int, x, at_one: bool = False) -> int:
+        """The element with ``x`` in factor ``side`` (0 left, 1 right) and
+        the other factor's zero there, or its one with ``at_one``."""
+        other = self.factors[1 - side]
+        y = other.one if at_one else other.zero
+        return self.pair_index(x, y) if side == 0 else self.pair_index(y, x)
 
     # scalar wrappers
 
@@ -457,7 +482,14 @@ class TableAlgebra(FiniteAlgebra):
 
 class GridAlgebra(FiniteAlgebra):
     """Coordinate grid {0..k}^d with truncated addition: the finite cube of
-    numerator vectors over a common denominator k."""
+    numerator vectors over a common denominator k.
+
+    For ``d > 1`` it is the direct product of the chain {0..k} of its
+    most significant coordinate ``d - 1`` and the grid of coordinates
+    ``0..d-2``, in the product's index layout: ``factors`` is that pair.
+    All the grids of one tower share one ``chain`` object, whose tables
+    the dense tables of every grid fold.
+    """
 
     kind = "mv_product"
 
@@ -473,6 +505,28 @@ class GridAlgebra(FiniteAlgebra):
         idx = np.arange(n, dtype=np.int64)
         self.coords = ((idx[:, None] // self.strides[None, :]) % (k + 1)).astype(np.int32)
         self.group_unit = np.full(d, k, dtype=np.int64)
+        self._chain = self if d == 1 else None
+        self._factors = None
+
+    def _with_arity(self, d: int) -> "GridAlgebra":
+        return GridAlgebra(self.k, d)
+
+    @property
+    def chain(self) -> "GridAlgebra":
+        """The chain {0..k}, this grid itself when ``d == 1``."""
+        if self._chain is None:
+            self._chain = self._with_arity(1)
+        return self._chain
+
+    @property
+    def factors(self):
+        if self.d == 1:
+            return None
+        if self._factors is None:
+            rest = self.chain if self.d == 2 else self._with_arity(self.d - 1)
+            rest._chain = self.chain
+            self._factors = (self.chain, rest)
+        return self._factors
 
     def index_of(self, coords) -> int:
         coords = np.asarray(coords, dtype=np.int64)
@@ -499,17 +553,19 @@ class GridAlgebra(FiniteAlgebra):
         return np.minimum(self.coords[np.asarray(xs)], self.coords[np.asarray(ys)]) @ self.strides
 
     def _tabulate(self, op):
-        # the grid is a product of d chains, coordinate d-1 the most significant
+        if self.d > 1:
+            # d copies of the chain's table, coordinate d-1 the most
+            # significant; no grid between keeps a table
+            chain = getattr(self.chain, f"{op}_table")
+            out = chain
+            for _ in range(self.d - 1):
+                out = _product_table(chain, out)
+            return out
         x = np.arange(self.k + 1, dtype=np.int32)
         if op == "leq":
-            chain = x[:, None] <= x
-        else:
-            v = x[:, None] + x if op == "sum" else x[:, None] - x
-            chain = np.where((v >= 0) & (v <= self.k), v, -1)
-        out = chain
-        for _ in range(self.d - 1):
-            out = _product_table(chain, out)
-        return out
+            return x[:, None] <= x
+        v = x[:, None] + x if op == "sum" else x[:, None] - x
+        return np.where((v >= 0) & (v <= self.k), v, -1)
 
     def meet(self, a, b):
         return int(self.meet_pairs(a, b))
@@ -540,6 +596,9 @@ class BooleanAlgebra(GridAlgebra):
         super().__init__(1, n_atoms)
         self.n_atoms = n_atoms
 
+    def _with_arity(self, d: int) -> "BooleanAlgebra":
+        return BooleanAlgebra(d)
+
     def label(self, a) -> str:
         atoms = [str(i + 1) for i in range(self.d) if self.coords[a][i]]
         return "{" + ",".join(atoms) + "}"
@@ -551,25 +610,10 @@ class ProductAlgebra(FiniteAlgebra):
     kind = "product"
 
     def __init__(self, left: FiniteAlgebra, right: FiniteAlgebra):
-        self.left = left
-        self.right = right
+        self.left, self.right = self.factors = (left, right)
         super().__init__(left.size * right.size,
                          left.zero * right.size + right.zero,
                          left.one * right.size + right.one)
-
-    def split_index(self, idx):
-        idx = np.asarray(idx)
-        return idx // self.right.size, idx % self.right.size
-
-    def pair_index(self, ia, ib) -> int:
-        return int(ia) * self.right.size + int(ib)
-
-    def embed(self, side: int, x, at_one: bool = False) -> int:
-        """The element with ``x`` in factor ``side`` (0 left, 1 right) and
-        the other factor's zero there, or its one with ``at_one``."""
-        other = self.right if side == 0 else self.left
-        y = other.one if at_one else other.zero
-        return self.pair_index(x, y) if side == 0 else self.pair_index(y, x)
 
     def _pair(self, ia, ib):
         """Product indices of factor indices; -1 where either is -1."""
@@ -679,8 +723,9 @@ class State:
 
     def require_faithful(self):
         if not self.is_faithful():
-            bad = next(i for i, v in enumerate(self.values) if i != self.algebra.zero and v == 0)
-            raise NotFaithful(f"state kills nonzero element {self.algebra.label(bad)}")
+            bad = next(i for i, v in enumerate(self.values) if i != self.algebra.zero and v <= 0)
+            what = "kills" if self.values[bad] == 0 else "is negative at"
+            raise NotFaithful(f"state {what} nonzero element {self.algebra.label(bad)}")
 
 
 def _common_numerators(values) -> np.ndarray:
@@ -704,9 +749,14 @@ def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0
     samples instead and are flagged ``sampled`` in the report.  A finite
     algebra keeps its report, keyed by ``(budget, seed)``.
 
-    A ``ProductAlgebra`` is not scanned: its factors are validated (each
-    through its own factors, if it is a product) and its rows are
-    ``structural`` (``product_report``).  Its operations are componentwise,
+    A direct product (an algebra with ``factors``) is not scanned: its
+    factors are validated (each through its own factors, if it has them)
+    and its rows are ``structural`` (``product_report``).  That covers a
+    ``ProductAlgebra`` and a grid ``{0..k}^d`` with ``d > 1`` (Boolean
+    algebras included): a grid is the direct product of the chain of its
+    top coordinate and the grid of the others, in the same index layout,
+    with tables built by ``_product_table``, so the argument below applies
+    to it as written.  A product's operations are componentwise,
     ``(a1, a2) + (b1, b2) = (a1 + b1, a2 + b2)`` defined iff both sums are,
     so each law holds in the product iff it holds in both factors.  The
     factor witness lifts to the product by pairing each element with the
@@ -739,8 +789,9 @@ def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0
 def _axioms(E: FiniteAlgebra, budget: int, seed: int) -> Report:
     """``validate_axioms`` of a finite algebra, kept on ``E``."""
     def make():
-        if not isinstance(E, ProductAlgebra):
+        if E.factors is None:
             return _scan_axioms(E, budget, seed)
+        left, right = E.factors
 
         def lift(name, side, w):
             if isinstance(w, tuple):
@@ -749,15 +800,15 @@ def _axioms(E: FiniteAlgebra, budget: int, seed: int) -> Report:
 
         return product_report(
             f"axioms on {E.kind} ({E.size} elements)",
-            _axioms(E.left, budget, seed), _axioms(E.right, budget, seed),
-            f"direct product {E.left.kind} x {E.right.kind}", lift)
+            _axioms(left, budget, seed), _axioms(right, budget, seed),
+            f"direct product {left.kind} x {right.kind}", lift)
     return remembered(E, (budget, seed), make)
 
 
 def _scan_axioms(E: FiniteAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
     """The axiom scans over the whole carrier (sampled past ``budget``);
-    ``validate_axioms`` runs them on every finite carrier but a product,
-    and the tests take them as the reference for products."""
+    ``validate_axioms`` runs them on every finite carrier without
+    ``factors``, and the tests take them as the reference for products."""
     n = E.size
     rep = Report(f"axioms on {E.kind} ({n} elements)")
     dense = E.dense
@@ -886,13 +937,10 @@ def sharp_elements(E: FiniteAlgebra) -> np.ndarray:
     """Indices a with a ^ a' = 0 (only common lower bound is zero)."""
     if not E.enumerable:
         raise NotEnumerable("sharpness scan needs an enumerable carrier")
-    if isinstance(E, GridAlgebra):
-        c = E.coords
-        return np.flatnonzero(((c == 0) | (c == E.k)).all(axis=1))
-    if isinstance(E, ProductAlgebra):
-        sa = sharp_elements(E.left)
-        sb = sharp_elements(E.right)
-        return np.sort((sa[:, None] * E.right.size + sb[None, :]).ravel())
+    if E.factors is not None:  # a ^ a' is componentwise
+        left, right = E.factors
+        sa, sb = sharp_elements(left), sharp_elements(right)
+        return np.sort((sa[:, None] * right.size + sb[None, :]).ravel())
     L = E.leq_table
     common = L & L[:, E.ortho_all()]
     return np.flatnonzero(common.sum(axis=0) == 1)
@@ -932,13 +980,11 @@ def is_archimedean(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0)
     """Multiples n*a <= 1 for all n force a = 0.
 
     A finite carrier with cancellation is archimedean: n*a = m*a with
-    n < m forces (m-n)*a = 0.  Lazy algebras are archimedean by
-    construction (operator intervals).
+    n < m forces (m-n)*a = 0.  The verdict is the ``cancellation`` row of
+    ``validate_axioms(E, budget, seed)``, which ``E`` keeps.  Lazy
+    algebras are archimedean by construction (operator intervals).
     """
     if not E.enumerable:
         return True
-    cached = getattr(E, "_archimedean", None)
-    if cached is None:
-        cached = _cancellation_check(E, budget, seed).passed
-        E._archimedean = cached
-    return cached
+    rep = validate_axioms(E, budget, seed)
+    return next(c.passed for c in rep.checks if c.name == "cancellation")

@@ -1,8 +1,12 @@
 """Constructors for the worked instances, with document round-tripping.
 
 Every constructor returns (algebra, base) after running the axiom and
-base validators (sampled above the scan budget; a product through its
-factors, whose reports it reuses), unless called with ``validate=False``.  The built algebra carries ``document``, a
+base validators, unless called with ``validate=False``.  Grids and
+Boolean algebras are direct products of chains and products are direct
+products of their factors: their bases are product bases, and they are
+validated through their factors, reusing the reports the factors keep.
+Horizontal sums, ``mo2`` and ``table`` documents are scanned, on seeded
+samples above the scan budget.  The built algebra carries ``document``, a
 JSON-serializable description that reparses to an index-isomorphic
 instance.
 """
@@ -15,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import groups, matrices
-from .compbase import CompressionBase, central_base, meet_with_all, validate_base
+from .compbase import CompressionBase, central_base, product_base, validate_base
 from .core import (
     BooleanAlgebra,
     FiniteAlgebra,
@@ -25,7 +29,6 @@ from .core import (
     TableAlgebra,
     as_fraction,
     carrier_cap,
-    sharp_elements,
     validate_axioms,
 )
 from .errors import (
@@ -60,20 +63,27 @@ def _validated(E, cb, what: str, validate: bool = True):
 # basic families
 
 
+def _grid_base(E: GridAlgebra) -> CompressionBase:
+    """The central base of a grid, U_p(a) = a ^ p over the zero-one
+    vectors p, built as the product base of its chain's central base and
+    the base of the grid one coordinate shorter."""
+    tower = [E]
+    while tower[-1].factors is not None:
+        tower.append(tower[-1].factors[1])
+    chain_base = cb = central_base(tower.pop())
+    for G in reversed(tower):
+        cb = product_base(G, chain_base, cb)
+    return cb
+
+
 def make_boolean(n_atoms: int, validate: bool = True):
     """Powerset of n atoms with U_p(a) = a ^ p over every element."""
     if not 1 <= n_atoms <= 16:
         raise SizeLimit("boolean instances support 1..16 atoms")
     _guard_size(2 ** n_atoms)
     E = BooleanAlgebra(n_atoms)
-    if n_atoms <= 10:
-        cb = central_base(E)
-    else:  # too many projections for an eager table per map
-        projs = [int(p) for p in sharp_elements(E)]
-        maps = {p: (lambda p=p: meet_with_all(E, p)) for p in projs}
-        cb = CompressionBase(E, projs, maps)
     E.document = {"kind": "boolean", "n_atoms": n_atoms}
-    return _validated(E, cb, "boolean", validate)
+    return _validated(E, _grid_base(E), "boolean", validate)
 
 
 def make_mv_product(denominator: int, arity: int, validate: bool = True):
@@ -84,9 +94,8 @@ def make_mv_product(denominator: int, arity: int, validate: bool = True):
         raise ValueError("arity must be 1..4")
     _guard_size((denominator + 1) ** arity)
     E = GridAlgebra(denominator, arity)
-    cb = central_base(E)
     E.document = {"kind": "mv_product", "denominator": denominator, "arity": arity}
-    return _validated(E, cb, "mv_product", validate)
+    return _validated(E, _grid_base(E), "mv_product", validate)
 
 
 def make_matrix(dim: int, tol: float = 1e-9, validate: bool = True):
@@ -120,23 +129,9 @@ def make_product(left, right, validate: bool = True):
     (E1, cb1), (E2, cb2) = left, right
     _guard_size(E1.size * E2.size)
     E = ProductAlgebra(E1, E2)
-    projs = []
-    maps = {}
-    n2 = E2.size
-    ia, ib = E.split_index(np.arange(E.size))
-    for p1 in cb1.projections:
-        for p2 in cb2.projections:
-            p = E.pair_index(p1, p2)
-            projs.append(p)
-
-            def build(p1=p1, p2=p2):
-                return cb1.map_table(p1)[ia] * n2 + cb2.map_table(p2)[ib]
-
-            maps[p] = build
     E.document = {"kind": "product",
                   "factors": [E1.document, E2.document]}
-    cb = CompressionBase(E, projs, maps, factors=(cb1, cb2))
-    return _validated(E, cb, "product", validate)
+    return _validated(E, product_base(E, cb1, cb2), "product", validate)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +171,8 @@ def _hsum_carrier(E1: FiniteAlgebra, E2: FiniteAlgebra):
                     continue  # shared elements handled once
                 triples.append((gx, gy, gs))
     E = TableAlgebra.from_triples(n, triples, 0, 1, labels=labels)
-    E.part_index = index
+    E.part_index = index  # interior elements only
+    E.part_units = {"L": (E1.zero, E1.one), "R": (E2.zero, E2.one)}
     return E, glob
 
 
@@ -409,12 +405,23 @@ def _whole(doc: dict, key: str) -> int:
     return int(value)
 
 
+MAX_NESTING = 64  # products and horizontal sums nested deeper are refused
+
+
 @_untrusted
 def parse_document(doc: dict, validate: bool = True):
     """(algebra, base) from a document.  ``validate`` applies to the
     outermost constructor only: factors and parts are always validated,
-    and ``table`` documents never are.  A malformed document raises
-    ``MalformedInput`` (or another ``EffalgError``)."""
+    and ``table`` documents never are.  A malformed document, one nested
+    more than ``MAX_NESTING`` deep among them, raises ``MalformedInput``
+    (or another ``EffalgError``)."""
+    return _parse(doc, validate, 0)
+
+
+def _parse(doc: dict, validate: bool, depth: int):
+    """``parse_document`` of a document ``depth`` levels down."""
+    if depth > MAX_NESTING:
+        raise MalformedInput(f"instance documents nest at most {MAX_NESTING} levels deep")
     if not isinstance(doc, dict):
         raise MalformedInput(f"an instance document is a JSON object, not {doc!r}")
     kind = doc.get("kind")
@@ -427,9 +434,10 @@ def parse_document(doc: dict, validate: bool = True):
         return make_matrix(_whole(doc, "dim"), tol=float(doc.get("tol", 1e-9)), validate=validate)
     if kind == "product":
         f1, f2 = doc["factors"]
-        return make_product(parse_document(f1), parse_document(f2), validate=validate)
+        return make_product(_parse(f1, True, depth + 1), _parse(f2, True, depth + 1),
+                            validate=validate)
     if kind == "horizontal_sum":
-        p1, p2 = (parse_document(d) for d in doc["parts"])
+        p1, p2 = (_parse(d, True, depth + 1) for d in doc["parts"])
         s1, s2 = doc["states"]
         return make_horizontal_sum(p1, p2, [as_fraction(v) for v in s1],
                                    [as_fraction(v) for v in s2], validate=validate)
@@ -458,9 +466,16 @@ def parse_element(E, spec):
             fa, fb = spec["factors"]
             return E.pair_index(parse_element(E.left, fa), parse_element(E.right, fb))
         if hasattr(E, "part_index") and "part" in spec:
-            side = "L" if int(spec["part"]) == 0 else "R"
-            inner = int(spec["element"])
-            return E.check_element(E.part_index.get((side, inner), inner))
+            part, inner = _whole(spec, "part"), _whole(spec, "element")
+            if part not in (0, 1):
+                raise ElementNotInCarrier(f"a horizontal sum has parts 0 and 1, not {part}")
+            side = "LR"[part]
+            zero, one = E.part_units[side]
+            if inner in (zero, one):  # shared by both parts
+                return E.zero if inner == zero else E.one
+            if (side, inner) not in E.part_index:
+                raise ElementNotInCarrier(f"{inner} is not an element of part {part}")
+            return E.part_index[(side, inner)]
         raise ElementNotInCarrier(f"bad element spec {spec!r}")
     if isinstance(spec, str) and isinstance(E, GridAlgebra) and ("," in spec or "/" in spec):
         toks = spec.split(",")

@@ -351,6 +351,8 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     if lam == 1:
         out = res.at_index(1 << n)
         return RationalValue(out, 0, n) if details else out
+    if n == 0:  # no grid point lies strictly between lam and 1
+        raise InvalidDepth("a rational resolution below lambda = 1 needs depth >= 1")
 
     def above(m):
         """Depth-n index of the first depth-m point above lam (lam < 1)."""

@@ -58,18 +58,20 @@ def test_criterion_01_axiom_suites(named_instances):
         assert ax.passed, f"{name}: {ax.summary()}"
         bs = compbase._scan_base(E, cb)
         assert bs.passed, f"{name}: {bs.summary()}"
-        # the public verdict: products through their factors
+        # the public verdict: products, grids and Booleans through their factors
         for scan, rep in ((ax, core.validate_axioms(E)), (bs, compbase.validate_base(E, cb))):
             assert rep.passed, f"{name}: {rep.summary()}"
             assert [c.name for c in rep.checks] == [c.name for c in scan.checks], name
-            if isinstance(E, core.ProductAlgebra):
+            if E.factors is not None:
                 assert {c.mode for c in rep.checks} == {"structural"}, f"{name}: {rep.summary()}"
                 structural += len(rep.checks)
         took = time.perf_counter() - t1
         worst = max(worst, took)
         assert took < 10.0, f"{name} suite took {took:.2f} s, over 10 s"
+        # the archimedean verdict is the cancellation row just computed
+        assert core.is_archimedean(E) == core._cancellation_check(E, core.TRIPLE_BUDGET, 0).passed
     _verdict(1, True, f"{len(suites)} suites, slowest {worst:.2f}s < 10s, "
-             f"{structural} product rows structural", time.perf_counter() - t0)
+             f"{structural} rows structural", time.perf_counter() - t0)
 
 
 def test_criterion_02_closed_form_oracle():

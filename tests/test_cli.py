@@ -348,21 +348,69 @@ axioms on product (2916 elements): PASS
   PASS [structural] E4-unit-maximal (direct product boolean x mv_product)
   PASS [structural] cancellation (direct product boolean x mv_product)
   axioms on boolean (4 elements): PASS
-    PASS E1-commutative
-    PASS E2-associative
-    PASS E3-orthosupplement-exists
-    PASS E3-orthosupplement-valid
-    PASS E3-orthosupplement-unique
-    PASS E4-unit-maximal
-    PASS cancellation
+    PASS [structural] E1-commutative (direct product boolean x boolean)
+    PASS [structural] E2-associative (direct product boolean x boolean)
+    PASS [structural] E3-orthosupplement-exists (direct product boolean x boolean)
+    PASS [structural] E3-orthosupplement-valid (direct product boolean x boolean)
+    PASS [structural] E3-orthosupplement-unique (direct product boolean x boolean)
+    PASS [structural] E4-unit-maximal (direct product boolean x boolean)
+    PASS [structural] cancellation (direct product boolean x boolean)
+    axioms on boolean (2 elements): PASS
+      PASS E1-commutative
+      PASS E2-associative
+      PASS E3-orthosupplement-exists
+      PASS E3-orthosupplement-valid
+      PASS E3-orthosupplement-unique
+      PASS E4-unit-maximal
+      PASS cancellation
+    axioms on boolean (2 elements): PASS
+      PASS E1-commutative
+      PASS E2-associative
+      PASS E3-orthosupplement-exists
+      PASS E3-orthosupplement-valid
+      PASS E3-orthosupplement-unique
+      PASS E4-unit-maximal
+      PASS cancellation
   axioms on mv_product (729 elements): PASS
-    PASS E1-commutative
-    PASS E2-associative
-    PASS E3-orthosupplement-exists
-    PASS E3-orthosupplement-valid
-    PASS E3-orthosupplement-unique
-    PASS E4-unit-maximal
-    PASS cancellation
+    PASS [structural] E1-commutative (direct product mv_product x mv_product)
+    PASS [structural] E2-associative (direct product mv_product x mv_product)
+    PASS [structural] E3-orthosupplement-exists (direct product mv_product x mv_product)
+    PASS [structural] E3-orthosupplement-valid (direct product mv_product x mv_product)
+    PASS [structural] E3-orthosupplement-unique (direct product mv_product x mv_product)
+    PASS [structural] E4-unit-maximal (direct product mv_product x mv_product)
+    PASS [structural] cancellation (direct product mv_product x mv_product)
+    axioms on mv_product (9 elements): PASS
+      PASS E1-commutative
+      PASS E2-associative
+      PASS E3-orthosupplement-exists
+      PASS E3-orthosupplement-valid
+      PASS E3-orthosupplement-unique
+      PASS E4-unit-maximal
+      PASS cancellation
+    axioms on mv_product (81 elements): PASS
+      PASS [structural] E1-commutative (direct product mv_product x mv_product)
+      PASS [structural] E2-associative (direct product mv_product x mv_product)
+      PASS [structural] E3-orthosupplement-exists (direct product mv_product x mv_product)
+      PASS [structural] E3-orthosupplement-valid (direct product mv_product x mv_product)
+      PASS [structural] E3-orthosupplement-unique (direct product mv_product x mv_product)
+      PASS [structural] E4-unit-maximal (direct product mv_product x mv_product)
+      PASS [structural] cancellation (direct product mv_product x mv_product)
+      axioms on mv_product (9 elements): PASS
+        PASS E1-commutative
+        PASS E2-associative
+        PASS E3-orthosupplement-exists
+        PASS E3-orthosupplement-valid
+        PASS E3-orthosupplement-unique
+        PASS E4-unit-maximal
+        PASS cancellation
+      axioms on mv_product (9 elements): PASS
+        PASS E1-commutative
+        PASS E2-associative
+        PASS E3-orthosupplement-exists
+        PASS E3-orthosupplement-valid
+        PASS E3-orthosupplement-unique
+        PASS E4-unit-maximal
+        PASS cancellation
 compression base on product (|P|=32): PASS
   PASS [structural] P-sub-effect-algebra (product base J_(p1,p2) = J_p1 x J_p2)
   PASS [structural] C1-compressions (product base J_(p1,p2) = J_p1 x J_p2)
@@ -371,19 +419,61 @@ compression base on product (|P|=32): PASS
   PASS [structural] P-normal (product base J_(p1,p2) = J_p1 x J_p2)
   PASS [structural] triple-law (product base J_(p1,p2) = J_p1 x J_p2)
   compression base on boolean (|P|=4): PASS
-    PASS P-sub-effect-algebra
-    PASS C1-compressions (4 of 4 maps checked)
-    PASS supplement-pairing
-    PASS C2-composition
-    PASS P-normal
-    PASS triple-law
+    PASS [structural] P-sub-effect-algebra (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] C1-compressions (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] supplement-pairing (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] C2-composition (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] P-normal (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] triple-law (product base J_(p1,p2) = J_p1 x J_p2)
+    compression base on boolean (|P|=2): PASS
+      PASS P-sub-effect-algebra
+      PASS C1-compressions (2 of 2 maps checked)
+      PASS supplement-pairing
+      PASS C2-composition
+      PASS P-normal
+      PASS triple-law
+    compression base on boolean (|P|=2): PASS
+      PASS P-sub-effect-algebra
+      PASS C1-compressions (2 of 2 maps checked)
+      PASS supplement-pairing
+      PASS C2-composition
+      PASS P-normal
+      PASS triple-law
   compression base on mv_product (|P|=8): PASS
-    PASS P-sub-effect-algebra
-    PASS C1-compressions (8 of 8 maps checked)
-    PASS supplement-pairing
-    PASS C2-composition
-    PASS P-normal
-    PASS triple-law
+    PASS [structural] P-sub-effect-algebra (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] C1-compressions (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] supplement-pairing (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] C2-composition (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] P-normal (product base J_(p1,p2) = J_p1 x J_p2)
+    PASS [structural] triple-law (product base J_(p1,p2) = J_p1 x J_p2)
+    compression base on mv_product (|P|=2): PASS
+      PASS P-sub-effect-algebra
+      PASS C1-compressions (2 of 2 maps checked)
+      PASS supplement-pairing
+      PASS C2-composition
+      PASS P-normal
+      PASS triple-law
+    compression base on mv_product (|P|=4): PASS
+      PASS [structural] P-sub-effect-algebra (product base J_(p1,p2) = J_p1 x J_p2)
+      PASS [structural] C1-compressions (product base J_(p1,p2) = J_p1 x J_p2)
+      PASS [structural] supplement-pairing (product base J_(p1,p2) = J_p1 x J_p2)
+      PASS [structural] C2-composition (product base J_(p1,p2) = J_p1 x J_p2)
+      PASS [structural] P-normal (product base J_(p1,p2) = J_p1 x J_p2)
+      PASS [structural] triple-law (product base J_(p1,p2) = J_p1 x J_p2)
+      compression base on mv_product (|P|=2): PASS
+        PASS P-sub-effect-algebra
+        PASS C1-compressions (2 of 2 maps checked)
+        PASS supplement-pairing
+        PASS C2-composition
+        PASS P-normal
+        PASS triple-law
+      compression base on mv_product (|P|=2): PASS
+        PASS P-sub-effect-algebra
+        PASS C1-compressions (2 of 2 maps checked)
+        PASS supplement-pairing
+        PASS C2-composition
+        PASS P-normal
+        PASS triple-law
 """
 
 
@@ -398,24 +488,37 @@ def _report(title, names, mode="full", details=None, parts=None):
 
 
 def test_validate_product_output_pinned(tmp_path, capsys):
-    """Products are validated through their factors: structural rows whose
-    detail names the construction, the factor reports nested as parts."""
+    """Products, grids and Boolean algebras are validated through their
+    factors: structural rows whose detail names the construction, the
+    factor reports nested as parts, down to the chains, which are scanned."""
     doc = write(tmp_path, "prod.json", PRODUCT_DOC)
     assert cli.main(["validate", doc]) == 0
     assert capsys.readouterr().out == PRODUCT_VALIDATE_TEXT
     assert cli.main(["--format", "json", "validate", doc]) == 0
-    c1 = "C1-compressions"
+
+    def axioms(kind, size, parts=None, kinds=None):
+        if not parts:
+            return _report(f"axioms on {kind} ({size} elements)", AXIOM_ROWS)
+        return _report(f"axioms on {kind} ({size} elements)", AXIOM_ROWS, "structural",
+                       {None: f"direct product {kinds or f'{kind} x {kind}'}"}, parts)
+
+    def base(kind, m, parts=None):
+        if not parts:
+            return _report(f"compression base on {kind} (|P|={m})", BASE_ROWS,
+                           details={"C1-compressions": f"{m} of {m} maps checked"})
+        return _report(f"compression base on {kind} (|P|={m})", BASE_ROWS, "structural",
+                       {None: "product base J_(p1,p2) = J_p1 x J_p2"}, parts)
+
+    b1, l8 = axioms("boolean", 2), axioms("mv_product", 9)
+    cb1, cl8 = base("boolean", 2), base("mv_product", 2)
     want = {"passed": True, "reports": [
-        _report("axioms on product (2916 elements)", AXIOM_ROWS, "structural",
-                {None: "direct product boolean x mv_product"},
-                [_report("axioms on boolean (4 elements)", AXIOM_ROWS),
-                 _report("axioms on mv_product (729 elements)", AXIOM_ROWS)]),
-        _report("compression base on product (|P|=32)", BASE_ROWS, "structural",
-                {None: "product base J_(p1,p2) = J_p1 x J_p2"},
-                [_report("compression base on boolean (|P|=4)", BASE_ROWS,
-                         details={c1: "4 of 4 maps checked"}),
-                 _report("compression base on mv_product (|P|=8)", BASE_ROWS,
-                         details={c1: "8 of 8 maps checked"})])]}
+        axioms("product", 2916, [
+            axioms("boolean", 4, [b1, b1]),
+            axioms("mv_product", 729, [l8, axioms("mv_product", 81, [l8, l8])]),
+        ], "boolean x mv_product"),
+        base("product", 32, [
+            base("boolean", 4, [cb1, cb1]),
+            base("mv_product", 8, [cl8, base("mv_product", 4, [cl8, cl8])])])]}
     assert json.loads(capsys.readouterr().out) == want
 
 
@@ -443,3 +546,30 @@ def test_table_without_a_meet_is_reported_not_raised(tmp_path, capsys):
     for command in ("analyze", "check-spectral"):
         assert run_cli([command, broken]) == (
             2, "error: the compression base on table has no map at 2\n")
+
+
+def _nested_products(depth):
+    """The text of a product document nested ``depth`` deep, built as text:
+    ``json.dumps`` cannot write one deeper than the recursion limit."""
+    leaf = '{"kind": "boolean", "n_atoms": 1}'
+    text = leaf
+    for _ in range(depth):
+        text = '{"kind": "product", "factors": [' + text + ", " + leaf + "]}"
+    return text
+
+
+@pytest.mark.parametrize("depth, message", [
+    (1200, "error: cannot read instance document: it nests too deep\n"),
+    (100, "error: bad instance document: instance documents nest at most 64 levels deep\n"),
+])
+def test_deeply_nested_document_exits_2(tmp_path, depth, message):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_products(depth))
+    for command in ("validate", "analyze"):
+        assert run_cli([command, str(path)]) == (2, message)
+
+
+def test_deeply_nested_element_value_exits_2(docs):
+    deep = '{"factors": ' + "[" * 100_000 + "]" * 100_000 + "}"  # too deep for json.loads
+    code, err = run_cli(["spectral", docs["mv83"], "--element", deep])
+    assert code == 2 and err.startswith("error: bad --element value")

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from effalg import compbase, comparability, core, instances, spectral
 from effalg.compbase import CompressionBase, validate_base
 from effalg.core import State
-from effalg.errors import EffalgError, NotFaithful, ScaleMismatch, SizeLimit
+from effalg.errors import (EffalgError, ElementNotInCarrier, MalformedInput, NotFaithful,
+                           ScaleMismatch, SizeLimit)
 
 
 def test_boolean_sizes():
@@ -64,6 +65,9 @@ def test_horizontal_sum_guards(l8, mv42):
     bad = list(ident8)
     bad[4] = Fraction(0)
     with pytest.raises(NotFaithful):
+        instances.make_horizontal_sum(l8, l8, ident8, bad)
+    bad[4] = Fraction(-1, 4)  # negative, and no zero to point at
+    with pytest.raises(NotFaithful, match="negative at nonzero element 4/8"):
         instances.make_horizontal_sum(l8, l8, ident8, bad)
     # boolean squares: no faithful zero-one morphism exists
     B2 = instances.make_boolean(2)
@@ -216,6 +220,36 @@ def test_parse_element_forms(mv83, matrix2):
     M, _ = matrix2
     a = instances.parse_element(M, "1/2,1/4,1/4,1/2")
     assert np.allclose(a, [[0.5, 0.25], [0.25, 0.5]])
+
+
+def test_horizontal_sum_part_addresses(hsum_l8):
+    """A part's zero and one are the pasting's zero and one; its interior
+    elements land on their own labels; anything else is refused."""
+    E, _ = hsum_l8
+    for part in (0, 1):
+        assert instances.parse_element(E, {"part": part, "element": 0}) == E.zero
+        assert instances.parse_element(E, {"part": part, "element": 8}) == E.one
+        side = "LR"[part]
+        for x in range(1, 8):
+            a = instances.parse_element(E, {"part": part, "element": x})
+            assert E.label(a) == f"{side}:{x}/8"
+        for x in (-1, 9, 15):
+            with pytest.raises(ElementNotInCarrier):
+                instances.parse_element(E, {"part": part, "element": x})
+    with pytest.raises(ElementNotInCarrier):
+        instances.parse_element(E, {"part": 2, "element": 1})
+
+
+def test_document_nesting_is_bounded():
+    leaf = {"kind": "boolean", "n_atoms": 1}
+    doc = leaf
+    for _ in range(instances.MAX_NESTING + 1):
+        doc = {"kind": "product", "factors": [doc, leaf]}
+    with pytest.raises(MalformedInput, match="nest at most"):
+        instances.parse_document(doc)
+    # the bound counts levels: MAX_NESTING of them parse as far as the size cap
+    with pytest.raises(SizeLimit):
+        instances.parse_document(doc["factors"][0])
 
 
 def test_weighted_state_guards(mv42):

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from effalg import instances, spectral
-from effalg.errors import NotSpectral
+from effalg.errors import InvalidDepth, NotSpectral
 from effalg.spectral import (
     DyadicRational,
     apply_fw,
@@ -516,3 +516,13 @@ def test_verify_matrix_families(matrix2):
         rep = verify_resolution(cb, a, fam, 6)
         assert rep.passed is ok
         assert verdict_rows(rep) == reference_verify(cb, a, fam, 6)
+
+
+def test_rational_resolution_at_depth_zero(l8):
+    """Depth 0 lists only lambda = 0 and 1: the value at 1 is the unit, and
+    below 1 no grid point lies above lambda, which is refused, not indexed."""
+    _, cb = l8
+    assert spectral.rational_resolution(cb, 3, Fraction(1), 0) == cb.algebra.one
+    for lam in (Fraction(0), Fraction(1, 2)):
+        with pytest.raises(InvalidDepth):
+            spectral.rational_resolution(cb, 3, lam, 0)

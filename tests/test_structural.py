@@ -4,13 +4,14 @@
 from its factors' reports; ``core._scan_axioms`` and ``compbase._scan_base``
 scan the product itself and are the reference here.  Each failing
 structural row's witness is checked in plain Python on the product's
-tables.  (Criterion 01 compares the two on every valid product suite.)
+tables.  Grids and Boolean algebras are products of their chains, built
+by the same route.  (Criterion 01 compares the two on every valid suite.)
 """
 
 import numpy as np
 import pytest
 
-from effalg import compbase, core, instances
+from effalg import compbase, core, instances, kernels
 from effalg.compbase import CompressionBase, central_base
 
 GRIDS = ((2, 1), (1, 2), (3, 1), (2, 2), (4, 1))  # (k, d) of the tables broken below
@@ -233,3 +234,124 @@ def test_nested_products_and_sampled_factors():
     sampled = {c.name for c in small.checks if c.mode == "sampled"}
     assert small.passed and sampled == {"E2-associative"}
     assert small.sampled and not rep.sampled
+
+
+# ---------------------------------------------------------------------------
+# grids and Boolean algebras through their chains
+
+# the dense grids and Boolean algebras of criterion 01 and of the cli
+# documents, the chains among them
+DENSE_GRIDS = {
+    **{f"boolean({n})": lambda n=n: instances.make_boolean(n, validate=False)
+       for n in (1, 2, 3, 4)},
+    **{f"mv({k},{d})": lambda k=k, d=d: instances.make_mv_product(k, d, validate=False)
+       for k, d in ((4, 1), (8, 1), (4, 2), (16, 2), (8, 3))},
+}
+
+
+def _tower(E):
+    """The grids of E's tower, E first and its chain last."""
+    out = [E]
+    while out[-1].factors is not None:
+        out.append(out[-1].factors[1])
+    return out
+
+
+@pytest.mark.parametrize("name", list(DENSE_GRIDS))
+def test_grid_base_is_the_central_base(name):
+    E, cb = DENSE_GRIDS[name]()
+    ref = central_base(E)
+    assert cb.projections == ref.projections
+    assert np.array_equal(cb.map_stack(), ref.map_stack())
+    assert (cb.factors is None) == (E.d == 1)
+    for G, base in zip(_tower(E), _tower(cb)):  # every level is its grid's product base
+        assert base.algebra is G and (base.factors is None) == (G.factors is None)
+        if base.factors is not None:
+            assert tuple(f.algebra for f in base.factors) == G.factors
+
+
+@pytest.mark.parametrize("name", list(DENSE_GRIDS))
+def test_grid_tables_are_product_tables_of_the_chain(name):
+    E, _ = DENSE_GRIDS[name]()
+    if E.factors is None:
+        return
+    chain, rest = E.factors
+    assert chain is E.chain and rest.chain is chain and chain.d == 1 and chain.k == E.k
+    assert type(chain) is type(E) and rest.d == E.d - 1
+    for op in ("sum", "leq", "ominus"):
+        table = getattr(E, f"{op}_table")
+        want = core._product_table(getattr(chain, f"{op}_table"), getattr(rest, f"{op}_table"))
+        assert table.dtype == want.dtype and np.array_equal(table, want), op
+
+
+@pytest.mark.parametrize("name", list(DENSE_GRIDS))
+def test_grid_index_layout_agrees_with_coords(name):
+    E, _ = DENSE_GRIDS[name]()
+    if E.factors is None:
+        return
+    chain, rest = E.factors
+    idx = np.arange(E.size)
+    x, y = E.split_index(idx)
+    assert np.array_equal(E.coords[:, -1], chain.coords[x, 0])
+    assert np.array_equal(E.coords[:, :-1], rest.coords[y])
+    assert all(E.pair_index(a, b) == i for i, a, b in zip(idx[::7], x[::7], y[::7]))
+    for a in range(chain.size):
+        top = [0] * (E.d - 1) + [a]
+        assert E.embed(0, a) == E.index_of(top)
+        assert E.embed(0, a, at_one=True) == E.index_of([E.k] * (E.d - 1) + [a])
+    for b in range(0, rest.size, 5):
+        low = list(rest.coords[b])
+        assert E.embed(1, b) == E.index_of(low + [0])
+        assert E.embed(1, b, at_one=True) == E.index_of(low + [E.k])
+
+
+@pytest.mark.parametrize("name", list(DENSE_GRIDS))
+def test_grid_verdicts_match_the_scans(name):
+    E, cb = DENSE_GRIDS[name]()
+    for structural, scan in ((core.validate_axioms(E), core._scan_axioms(E)),
+                             (compbase.validate_base(E, cb), compbase._scan_base(E, cb))):
+        assert structural.passed and scan.passed
+        assert _outline(structural) == _outline(scan)
+        modes = {c.mode for c in structural.checks}
+        assert modes == ({"full"} if E.d == 1 else {"structural"})
+    # the chain is validated once, through every level of the tower
+    if E.factors is not None:
+        chain_report = core.validate_axioms(E.chain)
+        parts = core.validate_axioms(E).parts
+        assert parts[0] is chain_report
+
+
+def test_grids_past_the_dense_limit_are_structural():
+    """Grids too large for tables are exact through their chains too."""
+    for E, cb in (instances.make_mv_product(16, 4, validate=False),
+                  instances.make_boolean(13, validate=False)):
+        assert not E.dense
+        for rep in (core.validate_axioms(E), compbase.validate_base(E, cb)):
+            assert rep.passed and {c.mode for c in rep.checks} == {"structural"}
+        assert core.is_archimedean(E)
+
+
+def _cancellation_breaker():
+    """0, a, b, 1 with a + a = b + a = 1: a != b, so cancellation fails."""
+    sums = [(0, x, x) for x in range(4)] + [(1, 1, 3), (1, 2, 3)]
+    return core.TableAlgebra.from_triples(4, sums, 0, 3)
+
+
+def test_archimedean_reads_the_cancellation_row(monkeypatch):
+    T = _cancellation_breaker()
+    assert not core._cancellation_check(T, core.TRIPLE_BUDGET, 0).passed
+    hosts = [T, instances.make_mv_product(8, 3, validate=False)[0],
+             instances.make_product(instances.make_boolean(2), instances.make_mv_product(4, 2),
+                                    validate=False)[0],
+             instances.make_mo2(validate=False)[0]]
+    want = [core._cancellation_check(E, core.TRIPLE_BUDGET, 0).passed for E in hosts]
+    assert want == [False, True, True, True]
+    for E in hosts:
+        core.validate_axioms(E)
+
+    def scanned(*args):
+        raise AssertionError("is_archimedean rescanned cancellation")
+
+    monkeypatch.setattr(kernels, "cancellation_violation", scanned)
+    assert [core.is_archimedean(E) for E in hosts] == want
+    assert not hasattr(T, "_archimedean")
