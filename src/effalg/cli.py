@@ -145,9 +145,9 @@ def cmd_analyze(args) -> int:
     centre = compbase.central_base(E)
     blocks = compbase.blocks(cb)
     cblocks = [compbase.c_block(cb, b) for b in blocks]
-    bc = comparability.check_b_comparability(cb, seed=args.seed)
+    bc = comparability.check_b_comparability(cb)  # the report cb.is_spectral() reads
     pcp = cb.has_pcp()
-    spectralp = bc.passed and pcp
+    spectralp = cb.is_spectral()
     detail = ""
     if not spectralp:
         fails = [c.name for c in bc.checks if not c.passed]

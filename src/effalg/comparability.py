@@ -5,6 +5,12 @@ compatible.  Comparability asks, for every commuting pair (e, f), for a
 projection p with J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e); positive
 parts and the halving decomposition used by the spectral construction
 both come from such projections.
+
+``check_b_comparability`` decides the rows of the spectrality verdict
+once per base: through the factor bases on a product base
+(``structural``), by one exact scan of the carrier otherwise (``full``).
+The one ``sampled`` row left is the MV check of a C-block of more than
+``MV_EXACT_ELEMENTS`` elements on a carrier without factors.
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compbase import CompressionBase, validate_base
+from . import kernels
+from .compbase import CompressionBase, blocks, c_block, validate_base
 from .core import (
     FiniteAlgebra,
     Report,
     TableAlgebra,
-    PAIR_BUDGET,
+    product_report,
+    remembered,
     sharp_elements,
 )
 from .errors import (
@@ -27,6 +35,9 @@ from .errors import (
     NotCommuting,
     NotSpectral,
 )
+
+MV_EXACT_ELEMENTS = 2000  # C-blocks up to this size are checked on every pair
+MV_SAMPLE = 2000  # seeded pairs checked on a larger C-block
 
 
 @dataclass
@@ -56,19 +67,22 @@ def has_b_property(cb, a) -> bool:
     return bool((contained == pcm).all())
 
 
-def all_b(cb, budget: int = PAIR_BUDGET, seed: int = 0) -> bool:
+def all_b(cb) -> bool:
+    """Every element has the b-property; decided once per distinct PC(a)."""
     if not cb.enumerable:
         return cb.all_b()
-    n = cb.algebra.size
-    m = len(cb.projections)
-    if n * m * m <= budget:
-        pcm = cb.pc_matrix()
-        bic = cb.bicommutant_mask_all()
-        miss = bic.astype(np.int16) @ (~cb.pcompat()).astype(np.int16)
-        contained = miss == 0
-        return bool((contained == pcm).all())
-    rng = np.random.default_rng(seed)
-    return all(has_b_property(cb, int(a)) for a in rng.integers(0, n, size=512))
+    rows, _, bic, ncomp = _pc_classes(cb)
+    return bool((~(bic @ ncomp) == rows).all())
+
+
+def _pc_classes(cb):
+    """The distinct sets PC(a) as the rows of a bool ``(u, |P|)`` table,
+    each element's row, the bicommutants P(a) of the rows, and the
+    ``(|P|, |P|)`` table of incompatible pairs of projections.  The
+    b-property, commuting and P(e, f) depend on PC(e) and PC(f) only."""
+    rows, cls = np.unique(cb.pc_matrix(), axis=0, return_inverse=True)
+    ncomp = ~cb.pcompat()
+    return rows, cls.ravel(), rows & ~(rows @ ncomp), ncomp
 
 
 def commute(cb, e, f) -> bool:
@@ -108,112 +122,194 @@ def p_le_set(cb, e, f) -> np.ndarray:
 # whole-algebra comparability
 
 
-def check_b_comparability(cb, budget: int = PAIR_BUDGET, seed: int = 0) -> Report:
+def check_b_comparability(cb) -> Report:
     """b-property plus nonempty P_<= for every commuting pair.
 
     On success the structural consequences are verified as extra rows:
     sharp elements all lie in P, and each C-block is an MV effect algebra.
+    ``cb`` keeps the report, and ``cb.is_spectral()`` reads it.
+
+    A base with ``factors`` (``compbase.product_base``: ``P = P1 x P2`` and
+    ``J_(p1, p2) = J_p1 x J_p2``) is not scanned: its rows are
+    ``structural``, from the reports of the factor bases
+    (``core.product_report``).  That covers products, and grids and Boolean
+    algebras with more than one coordinate.  Sums, differences and the
+    order are componentwise, so a ``(p1, p2)``-decomposition
+    ``a = J_p(a) + J_p'(a)`` is a pair of factor decompositions, and so is
+    a Mackey witness: ``PC(a) = PC(a1) x PC(a2)``, compatibility of pairs
+    is componentwise and ``P(a) = P(a1) x P(a2)``.  Each of these contains
+    0, and 1 is compatible with every projection, so no product of them is
+    empty and each row holds in the product iff it holds in both factors.
+    A factor witness lifts by pairing its elements with the other factor's
+    zero:
+
+    * b-property: ``P(a) <= C(p)`` and ``a in C(p)`` are conjunctions of
+      their factor statements, which agree for every ``(a, p)`` iff they
+      agree in each factor (take ``p2 = 1`` and ``a2 = 0``).
+    * comparability: ``e C f`` iff ``e1 C f1`` and ``e2 C f2``, and
+      ``P_<=(e, f) = P_<=(e1, f1) x P_<=(e2, f2)``, empty iff one factor set
+      is.  ``0 C 0`` holds in any base, as ``P(0)`` is the set of
+      projections compatible with all of P.
+    * sharp-elements-are-projections: ``a ^ a' = 0`` is componentwise, so
+      the sharp elements are the pairs of sharp elements; that set equals
+      ``P1 x P2`` iff the factor sets equal their P (all contain 0 and 1).
+    * C-blocks-are-MV: the compatibility graph on ``P1 x P2`` is the
+      product of the two reflexive factor graphs, whose maximal cliques are
+      the blocks ``B1 x B2``, with ``C(B1 x B2) = C(B1) x C(B2)``.  Meets,
+      joins and differences are componentwise, so such a set is an MV
+      effect algebra inside E iff both factor sets are.
+
+    Where a factor report stops early, at a failing b-property or before
+    the C-block row, the product's stops at the same row, as the scan does.
+
+    A base without ``factors`` is scanned (``_scan_spectral``).  Every
+    carrier past ``core.DENSE_LIMIT`` has factors, so the scan sees dense
+    carriers only and is exact, with one exception noted there.
     """
     if not cb.enumerable:
         return cb.check_b_comparability()
-    E = cb.algebra
-    n = E.size
-    m = len(cb.projections)
-    rep = Report(f"b-comparability on {E.kind} ({n} elements, |P|={m})")
 
-    full = E.dense and n * n * m <= budget
-    # all_b scans every element whenever this check is full, as m <= n
-    ok_b = all_b(cb, budget=budget, seed=seed)
-    rep.add("b-property", ok_b, mode="full" if full else "sampled")
-    if not ok_b:
+    def make():
+        if cb.factors is None:
+            return _scan_spectral(cb)
+        E = cb.algebra
+        return product_report(
+            f"b-comparability on {E.kind} ({E.size} elements, |P|={len(cb.projections)})",
+            *map(check_b_comparability, cb.factors),
+            "componentwise on P1 x P2", lambda name, side, w: _lift(E, name, side, w))
+    return remembered(cb, "b-comparability", make)
+
+
+def _lift(E: FiniteAlgebra, name: str, side: int, w):
+    """A factor's witness for the row ``name`` as a witness in the product
+    ``E``, each element paired with the other factor's zero (see
+    ``check_b_comparability``).  The scan names elements by label, except in
+    the list of sharp elements outside P."""
+    if name == "sharp-elements-are-projections":
+        return [E.embed(side, x) for x in w]
+    F = E.factors[side]
+    index = {F.label(x): x for x in range(F.size)}
+
+    def up(label):
+        return E.label(E.embed(side, index[label]))
+
+    if name == "comparability":
+        return tuple(map(up, w))
+    kind, *labels = w  # C-blocks-are-MV
+    return (kind, *map(up, labels))
+
+
+def _scan_spectral(cb) -> Report:
+    """The rows of ``check_b_comparability`` over the whole carrier, which
+    must be dense; every base without ``factors`` gets them, and the tests
+    take them as the reference for products.
+
+    The b-property, commuting and ``P(e, f)`` are decided once per pair of
+    distinct sets ``PC(e)``, ``PC(f)``; comparability is one gather
+    (``_comparability_failure``).  C-blocks of more than
+    ``MV_EXACT_ELEMENTS`` elements are checked on a seeded sample of pairs
+    and the row says ``sampled``.
+    """
+    E = cb.algebra
+    rep = Report(f"b-comparability on {E.kind} ({E.size} elements, |P|={len(cb.projections)})")
+    if not rep.add("b-property", all_b(cb)).passed:
         return rep
-    if full:
-        pcm = cb.pc_matrix().astype(np.int16)
-        ncomp = (~cb.pcompat()).astype(np.int16)
-        bic16 = cb.bicommutant_mask_all().astype(np.int16)
-        comm = (bic16 @ ncomp @ bic16.T) == 0  # commuting pairs
-        smask = pcm[:, None, :] & pcm[None, :, :]
-        padmiss = np.einsum("efp,pq->efq", smask.astype(np.int16), ncomp)
-        cand = smask.astype(bool) & (padmiss == 0)
-        leq = E.leq_table
-        nonempty = np.zeros((n, n), dtype=bool)
-        for pos, p in enumerate(cb.projections):
-            jp = cb.map_table(p)
-            jo = cb.map_table(cb.p_ortho(p))
-            ple = leq[np.ix_(jp, jp)] & leq[np.ix_(jo, jo)].T
-            nonempty |= cand[:, :, pos] & ple
-        bad = comm & ~nonempty
-        ok = not bad.any()
-        witness = None
-        if not ok:
-            e, f = map(int, np.argwhere(bad)[0])
-            witness = (E.label(e), E.label(f))
-        rep.add("comparability", ok, witness=witness)
-    else:
-        rng = np.random.default_rng(seed)
-        ok, witness = True, None
-        for _ in range(1024):
-            e, f = int(rng.integers(n)), int(rng.integers(n))
-            if commute(cb, e, f) and p_le_set(cb, e, f).size == 0:
-                ok, witness = False, (E.label(e), E.label(f))
-                break
-        rep.add("comparability", ok, mode="sampled", witness=witness)
+    bad = _comparability_failure(cb)
+    rep.add("comparability", bad is None,
+            witness=None if bad is None else (E.label(bad[0]), E.label(bad[1])))
 
     sharp = set(int(s) for s in sharp_elements(E))
     rep.add("sharp-elements-are-projections", sharp == set(cb.projections),
             witness=None if sharp == set(cb.projections)
             else sorted(sharp - set(cb.projections))[:3])
     if rep.passed:
-        from .compbase import blocks, c_block
-
-        mv_ok, mv_w = True, None
-        for block in blocks(cb):
-            cbk = c_block(cb, block)
-            good, w = _is_mv_subalgebra(E, cbk, seed=seed)
-            if not good:
-                mv_ok, mv_w = False, w
-                break
-        rep.add("C-blocks-are-MV", mv_ok, witness=mv_w,
-                mode="full" if E.dense else "sampled")
+        cblocks = [c_block(cb, block) for block in blocks(cb)]
+        w = next(filter(None, (_mv_violation(E, c) for c in cblocks)), None)
+        sampled = max(c.size for c in cblocks) > MV_EXACT_ELEMENTS
+        rep.add("C-blocks-are-MV", w is None, witness=w, mode="sampled" if sampled else "full",
+                detail=f"{MV_SAMPLE} seeded pairs on C-blocks over {MV_EXACT_ELEMENTS} "
+                       f"elements; one scalar meet per pair" if sampled else "")
     return rep
 
 
-def _is_mv_subalgebra(E: FiniteAlgebra, elems: np.ndarray, seed: int = 0):
-    """Lattice + the MV identity (a v b) - a = b - (a ^ b); RDP spot check."""
+def _comparability_failure(cb):
+    """The first commuting pair (e, f) in row-major order with P_<=(e, f)
+    empty, or None.
+
+    ``P(e, f)`` and commuting are taken per pair of distinct sets PC(e),
+    PC(f) (``_pc_classes``).  The open pairs are a bit matrix, one row of
+    ``n`` bits per e.  For each p in turn the pairs with p in P(e, f),
+    ``J_p(e) <= J_p(f)`` and ``J_p'(f) <= J_p'(e)`` are closed.  Each test
+    gathers the order table at the distinct values of the map only, in
+    steps of ``kernels.CHUNK_BYTES``; the bit matrices take ``n^2 / 8``
+    bytes each.
+    """
+    E = cb.algebra
+    n = E.size
+    leq = E.leq_table
+    rows, cls, bic, ncomp = _pc_classes(cb)
+    u, m = rows.shape
+    commuting = ~((bic @ ncomp) @ bic.T)
+    both = (rows[:, None, :] & rows[None, :, :]).reshape(-1, m)  # PC({e, f})
+    p_ef = (both & ~(both @ ncomp)).reshape(u, u, m)  # P(e, f)
+    step = max(1, kernels.CHUNK_BYTES // n)
+
+    def order_rows(table, j):
+        """Row e holds the bits ``table[j[e], j[f]]`` over f, gathered at
+        the distinct values of ``j`` only."""
+        values, at = np.unique(j, return_inverse=True)
+        out = np.empty((values.size, (n + 7) // 8), dtype=np.uint8)
+        for i in range(0, values.size, step):
+            out[i:i + step] = np.packbits(table[values[i:i + step]][:, j], axis=1)
+        return out[at]
+
+    open_pairs = np.packbits(commuting[:, cls], axis=1)[cls]
+    for k, p in enumerate(cb.projections):
+        if not open_pairs.any():
+            return None
+        # p in P(e, f), J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e)
+        open_pairs &= ~(np.packbits(p_ef[:, cls, k], axis=1)[cls] & order_rows(
+            leq, cb.map_table(p)) & order_rows(leq.T, cb.map_table(E.ortho(p))))
+    bits = np.unpackbits(open_pairs, axis=1, count=n).ravel()
+    t = int(np.argmax(bits))
+    return (t // n, t % n) if bits[t] else None
+
+
+def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
+    """A witness that ``elems`` is not an MV effect algebra inside E, or
+    None: meets and joins exist in E and stay in ``elems``, and the MV
+    identity (a v b) - a = b - (a ^ b) holds, on every pair of ``elems``,
+    or on ``MV_SAMPLE`` seeded pairs past ``MV_EXACT_ELEMENTS``.
+
+    The Riesz decomposition property needs no check of its own: a
+    lattice-ordered effect algebra in which (a v b) - a = b - (a ^ b) holds
+    for all a, b is an MV-effect algebra, and every MV-effect algebra has
+    the Riesz decomposition property (Dvurecenskij and Pulmannova, *New
+    Trends in Quantum Structures*, Kluwer 2000, ch. 1).
+    """
     k = elems.size
-    if k * k <= 4_000_000:
+    if k <= MV_EXACT_ELEMENTS:
         xs, ys = np.repeat(elems, k), np.tile(elems, k)
     else:
-        rng = np.random.default_rng(seed)
-        xs = elems[rng.integers(0, k, size=2000)]
-        ys = elems[rng.integers(0, k, size=2000)]
+        rng = np.random.default_rng(0)
+        xs = elems[rng.integers(0, k, size=MV_SAMPLE)]
+        ys = elems[rng.integers(0, k, size=MV_SAMPLE)]
     meets = E.meet_pairs(xs, ys)
     if (meets < 0).any():
         i = int(np.argmax(meets < 0))
-        return False, ("meet-missing", E.label(int(xs[i])), E.label(int(ys[i])))
+        return "meet-missing", E.label(int(xs[i])), E.label(int(ys[i]))
     joins = E.meet_pairs(E.ortho_all()[xs], E.ortho_all()[ys])
     if (joins < 0).any():
-        return False, ("join-missing",)
+        return "join-missing",
     joins = E.ortho_all()[joins]
     if not np.isin(np.concatenate([meets, joins]), elems).all():
-        return False, ("not-closed",)
+        return "not-closed",
     lhs = E.ominus_pairs(joins, xs)
     rhs = E.ominus_pairs(ys, meets)
     if (lhs != rhs).any():
         i = int(np.argmax(lhs != rhs))
-        return False, ("mv-identity", E.label(int(xs[i])), E.label(int(ys[i])))
-    # RDP spot check: a <= b + c splits along b using the lattice structure
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(256):
-        a, b, c = (int(elems[rng.integers(k)]) for _ in range(3))
-        s = E.sum(b, c)
-        if s is None or not E.leq(a, s):
-            continue
-        b1 = E.meet(a, b)
-        c1 = E.ominus(a, b1)
-        if c1 is None or not E.leq(c1, c):
-            return False, ("rdp", E.label(a), E.label(b), E.label(c))
-    return True, None
+        return "mv-identity", E.label(int(xs[i])), E.label(int(ys[i]))
+    return None
 
 
 def is_spectral(cb) -> bool:
@@ -302,24 +398,15 @@ def restrict(cb: CompressionBase, q: int, validate: bool = True):
     if q not in cb.p_set:
         raise ValueError("restriction requires a projection")
     idx = np.flatnonzero(E.lower_bounds(q))
-    pos = {int(g): i for i, g in enumerate(idx)}
-    n2 = idx.size
-    S2 = -np.ones((n2, n2), dtype=np.int64)
-    sums = E.sum_pairs(np.repeat(idx, n2), np.tile(idx, n2)).reshape(n2, n2)
-    for i in range(n2):
-        for j in range(n2):
-            s = int(sums[i, j])
-            if s >= 0 and s in pos:  # q principal: sums below q stay below q
-                S2[i, j] = pos[s]
-    sub = TableAlgebra(S2, pos[E.zero], pos[q],
+    # position in [0, q] of each element, -1 outside it; where[-1] reads the
+    # -1 of an undefined sum.  q is principal: sums below q stay below q.
+    where = np.full(E.size + 1, -1, dtype=np.int64)
+    where[idx] = np.arange(idx.size)
+    sub = TableAlgebra(where[E.sum_pairs(idx[:, None], idx)], where[E.zero], where[q],
                        labels=[E.label(int(g)) for g in idx])
     sub.parent_index = idx
-    projs = [p for p in cb.projections if E.leq(p, q)]
-    maps = {}
-    for p in projs:
-        table = cb.map_table(p)[idx]
-        maps[pos[p]] = np.array([pos[int(v)] for v in table], dtype=np.int64)
-    sub_cb = CompressionBase(sub, [pos[p] for p in projs], maps)
+    maps = {int(where[p]): where[cb.map_table(p)[idx]] for p in cb.projections if E.leq(p, q)}
+    sub_cb = CompressionBase(sub, maps.keys(), maps)
     if validate:
         rep = validate_base(sub, sub_cb)
         if not rep.passed:

@@ -17,7 +17,6 @@ from . import kernels
 from .core import (
     Check,
     FiniteAlgebra,
-    GridAlgebra,
     Report,
     TRIPLE_BUDGET,
     PAIR_BUDGET,
@@ -59,7 +58,7 @@ class CompressionBase:
                  factors: Optional[tuple] = None):
         self.algebra = algebra
         self.factors = factors
-        self._reports = {}  # validate_base reports by (budget, seed)
+        self._reports = {}  # validate_base by (budget, seed); "b-comparability"
         self.projections = sorted(int(p) for p in projections)
         self.p_set = frozenset(self.projections)
         self.p_pos = {p: i for i, p in enumerate(self.projections)}
@@ -70,7 +69,6 @@ class CompressionBase:
         self._pc_matrix = None
         self._elem_leq_proj = None
         self._cover_vec = None
-        self._spectral = None
         self._p_meet = None
 
     # -- maps ----------------------------------------------------------------
@@ -199,7 +197,14 @@ class CompressionBase:
         return self.elem_leq_proj()[np.array(self.projections), :]
 
     def cover_vec(self) -> np.ndarray:
-        """Least projection above each element; -1 where none exists."""
+        """Least projection above each element; -1 where none exists.  On a
+        product base it is the pair of the factors' covers, as the
+        projections above (a1, a2) are the pairs of those above a1 and a2."""
+        if self._cover_vec is None and self.factors is not None:
+            left, right = self.factors
+            ia, ib = self.algebra.split_index(np.arange(self.algebra.size))
+            c1, c2 = left.cover_vec()[ia], right.cover_vec()[ib]
+            self._cover_vec = np.where((c1 < 0) | (c2 < 0), -1, c1 * right.algebra.size + c2)
         if self._cover_vec is None:
             cand = self.elem_leq_proj()
             strictly_above = (~self.proj_leq()).astype(np.int32)
@@ -249,14 +254,12 @@ class CompressionBase:
         v = self.meet_proj(self.p_ortho(p), self.p_ortho(q))
         return None if v is None else self.p_ortho(v)
 
-    # spectrality verdict is computed in the comparability module and cached here
     def is_spectral(self) -> bool:
-        if self._spectral is None:
-            from . import comparability
+        """Projection covers plus b-comparability, whose report the base
+        keeps (``comparability.check_b_comparability``)."""
+        from . import comparability
 
-            rep = comparability.check_b_comparability(self)
-            self._spectral = rep.passed and self.has_pcp()
-        return self._spectral
+        return comparability.check_b_comparability(self).passed and self.has_pcp()
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +688,6 @@ def _mackey_pair(E: FiniteAlgebra, p: int, q: int) -> bool:
 # the central base
 
 
-def _central_candidates(E: FiniteAlgebra) -> np.ndarray:
-    sharp = sharp_elements(E)
-    if isinstance(E, GridAlgebra):
-        return sharp  # zero-one vectors are principal and complemented
-    keep = [p for p in sharp
-            if is_principal(E, int(p)) and is_principal(E, E.ortho(int(p)))]
-    return np.array(keep, dtype=np.int64)
-
-
 def meet_with_all(E: FiniteAlgebra, p: int) -> Optional[np.ndarray]:
     """Vector of meets a ^ p over the carrier; None when some meet fails."""
     out = E.meet_pairs(np.arange(E.size), p)
@@ -704,18 +698,30 @@ def central_base(E: FiniteAlgebra) -> CompressionBase:
     """The base of central projections, with U_p(a) = a ^ p.
 
     An element is central when it is sharp, it and its orthosupplement are
-    principal, and every a splits as (a ^ p) + (a ^ p').
+    principal, and every a splits as (a ^ p) + (a ^ p').  Each of these is
+    componentwise in a direct product, and so is ``a ^ p``, so the central
+    base of an algebra with ``factors`` is the product base of the factors'
+    central bases; that covers grids, through their chains.  ``E`` keeps
+    its central base, so all the grids of one chain share the chain's.
     """
+    if E._central is None:
+        E._central = _central_base(E)
+    return E._central
+
+
+def _central_base(E: FiniteAlgebra) -> CompressionBase:
+    """``central_base``, built."""
+    if E.factors is not None:
+        left, right = E.factors
+        return product_base(E, central_base(left), central_base(right))
     centre = []
     maps = {}
     arange = np.arange(E.size)
-    for p in _central_candidates(E):
-        p = int(p)
-        mp = meet_with_all(E, p)
-        mq = None if mp is None else meet_with_all(E, E.ortho(p))
-        if mp is None or mq is None:
+    for p in map(int, sharp_elements(E)):
+        if not (is_principal(E, p) and is_principal(E, E.ortho(p))):
             continue
-        if (E.sum_pairs(mp, mq) == arange).all():
+        mp, mq = meet_with_all(E, p), meet_with_all(E, E.ortho(p))
+        if mp is not None and mq is not None and (E.sum_pairs(mp, mq) == arange).all():
             centre.append(p)
             maps[p] = mp
     return CompressionBase(E, centre, maps)
@@ -775,7 +781,17 @@ def bicommutant(cb: CompressionBase, a: int):
 
 
 def blocks(cb: CompressionBase) -> list:
-    """Maximal pairwise-compatible subsets of P, each checked Boolean."""
+    """Maximal pairwise-compatible subsets of P, each checked Boolean.
+
+    Compatibility on a product base is componentwise, so its graph is the
+    product of the two reflexive factor graphs, whose maximal cliques are
+    the products ``B1 x B2`` of factor blocks; those are Boolean iff both
+    factor blocks are.
+    """
+    if cb.factors is not None:
+        left, right = cb.factors
+        return sorted([cb.algebra.pair_index(p, q) for p in b1 for q in b2]
+                      for b1 in blocks(left) for b2 in blocks(right))
     compat = cb.pcompat()
     adj = []
     for i, row in enumerate(compat):
@@ -847,7 +863,16 @@ def _check_boolean_block(cb: CompressionBase, block) -> None:
 
 
 def c_block(cb: CompressionBase, block) -> np.ndarray:
-    """C(B): elements compatible with every projection in the block."""
+    """C(B): elements compatible with every projection in the block.
+
+    On a product base ``C((p1, p2)) = C(p1) x C(p2)``, so C(B) is the
+    product of the factor sets C(B1) and C(B2) over the components of B.
+    """
+    if cb.factors is not None:
+        left, right = cb.factors
+        ia, ib = cb.algebra.split_index(np.asarray(block, dtype=np.int64))
+        c1, c2 = c_block(left, np.unique(ia)), c_block(right, np.unique(ib))
+        return (c1[:, None] * right.algebra.size + c2).ravel()
     mask = np.ones(cb.algebra.size, dtype=bool)
     for p in block:
         mask &= cb.pc_matrix()[:, cb.p_pos[p]]

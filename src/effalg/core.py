@@ -223,6 +223,7 @@ class FiniteAlgebra(EffectAlgebra):
         self._defined_pairs = None
         self._ortho_vec = None
         self._reports = {}  # validate_axioms reports by (budget, seed)
+        self._central = None  # compbase.central_base(self), built on first use
 
     # -- interface ---------------------------------------------------------
 

@@ -3,12 +3,14 @@
 Every constructor returns (algebra, base) after running the axiom and
 base validators, unless called with ``validate=False``.  Grids and
 Boolean algebras are direct products of chains and products are direct
-products of their factors: their bases are product bases, and they are
-validated through their factors, reusing the reports the factors keep.
-Horizontal sums, ``mo2`` and ``table`` documents are scanned, on seeded
-samples above the scan budget.  The built algebra carries ``document``, a
-JSON-serializable description that reparses to an index-isomorphic
-instance.
+products of their factors: their bases are product bases (the central
+base of a grid is the product of its chain's and its rest's), and they
+are validated and judged spectral through their factors, reusing the
+reports the factors keep.  Horizontal sums, ``mo2`` and ``table``
+documents are scanned: their laws on seeded samples above the scan
+budget, their spectrality exactly.  The built algebra carries
+``document``, a JSON-serializable description that reparses to an
+index-isomorphic instance.
 """
 
 from __future__ import annotations
@@ -63,19 +65,6 @@ def _validated(E, cb, what: str, validate: bool = True):
 # basic families
 
 
-def _grid_base(E: GridAlgebra) -> CompressionBase:
-    """The central base of a grid, U_p(a) = a ^ p over the zero-one
-    vectors p, built as the product base of its chain's central base and
-    the base of the grid one coordinate shorter."""
-    tower = [E]
-    while tower[-1].factors is not None:
-        tower.append(tower[-1].factors[1])
-    chain_base = cb = central_base(tower.pop())
-    for G in reversed(tower):
-        cb = product_base(G, chain_base, cb)
-    return cb
-
-
 def make_boolean(n_atoms: int, validate: bool = True):
     """Powerset of n atoms with U_p(a) = a ^ p over every element."""
     if not 1 <= n_atoms <= 16:
@@ -83,7 +72,7 @@ def make_boolean(n_atoms: int, validate: bool = True):
     _guard_size(2 ** n_atoms)
     E = BooleanAlgebra(n_atoms)
     E.document = {"kind": "boolean", "n_atoms": n_atoms}
-    return _validated(E, _grid_base(E), "boolean", validate)
+    return _validated(E, central_base(E), "boolean", validate)
 
 
 def make_mv_product(denominator: int, arity: int, validate: bool = True):
@@ -95,7 +84,7 @@ def make_mv_product(denominator: int, arity: int, validate: bool = True):
     _guard_size((denominator + 1) ** arity)
     E = GridAlgebra(denominator, arity)
     E.document = {"kind": "mv_product", "denominator": denominator, "arity": arity}
-    return _validated(E, _grid_base(E), "mv_product", validate)
+    return _validated(E, central_base(E), "mv_product", validate)
 
 
 def make_matrix(dim: int, tol: float = 1e-9, validate: bool = True):
@@ -239,9 +228,7 @@ def make_horizontal_sum(left, right, state1, state2, validate: bool = True):
     E.document = {"kind": "horizontal_sum",
                   "parts": [E1.document, E2.document],
                   "states": [[str(v) for v in s1.values], [str(v) for v in s2.values]]}
-    E, cb = _validated(E, cb, "horizontal_sum", validate)
-    E.meta_spectral = cb.is_spectral()
-    return E, cb
+    return _validated(E, cb, "horizontal_sum", validate)
 
 
 def make_mo2(validate: bool = True):

@@ -1,8 +1,17 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from effalg import instances
+
+# The property tests draw the same examples on every run unless
+# HYPOTHESIS_PROFILE=explore asks for fresh random draws, and more of them;
+# a fault that exploring finds is pinned with @example.
+settings.register_profile("ci", derandomize=True, max_examples=150)
+settings.register_profile("explore", derandomize=False, max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from effalg import cli, compbase, core, groups, instances, matrices, spectral
+from effalg import cli, comparability, compbase, core, groups, instances, matrices, spectral
 from effalg.errors import NotFaithful
 from effalg.matrices import chi_leq, sym
 from effalg.spectral import k_of
@@ -50,7 +50,7 @@ def test_criterion_01_axiom_suites(named_instances):
     for (na, a), (nb, b) in itertools.combinations_with_replacement(
             sorted(named_instances.items()), 2):
         suites[f"{na} x {nb}"] = instances.make_product(a, b, validate=False)
-    structural = 0
+    structural = spectral_rows = 0
     for name, (E, cb) in suites.items():
         t1 = time.perf_counter()
         # the brute-force scans on every suite, products included
@@ -65,13 +65,19 @@ def test_criterion_01_axiom_suites(named_instances):
             if E.factors is not None:
                 assert {c.mode for c in rep.checks} == {"structural"}, f"{name}: {rep.summary()}"
                 structural += len(rep.checks)
+        # the spectrality verdict: through the factors too
+        rep = comparability.check_b_comparability(cb)
+        if E.factors is not None:
+            assert {c.mode for c in rep.checks} == {"structural"}, f"{name}: {rep.summary()}"
+            spectral_rows += len(rep.checks)
         took = time.perf_counter() - t1
         worst = max(worst, took)
         assert took < 10.0, f"{name} suite took {took:.2f} s, over 10 s"
         # the archimedean verdict is the cancellation row just computed
         assert core.is_archimedean(E) == core._cancellation_check(E, core.TRIPLE_BUDGET, 0).passed
     _verdict(1, True, f"{len(suites)} suites, slowest {worst:.2f}s < 10s, "
-             f"{structural} rows structural", time.perf_counter() - t0)
+             f"{structural} rows structural, {spectral_rows} spectrality rows structural",
+             time.perf_counter() - t0)
 
 
 def test_criterion_02_closed_form_oracle():

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from effalg import cli
 
@@ -309,22 +309,28 @@ _value = st.one_of(_token, st.lists(_token, min_size=1, max_size=4).map(",".join
 _depth = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["x", "2.5", "", "1e3"]))
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.data())
-def test_option_fuzz_never_tracebacks(small_docs, data):
-    doc = small_docs[data.draw(st.sampled_from(sorted(small_docs)))]
-    command = data.draw(st.sampled_from(["spectral", "group", "expect"]))
-    argv = [command, doc]
+@st.composite
+def _fuzzed_argv(draw):
+    """A command on one of ``small_docs``, named by its key, with drawn options."""
+    command = draw(st.sampled_from(["spectral", "group", "expect"]))
+    argv = [command, draw(st.sampled_from(["l4", "matrix", "mv42"]))]
     options = {"spectral": ("--element", "--lambda", "--depth"),
                "group": ("--g", "--lambda", "--approx"),
                "expect": ("--element", "--state", "--depth")}[command]
     for option in options:
-        if data.draw(st.booleans()):
-            value = data.draw(_depth if option == "--depth" else _value)
+        if draw(st.booleans()):
+            value = draw(_depth if option == "--depth" else _value)
             argv.append(f"{option}={value}")
     if command == "spectral" and not any(a.startswith("--lambda") for a in argv):
         argv.append("--depth=3")  # keep listings short; --depth is drawn above otherwise
+    return argv
+
+
+@example(["spectral", "l4", "--element=0", "--lambda=0", "--depth=0"])  # was an IndexError
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzzed_argv())
+def test_option_fuzz_never_tracebacks(small_docs, argv):
+    argv = [argv[0], small_docs[argv[1]], *argv[2:]]
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, (argv, err)

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from effalg import comparability as cmp
-from effalg import core
+from effalg import core, instances
 from effalg.errors import ComparabilityMissing
 
 
@@ -134,6 +134,55 @@ def test_restrict(mv83, bool3):
     B, bcb = bool3
     sub2, _ = cmp.restrict(bcb, 0b011)
     assert sub2.size == 4
+
+
+@pytest.mark.parametrize("build", [
+    lambda: instances.make_mv_product(4, 2),
+    lambda: instances.make_product(instances.make_boolean(2), instances.make_mv_product(4, 1)),
+])
+def test_restricted_tables_are_the_parents(build):
+    """Every sum and map of [0, q], checked in plain Python against the
+    parent's, for every projection q."""
+    E, cb = build()
+    S = E.sum_table.tolist()
+    for q in cb.projections:
+        sub, subcb = cmp.restrict(cb, q, validate=False)
+        back = [int(x) for x in sub.parent_index]
+        assert back == [x for x in range(E.size) if E.leq(x, q)]
+        pos = {x: i for i, x in enumerate(back)}
+        sums = sub.sum_table.tolist()
+        for i, x in enumerate(back):
+            for j, y in enumerate(back):
+                assert sums[i][j] == pos.get(S[x][y], -1), (q, x, y)
+        assert [back[p] for p in subcb.projections] == [p for p in cb.projections
+                                                        if E.leq(p, q)]
+        for p in subcb.projections:
+            J = cb.map_table(back[p]).tolist()
+            assert [back[v] for v in subcb.map_table(p).tolist()] == [J[x] for x in back]
+
+
+def test_large_c_block_is_sampled_and_says_so():
+    """[0, 1] of boolean(2) x mv(8,3) is a table without factors whose one
+    C-block has 2916 elements: the MV row samples pairs and says so."""
+    E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
+    sub, subcb = cmp.restrict(cb, E.one, validate=False)
+    rep = cmp.check_b_comparability(subcb)
+    assert rep.passed and [c.name for c in rep.checks] == [
+        c.name for c in cmp.check_b_comparability(cb).checks]
+    modes = {c.name: (c.mode, c.detail) for c in rep.checks}
+    assert modes.pop("C-blocks-are-MV") == (
+        "sampled", "2000 seeded pairs on C-blocks over 2000 elements; one scalar meet per pair")
+    assert set(modes.values()) == {("full", "")}
+
+
+def test_comparability_scan_matches_the_definition(mo2, hsum_l8, bool3, mv42):
+    """The gathered comparability row against commute and P_<= per pair."""
+    left = instances.make_mv_product(2, 1)
+    hsum = instances.make_horizontal_sum(left, left, ["0", "1/2", "1"], ["0", "1/2", "1"])
+    for E, cb in (mo2, hsum_l8, bool3, mv42, hsum, cmp.restrict(mv42[1], mv42[0].one)):
+        want = next(((e, f) for e in range(E.size) for f in range(E.size)
+                     if cmp.commute(cb, e, f) and not cmp.p_le_set(cb, e, f).size), None)
+        assert cmp._comparability_failure(cb) == want, E.kind
 
 
 def test_b_comparability_verdicts(bool3, mv42, mv83, mo2, hsum_l8):

@@ -78,7 +78,7 @@ def test_dyadic_approximation_is_exact_past_int64():
     assert (err, gap) == (err1 * 2 ** 68, gap1 * 2 ** 68)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 @given(vectors)
 def test_rickart_laws(g):
     star = rickart(G22, g, verify=False)
@@ -87,7 +87,7 @@ def test_rickart_laws(g):
     assert list(gss) == list(G22.proj_complement(star))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 @given(vectors, vectors)
 def test_rickart_monotone(g, h):
     g = np.abs(g)
@@ -97,7 +97,7 @@ def test_rickart_monotone(g, h):
     assert (gss <= hss).all()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 @given(vectors, st.booleans())
 def test_compression_respects_positive_part(g, first):
     q = G22.projection([first, not first])
@@ -108,7 +108,7 @@ def test_compression_respects_positive_part(g, first):
     assert list(jm) == list(G22.compress(q, gm))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(units, st.lists(st.integers(-8, 8), min_size=3, max_size=3).map(np.array))
 def test_spectral_family_clauses(u, g):
     """The four clauses of the rational family on an integer group."""

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from effalg import compbase, comparability, core, instances, spectral
 from effalg.compbase import CompressionBase, validate_base
@@ -289,28 +289,34 @@ _document = st.recursive(_leaf, lambda inner: st.fixed_dictionaries({
     max_leaves=3)
 
 
-def _spoil(data, doc):
-    """A copy of ``doc`` with a drawn key of it or of a nested document
-    dropped or given a junk value, or as it is."""
-    doc = node = json.loads(json.dumps(doc))
-    while node.get("kind") == "product" and data.draw(st.booleans()):
-        node = node["factors"][data.draw(st.integers(0, 1))]
-    action = data.draw(st.sampled_from(["keep", "drop", "junk", "number"]))
+@st.composite
+def _spoiled_document(draw):
+    """A copy of a drawn document with a drawn key of it or of a nested
+    document dropped or given a junk value, or as it is."""
+    doc = node = json.loads(json.dumps(draw(_document)))
+    while node.get("kind") == "product" and draw(st.booleans()):
+        node = node["factors"][draw(st.integers(0, 1))]
+    action = draw(st.sampled_from(["keep", "drop", "junk", "number"]))
     if action != "keep":
-        key = data.draw(st.sampled_from(sorted(node)))
+        key = draw(st.sampled_from(sorted(node)))
         if action == "drop":
             del node[key]
         else:
-            node[key] = data.draw(_junk if action == "junk" else _number)
+            node[key] = draw(_junk if action == "junk" else _number)
     return doc
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_document_fuzz_raises_only_named_errors(data):
-    doc = _spoil(data, data.draw(_document))
+_HALF = {"kind": "mv_product", "denominator": 2, "arity": 1}
+
+
+# a negative state value with no zero among the others was a StopIteration
+@example({"kind": "horizontal_sum", "parts": [_HALF, _HALF],
+          "states": [["0", "1", "-1/4"], ["0", "1/2", "1"]]}, True)
+@settings(deadline=None)
+@given(_spoiled_document(), st.booleans())
+def test_document_fuzz_raises_only_named_errors(doc, validate):
     try:
-        E, cb = instances.parse_document(doc, validate=data.draw(st.booleans()))
+        E, cb = instances.parse_document(doc, validate=validate)
     except EffalgError:
         return
     assert E.size > 0 and all(0 <= p < E.size for p in cb.projections)
@@ -343,7 +349,7 @@ _spec = st.recursive(
     max_leaves=4)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 @given(st.sampled_from(["b2", "mv42", "prod", "hsum", "matrix"]), _spec)
 def test_element_fuzz_raises_only_named_errors(name, spec):
     E = _host(name)
@@ -355,7 +361,7 @@ def test_element_fuzz_raises_only_named_errors(name, spec):
         assert 0 <= a < E.size
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["b2", "prod", "hsum"]),
        st.one_of(st.lists(_rational, max_size=9), _junk))
 def test_state_fuzz_raises_only_named_errors(name, values):

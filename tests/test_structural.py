@@ -2,17 +2,25 @@
 
 ``core.validate_axioms`` and ``compbase.validate_base`` decide a product
 from its factors' reports; ``core._scan_axioms`` and ``compbase._scan_base``
-scan the product itself and are the reference here.  Each failing
-structural row's witness is checked in plain Python on the product's
-tables.  Grids and Boolean algebras are products of their chains, built
-by the same route.  (Criterion 01 compares the two on every valid suite.)
+scan the product itself and are the reference here.  The spectrality
+report of ``comparability.check_b_comparability`` is checked the same way
+against ``comparability._scan_spectral``, and ``central_base``,
+``cover_vec``, ``blocks`` and ``c_block`` against their scans.  Each
+failing structural row's witness is checked in plain Python on the
+product's tables.  Grids and Boolean algebras are products of their
+chains, built by the same route.  (Criterion 01 compares the two on every
+valid suite.)
 """
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from effalg import compbase, core, instances, kernels
+from effalg import comparability, compbase, core, instances, kernels
 from effalg.compbase import CompressionBase, central_base
+from effalg.errors import EffalgError, IncompleteBase
 
 GRIDS = ((2, 1), (1, 2), (3, 1), (2, 2), (4, 1))  # (k, d) of the tables broken below
 MUTATIONS = ("retarget", "undefine", "define", "one-sided")
@@ -260,14 +268,14 @@ def _tower(E):
 @pytest.mark.parametrize("name", list(DENSE_GRIDS))
 def test_grid_base_is_the_central_base(name):
     E, cb = DENSE_GRIDS[name]()
-    ref = central_base(E)
-    assert cb.projections == ref.projections
-    assert np.array_equal(cb.map_stack(), ref.map_stack())
+    assert cb is central_base(E)  # the constructors take the central base E keeps
     assert (cb.factors is None) == (E.d == 1)
     for G, base in zip(_tower(E), _tower(cb)):  # every level is its grid's product base
         assert base.algebra is G and (base.factors is None) == (G.factors is None)
         if base.factors is not None:
             assert tuple(f.algebra for f in base.factors) == G.factors
+    levels = _tower(cb)
+    assert all(base.factors[0] is levels[-1] for base in levels[:-1])  # one chain base
 
 
 @pytest.mark.parametrize("name", list(DENSE_GRIDS))
@@ -355,3 +363,220 @@ def test_archimedean_reads_the_cancellation_row(monkeypatch):
     monkeypatch.setattr(kernels, "cancellation_violation", scanned)
     assert [core.is_archimedean(E) for E in hosts] == want
     assert not hasattr(T, "_archimedean")
+
+
+# ---------------------------------------------------------------------------
+# spectrality through factors
+
+def _criterion_01_instances():
+    """The named instances of criterion 01, built unchecked."""
+    ident = [Fraction(i, 8) for i in range(9)]
+    l8 = instances.make_mv_product(8, 1, validate=False)
+    return {
+        **{f"boolean({n})": instances.make_boolean(n, validate=False) for n in (1, 2, 3, 4)},
+        "mv(4,2)": instances.make_mv_product(4, 2, validate=False),
+        "mv(8,3)": instances.make_mv_product(8, 3, validate=False),
+        "MO2": instances.make_mo2(validate=False),
+        "L8+L8": instances.make_horizontal_sum(l8, l8, ident, ident, validate=False),
+    }
+
+
+def _dense_products():
+    """Criterion 01's products (the cli product document among them) that
+    have dense tables, and MO2 and L8+L8 after boolean(1) as well."""
+    named = _criterion_01_instances()
+    pairs = [(a, b) for a, b in itertools.combinations_with_replacement(sorted(named), 2)
+             if named[a][0].size * named[b][0].size <= core.DENSE_LIMIT]
+    pairs += [("boolean(1)", "MO2"), ("boolean(1)", "L8+L8")]
+    return {f"{a} x {b}": (lambda a=a, b=b: instances.make_product(named[a], named[b],
+                                                                  validate=False))
+            for a, b in pairs}
+
+
+SPECTRAL_CASES = {
+    **DENSE_GRIDS,
+    **{f"boolean({n})": lambda n=n: instances.make_boolean(n, validate=False)
+       for n in (5, 6, 7, 8)},
+    **_dense_products(),
+}
+
+
+class PlainSpectral:
+    """A carrier's sum and order tables and its base's maps, read entry by
+    entry, and for each spectrality row a test that one witness breaks it."""
+
+    def __init__(self, E, cb):
+        self.S, self.L = E.sum_table, E.leq_table
+        self.n, self.zero, self.one = E.size, E.zero, E.one
+        self.P = list(cb.projections)
+        self.J = {p: cb.map_table(p) for p in self.P}
+        self.index = {E.label(x): x for x in range(E.size)}
+
+    def ominus(self, y, x):
+        """The last z with x + z = y, as the difference table holds it; -1
+        when there is none."""
+        hits = [z for z, s in enumerate(self.S[x].tolist()) if s == y]
+        return hits[-1] if hits else -1
+
+    def ortho(self, x):
+        return self.ominus(self.one, x)
+
+    def meet(self, x, y):
+        common = [c for c in range(self.n) if self.L[c, x] and self.L[c, y]]
+        top = [c for c in common if all(self.L[d, c] for d in common)]
+        return top[0] if top else None
+
+    def in_c(self, a, p):  # a = J_p(a) + J_p'(a)
+        return int(self.S[self.J[p][a], self.J[self.ortho(p)][a]]) == a
+
+    def compatible(self, p, q):
+        return self.in_c(p, q) and self.in_c(q, p)
+
+    def closed(self, ps):
+        """The members of ``ps`` compatible with all of ``ps``."""
+        return [p for p in ps if all(self.compatible(p, q) for q in ps)]
+
+    def pc(self, a):
+        return [p for p in self.P if self.in_c(a, p)]
+
+    def breaks(self, name, w):
+        if name == "comparability":
+            e, f = (self.index[x] for x in w)
+            if not all(self.compatible(p, q) for p in self.closed(self.pc(e))
+                       for q in self.closed(self.pc(f))):
+                return False  # e and f do not commute
+            both = [p for p in self.pc(e) if p in self.pc(f)]
+            return not any(self.L[self.J[p][e], self.J[p][f]]
+                           and self.L[self.J[self.ortho(p)][f], self.J[self.ortho(p)][e]]
+                           for p in self.closed(both))
+        if name == "sharp-elements-are-projections":
+            return all(x not in self.P and self.meet(x, self.ortho(x)) == self.zero for x in w)
+        kind, *labels = w  # C-blocks-are-MV
+        x, y = (self.index[v] for v in labels) if labels else (None, None)
+        if kind == "meet-missing":
+            return self.meet(x, y) is None
+        if kind == "mv-identity":
+            m, j = self.meet(x, y), self.ortho(self.meet(self.ortho(x), self.ortho(y)))
+            return self.ominus(j, x) != self.ominus(y, m)
+        return kind in ("join-missing", "not-closed")  # these name no elements
+
+
+def _spectral_outcome(report):
+    """The outline of a report, or the class of what making it raised."""
+    try:
+        return _outline(report())
+    except EffalgError as exc:
+        return type(exc)
+
+
+def _check_spectral_witnesses(E, cb, rep):
+    failing = [c for c in rep.checks if not c.passed and c.witness is not None]
+    if failing:
+        plain = PlainSpectral(E, cb)
+        for c in failing:
+            assert plain.breaks(c.name, c.witness), (c.name, c.witness)
+
+
+@pytest.mark.parametrize("name", list(SPECTRAL_CASES))
+def test_spectrality_matches_the_scan(name):
+    E, cb = SPECTRAL_CASES[name]()
+    rep = comparability.check_b_comparability(cb)
+    assert _outline(rep) == _outline(comparability._scan_spectral(cb)), rep.summary()
+    assert cb.is_spectral() == (rep.passed and cb.has_pcp())
+    if E.factors is not None:
+        assert {c.mode for c in rep.checks} == {"structural"}
+        assert rep.parts == [comparability.check_b_comparability(f) for f in cb.factors]
+    _check_spectral_witnesses(E, cb, rep)
+    # MO2 and L8+L8 are not comparable, and neither is a product with one
+    assert rep.passed == ("MO2" not in name and "L8+L8" not in name)
+
+
+def _unfactored(cb):
+    """A base with the projections and maps of ``cb`` and no factors, on
+    the same carrier: its covers, blocks and C-blocks are scanned."""
+    return CompressionBase(cb.algebra, cb.projections,
+                           {p: cb.map_table(p) for p in cb.projections})
+
+
+@pytest.mark.parametrize("name", list(SPECTRAL_CASES))
+def test_factor_routes_match_the_scans(name):
+    """``cover_vec``, ``blocks``, ``c_block`` and ``central_base`` of a base
+    with factors against the scans; ``central_base`` is scanned on a table
+    copy of the carrier, while its one scalar meet per element and sharp
+    element stays cheap."""
+    E, cb = SPECTRAL_CASES[name]()
+    if E.factors is None:
+        return
+    twin = _unfactored(cb)
+    assert np.array_equal(cb.cover_vec(), twin.cover_vec())
+    assert compbase.blocks(cb) == compbase.blocks(twin)
+    for block in compbase.blocks(cb):
+        assert np.array_equal(compbase.c_block(cb, block), compbase.c_block(twin, block))
+    odd = cb.projections[::5]  # a set of projections that is no block
+    assert np.array_equal(compbase.c_block(cb, odd), compbase.c_block(twin, odd))
+    centre = central_base(E)
+    assert centre.factors is not None
+    if E.size * len(core.sharp_elements(E)) <= 20_000:
+        scan = central_base(core.TableAlgebra(E.sum_table, E.zero, E.one))
+        assert centre.projections == scan.projections
+        assert np.array_equal(centre.map_stack(), scan.map_stack())
+
+
+def test_broken_table_factors_match_the_spectral_scan():
+    rng = np.random.default_rng(8)
+    partners = _partners()
+    failed, raised = set(), set()
+    for i in range(4 * len(GRIDS)):
+        broken = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        for partner in partners:
+            for E, cb in _both_orders(broken, partner):
+                structural = _spectral_outcome(lambda: comparability.check_b_comparability(cb))
+                assert structural == _spectral_outcome(lambda: comparability._scan_spectral(cb))
+                if isinstance(structural, type):
+                    raised.add(structural)
+                    continue
+                rep = comparability.check_b_comparability(cb)
+                assert {c.mode for c in rep.checks} == {"structural"}
+                _check_spectral_witnesses(E, cb, rep)
+                failed |= {c.name for c in rep.checks if not c.passed}
+    assert failed == {"comparability", "sharp-elements-are-projections", "C-blocks-are-MV"}
+    assert raised == {IncompleteBase}
+
+
+def test_spectral_product_builds_no_product_table():
+    """The verdict on boolean(2) x mv(8,3) reads factor reports only."""
+    E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
+    assert cb.is_spectral()
+    assert (E._sum_table, E._leq_table, E._ominus_table, cb._pc_matrix) == (None,) * 4
+    rep = comparability.check_b_comparability(cb)
+    assert not rep.sampled and {c.mode for c in rep.checks} == {"structural"}
+    assert comparability.check_b_comparability(cb) is rep  # kept on the base
+
+
+def _meet_bases(rng):
+    """Bases whose P is every sharp element, with J_p(a) = a ^ p (0 where
+    the meet is missing), some entries then moved at random: P holds
+    incompatible projections, so PC(a) and P(e, f) vary from pair to pair."""
+    for E, _ in (instances.make_mo2(), instances.make_mo2(), instances.make_boolean(2),
+                 instances.make_mv_product(4, 1), _criterion_01_instances()["L8+L8"]):
+        P = [int(p) for p in core.sharp_elements(E)]
+        maps = {p: np.array([E.meet(a, p) or 0 for a in range(E.size)]) for p in P}
+        for _ in range(int(rng.integers(0, 3))):
+            p = P[rng.integers(len(P))]
+            maps[p][rng.integers(E.size)] = rng.integers(E.size)
+        yield E, CompressionBase(E, P, maps)
+
+
+def test_comparability_gather_matches_plain_python():
+    """The first commuting pair without a separating projection in P(e, f),
+    against the definition read entry by entry (``PlainSpectral``)."""
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(4):
+        for E, cb in _meet_bases(rng):
+            plain = PlainSpectral(E, cb)
+            want = next(((e, f) for e in range(E.size) for f in range(E.size)
+                         if plain.breaks("comparability", (E.label(e), E.label(f)))), None)
+            assert comparability._comparability_failure(cb) == want, E.kind
+            found += want is not None
+    assert found
