@@ -6,6 +6,13 @@ projection p with J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e); positive
 parts and the halving decomposition used by the spectral construction
 both come from such projections.
 
+The b-property, commuting and P(e, f) depend on the sets PC(e) and PC(f)
+only, so they are read from the base's class table
+(``CompressionBase.class_table``), built once per base: O(1) lookups for
+the first two, two class rows for the third.  A split is then a fixed
+number of gathers however large P is: one of J_p and J_p' at e and f with
+one order test for P_<=(e, f), and one of J_p for the positive part.
+
 ``check_b_comparability`` decides the rows of the spectrality verdict
 once per base: through the factor bases on a product base
 (``structural``), by one exact scan of the carrier otherwise (``full``).
@@ -30,6 +37,7 @@ from .core import (
     sharp_elements,
 )
 from .errors import (
+    BPropertyMissing,
     ComparabilityMissing,
     InternalConsistencyError,
     NotCommuting,
@@ -60,62 +68,47 @@ def has_b_property(cb, a) -> bool:
     """True when membership of a in C(p) is decided by its bicommutant."""
     if not cb.enumerable:
         return cb.has_b_property(a)
-    pcm = cb.pc_matrix()[a]
-    bic = cb.bicommutant_set(a)
-    pos = np.array([cb.p_pos[int(p)] for p in bic])
-    contained = ~((~cb.pcompat()[:, pos]).any(axis=1))  # P(a) subset of C(p)?
-    return bool((contained == pcm).all())
+    t = cb.class_table()
+    return bool(t.b[t.cls[a]])
 
 
 def all_b(cb) -> bool:
     """Every element has the b-property; decided once per distinct PC(a)."""
     if not cb.enumerable:
         return cb.all_b()
-    rows, _, bic, ncomp = _pc_classes(cb)
-    return bool((~(bic @ ncomp) == rows).all())
-
-
-def _pc_classes(cb):
-    """The distinct sets PC(a) as the rows of a bool ``(u, |P|)`` table,
-    each element's row, the bicommutants P(a) of the rows, and the
-    ``(|P|, |P|)`` table of incompatible pairs of projections.  The
-    b-property, commuting and P(e, f) depend on PC(e) and PC(f) only."""
-    rows, cls = np.unique(cb.pc_matrix(), axis=0, return_inverse=True)
-    ncomp = ~cb.pcompat()
-    return rows, cls.ravel(), rows & ~(rows @ ncomp), ncomp
+    return bool(cb.class_table().b.all())
 
 
 def commute(cb, e, f) -> bool:
     """e C f: the bicommutants P(e) and P(f) are pairwise compatible."""
     if not cb.enumerable:
         return cb.commute(e, f)
-    if not (has_b_property(cb, e) and has_b_property(cb, f)):
-        from .errors import BPropertyMissing
-
+    t = cb.class_table()
+    ce, cf = t.cls[e], t.cls[f]
+    if not (t.b[ce] and t.b[cf]):
         raise BPropertyMissing("commuting is defined for b-elements only")
-    pe = np.array([cb.p_pos[int(p)] for p in cb.bicommutant_set(e)])
-    pf = np.array([cb.p_pos[int(p)] for p in cb.bicommutant_set(f)])
-    return bool(cb.pcompat()[np.ix_(pe, pf)].all())
+    return bool(t.commuting[ce, cf])
 
 
 def p_le_set(cb, e, f) -> np.ndarray:
-    """P_<=(e, f): p in P(e, f) with J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e)."""
+    """P_<=(e, f): p in P(e, f) with J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e).
+
+    P(e, f), the members of PC({e, f}) compatible with all of it, comes
+    from the two class rows; the order tests are one gather of J_p and
+    J_p' at e and f and one ``leq_pairs`` over every candidate.
+    """
     if not cb.enumerable:
         return cb.p_le_set(e, f)
     if not commute(cb, e, f):
         raise NotCommuting(f"{cb.algebra.label(e)} and {cb.algebra.label(f)} do not commute")
     E = cb.algebra
-    pcm = cb.pc_matrix()
-    smask = pcm[e] & pcm[f]  # PC({e, f})
-    cand = smask & ~((~cb.pcompat()) & smask[None, :]).any(axis=1)
-    out = []
-    for pos in np.flatnonzero(cand):
-        p = cb.projections[pos]
-        jp = cb.map_table(p)
-        jo = cb.map_table(cb.p_ortho(p))
-        if E.leq(int(jp[e]), int(jp[f])) and E.leq(int(jo[f]), int(jo[e])):
-            out.append(p)
-    return np.array(out, dtype=np.int64)
+    t = cb.class_table()
+    both = t.pc[t.cls[e]] & t.pc[t.cls[f]]  # PC({e, f})
+    ps = cb.p_array[both & cb.pcompat()[:, both].all(axis=1)]
+    k = ps.size
+    j = cb.map_values(np.concatenate([ps, E.ortho_all()[ps]]), [e, f])
+    ok = E.leq_pairs(np.concatenate([j[:k, 0], j[k:, 1]]), np.concatenate([j[:k, 1], j[k:, 0]]))
+    return ps[ok.reshape(2, k).all(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +197,8 @@ def _scan_spectral(cb) -> Report:
     must be dense; every base without ``factors`` gets them, and the tests
     take them as the reference for products.
 
-    The b-property, commuting and ``P(e, f)`` are decided once per pair of
-    distinct sets ``PC(e)``, ``PC(f)``; comparability is one gather
+    The b-property, commuting and ``P(e, f)`` are read from the base's
+    class table, the one that every split reads; comparability is one gather
     (``_comparability_failure``).  C-blocks of more than
     ``MV_EXACT_ELEMENTS`` elements are checked on a seeded sample of pairs
     and the row says ``sampled``.
@@ -228,7 +221,7 @@ def _scan_spectral(cb) -> Report:
         sampled = max(c.size for c in cblocks) > MV_EXACT_ELEMENTS
         rep.add("C-blocks-are-MV", w is None, witness=w, mode="sampled" if sampled else "full",
                 detail=f"{MV_SAMPLE} seeded pairs on C-blocks over {MV_EXACT_ELEMENTS} "
-                       f"elements; one scalar meet per pair" if sampled else "")
+                       f"elements" if sampled else "")
     return rep
 
 
@@ -236,20 +229,20 @@ def _comparability_failure(cb):
     """The first commuting pair (e, f) in row-major order with P_<=(e, f)
     empty, or None.
 
-    ``P(e, f)`` and commuting are taken per pair of distinct sets PC(e),
-    PC(f) (``_pc_classes``).  The open pairs are a bit matrix, one row of
-    ``n`` bits per e.  For each p in turn the pairs with p in P(e, f),
-    ``J_p(e) <= J_p(f)`` and ``J_p'(f) <= J_p'(e)`` are closed.  Each test
-    gathers the order table at the distinct values of the map only, in
-    steps of ``kernels.CHUNK_BYTES``; the bit matrices take ``n^2 / 8``
-    bytes each.
+    ``P(e, f)`` and commuting are taken per pair of classes of the base's
+    class table (``CompressionBase.class_table``).  The open pairs are a
+    bit matrix, one row of ``n`` bits per e.  For each p in turn the pairs
+    with p in P(e, f), ``J_p(e) <= J_p(f)`` and ``J_p'(f) <= J_p'(e)`` are
+    closed.  Each test gathers the order table at the distinct values of
+    the map only, in steps of ``kernels.CHUNK_BYTES``; the bit matrices
+    take ``n^2 / 8`` bytes each.
     """
     E = cb.algebra
     n = E.size
     leq = E.leq_table
-    rows, cls, bic, ncomp = _pc_classes(cb)
+    t = cb.class_table()
+    rows, cls, ncomp = t.pc, t.cls, ~cb.pcompat()
     u, m = rows.shape
-    commuting = ~((bic @ ncomp) @ bic.T)
     both = (rows[:, None, :] & rows[None, :, :]).reshape(-1, m)  # PC({e, f})
     p_ef = (both & ~(both @ ncomp)).reshape(u, u, m)  # P(e, f)
     step = max(1, kernels.CHUNK_BYTES // n)
@@ -263,7 +256,7 @@ def _comparability_failure(cb):
             out[i:i + step] = np.packbits(table[values[i:i + step]][:, j], axis=1)
         return out[at]
 
-    open_pairs = np.packbits(commuting[:, cls], axis=1)[cls]
+    open_pairs = np.packbits(t.commuting[:, cls], axis=1)[cls]
     for k, p in enumerate(cb.projections):
         if not open_pairs.any():
             return None
@@ -271,8 +264,8 @@ def _comparability_failure(cb):
         open_pairs &= ~(np.packbits(p_ef[:, cls, k], axis=1)[cls] & order_rows(
             leq, cb.map_table(p)) & order_rows(leq.T, cb.map_table(E.ortho(p))))
     bits = np.unpackbits(open_pairs, axis=1, count=n).ravel()
-    t = int(np.argmax(bits))
-    return (t // n, t % n) if bits[t] else None
+    i = int(np.argmax(bits))
+    return (i // n, i % n) if bits[i] else None
 
 
 def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
@@ -339,17 +332,14 @@ def positive_part(cb, b, a):
     if pl.size == 0:
         raise ComparabilityMissing(
             f"no separating projection for ({E.label(a)}, {E.label(b)})")
-    vals = []
-    for p in pl:
-        jp = cb.map_table(int(p))
-        v = E.ominus(int(jp[b]), int(jp[a]))
-        if v is None:
-            raise InternalConsistencyError("J_p(b) - J_p(a) undefined on P_<=")
-        vals.append(v)
-    if len(set(vals)) != 1:
+    j = cb.map_values(pl, [a, b])
+    vals = E.ominus_pairs(j[:, 1], j[:, 0])
+    if (vals < 0).any():
+        raise InternalConsistencyError("J_p(b) - J_p(a) undefined on P_<=")
+    if (vals != vals[0]).any():
         raise InternalConsistencyError(
-            f"positive part depends on the projection: {sorted(set(vals))}")
-    return vals[0]
+            f"positive part depends on the projection: {np.unique(vals).tolist()}")
+    return int(vals[0])
 
 
 def split(cb, c, q) -> SplitResult:

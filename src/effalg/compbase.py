@@ -60,6 +60,7 @@ class CompressionBase:
         self.factors = factors
         self._reports = {}  # validate_base by (budget, seed); "b-comparability"
         self.projections = sorted(int(p) for p in projections)
+        self.p_array = np.array(self.projections, dtype=np.int64)
         self.p_set = frozenset(self.projections)
         self.p_pos = {p: i for i, p in enumerate(self.projections)}
         self._maps = dict(maps)
@@ -67,6 +68,7 @@ class CompressionBase:
         self._stack = None
         self._pcompat = None
         self._pc_matrix = None
+        self._classes = None
         self._elem_leq_proj = None
         self._cover_vec = None
         self._p_meet = None
@@ -102,9 +104,12 @@ class CompressionBase:
         """int32 ``(len(ps), len(xs))`` table of J_p(x), p in ``ps``, x in
         ``xs`` (default: the whole carrier)."""
         if self.caches_maps:
-            rows = [self.p_pos[int(p)] for p in ps]
+            ps = np.asarray(ps, dtype=np.int64)
+            rows = np.searchsorted(self.p_array, ps)
+            if not (self.p_array[np.minimum(rows, self.p_array.size - 1)] == ps).all():
+                raise KeyError(f"not all of {ps.tolist()} are projections")
             stack = self.map_stack()
-            return stack[rows] if xs is None else stack[np.ix_(rows, xs)]
+            return stack[rows] if xs is None else stack[rows[:, None], xs]
         cols = slice(None) if xs is None else xs
         out = np.empty((len(ps), self.algebra.size if xs is None else len(xs)), dtype=np.int32)
         for i, p in enumerate(ps):
@@ -153,7 +158,13 @@ class CompressionBase:
         return self._pc_matrix
 
     def pcompat(self) -> np.ndarray:
-        """(|P|, |P|) Mackey compatibility, via q in C(p)."""
+        """(|P|, |P|) Mackey compatibility, via q in C(p).  On a product
+        base it is the Kronecker product of the factors' tables, as
+        ``(q1, q2)`` lies in ``C((p1, p2))`` iff ``q1`` lies in ``C(p1)`` and
+        ``q2`` in ``C(p2)``."""
+        if self._pcompat is None and self.factors is not None:
+            left, right = self.factors
+            self._pcompat = _kron(left.pcompat(), right.pcompat())
         if self._pcompat is None:
             P = np.array(self.projections)
             self._pcompat = self.pc_matrix()[P, :]
@@ -162,22 +173,30 @@ class CompressionBase:
             self._pcompat = self._pcompat & self._pcompat.T
         return self._pcompat
 
+    def class_table(self) -> "ClassTable":
+        """The elements grouped by their set PC(a), which decides the
+        b-property, commuting and P(e, f); built once and kept.  On a
+        product base it is composed from the factors' tables
+        (``_composed_classes``) and reads no product-sized ``pc_matrix``."""
+        if self._classes is None:
+            self._classes = (_pc_classes(self) if self.factors is None
+                             else _composed_classes(self))
+        return self._classes
+
     def pc_set(self, a: int) -> np.ndarray:
         """PC(a): projections whose compressions decompose a."""
-        return np.array(self.projections)[self.pc_matrix()[a]]
+        t = self.class_table()
+        return self.p_array[t.pc[t.cls[a]]]
 
     def bicommutant_set(self, a: int) -> np.ndarray:
         """P(a) = PC(PC(a) u {a}): projections in PC(a) compatible with all of it."""
-        mask = self.pc_matrix()[a]
-        ok = mask & ~((~self.pcompat()) & mask[None, :]).any(axis=1)
-        return np.array(self.projections)[ok]
+        t = self.class_table()
+        return self.p_array[t.bic[t.cls[a]]]
 
     def bicommutant_mask_all(self) -> np.ndarray:
         """(n, |P|) membership table of P(a) for every element."""
-        pc = self.pc_matrix()
-        # a projection p fails for a iff some q in PC(a) is incompatible with p
-        misses = pc.astype(np.int16) @ (~self.pcompat()).astype(np.int16)
-        return pc & (misses == 0)
+        t = self.class_table()
+        return t.bic[t.cls]
 
     # -- covers ------------------------------------------------------------------
 
@@ -260,6 +279,71 @@ class CompressionBase:
         from . import comparability
 
         return comparability.check_b_comparability(self).passed and self.has_pcp()
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """The elements of a base grouped by their set PC(a).
+
+    ``cls[a]`` is the class of element ``a``.  Per class, over positions in
+    P: ``pc`` is PC(a), ``bic`` the bicommutant P(a) (the members of PC(a)
+    compatible with all of it) and ``compat`` the projections compatible
+    with every member of P(a); ``b`` says that a has the b-property
+    (``compat`` equals ``pc``).  ``commuting[c, d]`` says that P(c) and P(d)
+    are pairwise compatible.  All of these depend on PC(a) only, so the
+    table holds ``u x |P|`` bits per row kind and ``u x u`` commuting bits for
+    ``u`` classes; every element of a central base has PC(a) = P, so
+    ``u = 1`` there.
+    """
+
+    cls: np.ndarray
+    pc: np.ndarray
+    bic: np.ndarray
+    compat: np.ndarray
+    b: np.ndarray
+    commuting: np.ndarray
+
+
+def _class_table(cls, pc, bic, compat) -> ClassTable:
+    """The table of these class rows, with ``b`` and ``commuting`` read
+    off them."""
+    return ClassTable(cls, pc, bic, compat, (compat == pc).all(axis=1),
+                      ~((~compat) @ bic.T))
+
+
+def _pc_classes(cb: CompressionBase) -> ClassTable:
+    """The class table from the distinct rows of ``cb.pc_matrix()``."""
+    rows, cls = np.unique(cb.pc_matrix(), axis=0, return_inverse=True)
+    ncomp = ~cb.pcompat()
+    bic = rows & ~(rows @ ncomp)
+    return _class_table(cls.ravel(), rows, bic, ~(bic @ ncomp))
+
+
+def _composed_classes(cb: CompressionBase) -> ClassTable:
+    """The class table of a product base from its factors' tables.
+
+    Element ``(a1, a2)`` gets class ``(c1, c2)`` and projection ``(p1, p2)``
+    position ``(i1, i2)``, both in the product's row-major layout.
+    ``PC(a) = PC(a1) x PC(a2)`` and compatibility is componentwise
+    (``pcompat``), so ``P(a) = P(a1) x P(a2)``, and a projection is
+    compatible with all of a nonempty P(a) iff its components are
+    compatible with all of P(a1) and of P(a2); with every projection when
+    P(a) is empty.  Distinct classes may share their rows where a factor
+    row is empty, which only a broken base allows.
+    """
+    left, right = (f.class_table() for f in cb.factors)
+    ia, ib = cb.algebra.split_index(np.arange(cb.algebra.size))
+    bic = _kron(left.bic, right.bic)
+    compat = _kron(left.compat, right.compat) | ~bic.any(axis=1)[:, None]
+    return _class_table(left.cls[ia] * right.pc.shape[0] + right.cls[ib],
+                        _kron(left.pc, right.pc), bic, compat)
+
+
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product of two bool tables: entry ``(i1, i2), (j1, j2)``
+    of the result, row-major, is ``A[i1, j1] & B[i2, j2]``."""
+    out = A[:, None, :, None] & B[None, :, None, :]
+    return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,12 @@ PAIR_BUDGET = 200_000_000
 SAMPLE_SIZE = 20_000
 
 
+# for a byte of np.packbits output: the position of its first set bit (8 in
+# a zero byte), and the byte with only position i set (none for i = 8)
+_LEADING_BIT = np.array([8 - v.bit_length() for v in range(256)], dtype=np.int64)
+_BIT = np.array([0x80 >> i for i in range(8)] + [0], dtype=np.uint8)
+
+
 def carrier_cap() -> int:
     return int(os.environ.get("EA_MAX_CARRIER", 100_000))
 
@@ -222,6 +228,7 @@ class FiniteAlgebra(EffectAlgebra):
         self._ominus_table = None
         self._defined_pairs = None
         self._ortho_vec = None
+        self._order_index = None  # _order_bits(), for meet_pairs
         self._reports = {}  # validate_axioms reports by (budget, seed)
         self._central = None  # compbase.central_base(self), built on first use
 
@@ -282,13 +289,55 @@ class FiniteAlgebra(EffectAlgebra):
         return self._ominus_table[bs, xs].astype(np.int64)
 
     def meet_pairs(self, xs, ys) -> np.ndarray:
-        """Pointwise meets; -1 where a pair has none.  One scalar ``meet``
-        search per distinct pair."""
+        """Pointwise meets; -1 where a pair has none.
+
+        Each distinct pair is answered once; a meet is symmetric, so
+        ``(x, y)`` and ``(y, x)`` count as one.  A dense carrier reads its
+        order table for a run of pairs at a time, in steps of
+        ``kernels.CHUNK_BYTES``, as ``CompressionBase.p_meet_table`` does
+        for P: the candidate is the common lower bound with the most
+        elements below it, and it is the meet when every common lower
+        bound lies below it and no other lies above it as well.  That
+        decides every pair that has a meet in a partial order.  The pairs
+        it leaves open, those with no meet and the ties of a broken table
+        whose order is not antisymmetric or not transitive, get the scalar
+        ``meet`` search, which defines the answer, and so does every pair
+        of a carrier past ``DENSE_LIMIT``.
+        """
         xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
-        keys, inv = np.unique((xs * self._n + ys).ravel(), return_inverse=True)
-        meets = [self.meet(int(k) // self._n, int(k) % self._n) for k in keys]
-        out = np.array([-1 if m is None else m for m in meets], dtype=np.int64)
+        keys, inv = np.unique((np.minimum(xs, ys) * self._n + np.maximum(xs, ys)).ravel(),
+                              return_inverse=True)
+        out = np.full(keys.size, -1, dtype=np.int64)
+        if self.dense:
+            n = self._n
+            order, down, up = self._order_bits()
+            step = max(1, kernels.CHUNK_BYTES // (4 * down.shape[1]))
+            for i in range(0, keys.size, step):
+                x, y = np.divmod(keys[i:i + step], n)
+                common = down[x] & down[y]
+                rows = np.arange(x.size)
+                byte = np.argmax(common != 0, axis=1)
+                bit = _LEADING_BIT[common[rows, byte]]  # 8 where no bound is common
+                top = order[np.minimum(byte * 8 + bit, n - 1)]
+                tied = common & up[top]  # common bounds above the candidate
+                tied[rows, byte] &= ~_BIT[bit]  # less the candidate itself
+                found = (bit < 8) & ~(common & ~down[top]).any(axis=1) & ~tied.any(axis=1)
+                out[i:i + step][found] = top[found]
+        for i in np.flatnonzero(out < 0):
+            m = self.meet(int(keys[i]) // self._n, int(keys[i]) % self._n)
+            out[i] = -1 if m is None else m
         return out[inv].reshape(xs.shape)
+
+    def _order_bits(self):
+        """``(order, down, up)``: the elements, those with the most elements
+        below first, and per element the bit rows over ``order`` of the
+        elements below it and above it; built once from the order table."""
+        if self._order_index is None:
+            below = self.leq_table  # below[c, x]: c <= x
+            order = np.argsort(-below.sum(axis=0), kind="stable")
+            self._order_index = (order, np.packbits(below.T[:, order], axis=1),
+                                 np.packbits(below[:, order], axis=1))
+        return self._order_index
 
     def ortho_all(self) -> np.ndarray:
         if self._ortho_vec is None:

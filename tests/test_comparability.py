@@ -171,7 +171,7 @@ def test_large_c_block_is_sampled_and_says_so():
         c.name for c in cmp.check_b_comparability(cb).checks]
     modes = {c.name: (c.mode, c.detail) for c in rep.checks}
     assert modes.pop("C-blocks-are-MV") == (
-        "sampled", "2000 seeded pairs on C-blocks over 2000 elements; one scalar meet per pair")
+        "sampled", "2000 seeded pairs on C-blocks over 2000 elements")
     assert set(modes.values()) == {("full", "")}
 
 

@@ -312,6 +312,49 @@ def test_meet_pairs_matches_the_lower_bound_search(name):
         assert (got < 0).any() and (got >= 0).any()
 
 
+def _table_carriers():
+    """Dense carriers without factors: MO2, L8+L8, even(6), the horizontal
+    sum of two 3-element chains and 20 seeded broken grid tables, whose
+    orders are not all antisymmetric or transitive."""
+    from test_structural import GRIDS, MUTATIONS, _broken_table
+
+    left = instances.make_mv_product(2, 1, validate=False)
+    half = ["0", "1/2", "1"]
+    out = {name: _named_carrier(name) for name in ("MO2", "L8+L8", "even(6)")}
+    out["C3+C3"] = instances.make_horizontal_sum(left, left, half, half, validate=False)[0]
+    rng = np.random.default_rng(8)
+    for i in range(20):
+        out[f"broken {i}"] = _broken_table(rng, *GRIDS[i % len(GRIDS)],
+                                           MUTATIONS[i % len(MUTATIONS)])[0]
+    return out
+
+
+def test_dense_meets_match_the_scalar_search(monkeypatch):
+    """On every pair of each carrier the chunked meets of the order table
+    equal the scalar search, ties and missing meets included, in one step
+    and in steps of a few pairs; the carriers reach pairs with no meet and
+    pairs that only the scalar search decides (the ties of an order that
+    is not antisymmetric)."""
+    missing = ties = 0
+    for name, E in _table_carriers().items():
+        assert E.factors is None and E.dense, name
+        n = E.size
+        xs, ys = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        want = np.array([-1 if (m := E.meet(int(x), int(y))) is None else m
+                         for x, y in zip(xs, ys)])
+        assert np.array_equal(E.meet_pairs(xs, ys), want), name
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "CHUNK_BYTES", 64)
+            assert np.array_equal(E.meet_pairs(xs, ys), want), name
+        L = E.leq_table
+        if ((L & L.T) & ~np.eye(n, dtype=bool)).any():
+            common = L[:, xs] & L[:, ys]  # [c, pair]
+            greatest = common & ~(common[:, None, :] & ~L[:, :, None]).any(axis=0)
+            ties += int((greatest.sum(axis=0) > 1).sum())
+        missing += int((want < 0).sum())
+    assert missing and ties
+
+
 def _ref_normality(S, omi, leq, pidx, in_p):
     n = len(S)
     for p in pidx:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from effalg import instances, spectral
-from effalg.errors import InvalidDepth, NotSpectral
+from effalg import core, instances, spectral
+from effalg.errors import EffalgError, InvalidDepth, NotSpectral
 from effalg.spectral import (
     DyadicRational,
     apply_fw,
@@ -526,3 +526,73 @@ def test_rational_resolution_at_depth_zero(l8):
     for lam in (Fraction(0), Fraction(1, 2)):
         with pytest.raises(InvalidDepth):
             spectral.rational_resolution(cb, 3, lam, 0)
+
+
+# ---------------------------------------------------------------------------
+# the fourth oracle: a product's resolution is the pair of its factors'
+
+ORACLE_LAMBDAS = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2))
+
+
+def _factor_outcome(fn):
+    """What ``fn`` returns, or the class of the error it raised."""
+    try:
+        return fn()
+    except EffalgError as exc:
+        return type(exc)
+
+
+ORACLE_LEFT = {"boolean(2)": lambda: instances.make_boolean(2),
+               "mv(4,2)": lambda: instances.make_mv_product(4, 2)}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_LEFT))
+def test_product_resolutions_are_pairs_of_factor_resolutions(name):
+    """On every element of ``name`` x mv(4,2).
+
+    The pair of the factors' spectral families meets the defining clauses
+    in E1 x E2 componentwise, and the rational spectral resolution of an
+    element of a spectral archimedean effect algebra is unique, so the
+    product's family is that pair: at every point of the binary grids of
+    depth 0 to 6, in its jumps (the merged factor jumps), in the rational
+    resolution and in the expectation bounds of a product state.
+    """
+    left, right = ORACLE_LEFT[name](), instances.make_mv_product(4, 2)
+    P, cb = instances.make_product(left, right)
+    rng = np.random.default_rng(12)
+    mix = Fraction(int(rng.integers(1, 8)), 8)
+    states = []
+    for E, _ in (left, right):
+        raw = [int(x) for x in rng.integers(1, 9, E.d)]
+        states.append(instances.weighted_state(E, [Fraction(x, sum(raw)) for x in raw]))
+    ia, ib = P.split_index(np.arange(P.size))
+    state = core.State(P, [mix * states[0](int(x)) + (1 - mix) * states[1](int(y))
+                           for x, y in zip(ia, ib)])
+    factor = {}
+
+    def of(side, x, what, *args):
+        key = (side, x, what) + args
+        if key not in factor:
+            fcb = (left, right)[side][1]
+            fn = {"binary": binary_resolution, "rational": rational_resolution,
+                  "expect": lambda cb, x, n: expectation_bounds(cb, x, states[side], n)}[what]
+            factor[key] = _factor_outcome(lambda: fn(fcb, x, *args))
+        return factor[key]
+
+    for a in range(P.size):
+        x, y = int(ia[a]), int(ib[a])
+        for n in range(7):
+            res, r1, r2 = binary_resolution(cb, a, n), of(0, x, "binary", n), of(1, y, "binary", n)
+            for j in range(2 ** n + 1):
+                assert res.at_index(j) == P.pair_index(r1.at_index(j), r2.at_index(j)), (a, n, j)
+            merged = sorted({j for j, _ in r1.jumps} | {j for j, _ in r2.jumps})
+            assert res.jumps == tuple((j, P.pair_index(r1.at_index(j), r2.at_index(j)))
+                                      for j in merged), (a, n)
+        for lam in ORACLE_LAMBDAS:
+            got = _factor_outcome(lambda: rational_resolution(cb, a, lam, 6))
+            v1, v2 = of(0, x, "rational", lam, 6), of(1, y, "rational", lam, 6)
+            assert got == (v1 if isinstance(v1, type) else v2 if isinstance(v2, type)
+                           else P.pair_index(v1, v2)), (a, lam)
+        (lo1, hi1), (lo2, hi2) = of(0, x, "expect", 6), of(1, y, "expect", 6)
+        assert expectation_bounds(cb, a, state, 6) == (mix * lo1 + (1 - mix) * lo2,
+                                                       mix * hi1 + (1 - mix) * hi2), a

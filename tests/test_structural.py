@@ -502,8 +502,8 @@ def _unfactored(cb):
 def test_factor_routes_match_the_scans(name):
     """``cover_vec``, ``blocks``, ``c_block`` and ``central_base`` of a base
     with factors against the scans; ``central_base`` is scanned on a table
-    copy of the carrier, while its one scalar meet per element and sharp
-    element stays cheap."""
+    copy of the carrier where it has at most 20 000 pairs of an element and
+    a sharp element."""
     E, cb = SPECTRAL_CASES[name]()
     if E.factors is None:
         return
