@@ -272,7 +272,8 @@ def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
     """A witness that ``elems`` is not an MV effect algebra inside E, or
     None: meets and joins exist in E and stay in ``elems``, and the MV
     identity (a v b) - a = b - (a ^ b) holds, on every pair of ``elems``,
-    or on ``MV_SAMPLE`` seeded pairs past ``MV_EXACT_ELEMENTS``.
+    or on ``MV_SAMPLE`` seeded pairs past ``MV_EXACT_ELEMENTS``: the first
+    failing law, in this order, at its first pair in row-major order.
 
     The Riesz decomposition property needs no check of its own: a
     lattice-ordered effect algebra in which (a v b) - a = b - (a ^ b) holds
@@ -280,29 +281,44 @@ def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
     the Riesz decomposition property (Dvurecenskij and Pulmannova, *New
     Trends in Quantum Structures*, Kluwer 2000, ch. 1).
     """
-    k = elems.size
-    if k <= MV_EXACT_ELEMENTS:
-        xs, ys = np.repeat(elems, k), np.tile(elems, k)
-    else:
+    ortho = E.ortho_all()
+    first = None  # (law, place, witness) of the first failing law past the meets
+    for xs, ys, place in _mv_pairs(elems.size):
+        a, b = elems[xs], elems[ys]
+        meets = E.meet_pairs(a, b)
+        if (meets < 0).any():  # mirrors follow their pairs: this one is first row-major
+            i = int(np.argmax(meets < 0))
+            return "meet-missing", E.label(int(a[i])), E.label(int(b[i]))
+        joins = E.meet_pairs(ortho[a], ortho[b])
+        if (joins < 0).any():
+            here = (1, 0, ("join-missing",))
+        elif not np.isin(np.concatenate([meets, ortho[joins]]), elems).all():
+            here = (2, 0, ("not-closed",))
+        else:
+            bad = np.flatnonzero(E.ominus_pairs(ortho[joins], a) != E.ominus_pairs(b, meets))
+            if not bad.size:
+                continue
+            i = bad[np.argmin(place[bad])]
+            here = (3, int(place[i]), ("mv-identity", E.label(int(a[i])), E.label(int(b[i]))))
+        first = min(first or here, here)
+    return first and first[2]
+
+
+def _mv_pairs(k: int):
+    """Runs ``(xs, ys, place)`` of pairs of positions in a C-block of ``k``
+    elements.  Up to ``MV_EXACT_ELEMENTS``, about ``kernels.CHUNK_BYTES`` at
+    a time: the pairs ``xs <= ys`` of a run of rows and their mirrors, at
+    their row-major places.  Past it: ``MV_SAMPLE`` seeded pairs, as drawn."""
+    if k > MV_EXACT_ELEMENTS:
         rng = np.random.default_rng(0)
-        xs = elems[rng.integers(0, k, size=MV_SAMPLE)]
-        ys = elems[rng.integers(0, k, size=MV_SAMPLE)]
-    meets = E.meet_pairs(xs, ys)
-    if (meets < 0).any():
-        i = int(np.argmax(meets < 0))
-        return "meet-missing", E.label(int(xs[i])), E.label(int(ys[i]))
-    joins = E.meet_pairs(E.ortho_all()[xs], E.ortho_all()[ys])
-    if (joins < 0).any():
-        return "join-missing",
-    joins = E.ortho_all()[joins]
-    if not np.isin(np.concatenate([meets, joins]), elems).all():
-        return "not-closed",
-    lhs = E.ominus_pairs(joins, xs)
-    rhs = E.ominus_pairs(ys, meets)
-    if (lhs != rhs).any():
-        i = int(np.argmax(lhs != rhs))
-        return "mv-identity", E.label(int(xs[i])), E.label(int(ys[i]))
-    return None
+        xs, ys = rng.integers(0, k, size=MV_SAMPLE), rng.integers(0, k, size=MV_SAMPLE)
+        yield xs, ys, np.arange(MV_SAMPLE)
+        return
+    step = max(1, kernels.CHUNK_BYTES // (256 * k))  # rows; ~128 bytes per pair and mirror
+    for start in range(0, k, step):
+        xs, ys = np.nonzero(np.arange(k) >= np.arange(start, min(start + step, k))[:, None])
+        xs, ys = np.concatenate([xs + start, ys]), np.concatenate([ys, xs + start])
+        yield xs, ys, xs * k + ys
 
 
 def is_spectral(cb) -> bool:

@@ -13,14 +13,11 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from . import kernels
+from . import core, kernels
 from .core import (
     Check,
     FiniteAlgebra,
     Report,
-    TRIPLE_BUDGET,
-    PAIR_BUDGET,
-    SAMPLE_SIZE,
     is_principal,
     mackey_compatible,
     product_report,
@@ -58,7 +55,7 @@ class CompressionBase:
                  factors: Optional[tuple] = None):
         self.algebra = algebra
         self.factors = factors
-        self._reports = {}  # validate_base by (budget, seed); "b-comparability"
+        self._reports = {}  # "base": validate_base; "b-comparability"
         self.projections = sorted(int(p) for p in projections)
         self.p_array = np.array(self.projections, dtype=np.int64)
         self.p_set = frozenset(self.projections)
@@ -361,39 +358,34 @@ class MapClassification:
         return self.kind == "compression"
 
 
-def classify_map(E: FiniteAlgebra, J, budget: int = PAIR_BUDGET,
-                 seed: int = 0) -> MapClassification:
+def classify_map(E: FiniteAlgebra, J) -> MapClassification:
     """Decide whether a function table is additive / a retraction / a compression.
 
-    Oversized carriers are checked on a seeded sample of elements (plus
-    the boundary elements), matching the budgeted validation policy.
+    Carriers past ``core.PAIR_BUDGET`` pairs are checked on a seeded sample
+    of elements (plus the boundary elements).
     """
-    return MapSample(E, budget, seed).classify(J)
+    return MapSample(E, core.PAIR_BUDGET).classify(J)
 
 
 class MapSample:
     """The pairs and elements ``classify_map`` examines on one carrier.
 
-    They depend on the carrier, the budget and the seed only, so a base
-    draws them once and classifies each of its maps against them.
+    They depend on the carrier and the pair budget only, so a base draws
+    them once and classifies each of its maps against them.
     """
 
-    def __init__(self, E: FiniteAlgebra, budget: int = PAIR_BUDGET, seed: int = 0):
+    def __init__(self, E: FiniteAlgebra, budget: int):
         self.E = E
         n = E.size
         self.all_pairs = E.dense and n * n <= budget
         if not self.all_pairs:
-            rng = np.random.default_rng(0)
-            self.xs = rng.integers(0, n, size=SAMPLE_SIZE)
-            self.ys = rng.integers(0, n, size=SAMPLE_SIZE)
+            self.xs, self.ys = core._draws(0, n, n)
             self.ss = E.sum_pairs(self.xs, self.ys)
             self.defined = self.ss >= 0
-        if n <= min(budget, 4 * SAMPLE_SIZE):
+        if n <= min(budget, 4 * core.SAMPLE_SIZE):
             self.idx, self.drawn = np.arange(n), False
         else:
-            rng = np.random.default_rng(seed)
-            self.idx = np.unique(np.concatenate([
-                rng.integers(0, n, size=SAMPLE_SIZE), [E.zero, E.one]]))
+            self.idx = np.unique(np.concatenate([core._draws(0, n)[0], [E.zero, E.one]]))
             self.drawn = True
 
     def classify(self, J) -> MapClassification:
@@ -449,15 +441,14 @@ def _with_elements(idx: np.ndarray, extra) -> np.ndarray:
 # base validation
 
 
-def validate_base(E: FiniteAlgebra, cb: CompressionBase,
-                  budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
+def validate_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     """Verify the compression-base laws.
 
     Checks: P is a sub-effect algebra, every map is a compression focused
     at its index (C1), composites on Mackey-compatible pairs stay in the
     family (C2), P is normal, supplements pair up, and the triple law
     J_{p+q} o J_{q+r} = J_q holds on summable triples.  ``cb`` keeps its
-    report, keyed by ``(budget, seed)``.
+    one report, under ``"base"``.
 
     A base with ``factors`` (built by ``product_base``) is not scanned:
     the factor bases are validated and the rows are ``structural``
@@ -503,21 +494,21 @@ def validate_base(E: FiniteAlgebra, cb: CompressionBase,
     Where a factor's report stops early (a failing C1), the product's
     stops at the same row.
     """
-    return _base(E, cb, budget, seed)
+    return _base(E, cb)
 
 
-def _base(E: FiniteAlgebra, cb: CompressionBase, budget: int, seed: int) -> Report:
+def _base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     """``validate_base``, kept on ``cb``."""
     def make():
         if cb.factors is None:
-            return _scan_base(E, cb, budget, seed)
+            return _scan_base(E, cb)
         left, right = cb.factors
         return product_report(
             f"compression base on {E.kind} (|P|={len(cb.projections)})",
-            _base(left.algebra, left, budget, seed), _base(right.algebra, right, budget, seed),
+            _base(left.algebra, left), _base(right.algebra, right),
             "product base J_(p1,p2) = J_p1 x J_p2",
             lambda name, side, w: _lift_base_witness(E, name, side, w))
-    return remembered(cb, (budget, seed), make)
+    return remembered(cb, "base", make)
 
 
 def _lift_base_witness(E, name: str, side: int, w):
@@ -550,10 +541,9 @@ def _lift_base_witness(E, name: str, side: int, w):
     return proj(spq), proj(q), proj(sqr), elem(r)
 
 
-def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
-               budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
+def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     """The base-law scans over the whole carrier and family (sampled past
-    ``budget``); ``validate_base`` runs them on every base without
+    ``core.TRIPLE_BUDGET``); ``validate_base`` runs them on every base without
     ``factors``, and the tests take them as the reference for products.
 
     C1 classifies each map against one ``MapSample`` of the carrier; C2
@@ -561,6 +551,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
     chunked gathers (``kernels.composition_violation``).
     """
     rep = Report(f"compression base on {E.kind} (|P|={len(cb.projections)})")
+    budget = core.TRIPLE_BUDGET
     n = E.size
     P = cb.projections
     pa = np.array(P, dtype=np.int64)
@@ -591,13 +582,13 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
     check_projs = list(P)
     proj_mode = "full"
     if m * n > budget // 4:
-        rng0 = np.random.default_rng(seed + 7)
+        rng0 = np.random.default_rng(7)
         keep = rng0.choice(m, size=min(m, 256), replace=False)
         check_projs = sorted({P[i] for i in keep} | {E.zero, E.one})
         proj_mode = "sampled"
-    pair_budget = max(budget // max(len(check_projs), 1), 4 * SAMPLE_SIZE)
+    pair_budget = max(budget // max(len(check_projs), 1), 4 * core.SAMPLE_SIZE)
     c1_ok, c1_w = True, None
-    sample = MapSample(E, budget=pair_budget)
+    sample = MapSample(E, pair_budget)
     for p in check_projs:
         cls = sample.classify(cb.map_table(p))
         if not (cls.is_compression and cls.focus == p):
@@ -613,8 +604,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
     supp_ok = True
     supp_w = None
     full_supp = n <= budget // max(len(check_projs), 1)
-    supp_idx = None if full_supp else \
-        np.random.default_rng(seed + 5).integers(0, n, size=SAMPLE_SIZE)
+    supp_idx = None if full_supp else core._draws(5, n)[0]
     for p in check_projs:
         if full_supp:
             kernel = cb.map_table(p) == E.zero
@@ -629,7 +619,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
 
     # (C2): composite of a Mackey-compatible pair is in the family
     c2_ok, c2_w, c2_mode = True, None, "full"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     full_c2 = E.dense and m ** 2 * n <= budget
     cols = None if full_c2 else rng.integers(0, n, size=min(n, 2000))
     if full_c2:
@@ -655,11 +645,9 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
         w = kernels.normality_violation(E.sum_table, E.ominus_table, E.leq_table, pa, in_p)
         rep.add("P-normal", w is None, witness=w)
     else:
-        rng = np.random.default_rng(seed + 1)
-        ds = rng.integers(0, n, size=SAMPLE_SIZE)
+        ds, ps, qs = core._draws(1, n, m, m)
+        ps, qs = pa[ps], pa[qs]
         ok_n, w_n = True, None
-        ps = pa[rng.integers(0, m, size=SAMPLE_SIZE)]
-        qs = pa[rng.integers(0, m, size=SAMPLE_SIZE)]
         good = E.leq_pairs(ds, ps) & E.leq_pairs(ds, qs) & ~in_p[ds]
         es = np.where(good, E.ominus_pairs(ps, np.where(good, ds, 0)), -1)
         viol = good & (np.where(good, E.sum_pairs(np.maximum(es, 0), qs), -1) >= 0)
@@ -678,7 +666,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
             for i, j, k in _summable_triples(E, pa, pq):
                 yield pq[i, j], pa[j], pq[j, k], pa[k]
     else:
-        rng2 = np.random.default_rng(seed + 2)
+        rng2 = np.random.default_rng(2)
         drawn = []
         for _ in range(2048):
             p, q, r = (int(pa[rng2.integers(m)]) for _ in range(3))
@@ -693,7 +681,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase,
     cap = 512 if n <= 100_000 else 192
     triples = chunks()
     if tl_mode == "sampled" and count > cap:
-        keep = np.random.default_rng(seed + 3).choice(count, size=cap, replace=False)
+        keep = np.random.default_rng(3).choice(count, size=cap, replace=False)
         triples = [_select(triples, keep)]
     tl_cols = cols if tl_mode == "sampled" else None
     tl_ok, tl_w = True, None
@@ -972,7 +960,7 @@ def has_pcp(cb: CompressionBase) -> bool:
     return cb.has_pcp()
 
 
-def check_oml(cb: CompressionBase, closure_limit: int = 3) -> Report:
+def check_oml(cb: CompressionBase) -> Report:
     """P under the cover property: an orthomodular lattice, sup/inf-closed in E."""
     if not cb.enumerable:
         raise NotEnumerable("the projection lattice of a lazy carrier is not listable")
@@ -1003,11 +991,11 @@ def check_oml(cb: CompressionBase, closure_limit: int = 3) -> Report:
             break
     rep.add("orthomodular-law", om_ok, witness=om_w)
 
-    # sup/inf closure in E for small subsets
+    # sup/inf closure in E for subsets of two and three projections
     import itertools
 
     cl_ok, cl_w = True, None
-    for size in range(2, closure_limit + 1):
+    for size in (2, 3):
         for subset in itertools.combinations(cb.projections, size):
             mv = E.meet_many(subset)
             if mv is not None and mv not in cb.p_set:
@@ -1019,5 +1007,5 @@ def check_oml(cb: CompressionBase, closure_limit: int = 3) -> Report:
                 break
         if not cl_ok:
             break
-    rep.add(f"sup-inf-closed-(subsets ≤ {closure_limit})", cl_ok, witness=cl_w)
+    rep.add("sup-inf-closed-(subsets ≤ 3)", cl_ok, witness=cl_w)
     return rep

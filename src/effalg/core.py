@@ -42,6 +42,14 @@ def carrier_cap() -> int:
     return int(os.environ.get("EA_MAX_CARRIER", 100_000))
 
 
+def _draws(seed: int, *bounds: int) -> list:
+    """One array of ``SAMPLE_SIZE`` indices below each bound, drawn from
+    the fixed ``seed`` of one sampled scan, so that its verdict, mode and
+    witness are the same on every run."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n, size=SAMPLE_SIZE) for n in bounds]
+
+
 def as_fraction(x) -> Fraction:
     """Parse exact rationals from int/str/Fraction; never from float text."""
     if isinstance(x, Fraction):
@@ -229,7 +237,7 @@ class FiniteAlgebra(EffectAlgebra):
         self._defined_pairs = None
         self._ortho_vec = None
         self._order_index = None  # _order_bits(), for meet_pairs
-        self._reports = {}  # validate_axioms reports by (budget, seed)
+        self._reports = {}  # "axioms": the validate_axioms report
         self._central = None  # compbase.central_base(self), built on first use
 
     # -- interface ---------------------------------------------------------
@@ -735,14 +743,14 @@ class State:
     def is_faithful(self) -> bool:
         return all(v > 0 for i, v in enumerate(self.values) if i != self.algebra.zero)
 
-    def validate(self, budget=PAIR_BUDGET, seed=0) -> Report:
+    def validate(self) -> Report:
         E = self.algebra
         rep = Report(f"state on {E.kind} ({E.size} elements)")
         vals = self.values
         rep.add("unital", vals[E.one] == 1 and vals[E.zero] == 0)
         rep.add("range", all(0 <= v <= 1 for v in vals))
         n = E.size
-        if n * n <= budget and E.dense:
+        if n * n <= PAIR_BUDGET and E.dense:
             # exact: integer numerators over the common denominator, every
             # defined pair at once; the first bad pair in row-major order
             pairs = E.defined_pairs
@@ -751,9 +759,7 @@ class State:
             witness = (int(pairs.a[bad[0]]), int(pairs.b[bad[0]])) if bad.size else None
             rep.add("additive", bad.size == 0, witness=witness)
         else:
-            rng = np.random.default_rng(seed)
-            xs = rng.integers(0, n, size=SAMPLE_SIZE)
-            ys = rng.integers(0, n, size=SAMPLE_SIZE)
+            xs, ys = _draws(0, n, n)
             ss = E.sum_pairs(xs, ys)
             ok = True
             witness = None
@@ -792,12 +798,12 @@ def _common_numerators(values) -> np.ndarray:
 # axiom validation
 
 
-def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
+def validate_axioms(E: EffectAlgebra) -> Report:
     """Check E1-E4 plus orthosupplement uniqueness and cancellation.
 
-    Scans that would exceed ``budget`` elementary operations run on seeded
-    samples instead and are flagged ``sampled`` in the report.  A finite
-    algebra keeps its report, keyed by ``(budget, seed)``.
+    Scans that would exceed ``TRIPLE_BUDGET`` elementary operations run on
+    ``SAMPLE_SIZE`` seeded draws instead and are flagged ``sampled``.  A
+    finite algebra keeps its one report, under ``"axioms"``.
 
     A direct product (an algebra with ``factors``) is not scanned: its
     factors are validated (each through its own factors, if it has them)
@@ -832,15 +838,15 @@ def validate_axioms(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0
       ``x != y`` iff some component differs.
     """
     if not E.enumerable:
-        return _validate_axioms_sampled(E, seed)
-    return _axioms(E, budget, seed)
+        return _validate_axioms_sampled(E)
+    return _axioms(E)
 
 
-def _axioms(E: FiniteAlgebra, budget: int, seed: int) -> Report:
+def _axioms(E: FiniteAlgebra) -> Report:
     """``validate_axioms`` of a finite algebra, kept on ``E``."""
     def make():
         if E.factors is None:
-            return _scan_axioms(E, budget, seed)
+            return _scan_axioms(E)
         left, right = E.factors
 
         def lift(name, side, w):
@@ -850,13 +856,13 @@ def _axioms(E: FiniteAlgebra, budget: int, seed: int) -> Report:
 
         return product_report(
             f"axioms on {E.kind} ({E.size} elements)",
-            _axioms(left, budget, seed), _axioms(right, budget, seed),
+            _axioms(left), _axioms(right),
             f"direct product {left.kind} x {right.kind}", lift)
-    return remembered(E, (budget, seed), make)
+    return remembered(E, "axioms", make)
 
 
-def _scan_axioms(E: FiniteAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -> Report:
-    """The axiom scans over the whole carrier (sampled past ``budget``);
+def _scan_axioms(E: FiniteAlgebra) -> Report:
+    """The axiom scans over the whole carrier (sampled past ``TRIPLE_BUDGET``);
     ``validate_axioms`` runs them on every finite carrier without
     ``factors``, and the tests take them as the reference for products."""
     n = E.size
@@ -869,22 +875,17 @@ def _scan_axioms(E: FiniteAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -
         bad = np.argwhere(S != S.T)
         rep.add("E1-commutative", bad.size == 0, witness=tuple(bad[0]) if bad.size else None)
     else:
-        rng = np.random.default_rng(seed)
-        xs = rng.integers(0, n, size=SAMPLE_SIZE)
-        ys = rng.integers(0, n, size=SAMPLE_SIZE)
+        xs, ys = _draws(0, n, n)
         mism = np.flatnonzero(E.sum_pairs(xs, ys) != E.sum_pairs(ys, xs))
         rep.add("E1-commutative", mism.size == 0, mode="sampled",
                 witness=(int(xs[mism[0]]), int(ys[mism[0]])) if mism.size else None)
 
     # E2: associativity
-    if dense and n ** 3 <= budget:
+    if dense and n ** 3 <= TRIPLE_BUDGET:
         w = kernels.associativity_violation(E.sum_table, E.defined_pairs)
         rep.add("E2-associative", w is None, witness=w)
     else:
-        rng = np.random.default_rng(seed + 1)
-        xs = rng.integers(0, n, size=SAMPLE_SIZE)
-        ys = rng.integers(0, n, size=SAMPLE_SIZE)
-        zs = rng.integers(0, n, size=SAMPLE_SIZE)
+        xs, ys, zs = _draws(1, n, n, n)
         ab = E.sum_pairs(xs, ys)
         ok = ab >= 0
         abc = np.where(ok, E.sum_pairs(np.maximum(ab, 0), zs), -1)
@@ -909,7 +910,7 @@ def _scan_axioms(E: FiniteAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -
         rep.add("E3-orthosupplement-unique", bad.size == 0,
                 witness=int(bad[0]) if bad.size else None)
     else:
-        rng = np.random.default_rng(seed + 2)
+        rng = np.random.default_rng(2)
         ok = True
         witness = None
         for a in rng.integers(0, n, size=8):
@@ -929,19 +930,16 @@ def _scan_axioms(E: FiniteAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -
     rep.add("E4-unit-maximal", ok, witness=witness)
 
     # cancellation (consequence of E1-E3; checked for table diagnostics)
-    rep.checks.append(_cancellation_check(E, budget, seed + 3))
+    rep.checks.append(_cancellation_check(E))
     return rep
 
 
-def _cancellation_check(E: FiniteAlgebra, budget: int, seed: int) -> Check:
+def _cancellation_check(E: FiniteAlgebra) -> Check:
     n = E.size
-    if E.dense and n ** 2 <= budget:
+    if E.dense and n ** 2 <= TRIPLE_BUDGET:
         w = kernels.cancellation_violation(E.sum_table)
         return Check("cancellation", w is None, witness=w)
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, n, size=SAMPLE_SIZE)
-    ys = rng.integers(0, n, size=SAMPLE_SIZE)
-    cs = rng.integers(0, n, size=SAMPLE_SIZE)
+    xs, ys, cs = _draws(3, n, n, n)
     sx = E.sum_pairs(xs, cs)
     sy = E.sum_pairs(ys, cs)
     bad = np.flatnonzero((sx >= 0) & (sx == sy) & (xs != ys))
@@ -949,10 +947,10 @@ def _cancellation_check(E: FiniteAlgebra, budget: int, seed: int) -> Check:
     return Check("cancellation", bad.size == 0, mode="sampled", witness=witness)
 
 
-def _validate_axioms_sampled(E: EffectAlgebra, seed: int) -> Report:
+def _validate_axioms_sampled(E: EffectAlgebra) -> Report:
     """Spot checks on sampled elements for carriers that cannot be listed."""
     rep = Report(f"axioms on {E.kind} (sampled)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     m = 200
     elems = E.sample_elements(rng, m)
     ok_comm = ok_assoc = True
@@ -1026,15 +1024,15 @@ def mackey_compatible(E: FiniteAlgebra, a, b):
     return True, (E.ominus(a, c), E.ominus(b, c), c)
 
 
-def is_archimedean(E: EffectAlgebra, budget: int = TRIPLE_BUDGET, seed: int = 0) -> bool:
+def is_archimedean(E: EffectAlgebra) -> bool:
     """Multiples n*a <= 1 for all n force a = 0.
 
     A finite carrier with cancellation is archimedean: n*a = m*a with
     n < m forces (m-n)*a = 0.  The verdict is the ``cancellation`` row of
-    ``validate_axioms(E, budget, seed)``, which ``E`` keeps.  Lazy
+    ``validate_axioms(E)``, which ``E`` keeps.  Lazy
     algebras are archimedean by construction (operator intervals).
     """
     if not E.enumerable:
         return True
-    rep = validate_axioms(E, budget, seed)
+    rep = validate_axioms(E)
     return next(c.passed for c in rep.checks if c.name == "cancellation")

@@ -194,11 +194,11 @@ def general_comparability_holds(G: ZGroup, g) -> bool:
     return (G.compress(p, g) >= 0).all() and (G.compress(G.proj_complement(p), g) <= 0).all()
 
 
-def check_comparability_equivalence(instance, cb, samples: int = 200, seed: int = 0):
+def check_comparability_equivalence(instance, cb):
     """Finite grid algebras vs their integer group: comparability agrees.
 
     Evaluates b-comparability on the algebra and nonemptiness of
-    P_+-(g) for a spanning sample of g in [-2u, 2u]; reports agreement.
+    P_+-(g) for 200 seeded g in [-2u, 2u]; reports agreement.
     """
     from .comparability import check_b_comparability
     from .core import GridAlgebra, Report
@@ -211,11 +211,11 @@ def check_comparability_equivalence(instance, cb, samples: int = 200, seed: int 
                  f"(k={instance.k}, d={instance.d})")
     alg = check_b_comparability(cb).passed
     rep.add("algebra-b-comparability", alg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo, hi = -2 * G.unit, 2 * G.unit
     group_ok = True
     witness = None
-    for _ in range(samples):
+    for _ in range(200):
         g = rng.integers(lo, hi + 1)
         if not general_comparability_holds(G, g):
             group_ok, witness = False, g

@@ -310,15 +310,15 @@ class MatrixCompressionBase:
         c1 = sym(u1 - 2.0 * (u1 @ (q - c) @ u1))
         return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1, ambient_unit=q)
 
-    def check_b_comparability(self, samples: int = 25, seed: int = 0) -> Report:
-        """Spot checks of the operator-interval laws (the carrier is lazy)."""
+    def check_b_comparability(self) -> Report:
+        """Spot checks of the operator-interval laws on 25 seeded pairs."""
         E = self.algebra
         rep = Report(f"b-comparability on {E.kind} dim {E.dim}")
         rep.add("b-property", True, mode="structural",
                 detail="double commutant of a symmetric matrix")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         ok = True
-        for _ in range(samples):
+        for _ in range(25):
             q = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
             e = sym(q @ np.diag(rng.uniform(0, 1, E.dim)) @ q.T)
             f = sym(q @ np.diag(rng.uniform(0, 1, E.dim)) @ q.T)

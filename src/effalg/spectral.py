@@ -154,7 +154,7 @@ class SplittingTree:
             yield w, self.u(w), self.c(w)
 
 
-def splitting_tree(cb, a, n: int, check: bool = True) -> SplittingTree:
+def splitting_tree(cb, a, n: int) -> SplittingTree:
     """Iterated halving of a below its cover, to depth n."""
     n = check_depth(n)
     comparability.require_spectral(cb)
@@ -164,7 +164,7 @@ def splitting_tree(cb, a, n: int, check: bool = True) -> SplittingTree:
     if not E.eq(root, E.zero):
         tree._u[()] = root
         tree._c[()] = a
-    in_bic = _bicommutant_checker(cb, a) if check else None
+    in_bic = _bicommutant_checker(cb, a)
     for level in range(n):
         for w, u in tree.layer(level):
             sr = comparability.split(cb, tree.c(w), u)
@@ -172,19 +172,18 @@ def splitting_tree(cb, a, n: int, check: bool = True) -> SplittingTree:
                 if not E.eq(uc, E.zero):
                     tree._u[w + (bit,)] = uc
                     tree._c[w + (bit,)] = cc
-    if check:
-        for level in range(n + 1):
-            total = E.zero
-            for w, u in tree.layer(level):
-                if in_bic is not None and not in_bic(u):
-                    raise InternalConsistencyError(
-                        f"u_{w} escaped the bicommutant of {E.label(a)}")
-                s = E.sum(total, u)
-                if s is None:
-                    raise InternalConsistencyError(f"layer {level} is not orthogonal")
-                total = s
-            if not E.eq(total, root if tree._u else E.zero):
-                raise InternalConsistencyError(f"layer {level} does not add up to the cover")
+    for level in range(n + 1):
+        total = E.zero
+        for w, u in tree.layer(level):
+            if not in_bic(u):
+                raise InternalConsistencyError(
+                    f"u_{w} escaped the bicommutant of {E.label(a)}")
+            s = E.sum(total, u)
+            if s is None:
+                raise InternalConsistencyError(f"layer {level} is not orthogonal")
+            total = s
+        if not E.eq(total, root if tree._u else E.zero):
+            raise InternalConsistencyError(f"layer {level} does not add up to the cover")
     return tree
 
 

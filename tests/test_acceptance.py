@@ -74,7 +74,7 @@ def test_criterion_01_axiom_suites(named_instances):
         worst = max(worst, took)
         assert took < 10.0, f"{name} suite took {took:.2f} s, over 10 s"
         # the archimedean verdict is the cancellation row just computed
-        assert core.is_archimedean(E) == core._cancellation_check(E, core.TRIPLE_BUDGET, 0).passed
+        assert core.is_archimedean(E) == core._cancellation_check(E).passed
     _verdict(1, True, f"{len(suites)} suites, slowest {worst:.2f}s < 10s, "
              f"{structural} rows structural, {spectral_rows} spectrality rows structural",
              time.perf_counter() - t0)

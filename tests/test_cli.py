@@ -579,3 +579,75 @@ def test_deeply_nested_element_value_exits_2(docs):
     deep = '{"factors": ' + "[" * 100_000 + "]" * 100_000 + "}"  # too deep for json.loads
     code, err = run_cli(["spectral", docs["mv83"], "--element", deep])
     assert code == 2 and err.startswith("error: bad --element value")
+
+
+# ---------------------------------------------------------------------------
+# the validate contract
+
+L8_DOC = {"kind": "mv_product", "denominator": 8, "arity": 1}
+CONTRACT_DOCS = {  # the documents of the benchmark's cli workload, then two more
+    "mv83": {"kind": "mv_product", "denominator": 8, "arity": 3},
+    "mv162": {"kind": "mv_product", "denominator": 16, "arity": 2},
+    "prod": PRODUCT_DOC,
+    "hsum": {"kind": "horizontal_sum", "parts": [L8_DOC, L8_DOC],
+             "states": [[f"{i}/8" for i in range(9)]] * 2},
+    "mo2": {"kind": "mo2"},
+    "mat2": {"kind": "matrix", "dim": 2},
+    "l4": {"kind": "mv_product", "denominator": 4, "arity": 1},
+    "bool3": {"kind": "boolean", "n_atoms": 3},
+    "broken": BROKEN_TABLE,
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_DOCS))
+def test_validate_prints_the_reports_the_load_keeps(name, tmp_path, capsys):
+    """``validate`` loads unchecked and then runs the very scans that a
+    checked load runs: its JSON is the reports that a plain
+    ``parse_document`` keeps (``table`` documents are never checked as they
+    load; their reports are made on request, as for a lazy carrier)."""
+    from effalg import compbase, core, instances
+
+    doc = CONTRACT_DOCS[name]
+    code = cli.main(["--format", "json", "validate", write(tmp_path, f"{name}.json", doc)])
+    got = json.loads(capsys.readouterr().out)
+    E, cb = instances.parse_document(doc)
+    reports = [core.validate_axioms(E)]
+    if E.enumerable:
+        reports.append(compbase.validate_base(E, cb))
+        if doc["kind"] != "table":  # kept by the load, not made just now
+            assert reports[0] is E._reports["axioms"] and reports[1] is cb._reports["base"]
+    want = {"passed": all(r.passed for r in reports), "reports": [r.to_dict() for r in reports]}
+    assert got == json.loads(json.dumps(want, default=str))
+    assert code == (1 if name == "broken" else 0)
+
+
+def test_seed_is_not_an_option(small_docs):
+    code, err = run_cli(["--seed", "0", "validate", small_docs["l4"]])
+    assert code == 2 and err.startswith("usage: effalg ") and "error:" in err
+    assert "Traceback" not in err
+
+
+def test_optimized_interpreter_prints_the_same(tmp_path):
+    """``python -O`` strips ``assert`` statements.  No invariant rests on
+    one, so a broken law and a resolution print the same bytes and exit
+    with the same code under it."""
+    import os
+    import subprocess
+    import sys
+
+    import effalg
+
+    broken = write(tmp_path, "broken.json", BROKEN_TABLE)
+    mv42 = write(tmp_path, "mv42.json", {"kind": "mv_product", "denominator": 4, "arity": 2})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(effalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONOPTIMIZE", None)
+    for argv, code in ((["validate", broken], 1), (["--format", "json", "validate", broken], 1),
+                       (["spectral", mv42, "--element", "1,3"], 0),
+                       (["spectral", mv42, "--element", "1,3", "--lambda", "1/3"], 0)):
+        runs = [subprocess.run([sys.executable, *flags, "-m", "effalg.cli", *argv],
+                               capture_output=True, env=env, timeout=120)
+                for flags in ([], ["-O"])]
+        plain, optimized = ((r.returncode, r.stdout, r.stderr) for r in runs)
+        assert plain == optimized, argv
+        assert plain[0] == code and plain[1], argv

@@ -420,18 +420,18 @@ def _ref_classify(E, J, budget, seed=0):
     return ("retraction", focus, int(idx[np.argmax(kernel != should)]))
 
 
-@pytest.mark.parametrize("budget", [compbase.PAIR_BUDGET, 50])
+@pytest.mark.parametrize("budget", [core.PAIR_BUDGET, 50])
 def test_shared_map_sample_matches_per_map_classify(bases, budget, monkeypatch):
     """One MapSample per base classifies like a fresh classify per map,
     also when pairs and elements are drawn (budget 50 < n * n, n), from
     samples small enough to miss the focus of a map."""
+    monkeypatch.setattr(core, "PAIR_BUDGET", budget)  # classify_map reads it
     if budget == 50:
         monkeypatch.setattr(core, "SAMPLE_SIZE", 40)
-        monkeypatch.setattr(compbase, "SAMPLE_SIZE", 40)
     rng = np.random.default_rng(21)
     kinds = set()
     for name, (E, cb) in bases.items():
-        sample = compbase.MapSample(E, budget=budget)
+        sample = compbase.MapSample(E, budget)
         maps = []
         for p in cb.projections:
             J = np.array(cb.map_table(p))
@@ -452,7 +452,7 @@ def test_shared_map_sample_matches_per_map_classify(bases, budget, monkeypatch):
             got = sample.classify(bad)
             want = _ref_classify(E, bad, budget)
             assert (got.kind, got.focus, got.witness) == want, name
-            cls = classify_map(E, bad, budget=budget)
+            cls = classify_map(E, bad)
             assert (cls.kind, cls.focus, cls.witness) == want
             kinds.add(got.kind)
     assert kinds == {"compression", "not_additive", "retraction"}
@@ -559,12 +559,14 @@ def test_stacked_laws_match_pairwise_loops(bases, budget, monkeypatch):
     # let every map through C1 so that broken maps reach C2 and the triple law
     monkeypatch.setattr(compbase.MapSample, "classify", lambda self, J: compbase.MapClassification(
         "compression", int(np.asarray(J)[self.E.one])))
+    default = budget == core.TRIPLE_BUDGET
+    monkeypatch.setattr(core, "TRIPLE_BUDGET", budget)
     rng = np.random.default_rng(22)
     failed = set()
     modes = set()
     for name, (E, cb) in bases.items():
         for kind, broken in [("valid", cb)] + _broken_bases(E, cb, rng):
-            rep = compbase._scan_base(E, broken, budget=budget)
+            rep = compbase._scan_base(E, broken)
             want = _ref_base_laws(E, broken, budget)
             got = {c.name: (c.passed, c.mode, c.witness) for c in rep.checks if c.name in want}
             assert got == want, (name, kind)
@@ -574,7 +576,7 @@ def test_stacked_laws_match_pairwise_loops(bases, budget, monkeypatch):
             modes |= {v[1] for v in got.values()}
     assert {("C2-composition", "entry"), ("triple-law", "entry"), ("C2-composition", "drop"),
             ("P-normal", "drop"), ("triple-law", "drop")} <= failed
-    assert modes == ({"full"} if budget == core.TRIPLE_BUDGET else {"full", "sampled"})
+    assert modes == ({"full"} if default else {"full", "sampled"})
 
 
 def test_unstacked_maps_give_the_same_reports(bases, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 
 from effalg import core, instances, spectral
+from effalg.compbase import central_base
 from effalg.errors import EffalgError, InvalidDepth, NotSpectral
 from effalg.spectral import (
     DyadicRational,
@@ -542,29 +543,58 @@ def _factor_outcome(fn):
         return type(exc)
 
 
-ORACLE_LEFT = {"boolean(2)": lambda: instances.make_boolean(2),
-               "mv(4,2)": lambda: instances.make_mv_product(4, 2)}
+def _mv42_times(left):
+    """``left`` x mv(4,2): (the product, its two factors, the grids whose
+    weighted states are the factor states)."""
+    right = instances.make_mv_product(4, 2)
+    return instances.make_product(left, right), left, right, (left[0], right[0])
 
 
-@pytest.mark.parametrize("name", list(ORACLE_LEFT))
+def _grid_as_its_factors():
+    """mv(4,3) as the chain of its top coordinate x mv(4,2), its own factors."""
+    G, gcb = instances.make_mv_product(4, 3)
+    pairs = tuple(zip(G.factors, gcb.factors))
+    return (G, gcb), *pairs, G.factors
+
+
+def _table_times_boolean():
+    """A table copy of mv(4,1) with its central base, x boolean(1)."""
+    L, _ = instances.make_mv_product(4, 1)
+    sums = [(int(x), int(y), int(L.sum_table[x, y])) for x, y in np.argwhere(L.sum_table >= 0)]
+    T = instances.make_table(sums, L.size, L.zero, L.one)
+    left, right = (T, central_base(T)), instances.make_boolean(1)
+    return instances.make_product(left, right), left, right, (L, right[0])
+
+
+ORACLE_CASES = {"boolean(2)": lambda: _mv42_times(instances.make_boolean(2)),
+                "mv(4,2)": lambda: _mv42_times(instances.make_mv_product(4, 2)),
+                "mv(4,3) as chain x mv(4,2)": _grid_as_its_factors,
+                "table mv(4,1) x boolean(1)": _table_times_boolean}
+ORACLE_DEPTH = 8
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_product_resolutions_are_pairs_of_factor_resolutions(name):
-    """On every element of ``name`` x mv(4,2).
+    """On every element of the product ``name`` (``x mv(4,2)`` where only
+    the left factor is named).
 
     The pair of the factors' spectral families meets the defining clauses
     in E1 x E2 componentwise, and the rational spectral resolution of an
     element of a spectral archimedean effect algebra is unique, so the
     product's family is that pair: at every point of the binary grids of
-    depth 0 to 6, in its jumps (the merged factor jumps), in the rational
-    resolution and in the expectation bounds of a product state.
+    depth 0 to 8, in its jumps (the merged factor jumps), in the rational
+    resolution and in the expectation bounds of a product state.  A grid
+    is its own product of its chain and the rest, and a table factor has
+    no structure for the product to read.
     """
-    left, right = ORACLE_LEFT[name](), instances.make_mv_product(4, 2)
-    P, cb = instances.make_product(left, right)
+    (P, cb), left, right, grids = ORACLE_CASES[name]()
     rng = np.random.default_rng(12)
     mix = Fraction(int(rng.integers(1, 8)), 8)
     states = []
-    for E, _ in (left, right):
-        raw = [int(x) for x in rng.integers(1, 9, E.d)]
-        states.append(instances.weighted_state(E, [Fraction(x, sum(raw)) for x in raw]))
+    for (E, _), G in zip((left, right), grids):
+        raw = [int(x) for x in rng.integers(1, 9, G.d)]
+        s = instances.weighted_state(G, [Fraction(x, sum(raw)) for x in raw])
+        states.append(core.State(E, s.values))  # a table copy keeps the indices
     ia, ib = P.split_index(np.arange(P.size))
     state = core.State(P, [mix * states[0](int(x)) + (1 - mix) * states[1](int(y))
                            for x, y in zip(ia, ib)])
@@ -581,7 +611,7 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
 
     for a in range(P.size):
         x, y = int(ia[a]), int(ib[a])
-        for n in range(7):
+        for n in range(ORACLE_DEPTH + 1):
             res, r1, r2 = binary_resolution(cb, a, n), of(0, x, "binary", n), of(1, y, "binary", n)
             for j in range(2 ** n + 1):
                 assert res.at_index(j) == P.pair_index(r1.at_index(j), r2.at_index(j)), (a, n, j)
@@ -589,10 +619,11 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
             assert res.jumps == tuple((j, P.pair_index(r1.at_index(j), r2.at_index(j)))
                                       for j in merged), (a, n)
         for lam in ORACLE_LAMBDAS:
-            got = _factor_outcome(lambda: rational_resolution(cb, a, lam, 6))
-            v1, v2 = of(0, x, "rational", lam, 6), of(1, y, "rational", lam, 6)
+            got = _factor_outcome(lambda: rational_resolution(cb, a, lam, ORACLE_DEPTH))
+            v1 = of(0, x, "rational", lam, ORACLE_DEPTH)
+            v2 = of(1, y, "rational", lam, ORACLE_DEPTH)
             assert got == (v1 if isinstance(v1, type) else v2 if isinstance(v2, type)
                            else P.pair_index(v1, v2)), (a, lam)
-        (lo1, hi1), (lo2, hi2) = of(0, x, "expect", 6), of(1, y, "expect", 6)
-        assert expectation_bounds(cb, a, state, 6) == (mix * lo1 + (1 - mix) * lo2,
-                                                       mix * hi1 + (1 - mix) * hi2), a
+        (lo1, hi1), (lo2, hi2) = of(0, x, "expect", ORACLE_DEPTH), of(1, y, "expect", ORACLE_DEPTH)
+        assert expectation_bounds(cb, a, state, ORACLE_DEPTH) == (
+            mix * lo1 + (1 - mix) * lo2, mix * hi1 + (1 - mix) * hi2), a

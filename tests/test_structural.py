@@ -225,12 +225,17 @@ def test_changed_bases_match_the_scans(through_c1, monkeypatch):
                       {"P-sub-effect-algebra", "C1-compressions"})
 
 
-def test_nested_products_and_sampled_factors():
+def _nested_product(validate=True):
+    """(b1 x mv(4,1)) x b1, built afresh, and its inner product and b1."""
+    b1, mv = instances.make_boolean(1, validate), instances.make_mv_product(4, 1, validate)
+    inner = instances.make_product(b1, mv, validate=False)
+    return instances.make_product(inner, b1, validate=False), inner, b1
+
+
+def test_nested_products_and_sampled_factors(monkeypatch):
     """A factor's rows stay ``structural`` through nesting; a sampled factor
     row makes the product row ``sampled``; memoised reports are reused."""
-    b1, mv = instances.make_boolean(1), instances.make_mv_product(4, 1)
-    inner = instances.make_product(b1, mv, validate=False)
-    E, cb = instances.make_product(inner, b1, validate=False)
+    (E, cb), inner, b1 = _nested_product()
     rep = core.validate_axioms(E)
     assert rep.passed and {c.mode for c in rep.checks} == {"structural"}
     assert rep.parts[0] is core.validate_axioms(inner[0])
@@ -238,7 +243,8 @@ def test_nested_products_and_sampled_factors():
     assert core.validate_axioms(E) is rep
     assert compbase.validate_base(E, cb).parts[0] is compbase.validate_base(*inner)
     # a budget below mv(4,1)'s n^3 samples its associativity, and only that row
-    small = core.validate_axioms(E, budget=100)
+    monkeypatch.setattr(core, "TRIPLE_BUDGET", 100)
+    small = core.validate_axioms(_nested_product(validate=False)[0][0])
     sampled = {c.name for c in small.checks if c.mode == "sampled"}
     assert small.passed and sampled == {"E2-associative"}
     assert small.sampled and not rep.sampled
@@ -347,12 +353,12 @@ def _cancellation_breaker():
 
 def test_archimedean_reads_the_cancellation_row(monkeypatch):
     T = _cancellation_breaker()
-    assert not core._cancellation_check(T, core.TRIPLE_BUDGET, 0).passed
+    assert not core._cancellation_check(T).passed
     hosts = [T, instances.make_mv_product(8, 3, validate=False)[0],
              instances.make_product(instances.make_boolean(2), instances.make_mv_product(4, 2),
                                     validate=False)[0],
              instances.make_mo2(validate=False)[0]]
-    want = [core._cancellation_check(E, core.TRIPLE_BUDGET, 0).passed for E in hosts]
+    want = [core._cancellation_check(E).passed for E in hosts]
     assert want == [False, True, True, True]
     for E in hosts:
         core.validate_axioms(E)
@@ -541,6 +547,86 @@ def test_broken_table_factors_match_the_spectral_scan():
                 failed |= {c.name for c in rep.checks if not c.passed}
     assert failed == {"comparability", "sharp-elements-are-projections", "C-blocks-are-MV"}
     assert raised == {IncompleteBase}
+
+
+def _mv_one_step(E, elems):
+    """``comparability._mv_violation`` with every pair in one array: each
+    law on all pairs before the next, the first failing pair in row-major
+    order (or in the order drawn)."""
+    k = elems.size
+    if k <= comparability.MV_EXACT_ELEMENTS:
+        xs, ys = np.repeat(elems, k), np.tile(elems, k)
+    else:
+        rng = np.random.default_rng(0)
+        xs = elems[rng.integers(0, k, size=comparability.MV_SAMPLE)]
+        ys = elems[rng.integers(0, k, size=comparability.MV_SAMPLE)]
+    meets = E.meet_pairs(xs, ys)
+    if (meets < 0).any():
+        i = int(np.argmax(meets < 0))
+        return "meet-missing", E.label(int(xs[i])), E.label(int(ys[i]))
+    joins = E.meet_pairs(E.ortho_all()[xs], E.ortho_all()[ys])
+    if (joins < 0).any():
+        return "join-missing",
+    joins = E.ortho_all()[joins]
+    if not np.isin(np.concatenate([meets, joins]), elems).all():
+        return "not-closed",
+    lhs = E.ominus_pairs(joins, xs)
+    rhs = E.ominus_pairs(ys, meets)
+    if (lhs != rhs).any():
+        i = int(np.argmax(lhs != rhs))
+        return "mv-identity", E.label(int(xs[i])), E.label(int(ys[i]))
+    return None
+
+
+def _mv_cases():
+    """(algebra, elements): the C-blocks of the central bases of the
+    criterion-01 instances (as tables) and of the broken tables, which
+    raise where the base has no blocks; the broken carriers whole; and
+    seeded subsets of them, which fail every law in turn; and the carriers
+    of their products with MO2."""
+    named = _criterion_01_instances()
+    tables = [core.TableAlgebra(named[k][0].sum_table, named[k][0].zero, named[k][0].one)
+              for k in ("boolean(3)", "mv(4,2)", "MO2", "L8+L8")]
+    rng = np.random.default_rng(8)
+    broken = [_broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])[0]
+              for i in range(4 * len(GRIDS))]
+    cases = []
+    for T in tables + broken:
+        cb = central_base(T)
+        try:
+            cases += [(T, compbase.c_block(cb, b)) for b in compbase.blocks(cb)]
+        except EffalgError:
+            pass
+    rng = np.random.default_rng(12)
+    for T in broken:
+        cases.append((T, np.arange(T.size)))
+        for E, _ in _both_orders((T, central_base(T)), instances.make_mo2()):
+            cases.append((E, np.arange(E.size)))
+        for size in (2, 3, 4, 6):
+            for _ in range(4):
+                pick = rng.choice(T.size, size=min(size, T.size), replace=False)
+                cases.append((T, np.sort(pick)))
+    return cases
+
+
+def test_chunked_mv_check_matches_one_step(monkeypatch):
+    """The MV row read in runs of rows of pairs (one row a run at a small
+    ``CHUNK_BYTES``) gives the verdict and witness of the one-step check,
+    and so does the seeded sample past a lowered ``MV_EXACT_ELEMENTS``."""
+    cases = _mv_cases()
+    want = [_mv_one_step(E, elems) for E, elems in cases]
+    assert [comparability._mv_violation(E, elems) for E, elems in cases] == want
+    kinds = {None if w is None else w[0] for w in want}
+    assert kinds == {None, "meet-missing", "join-missing", "not-closed", "mv-identity"}
+    # a witness (b, a) with b after a: the pair read as the mirror of (a, b)
+    assert any(w and w[0] == "mv-identity" and int(w[1]) > int(w[2]) for w in want)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 64)
+    assert [comparability._mv_violation(E, elems) for E, elems in cases] == want
+    monkeypatch.setattr(comparability, "MV_EXACT_ELEMENTS", 3)
+    monkeypatch.setattr(comparability, "MV_SAMPLE", 40)
+    sampled = [_mv_one_step(E, elems) for E, elems in cases]
+    assert [comparability._mv_violation(E, elems) for E, elems in cases] == sampled
+    assert sampled != want
 
 
 def test_spectral_product_builds_no_product_table():
