@@ -38,17 +38,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def checkout(where: str, tmp: Path) -> Path:
+def checkout(where: str, tmp: Path, option: str) -> Path:
     """The directory of a checkout: ``where`` itself, or the git revision
-    ``where`` of this repository exported under ``tmp``."""
+    ``where`` of this repository exported under ``tmp``.  Exits 2 with an
+    ``error:`` line, naming ``option``, when ``where`` is neither."""
     path = Path(where)
     if (path / "perfbench" / "run.py").is_file():
         return path.resolve()
     out = tmp / where.replace("/", "_")
     out.mkdir()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", where],
-                             capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(out)], input=archive, check=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", where], capture_output=True)
+    if archive.returncode != 0:
+        print(f"error: {option} {where!r} is neither a checkout directory nor a revision "
+              f"that git can export from {ROOT}; a directory holding perfbench/run.py works",
+              file=sys.stderr)
+        raise SystemExit(2)
+    subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
     return out
 
 
@@ -111,8 +116,8 @@ def main(argv=None) -> int:
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": checkout(args.parent, Path(tmp)),
-                 "change": checkout(args.change, Path(tmp))}
+        sides = {"parent": checkout(args.parent, Path(tmp), "--parent"),
+                 "change": checkout(args.change, Path(tmp), "--change")}
         result = {"parent": args.parent, "change": args.change, "pairs": args.pairs,
                   "seconds": args.seconds, "seed": args.seed,
                   "environment": environment(sides["change"]), "workloads": {}}

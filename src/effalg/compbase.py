@@ -161,7 +161,7 @@ class CompressionBase:
         ``q2`` in ``C(p2)``."""
         if self._pcompat is None and self.factors is not None:
             left, right = self.factors
-            self._pcompat = _kron(left.pcompat(), right.pcompat())
+            self._pcompat = core._product_table(left.pcompat(), right.pcompat())
         if self._pcompat is None:
             P = np.array(self.projections)
             self._pcompat = self.pc_matrix()[P, :]
@@ -243,7 +243,16 @@ class CompressionBase:
     # -- lattice structure of P ----------------------------------------------------
 
     def p_meet_table(self) -> np.ndarray:
-        """Pairwise meets inside P (as a sub-poset); -1 where none."""
+        """Pairwise meets inside P (as a sub-poset); -1 where none.  On a
+        product base they are the pairs of the factors' meets, -1 where
+        either is missing: P is ``P1 x P2`` in the product order, so the
+        common lower bounds of two pairs are the pairs of common lower
+        bounds, and they have a greatest iff both factor sets do."""
+        if self._p_meet is None and self.factors is not None:
+            self._require_projections()
+            left, right = self.factors
+            self._p_meet = core._product_table(left.p_meet_table(), right.p_meet_table(),
+                                               right.algebra.size)
         if self._p_meet is None:
             # the meet, when it exists, is the common lower bound with the
             # most members of P below it, and every common lower bound is
@@ -330,17 +339,10 @@ def _composed_classes(cb: CompressionBase) -> ClassTable:
     """
     left, right = (f.class_table() for f in cb.factors)
     ia, ib = cb.algebra.split_index(np.arange(cb.algebra.size))
-    bic = _kron(left.bic, right.bic)
-    compat = _kron(left.compat, right.compat) | ~bic.any(axis=1)[:, None]
+    bic = core._product_table(left.bic, right.bic)
+    compat = core._product_table(left.compat, right.compat) | ~bic.any(axis=1)[:, None]
     return _class_table(left.cls[ia] * right.pc.shape[0] + right.cls[ib],
-                        _kron(left.pc, right.pc), bic, compat)
-
-
-def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product of two bool tables: entry ``(i1, i2), (j1, j2)``
-    of the result, row-major, is ``A[i1, j1] & B[i2, j2]``."""
-    out = A[:, None, :, None] & B[None, :, None, :]
-    return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
+                        core._product_table(left.pc, right.pc), bic, compat)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +363,12 @@ class MapClassification:
 def classify_map(E: FiniteAlgebra, J) -> MapClassification:
     """Decide whether a function table is additive / a retraction / a compression.
 
-    Carriers past ``core.PAIR_BUDGET`` pairs are checked on a seeded sample
-    of elements (plus the boundary elements).
+    A dense carrier is checked on every defined pair (its ``n * n`` pairs
+    stay below ``core.TRIPLE_BUDGET``), a larger one on seeded pairs, and
+    one past ``4 * core.SAMPLE_SIZE`` elements on a seeded sample of
+    elements (plus the boundary elements).
     """
-    return MapSample(E, core.PAIR_BUDGET).classify(J)
+    return MapSample(E, core.TRIPLE_BUDGET).classify(J)
 
 
 class MapSample:

@@ -28,7 +28,6 @@ from .errors import (
 
 DENSE_LIMIT = 5000  # dense tables need n <= this (3 tables, 9 n^2 bytes)
 TRIPLE_BUDGET = 2_000_000_000  # full associativity scan when n^3 is below
-PAIR_BUDGET = 200_000_000
 SAMPLE_SIZE = 20_000
 
 
@@ -463,25 +462,27 @@ class FiniteAlgebra(EffectAlgebra):
         return out
 
 
-def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dense table of a direct product from its factor tables.
+def _product_table(A: np.ndarray, B: np.ndarray, size: int | None = None) -> np.ndarray:
+    """The table of a direct product from the tables of its factors.
 
-    Element ``(x, y)`` has index ``x * len(B) + y``.  Boolean tables (order)
-    combine by conjunction; index tables (sum, difference) combine
-    componentwise and are ``-1`` wherever either factor entry is.  The
-    result is written in place, so the build needs no ``n x n`` array
-    besides the table itself.
+    Entry ``((i1, i2), (j1, j2))``, at row ``i1 * len(B) + i2`` and column
+    ``j1 * B.shape[1] + j2``, combines ``A[i1, j1]`` and ``B[i2, j2]``.
+    Boolean tables (the order, Mackey compatibility, class rows) combine by
+    conjunction.  Index tables (sum, difference, meets in P) hold elements
+    and combine to the product element ``a * size + b``, with ``size`` the
+    size of the right factor's carrier (``len(B)`` by default), and are
+    ``-1`` wherever either factor entry is.  The result is written in
+    place, so the build needs no product-sized array besides the table.
     """
-    na, nb = A.shape[0], B.shape[0]
+    rows, cols = A.shape[0] * B.shape[0], A.shape[1] * B.shape[1]
     if A.dtype == bool:
-        out = A[:, None, :, None] & B[None, :, None, :]
-    else:
-        A4 = A.astype(np.int32, copy=False)[:, None, :, None]
-        B4 = B.astype(np.int32, copy=False)[None, :, None, :]
-        out = A4 * np.int32(nb) + B4
-        np.copyto(out, -1, where=A4 < 0)  # the masks broadcast like A4 and B4
-        np.copyto(out, -1, where=B4 < 0)
-    return out.reshape(na * nb, na * nb)
+        return (A[:, None, :, None] & B[None, :, None, :]).reshape(rows, cols)
+    A4 = A.astype(np.int32, copy=False)[:, None, :, None]
+    B4 = B.astype(np.int32, copy=False)[None, :, None, :]
+    out = A4 * np.int32(B.shape[0] if size is None else size) + B4
+    np.copyto(out, -1, where=A4 < 0)  # the masks broadcast like A4 and B4
+    np.copyto(out, -1, where=B4 < 0)
+    return out.reshape(rows, cols)
 
 
 class TableAlgebra(FiniteAlgebra):
@@ -744,30 +745,21 @@ class State:
         return all(v > 0 for i, v in enumerate(self.values) if i != self.algebra.zero)
 
     def validate(self) -> Report:
+        """Unital, into [0, 1] and additive.  Additivity is exact: on a
+        carrier with ``factors`` whose zero is a unit of its sum it is
+        decided through them (``_additivity_violation``) and the row is
+        ``structural``; other carriers are scanned pair by pair
+        (``_scan_additivity``)."""
         E = self.algebra
         rep = Report(f"state on {E.kind} ({E.size} elements)")
         vals = self.values
         rep.add("unital", vals[E.one] == 1 and vals[E.zero] == 0)
         rep.add("range", all(0 <= v <= 1 for v in vals))
-        n = E.size
-        if n * n <= PAIR_BUDGET and E.dense:
-            # exact: integer numerators over the common denominator, every
-            # defined pair at once; the first bad pair in row-major order
-            pairs = E.defined_pairs
-            num = _common_numerators(vals)
-            bad = np.flatnonzero(num[pairs.s] != num[pairs.a] + num[pairs.b])
-            witness = (int(pairs.a[bad[0]]), int(pairs.b[bad[0]])) if bad.size else None
-            rep.add("additive", bad.size == 0, witness=witness)
-        else:
-            xs, ys = _draws(0, n, n)
-            ss = E.sum_pairs(xs, ys)
-            ok = True
-            witness = None
-            for x, y, s in zip(xs, ys, ss):
-                if s >= 0 and vals[s] != vals[x] + vals[y]:
-                    ok, witness = False, (int(x), int(y))
-                    break
-            rep.add("additive", ok, mode="sampled", witness=witness)
+        num = _common_numerators(vals)
+        structural = E.factors is not None and _zero_is_unit(E)
+        witness = _additivity_violation(E, num) if structural else _scan_additivity(E, num)
+        rep.add("additive", witness is None, mode="structural" if structural else "full",
+                witness=witness)
         self._validated = rep.passed
         return rep
 
@@ -792,6 +784,58 @@ def _common_numerators(values) -> np.ndarray:
     if max(map(abs, num), default=0) < 2 ** 62:
         return np.array(num, dtype=np.int64)
     return np.array(num, dtype=object)
+
+
+def _scan_additivity(E: FiniteAlgebra, num: np.ndarray):
+    """The first defined pair ``(a, b)``, row-major, with ``num[a + b] !=
+    num[a] + num[b]``, or None: a scan of every defined pair of a dense
+    carrier, products included."""
+    pairs = E.defined_pairs
+    bad = np.flatnonzero(num[pairs.s] != num[pairs.a] + num[pairs.b])
+    return (int(pairs.a[bad[0]]), int(pairs.b[bad[0]])) if bad.size else None
+
+
+def _zero_is_unit(E: FiniteAlgebra) -> bool:
+    """``x + 0 = 0 + x = x`` for every x; componentwise in a product, so
+    only carriers without factors are read."""
+    if E.factors is not None:
+        return all(_zero_is_unit(F) for F in E.factors)
+    xs = np.arange(E.size)
+    return bool((E.sum_pairs(xs, E.zero) == xs).all() and (E.sum_pairs(E.zero, xs) == xs).all())
+
+
+def _additivity_violation(E: FiniteAlgebra, num: np.ndarray):
+    """A defined pair ``(a, b)`` with ``num[a + b] != num[a] + num[b]``, or
+    None when the map ``num`` (one value per element) is additive; the
+    zero of ``E`` must be a unit of its sum (``_zero_is_unit``).
+
+    On a direct product ``(x, y) = (x, 0) + (0, y)`` is then defined for
+    every element, so an additive f has ``f(x, y) = f(x, 0) + f(0, y)``, and
+    ``(x1, 0) + (x2, 0) = (x1 + x2, 0)`` makes both restrictions
+    ``x -> f(x, 0)`` and ``y -> f(0, y)`` additive on their factors.
+    Conversely these give ``f(x1 + x2, y1 + y2) = f(x1 + x2, 0) +
+    f(0, y1 + y2) = f(x1, y1) + f(x2, y2)``.  So the restrictions are
+    decided on the factors, the left first, through their own factors if
+    they have them, and a factor's witness lifts by pairing each element
+    with the other factor's zero; then the first element ``(x, y)`` in
+    index order that breaks the decomposition is the pair ``((x, 0), (0,
+    y))``.  No product-sized pair list or table is built.  A carrier
+    without factors gets ``_scan_additivity``.
+    """
+    if E.factors is None:
+        return _scan_additivity(E, num)
+    left, right = E.factors
+    f = num.reshape(left.size, right.size)
+    restrictions = (f[:, right.zero], f[left.zero, :])
+    for side, (F, g) in enumerate(zip(E.factors, restrictions)):
+        w = _additivity_violation(F, g)
+        if w is not None:
+            return tuple(E.embed(side, x) for x in w)
+    bad = np.flatnonzero(f != restrictions[0][:, None] + restrictions[1])
+    if not bad.size:
+        return None
+    x, y = divmod(int(bad[0]), right.size)
+    return E.embed(0, x), E.embed(1, y)
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +980,7 @@ def _scan_axioms(E: FiniteAlgebra) -> Report:
 
 def _cancellation_check(E: FiniteAlgebra) -> Check:
     n = E.size
-    if E.dense and n ** 2 <= TRIPLE_BUDGET:
+    if E.dense:
         w = kernels.cancellation_violation(E.sum_table)
         return Check("cancellation", w is None, witness=w)
     xs, ys, cs = _draws(3, n, n, n)

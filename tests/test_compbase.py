@@ -16,7 +16,7 @@ from effalg.compbase import (
     validate_base,
 )
 from effalg.core import GridAlgebra
-from effalg.errors import DomainMismatch, NoCover
+from effalg.errors import DomainMismatch, IncompleteBase, NoCover
 
 
 def test_classify_meet_map_is_compression(bool3):
@@ -348,9 +348,43 @@ def bases():
     return _bases()
 
 
-def test_p_meet_table_matches_pairwise(bases):
-    for name, (E, cb) in bases.items():
-        assert np.array_equal(cb.p_meet_table(), _ref_p_meet_table(cb)), name
+def _broken_table_products(rng):
+    """Products, both ways round, of boolean(1) and MO2 with a grid's table
+    that has one entry off the zero row and column changed."""
+    from effalg import instances
+
+    partners = instances.make_boolean(1, validate=False), instances.make_mo2(validate=False)
+    for k, d in ((2, 1), (1, 2), (3, 1), (2, 2)):
+        S = core.GridAlgebra(k, d).sum_table.copy()
+        a, b = np.argwhere(S[1:, 1:] >= 0)[rng.integers(np.count_nonzero(S[1:, 1:] >= 0))] + 1
+        S[a, b] = S[b, a] = -1 if rng.integers(2) else rng.integers(S.shape[0])
+        T = core.TableAlgebra(S, 0, S.shape[0] - 1)
+        T.document = {"kind": "table"}
+        broken = T, compbase.central_base(T)
+        for partner in partners:
+            yield instances.make_product(broken, partner, validate=False)
+            yield instances.make_product(partner, broken, validate=False)
+
+
+def test_p_meet_table_matches_pairwise():
+    """The search, and on product bases the pairs of the factors' meets,
+    which read no order table of the product's P."""
+    from effalg import instances
+
+    cases = list(_bases().items()) + [
+        ("boolean(2) x mv(8,3)", instances.make_product(
+            instances.make_boolean(2, validate=False),
+            instances.make_mv_product(8, 3, validate=False), validate=False))]
+    cases += [(f"boolean({n})", instances.make_boolean(n, validate=False)) for n in (5, 6, 7, 8)]
+    cases += [("broken", case) for case in _broken_table_products(np.random.default_rng(24))]
+    for name, (E, cb) in cases:
+        if not cb.projections:  # a broken table can leave its central base empty
+            with pytest.raises(IncompleteBase, match=f"on {E.kind} has no projections"):
+                cb.p_meet_table()
+            continue
+        got = cb.p_meet_table()
+        assert cb.factors is None or cb._elem_leq_proj is None, name
+        assert np.array_equal(got, _ref_p_meet_table(cb)), name
     # no lattice: 0111 and 1011 have the lower bounds 0001 and 0010 but no meet
     E = core.BooleanAlgebra(4)
     subset = [0b0000, 0b0001, 0b0010, 0b0111, 0b1011]
@@ -420,12 +454,12 @@ def _ref_classify(E, J, budget, seed=0):
     return ("retraction", focus, int(idx[np.argmax(kernel != should)]))
 
 
-@pytest.mark.parametrize("budget", [core.PAIR_BUDGET, 50])
+@pytest.mark.parametrize("budget", [200_000_000, 50])
 def test_shared_map_sample_matches_per_map_classify(bases, budget, monkeypatch):
     """One MapSample per base classifies like a fresh classify per map,
     also when pairs and elements are drawn (budget 50 < n * n, n), from
     samples small enough to miss the focus of a map."""
-    monkeypatch.setattr(core, "PAIR_BUDGET", budget)  # classify_map reads it
+    monkeypatch.setattr(core, "TRIPLE_BUDGET", budget)  # classify_map reads it
     if budget == 50:
         monkeypatch.setattr(core, "SAMPLE_SIZE", 40)
     rng = np.random.default_rng(21)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from effalg import comparability, compbase, core, instances, kernels
 from effalg.compbase import CompressionBase, central_base
@@ -666,3 +667,169 @@ def test_comparability_gather_matches_plain_python():
             assert comparability._comparability_failure(cb) == want, E.kind
             found += want is not None
     assert found
+
+
+# ---------------------------------------------------------------------------
+# states through their factors
+
+def _additive_states(E, rng):
+    """Additive value lists on E: a grid's coordinate states and a seeded
+    weighted state; on a product each factor state through its projection
+    and a mix of the last of each; on a horizontal sum the state that gives
+    an element x of a part the value x / (the part's unit), which is a
+    state of both parts of MO2 and of L8+L8."""
+    if isinstance(E, core.GridAlgebra):
+        raw = [int(x) for x in rng.integers(1, 9, E.d)]
+        weighted = instances.weighted_state(E, [Fraction(x, sum(raw)) for x in raw])
+        return [s.values for s in instances.coordinate_states(E)] + [weighted.values]
+    if E.factors is not None:
+        left, right = (_additive_states(F, rng) for F in E.factors)
+        ia, ib = (v.tolist() for v in E.split_index(np.arange(E.size)))
+        mix = Fraction(int(rng.integers(1, 8)), 8)
+        return ([[s[x] for x in ia] for s in left] + [[s[y] for y in ib] for s in right]
+                + [[mix * left[-1][x] + (1 - mix) * right[-1][y] for x, y in zip(ia, ib)]])
+    values = [Fraction(0), Fraction(1)] + [None] * (E.size - 2)
+    for (side, x), g in E.part_index.items():
+        values[g] = Fraction(x, E.part_units[side][1])
+    return [values]
+
+
+def _moved_states(E, states, rng, count=21):
+    """``count`` copies of the states, each with one value moved by a seeded
+    rational; on a product the moved element is in turn mixed ``(x, y)``,
+    left-only ``(x, 0)`` and right-only ``(0, y)``."""
+    out = []
+    for i in range(count):
+        values = list(states[i % len(states)])
+        if E.factors is None:
+            a = int(rng.integers(E.size))
+        else:
+            left, right = E.factors
+            x = int(rng.choice([v for v in range(left.size) if v != left.zero]))
+            y = int(rng.choice([v for v in range(right.size) if v != right.zero]))
+            a = E.pair_index(*((x, y), (x, right.zero), (left.zero, y))[i % 3])
+        values[a] += Fraction(int(rng.choice([-1, 1])), int(rng.integers(2, 10 ** 6)))
+        out.append(values)
+    return out
+
+
+def _breaks_additivity(S, values, w):
+    """Is ``w`` a defined pair (a, b) with values[a + b] != values[a] + values[b]?"""
+    a, b = w
+    s = S[a][b]
+    return s >= 0 and values[s] != values[a] + values[b]
+
+
+STATE_CASES = {**DENSE_GRIDS, **_dense_products(),
+               **{name: (lambda name=name: _criterion_01_instances()[name])
+                  for name in ("MO2", "L8+L8")}}
+
+
+@pytest.mark.parametrize("name", list(STATE_CASES))
+def test_states_match_the_scan(name):
+    """The additive row of ``State.validate`` against ``_scan_additivity`` on
+    additive states and on states with one value moved; a product's row is
+    ``structural``, and each failing witness breaks additivity on the
+    product's own table."""
+    E, _ = STATE_CASES[name]()
+    rng = np.random.default_rng(14)
+    states = _additive_states(E, rng)
+    S = None
+    verdicts = []
+    for values in states + _moved_states(E, states, rng):
+        row = core.State(E, values).validate().checks[-1]
+        want = core._scan_additivity(E, core._common_numerators(values))
+        assert (row.name, row.passed, row.mode) == (
+            "additive", want is None, "full" if E.factors is None else "structural")
+        if not row.passed:
+            S = E.sum_table.tolist() if S is None else S
+            assert _breaks_additivity(S, values, row.witness), row.witness
+        verdicts.append(row.passed)
+    assert all(verdicts[:len(states)]) and not all(verdicts[len(states):])
+
+
+def test_states_past_the_dense_limit_are_structural():
+    """One value moved by 10^-6 on a carrier too large for tables fails an
+    exact ``structural`` row; the coordinate state passes one."""
+    for E, _ in (instances.make_mv_product(16, 4, validate=False),
+                 instances.make_boolean(13, validate=False)):
+        assert not E.dense
+        state = instances.coordinate_states(E)[-1]
+        values = list(state.values)
+        a = E.size // 2 + 3
+        values[a] += Fraction(1, 10 ** 6)
+        row = core.State(E, values).validate().checks[-1]
+        assert (row.name, row.passed, row.mode) == ("additive", False, "structural")
+        x, y = row.witness
+        s = E.sum(x, y)
+        assert s is not None and values[s] != values[x] + values[y]
+        rep = state.validate()
+        assert rep.passed and {c.mode for c in rep.checks} == {"full", "structural"}
+
+
+def test_product_state_builds_no_product_table():
+    """The state of the resolve benchmark's product reads its factors only."""
+    E, _ = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
+    for values in _additive_states(E, np.random.default_rng(7)):
+        assert core.State(E, values).validate().passed
+    assert (E._sum_table, E._defined_pairs) == (None, None)
+
+
+def _small_factor(name, seed):
+    """A small carrier and values on it that are additive when it is an
+    effect algebra: a chain or a Boolean algebra with a weighted state,
+    MO2 with its part state, a grid's table with one entry changed (the
+    zero's row and column included) with the grid's weighted state, or two
+    elements without a defined sum, whose zero is no unit."""
+    if name == "void2":
+        return core.TableAlgebra(np.full((2, 2), -1), 0, 1), [Fraction(1, 3), Fraction(2, 3)]
+    if name == "MO2":
+        E = instances.make_mo2(validate=False)[0]
+        return E, _additive_states(E, np.random.default_rng(0))[0]
+    if name == "table":
+        G = core.GridAlgebra(*GRIDS[seed % len(GRIDS)])
+    else:
+        size = int(name[-1])
+        G = core.GridAlgebra(size, 1) if name.startswith("chain") else core.BooleanAlgebra(size)
+    values = [sum(Fraction(int(c) * (i + 1), G.k * G.d * (G.d + 1) // 2)
+                  for i, c in enumerate(G.coords[a])) for a in range(G.size)]
+    if name != "table":
+        return G, values
+    rng = np.random.default_rng(seed)
+    S = G.sum_table.copy()
+    a, b = (int(v) for v in rng.integers(G.size, size=2))
+    S[a, b] = int(rng.integers(-1, G.size))
+    return core.TableAlgebra(S, 0, G.size - 1), values
+
+
+FACTORS = ["chain2", "chain3", "chain4", "boolean1", "boolean2", "boolean3", "MO2", "table",
+           "void2"]
+
+
+@given(st.sampled_from(FACTORS), st.sampled_from(FACTORS), st.integers(0, 2 ** 16),
+       st.tuples(*[st.fractions(-2, 2, max_denominator=6)] * 2),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.fractions(-1, 1, max_denominator=12)),
+                max_size=3))
+@example("boolean2", "chain3", 0, (Fraction(1, 2), Fraction(1, 3)), [(5, Fraction(1, 7))])
+def test_drawn_product_states_match_the_scan(left, right, seed, weights, moves):
+    """Any value vector on a product of small factors, a broken table among
+    them: the verdict is the scan's, reached through the factors where the
+    zero is a unit of the product's sum and by the scan elsewhere, and a
+    witness is a defined pair that breaks additivity on the product's own
+    table.  The example moves the mixed element (1, 1) only: each
+    restriction stays additive and the decomposition
+    f(x, y) = f(x, 0) + f(0, y) breaks there."""
+    (L, fl), (R, fr) = _small_factor(left, seed), _small_factor(right, seed + 1)
+    E = core.ProductAlgebra(L, R)
+    values = [weights[0] * fl[x] + weights[1] * fr[y] for x in range(L.size) for y in range(R.size)]
+    for at, delta in moves:
+        values[at % E.size] += delta
+    row = core.State(E, values).validate().checks[-1]
+    want = core._scan_additivity(E, core._common_numerators(values))
+    S = E.sum_table.tolist()
+    unit = all(S[x][E.zero] == S[E.zero][x] == x for x in range(E.size))
+    assert (row.passed, row.mode) == (want is None, "structural" if unit else "full")
+    if not row.passed:
+        assert _breaks_additivity(S, values, row.witness), row.witness
+    if left == "boolean2" and moves == [(5, Fraction(1, 7))]:
+        assert row.witness == (E.embed(0, 1), E.embed(1, 1))
