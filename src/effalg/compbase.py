@@ -190,6 +190,11 @@ class CompressionBase:
         t = self.class_table()
         return self.p_array[t.bic[t.cls[a]]]
 
+    def bicommutant_test(self, a: int):
+        """Membership of P(a), or zero, as a predicate on projections."""
+        members = set(int(p) for p in self.bicommutant_set(a))
+        return lambda p: int(p) in members or p == self.algebra.zero
+
     def bicommutant_mask_all(self) -> np.ndarray:
         """(n, |P|) membership table of P(a) for every element."""
         t = self.class_table()
@@ -623,14 +628,16 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
 
     # (C2): composite of a Mackey-compatible pair is in the family
     c2_ok, c2_w, c2_mode = True, None, "full"
-    rng = np.random.default_rng(0)
     full_c2 = E.dense and m ** 2 * n <= budget
-    cols = None if full_c2 else rng.integers(0, n, size=min(n, 2000))
+    cols = None
     if full_c2:
         compat = kernels.mackey_matrix(E.sum_table, E.ominus_table, E.leq_table, P)
         ii, jj = np.nonzero(compat)  # row-major: p-major order
     else:
         c2_mode = "sampled"
+        # made on this branch only, so that a full scan imports no numpy.random
+        rng = np.random.default_rng(0)
+        cols = rng.integers(0, n, size=min(n, 2000))
         drawn = list({(int(i), int(j))
                       for i, j in zip(rng.integers(0, m, 128), rng.integers(0, m, 128))})
         pairs = np.array([ij for ij in drawn if _mackey_pair(E, P[ij[0]], P[ij[1]])],
@@ -947,7 +954,9 @@ def c_block(cb: CompressionBase, block) -> np.ndarray:
     if cb.factors is not None:
         left, right = cb.factors
         ia, ib = cb.algebra.split_index(np.asarray(block, dtype=np.int64))
-        c1, c2 = c_block(left, np.unique(ia)), c_block(right, np.unique(ib))
+        # the distinct factor indices, ascending; np.unique would import numpy.ma
+        c1 = c_block(left, np.flatnonzero(np.bincount(ia, minlength=left.algebra.size)))
+        c2 = c_block(right, np.flatnonzero(np.bincount(ib, minlength=right.algebra.size)))
         return (c1[:, None] * right.algebra.size + c2).ravel()
     mask = np.ones(cb.algebra.size, dtype=bool)
     for p in block:

@@ -3,7 +3,9 @@
 Finite algebras use dense integer indices as element handles.  Dense
 ``n x n`` lookup tables (sum, order, difference) are materialized only
 below a size cap; larger carriers keep vectorized structural operations
-and whole-algebra scans degrade to seeded sampling.
+and whole-algebra scans degrade to seeded sampling.  A direct product
+answers its operations through its factors at every size and builds its
+tables only for the scans that read them whole.
 """
 
 from __future__ import annotations
@@ -263,8 +265,8 @@ class FiniteAlgebra(EffectAlgebra):
     # pair operations on index arrays that broadcast against each other.
     # A dense carrier gathers from its tables; past DENSE_LIMIT the
     # structural primitives _sum_pairs/_leq_pairs/_ominus_pairs answer.
-    # The full law scans of kernels.py take the tables whole, not through
-    # these.
+    # ProductAlgebra overrides these with its factors'.  The full law scans
+    # of kernels.py take the tables whole, not through these.
 
     def sum_pairs(self, xs, ys) -> np.ndarray:
         """Pointwise partial sums; -1 where undefined."""
@@ -355,9 +357,7 @@ class FiniteAlgebra(EffectAlgebra):
 
     def split_index(self, idx):
         """Factor indices ``(x, y)`` of product indices."""
-        right = self.factors[1].size
-        idx = np.asarray(idx)
-        return idx // right, idx % right
+        return np.divmod(idx, self.factors[1].size)
 
     def pair_index(self, ia, ib) -> int:
         return int(ia) * self.factors[1].size + int(ib)
@@ -369,17 +369,21 @@ class FiniteAlgebra(EffectAlgebra):
         y = other.one if at_one else other.zero
         return self.pair_index(x, y) if side == 0 else self.pair_index(y, x)
 
-    # scalar wrappers
+    # scalar wrappers: one entry of a table that exists, else the pair
+    # operation (which builds the table on a dense carrier)
 
     def sum(self, a, b):
-        s = int(self.sum_pairs(a, b))
+        T = self._sum_table
+        s = int(self.sum_pairs(a, b) if T is None else T[a, b])
         return None if s < 0 else s
 
     def leq(self, a, b) -> bool:
-        return bool(self.leq_pairs(a, b))
+        T = self._leq_table
+        return bool(self.leq_pairs(a, b) if T is None else T[a, b])
 
     def ominus(self, b, a):
-        c = int(self.ominus_pairs(b, a))
+        T = self._ominus_table
+        c = int(self.ominus_pairs(b, a) if T is None else T[b, a])
         return None if c < 0 else c
 
     def ortho(self, a):
@@ -405,22 +409,22 @@ class FiniteAlgebra(EffectAlgebra):
 
     @property
     def sum_table(self) -> np.ndarray:
-        self._require_dense()
         if self._sum_table is None:
+            self._require_dense()
             self._sum_table = self._tabulate("sum")
         return self._sum_table
 
     @property
     def leq_table(self) -> np.ndarray:
-        self._require_dense()
         if self._leq_table is None:
+            self._require_dense()
             self._leq_table = self._tabulate("leq")
         return self._leq_table
 
     @property
     def ominus_table(self) -> np.ndarray:
-        self._require_dense()
         if self._ominus_table is None:
+            self._require_dense()
             self._ominus_table = self._tabulate("ominus")
         return self._ominus_table
 
@@ -664,7 +668,13 @@ class BooleanAlgebra(GridAlgebra):
 
 
 class ProductAlgebra(FiniteAlgebra):
-    """Direct product: componentwise sums, order and orthosupplement."""
+    """Direct product: componentwise sums, order and orthosupplement.
+
+    Pair and scalar operations answer through the factors at every size,
+    so a product keeps no ``n x n`` table for them; its dense tables
+    (``_tabulate``) are built only for the whole-table scans that read
+    them.
+    """
 
     kind = "product"
 
@@ -673,28 +683,47 @@ class ProductAlgebra(FiniteAlgebra):
         super().__init__(left.size * right.size,
                          left.zero * right.size + right.zero,
                          left.one * right.size + right.one)
+        # _pairs[x, y] is the product index of factor indices (x, y); its
+        # last row and column hold -1, which a factor's -1 reads
+        self._pairs = np.full((left.size + 1, right.size + 1), -1, dtype=np.int64)
+        self._pairs[:-1, :-1] = np.arange(self._n).reshape(left.size, right.size)
 
-    def _pair(self, ia, ib):
-        """Product indices of factor indices; -1 where either is -1."""
-        return np.where((ia >= 0) & (ib >= 0), ia * self.right.size + ib, -1)
+    # pair operations: one np.divmod per operand, one gather per factor
 
-    # structural primitives: componentwise, through the factors
-
-    def _sum_pairs(self, xs, ys):
+    def sum_pairs(self, xs, ys):
         (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
-        return self._pair(self.left.sum_pairs(xa, ya), self.right.sum_pairs(xb, yb))
+        return self._pairs[self.left.sum_pairs(xa, ya), self.right.sum_pairs(xb, yb)]
 
-    def _leq_pairs(self, xs, ys):
+    def leq_pairs(self, xs, ys):
         (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
         return self.left.leq_pairs(xa, ya) & self.right.leq_pairs(xb, yb)
 
-    def _ominus_pairs(self, bs, xs):
+    def ominus_pairs(self, bs, xs):
         (ba, bb), (xa, xb) = self.split_index(bs), self.split_index(xs)
-        return self._pair(self.left.ominus_pairs(ba, xa), self.right.ominus_pairs(bb, xb))
+        return self._pairs[self.left.ominus_pairs(ba, xa), self.right.ominus_pairs(bb, xb)]
 
     def meet_pairs(self, xs, ys):
         (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
-        return self._pair(self.left.meet_pairs(xa, ya), self.right.meet_pairs(xb, yb))
+        return self._pairs[self.left.meet_pairs(xa, ya), self.right.meet_pairs(xb, yb)]
+
+    # scalar operations: one Python divmod per operand, one scalar call per factor
+
+    def sum(self, a, b):
+        r = self.right.size
+        (xa, xb), (ya, yb) = divmod(a, r), divmod(b, r)
+        s, t = self.left.sum(xa, ya), self.right.sum(xb, yb)
+        return None if s is None or t is None else s * r + t
+
+    def leq(self, a, b) -> bool:
+        r = self.right.size
+        (xa, xb), (ya, yb) = divmod(a, r), divmod(b, r)
+        return self.left.leq(xa, ya) and self.right.leq(xb, yb)
+
+    def ominus(self, b, a):
+        r = self.right.size
+        (ba, bb), (xa, xb) = divmod(b, r), divmod(a, r)
+        s, t = self.left.ominus(ba, xa), self.right.ominus(bb, xb)
+        return None if s is None or t is None else s * r + t
 
     def meet(self, a, b):
         m = int(self.meet_pairs(a, b))
@@ -704,7 +733,7 @@ class ProductAlgebra(FiniteAlgebra):
         # from the factors, so that it builds no difference table
         if self._ortho_vec is None:
             ia, ib = self.split_index(np.arange(self._n))
-            self._ortho_vec = self._pair(self.left.ortho_all()[ia], self.right.ortho_all()[ib])
+            self._ortho_vec = self._pairs[self.left.ortho_all()[ia], self.right.ortho_all()[ib]]
         return self._ortho_vec
 
     def _tabulate(self, op):

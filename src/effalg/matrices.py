@@ -246,13 +246,23 @@ class MatrixCompressionBase:
                 out.append(sym(np.sum(sub, axis=0)))
         return out
 
-    def in_bicommutant(self, p, a) -> bool:
+    def bicommutant_test(self, a):
+        """Membership of the bicommutant of a, as a predicate on
+        projections p: p is the sum of the eigenprojections of a that it
+        contains.  The eigenprojections are computed once, here."""
         clusters = [q for _, q in eig_clusters(a)]
-        total = np.zeros_like(np.asarray(p, dtype=float))
-        for q in clusters:
-            if np.abs(q @ p @ q - q).max() <= 1e-6:
-                total = total + q
-        return self.algebra.eq(total, p)
+
+        def member(p) -> bool:
+            total = np.zeros_like(np.asarray(p, dtype=float))
+            for q in clusters:
+                if np.abs(q @ p @ q - q).max() <= 1e-6:
+                    total = total + q
+            return self.algebra.eq(total, p)
+
+        return member
+
+    def in_bicommutant(self, p, a) -> bool:
+        return self.bicommutant_test(a)(p)
 
     def cover(self, a) -> np.ndarray:
         return support_projection(a, self.algebra.tol)

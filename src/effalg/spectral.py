@@ -164,7 +164,7 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
     if not E.eq(root, E.zero):
         tree._u[()] = root
         tree._c[()] = a
-    in_bic = _bicommutant_checker(cb, a)
+    in_bic = cb.bicommutant_test(a)
     for level in range(n):
         for w, u in tree.layer(level):
             sr = comparability.split(cb, tree.c(w), u)
@@ -185,13 +185,6 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
         if not E.eq(total, root if tree._u else E.zero):
             raise InternalConsistencyError(f"layer {level} does not add up to the cover")
     return tree
-
-
-def _bicommutant_checker(cb, a):
-    if cb.enumerable:
-        members = set(int(p) for p in cb.bicommutant_set(a))
-        return lambda p: int(p) in members or p == cb.algebra.zero
-    return lambda p: cb.in_bicommutant(p, a)
 
 
 # ---------------------------------------------------------------------------

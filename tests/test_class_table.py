@@ -8,6 +8,8 @@ factors' tables; the tests compare that with the table read off the
 product's own ``pc_matrix`` (``compbase._pc_classes``).
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -198,20 +200,30 @@ def test_resolution_on_a_product_builds_no_pc_matrix():
     assert cb.class_table().pc.shape == (1, len(cb.projections))  # u = 1
 
 
+def _scalar_calls(monkeypatch):
+    """The scalar ``sum``/``leq``/``ominus`` calls made from here on, counted
+    per carrier: a product answers them through its factors, whose calls
+    count for the factors, not for the product."""
+    calls = collections.Counter()
+    for cls in (core.FiniteAlgebra, core.ProductAlgebra):
+        for name in ("sum", "leq", "ominus"):
+            def counted(self, *args, scalar=cls.__dict__[name]):
+                calls[self] += 1
+                return scalar(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def _split_counts(monkeypatch, cb, pairs):
-    """Scalar ``sum``/``leq``/``ominus`` calls made by each split."""
-    calls = [0]
+    """Scalar calls made on the carrier of ``cb`` by each split."""
+    E = cb.algebra
     out = []
     with monkeypatch.context() as m:
-        for name in ("sum", "leq", "ominus"):
-            def counted(self, *args, scalar=getattr(core.FiniteAlgebra, name)):
-                calls[0] += 1
-                return scalar(self, *args)
-            m.setattr(core.FiniteAlgebra, name, counted)
+        calls = _scalar_calls(m)
         for c, q in pairs:
-            before = calls[0]
+            before = calls[E]
             cmp.split(cb, c, q)
-            out.append(calls[0] - before)
+            out.append(calls[E] - before)
     return out
 
 
@@ -239,3 +251,20 @@ def test_split_scalar_calls_do_not_grow_with_p(monkeypatch):
         per_split[name] = sum(counts) / len(counts)
     assert len(prod[1].projections) == 4 * len(mv[1].projections) == 32
     assert per_split["product"] <= per_split["mv(8,3)"], per_split
+
+
+def test_product_scalar_call_makes_one_call_per_factor(monkeypatch):
+    """A scalar operation on a product is one scalar call per factor at
+    most, and on a factor with tables it makes no further scalar call."""
+    mv = instances.make_mv_product(8, 3)
+    E, _ = instances.make_product(instances.make_boolean(2), mv)
+    rng = np.random.default_rng(15)
+    pairs = rng.integers(0, E.size, size=(100, 2)).tolist()
+    pairs += [[E.one, E.one], [E.zero, E.one], [E.one, E.zero]]
+    calls = _scalar_calls(monkeypatch)
+    for name in ("sum", "leq", "ominus"):
+        for a, b in pairs:
+            calls.clear()
+            getattr(E, name)(a, b)
+            assert calls[E] == 1 and calls[E.left] <= 1 and calls[E.right] <= 1, (name, a, b)
+            assert sum(calls.values()) == calls[E] + calls[E.left] + calls[E.right]

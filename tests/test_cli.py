@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -651,3 +654,30 @@ def test_optimized_interpreter_prints_the_same(tmp_path):
         plain, optimized = ((r.returncode, r.stdout, r.stderr) for r in runs)
         assert plain == optimized, argv
         assert plain[0] == code and plain[1], argv
+
+
+_LOADED = ("import sys; print(sorted(m for m in ('numpy.random', 'numpy.ma') "
+           "if m in sys.modules), file=sys.stderr)")
+
+
+def test_finite_commands_import_neither_numpy_random_nor_numpy_ma(tmp_path):
+    """``validate`` and ``analyze`` on a grid document, each in a fresh
+    interpreter, leave ``numpy.random`` and ``numpy.ma`` unimported: the
+    scans draw no sample on a dense carrier and take distinct indices
+    without ``np.unique``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+
+    def loaded(code):
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        return run.stderr.strip().splitlines()[-1]
+
+    if loaded("import numpy; " + _LOADED) != "[]":
+        pytest.skip("a bare import numpy already loads them")
+    doc = write(tmp_path, "mv83.json", {"kind": "mv_product", "denominator": 8, "arity": 3})
+    for command in ("validate", "analyze"):
+        code = (f"from effalg import cli; assert cli.main([{command!r}, {doc!r}]) == 0; "
+                + _LOADED)
+        assert loaded(code) == "[]", command

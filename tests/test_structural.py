@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from effalg import comparability, compbase, core, instances, kernels
+from effalg import comparability, compbase, core, instances, kernels, spectral
 from effalg.compbase import CompressionBase, central_base
 from effalg.errors import EffalgError, IncompleteBase
 
@@ -773,6 +773,62 @@ def test_product_state_builds_no_product_table():
     for values in _additive_states(E, np.random.default_rng(7)):
         assert core.State(E, values).validate().passed
     assert (E._sum_table, E._defined_pairs) == (None, None)
+
+
+def _factor_route_cases():
+    named = _criterion_01_instances()
+    cases = {
+        "MO2 x boolean(1)": (named["MO2"], named["boolean(1)"]),
+        "boolean(1) x L8+L8": (named["boolean(1)"], named["L8+L8"]),
+        "mv(4,2) x mv(4,2)": (named["mv(4,2)"], named["mv(4,2)"]),
+    }
+    rng = np.random.default_rng(8)
+    partners = _partners()
+    for i in range(20):
+        broken = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        for j, partner in enumerate(partners):
+            cases[f"broken table {i} x partner {j}"] = (broken, partner)
+            cases[f"partner {j} x broken table {i}"] = (partner, broken)
+    return cases
+
+
+FACTOR_ROUTE_CASES = _factor_route_cases()
+
+
+@pytest.mark.parametrize("name", list(FACTOR_ROUTE_CASES))
+def test_product_operations_are_the_product_tables(name):
+    """Pair and scalar sums, order and differences of a product equal the
+    product of its factors' tables (``core._product_table``) on every pair,
+    undefined entries included, and build none of the product's tables."""
+    E, _ = instances.make_product(*FACTOR_ROUTE_CASES[name], validate=False)
+    left, right = E.factors
+    xs, ys = np.arange(E.size)[:, None], np.arange(E.size)
+    pairs = [(x, y) for x in range(E.size) for y in range(E.size)]
+    for op in ("sum", "leq", "ominus"):
+        want = core._product_table(getattr(left, f"{op}_table"), getattr(right, f"{op}_table"))
+        assert np.array_equal(getattr(E, f"{op}_pairs")(xs, ys), want), op
+        scalar = getattr(E, op)
+        got = [scalar(x, y) for x, y in pairs]
+        if op == "leq":
+            assert got == want.ravel().tolist(), op
+        else:
+            assert got == [None if v < 0 else v for v in want.ravel().tolist()], op
+    assert (E._sum_table, E._leq_table, E._ominus_table) == (None,) * 3
+
+
+def test_resolutions_on_a_product_build_no_product_table():
+    """Binary and rational resolutions, expectation bounds and the verifier
+    on boolean(2) x mv(8,3) answer through the factors."""
+    E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
+    rng = np.random.default_rng(15)
+    state = core.State(E, _additive_states(E, rng)[-1])  # a mix of both factors
+    for a in (0, E.one, E.size // 2, *rng.integers(0, E.size, 6).tolist()):
+        res = spectral.binary_resolution(cb, a, 4)
+        assert spectral.verify_resolution(cb, a, res.entries, 4).passed
+        spectral.rational_resolution(cb, a, Fraction(1, 3), 4)
+        lo, hi = spectral.expectation_bounds(cb, a, state, 4)
+        assert lo <= state(a) <= hi
+    assert (E._sum_table, E._leq_table, E._ominus_table) == (None,) * 3
 
 
 def _small_factor(name, seed):
