@@ -265,7 +265,7 @@ class FiniteAlgebra(EffectAlgebra):
     # pair operations on index arrays that broadcast against each other.
     # A dense carrier gathers from its tables; past DENSE_LIMIT the
     # structural primitives _sum_pairs/_leq_pairs/_ominus_pairs answer.
-    # ProductAlgebra overrides these with its factors'.  The full law scans
+    # ProductAlgebra answers through its factors at every size.  The full law scans
     # of kernels.py take the tables whole, not through these.
 
     def sum_pairs(self, xs, ys) -> np.ndarray:
@@ -701,6 +701,11 @@ class ProductAlgebra(FiniteAlgebra):
     def ominus_pairs(self, bs, xs):
         (ba, bb), (xa, xb) = self.split_index(bs), self.split_index(xs)
         return self._pairs[self.left.ominus_pairs(ba, xa), self.right.ominus_pairs(bb, xb)]
+
+    # the factor route is the product's structure too, so the generic
+    # row-by-row ``FiniteAlgebra._tabulate`` reads it, independently of the
+    # broadcast ``_tabulate`` below
+    _sum_pairs, _leq_pairs, _ominus_pairs = sum_pairs, leq_pairs, ominus_pairs
 
     def meet_pairs(self, xs, ys):
         (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)

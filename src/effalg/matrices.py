@@ -261,9 +261,6 @@ class MatrixCompressionBase:
 
         return member
 
-    def in_bicommutant(self, p, a) -> bool:
-        return self.bicommutant_test(a)(p)
-
     def cover(self, a) -> np.ndarray:
         return support_projection(a, self.algebra.tol)
 

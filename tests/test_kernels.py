@@ -266,9 +266,12 @@ DENSE_CRITERION = list(CRITERION_CARRIERS) + [
 
 @pytest.mark.parametrize("name", DENSE_CRITERION)
 def test_grid_pair_operations_read_the_tables(name, monkeypatch):
-    """Every dense carrier answers its pair operations from its tables,
-    with the values and dtypes of its structural path (coordinates for
-    grids, factors for products, the stored tables for a table carrier)."""
+    """Every dense carrier answers its pair operations with the values of
+    its tables and the values and dtypes of its structural path
+    (coordinates for grids, factors for products, the stored tables for a
+    table carrier).  A product answers through its factors, so its own
+    tables, built from the factors' tables whole, are the reference for
+    it; the scalar operations are checked on the same pairs."""
     E = _carrier(name)
     assert E.dense
     rng = np.random.default_rng(15)
@@ -276,7 +279,12 @@ def test_grid_pair_operations_read_the_tables(name, monkeypatch):
     ys = rng.integers(0, E.size, size=(1, 50))  # broadcast to 40 x 50
     ops = ("sum_pairs", "leq_pairs", "ominus_pairs")
     dense = {op: getattr(E, op)(xs, ys) for op in ops}
-    scalar = (E.sum(3 % E.size, E.one), E.ominus(E.one, E.zero), E.leq(E.zero, E.one))
+    pairs = list(zip(xs.ravel().tolist(), ys.ravel()[:40].tolist()))
+    pairs += [(3 % E.size, E.one), (E.one, E.zero), (E.zero, E.one), (int(xs[0, 0]), E.zero)]
+    scalar = [(E.sum(x, y), E.ominus(x, y), E.leq(x, y)) for x, y in pairs]
+    for op in ops:
+        table = getattr(E, op.replace("pairs", "table"))
+        assert np.array_equal(dense[op], table[xs, ys]), op
     monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     assert not E.dense
     for op in ops:
@@ -284,7 +292,14 @@ def test_grid_pair_operations_read_the_tables(name, monkeypatch):
         assert dense[op].shape == (40, 50), op
         assert dense[op].dtype == structural.dtype, op
         assert np.array_equal(dense[op], structural), op
-    assert scalar == (E.sum(3 % E.size, E.one), E.ominus(E.one, E.zero), E.leq(E.zero, E.one))
+
+    # the scalar operations read an existing table, so the reference is
+    # the structural primitives themselves
+    def value(v):
+        return None if v < 0 else int(v)
+
+    assert scalar == [(value(E._sum_pairs(x, y)), value(E._ominus_pairs(x, y)),
+                       bool(E._leq_pairs(x, y))) for x, y in pairs]
     # the draws hit both defined and undefined sums and differences
     for op in ("sum_pairs", "ominus_pairs"):
         assert (dense[op] < 0).any() and (dense[op] >= 0).any(), op

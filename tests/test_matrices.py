@@ -70,9 +70,9 @@ def test_bicommutant_is_eigenstructure(matrix2):
     bic = cb.bicommutant(a)
     assert len(bic) == 4  # 0, two eigenprojections, identity
     for p in bic:
-        assert cb.in_bicommutant(p, a)
+        assert cb.bicommutant_test(a)(p)
     foreign = E.random_projection(np.random.default_rng(2))
-    assert not cb.in_bicommutant(foreign, a)
+    assert not cb.bicommutant_test(a)(foreign)
 
 
 def test_commutant_is_commutation(matrix2):
