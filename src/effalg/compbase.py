@@ -68,7 +68,10 @@ class CompressionBase:
         self._classes = None
         self._elem_leq_proj = None
         self._cover_vec = None
+        self._pcp = None  # has_pcp(), read off cover_vec once
         self._p_meet = None
+        # spectral: one splitting tree per element, on a base without factors
+        self._trees = {} if factors is None else None
 
     # -- maps ----------------------------------------------------------------
 
@@ -243,7 +246,9 @@ class CompressionBase:
         return c
 
     def has_pcp(self) -> bool:
-        return bool((self.cover_vec() >= 0).all())
+        if self._pcp is None:
+            self._pcp = bool((self.cover_vec() >= 0).all())
+        return self._pcp
 
     # -- lattice structure of P ----------------------------------------------------
 

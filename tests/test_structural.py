@@ -21,7 +21,7 @@ from hypothesis import example, given, strategies as st
 
 from effalg import comparability, compbase, core, instances, kernels, spectral
 from effalg.compbase import CompressionBase, central_base
-from effalg.errors import EffalgError, IncompleteBase
+from effalg.errors import EffalgError, IncompleteBase, NotSpectral
 
 GRIDS = ((2, 1), (1, 2), (3, 1), (2, 2), (4, 1))  # (k, d) of the tables broken below
 MUTATIONS = ("retarget", "undefine", "define", "one-sided")
@@ -829,6 +829,39 @@ def test_resolutions_on_a_product_build_no_product_table():
         lo, hi = spectral.expectation_bounds(cb, a, state, 4)
         assert lo <= state(a) <= hi
     assert (E._sum_table, E._leq_table, E._ominus_table) == (None,) * 3
+
+
+def _outcome(fn):
+    """What ``fn`` returns, or the class of the error it raised."""
+    try:
+        return fn()
+    except EffalgError as exc:
+        return type(exc)
+
+
+def test_resolutions_with_a_broken_table_factor_fail_as_the_generic_loop():
+    """A product whose table factor is broken: the factor route raises the
+    error class that the generic loop raises on the product, and where the
+    loop succeeds, gives its tree and jumps."""
+    rng = np.random.default_rng(41)
+    seen = set()
+    for i in range(40):
+        k, d = GRIDS[i % len(GRIDS)]
+        broken = _broken_table(rng, k, d, MUTATIONS[i % len(MUTATIONS)])
+        for E, cb in _both_orders(broken, instances.make_boolean(1, validate=False)):
+            for a in range(E.size):
+                generic = _outcome(lambda: spectral._splitting_tree(cb, a, 4))
+                if isinstance(generic, type):
+                    want = generic, generic
+                else:
+                    want = ((generic._u, generic._c),
+                            _outcome(lambda: spectral._layer_jumps(E, generic, 4)))
+                tree = _outcome(lambda: spectral.splitting_tree(cb, a, 4))
+                got = (tree if isinstance(tree, type) else (tree._u, tree._c),
+                       _outcome(lambda: list(spectral.binary_resolution(cb, a, 4).jumps)))
+                assert got == want, (i, a)
+                seen.add(generic if isinstance(generic, type) else "resolved")
+    assert {"resolved", NotSpectral, IncompleteBase} <= seen, seen
 
 
 def _small_factor(name, seed):
