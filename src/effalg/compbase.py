@@ -282,7 +282,16 @@ class CompressionBase:
         return self._p_meet
 
     def meet_proj(self, p: int, q: int) -> Optional[int]:
-        v = int(self.p_meet_table()[self.p_pos[p], self.p_pos[q]])
+        """The meet of p and q in P, or None.  On a product base it is the
+        pair of the factor bases' meets, as in ``p_meet_table``, so it
+        builds no ``|P| x |P|`` table."""
+        if self.factors is not None:
+            left, right = self.factors
+            r = right.algebra.size
+            m1 = left.meet_proj(p // r, q // r)
+            m2 = None if m1 is None else right.meet_proj(p % r, q % r)
+            return None if m2 is None else m1 * r + m2
+        v = self.p_meet_table().item(self.p_pos[p], self.p_pos[q])
         return None if v < 0 else v
 
     def join_proj(self, p: int, q: int) -> Optional[int]:

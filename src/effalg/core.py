@@ -1,11 +1,13 @@
 """Effect algebras: partial sums, derived order, finite carriers, states.
 
-Finite algebras use dense integer indices as element handles.  Dense
-``n x n`` lookup tables (sum, order, difference) are materialized only
-below a size cap; larger carriers keep vectorized structural operations
-and whole-algebra scans degrade to seeded sampling.  A direct product
-answers its operations through its factors at every size and builds its
-tables only for the scans that read them whole.
+Finite algebras use dense integer indices as element handles.  A carrier
+without factors (a table, or the chain {0..k}) keeps dense ``n x n``
+lookup tables (sum, order, difference) and answers from them.  A direct
+product, a ``ProductAlgebra`` or a grid {0..k}^d with d > 1 (its chain
+times a grid of one coordinate less), answers its operations through its
+factors at every size, and builds its tables, below a size cap, only for
+the scans that read them whole; past the cap those scans are seeded
+samples.
 """
 
 from __future__ import annotations
@@ -220,9 +222,11 @@ class FiniteAlgebra(EffectAlgebra):
     """Enumerable algebra over dense indices 0..n-1.
 
     ``factors`` is None, or the pair ``(left, right)`` of a direct product
-    that this algebra is, with ``(x, y)`` at index ``x * right.size + y``;
-    the validators and ``sharp_elements`` decide such an algebra from its
-    factors.
+    that this algebra is, with ``(x, y)`` at index ``x * right.size + y``,
+    set before this constructor runs.  Such an algebra answers its
+    operations through its factors, and the validators, states,
+    ``sharp_elements``, central bases, spectrality and resolutions decide
+    it from them.  An algebra without factors keeps its dense tables.
     """
 
     enumerable = True
@@ -232,6 +236,12 @@ class FiniteAlgebra(EffectAlgebra):
         self._n = int(n)
         self.zero = int(zero)
         self.one = int(one)
+        if self.factors is not None:
+            # _pairs[x, y] is the index of factor indices (x, y); its last
+            # row and column hold -1, which a factor's -1 reads
+            left, right = self.factors
+            self._pairs = np.full((left.size + 1, right.size + 1), -1, dtype=np.int64)
+            self._pairs[:-1, :-1] = np.arange(self._n).reshape(left.size, right.size)
         self._sum_table = None
         self._leq_table = None
         self._ominus_table = None
@@ -263,77 +273,81 @@ class FiniteAlgebra(EffectAlgebra):
         return int(a)
 
     # pair operations on index arrays that broadcast against each other.
-    # A dense carrier gathers from its tables; past DENSE_LIMIT the
-    # structural primitives _sum_pairs/_leq_pairs/_ominus_pairs answer.
-    # ProductAlgebra answers through its factors at every size.  The full law scans
-    # of kernels.py take the tables whole, not through these.
+    # A carrier reads its dense table when it has one: a carrier without
+    # factors (a table, or the chain of a grid) keeps its tables from
+    # construction, and one with factors only once a whole-table scan has
+    # built them.  Otherwise it answers through its factors, at every
+    # size: one np.divmod per operand and one call per factor.  The full
+    # law scans of kernels.py take the tables whole, not through these.
 
     def sum_pairs(self, xs, ys) -> np.ndarray:
         """Pointwise partial sums; -1 where undefined."""
-        if self.dense:
-            return self.sum_table[xs, ys].astype(np.int64)
-        return self._sum_pairs(xs, ys)
+        if self._sum_table is None:
+            return self._through_factors("sum_pairs", xs, ys)
+        return self._sum_table[xs, ys].astype(np.int64)
 
     def leq_pairs(self, xs, ys) -> np.ndarray:
-        if self.dense:
-            return self.leq_table[xs, ys]
-        return self._leq_pairs(xs, ys)
+        if self._leq_table is None:
+            return self._through_factors("leq_pairs", xs, ys)
+        return self._leq_table[xs, ys]
 
     def ominus_pairs(self, bs, xs) -> np.ndarray:
         """Pointwise b - x; -1 where x is not below b."""
-        if self.dense:
-            return self.ominus_table[bs, xs].astype(np.int64)
-        return self._ominus_pairs(bs, xs)
-
-    # the structural primitives of a carrier given by its tables read them
-    # as stored; grids and products override these with their structure
-
-    def _sum_pairs(self, xs, ys):
-        return self._sum_table[xs, ys].astype(np.int64)
-
-    def _leq_pairs(self, xs, ys):
-        return self._leq_table[xs, ys]
-
-    def _ominus_pairs(self, bs, xs):
+        if self._ominus_table is None:
+            return self._through_factors("ominus_pairs", bs, xs)
         return self._ominus_table[bs, xs].astype(np.int64)
 
     def meet_pairs(self, xs, ys) -> np.ndarray:
-        """Pointwise meets; -1 where a pair has none.
+        """Pointwise meets; -1 where a pair has none.  Componentwise on a
+        carrier with factors: a pair has a meet iff both factor pairs do."""
+        if self.factors is None:
+            return self._meet_pairs(xs, ys)
+        return self._through_factors("meet_pairs", xs, ys)
+
+    def _through_factors(self, op: str, xs, ys):
+        """The pair operation ``op`` of a carrier with factors: each factor's
+        ``op`` on the factor indices of ``xs`` and ``ys``, and the pairs of
+        their answers (``_pairs``, or a conjunction for the order)."""
+        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
+        left, right = self.factors
+        a, b = getattr(left, op)(xa, ya), getattr(right, op)(xb, yb)
+        return a & b if op == "leq_pairs" else self._pairs[a, b]
+
+    def _meet_pairs(self, xs, ys) -> np.ndarray:
+        """``meet_pairs`` of a carrier without factors.
 
         Each distinct pair is answered once; a meet is symmetric, so
-        ``(x, y)`` and ``(y, x)`` count as one.  A dense carrier reads its
-        order table for a run of pairs at a time, in steps of
-        ``kernels.CHUNK_BYTES``, as ``CompressionBase.p_meet_table`` does
-        for P: the candidate is the common lower bound with the most
-        elements below it, and it is the meet when every common lower
-        bound lies below it and no other lies above it as well.  That
-        decides every pair that has a meet in a partial order.  The pairs
-        it leaves open, those with no meet and the ties of a broken table
-        whose order is not antisymmetric or not transitive, get the scalar
-        ``meet`` search, which defines the answer, and so does every pair
-        of a carrier past ``DENSE_LIMIT``.
+        ``(x, y)`` and ``(y, x)`` count as one.  The order table is read
+        for a run of pairs at a time, in steps of ``kernels.CHUNK_BYTES``,
+        as ``CompressionBase.p_meet_table`` does for P: the candidate is
+        the common lower bound with the most elements below it, and it is
+        the meet when every common lower bound lies below it and no other
+        lies above it as well.  That decides every pair that has a meet in
+        a partial order.  The pairs it leaves open, those with no meet and
+        the ties of a broken table whose order is not antisymmetric or not
+        transitive, get the scalar ``meet`` search, which defines the
+        answer.
         """
         xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
-        keys, inv = np.unique((np.minimum(xs, ys) * self._n + np.maximum(xs, ys)).ravel(),
+        n = self._n
+        keys, inv = np.unique((np.minimum(xs, ys) * n + np.maximum(xs, ys)).ravel(),
                               return_inverse=True)
         out = np.full(keys.size, -1, dtype=np.int64)
-        if self.dense:
-            n = self._n
-            order, down, up = self._order_bits()
-            step = max(1, kernels.CHUNK_BYTES // (4 * down.shape[1]))
-            for i in range(0, keys.size, step):
-                x, y = np.divmod(keys[i:i + step], n)
-                common = down[x] & down[y]
-                rows = np.arange(x.size)
-                byte = np.argmax(common != 0, axis=1)
-                bit = _LEADING_BIT[common[rows, byte]]  # 8 where no bound is common
-                top = order[np.minimum(byte * 8 + bit, n - 1)]
-                tied = common & up[top]  # common bounds above the candidate
-                tied[rows, byte] &= ~_BIT[bit]  # less the candidate itself
-                found = (bit < 8) & ~(common & ~down[top]).any(axis=1) & ~tied.any(axis=1)
-                out[i:i + step][found] = top[found]
+        order, down, up = self._order_bits()
+        step = max(1, kernels.CHUNK_BYTES // (4 * down.shape[1]))
+        for i in range(0, keys.size, step):
+            x, y = np.divmod(keys[i:i + step], n)
+            common = down[x] & down[y]
+            rows = np.arange(x.size)
+            byte = np.argmax(common != 0, axis=1)
+            bit = _LEADING_BIT[common[rows, byte]]  # 8 where no bound is common
+            top = order[np.minimum(byte * 8 + bit, n - 1)]
+            tied = common & up[top]  # common bounds above the candidate
+            tied[rows, byte] &= ~_BIT[bit]  # less the candidate itself
+            found = (bit < 8) & ~(common & ~down[top]).any(axis=1) & ~tied.any(axis=1)
+            out[i:i + step][found] = top[found]
         for i in np.flatnonzero(out < 0):
-            m = self.meet(int(keys[i]) // self._n, int(keys[i]) % self._n)
+            m = self.meet(int(keys[i]) // n, int(keys[i]) % n)
             out[i] = -1 if m is None else m
         return out[inv].reshape(xs.shape)
 
@@ -356,8 +370,9 @@ class FiniteAlgebra(EffectAlgebra):
     # the index layout of a direct product (``factors`` set)
 
     def split_index(self, idx):
-        """Factor indices ``(x, y)`` of product indices."""
-        return np.divmod(idx, self.factors[1].size)
+        """Factor indices ``(x, y)`` of product indices (an index array, or
+        one index, split without a numpy call)."""
+        return divmod(idx, self.factors[1]._n)
 
     def pair_index(self, ia, ib) -> int:
         return int(ia) * self.factors[1].size + int(ib)
@@ -369,21 +384,38 @@ class FiniteAlgebra(EffectAlgebra):
         y = other.one if at_one else other.zero
         return self.pair_index(x, y) if side == 0 else self.pair_index(y, x)
 
-    # scalar wrappers: one entry of a table that exists, else the pair
-    # operation (which builds the table on a dense carrier)
+    # scalar operations: one entry of a table that exists, else through
+    # the factors, with one Python divmod per operand and one scalar call
+    # per factor, the right one skipped when the left answer decides
 
     def sum(self, a, b):
         T = self._sum_table
-        s = int(self.sum_pairs(a, b) if T is None else T[a, b])
+        if T is None:
+            left, right = self.factors
+            r = right._n
+            s = left.sum(a // r, b // r)
+            t = None if s is None else right.sum(a % r, b % r)
+            return None if t is None else s * r + t
+        s = T.item(a, b)
         return None if s < 0 else s
 
     def leq(self, a, b) -> bool:
         T = self._leq_table
-        return bool(self.leq_pairs(a, b) if T is None else T[a, b])
+        if T is None:
+            left, right = self.factors
+            r = right._n
+            return left.leq(a // r, b // r) and right.leq(a % r, b % r)
+        return T.item(a, b)
 
     def ominus(self, b, a):
         T = self._ominus_table
-        c = int(self.ominus_pairs(b, a) if T is None else T[b, a])
+        if T is None:
+            left, right = self.factors
+            r = right._n
+            s = left.ominus(b // r, a // r)
+            t = None if s is None else right.ominus(b % r, a % r)
+            return None if t is None else s * r + t
+        c = T.item(b, a)
         return None if c < 0 else c
 
     def ortho(self, a):
@@ -396,15 +428,15 @@ class FiniteAlgebra(EffectAlgebra):
             raise SizeLimit(f"dense tables need n <= {DENSE_LIMIT}, carrier has {self._n}")
 
     def _tabulate(self, op: str) -> np.ndarray:
-        """Dense ``n x n`` table of ``sum``/``leq``/``ominus``, row by row
-        through the structural primitives; subclasses with factor tables
-        override."""
-        pairs = getattr(self, f"_{op}_pairs")
+        """Dense ``n x n`` table of ``sum``/``leq``/``ominus`` of a carrier
+        with factors, row by row through them; grids and products build
+        theirs whole from their factors' tables, and the tests take this
+        one as the reference for them."""
         n = self._n
         rows = np.arange(n)
         out = np.empty((n, n), dtype=bool if op == "leq" else np.int32)
         for a in range(n):
-            out[a] = pairs(a, rows)
+            out[a] = self._through_factors(f"{op}_pairs", a, rows)
         return out
 
     @property
@@ -442,6 +474,9 @@ class FiniteAlgebra(EffectAlgebra):
 
     def meet(self, a, b):
         """Greatest common lower bound, or None when it does not exist."""
+        if self.factors is not None:
+            m = int(self.meet_pairs(a, b))
+            return None if m < 0 else m
         cand = np.flatnonzero(self.lower_bounds(a) & self.lower_bounds(b))
         if cand.size <= 1:  # a broken table can leave a pair no lower bound
             return int(cand[0]) if cand.size else None
@@ -547,11 +582,12 @@ class GridAlgebra(FiniteAlgebra):
     """Coordinate grid {0..k}^d with truncated addition: the finite cube of
     numerator vectors over a common denominator k.
 
-    For ``d > 1`` it is the direct product of the chain {0..k} of its
-    most significant coordinate ``d - 1`` and the grid of coordinates
-    ``0..d-2``, in the product's index layout: ``factors`` is that pair.
-    All the grids of one tower share one ``chain`` object, whose tables
-    the dense tables of every grid fold.
+    For ``d > 1`` it is the direct product of the chain {0..k} of its most
+    significant coordinate ``d - 1`` and the grid of coordinates
+    ``0..d-2``, in the product's index layout: ``factors`` is that pair,
+    set up here, and the grid answers through it.  All the grids of one
+    tower share one ``chain``, the grid with ``d == 1``, which keeps its
+    tables, built from its index arithmetic (there ``coords[x] == x``).
     """
 
     kind = "mv_product"
@@ -559,37 +595,30 @@ class GridAlgebra(FiniteAlgebra):
     def __init__(self, k, d):
         if k < 1 or d < 1:
             raise ValueError("need k >= 1 and d >= 1")
-        n = (k + 1) ** d
-        super().__init__(n, 0, n - 1)
         self.k = int(k)
         self.d = int(d)
+        if d > 1:
+            rest = self._with_arity(d - 1)
+            self.chain = rest.chain
+            self.factors = (self.chain, rest)
+        n = (k + 1) ** d
+        super().__init__(n, 0, n - 1)
         # little-endian index: coordinate i carries stride (k+1)^i
         self.strides = (k + 1) ** np.arange(d, dtype=np.int64)
         idx = np.arange(n, dtype=np.int64)
         self.coords = ((idx[:, None] // self.strides[None, :]) % (k + 1)).astype(np.int32)
         self.group_unit = np.full(d, k, dtype=np.int64)
-        self._chain = self if d == 1 else None
-        self._factors = None
+        if d == 1:
+            self.chain = self
+            self._require_dense()
+            x = np.arange(n, dtype=np.int32)
+            s, diff = x[:, None] + x, x[:, None] - x
+            self._sum_table = np.where(s <= k, s, -1)
+            self._leq_table = diff <= 0
+            self._ominus_table = np.where(diff >= 0, diff, -1)
 
     def _with_arity(self, d: int) -> "GridAlgebra":
         return GridAlgebra(self.k, d)
-
-    @property
-    def chain(self) -> "GridAlgebra":
-        """The chain {0..k}, this grid itself when ``d == 1``."""
-        if self._chain is None:
-            self._chain = self._with_arity(1)
-        return self._chain
-
-    @property
-    def factors(self):
-        if self.d == 1:
-            return None
-        if self._factors is None:
-            rest = self.chain if self.d == 2 else self._with_arity(self.d - 1)
-            rest._chain = self.chain
-            self._factors = (self.chain, rest)
-        return self._factors
 
     def index_of(self, coords) -> int:
         coords = np.asarray(coords, dtype=np.int64)
@@ -597,44 +626,11 @@ class GridAlgebra(FiniteAlgebra):
             raise ElementNotInCarrier(f"coords {coords} outside grid (k={self.k}, d={self.d})")
         return int(coords @ self.strides)
 
-    # structural primitives: coordinatewise, on the trailing axis
-
-    def _sum_pairs(self, xs, ys):
-        cs = self.coords[np.asarray(xs)].astype(np.int64) + self.coords[np.asarray(ys)]
-        ok = (cs <= self.k).all(axis=-1)
-        return np.where(ok, np.minimum(cs, self.k) @ self.strides, -1)
-
-    def _leq_pairs(self, xs, ys):
-        return (self.coords[np.asarray(xs)] <= self.coords[np.asarray(ys)]).all(axis=-1)
-
-    def _ominus_pairs(self, bs, xs):
-        cs = self.coords[np.asarray(bs)].astype(np.int64) - self.coords[np.asarray(xs)]
-        ok = (cs >= 0).all(axis=-1)
-        return np.where(ok, np.maximum(cs, 0) @ self.strides, -1)
-
-    def meet_pairs(self, xs, ys):
-        return np.minimum(self.coords[np.asarray(xs)], self.coords[np.asarray(ys)]) @ self.strides
+    def _meet_pairs(self, xs, ys):
+        return np.minimum(xs, ys)  # the chain is totally ordered
 
     def _tabulate(self, op):
-        if self.d > 1:
-            # d copies of the chain's table, coordinate d-1 the most
-            # significant; no grid between keeps a table
-            chain = getattr(self.chain, f"{op}_table")
-            out = chain
-            for _ in range(self.d - 1):
-                out = _product_table(chain, out)
-            return out
-        x = np.arange(self.k + 1, dtype=np.int32)
-        if op == "leq":
-            return x[:, None] <= x
-        v = x[:, None] + x if op == "sum" else x[:, None] - x
-        return np.where((v >= 0) & (v <= self.k), v, -1)
-
-    def meet(self, a, b):
-        return int(self.meet_pairs(a, b))
-
-    def join(self, a, b):
-        return int(np.maximum(self.coords[a], self.coords[b]) @ self.strides)
+        return _product_table(*(getattr(F, f"{op}_table") for F in self.factors))
 
     def scale(self, frac: Fraction, a):
         """Exact scalar multiple frac*a, or None when off the grid."""
@@ -670,8 +666,8 @@ class BooleanAlgebra(GridAlgebra):
 class ProductAlgebra(FiniteAlgebra):
     """Direct product: componentwise sums, order and orthosupplement.
 
-    Pair and scalar operations answer through the factors at every size,
-    so a product keeps no ``n x n`` table for them; its dense tables
+    It answers through its factors at every size (``FiniteAlgebra``), so
+    it keeps no ``n x n`` table for its operations; its dense tables
     (``_tabulate``) are built only for the whole-table scans that read
     them.
     """
@@ -683,73 +679,9 @@ class ProductAlgebra(FiniteAlgebra):
         super().__init__(left.size * right.size,
                          left.zero * right.size + right.zero,
                          left.one * right.size + right.one)
-        # _pairs[x, y] is the product index of factor indices (x, y); its
-        # last row and column hold -1, which a factor's -1 reads
-        self._pairs = np.full((left.size + 1, right.size + 1), -1, dtype=np.int64)
-        self._pairs[:-1, :-1] = np.arange(self._n).reshape(left.size, right.size)
-
-    # pair operations: one np.divmod per operand, one gather per factor
-
-    def sum_pairs(self, xs, ys):
-        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
-        return self._pairs[self.left.sum_pairs(xa, ya), self.right.sum_pairs(xb, yb)]
-
-    def leq_pairs(self, xs, ys):
-        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
-        return self.left.leq_pairs(xa, ya) & self.right.leq_pairs(xb, yb)
-
-    def ominus_pairs(self, bs, xs):
-        (ba, bb), (xa, xb) = self.split_index(bs), self.split_index(xs)
-        return self._pairs[self.left.ominus_pairs(ba, xa), self.right.ominus_pairs(bb, xb)]
-
-    # the factor route is the product's structure too, so the generic
-    # row-by-row ``FiniteAlgebra._tabulate`` reads it, independently of the
-    # broadcast ``_tabulate`` below
-    _sum_pairs, _leq_pairs, _ominus_pairs = sum_pairs, leq_pairs, ominus_pairs
-
-    def meet_pairs(self, xs, ys):
-        (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
-        return self._pairs[self.left.meet_pairs(xa, ya), self.right.meet_pairs(xb, yb)]
-
-    # scalar operations: one Python divmod per operand, one scalar call per factor
-
-    def sum(self, a, b):
-        r = self.right.size
-        (xa, xb), (ya, yb) = divmod(a, r), divmod(b, r)
-        s, t = self.left.sum(xa, ya), self.right.sum(xb, yb)
-        return None if s is None or t is None else s * r + t
-
-    def leq(self, a, b) -> bool:
-        r = self.right.size
-        (xa, xb), (ya, yb) = divmod(a, r), divmod(b, r)
-        return self.left.leq(xa, ya) and self.right.leq(xb, yb)
-
-    def ominus(self, b, a):
-        r = self.right.size
-        (ba, bb), (xa, xb) = divmod(b, r), divmod(a, r)
-        s, t = self.left.ominus(ba, xa), self.right.ominus(bb, xb)
-        return None if s is None or t is None else s * r + t
-
-    def meet(self, a, b):
-        m = int(self.meet_pairs(a, b))
-        return None if m < 0 else m
-
-    def ortho_all(self) -> np.ndarray:
-        # from the factors, so that it builds no difference table
-        if self._ortho_vec is None:
-            ia, ib = self.split_index(np.arange(self._n))
-            self._ortho_vec = self._pairs[self.left.ortho_all()[ia], self.right.ortho_all()[ib]]
-        return self._ortho_vec
 
     def _tabulate(self, op):
-        table = f"{op}_table"
-        return _product_table(getattr(self.left, table), getattr(self.right, table))
-
-    def lower_bounds(self, a) -> np.ndarray:
-        # the outer product of the factor masks builds no order table
-        ia, ib = self.split_index(a)
-        return np.outer(self.left.lower_bounds(int(ia)),
-                        self.right.lower_bounds(int(ib))).ravel()
+        return _product_table(*(getattr(F, f"{op}_table") for F in self.factors))
 
     def label(self, a) -> str:
         ia, ib = self.split_index(a)
@@ -779,19 +711,17 @@ class State:
         return all(v > 0 for i, v in enumerate(self.values) if i != self.algebra.zero)
 
     def validate(self) -> Report:
-        """Unital, into [0, 1] and additive.  Additivity is exact: on a
-        carrier with ``factors`` whose zero is a unit of its sum it is
-        decided through them (``_additivity_violation``) and the row is
-        ``structural``; other carriers are scanned pair by pair
-        (``_scan_additivity``)."""
+        """Unital, into [0, 1] and additive.  Additivity is exact
+        (``_additivity_violation``): on a carrier with ``factors`` whose
+        zero is a unit of its sum it is decided through them and the row
+        is ``structural``; other carriers are scanned pair by pair."""
         E = self.algebra
         rep = Report(f"state on {E.kind} ({E.size} elements)")
         vals = self.values
         rep.add("unital", vals[E.one] == 1 and vals[E.zero] == 0)
         rep.add("range", all(0 <= v <= 1 for v in vals))
-        num = _common_numerators(vals)
+        witness = _additivity_violation(E, _common_numerators(vals))
         structural = E.factors is not None and _zero_is_unit(E)
-        witness = _additivity_violation(E, num) if structural else _scan_additivity(E, num)
         rep.add("additive", witness is None, mode="structural" if structural else "full",
                 witness=witness)
         self._validated = rep.passed
@@ -823,10 +753,29 @@ def _common_numerators(values) -> np.ndarray:
 def _scan_additivity(E: FiniteAlgebra, num: np.ndarray):
     """The first defined pair ``(a, b)``, row-major, with ``num[a + b] !=
     num[a] + num[b]``, or None: a scan of every defined pair of a dense
-    carrier, products included."""
+    carrier, products included, over its sum table."""
     pairs = E.defined_pairs
     bad = np.flatnonzero(num[pairs.s] != num[pairs.a] + num[pairs.b])
     return (int(pairs.a[bad[0]]), int(pairs.b[bad[0]])) if bad.size else None
+
+
+def _defined_pair_chunks(E: FiniteAlgebra):
+    """The defined pairs ``(a, b, a + b)`` of ``E`` as index arrays, in
+    chunks of about ``kernels.CHUNK_BYTES``.  On a carrier with factors
+    they are the pairs of its factors' defined pairs, since a sum is
+    defined iff both factor sums are, so no product table is built."""
+    if E.factors is None:
+        pairs = E.defined_pairs
+        yield pairs.a, pairs.b, pairs.s
+        return
+    left, right = E.factors
+    r = right.size
+    for la, lb, ls in _defined_pair_chunks(left):
+        for ra, rb, rs in _defined_pair_chunks(right):
+            step = max(1, kernels.CHUNK_BYTES // (24 * max(ra.size, 1)))
+            for i in range(0, la.size, step):
+                yield tuple((x[i:i + step, None] * r + y).ravel()
+                            for x, y in ((la, ra), (lb, rb), (ls, rs)))
 
 
 def _zero_is_unit(E: FiniteAlgebra) -> bool:
@@ -840,10 +789,10 @@ def _zero_is_unit(E: FiniteAlgebra) -> bool:
 
 def _additivity_violation(E: FiniteAlgebra, num: np.ndarray):
     """A defined pair ``(a, b)`` with ``num[a + b] != num[a] + num[b]``, or
-    None when the map ``num`` (one value per element) is additive; the
-    zero of ``E`` must be a unit of its sum (``_zero_is_unit``).
+    None when the map ``num`` (one value per element) is additive.
 
-    On a direct product ``(x, y) = (x, 0) + (0, y)`` is then defined for
+    On a direct product whose zero is a unit of its sum
+    (``_zero_is_unit``), ``(x, y) = (x, 0) + (0, y)`` is defined for
     every element, so an additive f has ``f(x, y) = f(x, 0) + f(0, y)``, and
     ``(x1, 0) + (x2, 0) = (x1 + x2, 0)`` makes both restrictions
     ``x -> f(x, 0)`` and ``y -> f(0, y)`` additive on their factors.
@@ -855,9 +804,22 @@ def _additivity_violation(E: FiniteAlgebra, num: np.ndarray):
     index order that breaks the decomposition is the pair ``((x, 0), (0,
     y))``.  No product-sized pair list or table is built.  A carrier
     without factors gets ``_scan_additivity``.
+
+    A carrier with factors whose zero is no unit is scanned over the
+    pairs of its factors' defined pairs (``_defined_pair_chunks``), and
+    the witness is the first failing pair in row-major order, as
+    ``_scan_additivity`` would find it on the product's table.
     """
     if E.factors is None:
         return _scan_additivity(E, num)
+    if not _zero_is_unit(E):
+        n, first = E.size, None
+        for a, b, s in _defined_pair_chunks(E):
+            bad = num[s] != num[a] + num[b]
+            if bad.any():
+                key = int((a[bad] * n + b[bad]).min())
+                first = key if first is None else min(first, key)
+        return None if first is None else divmod(first, n)
     left, right = E.factors
     f = num.reshape(left.size, right.size)
     restrictions = (f[:, right.zero], f[left.zero, :])

@@ -194,20 +194,20 @@ def _mo2():
 
 
 @pytest.mark.parametrize("name", list(SMALL_PRODUCTS))
-def test_broadcast_tables_equal_row_by_row(name, monkeypatch):
+def test_broadcast_tables_equal_row_by_row(name):
+    """The tables a grid or product composes from its factors' tables
+    equal the row-by-row reference through its factors, and its lower
+    bounds, taken through the factors before any table exists, are the
+    columns of its order table."""
     E = SMALL_PRODUCTS[name]()
-    fast = {op: getattr(E, f"{op}_table") for op in ("sum", "leq", "ominus")}
     bounds = [E.lower_bounds(a) for a in range(E.size)]
-    # dense carriers read their pair operations from these very tables, so
-    # the row-by-row reference runs on the structural path
-    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
+    fast = {op: getattr(E, f"{op}_table") for op in ("sum", "leq", "ominus")}
     for op in ("sum", "leq", "ominus"):
         slow = FiniteAlgebra._tabulate(E, op)
         assert fast[op].dtype == slow.dtype, op
         assert np.array_equal(fast[op], slow), op
-    allv = np.arange(E.size)
     for a in range(E.size):
-        assert np.array_equal(bounds[a], E.leq_pairs(allv, np.full(E.size, a)))
+        assert np.array_equal(bounds[a], fast["leq"][:, a])
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +265,14 @@ DENSE_CRITERION = list(CRITERION_CARRIERS) + [
 
 
 @pytest.mark.parametrize("name", DENSE_CRITERION)
-def test_grid_pair_operations_read_the_tables(name, monkeypatch):
+def test_grid_pair_operations_read_the_tables(name):
     """Every dense carrier answers its pair operations with the values of
-    its tables and the values and dtypes of its structural path
-    (coordinates for grids, factors for products, the stored tables for a
-    table carrier).  A product answers through its factors, so its own
-    tables, built from the factors' tables whole, are the reference for
-    it; the scalar operations are checked on the same pairs."""
+    its tables (through its factors for grids and products, from the
+    stored tables for a table carrier and a chain).  A grid or product
+    answers through its factors, so its own tables, built from the
+    factors' tables whole, are the reference for it, and its factor route
+    is checked once its tables exist too; the scalar operations are
+    checked on the same pairs."""
     E = _carrier(name)
     assert E.dense
     rng = np.random.default_rng(15)
@@ -285,21 +286,19 @@ def test_grid_pair_operations_read_the_tables(name, monkeypatch):
     for op in ops:
         table = getattr(E, op.replace("pairs", "table"))
         assert np.array_equal(dense[op], table[xs, ys]), op
-    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
-    assert not E.dense
-    for op in ops:
-        structural = getattr(E, op)(xs, ys)
+    for op in ops if E.factors is not None else ():
+        routed = E._through_factors(op, xs, ys)
         assert dense[op].shape == (40, 50), op
-        assert dense[op].dtype == structural.dtype, op
-        assert np.array_equal(dense[op], structural), op
+        assert dense[op].dtype == routed.dtype, op
+        assert np.array_equal(dense[op], routed), op
 
-    # the scalar operations read an existing table, so the reference is
-    # the structural primitives themselves
+    # the scalar operations of a carrier with factors answer through the
+    # factors' scalar operations, independently of the pair operations
     def value(v):
         return None if v < 0 else int(v)
 
-    assert scalar == [(value(E._sum_pairs(x, y)), value(E._ominus_pairs(x, y)),
-                       bool(E._leq_pairs(x, y))) for x, y in pairs]
+    assert scalar == [(value(E.sum_pairs(x, y)), value(E.ominus_pairs(x, y)),
+                       bool(E.leq_pairs(x, y))) for x, y in pairs]
     # the draws hit both defined and undefined sums and differences
     for op in ("sum_pairs", "ominus_pairs"):
         assert (dense[op] < 0).any() and (dense[op] >= 0).any(), op
@@ -307,6 +306,14 @@ def test_grid_pair_operations_read_the_tables(name, monkeypatch):
 
 MEET_CARRIERS = ["even(6)", "MO2", "L8+L8", "mv(4,2)", "boolean(3)", "MO2 x boolean(2)",
                  "even(6) x boolean(1)", "mv(4,2) x MO2", "boolean(2) x L8+L8"]
+
+
+def _search_meet(L, x, y):
+    """The first common lower bound of x and y in the order table L that
+    every common lower bound lies below, or None."""
+    cand = np.flatnonzero(L[:, x] & L[:, y])
+    top = [int(c) for c in cand if L[cand, c].all()]
+    return top[0] if top else None
 
 
 @pytest.mark.parametrize("name", MEET_CARRIERS)
@@ -318,7 +325,7 @@ def test_meet_pairs_matches_the_lower_bound_search(name):
     xs = rng.integers(0, E.size, size=(30, 1))
     ys = rng.integers(0, E.size, size=(1, 40))
     got = E.meet_pairs(xs, ys)
-    want = [[FiniteAlgebra.meet(E, int(x), int(y)) for y in ys[0]] for x in xs[:, 0]]
+    want = [[_search_meet(E.leq_table, int(x), int(y)) for y in ys[0]] for x in xs[:, 0]]
     assert np.array_equal(got, np.array([[-1 if m is None else m for m in row]
                                          for row in want]))
     a, b = int(xs[0, 0]), int(ys[0, 0])

@@ -644,6 +644,24 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
             mix * lo1 + (1 - mix) * lo2, mix * hi1 + (1 - mix) * hi2), a
 
 
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_product_meets_in_p_are_the_meet_table(name):
+    """``meet_proj`` on a product base pairs its factor bases' meets, and no
+    product base below builds a meet table; it equals the composed
+    ``p_meet_table`` on every pair of P, and ``join_proj`` is its
+    orthosupplement dual."""
+    (P, cb), _, _, _ = ORACLE_CASES[name]()
+    ps = cb.projections
+    got = [[cb.meet_proj(p, q) for q in ps] for p in ps]
+    assert all(b._p_meet is None for b in _bases_below(cb) if b.factors is not None)
+    table = cb.p_meet_table()
+    assert got == [[None if v < 0 else int(v) for v in row] for row in table.tolist()]
+    for p in ps:
+        for q in ps:
+            m = cb.meet_proj(P.ortho(p), P.ortho(q))
+            assert cb.join_proj(p, q) == (None if m is None else P.ortho(m))
+
+
 # ---------------------------------------------------------------------------
 # the factor route, and the trees a leaf base keeps
 

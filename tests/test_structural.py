@@ -285,18 +285,42 @@ def test_grid_base_is_the_central_base(name):
     assert all(base.factors[0] is levels[-1] for base in levels[:-1])  # one chain base
 
 
+def _plain_grid_tables(k, d, rows):
+    """Rows ``rows`` of the sum, order and difference tables of {0..k}^d,
+    coordinate 0 least significant, in plain Python on coordinate lists
+    (as ``perfbench/wl_validate.grid_table`` builds the sum table)."""
+    n = (k + 1) ** d
+    coords = [[(x // (k + 1) ** i) % (k + 1) for i in range(d)] for x in range(n)]
+
+    def index(c):
+        return sum(v * (k + 1) ** i for i, v in enumerate(c)) if 0 <= min(c) <= max(c) <= k else -1
+
+    out = {"sum": [], "leq": [], "ominus": []}
+    for a in rows:
+        out["sum"].append([index([x + y for x, y in zip(coords[a], c)]) for c in coords])
+        out["leq"].append([all(x <= y for x, y in zip(coords[a], c)) for c in coords])
+        out["ominus"].append([index([x - y for x, y in zip(coords[a], c)]) for c in coords])
+    return out
+
+
 @pytest.mark.parametrize("name", list(DENSE_GRIDS))
 def test_grid_tables_are_product_tables_of_the_chain(name):
+    """A grid is its chain times the grid of one coordinate less, sharing
+    the chain, and its tables, the chain's included, are those of
+    coordinatewise truncated arithmetic: every row of grids up to 100
+    elements and 60 seeded rows of the others, against plain Python."""
     E, _ = DENSE_GRIDS[name]()
-    if E.factors is None:
-        return
-    chain, rest = E.factors
-    assert chain is E.chain and rest.chain is chain and chain.d == 1 and chain.k == E.k
-    assert type(chain) is type(E) and rest.d == E.d - 1
+    if E.factors is not None:
+        chain, rest = E.factors
+        assert chain is E.chain and rest.chain is chain and chain.d == 1 and chain.k == E.k
+        assert type(chain) is type(E) and rest.d == E.d - 1 and chain.factors is None
+    rows = (range(E.size) if E.size <= 100
+            else np.random.default_rng(16).choice(E.size, 60, replace=False).tolist())
+    want = _plain_grid_tables(E.k, E.d, rows)
     for op in ("sum", "leq", "ominus"):
         table = getattr(E, f"{op}_table")
-        want = core._product_table(getattr(chain, f"{op}_table"), getattr(rest, f"{op}_table"))
-        assert table.dtype == want.dtype and np.array_equal(table, want), op
+        assert table.dtype == (bool if op == "leq" else np.int32), op
+        assert table[list(rows)].tolist() == want[op], op
 
 
 @pytest.mark.parametrize("name", list(DENSE_GRIDS))
@@ -767,6 +791,54 @@ def test_states_past_the_dense_limit_are_structural():
         assert rep.passed and {c.mode for c in rep.checks} == {"full", "structural"}
 
 
+def _zero_without_unit():
+    """0 and 1 with 0 + 0 = 0 the only sum: its zero is no unit of it."""
+    return core.TableAlgebra([[0, -1], [-1, -1]], 0, 1)
+
+
+def test_states_on_a_product_whose_zero_is_no_unit(monkeypatch):
+    """A product with a factor whose zero is no unit is scanned over the
+    pairs of its factors' defined pairs, in chunks, and its witness is the
+    product table scan's (``_scan_additivity``): checked times mv(4,2) in
+    both orders, on additive values and on values with one moved.  Past
+    DENSE_LIMIT, times mv(16,3), it still gives an exact report."""
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 1 << 10)  # many chunks
+    rng = np.random.default_rng(21)
+    mv = instances.make_mv_product(4, 2, validate=False)[0]
+    weights = instances.weighted_state(mv, [Fraction(1, 3), Fraction(2, 3)]).values
+    witnesses = set()
+    for Z in (_zero_without_unit(), core.TableAlgebra(np.full((2, 2), -1), 0, 1)):
+        for E in (core.ProductAlgebra(Z, mv), core.ProductAlgebra(mv, Z)):
+            assert not core._zero_is_unit(E)
+            ia, ib = E.split_index(np.arange(E.size))
+            inner = ib if E.factors[1] is mv else ia
+            base = [weights[y] for y in inner.tolist()]
+            for moved in [None] + rng.integers(0, E.size, 12).tolist():
+                values = list(base)
+                if moved is not None:
+                    values[moved] += Fraction(1, 7)
+                row = core.State(E, values).validate().checks[-1]
+                want = core._scan_additivity(E, core._common_numerators(values))
+                assert (row.passed, row.mode, row.witness) == (want is None, "full", want)
+                witnesses.add(want)
+    assert None in witnesses and len(witnesses) > 2
+    monkeypatch.undo()
+    big = core.ProductAlgebra(_zero_without_unit(), instances.make_mv_product(16, 3, False)[0])
+    assert not big.dense
+    inner = big.split_index(np.arange(big.size))[1]
+    state = instances.coordinate_states(big.factors[1])[0]
+    values = [state(int(y)) for y in inner]
+    values[big.one] = Fraction(1)
+    rep = core.State(big, values).validate()
+    assert rep.passed and rep.checks[-1].mode == "full"
+    values[big.pair_index(0, 5)] += Fraction(1, 10 ** 6)
+    row = core.State(big, values).validate().checks[-1]
+    assert not row.passed
+    a, b = row.witness
+    assert values[big.sum(a, b)] != values[a] + values[b]
+    assert big._sum_table is None
+
+
 def test_product_state_builds_no_product_table():
     """The state of the resolve benchmark's product reads its factors only."""
     E, _ = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
@@ -793,13 +865,62 @@ def _factor_route_cases():
 
 
 FACTOR_ROUTE_CASES = _factor_route_cases()
+# grids: every pair of the dense ones, seeded pairs past DENSE_LIMIT
+GRID_ROUTE_CASES = {"mv(4,2)": (4, 2), "mv(8,3)": (8, 3), "boolean(3)": (1, 3),
+                    "boolean(13)": (1, 13), "mv(16,4)": (16, 4)}
 
 
-@pytest.mark.parametrize("name", list(FACTOR_ROUTE_CASES))
+def _tabled(E):
+    """The carriers with factors, E and those below it, that keep a sum,
+    order or difference table."""
+    if E.factors is None:
+        return []
+    own = [E] if any(t is not None for t in (E._sum_table, E._leq_table, E._ominus_table)) else []
+    return own + [G for F in E.factors for G in _tabled(F)]
+
+
+def _grid_operations_are_coordinatewise(E):
+    """A grid's pair operations, meets and scalar operations against
+    truncated arithmetic on ``coords``, with no table built for any grid
+    that has factors: on every pair of a dense grid and on 60 x 70 seeded
+    pairs past DENSE_LIMIT, the scalars on 5000 of them past 10^4 pairs."""
+    rng = np.random.default_rng(19)
+    if E.dense:
+        xs, ys = np.arange(E.size)[:, None], np.arange(E.size)[None, :]
+    else:
+        xs, ys = rng.integers(0, E.size, (60, 1)), rng.integers(0, E.size, (1, 70))
+        xs[0], ys[0, 0] = E.zero, E.one  # defined sums and differences among them
+    cx, cy = E.coords[xs].astype(np.int64), E.coords[ys].astype(np.int64)
+    up, down = cx + cy, cx - cy
+
+    def index(c, ok):
+        return np.where(ok.all(axis=-1), np.clip(c, 0, E.k) @ E.strides, -1)
+
+    want = {"sum": index(up, up <= E.k), "leq": (down <= 0).all(axis=-1),
+            "ominus": index(down, down >= 0), "meet": np.minimum(cx, cy) @ E.strides}
+    for op, table in want.items():
+        assert np.array_equal(getattr(E, f"{op}_pairs")(xs, ys), table), op
+    pairs = np.argwhere(np.ones(want["sum"].shape, dtype=bool))
+    if pairs.shape[0] > 100 ** 2:
+        pairs = pairs[rng.choice(pairs.shape[0], 5000, replace=False)]
+    for op in ("sum", "leq", "ominus"):
+        scalar = getattr(E, op)
+        got = [scalar(int(xs[i, 0]), int(ys[0, j])) for i, j in pairs.tolist()]
+        expected = want[op][pairs[:, 0], pairs[:, 1]].tolist()
+        assert got == (expected if op == "leq" else [None if v < 0 else v for v in expected]), op
+    assert _tabled(E) == []
+
+
+@pytest.mark.parametrize("name", list(FACTOR_ROUTE_CASES) + list(GRID_ROUTE_CASES))
 def test_product_operations_are_the_product_tables(name):
     """Pair and scalar sums, order and differences of a product equal the
     product of its factors' tables (``core._product_table``) on every pair,
-    undefined entries included, and build none of the product's tables."""
+    undefined entries included, and build none of the product's tables.
+    A grid's equal arithmetic on its coordinates."""
+    if name in GRID_ROUTE_CASES:
+        k, d = GRID_ROUTE_CASES[name]
+        return _grid_operations_are_coordinatewise(
+            core.BooleanAlgebra(d) if k == 1 else core.GridAlgebra(k, d))
     E, _ = instances.make_product(*FACTOR_ROUTE_CASES[name], validate=False)
     left, right = E.factors
     xs, ys = np.arange(E.size)[:, None], np.arange(E.size)
@@ -816,19 +937,38 @@ def test_product_operations_are_the_product_tables(name):
     assert (E._sum_table, E._leq_table, E._ominus_table) == (None,) * 3
 
 
+def _bases_with_factors(cb):
+    """cb and every base with factors below it."""
+    if cb.factors is None:
+        return []
+    return [cb] + [b for f in cb.factors for b in _bases_with_factors(f)]
+
+
+RESOLVED = {  # an instance and a depth that out-resolves its denominators
+    "mv(8,3)": (lambda: instances.make_mv_product(8, 3), 4),
+    "mv(16,2)": (lambda: instances.make_mv_product(16, 2), 5),
+    "boolean(12)": (lambda: instances.make_boolean(12), 4),
+    "boolean(2) x mv(8,3)": (lambda: instances.make_product(instances.make_boolean(2),
+                                                             instances.make_mv_product(8, 3)), 4),
+}
+
+
 def test_resolutions_on_a_product_build_no_product_table():
     """Binary and rational resolutions, expectation bounds and the verifier
-    on boolean(2) x mv(8,3) answer through the factors."""
-    E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
-    rng = np.random.default_rng(15)
-    state = core.State(E, _additive_states(E, rng)[-1])  # a mix of both factors
-    for a in (0, E.one, E.size // 2, *rng.integers(0, E.size, 6).tolist()):
-        res = spectral.binary_resolution(cb, a, 4)
-        assert spectral.verify_resolution(cb, a, res.entries, 4).passed
-        spectral.rational_resolution(cb, a, Fraction(1, 3), 4)
-        lo, hi = spectral.expectation_bounds(cb, a, state, 4)
-        assert lo <= state(a) <= hi
-    assert (E._sum_table, E._leq_table, E._ominus_table) == (None,) * 3
+    answer through the factors: no carrier with factors builds a table,
+    and no product base its meet table in P."""
+    for name, (make, n) in RESOLVED.items():
+        E, cb = make()
+        rng = np.random.default_rng(15)
+        state = core.State(E, _additive_states(E, rng)[-1])  # a mix of the factors
+        for a in (0, E.one, E.size // 2, *rng.integers(0, E.size, 6).tolist()):
+            res = spectral.binary_resolution(cb, a, n)
+            assert spectral.verify_resolution(cb, a, res.entries, n).passed, (name, a)
+            spectral.rational_resolution(cb, a, Fraction(1, 3), n)
+            lo, hi = spectral.expectation_bounds(cb, a, state, n)
+            assert lo <= state(a) <= hi, (name, a)
+        assert _tabled(E) == [], name
+        assert [b for b in _bases_with_factors(cb) if b._p_meet is not None] == [], name
 
 
 def _outcome(fn):
