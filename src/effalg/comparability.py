@@ -94,21 +94,33 @@ def p_le_set(cb, e, f) -> np.ndarray:
     """P_<=(e, f): p in P(e, f) with J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e).
 
     P(e, f), the members of PC({e, f}) compatible with all of it, comes
-    from the two class rows; the order tests are one gather of J_p and
-    J_p' at e and f and one ``leq_pairs`` over every candidate.
+    from the two class rows; the order tests are one ``map_pairs`` over
+    every candidate and its orthosupplement.
     """
     if not cb.enumerable:
         return cb.p_le_set(e, f)
+    return _p_le(cb, e, f)
+
+
+def _p_le(cb, e, f, diffs: bool = False):
+    """``p_le_set(cb, e, f)``; with ``diffs``, also the difference
+    J_p(f) - J_p(e) for each of its members p."""
     if not commute(cb, e, f):
         raise NotCommuting(f"{cb.algebra.label(e)} and {cb.algebra.label(f)} do not commute")
-    E = cb.algebra
     t = cb.class_table()
     both = t.pc[t.cls[e]] & t.pc[t.cls[f]]  # PC({e, f})
-    ps = cb.p_array[both & cb.pcompat()[:, both].all(axis=1)]
+    rows = np.flatnonzero(both & ~(~cb.pcompat() @ both))  # P(e, f), as positions in P
+    ps = cb.p_array[rows]
     k = ps.size
-    j = cb.map_values(np.concatenate([ps, E.ortho_all()[ps]]), [e, f])
-    ok = E.leq_pairs(np.concatenate([j[:k, 0], j[k:, 1]]), np.concatenate([j[:k, 1], j[k:, 0]]))
-    return ps[ok.reshape(2, k).all(axis=0)]
+    rows = np.concatenate([rows, cb.ortho_rows()[rows]])  # each candidate p, then each p'
+    lo = np.full(2 * k, e)
+    lo[k:] = f
+    hi = lo[::-1]  # f for each p, e for each p'
+    if not diffs:  # the order alone, which a product base decides with one & per node
+        return ps[cb.map_pairs("leq_pairs", rows, lo, hi).reshape(2, k).all(axis=0)]
+    out = cb.map_pairs("ominus_pairs", rows, hi, lo)  # -1 where lo is not below hi
+    ok = (out >= 0).reshape(2, k).all(axis=0)
+    return ps[ok], out[:k][ok]
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +356,10 @@ def positive_part(cb, b, a):
     if not cb.enumerable:
         return cb.positive_part(b, a)
     E = cb.algebra
-    pl = p_le_set(cb, a, b)
+    pl, vals = _p_le(cb, a, b, diffs=True)
     if pl.size == 0:
         raise ComparabilityMissing(
             f"no separating projection for ({E.label(a)}, {E.label(b)})")
-    j = cb.map_values(pl, [a, b])
-    vals = E.ominus_pairs(j[:, 1], j[:, 0])
-    if (vals < 0).any():
-        raise InternalConsistencyError("J_p(b) - J_p(a) undefined on P_<=")
     if (vals != vals[0]).any():
         raise InternalConsistencyError(
             f"positive part depends on the projection: {np.unique(vals).tolist()}")
@@ -411,7 +419,8 @@ def restrict(cb: CompressionBase, q: int, validate: bool = True):
     sub = TableAlgebra(where[E.sum_pairs(idx[:, None], idx)], where[E.zero], where[q],
                        labels=[E.label(int(g)) for g in idx])
     sub.parent_index = idx
-    maps = {int(where[p]): where[cb.map_table(p)[idx]] for p in cb.projections if E.leq(p, q)}
+    ps = cb.p_array[E.leq_pairs(cb.p_array, q)]  # the projections below q
+    maps = dict(zip(where[ps].tolist(), where[cb.map_values(ps, idx)]))
     sub_cb = CompressionBase(sub, maps.keys(), maps)
     if validate:
         rep = validate_base(sub, sub_cb)

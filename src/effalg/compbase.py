@@ -32,27 +32,28 @@ from .errors import (
     NotEnumerable,
 )
 
-MAP_CACHE_ENTRIES = 48_000_000  # stack J tables only while |P|*n stays below
-
 
 class CompressionBase:
     """Finite compression base: projections plus their map tables.
 
-    ``maps`` may hold explicit ``(n,)`` tables or zero-argument builders
-    that produce them; builders keep memory bounded on large carriers.
-    While ``|P| * n <= MAP_CACHE_ENTRIES`` every table is built once into
-    one read-only int32 ``(|P|, n)`` stack, and ``map_table`` returns its
-    rows; past that bound each call builds its table afresh.
+    A base without ``factors`` takes one ``(n,)`` table per projection in
+    ``maps`` and stacks them when it is built into one read-only int32
+    ``(|P|, n)`` array, whose rows ``map_table`` returns; its carrier has
+    at most ``core.DENSE_LIMIT`` elements.
 
-    ``factors`` holds the two factor bases of a product base whose maps
-    are ``J_(p1, p2) = J_p1 x J_p2`` (``product_base``);
-    ``validate_base`` validates such a base through them.
+    ``factors`` holds the two factor bases of a product base, whose
+    projections are the pairs ``P1 x P2`` and whose maps are
+    ``J_(p1, p2) = J_p1 x J_p2`` (``product_base``).  Such a base keeps
+    no maps: ``map_table``, ``map_values``, ``map_pairs`` and ``apply``
+    answer through the factor bases, ``map_stack`` composes their stacks
+    for the reference scans, and ``validate_base`` validates it through
+    them.
     """
 
     enumerable = True
 
-    def __init__(self, algebra: FiniteAlgebra, projections: Iterable[int], maps: Dict,
-                 factors: Optional[tuple] = None):
+    def __init__(self, algebra: FiniteAlgebra, projections: Iterable[int],
+                 maps: Optional[Dict] = None, factors: Optional[tuple] = None):
         self.algebra = algebra
         self.factors = factors
         self._reports = {}  # "base": validate_base; "b-comparability"
@@ -60,67 +61,111 @@ class CompressionBase:
         self.p_array = np.array(self.projections, dtype=np.int64)
         self.p_set = frozenset(self.projections)
         self.p_pos = {p: i for i, p in enumerate(self.projections)}
-        self._maps = dict(maps)
-        self.caches_maps = len(self.projections) * algebra.size <= MAP_CACHE_ENTRIES
-        self._stack = None
+        if factors is None:
+            self._stack = np.empty((len(self.projections), algebra.size), dtype=np.int32)
+            for i, p in enumerate(self.projections):
+                self._stack[i] = maps[p]
+            self._stack.flags.writeable = False
+        else:
+            self._stack = None
+            # (|P2|, n2, n2) as a column: what _pair_rows divides by
+            self._radix = np.array([[len(factors[1].projections)]] + [[factors[1].algebra.size]] * 2)
         self._pcompat = None
         self._pc_matrix = None
         self._classes = None
         self._elem_leq_proj = None
         self._cover_vec = None
         self._pcp = None  # has_pcp(), read off cover_vec once
+        self._ortho_rows = None
         self._p_meet = None
         # spectral: one splitting tree per element, on a base without factors
         self._trees = {} if factors is None else None
 
     # -- maps ----------------------------------------------------------------
-
-    def _build(self, p: int) -> np.ndarray:
-        entry = self._maps[p]
-        return np.asarray(entry() if callable(entry) else entry, dtype=np.int32)
+    # A product base splits a projection, and an element, into the indices
+    # of its factors (``(x1, x2)`` at ``x1 * n2 + x2``, as on the carrier),
+    # asks each factor base and pairs the answers.  P is ``P1 x P2`` in the
+    # same layout, so the position of ``(p1, p2)`` in P is
+    # ``i1 * |P2| + i2``.
 
     def map_stack(self) -> np.ndarray:
         """int32 ``(|P|, n)`` table whose row ``i`` is J at ``projections[i]``.
 
-        Cached while ``caches_maps``; otherwise built afresh on each call.
+        A base without factors returns its stack; a product base composes
+        its factors' stacks afresh on each call (``core._product_table``),
+        for the whole-family scans that read it.
         """
-        if self._stack is not None:
+        if self.factors is None:
             return self._stack
-        stack = np.empty((len(self.projections), self.algebra.size), dtype=np.int32)
-        for i, p in enumerate(self.projections):
-            stack[i] = self._build(p)
-        if self.caches_maps:
-            stack.flags.writeable = False
-            self._stack = stack
-            self._maps = None  # every table now lives in the stack
-        return stack
+        left, right = self.factors
+        return core._product_table(left.map_stack(), right.map_stack(), right.algebra.size)
 
     def map_table(self, p: int) -> np.ndarray:
-        if self.caches_maps:
-            return self.map_stack()[self.p_pos[p]]
-        return self._build(p)
+        """J_p as an int32 ``(n,)`` table; KeyError unless p is in P."""
+        if self.factors is None:
+            return self._stack[self.p_pos[p]]
+        left, right = self.factors
+        r = right.algebra.size
+        p1, p2 = divmod(p, r)
+        return (left.map_table(p1)[:, None] * r + right.map_table(p2)).ravel()
 
-    def map_values(self, ps, xs=None) -> np.ndarray:
+    def map_values(self, ps, xs) -> np.ndarray:
         """int32 ``(len(ps), len(xs))`` table of J_p(x), p in ``ps``, x in
-        ``xs`` (default: the whole carrier)."""
-        if self.caches_maps:
-            ps = np.asarray(ps, dtype=np.int64)
-            rows = np.searchsorted(self.p_array, ps)
-            if not (self.p_array[np.minimum(rows, self.p_array.size - 1)] == ps).all():
-                raise KeyError(f"not all of {ps.tolist()} are projections")
-            stack = self.map_stack()
-            return stack[rows] if xs is None else stack[rows[:, None], xs]
-        cols = slice(None) if xs is None else xs
-        out = np.empty((len(ps), self.algebra.size if xs is None else len(xs)), dtype=np.int32)
-        for i, p in enumerate(ps):
-            out[i] = self._build(int(p))[cols]
-        return out
+        ``xs``; KeyError unless every p is in P."""
+        ps = np.asarray(ps, dtype=np.int64)
+        rows = np.searchsorted(self.p_array, ps)
+        top = self.p_array.size - 1
+        if ps.size and (top < 0 or (self.p_array[np.minimum(rows, top)] != ps).any()):
+            raise KeyError(f"not all of {ps.tolist()} are projections")
+        return self._map_rows(rows, xs)
+
+    def map_pairs(self, op: str, rows, xs, ys) -> np.ndarray:
+        """``E.op(J_p(x), J_p(y))`` entrywise, for p at the positions ``rows``
+        of P and x, y in the equally long ``xs`` and ``ys``, with ``op`` one
+        of ``sum_pairs``, ``leq_pairs`` and ``ominus_pairs``.  The maps and
+        the operations are componentwise, so a product base answers in its
+        factors and composes no product index of a map value on the way."""
+        return self._pair_rows(op, np.array([rows, xs, ys], dtype=np.int64))
+
+    def _map_rows(self, rows: np.ndarray, xs) -> np.ndarray:
+        """``map_values`` at the positions ``rows`` of P, unchecked."""
+        if self.factors is None:
+            return self._stack[rows[:, None], xs]
+        left, right = self.factors
+        r = right.algebra.size
+        i1, i2 = np.divmod(rows, len(right.projections))
+        x1, x2 = np.divmod(xs, r)
+        return left._map_rows(i1, x1) * r + right._map_rows(i2, x2)
+
+    def _pair_rows(self, op: str, at: np.ndarray) -> np.ndarray:
+        """``map_pairs`` on the columns ``(position in P, x, y)`` of ``at``;
+        a product base splits all three rows at once and pairs its factors'
+        answers as ``FiniteAlgebra._through_factors`` does."""
+        if self.factors is None:
+            values = self._stack[at[0], at[1:]]
+            return getattr(self.algebra, op)(values[0], values[1])
+        left, right = self.factors
+        at1, at2 = np.divmod(at, self._radix)
+        a, b = left._pair_rows(op, at1), right._pair_rows(op, at2)
+        return a & b if op == "leq_pairs" else self.algebra._pairs[a, b]
 
     def apply(self, p: int, a: int) -> int:
-        return int(self.map_table(p)[a])
+        if self.factors is None:
+            return self._stack.item(self.p_pos[p], a)
+        left, right = self.factors
+        r = right.algebra.size
+        return left.apply(p // r, a // r) * r + right.apply(p % r, a % r)
 
     def p_ortho(self, p: int) -> int:
         return self.algebra.ortho(p)
+
+    def ortho_rows(self) -> np.ndarray:
+        """The position in P of the orthosupplement of each member, in the
+        order of ``projections``; IncompleteBase unless P is closed under '."""
+        if self._ortho_rows is None:
+            self._require_projections(closed=True)
+            self._ortho_rows = np.searchsorted(self.p_array, self.algebra.ortho_all()[self.p_array])
+        return self._ortho_rows
 
     # -- commutants ------------------------------------------------------------
 
@@ -657,9 +702,9 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
         pairs = np.array([ij for ij in drawn if _mackey_pair(E, P[ij[0]], P[ij[1]])],
                          dtype=np.int64).reshape(-1, 2)
         ii, jj = pairs[:, 0], pairs[:, 1]
-    firsts, at = np.unique(ii, return_inverse=True)
-    focus = cb.map_values(pa[firsts], pa)[at, jj]  # candidate focus J_p(J_q(1)) = J_p(q)
-    t = _composition_failure(cb, ii, jj, ppos[focus], cols)
+    stack = cb.map_stack()
+    focus = stack[ii, pa[jj]]  # candidate focus J_p(J_q(1)) = J_p(q)
+    t = kernels.composition_violation(stack, ii, jj, ppos[focus], cols)
     if t is not None:
         kind = "focus" if ppos[focus[t]] < 0 else "table"
         c2_ok, c2_w = False, (P[ii[t]], P[jj[t]], kind, int(focus[t]))
@@ -711,7 +756,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     tl_cols = cols if tl_mode == "sampled" else None
     tl_ok, tl_w = True, None
     for spq, q, sqr, r in triples:
-        t = _composition_failure(cb, ppos[spq], ppos[sqr], ppos[q], tl_cols)
+        t = kernels.composition_violation(stack, ppos[spq], ppos[sqr], ppos[q], tl_cols)
         if t is not None:
             tl_ok, tl_w = False, (int(spq[t]), int(q[t]), int(sqr[t]), int(r[t]))
             break
@@ -747,24 +792,6 @@ def _select(chunks, keep: np.ndarray) -> tuple:
         seen += size
     back = np.searchsorted(order, keep)
     return tuple(np.concatenate(a)[back] for a in zip(*parts))
-
-
-def _composition_failure(cb: CompressionBase, outer, inner, target, cols=None):
-    """``kernels.composition_violation`` over the maps of P; the indices
-    are positions in P.  Past ``MAP_CACHE_ENTRIES`` the maps are not
-    stacked, and each batch builds the rows it compares."""
-    if cb.caches_maps:
-        return kernels.composition_violation(cb.map_stack(), outer, inner, target, cols)
-    step = max(1, kernels.CHUNK_BYTES // (12 * cb.algebra.size))
-    for start in range(0, len(outer), step):
-        flat = np.concatenate([a[start:start + step] for a in (outer, inner, target)])
-        need = np.unique(flat[flat >= 0])
-        local = np.where(flat >= 0, np.searchsorted(need, flat), -1)
-        rows = cb.map_values([cb.projections[i] for i in need])
-        t = kernels.composition_violation(rows, *np.split(local, 3), cols)
-        if t is not None:
-            return start + t
-    return None
 
 
 def _mackey_pair(E: FiniteAlgebra, p: int, q: int) -> bool:
@@ -827,18 +854,10 @@ def _central_base(E: FiniteAlgebra) -> CompressionBase:
 def product_base(E: FiniteAlgebra, left: CompressionBase,
                  right: CompressionBase) -> CompressionBase:
     """The base ``J_(p1, p2) = J_p1 x J_p2`` over ``P1 x P2`` on the direct
-    product ``E`` of ``left.algebra`` and ``right.algebra``.  The maps are
-    built on first use, from the factor maps."""
-    n2 = right.algebra.size
-    ia, ib = E.split_index(np.arange(E.size))
-    maps = {}
-    for p1 in left.projections:
-        for p2 in right.projections:
-            def build(p1=p1, p2=p2):
-                return left.map_table(p1)[ia] * n2 + right.map_table(p2)[ib]
-
-            maps[E.pair_index(p1, p2)] = build
-    return CompressionBase(E, maps.keys(), maps, factors=(left, right))
+    product ``E`` of ``left.algebra`` and ``right.algebra``.  It keeps no
+    maps: its map reads go through ``left`` and ``right``."""
+    projections = left.p_array[:, None] * right.algebra.size + right.p_array
+    return CompressionBase(E, projections.ravel(), factors=(left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ lookup tables (sum, order, difference) and answers from them.  A direct
 product, a ``ProductAlgebra`` or a grid {0..k}^d with d > 1 (its chain
 times a grid of one coordinate less), answers its operations through its
 factors at every size, and builds its tables, below a size cap, only for
-the scans that read them whole; past the cap those scans are seeded
-samples.
+the scans that read them whole; past the cap it builds none, and the
+validators decide it from its factors.
 """
 
 from __future__ import annotations

@@ -56,7 +56,9 @@ class NotSpectral(EffalgError):
 
 
 class Unstable(EffalgError):
-    """A rational resolution meet changed between the last two depths."""
+    """A rational resolution is not decided at this depth: its meet changed
+    between the last two depths, or the resolution jumps inside the
+    depth-n grid cell around lambda."""
 
     def __init__(self, depth):
         self.depth = depth

@@ -466,7 +466,10 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     """Meet of the dyadic entries above lam, stabilized in the depth.
 
     Requires an archimedean algebra (right continuity fails otherwise).
-    Raises Unstable when the meet still moved between depths n-1 and n.
+    Raises Unstable when the meet still moved between depths n-1 and n,
+    or when lam lies off the depth-n grid inside a cell across which the
+    resolution jumps: the grid cannot tell where in that cell p_lam
+    changes.
     """
     n = check_depth(n)
     comparability.require_spectral(cb)
@@ -483,9 +486,14 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     if n == 0:  # no grid point lies strictly between lam and 1
         raise InvalidDepth("a rational resolution below lambda = 1 needs depth >= 1")
 
+    num, den = lam.numerator, lam.denominator
+    j0, off_grid = divmod(num << n, den)  # lam * 2^n = j0 + off_grid / den
+    if off_grid and not E.eq(res.at_index(j0), res.at_index(j0 + 1)):
+        raise Unstable(n)  # p jumps inside the depth-n cell around lam
+
     def above(m):
         """Depth-n index of the first depth-m point above lam (lam < 1)."""
-        return ((lam * 2 ** m).__floor__() + 1) << (n - m)
+        return ((num << m) // den + 1) << (n - m)
 
     values = [res.at_index(above(m)) for m in range(1, n + 1)]
     if len(values) >= 2 and not E.eq(values[-1], values[-2]):

@@ -396,25 +396,6 @@ def test_p_meet_table_matches_pairwise():
     assert atoms.p_meet_table().tolist() == [[1, -1], [-1, 2]]
 
 
-def test_map_stack_equals_the_builders(bases, monkeypatch):
-    for name, (E, cb) in bases.items():
-        stack = cb.map_stack()
-        assert stack.dtype == np.int32 and stack.shape == (len(cb.projections), E.size)
-        assert not stack.flags.writeable
-        for p in cb.projections:
-            assert cb.map_table(p).base is stack  # a row, not a copy
-    # past MAP_CACHE_ENTRIES nothing is stacked and each call runs the builder
-    monkeypatch.setattr(compbase, "MAP_CACHE_ENTRIES", 0)
-    for name, (E, cb) in _bases().items():
-        assert not cb.caches_maps
-        stack = bases[name][1].map_stack()
-        for i, p in enumerate(cb.projections):
-            table = cb.map_table(p)
-            assert table.flags.writeable and table.base is None
-            assert np.array_equal(table, stack[i]), (name, p)
-        assert np.array_equal(cb.map_stack(), stack) and cb._stack is None
-
-
 def _ref_classify(E, J, budget, seed=0):
     """classify_map as one call per map, with its own draws."""
     from effalg import kernels
@@ -613,18 +594,120 @@ def test_stacked_laws_match_pairwise_loops(bases, budget, monkeypatch):
     assert modes == ({"full"} if default else {"full", "sampled"})
 
 
-def test_unstacked_maps_give_the_same_reports(bases, monkeypatch):
-    """Past MAP_CACHE_ENTRIES the laws build map rows per batch; the
-    reports equal those of the stacked maps, broken bases included."""
-    rng = np.random.default_rng(23)
-    cases = []
-    for name, (E, cb) in bases.items():
-        for kind, broken in [("valid", cb)] + _broken_bases(E, cb, rng):
-            maps = {p: np.array(broken.map_table(p)) for p in broken.projections}
-            cases.append((E, broken.projections, maps, compbase._scan_base(E, broken).to_dict()))
-    monkeypatch.setattr(compbase, "MAP_CACHE_ENTRIES", 0)
-    monkeypatch.setattr(compbase.kernels, "CHUNK_BYTES", 4096)  # several batches
-    for E, P, maps, want in cases:
-        cb = CompressionBase(E, P, maps)
-        assert not cb.caches_maps
-        assert compbase._scan_base(E, cb).to_dict() == want
+def _plain_stack(cb):
+    """The maps of ``cb`` as a ``(|P|, n)`` array: a leaf base's stack, and
+    on a product base, for each pair of factor rows in row-major order, the
+    outer sum ``J1(x1) * n2 + J2(x2)`` of the two rows."""
+    if cb.factors is None:
+        return np.array(cb.map_stack())
+    left, right = (_plain_stack(f) for f in cb.factors)
+    n2 = cb.factors[1].algebra.size
+    rows = [np.add.outer(J1 * n2, J2).ravel() for J1 in left for J2 in right]
+    return np.array(rows, dtype=np.int64).reshape(len(cb.projections), cb.algebra.size)
+
+
+def _factor_bases(cb):
+    """``cb`` and every base below it in its tree of factor bases."""
+    yield cb
+    for f in cb.factors or ():
+        yield from _factor_bases(f)
+
+
+def _map_route_cases():
+    from effalg import instances
+
+    def product(left, right):
+        return lambda: instances.make_product(left(), right(), validate=False)
+
+    cases = {name: lambda name=name: _bases()[name] for name in _bases() if " x " in name}
+    cases["boolean(3)"] = lambda: instances.make_boolean(3, validate=False)
+    cases["mv(4,2)"] = lambda: instances.make_mv_product(4, 2, validate=False)
+    cases["boolean(2) x mv(8,3)"] = product(lambda: instances.make_boolean(2, validate=False),
+                                            lambda: instances.make_mv_product(8, 3, validate=False))
+    return cases
+
+
+MAP_ROUTE_CASES = _map_route_cases()
+
+
+def _outcome(fn):
+    """The report of ``fn()`` as a dict, or the class and message of the
+    error it raises."""
+    try:
+        return fn().to_dict()
+    except Exception as err:  # noqa: BLE001 - the outcome compared is the error
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", list(MAP_ROUTE_CASES))
+def test_product_maps_answer_through_the_factors(name, monkeypatch):
+    """A product base reads its maps through its factor bases: every read
+    equals a plain composition of the factors' stacks (``map_pairs``: the
+    carrier's operation on it), a non-projection raises KeyError, no
+    product base keeps a stack, and each leaf keeps its maps as one
+    read-only int32 stack.  The base-law scan and ``restrict`` give what
+    they give on the same maps without factors, also where one factor
+    base is broken."""
+    from test_structural import _unfactored
+
+    from effalg import comparability
+
+    E, cb = MAP_ROUTE_CASES[name]()
+    assert cb.factors is not None
+    want = _plain_stack(cb)
+    rng = np.random.default_rng(24)
+    xs = rng.integers(0, E.size, 40)
+    assert np.array_equal(cb.map_stack(), want)
+    for i, p in enumerate(cb.projections):
+        assert np.array_equal(cb.map_table(p), want[i]), (name, p)
+        assert [cb.apply(p, int(x)) for x in xs] == want[i, xs].tolist(), (name, p)
+    rows = rng.permutation(len(cb.projections))[:9]
+    ps = cb.p_array[rows]
+    assert np.array_equal(cb.map_values(ps, xs), want[rows][:, xs])
+    assert np.array_equal(cb.map_values(ps, [int(xs[0]), int(xs[1])]), want[rows][:, xs[:2]])
+    at, x2, y2 = rng.integers(0, len(cb.projections), 60), *rng.integers(0, E.size, (2, 60))
+    for op in ("sum_pairs", "leq_pairs", "ominus_pairs"):
+        got = cb.map_pairs(op, at, x2, y2)
+        assert np.array_equal(got, getattr(E, op)(want[at, x2], want[at, y2])), op
+    bad = [x for x in range(E.size) if x not in cb.p_set][:3] + [E.size, -1]
+    for p in bad:
+        with pytest.raises(KeyError):
+            cb.map_table(p)
+        with pytest.raises(KeyError):
+            cb.apply(p, 0)
+        with pytest.raises(KeyError):
+            cb.map_values([cb.projections[0], p], xs)
+    for f in _factor_bases(cb):
+        if f.factors is not None:
+            assert f._stack is None
+        else:
+            assert f._stack.dtype == np.int32 and not f._stack.flags.writeable
+            assert all(f.map_table(p).base is f._stack for p in f.projections)
+
+    def broken_twins():
+        yield "valid", cb
+        if E.size > 500:  # the scans below build the product's dense tables
+            return
+        left, right = cb.factors
+        for side, (F, fcb) in enumerate(((left.algebra, left), (right.algebra, right))):
+            for kind, broken in _broken_bases(F, fcb, np.random.default_rng(25 + side)):
+                pair = (broken, right) if side == 0 else (left, broken)
+                yield f"{kind} {side}", compbase.product_base(E, *pair)
+
+    for kind, prod in broken_twins():
+        twin = _unfactored(prod)
+        assert (_outcome(lambda: compbase._scan_base(E, prod))
+                == _outcome(lambda: compbase._scan_base(E, twin))), (name, kind)
+        with monkeypatch.context() as m:  # broken maps through C1 reach C2 and the triple law
+            m.setattr(compbase.MapSample, "classify", lambda self, J: compbase.MapClassification(
+                "compression", int(np.asarray(J)[self.E.one])))
+            assert (_outcome(lambda: compbase._scan_base(E, prod))
+                    == _outcome(lambda: compbase._scan_base(E, twin))), (name, kind)
+        for q in sorted({E.one, *rng.choice(prod.projections, 3).tolist()}):
+            (sub, scb), (tsub, tcb) = (comparability.restrict(b, q, validate=False)
+                                        for b in (prod, twin))
+            assert np.array_equal(sub.sum_table, tsub.sum_table), (name, kind, q)
+            assert scb.projections == tcb.projections, (name, kind, q)
+            assert np.array_equal(scb.map_stack(), tcb.map_stack()), (name, kind, q)
+            assert (_outcome(lambda: validate_base(sub, scb))
+                    == _outcome(lambda: validate_base(tsub, tcb))), (name, kind, q)

@@ -156,6 +156,23 @@ def test_rational_unstable_meet(l8):
     assert rational_resolution(cb, a, Fraction(31, 50), 10) == E.zero
 
 
+def test_rational_unstable_inside_a_cell(l8):
+    """3/8 at lambda = 1/3: up to depth 4 the points above lambda at the
+    last two depths coincide (3/8 at depths 3 and 4), where p jumps to 1,
+    but the depth-n cell around 1/3 holds that jump, so the grid cannot
+    decide p at 1/3; at depth 5 the two points differ.  From depth 6 the
+    cell lies below 3/8."""
+    from effalg.errors import Unstable
+
+    E, cb = l8
+    for n in range(1, 6):
+        with pytest.raises(Unstable):
+            rational_resolution(cb, 3, Fraction(1, 3), n)
+    for n in (6, 7, 8):
+        assert rational_resolution(cb, 3, Fraction(1, 3), n) == E.zero
+    assert E.label(E.zero) == "0/8"
+
+
 def test_apply_fw(l8):
     E, cb = l8
     assert apply_fw(cb, (0,), 3, E.one) == 6
@@ -248,13 +265,17 @@ def dense_reference(E, tree, n):
 
 def dense_rational(cb, a, lam, n, dense):
     """rational_resolution read off the dense grid: the entry at the first
-    point above lam per depth, stable over the last two depths, which is
-    also the meet of every entry above lam."""
+    point above lam per depth, stable over the last two depths and equal
+    at both ends of the depth-n cell around an off-grid lam, which is also
+    the meet of every entry above lam."""
     from effalg.errors import Unstable
 
     E = cb.algebra
     if lam == 1:
         return dense[Fraction(1)]
+    j0 = int(lam * 2 ** n)
+    if lam * 2 ** n != j0 and not E.eq(dense[Fraction(j0, 2 ** n)], dense[Fraction(j0 + 1, 2 ** n)]):
+        raise Unstable(n)  # p_lam changes inside the depth-n cell around lam
     values = [dense[min(Fraction(int(lam * 2 ** m) + 1, 2 ** m), Fraction(1))]
               for m in range(1, n + 1)]
     if len(values) >= 2 and not E.eq(values[-1], values[-2]):
