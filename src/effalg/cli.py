@@ -34,9 +34,11 @@ def _frac_str(f) -> str:
 
 
 def proj_repr(E, p):
-    """Zero-one vector for grids, bitmask for booleans, matrix otherwise."""
+    """Zero-one vector for grids, bitmask for booleans, matrix otherwise.
+    Matrix entries are rounded to 12 digits, and a rounded zero prints as
+    0.0 whatever the sign of the entry."""
     if isinstance(E, MatrixEffectAlgebra):
-        return [[round(float(x), 12) for x in row] for row in np.asarray(p)]
+        return [[round(float(x), 12) or 0.0 for x in row] for row in np.asarray(p)]
     if isinstance(E, core.BooleanAlgebra):
         return int(p)
     if isinstance(E, GridAlgebra):

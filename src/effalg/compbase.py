@@ -177,6 +177,12 @@ class CompressionBase:
         return E.sum_pairs(jp, jq) == np.arange(E.size)
 
     def in_commutant(self, a: int, p: int) -> bool:
+        """a = J_p(a) + J_p'(a).  The maps, ' and the sum are componentwise,
+        so a product base asks each factor base about a's coordinate."""
+        if self.factors is not None:
+            left, right = self.factors
+            r = right.algebra.size
+            return left.in_commutant(a // r, p // r) and right.in_commutant(a % r, p % r)
         E = self.algebra
         s = E.sum(self.apply(p, a), self.apply(self.p_ortho(p), a))
         return s is not None and s == a

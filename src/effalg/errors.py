@@ -57,12 +57,16 @@ class NotSpectral(EffalgError):
 
 class Unstable(EffalgError):
     """A rational resolution is not decided at this depth: its meet changed
-    between the last two depths, or the resolution jumps inside the
-    depth-n grid cell around lambda."""
+    between the last two depths, or (when ``lam`` is given) the resolution
+    jumps inside the depth-n grid cell around lambda."""
 
-    def __init__(self, depth):
+    def __init__(self, depth, lam=None):
         self.depth = depth
-        super().__init__(f"meet still changing at depth {depth}; increase depth")
+        if lam is None:
+            super().__init__(f"meet still changing at depth {depth}; increase depth")
+        else:
+            super().__init__(f"resolution jumps inside the depth-{depth} cell around "
+                             f"{lam}; increase depth")
 
 
 class InvalidState(EffalgError):

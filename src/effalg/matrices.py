@@ -3,7 +3,10 @@
 The carrier is not enumerable; order and equality are decided by
 eigenvalue bounds within a fixed tolerance, covers and positive parts
 by eigendecomposition, and boundary eigenvalues (|mu| <= tol) always
-land on the 'below' side of a split.
+land on the 'below' side of a split.  A splitting tree is read off one
+eigendecomposition of its element (``MatrixCompressionBase.tree_nodes``):
+each split keeps a's eigenvectors and halves their eigenvalues, so the
+tree's cells are the binary digits of a's spectrum.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .comparability import SplitResult
 from .core import EffectAlgebra, Report
 from .errors import (
     ElementNotInCarrier,
+    InternalConsistencyError,
     InvalidState,
     NotCommuting,
     NotEnumerable,
@@ -204,7 +208,14 @@ def separating_states(E: MatrixEffectAlgebra):
 
 
 class MatrixCompressionBase:
-    """All projections p with J_p(a) = p a p; lazy analogue of the finite base."""
+    """All projections p with J_p(a) = p a p; lazy analogue of the finite base.
+
+    ``split`` halves one node by two eigendecompositions; ``tree_nodes``
+    gives a whole splitting tree from one eigendecomposition of its
+    element, and ``spectral.splitting_tree`` reads it from there.  The
+    generic loop over ``split`` stays as ``spectral._splitting_tree``, the
+    reference the tests hold ``tree_nodes`` to.
+    """
 
     enumerable = False
 
@@ -316,6 +327,71 @@ class MatrixCompressionBase:
         c0 = sym(2.0 * (u0 @ c @ u0))
         c1 = sym(u1 - 2.0 * (u1 @ (q - c) @ u1))
         return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1, ambient_unit=q)
+
+    def tree_nodes(self, a, n: int):
+        """``(u, c)``: the nonzero nodes of a's depth-n splitting tree, from
+        one eigendecomposition of a.
+
+        The root is the cover, spanned by the eigenvectors v of a with
+        eigenvalue x > tol, and c_() = a.  A node's c_w has the eigenvalue
+        y on each v of its cell, and ``split`` sends v below iff 2y - 1 <=
+        tol, where its eigenvalue becomes 2y - bit.  So each v walks its
+        bits in scalar arithmetic: u_w is the sum of the rank-one
+        projectors of the cell w, and c_w (w nonempty) their sum weighted by
+        the walked values.  The checks of ``spectral._grow`` run on the same
+        eigendecomposition:
+
+        * the eigenbasis is orthonormal within tol, so each layer is
+          orthogonal and adds up to the cover;
+        * no eigenvalue cluster (``eig_clusters``) is split across the cells
+          of depth n, with the eigenvalues <= tol as one more cell, so each
+          u_w is a sum of eigenprojections: it lies in P(a).
+
+        A failure raises ``InternalConsistencyError`` with ``_grow``'s
+        messages, naming the first u_w, by level and then by w, that holds
+        part of a cluster.
+        """
+        E = self.algebra
+        tol = E.tol
+        vals, vecs = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
+        if np.abs(vecs.T @ vecs - np.eye(E.dim)).max() > tol:
+            raise InternalConsistencyError(f"layer {n} is not orthogonal")
+        paths = []  # per eigenvector: its depth-n cell w, or None at or below tol
+        u, c = {}, {}
+        for x, v in zip(vals.tolist(), vecs.T):
+            if x <= tol:
+                paths.append(None)
+                continue
+            proj = np.outer(v, v)
+            w, y = (), x
+            for _ in range(n + 1):
+                if w in u:
+                    u[w] = u[w] + proj
+                    c[w] = c[w] + y * proj
+                else:
+                    u[w], c[w] = proj, y * proj
+                bit = int(2.0 * y - 1.0 > tol)
+                w, y = w + (bit,), 2.0 * y - bit
+            paths.append(w[:n])
+        if u:
+            c[()] = a
+        # Cells follow the eigenvalues' order, so a cluster is cut iff two
+        # neighbours in it lie in different cells, and the lowest cell that
+        # holds part of a cut cluster is the lower neighbour's.
+        escaped = None  # (level, w) of the first u_w that holds part of a cluster
+        for i in range(1, len(vals)):
+            low, high = paths[i - 1], paths[i]
+            if vals[i] - vals[i - 1] <= CLUSTER_GAP and low != high:
+                if low is None:
+                    cut = (0, ())
+                else:
+                    level = next(k for k in range(1, n + 1) if low[:k] != high[:k])
+                    cut = (level, low[:level])
+                escaped = cut if escaped is None else min(escaped, cut)
+        if escaped is not None:
+            raise InternalConsistencyError(
+                f"u_{escaped[1]} escaped the bicommutant of {E.label(a)}")
+        return u, c
 
     def check_b_comparability(self) -> Report:
         """Spot checks of the operator-interval laws on 25 seeded pairs."""

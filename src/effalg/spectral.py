@@ -18,8 +18,16 @@ checks.  It keeps one tree per element, the deepest asked for so far:
 shallower requests read its top layers, deeper ones split on from its
 deepest layer.  So a leaf keeps at most one tree per element of its
 carrier, and product bases and bases that cannot be enumerated (the
-matrix base) keep none.  The generic loop on any base stays as
-``_splitting_tree``, the reference for the factor route.
+matrix base) keep none.
+
+The matrix base reads a tree off one eigendecomposition of its element
+(``MatrixCompressionBase.tree_nodes``): a split keeps a's eigenvectors
+and halves their eigenvalues, so each eigenvector walks its binary digits
+in scalar arithmetic, and the checks of the split loop become one
+orthonormality test of the eigenbasis and one test that no eigenvalue
+cluster is cut.  The generic loop on any base stays as
+``_splitting_tree``, the reference for the factor route and the matrix
+route.
 """
 
 from __future__ import annotations
@@ -174,16 +182,16 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
     On an enumerable base the tree is read from the trees that its leaf
     bases keep (``_leaf_tree``): a base with ``factors`` adds up the leaf
     trees of a's coordinates (``_nodes``), and a leaf base reads its own.
-    Other bases run the generic loop, ``_splitting_tree``.  The returned
-    tree is the caller's: no base keeps it.
+    The matrix base reads the tree off one eigendecomposition of a
+    (``MatrixCompressionBase.tree_nodes``).  The returned tree is the
+    caller's: no base keeps it.
     """
     n = check_depth(n)
     comparability.require_spectral(cb)
-    if not cb.enumerable:
-        return _grow(cb, a, None, n)
-    a = cb.algebra.check_element(a)
+    if cb.enumerable:
+        a = cb.algebra.check_element(a)
     tree = SplittingTree(cb.algebra, a, n)
-    tree._u, tree._c = _nodes(cb, a, n)
+    tree._u, tree._c = _nodes(cb, a, n) if cb.enumerable else cb.tree_nodes(a, n)
     return tree
 
 
@@ -489,7 +497,7 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     num, den = lam.numerator, lam.denominator
     j0, off_grid = divmod(num << n, den)  # lam * 2^n = j0 + off_grid / den
     if off_grid and not E.eq(res.at_index(j0), res.at_index(j0 + 1)):
-        raise Unstable(n)  # p jumps inside the depth-n cell around lam
+        raise Unstable(n, lam)  # p jumps inside the depth-n cell around lam
 
     def above(m):
         """Depth-n index of the first depth-m point above lam (lam < 1)."""

@@ -118,6 +118,37 @@ def test_matrix_spectral(docs, capsys):
     assert "0.5" in out
 
 
+def test_matrix_projections_print_no_negative_zero(docs, capsys):
+    """An entry that rounds to zero prints as 0.0, never -0.0, in every
+    format and in a --lambda answer: the effect with eigenvalues 3/4 and 1
+    under the rotation (4/5, -3/5) gives entries of about -1e-17."""
+    element = "91/100,-3/25,-3/25,21/25"
+    for fmt in ("table", "json", "csv"):
+        assert cli.main(["--format", fmt, "spectral", docs["matrix"], "--element", element,
+                         "--depth", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out and out.count("0.0") >= 4 * 192, fmt
+    assert cli.main(["--format", "json", "spectral", docs["matrix"], "--element", element,
+                     "--lambda", "1/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["projection"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("element, depth, lam, message", [
+    ("3", "4", "1/3", "error: resolution jumps inside the depth-4 cell around 1/3; "
+                      "increase depth\n"),
+    ("5", "8", "31/50", "error: meet still changing at depth 8; increase depth\n"),
+], ids=["jump-inside-the-cell", "meet-still-moving"])
+def test_unstable_names_its_cause(tmp_path, capsys, element, depth, lam, message):
+    """On the chain mv(8,1): 3/8 jumps inside the depth-4 cell around 1/3,
+    where the meet does not move; at 31/50 the depth-8 meet of 5/8 still
+    moves.  Both exit 2 with one error line."""
+    l8 = write(tmp_path, "l8.json", {"kind": "mv_product", "denominator": 8, "arity": 1})
+    assert cli.main(["spectral", l8, "--element", element, "--depth", depth,
+                     "--lambda", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
 def test_not_spectral_command_errors(docs, capsys):
     code = cli.main(["spectral", docs["mo2"], "--element", "2", "--depth", "2"])
     assert code == 2

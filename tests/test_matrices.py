@@ -3,7 +3,12 @@ import pytest
 from fractions import Fraction
 
 from effalg import core, matrices, spectral
-from effalg.errors import ElementNotInCarrier, NotCommuting, NotEnumerable
+from effalg.errors import (
+    ElementNotInCarrier,
+    InternalConsistencyError,
+    NotCommuting,
+    NotEnumerable,
+)
 from effalg.matrices import (
     DensityState,
     chi_leq,
@@ -204,3 +209,132 @@ def test_whole_carrier_scans_refuse(matrix2):
     # the bicommutant stays available through the eigenstructure
     a = rotated(np.random.default_rng(12), [0.2, 0.6])
     assert len(compbase.bicommutant(cb, a)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the splitting tree from one eigendecomposition of a
+
+
+def _tree_or_error(fn):
+    """The tree ``fn()`` returns, or the message of the
+    ``InternalConsistencyError`` it raises."""
+    try:
+        return fn()
+    except InternalConsistencyError as err:
+        return str(err)
+
+
+def _assert_same_tree(got, want, where):
+    """One node set, u within 1e-9 and c within 1e-6."""
+    assert sorted(got._u) == sorted(want._u), where
+    assert sorted(got._c) == sorted(want._c), where
+    for w in want._u:
+        assert np.abs(got._u[w] - want._u[w]).max() <= 1e-9, (where, w)
+        assert np.abs(np.asarray(got._c[w]) - np.asarray(want._c[w])).max() <= 1e-6, (where, w)
+
+
+def _tree_cases(E, rng):
+    """Seeded effects, eigenvalues on dyadic points (j/16, 0, 1/2, 1),
+    repeated eigenvalues, 0, I and a rank-1 projection."""
+    d = E.dim
+    for _ in range(6):
+        yield "seeded", E.random_effect(rng)
+    for _ in range(3):
+        yield "j/16", rotated(rng, rng.integers(0, 17, d) / 16)
+    yield "0, 1/2, 1", rotated(rng, ([0.0, 0.5, 1.0] * 2)[:d])
+    yield "all 1/2", rotated(rng, [0.5] * d)
+    vals = rng.uniform(0, 1, d)
+    vals[-1] = vals[0]
+    yield "repeated", rotated(rng, vals)
+    yield "0", E.zero
+    yield "I", E.one
+    yield "rank 1", E.random_projection(rng, rank=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_eigen_trees_equal_the_generic_loop(dim):
+    """``splitting_tree`` on the matrix base, read off one eigendecomposition,
+    equals the split loop ``spectral._splitting_tree`` at depths 0 to 16."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(190 + dim)
+    for name, a in _tree_cases(E, rng):
+        for n in range(17):
+            want = spectral._splitting_tree(cb, a, n)
+            _assert_same_tree(spectral.splitting_tree(cb, a, n), want, (name, n))
+
+
+@pytest.mark.parametrize("centre, level, escaping", [
+    (0.5, 1, "u_(0,)"),  # the level-1 cut
+    (0.25, 2, "u_(0, 0)"),  # a level-2 cut
+    (0.0, 0, "u_()"),  # the cover's cut at tol
+])
+def test_a_split_cluster_raises_on_both_paths(matrix3, centre, level, escaping):
+    """Two eigenvalues within CLUSTER_GAP on either side of a cut: the cell
+    below and the cell above each hold part of one eigenprojection, so no
+    u_w of that level lies in P(a).  Both paths raise the same error, naming
+    the first u_w that escapes; above the cut's level both give one tree."""
+    E, cb = matrix3
+    gap = 0.3 * matrices.CLUSTER_GAP
+    low = 0.0 if centre == 0 else centre - gap
+    a = rotated(np.random.default_rng(5), [low, centre + gap, 0.7])
+    for n in range(level, 9):
+        got = _tree_or_error(lambda: spectral.splitting_tree(cb, a, n))
+        want = _tree_or_error(lambda: spectral._splitting_tree(cb, a, n))
+        assert got == want == f"{escaping} escaped the bicommutant of {E.label(a)}", n
+    for n in range(level):
+        _assert_same_tree(spectral.splitting_tree(cb, a, n), spectral._splitting_tree(cb, a, n), n)
+
+
+def test_a_boundary_eigenvalue_goes_below():
+    """A split sends v below iff 2x - 1 <= tol: with tol a power of two, an
+    eigenvalue x with 2x - 1 = tol exactly lies on the cut, and goes to u_(0,)
+    on both paths; 1/2 does too, and then walks 1 -> 1 in the cells (0, 1, ...).
+    The eigenvalue tol itself lies below the cover's cut.  Rotating nothing
+    keeps the eigenvalues exact."""
+    tol = 2.0 ** -30
+    E, cb = matrices.make_matrix_instance(4, tol=tol)
+    x = 0.5 + tol / 2
+    assert 2 * x - 1 == tol
+    a = np.diag([x, 0.5, 0.75, tol])
+    tree = spectral.splitting_tree(cb, a, 4)
+    _assert_same_tree(tree, spectral._splitting_tree(cb, a, 4), "boundary")
+    assert np.array_equal(tree.u(()), np.diag([1.0, 1.0, 1.0, 0.0]))
+    assert np.array_equal(tree.u((0,)), np.diag([1.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(tree.u((0, 1, 1, 1)), np.diag([1.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(tree.u((1, 0, 1, 1)), np.diag([0.0, 0.0, 1.0, 0.0]))
+
+
+def test_a_basis_that_is_not_orthonormal_raises(matrix3, monkeypatch):
+    """The eigenbasis is checked to be orthonormal within tol, which makes
+    every layer orthogonal and adds it up to the cover."""
+    E, cb = matrix3
+    a = rotated(np.random.default_rng(6), [0.2, 0.4, 0.9])
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], 1.001 * eigh(m)[1]))
+    with pytest.raises(InternalConsistencyError, match="layer 8 is not orthogonal"):
+        spectral.splitting_tree(cb, a, 8)
+
+
+def test_a_matrix_tree_makes_one_eigh_and_no_split(matrix3, monkeypatch):
+    """A depth-8 tree makes one eigendecomposition and no split; nor does
+    a depth-8 binary resolution split."""
+    E, cb = matrix3
+    cb.is_spectral()  # the verdict is kept; its spot checks are not counted
+    a = rotated(np.random.default_rng(8), [0.1, 0.35, 0.8])
+    calls = {"eigh": 0, "split": 0}
+    eigh = np.linalg.eigh
+
+    def counted_eigh(m):
+        calls["eigh"] += 1
+        return eigh(m)
+
+    def no_split(self, c, q):
+        calls["split"] += 1
+        raise AssertionError("split called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(matrices.MatrixCompressionBase, "split", no_split)
+    spectral.splitting_tree(cb, a, 8)
+    assert calls == {"eigh": 1, "split": 0}
+    spectral.binary_resolution(cb, a, 8)
+    assert calls["split"] == 0
