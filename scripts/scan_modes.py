@@ -1,0 +1,78 @@
+"""Modes and seconds of the exhaustive scans on table copies of instances.
+
+    python3 scripts/scan_modes.py NAME [NAME ...]
+
+A NAME is ``boolean(k)``, ``mv(k,d)``, ``MO2`` or a product ``A x B`` of
+those, e.g. ``"boolean(2) x mv(8,3)"``.  Each instance is copied as a
+``TableAlgebra`` of its sum table with its base's maps as a base without
+factors, so that ``core._scan_axioms`` and ``compbase._scan_base`` scan it
+as they scan any carrier without factors.  For each scan the script prints
+its wall seconds, then one line per row: name, verdict, mode and detail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import re
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from effalg import compbase, core, instances  # noqa: E402
+
+
+def build(name: str):
+    """The instance ``name``, with validation off: ``(E, cb)``."""
+    parts = name.split(" x ")
+    if len(parts) > 1:
+        out = build(parts[0])
+        for part in parts[1:]:
+            out = instances.make_product(out, build(part), validate=False)
+        return out
+    if name == "MO2":
+        return instances.make_mo2(validate=False)
+    match = re.fullmatch(r"boolean\((\d+)\)", name)
+    if match:
+        return instances.make_boolean(int(match[1]), validate=False)
+    match = re.fullmatch(r"mv\((\d+),(\d+)\)", name)
+    if match:
+        return instances.make_mv_product(int(match[1]), int(match[2]), validate=False)
+    raise SystemExit(f"unknown instance {name!r}: use boolean(k), mv(k,d), MO2 or A x B")
+
+
+def table_copy(E, cb):
+    """E as a table, and cb's maps on it without factors."""
+    T = core.TableAlgebra(E.sum_table, E.zero, E.one)
+    return T, compbase.CompressionBase(T, cb.projections,
+                                       {p: cb.map_table(p) for p in cb.projections})
+
+
+def scan(name: str) -> list:
+    """The printed lines for one instance."""
+    T, tcb = table_copy(*build(name))
+    lines = [f"{name} table copy (n = {T.size}, |P| = {len(tcb.projections)})"]
+    for what, run in (("axioms", lambda: core._scan_axioms(T)),
+                      ("base", lambda: compbase._scan_base(T, tcb))):
+        t0 = time.perf_counter()
+        rep = run()
+        lines.append(f"  {what}: {time.perf_counter() - t0:.2f} s")
+        for c in rep.checks:
+            verdict = "PASS" if c.passed else "FAIL"
+            lines.append(f"    {c.name:<28} {verdict} {c.mode:<8} {c.detail}".rstrip())
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="+", metavar="NAME")
+    args = parser.parse_args(argv)
+    for name in args.names:
+        print("\n".join(scan(name)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

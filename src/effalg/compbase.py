@@ -433,30 +433,31 @@ class MapClassification:
 def classify_map(E: FiniteAlgebra, J) -> MapClassification:
     """Decide whether a function table is additive / a retraction / a compression.
 
-    A dense carrier is checked on every defined pair (its ``n * n`` pairs
-    stay below ``core.TRIPLE_BUDGET``), a larger one on seeded pairs, and
-    one past ``4 * core.SAMPLE_SIZE`` elements on a seeded sample of
-    elements (plus the boundary elements).
+    The map is checked on the pairs and elements of ``MapSample(E)``.
     """
-    return MapSample(E, core.TRIPLE_BUDGET).classify(J)
+    return MapSample(E).classify(J)
 
 
 class MapSample:
-    """The pairs and elements ``classify_map`` examines on one carrier.
+    """The pairs and elements on which ``maps`` maps of one carrier are
+    classified; a base draws them once for all of its maps.
 
-    They depend on the carrier and the pair budget only, so a base draws
-    them once and classifies each of its maps against them.
+    Every defined pair of a dense carrier when ``maps`` times their count
+    fits ``core.TRIPLE_BUDGET``, else ``core.SAMPLE_SIZE`` seeded pairs,
+    with ``over`` the sampled row's detail; past ``4 * core.SAMPLE_SIZE``
+    elements, a seeded sample of elements plus the boundary ones.
     """
 
-    def __init__(self, E: FiniteAlgebra, budget: int):
+    def __init__(self, E: FiniteAlgebra, maps: int = 1):
         self.E = E
         n = E.size
-        self.all_pairs = E.dense and n * n <= budget
-        if not self.all_pairs:
+        self.over = (core._over_budget("m x defined pairs", maps * len(E.defined_pairs))
+                     if E.dense else core._no_tables(n))
+        if self.over:
             self.xs, self.ys = core._draws(0, n, n)
             self.ss = E.sum_pairs(self.xs, self.ys)
             self.defined = self.ss >= 0
-        if n <= min(budget, 4 * core.SAMPLE_SIZE):
+        if n <= 4 * core.SAMPLE_SIZE:
             self.idx, self.drawn = np.arange(n), False
         else:
             self.idx = np.unique(np.concatenate([core._draws(0, n)[0], [E.zero, E.one]]))
@@ -494,7 +495,7 @@ class MapSample:
 
     def _additivity_violation(self, J):
         E = self.E
-        if self.all_pairs:
+        if not self.over:
             return kernels.map_additivity_violation(E.sum_table, J, E.defined_pairs)
         xs, ys, ok = self.xs, self.ys, self.defined
         lhs = np.where(ok, J[np.maximum(self.ss, 0)], -1)
@@ -616,16 +617,21 @@ def _lift_base_witness(E, name: str, side: int, w):
 
 
 def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
-    """The base-law scans over the whole carrier and family (sampled past
-    ``core.TRIPLE_BUDGET``); ``validate_base`` runs them on every base without
-    ``factors``, and the tests take them as the reference for products.
+    """The base-law scans over the whole carrier and family; ``validate_base``
+    runs them on every base without ``factors``, and the tests take them as
+    the reference for products.
 
     C1 classifies each map against one ``MapSample`` of the carrier; C2
     and the triple law compare composites of the stacked map tables in
-    chunked gathers (``kernels.composition_violation``).
+    chunked gathers (``kernels.composition_violation``).  Each row but the
+    exact supplement pairing counts the work of its exact scan (``m =
+    |P|``): C1 ``m`` times the defined pairs, C2 ``m^2 n``, P-normal ``m``
+    times the rows ``(d, p)`` with ``d <= p`` outside P, the triple law
+    ``n`` times the summable triples.  Past ``core.TRIPLE_BUDGET``, or on
+    a carrier past ``core.DENSE_LIMIT``, a row runs on seeded draws and is
+    ``sampled``, with a detail that says why.
     """
     rep = Report(f"compression base on {E.kind} (|P|={len(cb.projections)})")
-    budget = core.TRIPLE_BUDGET
     n = E.size
     P = cb.projections
     pa = np.array(P, dtype=np.int64)
@@ -634,6 +640,11 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     in_p[pa] = True
     ppos = np.full(n, -1, dtype=np.int64)  # position in P, -1 outside P
     ppos[pa] = np.arange(m)
+    pq = E.sum_pairs(pa[:, None], pa)  # sums of pairs of P, -1 where undefined
+
+    def add(name, passed, witness, over, detail=""):
+        """A row, ``sampled`` with ``over`` for its detail unless that is None."""
+        rep.add(name, passed, "sampled" if over else "full", witness, over or detail)
 
     # sub-effect algebra: contains 1, closed under ' and partial sums
     ok = E.one in cb.p_set and E.zero in cb.p_set
@@ -643,8 +654,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
             ok, closure_w = False, ("ortho", p)
             break
     if ok:
-        sums = E.sum_pairs(pa[:, None], pa)
-        sums = sums[sums >= 0]
+        sums = pq[pq >= 0]
         outside = np.flatnonzero(~in_p[sums])
         if outside.size:
             ok, closure_w = False, ("sum", int(sums[outside[0]]))
@@ -653,53 +663,33 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
         return rep
 
     # (C1): each map is a compression with the right focus
-    check_projs = list(P)
-    proj_mode = "full"
-    if m * n > budget // 4:
-        rng0 = np.random.default_rng(7)
-        keep = rng0.choice(m, size=min(m, 256), replace=False)
-        check_projs = sorted({P[i] for i in keep} | {E.zero, E.one})
-        proj_mode = "sampled"
-    pair_budget = max(budget // max(len(check_projs), 1), 4 * core.SAMPLE_SIZE)
     c1_ok, c1_w = True, None
-    sample = MapSample(E, pair_budget)
-    for p in check_projs:
+    sample = MapSample(E, m)
+    for p in P:
         cls = sample.classify(cb.map_table(p))
         if not (cls.is_compression and cls.focus == p):
             c1_ok, c1_w = False, (p, cls.kind, cls.witness)
             break
-    mode = "full" if (proj_mode == "full" and E.dense and n * n <= pair_budget) else "sampled"
-    rep.add("C1-compressions", c1_ok, mode=mode, witness=c1_w,
-            detail=f"{len(check_projs)} of {m} maps checked")
+    add("C1-compressions", c1_ok, c1_w, sample.over, f"{m} of {m} maps checked")
     if not c1_ok:
         return rep
 
     # supplements: kernel of J_p is the range [0, p'] of J_p'
-    supp_ok = True
     supp_w = None
-    full_supp = n <= budget // max(len(check_projs), 1)
-    supp_idx = None if full_supp else core._draws(5, n)[0]
-    for p in check_projs:
-        if full_supp:
-            kernel = cb.map_table(p) == E.zero
-            rng_mask = E.lower_bounds(E.ortho(p))
-        else:
-            kernel = cb.map_table(p)[supp_idx] == E.zero
-            rng_mask = E.leq_pairs(supp_idx, E.ortho(p))
-        if not (kernel == rng_mask).all():
-            supp_ok, supp_w = False, p
+    for p in P:
+        if not ((cb.map_table(p) == E.zero) == E.lower_bounds(E.ortho(p))).all():
+            supp_w = p
             break
-    rep.add("supplement-pairing", supp_ok, mode=proj_mode, witness=supp_w)
+    rep.add("supplement-pairing", supp_w is None, witness=supp_w)
 
     # (C2): composite of a Mackey-compatible pair is in the family
-    c2_ok, c2_w, c2_mode = True, None, "full"
-    full_c2 = E.dense and m ** 2 * n <= budget
+    c2_w = None
+    c2_over = core._over_budget("m^2 n", m * m * n) if E.dense else core._no_tables(n)
     cols = None
-    if full_c2:
+    if c2_over is None:
         compat = kernels.mackey_matrix(E.sum_table, E.ominus_table, E.leq_table, P)
         ii, jj = np.nonzero(compat)  # row-major: p-major order
     else:
-        c2_mode = "sampled"
         # made on this branch only, so that a full scan imports no numpy.random
         rng = np.random.default_rng(0)
         cols = rng.integers(0, n, size=min(n, 2000))
@@ -713,69 +703,76 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     t = kernels.composition_violation(stack, ii, jj, ppos[focus], cols)
     if t is not None:
         kind = "focus" if ppos[focus[t]] < 0 else "table"
-        c2_ok, c2_w = False, (P[ii[t]], P[jj[t]], kind, int(focus[t]))
-    rep.add("C2-composition", c2_ok, mode=c2_mode, witness=c2_w)
+        c2_w = (P[ii[t]], P[jj[t]], kind, int(focus[t]))
+    add("C2-composition", c2_w is None, c2_w, c2_over)
 
     # normality of P
-    if E.dense and m ** 2 * n <= budget:
+    if E.dense:
+        rows = np.count_nonzero(E.leq_table[:, pa] & ~in_p[:, None])
+        over = core._over_budget("m x (d, p) rows", m * rows)
+    else:
+        over = core._no_tables(n)
+    if over is None:
         w = kernels.normality_violation(E.sum_table, E.ominus_table, E.leq_table, pa, in_p)
-        rep.add("P-normal", w is None, witness=w)
     else:
         ds, ps, qs = core._draws(1, n, m, m)
         ps, qs = pa[ps], pa[qs]
-        ok_n, w_n = True, None
+        w = None
         good = E.leq_pairs(ds, ps) & E.leq_pairs(ds, qs) & ~in_p[ds]
         es = np.where(good, E.ominus_pairs(ps, np.where(good, ds, 0)), -1)
         viol = good & (np.where(good, E.sum_pairs(np.maximum(es, 0), qs), -1) >= 0)
         if viol.any():
             i = int(np.argmax(viol))
-            ok_n, w_n = False, (int(ps[i]), int(qs[i]), int(ds[i]))
-        rep.add("P-normal", ok_n, mode="sampled", witness=w_n)
+            w = (int(ps[i]), int(qs[i]), int(ds[i]))
+    add("P-normal", w is None, w, over)
 
     # triple law on summable triples from P: the composite fixes exactly
     # the shared summand, J_{p+q} o J_{q+r} = J_q.  A triple is
     # (p+q, q, q+r, r); a sum outside P has no map and fails the law.
-    if m * m <= 1 << 22:
-        pq = E.sum_pairs(pa[:, None], pa)
-
-        def chunks():
-            for i, j, k in _summable_triples(E, pa, pq):
-                yield pq[i, j], pa[j], pq[j, k], pa[k]
+    # Sampled: the triples of 128 seeded summable pairs, on C2's columns
+    # (all of them when C2 is exact).
+    ii, jj = np.nonzero(pq >= 0)
+    if E.dense:
+        triples = _count_triples(E.sum_table, pa, pq, ii, jj)
+        over = core._over_budget("n x summable triples", n * triples)
     else:
-        rng2 = np.random.default_rng(2)
-        drawn = []
-        for _ in range(2048):
-            p, q, r = (int(pa[rng2.integers(m)]) for _ in range(3))
-            s1, s2 = E.sum(p, q), E.sum(q, r)
-            if s1 is not None and s2 is not None and E.sum(s1, r) is not None:
-                drawn.append((s1, q, s2, r))
-
-        def chunks():
-            yield tuple(np.array(drawn, dtype=np.int64).reshape(-1, 4).T)
-    count = sum(chunk[0].size for chunk in chunks())
-    tl_mode = "full" if (count * n <= budget and full_c2) else "sampled"
-    cap = 512 if n <= 100_000 else 192
-    triples = chunks()
-    if tl_mode == "sampled" and count > cap:
-        keep = np.random.default_rng(3).choice(count, size=cap, replace=False)
-        triples = [_select(triples, keep)]
-    tl_cols = cols if tl_mode == "sampled" else None
-    tl_ok, tl_w = True, None
-    for spq, q, sqr, r in triples:
-        t = kernels.composition_violation(stack, ppos[spq], ppos[sqr], ppos[q], tl_cols)
+        over = core._no_tables(n)
+    if over is not None:
+        keep = np.sort(np.random.default_rng(3).choice(ii.size, min(ii.size, 128), replace=False))
+        ii, jj = ii[keep], jj[keep]
+    tl_w = None
+    for i, j, k in _summable_triples(E, pa, pq, ii, jj):
+        spq, q, sqr = pq[i, j], pa[j], pq[j, k]
+        t = kernels.composition_violation(stack, ppos[spq], ppos[sqr], ppos[q],
+                                          None if over is None else cols)
         if t is not None:
-            tl_ok, tl_w = False, (int(spq[t]), int(q[t]), int(sqr[t]), int(r[t]))
+            tl_w = (int(spq[t]), int(q[t]), int(sqr[t]), int(pa[k[t]]))
             break
-    rep.add("triple-law", tl_ok, mode=tl_mode, witness=tl_w)
+    add("triple-law", tl_w is None, tl_w, over)
     return rep
 
 
-def _summable_triples(E: FiniteAlgebra, pa: np.ndarray, pq: np.ndarray):
+def _count_triples(S, pa: np.ndarray, pq: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> int:
+    """The number of summable triples of P, listed by ``_summable_triples``
+    over the summable pairs ``(ii, jj)``, without listing them: pair (i, j)
+    adds the popcount of the packed rows ``pa[j]`` and ``pa[i] + pa[j]`` of
+    ``S[:, pa] >= 0``, whose common bits are the k of its triples."""
+    rows = np.packbits(S[:, pa] >= 0, axis=1)
+    step = max(1, kernels.CHUNK_BYTES // (2 * rows.shape[1]))  # pairs; two gathered rows each
+    total = 0
+    for start in range(0, ii.size, step):
+        i, j = ii[start:start + step], jj[start:start + step]
+        total += int(np.bitwise_count(rows[pa[j]] & rows[pq[i, j]]).sum())
+    return total
+
+
+def _summable_triples(E: FiniteAlgebra, pa: np.ndarray, pq: np.ndarray,
+                      ii: np.ndarray, jj: np.ndarray):
     """Chunks ``(i, j, k)`` of positions in P with ``pa[i] + pa[j]``,
-    ``pa[j] + pa[k]`` and ``(pa[i] + pa[j]) + pa[k]`` defined, in the order
-    of (i, j) row-major and then k; ``pq`` holds the sums of pairs of P."""
+    ``pa[j] + pa[k]`` and ``(pa[i] + pa[j]) + pa[k]`` defined, for the
+    summable pairs ``(ii, jj)`` in their order and then ascending k;
+    ``pq`` holds the sums of pairs of P."""
     m = pa.size
-    ii, jj = np.nonzero(pq >= 0)
     step = max(1, kernels.CHUNK_BYTES // (64 * m))  # (i, j) pairs; ~64 bytes per candidate
     for start in range(0, ii.size, step):
         i2 = np.repeat(ii[start:start + step], m)
@@ -784,20 +781,6 @@ def _summable_triples(E: FiniteAlgebra, pa: np.ndarray, pq: np.ndarray):
         ok = pq[j2, k2] >= 0
         good = np.flatnonzero(ok & (E.sum_pairs(pq[i2, j2], pa[k2]) >= 0))
         yield i2[good], j2[good], k2[good]
-
-
-def _select(chunks, keep: np.ndarray) -> tuple:
-    """The entries at the positions ``keep`` of a run of chunks, each a
-    tuple of equally long arrays, in the order of ``keep``."""
-    order = np.sort(keep)
-    parts, seen = [], 0
-    for chunk in chunks:
-        size = chunk[0].size
-        at = order[(order >= seen) & (order < seen + size)] - seen
-        parts.append([a[at] for a in chunk])
-        seen += size
-    back = np.searchsorted(order, keep)
-    return tuple(np.concatenate(a)[back] for a in zip(*parts))
 
 
 def _mackey_pair(E: FiniteAlgebra, p: int, q: int) -> bool:

@@ -31,7 +31,7 @@ from .errors import (
 )
 
 DENSE_LIMIT = 5000  # dense tables need n <= this (3 tables, 9 n^2 bytes)
-TRIPLE_BUDGET = 2_000_000_000  # full associativity scan when n^3 is below
+TRIPLE_BUDGET = 2_000_000_000  # elementary operations of one exact scan; each row counts its own
 SAMPLE_SIZE = 20_000
 
 
@@ -51,6 +51,17 @@ def _draws(seed: int, *bounds: int) -> list:
     witness are the same on every run."""
     rng = np.random.default_rng(seed)
     return [rng.integers(0, n, size=SAMPLE_SIZE) for n in bounds]
+
+
+def _over_budget(work: str, count: int):
+    """None when an exact scan of ``count`` units of ``work`` fits
+    ``TRIPLE_BUDGET``; else its ``sampled`` row's detail, naming both."""
+    return None if count <= TRIPLE_BUDGET else f"{work} = {count} over the budget {TRIPLE_BUDGET}"
+
+
+def _no_tables(n: int) -> str:
+    """The ``sampled`` row's detail on a carrier past ``DENSE_LIMIT``."""
+    return f"n = {n} over the dense limit {DENSE_LIMIT}"
 
 
 def as_fraction(x) -> Fraction:
@@ -841,9 +852,11 @@ def _additivity_violation(E: FiniteAlgebra, num: np.ndarray):
 def validate_axioms(E: EffectAlgebra) -> Report:
     """Check E1-E4 plus orthosupplement uniqueness and cancellation.
 
-    Scans that would exceed ``TRIPLE_BUDGET`` elementary operations run on
-    ``SAMPLE_SIZE`` seeded draws instead and are flagged ``sampled``.  A
-    finite algebra keeps its one report, under ``"axioms"``.
+    A row whose exact scan would pass ``TRIPLE_BUDGET`` (E2: ``n^3``), or
+    whose carrier is past ``DENSE_LIMIT``, runs on ``SAMPLE_SIZE`` seeded
+    draws and is ``sampled``, with a ``detail`` that names the count, or
+    ``n``, and the bound.  A finite algebra keeps its one report, under
+    ``"axioms"``.
 
     A direct product (an algebra with ``factors``) is not scanned: its
     factors are validated (each through its own factors, if it has them)
@@ -902,7 +915,7 @@ def _axioms(E: FiniteAlgebra) -> Report:
 
 
 def _scan_axioms(E: FiniteAlgebra) -> Report:
-    """The axiom scans over the whole carrier (sampled past ``TRIPLE_BUDGET``);
+    """The axiom scans over the whole carrier (see ``validate_axioms``);
     ``validate_axioms`` runs them on every finite carrier without
     ``factors``, and the tests take them as the reference for products."""
     n = E.size
@@ -917,11 +930,12 @@ def _scan_axioms(E: FiniteAlgebra) -> Report:
     else:
         xs, ys = _draws(0, n, n)
         mism = np.flatnonzero(E.sum_pairs(xs, ys) != E.sum_pairs(ys, xs))
-        rep.add("E1-commutative", mism.size == 0, mode="sampled",
+        rep.add("E1-commutative", mism.size == 0, mode="sampled", detail=_no_tables(n),
                 witness=(int(xs[mism[0]]), int(ys[mism[0]])) if mism.size else None)
 
     # E2: associativity
-    if dense and n ** 3 <= TRIPLE_BUDGET:
+    over = _over_budget("n^3", n ** 3) if dense else _no_tables(n)
+    if over is None:
         w = kernels.associativity_violation(E.sum_table, E.defined_pairs)
         rep.add("E2-associative", w is None, witness=w)
     else:
@@ -933,7 +947,7 @@ def _scan_axioms(E: FiniteAlgebra) -> Report:
         bc = E.sum_pairs(ys, zs)
         a_bc = np.where(bc >= 0, E.sum_pairs(xs, np.maximum(bc, 0)), -1)
         bad = np.flatnonzero(ok & ((bc < 0) | (a_bc != abc)))
-        rep.add("E2-associative", bad.size == 0, mode="sampled",
+        rep.add("E2-associative", bad.size == 0, mode="sampled", detail=over,
                 witness=(int(xs[bad[0]]), int(ys[bad[0]]), int(zs[bad[0]])) if bad.size else None)
 
     # E3: orthosupplement exists and is unique
@@ -958,7 +972,7 @@ def _scan_axioms(E: FiniteAlgebra) -> Report:
             if (row == E.one).sum() != 1:
                 ok, witness = False, int(a)
                 break
-        rep.add("E3-orthosupplement-unique", ok, mode="sampled", witness=witness)
+        rep.add("E3-orthosupplement-unique", ok, "sampled", witness, _no_tables(n))
 
     # E4: a + 1 defined only for a = 0
     col = E.sum_pairs(np.arange(n), E.one)
@@ -984,7 +998,7 @@ def _cancellation_check(E: FiniteAlgebra) -> Check:
     sy = E.sum_pairs(ys, cs)
     bad = np.flatnonzero((sx >= 0) & (sx == sy) & (xs != ys))
     witness = (int(xs[bad[0]]), int(ys[bad[0]]), int(cs[bad[0]])) if bad.size else None
-    return Check("cancellation", bad.size == 0, mode="sampled", witness=witness)
+    return Check("cancellation", bad.size == 0, "sampled", witness, _no_tables(n))
 
 
 def _validate_axioms_sampled(E: EffectAlgebra) -> Report:

@@ -712,3 +712,28 @@ def test_finite_commands_import_neither_numpy_random_nor_numpy_ma(tmp_path):
         code = (f"from effalg import cli; assert cli.main([{command!r}, {doc!r}]) == 0; "
                 + _LOADED)
         assert loaded(code) == "[]", command
+
+
+def test_sampled_rows_name_their_work_and_the_budget(tmp_path, capsys, monkeypatch):
+    """Under a budget of 60, ``validate`` on the chain mv(8,1) (n = 9,
+    P = {0, 1}) samples its associativity (n^3 = 729) and the additivity
+    of its two maps over 45 defined pairs; each sampled row's detail says
+    why, and a full row keeps its detail."""
+    from effalg import core
+
+    monkeypatch.setattr(core, "TRIPLE_BUDGET", 60)
+    doc = write(tmp_path, "l8.json", {"kind": "mv_product", "denominator": 8, "arity": 1})
+    assert cli.main(["--format", "json", "validate", doc]) == 0
+    axioms, base = json.loads(capsys.readouterr().out)["reports"]
+    rows = {c["name"]: (c["passed"], c["mode"], c["detail"])
+            for c in axioms["checks"] + base["checks"]}
+    assert rows["E2-associative"] == (True, "sampled", "n^3 = 729 over the budget 60")
+    assert rows["C1-compressions"] == (True, "sampled",
+                                       "m x defined pairs = 90 over the budget 60")
+    assert {mode for _, mode, _ in rows.values()} == {"full", "sampled"}
+    assert [name for name, (_, mode, _) in rows.items() if mode == "sampled"] == [
+        "E2-associative", "C1-compressions"]
+    monkeypatch.undo()
+    assert cli.main(["--format", "json", "validate", doc]) == 0
+    full = json.loads(capsys.readouterr().out)["reports"][1]["checks"]
+    assert [c["detail"] for c in full if c["name"] == "C1-compressions"] == ["2 of 2 maps checked"]

@@ -396,15 +396,17 @@ def test_p_meet_table_matches_pairwise():
     assert atoms.p_meet_table().tolist() == [[1, -1], [-1, 2]]
 
 
-def _ref_classify(E, J, budget, seed=0):
-    """classify_map as one call per map, with its own draws."""
+def _ref_classify(E, J, maps, seed=0):
+    """classify_map as one call per map, with its own draws, for a sample
+    shared by ``maps`` maps: every defined pair when ``maps`` times their
+    count is within the budget, every element up to 4 * SAMPLE_SIZE."""
     from effalg import kernels
-    from effalg.core import SAMPLE_SIZE
+    from effalg.core import SAMPLE_SIZE, TRIPLE_BUDGET
 
     J = np.asarray(J, dtype=np.int64)
     n = E.size
-    if E.dense and n * n <= budget:
-        witness = kernels.map_additivity_violation(E.sum_table, J, E.defined_pairs)
+    if E.dense and maps * np.count_nonzero(E.sum_table >= 0) <= TRIPLE_BUDGET:
+        witness = kernels.map_additivity_violation(E.sum_table, J)
     else:
         rng = np.random.default_rng(0)
         xs = rng.integers(0, n, size=SAMPLE_SIZE)
@@ -418,7 +420,7 @@ def _ref_classify(E, J, budget, seed=0):
     if witness is not None:
         return ("not_additive", None, witness)
     focus = int(J[E.one])
-    if n <= min(budget, 4 * SAMPLE_SIZE):
+    if n <= 4 * SAMPLE_SIZE:
         idx = np.arange(n)
     else:
         rng = np.random.default_rng(seed)
@@ -438,15 +440,19 @@ def _ref_classify(E, J, budget, seed=0):
 @pytest.mark.parametrize("budget", [200_000_000, 50])
 def test_shared_map_sample_matches_per_map_classify(bases, budget, monkeypatch):
     """One MapSample per base classifies like a fresh classify per map,
-    also when pairs and elements are drawn (budget 50 < n * n, n), from
-    samples small enough to miss the focus of a map."""
-    monkeypatch.setattr(core, "TRIPLE_BUDGET", budget)  # classify_map reads it
+    also when pairs and elements are drawn (budget 50 below the defined
+    pairs, elements past 4 * SAMPLE_SIZE = 48), from samples small enough
+    to miss the focus of a map; ``classify_map`` is the sample of one map."""
+    monkeypatch.setattr(core, "TRIPLE_BUDGET", budget)  # MapSample reads it
     if budget == 50:
-        monkeypatch.setattr(core, "SAMPLE_SIZE", 40)
+        monkeypatch.setattr(core, "SAMPLE_SIZE", 12)
     rng = np.random.default_rng(21)
-    kinds = set()
+    kinds, shared, single = set(), set(), set()
     for name, (E, cb) in bases.items():
-        sample = compbase.MapSample(E, budget)
+        m = len(cb.projections)
+        sample = compbase.MapSample(E, m)
+        shared.add((sample.over is None, sample.drawn))  # (every pair, elements drawn)
+        single.add(compbase.MapSample(E).over is None)
         maps = []
         for p in cb.projections:
             J = np.array(cb.map_table(p))
@@ -465,25 +471,51 @@ def test_shared_map_sample_matches_per_map_classify(bases, budget, monkeypatch):
             maps.append(retraction)
         for bad in maps:
             got = sample.classify(bad)
-            want = _ref_classify(E, bad, budget)
-            assert (got.kind, got.focus, got.witness) == want, name
+            assert (got.kind, got.focus, got.witness) == _ref_classify(E, bad, m), name
             cls = classify_map(E, bad)
-            assert (cls.kind, cls.focus, cls.witness) == want
+            assert (cls.kind, cls.focus, cls.witness) == _ref_classify(E, bad, 1), name
             kinds.add(got.kind)
     assert kinds == {"compression", "not_additive", "retraction"}
+    if budget == 50:
+        assert shared == {(True, False), (False, False), (False, True)}
+        assert single == {True, False}
+    else:
+        assert shared == {(True, False)} and single == {True}
+
+
+def _ref_triples(E, pa):
+    """The summable triples of P as ``(p+q, q, q+r, r)``, by (p, q) in
+    row-major order and then r, in plain loops."""
+    m = pa.size
+    pq = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m)).reshape(m, m)
+    out = []
+    for i, j in zip(*np.nonzero(pq >= 0)):
+        third = (pq[j] >= 0) & (E.sum_pairs(np.full(m, pq[i, j]), pa) >= 0)
+        out.append([(int(pq[i, j]), int(pa[j]), int(pq[j, k]), int(pa[k]))
+                    for k in np.flatnonzero(third)])
+    return out  # one list per summable pair (p, q)
+
+
+def _normality_rows(E, cb):
+    """The (d, p) with d <= p and d outside P, which the exact P-normal
+    scan walks: each against every q in P."""
+    return sum(1 for p in cb.projections for d in range(E.size)
+               if E.leq(d, p) and d not in cb.p_set)
 
 
 def _ref_base_laws(E, cb, budget, seed=0):
-    """The C2, P-normal and triple-law rows of validate_base as per-pair and
-    per-triple loops over single map tables; a sum outside P has no map and
-    fails the triple law."""
+    """The supplement, C2, P-normal and triple-law rows of validate_base as
+    per-projection, per-pair and per-triple loops over single map tables;
+    a sum outside P has no map and fails the triple law."""
     from effalg import kernels
-    from effalg.core import SAMPLE_SIZE
 
     n, P = E.size, cb.projections
     pa = np.array(P)
     m = pa.size
     rows = {}
+    w = next((p for p in P if not all((cb.map_table(p)[x] == E.zero) == E.leq(x, E.ortho(p))
+                                      for x in range(n))), None)
+    rows["supplement-pairing"] = (w is None, "full", w)
     # C2
     rng = np.random.default_rng(seed)
     full_c2 = E.dense and m ** 2 * n <= budget
@@ -511,7 +543,7 @@ def _ref_base_laws(E, cb, budget, seed=0):
     # P-normal, the dense scan: one (p, q) pair at a time
     in_p = np.zeros(n, dtype=bool)
     in_p[pa] = True
-    if E.dense and m ** 2 * n <= budget:
+    if E.dense and m * _normality_rows(E, cb) <= budget:
         S, omi, leq = E.sum_table, E.ominus_table, E.leq_table
         w = None
         for p in pa:
@@ -524,21 +556,17 @@ def _ref_base_laws(E, cb, budget, seed=0):
             if w:
                 break
         rows["P-normal"] = (w is None, "full", w)
-    # triple law
-    pq = E.sum_pairs(np.repeat(pa, m), np.tile(pa, m)).reshape(m, m)
-    triples = []
-    for i, j in zip(*np.nonzero(pq >= 0)):
-        third = (pq[j] >= 0) & (E.sum_pairs(np.full(m, pq[i, j]), pa) >= 0)
-        for k in np.flatnonzero(third):
-            triples.append((int(pq[i, j]), int(pa[j]), int(pq[j, k]), int(pa[k])))
-    mode = "full" if (len(triples) * n <= budget and sample is None) else "sampled"
-    cap = 512 if n <= 100_000 else 192
-    if mode == "sampled" and len(triples) > cap:
-        keep = np.random.default_rng(seed + 3).choice(len(triples), size=cap, replace=False)
-        triples = [triples[t] for t in keep]
+    # triple law: every triple, or those of 128 seeded summable pairs on
+    # C2's columns
+    by_pair = _ref_triples(E, pa)
+    mode = "full" if (E.dense and sum(map(len, by_pair)) * n <= budget) else "sampled"
+    if mode == "sampled":
+        keep = np.random.default_rng(seed + 3).choice(len(by_pair), min(len(by_pair), 128),
+                                                      replace=False)
+        by_pair = [by_pair[t] for t in sorted(keep)]
     cols = slice(None) if (mode == "full" or sample is None) else sample
     w = None
-    for spq, q, sqr, r in triples:
+    for spq, q, sqr, r in (t for triples in by_pair for t in triples):
         if spq not in cb.p_set or sqr not in cb.p_set:
             w = (spq, q, sqr, r)
             break
@@ -592,6 +620,59 @@ def test_stacked_laws_match_pairwise_loops(bases, budget, monkeypatch):
     assert {("C2-composition", "entry"), ("triple-law", "entry"), ("C2-composition", "drop"),
             ("P-normal", "drop"), ("triple-law", "drop")} <= failed
     assert modes == ({"full"} if default else {"full", "sampled"})
+
+
+def _table_copy(E, cb):
+    """E as a ``TableAlgebra`` of its sum table, and cb's maps on it as a
+    base without factors, in the same index layout."""
+    T = core.TableAlgebra(E.sum_table, E.zero, E.one)
+    return T, CompressionBase(T, cb.projections, {p: cb.map_table(p) for p in cb.projections})
+
+
+MOVE_CASES = {
+    "boolean(4)": lambda: instances.make_boolean(4, validate=False),
+    "mv(4,2)": lambda: instances.make_mv_product(4, 2, validate=False),
+    "boolean(2) x mv(4,1)": lambda: instances.make_product(
+        instances.make_boolean(2, validate=False), instances.make_mv_product(4, 1, validate=False),
+        validate=False),
+}
+
+
+@pytest.mark.parametrize("name", list(MOVE_CASES))
+def test_rows_only_move_from_sampled_to_full(name, monkeypatch):
+    """Each row is gated on the work of its exact scan, which is at most
+    the size proxy that gated it before: at a budget between the two the
+    row is ``full`` now, with the verdict and witness of the plain loops.
+    The earlier proxies: supplement pairing sampled with C1's projection
+    draw, past m n > budget / 4; P-normal past m^2 n; the triple law past
+    m^2 n or n x summable triples.  C1's earlier gate kept 4 * SAMPLE_SIZE
+    pairs per map at any budget, so on carriers this small C1 has no
+    budget between its count and that gate."""
+    monkeypatch.setattr(compbase.MapSample, "classify", lambda self, J: compbase.MapClassification(
+        "compression", int(np.asarray(J)[self.E.one])))  # broken maps reach the later rows
+    E, cb = _table_copy(*MOVE_CASES[name]())
+    rng = np.random.default_rng(26)
+    moved = set()
+    for kind, base in [("valid", cb)] + _broken_bases(E, cb, rng):
+        n, m = E.size, len(base.projections)
+        triples = sum(map(len, _ref_triples(E, base.p_array)))
+        gates = {"supplement-pairing": (m * n, 4 * m * n),
+                 "P-normal": (m * _normality_rows(E, base), m * m * n),
+                 "triple-law": (n * triples, max(n * triples, m * m * n))}
+        exact = _ref_base_laws(E, base, 10 ** 18)
+        assert {row[1] for row in exact.values()} == {"full"}
+        for row, (work, proxy) in gates.items():
+            if work >= proxy:
+                continue
+            monkeypatch.setattr(core, "TRIPLE_BUDGET", work)
+            got = next(c for c in compbase._scan_base(E, base).checks if c.name == row)
+            assert (got.passed, got.mode, got.witness) == exact[row], (name, kind, row)
+            moved.add((row, got.passed))
+    # a Boolean P of m members has m^2 summable triples, at its proxy m^2 n;
+    # only a P short of a member, on mv(4,2), has fewer
+    want = {"supplement-pairing", "P-normal"} | ({"triple-law"} if name == "mv(4,2)" else set())
+    assert {row for row, _ in moved} == want
+    assert ("supplement-pairing", False) in moved  # a failing row moves with its witness
 
 
 def _plain_stack(cb):

@@ -1,0 +1,29 @@
+"""scripts/scan_modes.py: the scans' rows and seconds on table copies."""
+
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scan_modes.py"
+
+
+def test_boolean_3_table_copy_is_scanned_in_full():
+    t0 = time.perf_counter()
+    run = subprocess.run([sys.executable, str(SCRIPT), "boolean(3)"], capture_output=True,
+                         text=True, check=True)
+    took = time.perf_counter() - t0
+    lines = run.stdout.splitlines()
+    assert lines[0] == "boolean(3) table copy (n = 8, |P| = 8)"
+    assert [line.split(":")[0].strip() for line in lines if line.endswith(" s")] == \
+        ["axioms", "base"]
+    rows = [line.split() for line in lines if line.startswith("    ")]
+    assert [row[0] for row in rows] == [
+        "E1-commutative", "E2-associative", "E3-orthosupplement-exists",
+        "E3-orthosupplement-valid", "E3-orthosupplement-unique", "E4-unit-maximal",
+        "cancellation", "P-sub-effect-algebra", "C1-compressions", "supplement-pairing",
+        "C2-composition", "P-normal", "triple-law"]
+    assert {tuple(row[1:3]) for row in rows} == {("PASS", "full")}
+    assert " ".join(rows[8][3:]) == "8 of 8 maps checked"
+    assert run.stderr == ""
+    assert took < 1.0, f"took {took:.2f} s"
