@@ -5,9 +5,10 @@
 A NAME is ``boolean(k)``, ``mv(k,d)``, ``MO2`` or a product ``A x B`` of
 those, e.g. ``"boolean(2) x mv(8,3)"``.  Each instance is copied as a
 ``TableAlgebra`` of its sum table with its base's maps as a base without
-factors, so that ``core._scan_axioms`` and ``compbase._scan_base`` scan it
-as they scan any carrier without factors.  For each scan the script prints
-its wall seconds, then one line per row: name, verdict, mode and detail.
+factors, so that ``core._scan_axioms``, ``compbase._scan_base`` and
+``comparability._scan_spectral`` scan it as they scan any carrier without
+factors.  For each scan the script prints its wall seconds, then one line
+per row: name, verdict, mode and detail.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from effalg import compbase, core, instances  # noqa: E402
+from effalg import comparability, compbase, core, instances  # noqa: E402
 
 
 def build(name: str):
@@ -55,13 +56,14 @@ def scan(name: str) -> list:
     T, tcb = table_copy(*build(name))
     lines = [f"{name} table copy (n = {T.size}, |P| = {len(tcb.projections)})"]
     for what, run in (("axioms", lambda: core._scan_axioms(T)),
-                      ("base", lambda: compbase._scan_base(T, tcb))):
+                      ("base", lambda: compbase._scan_base(T, tcb)),
+                      ("spectral", lambda: comparability._scan_spectral(tcb))):
         t0 = time.perf_counter()
         rep = run()
         lines.append(f"  {what}: {time.perf_counter() - t0:.2f} s")
         for c in rep.checks:
             verdict = "PASS" if c.passed else "FAIL"
-            lines.append(f"    {c.name:<28} {verdict} {c.mode:<8} {c.detail}".rstrip())
+            lines.append(f"    {c.name:<30} {verdict} {c.mode:<8} {c.detail}".rstrip())
     return lines
 
 

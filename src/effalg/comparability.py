@@ -16,8 +16,11 @@ one order test for P_<=(e, f), and one of J_p for the positive part.
 ``check_b_comparability`` decides the rows of the spectrality verdict
 once per base: through the factor bases on a product base
 (``structural``), by one exact scan of the carrier otherwise (``full``).
-The one ``sampled`` row left is the MV check of a C-block of more than
-``MV_EXACT_ELEMENTS`` elements on a carrier without factors.
+The MV check of the C-blocks reads ``k^2`` pairs of each C-block of
+``k`` elements, each meet an order row of ``n/8`` bytes; past
+``core.TRIPLE_BUDGET`` it draws the pairs of each C-block of more than
+``core.SAMPLE_SIZE`` pairs, like every other scan, and the row says
+``sampled`` with the work and the budget in its detail.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import core, kernels
 from .compbase import CompressionBase, blocks, c_block, validate_base
 from .core import (
     FiniteAlgebra,
@@ -43,10 +46,6 @@ from .errors import (
     NotCommuting,
     NotSpectral,
 )
-
-MV_EXACT_ELEMENTS = 2000  # C-blocks up to this size are checked on every pair
-MV_SAMPLE = 2000  # seeded pairs checked on a larger C-block
-
 
 @dataclass
 class SplitResult:
@@ -169,7 +168,7 @@ def check_b_comparability(cb) -> Report:
 
     A base without ``factors`` is scanned (``_scan_spectral``).  Every
     carrier past ``core.DENSE_LIMIT`` has factors, so the scan sees dense
-    carriers only and is exact, with one exception noted there.
+    carriers only, and each of its rows is exact within ``core.TRIPLE_BUDGET``.
     """
     if not cb.enumerable:
         return cb.check_b_comparability()
@@ -211,9 +210,12 @@ def _scan_spectral(cb) -> Report:
 
     The b-property, commuting and ``P(e, f)`` are read from the base's
     class table, the one that every split reads; comparability is one gather
-    (``_comparability_failure``).  C-blocks of more than
-    ``MV_EXACT_ELEMENTS`` elements are checked on a seeded sample of pairs
-    and the row says ``sampled``.
+    (``_comparability_failure``).  The MV row checks every pair of every
+    C-block while its work, ``k^2`` pairs of each C-block of ``k`` elements
+    times the ``ceil(n/8)`` order-row bytes that each meet reads, fits
+    ``core.TRIPLE_BUDGET``; past it each C-block of more than
+    ``core.SAMPLE_SIZE`` pairs is checked on seeded draws (``core._draws``)
+    and the row is ``sampled``, with the work and the budget in its detail.
     """
     E = cb.algebra
     rep = Report(f"b-comparability on {E.kind} ({E.size} elements, |P|={len(cb.projections)})")
@@ -229,11 +231,13 @@ def _scan_spectral(cb) -> Report:
             else sorted(sharp - set(cb.projections))[:3])
     if rep.passed:
         cblocks = [c_block(cb, block) for block in blocks(cb)]
-        w = next(filter(None, (_mv_violation(E, c) for c in cblocks)), None)
-        sampled = max(c.size for c in cblocks) > MV_EXACT_ELEMENTS
-        rep.add("C-blocks-are-MV", w is None, witness=w, mode="sampled" if sampled else "full",
-                detail=f"{MV_SAMPLE} seeded pairs on C-blocks over {MV_EXACT_ELEMENTS} "
-                       f"elements" if sampled else "")
+        pairs = sum(c.size ** 2 for c in cblocks)
+        over = core._over_budget("pairs x n/8", pairs * -(-E.size // 8))  # n/8 rounded up
+        # past the budget, a C-block of at most SAMPLE_SIZE pairs is still read whole
+        w = next(filter(None, (_mv_violation(E, c, over is None or c.size ** 2 <= core.SAMPLE_SIZE)
+                               for c in cblocks)), None)
+        rep.add("C-blocks-are-MV", w is None, witness=w, mode="full" if over is None
+                else "sampled", detail=over or "")
     return rep
 
 
@@ -280,12 +284,13 @@ def _comparability_failure(cb):
     return (i // n, i % n) if bits[i] else None
 
 
-def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
+def _mv_violation(E: FiniteAlgebra, elems: np.ndarray, exact: bool = True):
     """A witness that ``elems`` is not an MV effect algebra inside E, or
     None: meets and joins exist in E and stay in ``elems``, and the MV
     identity (a v b) - a = b - (a ^ b) holds, on every pair of ``elems``,
-    or on ``MV_SAMPLE`` seeded pairs past ``MV_EXACT_ELEMENTS``: the first
-    failing law, in this order, at its first pair in row-major order.
+    or, unless ``exact``, on the seeded pairs of ``core._draws``: the first
+    failing law, in this order, at its first pair in row-major order (in
+    the order drawn).
 
     The Riesz decomposition property needs no check of its own: a
     lattice-ordered effect algebra in which (a v b) - a = b - (a ^ b) holds
@@ -295,7 +300,7 @@ def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
     """
     ortho = E.ortho_all()
     first = None  # (law, place, witness) of the first failing law past the meets
-    for xs, ys, place in _mv_pairs(elems.size):
+    for xs, ys, place in _mv_pairs(elems.size, exact):
         a, b = elems[xs], elems[ys]
         meets = E.meet_pairs(a, b)
         if (meets < 0).any():  # mirrors follow their pairs: this one is first row-major
@@ -316,15 +321,15 @@ def _mv_violation(E: FiniteAlgebra, elems: np.ndarray):
     return first and first[2]
 
 
-def _mv_pairs(k: int):
+def _mv_pairs(k: int, exact: bool):
     """Runs ``(xs, ys, place)`` of pairs of positions in a C-block of ``k``
-    elements.  Up to ``MV_EXACT_ELEMENTS``, about ``kernels.CHUNK_BYTES`` at
-    a time: the pairs ``xs <= ys`` of a run of rows and their mirrors, at
-    their row-major places.  Past it: ``MV_SAMPLE`` seeded pairs, as drawn."""
-    if k > MV_EXACT_ELEMENTS:
-        rng = np.random.default_rng(0)
-        xs, ys = rng.integers(0, k, size=MV_SAMPLE), rng.integers(0, k, size=MV_SAMPLE)
-        yield xs, ys, np.arange(MV_SAMPLE)
+    elements.  If ``exact``, about ``kernels.CHUNK_BYTES`` at a time: the
+    pairs ``xs <= ys`` of a run of rows and their mirrors, at their
+    row-major places.  Else one run of seeded pairs, at their places as
+    drawn."""
+    if not exact:
+        xs, ys = core._draws(0, k, k)
+        yield xs, ys, np.arange(xs.size)
         return
     step = max(1, kernels.CHUNK_BYTES // (256 * k))  # rows; ~128 bytes per pair and mirror
     for start in range(0, k, step):

@@ -944,8 +944,16 @@ def _members(bits: int):
 
 def _check_boolean_block(cb: CompressionBase, block) -> None:
     """Raise InternalConsistencyError unless the block is closed under '
-    and under the meets J_p(q), and those meets distribute over the joins
-    q v r = (q' ^ r')'."""
+    and under the meets J_p(q), and is a Boolean algebra under them.
+
+    The order is read off the meets: ``i <= j`` iff ``J_i(j) = i``.  The
+    atoms are the members with exactly two members below them, and each
+    member maps to the bitmask of the atoms below it.  The block is Boolean
+    iff that map is a bijection onto the ``2^m`` subsets of its ``m`` atoms
+    that sends the meets to intersections and ' to complements: then
+    ``(B, ^, ')`` is isomorphic to ``(2^m, ∩, complement)``, so the meets
+    also distribute over the joins ``q v r = (q' ^ r')'``.
+    """
     E = cb.algebra
     block = np.asarray(block, dtype=np.int64)
     b = block.size
@@ -958,13 +966,21 @@ def _check_boolean_block(cb: CompressionBase, block) -> None:
     meet = where[cb.map_values(block, block)]
     if (meet < 0).any():
         raise InternalConsistencyError("block not closed under meets")
-    join = ortho[meet[np.ix_(ortho, ortho)]]
-    # p ^ (q v r) == (p ^ q) v (p ^ r), for a run of p's at a time
-    step = max(1, kernels.CHUNK_BYTES // (24 * b * b))
+    below = meet == np.arange(b)[:, None]  # below[i, j]: i <= j
+    atoms = np.flatnonzero(np.count_nonzero(below, axis=0) == 2)
+    m = atoms.size
+    not_boolean = InternalConsistencyError(
+        f"block of {b} members is not Boolean over its {m} atoms")
+    if b != 1 << m:
+        raise not_boolean
+    mask = (1 << np.arange(m, dtype=np.int64)) @ below[atoms]
+    # distinct masks; np.unique would import numpy.ma
+    if (np.bincount(mask, minlength=b) != 1).any() or (mask[ortho] != (b - 1) ^ mask).any():
+        raise not_boolean
+    step = max(1, kernels.CHUNK_BYTES // (24 * b))  # rows; ~24 bytes per pair
     for i in range(0, b, step):
-        mp = meet[i:i + step]
-        if (mp[:, join] != join[mp[:, :, None], mp[:, None, :]]).any():
-            raise InternalConsistencyError("block fails distributivity")
+        if (mask[meet[i:i + step]] != mask[i:i + step, None] & mask).any():
+            raise not_boolean
 
 
 def c_block(cb: CompressionBase, block) -> np.ndarray:

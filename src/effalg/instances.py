@@ -346,12 +346,35 @@ def separating_states(E):
     return None
 
 
+_NO_GROUP = {  # why a carrier of this kind, no grid, gets no integer group
+    "product": "the group oracle covers grid instances only; the group of a product "
+               "is not built",
+    "table": "the group oracle covers grid instances only; a table names no group",
+    "matrix": "the group oracle covers grid instances only; the group of a matrix "
+              "algebra is its self-adjoint matrices, not Z^d",
+}
+
+
+def _no_group_reason(E) -> str | None:
+    """Why E carries no integer group, or None on a grid: a product gives
+    the reason of its first factor that has one, and only a product of grids
+    says that its group is not built."""
+    if isinstance(E, GridAlgebra):
+        return None
+    if E.kind == "product":
+        return next(filter(None, map(_no_group_reason, E.factors)), _NO_GROUP["product"])
+    return _NO_GROUP.get(E.kind, "only grid instances carry a torsion-free integer group; "
+                                 "zero-one pastings admit 2e = 2f = 1 with e != f")
+
+
 def universal_group(E: GridAlgebra) -> groups.ZGroup:
-    """The integer group behind a grid instance (coordinates over unit k)."""
-    if not isinstance(E, GridAlgebra):
-        raise ElementNotInCarrier(
-            "only grid instances carry a torsion-free integer group; "
-            "zero-one pastings admit 2e = 2f = 1 with e != f")
+    """The integer group behind a grid instance (coordinates over unit k).
+    Any other carrier raises ``ElementNotInCarrier`` naming why
+    (``_no_group_reason``): its kind's entry of ``_NO_GROUP``, the torsion
+    of a zero-one pasting, or the reason of a product's factor."""
+    reason = _no_group_reason(E)
+    if reason is not None:
+        raise ElementNotInCarrier(reason)
     return groups.ZGroup(E.group_unit)
 
 

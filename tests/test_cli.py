@@ -103,6 +103,31 @@ def test_group_command(docs, capsys):
     capsys.readouterr()
 
 
+def test_group_names_why_a_carrier_has_no_integer_group(tmp_path):
+    """``group`` exits 2 on a carrier that is no grid, with a message that
+    names the reason of its kind; only the pastings have torsion, and a
+    product with a pasting factor gives that factor's reason."""
+    chain = {"kind": "table", "n": 2, "zero": 0, "one": 1,
+             "sums": [[0, 0, 0], [0, 1, 1], [1, 0, 1]]}
+    pasting = ("error: only grid instances carry a torsion-free integer group; "
+               "zero-one pastings admit 2e = 2f = 1 with e != f\n")
+    want = {
+        "prod": (PRODUCT_DOC, "error: the group oracle covers grid instances only; "
+                              "the group of a product is not built\n"),
+        "table": (chain, "error: the group oracle covers grid instances only; "
+                         "a table names no group\n"),
+        "matrix": ({"kind": "matrix", "dim": 2}, "error: the group oracle covers grid "
+                   "instances only; the group of a matrix algebra is its self-adjoint "
+                   "matrices, not Z^d\n"),
+        "mo2": ({"kind": "mo2"}, pasting),
+        "mo2-prod": ({"kind": "product", "factors": [{"kind": "mo2"},
+                                                     {"kind": "boolean", "n_atoms": 1}]},
+                     pasting),
+    }
+    for name, (doc, err) in want.items():
+        assert run_cli(["group", write(tmp_path, f"{name}.json", doc), "--g", "1"]) == (2, err)
+
+
 def test_expect_command(docs, capsys):
     assert cli.main(["expect", docs["mv83"], "--element", "2,4,7",
                      "--state", "1/3,1/3,1/3", "--depth", "2"]) == 0
@@ -691,34 +716,50 @@ _LOADED = ("import sys; print(sorted(m for m in ('numpy.random', 'numpy.ma') "
            "if m in sys.modules), file=sys.stderr)")
 
 
+def _loaded(code):
+    """The numpy modules of ``_LOADED`` that ``code`` leaves imported in a
+    fresh interpreter, as printed; skips the test where a bare
+    ``import numpy`` already imports them."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+
+    def run(code):
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 0, done.stderr
+        return done.stderr.strip().splitlines()[-1]
+
+    if run("import numpy; " + _LOADED) != "[]":
+        pytest.skip("a bare import numpy already loads them")
+    return run(code + "; " + _LOADED)
+
+
 def test_finite_commands_import_neither_numpy_random_nor_numpy_ma(tmp_path):
     """``validate`` and ``analyze`` on a grid document, each in a fresh
     interpreter, leave ``numpy.random`` and ``numpy.ma`` unimported: the
     scans draw no sample on a dense carrier and take distinct indices
     without ``np.unique``."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
-
-    def loaded(code):
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env)
-        assert run.returncode == 0, run.stderr
-        return run.stderr.strip().splitlines()[-1]
-
-    if loaded("import numpy; " + _LOADED) != "[]":
-        pytest.skip("a bare import numpy already loads them")
     doc = write(tmp_path, "mv83.json", {"kind": "mv_product", "denominator": 8, "arity": 3})
     for command in ("validate", "analyze"):
-        code = (f"from effalg import cli; assert cli.main([{command!r}, {doc!r}]) == 0; "
-                + _LOADED)
-        assert loaded(code) == "[]", command
+        code = f"from effalg import cli; assert cli.main([{command!r}, {doc!r}]) == 0"
+        assert _loaded(code) == "[]", command
+
+
+@pytest.mark.parametrize("name", ["mo2", "hsum"])
+def test_analyze_on_pastings_leaves_numpy_ma_out(name, tmp_path):
+    """``analyze`` on MO2 and on L8+L8, carriers without factors whose
+    blocks and C-blocks are scanned, in a fresh interpreter: the block check
+    tells its atom masks apart with ``np.bincount``, not ``np.unique``, so
+    neither ``numpy.ma`` nor ``numpy.random`` is imported."""
+    doc = write(tmp_path, f"{name}.json", CONTRACT_DOCS[name])
+    assert _loaded(f"from effalg import cli; assert cli.main(['analyze', {doc!r}]) == 0") == "[]"
 
 
 def test_sampled_rows_name_their_work_and_the_budget(tmp_path, capsys, monkeypatch):
     """Under a budget of 60, ``validate`` on the chain mv(8,1) (n = 9,
-    P = {0, 1}) samples its associativity (n^3 = 729) and the additivity
-    of its two maps over 45 defined pairs; each sampled row's detail says
-    why, and a full row keeps its detail."""
+    P = {0, 1}) samples its associativity (165 defined triples) and the
+    additivity of its two maps over 45 defined pairs; each sampled row's
+    detail says why, and a full row keeps its detail."""
     from effalg import core
 
     monkeypatch.setattr(core, "TRIPLE_BUDGET", 60)
@@ -727,7 +768,7 @@ def test_sampled_rows_name_their_work_and_the_budget(tmp_path, capsys, monkeypat
     axioms, base = json.loads(capsys.readouterr().out)["reports"]
     rows = {c["name"]: (c["passed"], c["mode"], c["detail"])
             for c in axioms["checks"] + base["checks"]}
-    assert rows["E2-associative"] == (True, "sampled", "n^3 = 729 over the budget 60")
+    assert rows["E2-associative"] == (True, "sampled", "defined triples = 165 over the budget 60")
     assert rows["C1-compressions"] == (True, "sampled",
                                        "m x defined pairs = 90 over the budget 60")
     assert {mode for _, mode, _ in rows.values()} == {"full", "sampled"}

@@ -163,7 +163,9 @@ def test_restricted_tables_are_the_parents(build):
 
 def test_large_c_block_is_sampled_and_says_so():
     """[0, 1] of boolean(2) x mv(8,3) is a table without factors whose one
-    C-block has 2916 elements: the MV row samples pairs and says so."""
+    C-block has 2916 elements: the exact MV row would read 2916^2 pairs
+    times 365 order-row bytes, past the budget, so it samples pairs and its
+    detail names that work and the budget."""
     E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
     sub, subcb = cmp.restrict(cb, E.one, validate=False)
     rep = cmp.check_b_comparability(subcb)
@@ -171,7 +173,7 @@ def test_large_c_block_is_sampled_and_says_so():
         c.name for c in cmp.check_b_comparability(cb).checks]
     modes = {c.name: (c.mode, c.detail) for c in rep.checks}
     assert modes.pop("C-blocks-are-MV") == (
-        "sampled", "2000 seeded pairs on C-blocks over 2000 elements")
+        "sampled", "pairs x n/8 = 3103615440 over the budget 2000000000")
     assert set(modes.values()) == {("full", "")}
 
 

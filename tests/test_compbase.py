@@ -290,7 +290,10 @@ def test_check_oml(bool3, mv83, mv42, hsum_l8):
 
 def test_non_distributive_block_raises(mo2):
     """MO2 with J_p(x) = p ^ x is closed under ' and these meets, but
-    a ^ (b v b') = a while (a ^ b) v (a ^ b') = 0."""
+    a ^ (b v b') = a while (a ^ b) v (a ^ b') = 0, which the ``b^3``
+    reference finds; its six members are no power of its four atoms."""
+    from test_structural import _distributive_block
+
     from effalg.errors import InternalConsistencyError
 
     E, _ = mo2
@@ -298,6 +301,8 @@ def test_non_distributive_block_raises(mo2):
     maps = {p: np.array([E.meet(p, x) for x in elems]) for p in elems}
     cb = CompressionBase(E, elems, maps)
     with pytest.raises(InternalConsistencyError, match="distributivity"):
+        _distributive_block(cb, elems)
+    with pytest.raises(InternalConsistencyError, match="6 members is not Boolean over its 4"):
         compbase._check_boolean_block(cb, elems)
 
 

@@ -16,13 +16,14 @@ def test_boolean_3_table_copy_is_scanned_in_full():
     lines = run.stdout.splitlines()
     assert lines[0] == "boolean(3) table copy (n = 8, |P| = 8)"
     assert [line.split(":")[0].strip() for line in lines if line.endswith(" s")] == \
-        ["axioms", "base"]
+        ["axioms", "base", "spectral"]
     rows = [line.split() for line in lines if line.startswith("    ")]
     assert [row[0] for row in rows] == [
         "E1-commutative", "E2-associative", "E3-orthosupplement-exists",
         "E3-orthosupplement-valid", "E3-orthosupplement-unique", "E4-unit-maximal",
         "cancellation", "P-sub-effect-algebra", "C1-compressions", "supplement-pairing",
-        "C2-composition", "P-normal", "triple-law"]
+        "C2-composition", "P-normal", "triple-law", "b-property", "comparability",
+        "sharp-elements-are-projections", "C-blocks-are-MV"]
     assert {tuple(row[1:3]) for row in rows} == {("PASS", "full")}
     assert " ".join(rows[8][3:]) == "8 of 8 maps checked"
     assert run.stderr == ""

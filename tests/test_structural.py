@@ -21,7 +21,9 @@ from hypothesis import example, given, strategies as st
 
 from effalg import comparability, compbase, core, instances, kernels, spectral
 from effalg.compbase import CompressionBase, central_base
-from effalg.errors import EffalgError, IncompleteBase, NotSpectral, Unstable
+from effalg.errors import (EffalgError, IncompleteBase, InternalConsistencyError,
+                           NotSpectral, Unstable)
+from test_compbase import _table_copy
 
 GRIDS = ((2, 1), (1, 2), (3, 1), (2, 2), (4, 1))  # (k, d) of the tables broken below
 MUTATIONS = ("retarget", "undefine", "define", "one-sided")
@@ -243,8 +245,9 @@ def test_nested_products_and_sampled_factors(monkeypatch):
     assert rep.parts[1] is core.validate_axioms(b1[0])
     assert core.validate_axioms(E) is rep
     assert compbase.validate_base(E, cb).parts[0] is compbase.validate_base(*inner)
-    # a budget below mv(4,1)'s n^3 samples its associativity, and only that row
-    monkeypatch.setattr(core, "TRIPLE_BUDGET", 100)
+    # a budget below mv(4,1)'s 35 defined triples samples its associativity,
+    # and only that row
+    monkeypatch.setattr(core, "TRIPLE_BUDGET", 30)
     small = core.validate_axioms(_nested_product(validate=False)[0][0])
     sampled = {c.name for c in small.checks if c.mode == "sampled"}
     assert small.passed and sampled == {"E2-associative"}
@@ -574,17 +577,189 @@ def test_broken_table_factors_match_the_spectral_scan():
     assert raised == {IncompleteBase}
 
 
-def _mv_one_step(E, elems):
+def _distributive_block(cb, block):
+    """The reference Boolean-block check: closure under ' and under the
+    meets J_p(q), then ``p ^ (q v r) == (p ^ q) v (p ^ r)`` on all ``b^3``
+    triples.  It passes blocks that are distributive but not Boolean."""
+    E = cb.algebra
+    block = np.asarray(block, dtype=np.int64)
+    b = block.size
+    where = np.full(E.size, -1, dtype=np.int64)
+    where[block] = np.arange(b)
+    ortho = where[E.ortho_all()[block]]
+    if (ortho < 0).any():
+        raise InternalConsistencyError(f"block not closed under ': {block.tolist()}")
+    meet = where[cb.map_values(block, block)]
+    if (meet < 0).any():
+        raise InternalConsistencyError("block not closed under meets")
+    join = ortho[meet[np.ix_(ortho, ortho)]]
+    for i in range(b):
+        if (meet[i][join] != join[meet[i][:, None], meet[i][None, :]]).any():
+            raise InternalConsistencyError("block fails distributivity")
+
+
+def _blocks_outcome(cb, check=None):
+    """``compbase.blocks(cb)``, with ``check`` as its Boolean-block check
+    if given, or the class of what it raised."""
+    with pytest.MonkeyPatch.context() as patch:
+        if check is not None:
+            patch.setattr(compbase, "_check_boolean_block", check)
+        try:
+            return compbase.blocks(cb)
+        except EffalgError as exc:
+            return type(exc)
+
+
+def _raises(check, cb, block):
+    """The message of the ``InternalConsistencyError`` that ``check``
+    raises on the block, or None."""
+    try:
+        check(cb, block)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_blocks_match_the_distributive_reference(monkeypatch):
+    """On every valid base of criterion 01, its dense table copies and the
+    Boolean algebras up to boolean(8), the atom map finds the blocks that
+    the ``b^3`` distributivity check finds."""
+    monkeypatch.setenv("EA_MAX_CARRIER", "600000")  # mv(8,3) x mv(8,3), as in criterion 01
+    named = _criterion_01_instances()
+    suites = dict(named)
+    for a, b in itertools.combinations_with_replacement(sorted(named), 2):
+        suites[f"{a} x {b}"] = instances.make_product(named[a], named[b], validate=False)
+    suites.update({f"boolean({k})": instances.make_boolean(k, validate=False)
+                   for k in (5, 6, 7, 8)})
+    copied = 0
+    for name, (E, cb) in suites.items():
+        assert compbase.validate_base(E, cb).passed, name
+        bases = [cb]
+        if E.dense:
+            bases.append(_table_copy(E, cb)[1])
+            copied += 1
+        if E.dense and E.factors is not None:
+            bases.append(_unfactored(cb))
+        for base in bases:
+            got = _blocks_outcome(base)
+            assert isinstance(got, list) and got == _blocks_outcome(base, _distributive_block), name
+    assert copied >= 20
+
+
+def test_broken_blocks_raise_as_the_reference():
+    """On the seeded broken tables, alone and times boolean(1) and MO2 (with
+    and without factors), ``blocks`` raises iff the ``b^3`` reference does,
+    and finds the same blocks when neither raises."""
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for i in range(4 * len(GRIDS)):
+        broken = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        bases = [broken[1]]
+        for partner in _partners():
+            bases += [cb for _, cb in _both_orders(broken, partner)]
+            bases += [_unfactored(cb) for _, cb in _both_orders(broken, partner)]
+        for cb in bases:
+            got = _blocks_outcome(cb)
+            assert got == _blocks_outcome(cb, _distributive_block)
+            outcomes.add(got if isinstance(got, type) else list)
+    assert outcomes == {list, IncompleteBase, InternalConsistencyError}
+
+
+def _plain_boolean(meet, ortho) -> bool:
+    """Whether positions ``0..b-1`` with the meet table ``meet`` and the
+    complement ``ortho`` form a Boolean algebra, by its axioms read entry by
+    entry: ' an involution, ^ commutative, associative and idempotent,
+    absorption and distributivity with ``q v r = (q' ^ r')'``, and one
+    ``p ^ p'`` for all p, below every member."""
+    b = len(meet)
+    members = range(b)
+
+    def join(q, r):
+        return ortho[meet[ortho[q]][ortho[r]]]
+
+    zero = meet[0][ortho[0]]
+    return (all(ortho[ortho[p]] == p and meet[p][p] == p and meet[p][ortho[p]] == zero
+                and meet[zero][p] == zero for p in members)
+            and all(meet[p][q] == meet[q][p] and meet[p][join(p, q)] == p
+                    for p in members for q in members)
+            and all(meet[meet[p][q]][r] == meet[p][meet[q][r]]
+                    and meet[p][join(q, r)] == join(meet[p][q], meet[p][r])
+                    for p in members for q in members for r in members))
+
+
+def test_moved_meets_raise_iff_the_block_is_not_boolean():
+    """The block of a Boolean or MV table copy, with one or two of its
+    meets J_p(q) moved to another member: the atom map raises iff the block
+    is no Boolean algebra under its axioms, checked entry by entry.  The
+    ``b^3`` reference passes some of these, never one that the atom map
+    passes."""
+    rng = np.random.default_rng(1)
+    sources = [_table_copy(*instances.make_boolean(k, validate=False)) for k in (1, 2, 3)]
+    sources.append(_table_copy(*instances.make_mv_product(4, 2, validate=False)))
+    seen = set()
+    for t in range(400):
+        E, cb = sources[t % len(sources)]
+        (block,) = compbase.blocks(cb)
+        maps = {p: cb.map_table(p).copy() for p in cb.projections}
+        for _ in range(int(rng.integers(1, 3))):
+            p, q, r = (block[i] for i in rng.integers(len(block), size=3))
+            maps[p][q] = r
+        moved = CompressionBase(E, cb.projections, maps)
+        where = {x: i for i, x in enumerate(block)}
+        meet = [[where[int(moved.apply(p, q))] for q in block] for p in block]
+        boolean = _plain_boolean(meet, [where[E.ortho(p)] for p in block])
+        passed, reference = (_raises(check, moved, block) is None
+                             for check in (compbase._check_boolean_block, _distributive_block))
+        assert passed == boolean
+        assert reference or not passed
+        seen.add((passed, reference))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _hand_block(meet, ortho):
+    """A base whose block is ``0..b-1`` with the meet table ``meet`` and
+    ``x' = ortho[x]``, on a carrier of ``b + 1`` elements whose unit ``b``
+    is the only sum defined."""
+    b = len(meet)
+    S = np.full((b + 1, b + 1), -1)
+    S[np.arange(b), ortho] = b
+    E = core.TableAlgebra(S, 0, b)
+    return CompressionBase(E, range(b), {p: np.array([*meet[p], 0]) for p in range(b)})
+
+
+@pytest.mark.parametrize("meet, ortho, want, reference", [
+    # the chain 0 < h < 1 with h' = h and the meets its minimum: closed
+    # under ' and the meets, and distributive, but three members over one atom
+    ([[0, 0, 0], [0, 1, 1], [0, 1, 2]], [2, 1, 0], "3 members is not Boolean over its 1", None),
+    # the square 0 < a, b < 1 with a' = a and b' = b: the meets are the
+    # square's, so only ' breaks the atom map
+    ([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]], [3, 1, 2, 0],
+     "4 members is not Boolean over its 2", None),
+    # two atoms and four members, where members 0 and 3 both map to the
+    # atom set {1}: only the test that the masks are distinct fails
+    ([[1, 1, 1, 0], [1, 0, 0, 1], [1, 3, 2, 3], [0, 1, 3, 1]], [2, 2, 1, 2],
+     "4 members is not Boolean over its 2", "block fails distributivity"),
+], ids=["chain", "complement", "distinct"])
+def test_blocks_that_are_not_boolean(meet, ortho, want, reference):
+    """Hand-built blocks closed under ' and their meets that are no Boolean
+    algebra, each caught by one clause of the atom check.  The ``b^3``
+    reference passes the first two."""
+    assert not _plain_boolean(meet, ortho)
+    cb = _hand_block(meet, ortho)
+    assert _raises(compbase._check_boolean_block, cb, range(len(meet))) == \
+        f"block of {want} atoms"
+    assert _raises(_distributive_block, cb, range(len(meet))) == reference
+
+
+def _mv_one_step(E, elems, exact=True):
     """``comparability._mv_violation`` with every pair in one array: each
     law on all pairs before the next, the first failing pair in row-major
-    order (or in the order drawn)."""
+    order (or, unless ``exact``, in the order of the seeded draws)."""
     k = elems.size
-    if k <= comparability.MV_EXACT_ELEMENTS:
+    if exact:
         xs, ys = np.repeat(elems, k), np.tile(elems, k)
     else:
-        rng = np.random.default_rng(0)
-        xs = elems[rng.integers(0, k, size=comparability.MV_SAMPLE)]
-        ys = elems[rng.integers(0, k, size=comparability.MV_SAMPLE)]
+        xs, ys = (elems[d] for d in core._draws(0, k, k))
     meets = E.meet_pairs(xs, ys)
     if (meets < 0).any():
         i = int(np.argmax(meets < 0))
@@ -637,7 +812,7 @@ def _mv_cases():
 def test_chunked_mv_check_matches_one_step(monkeypatch):
     """The MV row read in runs of rows of pairs (one row a run at a small
     ``CHUNK_BYTES``) gives the verdict and witness of the one-step check,
-    and so does the seeded sample past a lowered ``MV_EXACT_ELEMENTS``."""
+    and so do the seeded draws of a row past the budget (40 of them here)."""
     cases = _mv_cases()
     want = [_mv_one_step(E, elems) for E, elems in cases]
     assert [comparability._mv_violation(E, elems) for E, elems in cases] == want
@@ -647,11 +822,79 @@ def test_chunked_mv_check_matches_one_step(monkeypatch):
     assert any(w and w[0] == "mv-identity" and int(w[1]) > int(w[2]) for w in want)
     monkeypatch.setattr(kernels, "CHUNK_BYTES", 64)
     assert [comparability._mv_violation(E, elems) for E, elems in cases] == want
-    monkeypatch.setattr(comparability, "MV_EXACT_ELEMENTS", 3)
-    monkeypatch.setattr(comparability, "MV_SAMPLE", 40)
-    sampled = [_mv_one_step(E, elems) for E, elems in cases]
-    assert [comparability._mv_violation(E, elems) for E, elems in cases] == sampled
+    monkeypatch.setattr(core, "SAMPLE_SIZE", 40)
+    sampled = [_mv_one_step(E, elems, exact=False) for E, elems in cases]
+    assert [comparability._mv_violation(E, elems, exact=False) for E, elems in cases] == sampled
     assert sampled != want
+
+
+def _mv_rows(E, cb):
+    """The MV row of ``_scan_spectral`` on ``cb`` as the one-step check gives
+    it: ``(passed, mode, witness, detail)`` under the current
+    ``TRIPLE_BUDGET`` and ``SAMPLE_SIZE``."""
+    cblocks = [compbase.c_block(cb, b) for b in compbase.blocks(cb)]
+    work = sum(c.size ** 2 for c in cblocks) * ((E.size + 7) // 8)
+    exact = work <= core.TRIPLE_BUDGET
+    w = next(filter(None, (_mv_one_step(E, c, exact or c.size ** 2 <= core.SAMPLE_SIZE)
+                           for c in cblocks)), None)
+    detail = "" if exact else f"pairs x n/8 = {work} over the budget {core.TRIPLE_BUDGET}"
+    return w is None, "full" if exact else "sampled", w, detail
+
+
+def test_mv_row_is_gated_on_its_work(monkeypatch):
+    """``_scan_spectral``'s MV row on every base of the broken tables, alone
+    and with their unfactored products, that reaches it: exact within the
+    budget, past it seeded draws on each C-block of more than
+    ``SAMPLE_SIZE`` pairs and every pair of the smaller ones, each with the
+    one-step check's witness, and a sampled row's detail names the work and
+    the budget."""
+    rng = np.random.default_rng(8)
+    bases = []
+    for i in range(4 * len(GRIDS)):
+        broken = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        bases.append(broken)
+        for partner in _partners():
+            bases += [(E, _unfactored(cb)) for E, cb in _both_orders(broken, partner)]
+    for budget, samples in ((core.TRIPLE_BUDGET, core.SAMPLE_SIZE), (40, 81)):
+        monkeypatch.setattr(core, "TRIPLE_BUDGET", budget)
+        monkeypatch.setattr(core, "SAMPLE_SIZE", samples)
+        rows, drawn = set(), set()
+        for E, cb in bases:
+            try:
+                row = comparability._scan_spectral(cb).checks[-1]
+            except EffalgError:
+                continue
+            if row.name != "C-blocks-are-MV":
+                continue
+            assert (row.passed, row.mode, row.witness, row.detail) == _mv_rows(E, cb)
+            rows.add((row.passed, row.mode))
+            if row.mode == "sampled":
+                drawn |= {compbase.c_block(cb, b).size ** 2 > samples
+                          for b in compbase.blocks(cb)}
+        if budget == 40:  # the rows of the larger carriers are sampled
+            assert {(True, "sampled"), (False, "sampled")} <= rows
+            assert drawn == {True, False}  # drawn blocks and blocks read whole
+        else:
+            assert rows == {(True, "full"), (False, "full")}
+
+
+def test_lattice_c_blocks_that_are_not_mv():
+    """MO2 and L8+L8 under their central bases: one C-block, the whole
+    carrier, with every meet and join in it, that breaks only the MV
+    identity.  The row's witness is the one-step check's, and it breaks the
+    identity read entry by entry."""
+    named = _criterion_01_instances()
+    for name in ("MO2", "L8+L8"):
+        T = core.TableAlgebra(named[name][0].sum_table, named[name][0].zero, named[name][0].one)
+        cb = central_base(T)
+        (block,) = compbase.blocks(cb)
+        elems = compbase.c_block(cb, block)
+        assert np.array_equal(elems, np.arange(T.size))
+        w = comparability._mv_violation(T, elems)
+        assert w == _mv_one_step(T, elems) and w[0] == "mv-identity", name
+        assert PlainSpectral(T, cb).breaks("C-blocks-are-MV", w)
+        assert comparability._mv_violation(T, elems, exact=False) == \
+            _mv_one_step(T, elems, exact=False)
 
 
 def test_spectral_product_builds_no_product_table():
