@@ -56,7 +56,6 @@ class SplitResult:
     u1: object
     c0: object
     c1: object
-    ambient_unit: object
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def split(cb, c, q) -> SplitResult:
         raise InternalConsistencyError("split cross-check failed: c1 != (c - c'_q)_+")
     if E.sum(u0, u1) != q or not (E.leq(c0, u0) and E.leq(c1, u1)):
         raise InternalConsistencyError("split invariants violated")
-    return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1, ambient_unit=q)
+    return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ on Mackey-compatible pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
@@ -158,6 +159,10 @@ class CompressionBase:
 
     def p_ortho(self, p: int) -> int:
         return self.algebra.ortho(p)
+
+    def is_projection(self, p) -> bool:
+        """Is p an index in P?"""
+        return isinstance(p, (int, np.integer)) and int(p) in self.p_set
 
     def ortho_rows(self) -> np.ndarray:
         """The position in P of the orthosupplement of each member, in the
@@ -827,13 +832,17 @@ def _central_base(E: FiniteAlgebra) -> CompressionBase:
     if E.factors is not None:
         left, right = E.factors
         return product_base(E, central_base(left), central_base(right))
+    # p and p' are both sharp, so each element's tests are made once and kept
+    principal = functools.cache(lambda x: is_principal(E, x))
+    meets = functools.cache(lambda x: meet_with_all(E, x))
     centre = []
     maps = {}
     arange = np.arange(E.size)
     for p in map(int, sharp_elements(E)):
-        if not (is_principal(E, p) and is_principal(E, E.ortho(p))):
+        q = E.ortho(p)
+        if not (principal(p) and principal(q)):
             continue
-        mp, mq = meet_with_all(E, p), meet_with_all(E, E.ortho(p))
+        mp, mq = meets(p), meets(q)
         if mp is not None and mq is not None and (E.sum_pairs(mp, mq) == arange).all():
             centre.append(p)
             maps[p] = mp

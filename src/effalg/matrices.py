@@ -318,7 +318,7 @@ class MatrixCompressionBase:
         basis = vecs[:, vals > 0.5]
         if basis.shape[1] == 0:
             z = E.zero
-            return SplitResult(u0=z, u1=z, c0=z, c1=z, ambient_unit=z)
+            return SplitResult(u0=z, u1=z, c0=z, c1=z)
         m = basis.T @ (2.0 * c - q) @ basis
         mv, mw = np.linalg.eigh(sym(m))
         w0 = basis @ mw[:, mv <= tol]
@@ -326,7 +326,7 @@ class MatrixCompressionBase:
         u1 = sym(q - u0)
         c0 = sym(2.0 * (u0 @ c @ u0))
         c1 = sym(u1 - 2.0 * (u1 @ (q - c) @ u1))
-        return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1, ambient_unit=q)
+        return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1)
 
     def tree_nodes(self, a, n: int):
         """``(u, c)``: the nonzero nodes of a's depth-n splitting tree, from

@@ -8,15 +8,21 @@ of the deepest layer, so at most |layer| + 1 however deep the grid.
 Exact dyadic bookkeeping (binary strings w, lambda(w) = k(w)/2^l(w),
 grid indices j for lambda = j/2^n) is kept in integers end to end.
 
+A resolution is a chain: its prefix sums are checked monotone where they
+are built, on every base, by one route (``_layer_jumps``).  So the meet
+of its entries above a point is the next entry, and neither
+``rational_resolution`` nor clause (iii) of ``verify_resolution`` forms a
+meet in P; only the cells of clause (iv), p_hi ^ p_lo', need one.
+
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
-of the factor trees node by node, and its resolution jumps where a
-factor's does.  ``splitting_tree`` and ``binary_resolution`` follow the
+of the factor trees node by node.  ``splitting_tree`` follows the
 factors down to the leaf bases (those without factors), so a grid goes
-to its chains.  Only a leaf base runs the split loop, with all its
-checks.  It keeps one tree per element, the deepest asked for so far:
-shallower requests read its top layers, deeper ones split on from its
-deepest layer.  So a leaf keeps at most one tree per element of its
+to its chains, and composes their trees; ``binary_resolution`` reads the
+jumps off the composed tree.  Only a leaf base runs the split loop, with
+all its checks.  It keeps one tree per element, the deepest asked for so
+far: shallower requests read its top layers, deeper ones split on from
+its deepest layer.  So a leaf keeps at most one tree per element of its
 carrier, and product bases and bases that cannot be enumerated (the
 matrix base) keep none.
 
@@ -406,14 +412,15 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
     """p_0 = (cover a)', then one jump per cell of the depth-n layer, p_1 = 1.
 
     The cell u_w with k(w) = j - 1 joins the resolution from the grid
-    index j on; monotonicity and the unit are checked per jump, so the
-    work is the tree's, O(depth * |layer|), not O(2^depth).  On a base
-    with ``factors`` the jumps are its leaf bases' jumps merged (``_jumps``).
+    index j on (``_layer_jumps``), on every base: a product base reads the
+    jumps off the tree that ``splitting_tree`` composed from its leaves'.
+    Each prefix sum is checked defined and monotone in the carrier, and the
+    last to be the unit, so the work is the tree's, O(depth * |layer|), not
+    O(2^depth), and every resolution is a chain where it is built.
     """
     n = check_depth(n)
     tree = splitting_tree(cb, a, n)
-    jumps = _jumps(cb, tree.element, n) if cb.enumerable else _layer_jumps(cb.algebra, tree, n)
-    return SpectralResolution(cb.algebra, a, n, jumps, tree=tree)
+    return SpectralResolution(cb.algebra, a, n, _layer_jumps(cb.algebra, tree, n), tree=tree)
 
 
 def _layer_jumps(E, tree: SplittingTree, n: int) -> list:
@@ -435,30 +442,6 @@ def _layer_jumps(E, tree: SplittingTree, n: int) -> list:
     return jumps
 
 
-def _jumps(cb, a: int, n: int) -> list:
-    """The jumps of a's depth-n resolution on an enumerable base, from the
-    trees its leaf bases keep.
-
-    On a base with ``factors``, p_lambda of ``(a1, a2)`` is the pair of
-    the factors' p_lambda, as the tree is the pair of theirs (``_nodes``)
-    and sums are componentwise.  So it jumps where a leaf's resolution
-    jumps, by that leaf's step times its stride (``_leaves``); the pair is
-    monotone and reaches the unit because each leaf's resolution does.
-    """
-    steps = {}
-    for leaf, x, stride in _leaves(cb, a):
-        prev = leaf.algebra.zero
-        for j, p in _layer_jumps(leaf.algebra, _leaf_tree(leaf, x, n), n):
-            steps[j] = steps.get(j, 0) + (p - prev) * stride
-            prev = p
-    acc = cb.algebra.zero
-    jumps = []
-    for j in sorted(steps):
-        acc += steps[j]
-        jumps.append((j, acc))
-    return jumps
-
-
 # ---------------------------------------------------------------------------
 # rational extension
 
@@ -472,6 +455,12 @@ class RationalValue:
 
 def rational_resolution(cb, a, lam, n: int, details: bool = False):
     """Meet of the dyadic entries above lam, stabilized in the depth.
+
+    The depth-n resolution is a chain (``binary_resolution`` checks it
+    monotone), so the meet of its entries above lam is the entry at the
+    first depth-n point above lam, and no meet in P is formed.  The value
+    at the first depth-m point above lam, for m = 1..n, shows from which
+    depth on it is stable.
 
     Requires an archimedean algebra (right continuity fails otherwise).
     Raises Unstable when the meet still moved between depths n-1 and n,
@@ -512,18 +501,6 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
             stable_from = m
         else:
             break
-    # cross-check: the stabilized value is the meet (in P) of the whole
-    # tail, that is of the value at the first point above lam and of every
-    # jump after it
-    first = above(n)
-    meet = res.at_index(first)
-    for j, p in res.jumps:
-        if j > first:
-            meet = cb.meet_proj(meet, p)
-            if meet is None:
-                raise InternalConsistencyError("projection meet missing along the tail")
-    if not E.eq(meet, values[-1]):
-        raise InternalConsistencyError("stabilized value differs from the tail meet")
     return RationalValue(values[-1], stable_from, n) if details else values[-1]
 
 
@@ -568,21 +545,24 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     """Check the four characterizing clauses of a depth-n dyadic family.
 
     (i) entries are projections commuting with a; (ii) boundary values
-    and monotonicity; (iii) right continuity, checked by exact meets at
-    every lambda of level < n -- deeper points carry no right-limit
-    information, and the check presumes the depth out-resolves the
-    element's dyadic scale (denominator for grids, eigenvalue spacing
-    for matrices); (iv) the doubling maps f_w exist on J_{u_w}(a) for
-    u_w read off the family, and each image has cover u_w (the strict
-    left placement that right continuity forces cell by cell).  For a
-    spectral archimedean algebra the computed resolution is the unique
-    family passing all four.
+    and monotonicity; (iii) right continuity at every lambda of level
+    < n, p_lambda = the meet of the entries above it -- deeper points
+    carry no right-limit information, and the check presumes the depth
+    out-resolves the element's dyadic scale (denominator for grids,
+    eigenvalue spacing for matrices); (iv) the doubling maps f_w exist on
+    J_{u_w}(a) for u_w = p_hi ^ p_lo' read off the family, and each image
+    has cover u_w (the strict left placement that right continuity forces
+    cell by cell).  For a spectral archimedean algebra the computed
+    resolution is the unique family passing all four.
 
     ``family`` is any mapping lambda -> p_lambda.  It is read as runs of
     one projection (a resolution's ``entries`` already are; a plain dict
     is compressed first), and every clause is checked per run, per jump
     or per nonzero cell, with the same verdict and witness as a
-    point-by-point scan of the grid.
+    point-by-point scan of the grid.  (iii) runs once (ii) has passed, so
+    the family is a chain: the meet above a point is the next entry, and
+    the clause compares neighbouring runs, with no meet in P.  Only the
+    cells of (iv) form meets (``meet_proj``), one per checked cell.
     """
     n = check_depth(n)
     E = cb.algebra
@@ -596,7 +576,7 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
 
     ok_i, w_i = True, None
     for lo, _, p in runs:
-        if not (_is_projection(cb, p) and cb.in_commutant(a, p)):
+        if not (cb.is_projection(p) and cb.in_commutant(a, p)):
             ok_i, w_i = False, Fraction(lo, scale)
             break
     rep.add("(i)-projections-commuting-with-a", ok_i, witness=w_i)
@@ -611,34 +591,16 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
         rep.add("(iv)-doubling-maps-exist", False, detail="skipped: (i)/(ii) failed")
         return rep
 
-    # suffix meets: tails[r] = meet of the runs r, r+1, ..., which is the
-    # meet of all entries strictly above any point of run r but its last
+    # (ii) makes the runs a chain, so the meet of the entries strictly
+    # above a point is the next entry: p itself inside a run, and the next
+    # run's projection at its last point.  Only points of level < n are
+    # checked (every point at depth 0): no strictly finer grid lies to the
+    # right of a level-n point, and the top is not checked.
     ok_iii, w_iii = True, None
-    tails = [None] * len(runs)
-    acc = runs[-1][2]
-    tails[-1] = acc
-    for r in range(len(runs) - 2, -1, -1):
-        acc = cb.meet_proj(acc, runs[r][2])
-        if acc is None:
-            ok_iii, w_iii = False, (Fraction(runs[r][1], scale), "meet")
+    for (_, hi, p), (_, _, q) in zip(runs, runs[1:]):
+        if hi % 2 == 0 and not E.eq(q, p):
+            ok_iii, w_iii = False, Fraction(hi, scale)
             break
-        tails[r] = acc
-    if ok_iii:
-        # points of level < n (every point at depth 0): no strictly finer
-        # grid to the right of a level-n point, and the top is not checked
-        def first_checked(lo, hi):
-            j = lo if n == 0 or lo % 2 == 0 else lo + 1
-            return j if j <= min(hi, scale - 1) else None
-
-        for r, (lo, hi, p) in enumerate(runs):
-            j = first_checked(lo, hi - 1)  # tail inside the run: tails[r]
-            if j is not None and not E.eq(tails[r], p):
-                ok_iii, w_iii = False, Fraction(j, scale)
-                break
-            j = first_checked(hi, hi)  # tail at the run's last point
-            if j is not None and not E.eq(tails[r + 1], p):
-                ok_iii, w_iii = False, Fraction(j, scale)
-                break
     rep.add("(iii)-right-continuous", ok_iii, witness=w_iii)
 
     # A zero cell (both ends in one run, u_w = p ^ p' = 0) passes (iv)
@@ -690,12 +652,6 @@ def _identical(p, q) -> bool:
     if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
         return np.array_equal(p, q)
     return p == q
-
-
-def _is_projection(cb, p) -> bool:
-    if cb.enumerable:
-        return isinstance(p, (int, np.integer)) and int(p) in cb.p_set
-    return cb.is_projection(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from bisect import bisect_right
 from fractions import Fraction
 
 from effalg import core, instances, spectral
@@ -19,6 +20,7 @@ from effalg.spectral import (
     string_calc,
     verify_resolution,
 )
+from test_structural import _criterion_01_instances
 
 
 def test_string_calc():
@@ -424,15 +426,13 @@ def test_depth_must_be_a_nonnegative_integer(mv42):
 def reference_verify(cb, a, family, n):
     """Every clause checked at every grid point and every cell, as a list
     of (name, passed, witness) rows."""
-    from effalg.spectral import _is_projection
-
     E = cb.algebra
     want = [Fraction(j, 2 ** n) for j in range(2 ** n + 1)]
     family = {Fraction(k): v for k, v in family.items()}
     rows = [("grid-complete", sorted(family) == want, None)]
     if not rows[0][1]:
         return rows
-    w_i = next((lam for lam in want if not (_is_projection(cb, family[lam])
+    w_i = next((lam for lam in want if not (cb.is_projection(family[lam])
                                             and cb.in_commutant(a, family[lam]))), None)
     rows.append(("(i)-projections-commuting-with-a", w_i is None, w_i))
     ok_ii = (E.leq(family[want[0]], E.ortho(a)) and E.eq(family[want[-1]], E.one)
@@ -853,3 +853,121 @@ def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
                 assert rows() == got
             seen.add(next((name for name, ok, *_ in got if not ok), None))
     assert {None, "(iv)-doubling-maps-exist"} <= seen, seen
+
+
+def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
+    """Rows and witnesses equal the point-by-point scan, whose clause (iii)
+    forms the meets in P, on seeded good and broken matrix families."""
+    rng = np.random.default_rng(23)
+    for E, cb in (matrix2, matrix3):
+        for a, fam in _matrix_families(E, cb, rng, 3, 5):
+            assert verdict_rows(verify_resolution(cb, a, fam, 5)) == \
+                reference_verify(cb, a, fam, 5)
+
+
+# ---------------------------------------------------------------------------
+# resolutions are chains: meets in P only in the cells of clause (iv)
+
+
+def _counting_meets(cb, monkeypatch) -> list:
+    """The (p, q) of every ``cb.meet_proj`` call from now on."""
+    calls = []
+    meet = cb.meet_proj
+    monkeypatch.setattr(cb, "meet_proj", lambda p, q: calls.append((p, q)) or meet(p, q))
+    return calls
+
+
+def _cells_across_jumps(res) -> int:
+    """The cells of every level up to the depth whose ends lie in different
+    runs of ``res``: the cells that clause (iv) checks."""
+    n = res.depth
+
+    def run(j):
+        return bisect_right(res._starts, j)
+
+    return sum(run(k << (n - level)) != run((k + 1) << (n - level))
+               for level in range(n + 1) for k in range(1 << level))
+
+
+def _seeded_matrices(E, rng, count):
+    """Effects with distinct eigenvalues j/16, randomly rotated."""
+    for _ in range(count):
+        vals = np.sort(rng.choice(17, size=E.dim, replace=False)) / 16.0
+        q = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
+        yield sym(q @ np.diag(vals) @ q.T)
+
+
+def _seeded_elements(E, rng, count):
+    return rng.permutation(E.size)[:count].tolist()
+
+
+MEET_CASES = {
+    "mv(8,3)": lambda: (*instances.make_mv_product(8, 3), _seeded_elements),
+    "boolean(2) x mv(8,3)": lambda: (*instances.make_product(
+        instances.make_boolean(2), instances.make_mv_product(8, 3)), _seeded_elements),
+    "matrix(3)": lambda: (*instances.make_matrix(3), _seeded_matrices),
+}
+
+
+@pytest.mark.parametrize("name", list(MEET_CASES))
+def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
+    """``rational_resolution`` forms no meet in P, and ``verify_resolution``
+    forms one per cell that clause (iv) checks: the resolution is a chain,
+    so the meet of its entries above a point is the next entry."""
+    E, cb, elements = MEET_CASES[name]()
+    calls = _counting_meets(cb, monkeypatch)
+    rng = np.random.default_rng(5)
+    for a in elements(E, rng, 12):
+        for n in (5, 6):  # out-resolves the eigenvalues j/16 and the grids' 1/8
+            for lam in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1)):
+                _factor_outcome(lambda: rational_resolution(cb, a, lam, n))
+            assert calls == [], (a, n)
+            res = binary_resolution(cb, a, n)
+            for family in (res.entries, dict(res.entries)):
+                assert verify_resolution(cb, a, family, n).passed, (a, n)
+                assert len(calls) == _cells_across_jumps(res), (a, n)
+                calls.clear()
+
+
+@pytest.mark.parametrize("name", list(_criterion_01_instances()))
+def test_meet_of_a_comparable_pair_is_its_lesser(name, monkeypatch):
+    """The lemma that lets resolutions skip their meets: for p <= q in P,
+    p ^ q = p, on criterion 01's bases, each alone and times each."""
+    monkeypatch.setenv("EA_MAX_CARRIER", "600000")  # mv(8,3) x mv(8,3), as in criterion 01
+    named = _criterion_01_instances()
+    cases = [named[name]] + [instances.make_product(named[name], named[other], validate=False)
+                             for other in named]
+    for E, cb in cases:
+        comparable = 0
+        for p in cb.projections:
+            for q in cb.projections:
+                if E.leq(p, q):
+                    assert cb.meet_proj(p, q) == cb.meet_proj(q, p) == p, (E.label(p),
+                                                                           E.label(q))
+                    comparable += 1
+        assert comparable >= len(cb.projections)
+
+
+def test_meet_of_comparable_matrix_projections_is_the_lesser(matrix2, matrix3):
+    """The same lemma on seeded pairs p <= q of matrix projections, both
+    spanned by leading columns of one random orthogonal matrix: equal
+    within ``tol``."""
+    rng = np.random.default_rng(29)
+    for E, cb in (matrix2, matrix3):
+        for _ in range(40):
+            basis = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
+            i, j = sorted(rng.integers(0, E.dim + 1, 2).tolist())
+            p, q = (sym(basis[:, :r] @ basis[:, :r].T) for r in (i, j))
+            assert E.leq(p, q) and cb.is_projection(p) and cb.is_projection(q)
+            assert E.eq(cb.meet_proj(p, q), p) and E.eq(cb.meet_proj(q, p), p), (i, j)
+
+
+def test_is_projection_is_membership_of_p(mv42, matrix2):
+    E, cb = mv42
+    for x in range(E.size):
+        assert cb.is_projection(x) is (x in cb.p_set)
+        assert cb.is_projection(np.int64(x)) is (x in cb.p_set)
+    assert not cb.is_projection(float(cb.projections[0]))
+    assert not cb.is_projection(np.array(cb.projections[0]))
+    M, mcb = matrix2
+    assert mcb.is_projection(M.one) and not mcb.is_projection(M.one / 2)

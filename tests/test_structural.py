@@ -1332,3 +1332,73 @@ def test_drawn_product_states_match_the_scan(left, right, seed, weights, moves):
         assert _breaks_additivity(S, values, row.witness), row.witness
     if left == "boolean2" and moves == [(5, Fraction(1, 7))]:
         assert row.witness == (E.embed(0, 1), E.embed(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the central base tests each sharp element once
+
+
+def _plain_central(E):
+    """The central projections and their maps, every test made afresh for
+    p and for p'."""
+    centre, maps = [], {}
+    for p in map(int, core.sharp_elements(E)):
+        q = E.ortho(p)
+        if not (compbase.is_principal(E, p) and compbase.is_principal(E, q)):
+            continue
+        mp, mq = compbase.meet_with_all(E, p), compbase.meet_with_all(E, q)
+        if mp is not None and mq is not None and \
+                (E.sum_pairs(mp, mq) == np.arange(E.size)).all():
+            centre.append(p)
+            maps[p] = mp
+    return centre, maps
+
+
+def _counted(build, E, monkeypatch):
+    """``build(E)`` and the arguments of its ``is_principal`` and
+    ``meet_with_all`` calls, in call order."""
+    calls = {"is_principal": [], "meet_with_all": []}
+    with monkeypatch.context() as m:
+        for name, seen in calls.items():
+            test = getattr(compbase, name)
+            m.setattr(compbase, name,
+                      lambda E, x, test=test, seen=seen: seen.append(int(x)) or test(E, x))
+        return build(E), calls
+
+
+def _first_calls(calls):
+    return {name: list(dict.fromkeys(seen)) for name, seen in calls.items()}
+
+
+@pytest.mark.parametrize("name, tests", [("chain", 2), ("mo2", 6), ("hsum", 2)])
+def test_central_base_tests_each_element_once(name, tests, l8, mo2, hsum_l8, monkeypatch):
+    """p and p' are both sharp, so each is tested once, not once for its
+    own turn and once for its partner's: the chain and the horizontal sum
+    test 0 and 1, and MO2 its six elements."""
+    E, _ = {"chain": l8, "mo2": mo2, "hsum": hsum_l8}[name]
+    base, calls = _counted(compbase._central_base, E, monkeypatch)
+    (centre, _), plain = _counted(_plain_central, E, monkeypatch)
+    assert {name: len(seen) for name, seen in calls.items()} == \
+        {"is_principal": tests, "meet_with_all": tests}
+    assert {name: len(seen) for name, seen in plain.items()} == \
+        {"is_principal": 2 * tests, "meet_with_all": 2 * tests}
+    assert calls == _first_calls(plain)
+    assert base.projections == centre == [E.zero, E.one]
+
+
+def test_central_base_matches_the_plain_loop_on_broken_tables(monkeypatch):
+    """On the 20 seeded broken tables the projections and maps equal the
+    plain loop's, and each element that loop tests is tested once, in the
+    same order, also where ' is not an involution."""
+    rng = np.random.default_rng(8)
+    not_involutive = 0
+    for i in range(4 * len(GRIDS)):
+        T, _ = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        not_involutive += any(T.ortho(T.ortho(x)) != x for x in range(T.size))
+        base, calls = _counted(compbase._central_base, T, monkeypatch)
+        (centre, maps), plain = _counted(_plain_central, T, monkeypatch)
+        assert calls == _first_calls(plain), i
+        assert base.projections == centre, i
+        for p in centre:
+            assert np.array_equal(base.map_table(p), maps[p]), (i, p)
+    assert not_involutive
