@@ -6,7 +6,11 @@ by eigendecomposition, and boundary eigenvalues (|mu| <= tol) always
 land on the 'below' side of a split.  A splitting tree is read off one
 eigendecomposition of its element (``MatrixCompressionBase.tree_nodes``):
 each split keeps a's eigenvectors and halves their eigenvalues, so the
-tree's cells are the binary digits of a's spectrum.
+tree's cells are the binary digits of a's spectrum.  Likewise the
+verifier's doubling maps on a cell (``MatrixCompressionBase.doubling_cell``)
+are read off one eigenvalue computation of b + 2u: each eigenvalue of b
+walks its binary digits, and only cells where rounding could tip an
+order test or the cover go to the scalar path.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ class MatrixEffectAlgebra(EffectAlgebra):
 
     def check_element(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        if a.shape != (self.dim, self.dim) or np.abs(a - a.T).max() > self.tol:
-            raise ElementNotInCarrier("need a symmetric matrix of the right dimension")
+        if a.shape != (self.dim, self.dim) or not np.isfinite(a).all() \
+                or np.abs(a - a.T).max() > self.tol:
+            raise ElementNotInCarrier("need a finite symmetric matrix of the right dimension")
         vals = np.linalg.eigvalsh(sym(a))
         if vals.min() < -self.tol or vals.max() > 1 + self.tol:
             raise ElementNotInCarrier("eigenvalues must lie in [0, 1]")
@@ -178,7 +183,8 @@ class DensityState:
     def validate(self) -> Report:
         rep = Report("density state")
         vals = np.linalg.eigvalsh(self.rho)
-        rep.add("positive", vals.min() >= -self.algebra.tol)
+        finite = bool(np.isfinite(self.rho).all())
+        rep.add("positive", finite and vals.min() >= -self.algebra.tol)
         rep.add("unit-trace", abs(np.trace(self.rho) - 1) <= 10 * self.algebra.tol)
         self._validated = rep.passed
         return rep
@@ -284,6 +290,71 @@ class MatrixCompressionBase:
         keep = vals > 2 - 1e-6
         block = vecs[:, keep]
         return sym(block @ block.T)
+
+    def doubling_cell(self, w, a, u) -> str:
+        """Clause (iv) of ``spectral.verify_resolution`` on the cell w with
+        projection u, from one ``eigvalsh`` of b + 2u, b = J_u(a) = u a u:
+        "fail" where the scalar path (``spectral.apply_fw`` and the test
+        img <= u) finds no f_w(b) in [0, u], "cover" where the image's cover
+        is not u, "pass", or "undecided" where rounding may tip the scalar
+        path either way.  Then the caller runs the scalar path, so the
+        verdict is the scalar path's on every cell.
+
+        b and u commute, and 0 <= b <= u, so every iterate of f_w is
+        diagonal in their joint eigenbasis.  On range(u) the eigenvalues of
+        b + 2u are b's plus 2, in [2, 3], and off range(u) they are 0; u
+        has rank trace(u).  A step sends an eigenvalue y of b on range(u)
+        to 2y - bit, and each order test of the scalar path is the least
+        eigenvalue of a matrix that reads, on range(u), 1 - y at every
+        iterate (``cur <= q``, ``cur <= q - cur`` and ``2 cur <= 1`` on a
+        0-step, the final img <= u) or y after a 1-step (``q - cur <= cur``
+        and the two tests on 2(q - cur)); off range(u) it reads 0 or 1.
+        The image's cover is u iff every image eigenvalue on range(u) is
+        above tol.
+
+        Rounding bound.  Take an eigenvalue computation to err by at most
+        dim * eps * |M| with |M| <= 3, and an elementwise sum or difference
+        of matrices with entries of at most 2 by dim * eps in the 2-norm.
+        Then the walked y start within 3 dim eps of the eigenvalues of an
+        exactly commuting pair that u and b each lie within 2 dim eps of, a
+        step forms at most four matrices and doubles the error it inherits,
+        and each test adds one eigenvalue computation; so every scalar test
+        lies within beta = 32 * dim * eps * 2^len(w) of its value here
+        (random cells of matrix(2..4) reach at most a third of it).  A test
+        within beta of -tol is undecided; so is the cover where the least
+        image eigenvalue m lies in (tol - beta, beta + beta / (tol - beta)):
+        above it the scalar cover has u's rank and lies within
+        beta / (m - beta) + beta <= tol of u (Davis-Kahan), and at or below
+        tol - beta it lacks a direction of u.  The cell is undecided when
+        beta >= tol (len(w) about 15 on matrix(3)), or when b is no effect
+        of [0, u] within tol, where the bound's sizes do not hold.
+        """
+        E = self.algebra
+        tol = E.tol
+        beta = 32 * E.dim * np.finfo(float).eps * 2.0 ** len(w)
+        if beta >= tol:
+            return "undecided"
+        rank = round(float(np.trace(u)))
+        b = self.apply(u, a)
+        ys = (np.linalg.eigvalsh(b + 2.0 * u)[E.dim - rank:] - 2.0).tolist()
+        if ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
+            return "undecided"
+        low, least = 1.0, 1.0  # the least test value, the least image eigenvalue
+        for y in ys:
+            low = min(low, 1.0 - y)
+            for bit in w:
+                y = 2.0 * y - bit
+                low = min(low, 1.0 - y, y) if bit else min(low, 1.0 - y)
+            least = min(least, y)
+        if low < -tol - beta:
+            return "fail"
+        if low < -tol + beta:
+            return "undecided"
+        if least <= tol - beta:
+            return "cover"
+        if least < beta + beta / (tol - beta):
+            return "undecided"
+        return "pass"
 
     def p_le_set(self, e, f):
         """Joint spectral projections separating e below f."""

@@ -513,8 +513,14 @@ def apply_fw(cb, w, b, q):
 
     f_0(b) = 2b (needs b <= q - b), f_1(b) = q - 2(q - b) (needs q - b <= b).
     Each step needs cur <= q, which ``ominus`` tests when it forms q - cur,
-    so that order relation is tested once per step (on matrices each test
-    is an eigenvalue bound).
+    so that order relation is tested once per step.  The sums 2b and
+    2(q - b) must be defined too; with a tolerance (matrices) a 1-step can
+    pass q - b <= b and still miss 2(q - b) <= 1.
+
+    This is the reference for clause (iv) of ``verify_resolution`` on
+    every base, and its only path on enumerable ones; the matrix base
+    decides most cells from one eigenvalue walk instead
+    (``MatrixCompressionBase.doubling_cell``).
     """
     E = cb.algebra
     cur = b
@@ -531,7 +537,8 @@ def apply_fw(cb, w, b, q):
         else:
             if not E.leq(comp, cur):
                 return None
-            cur = E.ominus(q, E.sum(comp, comp))
+            double = E.sum(comp, comp)
+            cur = None if double is None else E.ominus(q, double)
         if cur is None:
             return None
     return cur
@@ -563,6 +570,12 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     the family is a chain: the meet above a point is the next entry, and
     the clause compares neighbouring runs, with no meet in P.  Only the
     cells of (iv) form meets (``meet_proj``), one per checked cell.
+
+    On a base that cannot be enumerated (matrices) each cell of (iv) is
+    decided by ``cb.doubling_cell``, from one ``eigvalsh``, where rounding
+    cannot tip the scalar path; it runs ``apply_fw``, ``leq`` and ``cover``
+    on the cells it leaves undecided, so verdicts and witnesses are the
+    scalar path's.
     """
     n = check_depth(n)
     E = cb.algebra
@@ -616,17 +629,27 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
             if u_w is None:
                 ok_iv, w_iv = False, (w, "meet")
                 break
-            img = apply_fw(cb, w, cb.apply(u_w, a), u_w)
-            if img is None or not E.leq(img, u_w):
-                ok_iv, w_iv = False, w
-                break
-            if not E.eq(cb.cover(img), u_w):  # image must fill its cell
-                ok_iv, w_iv = False, (w, "cover")
+            verdict = "undecided" if cb.enumerable else cb.doubling_cell(w, a, u_w)
+            if verdict == "undecided":
+                verdict = _doubling_cell(cb, w, a, u_w)
+            if verdict != "pass":
+                ok_iv, w_iv = False, w if verdict == "fail" else (w, "cover")
                 break
         if not ok_iv:
             break
     rep.add("(iv)-doubling-maps-exist", ok_iv, witness=w_iv)
     return rep
+
+
+def _doubling_cell(cb, w, a, u_w) -> str:
+    """Clause (iv) on the cell w by ``apply_fw``: "fail" unless f_w maps
+    J_{u_w}(a) into [0, u_w], "cover" unless the image fills its cell
+    (has cover u_w), else "pass"."""
+    E = cb.algebra
+    img = apply_fw(cb, w, cb.apply(u_w, a), u_w)
+    if img is None or not E.leq(img, u_w):
+        return "fail"
+    return "pass" if E.eq(cb.cover(img), u_w) else "cover"
 
 
 def _as_resolution(E, a, family: Mapping, n: int):

@@ -6,6 +6,7 @@ from effalg import core, matrices, spectral
 from effalg.errors import (
     ElementNotInCarrier,
     InternalConsistencyError,
+    InvalidState,
     NotCommuting,
     NotEnumerable,
 )
@@ -31,6 +32,30 @@ def test_carrier_membership(matrix2):
         E.check_element(np.eye(2) * 1.5)
     with pytest.raises(ElementNotInCarrier):
         E.check_element(np.array([[0.5, 0.2], [0.3, 0.5]]))  # not symmetric
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_not_in_the_carrier(matrix2, bad):
+    """Every comparison with NaN is false, so no eigenvalue bound can
+    refuse it: a diagonal or off-diagonal NaN or infinity is refused by its
+    entries."""
+    E, _ = matrix2
+    for a in ([[bad, 0.0], [0.0, 0.5]], [[0.5, bad], [bad, 0.5]]):
+        with pytest.raises(ElementNotInCarrier):
+            E.check_element(a)
+
+
+@pytest.mark.parametrize("rho", [[[np.nan, 0.0], [0.0, 1.0]], [[0.5, np.nan], [np.nan, 0.5]],
+                                 [[1.0, 0.0], [0.0, np.nan]], [[0.5, np.inf], [np.inf, 0.5]]])
+def test_density_state_with_a_non_finite_rho_is_invalid(matrix2, rho):
+    """Its validation fails on the row "positive" (LAPACK may return
+    finite eigenvalues for a NaN matrix), and ``require_valid`` raises."""
+    E, _ = matrix2
+    s = DensityState(E, rho)
+    rep = s.validate()
+    assert not rep.passed and not rep.checks[0].passed, rep.checks
+    with pytest.raises(InvalidState):
+        s.require_valid()
 
 
 def test_axioms_sampled(matrix2):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 from effalg import core, instances, spectral
 from effalg.compbase import central_base
-from effalg.errors import EffalgError, InvalidDepth, NotSpectral
-from effalg.matrices import sym
+from effalg.errors import EffalgError, InternalConsistencyError, InvalidDepth, NotSpectral
+from effalg.matrices import CLUSTER_GAP, sym
 from effalg.spectral import (
     DyadicRational,
     apply_fw,
@@ -837,22 +838,199 @@ def _matrix_families(E, cb, rng, count, n):
         yield sym(q @ np.diag(moved) @ q.T), base
 
 
+def _edge_matrix_families(E, cb, rng, n):
+    """Seeded (a, family) pairs at the tolerance edges of clause (iv): one
+    eigenvalue at j/2^k +- 5e-10, 1e-9, 2e-9, 1e-8, 1e-7 or 1e-6, one at
+    ``tol`` or ``2 tol`` against one at 0 or ``tol / 2``, and pairs
+    ``CLUSTER_GAP`` apart against pairs twice as far.  The other
+    eigenvalues are odd sixteenths.  Each spectrum and its neighbour share their eigenvectors;
+    each element comes with its own resolution and with its neighbour's
+    (a neighbour whose tree cuts a cluster has none)."""
+    def rest(k):
+        return list(np.sort(rng.choice([1, 3, 5, 13, 15], size=k, replace=False)) / 16)
+
+    pairs = []
+    for point in (1 / 4, 3 / 8, 1 / 2, 5 / 8):
+        for off in (5e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6):
+            others = rest(E.dim - 1)
+            pairs.append(([point + off] + others, [point - off] + others))
+    others = rest(E.dim - 1)
+    pairs += [([E.tol] + others, [0.0] + others), ([2 * E.tol] + others, [E.tol / 2] + others)]
+    for x in (0.3, 0.5 - CLUSTER_GAP, 0.5 + 2e-9):
+        others = rest(E.dim - 2)
+        pairs.append(([x, x + CLUSTER_GAP] + others, [x, x + 2 * CLUSTER_GAP] + others))
+    for spectra in pairs:
+        q = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
+        elements = [sym(q @ np.diag(vals) @ q.T) for vals in spectra]
+        families = []
+        for a in elements:
+            try:
+                families.append(dict(binary_resolution(cb, a, n).entries))
+            except InternalConsistencyError:
+                pass
+        for a in elements:
+            for family in families:
+                yield a, family
+
+
 def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
-    """``verify_resolution`` gives the same rows with the ``apply_fw`` that
-    tested ``cur <= q`` twice."""
+    """``verify_resolution`` gives the same rows and witnesses when every
+    cell of clause (iv) is decided by the scalar path (``doubling_cell``
+    answering "undecided"), on seeded good and broken families, on the
+    tolerance edges and on ``perfbench``'s verify families; the eigenvalue
+    path decides some cells at the edges, passes others on, and both reach
+    the cover witness."""
     rng = np.random.default_rng(17)
-    seen = set()
+    seen, verdicts = set(), set()
     for E, cb in (matrix2, matrix3):
-        for a, fam in _matrix_families(E, cb, rng, 5, 5):
+        doubling_cell = cb.doubling_cell
+
+        def recording(w, a, u):
+            verdict = doubling_cell(w, a, u)
+            verdicts.add(verdict)
+            return verdict
+
+        cases = [(a, fam, 5) for a, fam in _matrix_families(E, cb, rng, 5, 5)]
+        cases += [(a, fam, n) for n in (3, 5) for a, fam in _edge_matrix_families(E, cb, rng, n)]
+        if E.dim == 3:
+            cases += [(a, fam, 5) for a, fam in _perfbench_families(monkeypatch, cb, 12)]
+        for a, fam, n in cases:
             def rows():
-                rep = verify_resolution(cb, a, fam, 5)
+                rep = verify_resolution(cb, a, fam, n)
                 return [(c.name, c.passed, c.mode, c.witness, c.detail) for c in rep.checks]
-            got = rows()
             with monkeypatch.context() as m:
-                m.setattr(spectral, "apply_fw", _apply_fw_testing_twice)
-                assert rows() == got
-            seen.add(next((name for name, ok, *_ in got if not ok), None))
-    assert {None, "(iv)-doubling-maps-exist"} <= seen, seen
+                m.setattr(cb, "doubling_cell", recording)
+                got = rows()
+            with monkeypatch.context() as m:
+                m.setattr(cb, "doubling_cell", lambda w, a, u: "undecided")
+                assert rows() == got, (E.label(a), n)
+            _, passed, _, witness, detail = got[-1]
+            seen.add("pass" if passed else "skipped" if "skipped" in detail
+                     else "cover" if witness[1:] == ("cover",) else "w")
+    assert verdicts == {"pass", "fail", "cover", "undecided"}, verdicts
+    assert seen == {"pass", "skipped", "w", "cover"}, seen
+
+
+def test_a_one_step_whose_double_is_undefined_fails(matrix2):
+    """f_1 needs q - cur <= cur, and then 2(q - cur) <= 1 for the sum: both
+    read 2y - 1 on the eigenvalue y of cur, and rounding can put them on
+    either side of -tol.  Where the first holds and the second fails, the
+    step fails; ``apply_fw`` passed ``None`` on to ``ominus`` before."""
+    E, cb = matrix2
+    t = np.radians(14)
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    a, b = (sym(rot @ np.diag([3 / 16, 0.5 + d]) @ rot.T) for d in (-5e-10, 5e-10))
+    u = cb.meet_proj(sym(np.outer(rot[:, 1], rot[:, 1])), E.one)
+    cur = cb.apply(u, a)
+    comp = E.ominus(u, cur)
+    assert E.leq(comp, cur) and E.sum(comp, comp) is None
+    assert apply_fw(cb, (1,), cur, u) is None
+    rep = verify_resolution(cb, a, binary_resolution(cb, b, 3).entries, 3)
+    assert [(c.passed, c.witness) for c in rep.checks[3:]] == [(False, Fraction(1, 2)),
+                                                               (False, (1,))]
+
+
+def _perfbench_matrices(monkeypatch, count):
+    """The first ``count`` effects of ``perfbench``'s matrix stream, seed 7."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.wl_resolve import matrix_stream
+
+    stream = matrix_stream(np.random.default_rng(7), 3)
+    return [next(stream)[0] for _ in range(count)]
+
+
+def _perfbench_families(monkeypatch, cb, count):
+    """``perfbench``'s depth-5 verify families on its matrix stream: each
+    effect's resolution, and the same perturbed as the benchmark does."""
+    effects = _perfbench_matrices(monkeypatch, count)
+    from perfbench import checks
+
+    def same(p, q):
+        return np.allclose(p, q, atol=1e-9)
+
+    for a in effects:
+        family = binary_resolution(cb, a, 5).entries
+        yield a, family
+        yield a, checks.perturb(family, cb.algebra.zero, same)
+
+
+def test_clause_iv_on_matrices_is_one_eigvalsh_per_cell(monkeypatch):
+    """On a depth-5 verify of ``perfbench``'s matrix stream, each cell that
+    clause (iv) checks makes one ``meet_proj`` and one ``eigvalsh``, and
+    the clause makes no ``leq`` and no ``cover`` call: no cell falls back
+    to the scalar path."""
+    E, cb = instances.make_matrix(3)
+    effects = _perfbench_matrices(monkeypatch, 50)
+    calls = {"meet": 0, "leq": 0, "cover": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def call(*args):
+            if calls["meet"] or name == "meet":  # clause (iv) starts at its first meet
+                calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(cb, "meet_proj", counting("meet", cb.meet_proj))
+    monkeypatch.setattr(E, "leq", counting("leq", E.leq))
+    monkeypatch.setattr(cb, "cover", counting("cover", cb.cover))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for a in effects:
+        res = binary_resolution(cb, a, 5)
+        calls.update(meet=0, leq=0, cover=0, eigvalsh=0)
+        assert verify_resolution(cb, a, res.entries, 5).passed
+        cells = _cells_across_jumps(res)
+        assert calls == {"meet": cells, "leq": 0, "cover": 0, "eigvalsh": cells}, calls
+
+
+def test_scalar_tests_lie_within_the_rounding_bound(matrix2, matrix3):
+    """The premise of ``doubling_cell``'s bands, on seeded cells: each
+    eigenvalue of every matrix whose least eigenvalue ``apply_fw`` or the
+    test img <= u reads, formed by the same arithmetic, and of the image,
+    lies within beta = 32 * dim * eps * 2^len(w) of the value that the
+    walk of the eigenvalues of b + 2u gives it; and above the cover band the
+    image's cover lies within the Davis-Kahan distance of u, inside tol.
+    Each w is the cell of b's least eigenvalue on range(u), and the walk
+    stops once an eigenvalue leaves [-tol, 1 + tol]."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(41)
+    for E, cb in (matrix2, matrix3, instances.make_matrix(4)):
+        for _ in range(60):
+            a = E.random_effect(rng)
+            u = cb.meet_proj(E.random_projection(rng), E.one)
+            rank = round(float(np.trace(u)))
+            ys = np.linalg.eigvalsh(cb.apply(u, a) + 2 * u)[E.dim - rank:] - 2
+            w, y = [], ys[0]
+            for _ in range(int(rng.integers(0, 12))):
+                w.append(int(2 * y - 1 > E.tol))
+                y = 2 * y - w[-1]
+            beta = 32 * E.dim * eps * 2.0 ** len(w)
+
+            def near(matrix, on_range, off_range):
+                want = np.concatenate([np.full(E.dim - rank, float(off_range)), on_range])
+                return np.abs(np.linalg.eigvalsh(sym(matrix)) - np.sort(want)).max() <= beta
+
+            cur = cb.apply(u, a)
+            for bit in w:
+                comp = sym(u - cur)
+                assert near(u - cur, 1 - ys, 0)
+                if bit == 0:
+                    assert near(comp - cur, 1 - 2 * ys, 0)
+                    assert near(E.one - (cur + cur), 1 - 2 * ys, 1)
+                    cur = sym(cur + cur)
+                else:
+                    double = sym(comp + comp)
+                    assert near(cur - comp, 2 * ys - 1, 0)
+                    assert near(E.one - (comp + comp), 2 * ys - 1, 1)
+                    assert near(u - double, 2 * ys - 1, 0)
+                    cur = sym(u - double)
+                ys = 2 * ys - bit
+                if ys.min() < -E.tol or ys.max() > 1 + E.tol:
+                    break
+            else:
+                assert near(u - cur, 1 - ys, 0) and near(cur, ys, 0)
+                if ys.min() > beta + beta / (E.tol - beta):
+                    dk = beta / (ys.min() - beta) + beta
+                    assert np.abs(cb.cover(cur) - u).max() <= dk <= E.tol
 
 
 def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
