@@ -1,0 +1,136 @@
+"""Digest the verdicts of ``verify_resolution`` on one checkout.
+
+    python3 scripts/verify_digest.py CHECKOUT
+
+Imports effalg from ``CHECKOUT/src`` and verifies seeded families on
+each instance: every element's computed resolution, the same perturbed by
+``perfbench.checks.perturb``, and its neighbour's resolution.
+
+* ``mv(8,3)``, ``mv(16,2)`` (depths 3 and 5) and ``boolean(2) x mv(8,3)``
+  (depths 2 and 4): seeded elements; the neighbour is the next one drawn.
+* ``matrix(2)``, ``matrix(3)`` and ``matrix(4)`` (depths 3 to 6):
+  effects of ``perfbench``'s matrix stream, whose neighbour is the next
+  effect, and edge spectra, with one eigenvalue at j/32 + d and the
+  neighbour's at j/32 - d on the same eigenvectors, d from 5e-10 to 1e-6.
+
+It prints one line per instance: the sha256 of every family's report
+rows (name, verdict, mode, witness and detail; or the error a step
+raised), the number of families, and the instance.  Two checkouts that
+reach the same verdicts and witnesses print the same lines.
+``perfbench`` is imported from the checkout that holds this script,
+never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FINITE_ELEMENTS = 40
+MATRIX_DEPTHS = (3, 4, 5, 6)
+STREAM_EFFECTS = 12
+OFFSETS = (5e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6)
+
+
+def outcome(fn) -> list:
+    """The rows of the report ``fn`` returns, or the class of its error."""
+    from effalg.errors import EffalgError
+
+    try:
+        rep = fn()
+    except EffalgError as exc:
+        return [type(exc).__name__]
+    return [(c.name, c.passed, c.mode, repr(c.witness), c.detail) for c in rep.checks]
+
+
+def finite_cases(E, cb, rng, depths):
+    """``(a, family, n)``: own, perturbed and neighbour family per element."""
+    from effalg import spectral
+    from perfbench import checks
+
+    elements = rng.permutation(E.size)[:FINITE_ELEMENTS + 1].tolist()
+    for n in depths:
+        for a, b in zip(elements, elements[1:]):
+            own = spectral.binary_resolution(cb, a, n).entries
+            yield a, own, n
+            yield a, checks.perturb(own, E.zero, lambda p, q: p == q), n
+            yield a, spectral.binary_resolution(cb, b, n).entries, n
+
+
+def matrix_cases(E, cb, rng, depths):
+    """``(a, family, n)`` on stream effects and edge spectra, as above; an
+    element whose tree cuts an eigenvalue cluster has no family."""
+    import numpy as np
+
+    from effalg import spectral
+    from effalg.errors import InternalConsistencyError
+    from effalg.matrices import sym
+    from perfbench import checks
+    from perfbench.wl_resolve import matrix_stream
+
+    def same(p, q):
+        return np.allclose(p, q, atol=1e-9)
+
+    def family(x, n):
+        try:
+            return spectral.binary_resolution(cb, x, n).entries
+        except InternalConsistencyError:
+            return None
+
+    stream = matrix_stream(rng, E.dim)
+    pairs = [(next(stream)[0], next(stream)[0]) for _ in range(STREAM_EFFECTS)]
+    for j in range(1, 32, 3):
+        for d in OFFSETS:
+            others = sorted(rng.choice([1, 3, 5, 13, 15], size=E.dim - 1, replace=False) / 16)
+            q = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
+            pairs.append(tuple(sym(q @ np.diag([j / 32 + s * d] + others) @ q.T) for s in (1, -1)))
+    for n in depths:
+        for a, b in pairs:
+            fa, fb = family(a, n), family(b, n)
+            for x, own, other in ((a, fa, fb), (b, fb, fa)):
+                yield from ((x, fam, n) for fam in (own, other) if fam is not None)
+                if own is not None:
+                    yield x, checks.perturb(own, E.zero, same), n
+
+
+def instances_to_digest():
+    """``(name, (E, cb), cases, depths)`` for each instance, in print order."""
+    from effalg import instances
+
+    mv83 = instances.make_mv_product(8, 3)
+    yield "mv(8,3)", mv83, finite_cases, (3, 5)
+    yield "mv(16,2)", instances.make_mv_product(16, 2), finite_cases, (3, 5)
+    yield ("boolean(2) x mv(8,3)", instances.make_product(instances.make_boolean(2), mv83),
+           finite_cases, (2, 4))
+    for dim in (2, 3, 4):
+        yield f"matrix({dim})", instances.make_matrix(dim), matrix_cases, MATRIX_DEPTHS
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", help="a directory holding src/effalg")
+    args = parser.parse_args(argv)
+    src = Path(args.checkout).resolve() / "src"
+    if not (src / "effalg" / "spectral.py").is_file():
+        print(f"error: {args.checkout!r} holds no src/effalg/spectral.py", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(ROOT)]
+    import numpy as np
+
+    from effalg import spectral
+
+    for seed, (name, (E, cb), cases, depths) in enumerate(instances_to_digest()):
+        digest, count = hashlib.sha256(), 0
+        for a, fam, n in cases(E, cb, np.random.default_rng(seed), depths):
+            rows = outcome(lambda: spectral.verify_resolution(cb, a, fam, n))
+            digest.update(repr(rows).encode())
+            count += 1
+        print(digest.hexdigest(), count, name, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -7,10 +7,10 @@ land on the 'below' side of a split.  A splitting tree is read off one
 eigendecomposition of its element (``MatrixCompressionBase.tree_nodes``):
 each split keeps a's eigenvectors and halves their eigenvalues, so the
 tree's cells are the binary digits of a's spectrum.  Likewise the
-verifier's doubling maps on a cell (``MatrixCompressionBase.doubling_cell``)
-are read off one eigenvalue computation of b + 2u: each eigenvalue of b
-walks its binary digits, and only cells where rounding could tip an
-order test or the cover go to the scalar path.
+verifier reads the doubling maps on all its cells off one stacked
+eigenvalue computation of b + 2u (``MatrixCompressionBase.doubling_cells``):
+each eigenvalue of b walks its binary digits, and only cells where
+rounding could tip an order test or the cover go to the scalar path.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ CLUSTER_GAP = 1e-7  # eigenvalues closer than this count as one spectral point
 
 
 def sym(x: np.ndarray) -> np.ndarray:
-    return (x + x.T) / 2.0
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return (x + np.swapaxes(x, -1, -2)) / 2.0
 
 
 class MatrixEffectAlgebra(EffectAlgebra):
@@ -55,7 +56,10 @@ class MatrixEffectAlgebra(EffectAlgebra):
         return np.eye(self.dim)
 
     def check_element(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
+        try:
+            a = np.asarray(a, dtype=float)
+        except (TypeError, ValueError):
+            raise ElementNotInCarrier("need a matrix of numbers") from None
         if a.shape != (self.dim, self.dim) or not np.isfinite(a).all() \
                 or np.abs(a - a.T).max() > self.tol:
             raise ElementNotInCarrier("need a finite symmetric matrix of the right dimension")
@@ -100,7 +104,8 @@ class MatrixEffectAlgebra(EffectAlgebra):
 
     def is_projection(self, p) -> bool:
         p = np.asarray(p)
-        return bool(np.abs(p - p.T).max() <= self.tol
+        return bool(p.shape == (self.dim, self.dim) and p.dtype.kind in "fiu"
+                    and np.abs(p - p.T).max() <= self.tol
                     and np.abs(p @ p - p).max() <= 10 * self.tol)
 
     # sharpness via idempotence; the order-theoretic scan is not available
@@ -123,15 +128,15 @@ class MatrixEffectAlgebra(EffectAlgebra):
 
 def eig_clusters(a, gap: float = CLUSTER_GAP):
     """[(eigenvalue, projector)] with nearby eigenvalues merged."""
-    vals, vecs = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
-    out = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > gap:
-            block = vecs[:, start:i]
-            out.append((float(vals[start:i].mean()), sym(block @ block.T)))
-            start = i
-    return out
+    return _clusters(*np.linalg.eigh(sym(np.asarray(a, dtype=float))), gap)
+
+
+def _clusters(vals, vecs, gap: float):
+    """(mean, projector) per run of ascending eigenvalues ``vals`` (of the
+    columns of ``vecs``) whose neighbours lie within gap."""
+    cuts = [0] + [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] > gap] + [len(vals)]
+    return [(float(vals[i:j].mean()), sym(vecs[:, i:j] @ vecs[:, i:j].T))
+            for i, j in zip(cuts, cuts[1:]) if i < j]
 
 
 def support_projection(a, tol: float) -> np.ndarray:
@@ -155,13 +160,7 @@ def joint_eigenprojections(e, f, gap: float = CLUSTER_GAP):
     for _, p in eig_clusters(e, gap):
         vals, vecs = np.linalg.eigh(sym(p @ f @ p + 2.0 * (np.eye(len(p)) - p)))
         inside = vals < 1.5  # eigenvectors inside range(p)
-        vv, ww = vals[inside], vecs[:, inside]
-        start = 0
-        for i in range(1, len(vv) + 1):
-            if i == len(vv) or vv[i] - vv[i - 1] > gap:
-                block = ww[:, start:i]
-                out.append(sym(block @ block.T))
-                start = i
+        out += [q for _, q in _clusters(vals[inside], vecs[:, inside], gap)]
     return out
 
 
@@ -247,9 +246,7 @@ class MatrixCompressionBase:
         return bool(np.abs(e @ f - f @ e).max() <= 100 * self.algebra.tol)
 
     def has_b_property(self, a) -> bool:
-        # the double commutant of a symmetric matrix is spanned by its
-        # eigenprojections, which certify commutation
-        return True
+        return True  # a's double commutant is spanned by its eigenprojections
 
     def all_b(self) -> bool:
         return True
@@ -257,11 +254,8 @@ class MatrixCompressionBase:
     def bicommutant(self, a):
         """Sums of eigenprojections of a (including 0 and 1)."""
         projs = [p for _, p in eig_clusters(a)]
-        out = [self.algebra.zero]
-        for r in range(1, len(projs) + 1):
-            for sub in combinations(projs, r):
-                out.append(sym(np.sum(sub, axis=0)))
-        return out
+        return [self.algebra.zero] + [sym(np.sum(sub, axis=0)) for r in range(1, len(projs) + 1)
+                                      for sub in combinations(projs, r)]
 
     def bicommutant_test(self, a):
         """Membership of the bicommutant of a, as a predicate on
@@ -285,32 +279,41 @@ class MatrixCompressionBase:
         return True  # support projections cover; spot-checked in is_spectral
 
     def meet_proj(self, p, q) -> np.ndarray:
-        """Projector onto range(p) n range(q): the eigenvalue-2 space of p+q."""
-        vals, vecs = np.linalg.eigh(sym(np.asarray(p) + np.asarray(q)))
-        keep = vals > 2 - 1e-6
-        block = vecs[:, keep]
-        return sym(block @ block.T)
+        """Projector onto range(p) n range(q): ``meets`` of one pair."""
+        return self.meets(np.asarray(p)[None], np.asarray(q)[None])[0]
 
-    def doubling_cell(self, w, a, u) -> str:
-        """Clause (iv) of ``spectral.verify_resolution`` on the cell w with
-        projection u, from one ``eigvalsh`` of b + 2u, b = J_u(a) = u a u:
-        "fail" where the scalar path (``spectral.apply_fw`` and the test
-        img <= u) finds no f_w(b) in [0, u], "cover" where the image's cover
-        is not u, "pass", or "undecided" where rounding may tip the scalar
-        path either way.  Then the caller runs the scalar path, so the
-        verdict is the scalar path's on every cell.
+    def meets(self, ps, qs) -> np.ndarray:
+        """The meet of each pair of the stacks ps and qs: the eigenvalue-2
+        space of p + q, from one stacked ``eigh``.  Its r kept eigenvalues
+        are the last r, so the pairs of one rank share one product."""
+        vals, vecs = np.linalg.eigh(sym(ps + qs))
+        ranks = (vals > 2 - 1e-6).sum(axis=1)
+        out = np.empty_like(vecs)
+        for r in set(ranks.tolist()):
+            block = vecs[ranks == r][..., vecs.shape[-1] - r:]
+            out[ranks == r] = sym(block @ np.swapaxes(block, -1, -2))
+        return out
 
-        b and u commute, and 0 <= b <= u, so every iterate of f_w is
-        diagonal in their joint eigenbasis.  On range(u) the eigenvalues of
-        b + 2u are b's plus 2, in [2, 3], and off range(u) they are 0; u
-        has rank trace(u).  A step sends an eigenvalue y of b on range(u)
-        to 2y - bit, and each order test of the scalar path is the least
-        eigenvalue of a matrix that reads, on range(u), 1 - y at every
-        iterate (``cur <= q``, ``cur <= q - cur`` and ``2 cur <= 1`` on a
-        0-step, the final img <= u) or y after a 1-step (``q - cur <= cur``
-        and the two tests on 2(q - cur)); off range(u) it reads 0 or 1.
-        The image's cover is u iff every image eigenvalue on range(u) is
-        above tol.
+    def doubling_cells(self, a, cells) -> list:
+        """Clause (iv) of ``spectral.verify_resolution`` on its cells
+        ``(w, p_hi, p_lo')``: a ``(u, verdict)`` per cell, with u = p_hi ^
+        p_lo' from one stacked ``meets``, b = J_u(a) = u a u, and the verdict
+        from one stacked ``eigvalsh`` of b + 2u.  It is "fail" where the
+        scalar path (``spectral._doubling_cell``) finds no f_w(b) in [0, u],
+        "cover" where the image's cover is not u, "pass", or "undecided"
+        where rounding may tip the scalar path, which the caller then runs.
+        The stacked calls give each cell the bits of its own calls.
+
+        b and u commute, and 0 <= b <= u, so every iterate of f_w is diagonal
+        in their joint eigenbasis.  On range(u), of dimension trace(u), the
+        eigenvalues of b + 2u are b's plus 2, and off it they are 0.  A
+        step sends an eigenvalue y of b on range(u) to 2y - bit, and each
+        order test of the scalar path is the least eigenvalue of a matrix
+        that reads, on range(u), 1 - y at every iterate (``cur <= q``,
+        ``cur <= q - cur`` and ``2 cur <= 1`` on a 0-step, the final img <=
+        u) or y after a 1-step (``q - cur <= cur`` and the two tests on
+        2(q - cur)); off range(u) it reads 0 or 1.  The image's cover is u
+        iff every image eigenvalue on range(u) is above tol.
 
         Rounding bound.  Take an eigenvalue computation to err by at most
         dim * eps * |M| with |M| <= 3, and an elementwise sum or difference
@@ -319,25 +322,27 @@ class MatrixCompressionBase:
         exactly commuting pair that u and b each lie within 2 dim eps of, a
         step forms at most four matrices and doubles the error it inherits,
         and each test adds one eigenvalue computation; so every scalar test
-        lies within beta = 32 * dim * eps * 2^len(w) of its value here
-        (random cells of matrix(2..4) reach at most a third of it).  A test
-        within beta of -tol is undecided; so is the cover where the least
-        image eigenvalue m lies in (tol - beta, beta + beta / (tol - beta)):
-        above it the scalar cover has u's rank and lies within
+        lies within beta = 32 * dim * eps * 2^len(w) of its value here.  A
+        test within beta of -tol is undecided; so is the cover where the
+        least image eigenvalue m lies in (tol - beta, beta + beta / (tol -
+        beta)): above it the scalar cover has u's rank and lies within
         beta / (m - beta) + beta <= tol of u (Davis-Kahan), and at or below
-        tol - beta it lacks a direction of u.  The cell is undecided when
-        beta >= tol (len(w) about 15 on matrix(3)), or when b is no effect
-        of [0, u] within tol, where the bound's sizes do not hold.
+        tol - beta it lacks a direction of u.  So is the cell when beta >=
+        tol (len(w) about 15), or when b is no effect of [0, u] within tol.
         """
-        E = self.algebra
-        tol = E.tol
-        beta = 32 * E.dim * np.finfo(float).eps * 2.0 ** len(w)
-        if beta >= tol:
-            return "undecided"
-        rank = round(float(np.trace(u)))
-        b = self.apply(u, a)
-        ys = (np.linalg.eigvalsh(b + 2.0 * u)[E.dim - rank:] - 2.0).tolist()
-        if ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
+        if not cells:
+            return []
+        us = self.meets(np.array([p for _, p, _ in cells]), np.array([q for _, _, q in cells]))
+        ranks = np.rint(np.trace(us, axis1=1, axis2=2)).astype(int).tolist()
+        spectra = np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us)
+        return [(u, self._walk(w, (ys[self.algebra.dim - rank:] - 2.0).tolist()))
+                for (w, _, _), u, rank, ys in zip(cells, us, ranks, spectra)]
+
+    def _walk(self, w, ys) -> str:
+        """``doubling_cells``' verdict on w from b's eigenvalues ys on range(u)."""
+        tol = self.algebra.tol
+        beta = 32 * self.algebra.dim * np.finfo(float).eps * 2.0 ** len(w)
+        if beta >= tol or ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
             return "undecided"
         low, least = 1.0, 1.0  # the least test value, the least image eigenvalue
         for y in ys:
@@ -352,9 +357,7 @@ class MatrixCompressionBase:
             return "undecided"
         if least <= tol - beta:
             return "cover"
-        if least < beta + beta / (tol - beta):
-            return "undecided"
-        return "pass"
+        return "undecided" if least < beta + beta / (tol - beta) else "pass"
 
     def p_le_set(self, e, f):
         """Joint spectral projections separating e below f."""
@@ -436,11 +439,8 @@ class MatrixCompressionBase:
             proj = np.outer(v, v)
             w, y = (), x
             for _ in range(n + 1):
-                if w in u:
-                    u[w] = u[w] + proj
-                    c[w] = c[w] + y * proj
-                else:
-                    u[w], c[w] = proj, y * proj
+                u[w] = u[w] + proj if w in u else proj
+                c[w] = c[w] + y * proj if w in c else y * proj
                 bit = int(2.0 * y - 1.0 > tol)
                 w, y = w + (bit,), 2.0 * y - bit
             paths.append(w[:n])
@@ -471,14 +471,12 @@ class MatrixCompressionBase:
         rep.add("b-property", True, mode="structural",
                 detail="double commutant of a symmetric matrix")
         rng = np.random.default_rng(0)
-        ok = True
-        for _ in range(25):
+
+        def commuting_pair():  # e, then f, drawn on one random eigenbasis
             q = np.linalg.qr(rng.standard_normal((E.dim, E.dim)))[0]
-            e = sym(q @ np.diag(rng.uniform(0, 1, E.dim)) @ q.T)
-            f = sym(q @ np.diag(rng.uniform(0, 1, E.dim)) @ q.T)
-            if not self.p_le_set(e, f):
-                ok = False
-                break
+            return (sym(q @ np.diag(rng.uniform(0, 1, E.dim)) @ q.T) for _ in range(2))
+
+        ok = all(self.p_le_set(*commuting_pair()) for _ in range(25))
         rep.add("comparability", ok, mode="sampled")
         ok_sharp = all(E.is_sharp(E.random_projection(rng)) for _ in range(8))
         rep.add("sharp-elements-are-projections", ok_sharp, mode="sampled")
@@ -487,9 +485,8 @@ class MatrixCompressionBase:
     def is_spectral(self) -> bool:
         if self._spectral is None:
             rng = np.random.default_rng(7)
-            covers_ok = all(
-                self.algebra.leq(a, self.cover(a))
-                for a in (self.algebra.random_effect(rng) for _ in range(8)))
+            covers_ok = all(self.algebra.leq(a, self.cover(a))
+                            for a in (self.algebra.random_effect(rng) for _ in range(8)))
             self._spectral = covers_ok and self.check_b_comparability().passed
         return self._spectral
 

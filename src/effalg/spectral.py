@@ -16,24 +16,20 @@ meet in P; only the cells of clause (iv), p_hi ^ p_lo', need one.
 
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
-of the factor trees node by node.  ``splitting_tree`` follows the
-factors down to the leaf bases (those without factors), so a grid goes
-to its chains, and composes their trees; ``binary_resolution`` reads the
-jumps off the composed tree.  Only a leaf base runs the split loop, with
-all its checks.  It keeps one tree per element, the deepest asked for so
+of the factor trees node by node, and a cell of clause (iv) is decided
+by its leaf cells.  ``splitting_tree`` follows the factors down to the
+leaf bases (those without factors), so a grid goes to its chains, and
+composes their trees.  Only a leaf base runs the split loop, with all
+its checks.  It keeps one tree per element, the deepest asked for so
 far: shallower requests read its top layers, deeper ones split on from
-its deepest layer.  So a leaf keeps at most one tree per element of its
-carrier, and product bases and bases that cannot be enumerated (the
-matrix base) keep none.
+its deepest layer.  Product bases and the matrix base keep none.
 
 The matrix base reads a tree off one eigendecomposition of its element
-(``MatrixCompressionBase.tree_nodes``): a split keeps a's eigenvectors
-and halves their eigenvalues, so each eigenvector walks its binary digits
-in scalar arithmetic, and the checks of the split loop become one
+(``MatrixCompressionBase.tree_nodes``): each eigenvector walks its binary
+digits in scalar arithmetic, and the checks of the split loop become one
 orthonormality test of the eigenbasis and one test that no eigenvalue
 cluster is cut.  The generic loop on any base stays as
-``_splitting_tree``, the reference for the factor route and the matrix
-route.
+``_splitting_tree``, the reference for the factor and matrix routes.
 """
 
 from __future__ import annotations
@@ -50,7 +46,8 @@ import numpy as np
 
 from . import comparability
 from .core import Report, is_archimedean
-from .errors import InternalConsistencyError, InvalidDepth, NotSpectral, Unstable
+from .errors import (ElementNotInCarrier, InternalConsistencyError, InvalidDepth,
+                     NotSpectral, Unstable)
 
 # ---------------------------------------------------------------------------
 # binary strings and dyadic rationals
@@ -68,35 +65,28 @@ def k_of(w) -> int:
     return k
 
 
+def string_of(k: int, length: int) -> tuple:
+    """The binary string w of the given length with k(w) = k."""
+    return tuple((k >> (length - 1 - i)) & 1 for i in range(length))
+
+
 def succ(w) -> Optional[tuple]:
     """Next string of the same length; None past the all-ones string."""
-    w = list(w)
-    for i in reversed(range(len(w))):
-        if w[i] == 0:
-            w[i] = 1
-            return tuple(w[:i + 1]) + (0,) * (len(w) - i - 1)
-        w[i] = 0
-    return None
+    k = k_of(w) + 1
+    return None if k >> len(w) else string_of(k, len(w))
 
 
 def pred(w) -> Optional[tuple]:
-    w = list(w)
-    for i in reversed(range(len(w))):
-        if w[i] == 1:
-            w[i] = 0
-            return tuple(w[:i + 1]) + (1,) * (len(w) - i - 1)
-        w[i] = 1
-    return None
+    k = k_of(w) - 1
+    return None if k < 0 else string_of(k, len(w))
 
 
 def lam_succ(w) -> Fraction:
-    s = succ(w)
-    return Fraction(1) if s is None else lam_of(s)
+    return Fraction(k_of(w) + 1, 2 ** len(w))
 
 
 def lam_pred(w) -> Fraction:
-    p = pred(w)
-    return Fraction(0) if p is None else lam_of(p)
+    return Fraction(max(k_of(w) - 1, 0), 2 ** len(w))
 
 
 @dataclass(frozen=True)
@@ -178,7 +168,7 @@ class SplittingTree:
 
     def layer_full(self, level: int):
         for j in range(2 ** level):
-            w = tuple((j >> (level - 1 - i)) & 1 for i in range(level))
+            w = string_of(j, level)
             yield w, self.u(w), self.c(w)
 
 
@@ -412,11 +402,9 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
     """p_0 = (cover a)', then one jump per cell of the depth-n layer, p_1 = 1.
 
     The cell u_w with k(w) = j - 1 joins the resolution from the grid
-    index j on (``_layer_jumps``), on every base: a product base reads the
-    jumps off the tree that ``splitting_tree`` composed from its leaves'.
-    Each prefix sum is checked defined and monotone in the carrier, and the
-    last to be the unit, so the work is the tree's, O(depth * |layer|), not
-    O(2^depth), and every resolution is a chain where it is built.
+    index j on (``_layer_jumps``), on every base.  Each prefix sum is
+    checked defined and monotone, the last to be the unit, so the work is
+    O(depth * |layer|), and every resolution is a chain where it is built.
     """
     n = check_depth(n)
     tree = splitting_tree(cb, a, n)
@@ -517,10 +505,9 @@ def apply_fw(cb, w, b, q):
     2(q - b) must be defined too; with a tolerance (matrices) a 1-step can
     pass q - b <= b and still miss 2(q - b) <= 1.
 
-    This is the reference for clause (iv) of ``verify_resolution`` on
-    every base, and its only path on enumerable ones; the matrix base
-    decides most cells from one eigenvalue walk instead
-    (``MatrixCompressionBase.doubling_cell``).
+    The reference for clause (iv) of ``verify_resolution``, which runs it
+    on leaf bases and on the matrix cells that the eigenvalue walk of
+    ``MatrixCompressionBase.doubling_cells`` leaves undecided.
     """
     E = cb.algebra
     cur = b
@@ -562,20 +549,17 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     cell by cell).  For a spectral archimedean algebra the computed
     resolution is the unique family passing all four.
 
-    ``family`` is any mapping lambda -> p_lambda.  It is read as runs of
-    one projection (a resolution's ``entries`` already are; a plain dict
-    is compressed first), and every clause is checked per run, per jump
-    or per nonzero cell, with the same verdict and witness as a
-    point-by-point scan of the grid.  (iii) runs once (ii) has passed, so
-    the family is a chain: the meet above a point is the next entry, and
-    the clause compares neighbouring runs, with no meet in P.  Only the
-    cells of (iv) form meets (``meet_proj``), one per checked cell.
-
-    On a base that cannot be enumerated (matrices) each cell of (iv) is
-    decided by ``cb.doubling_cell``, from one ``eigvalsh``, where rounding
-    cannot tip the scalar path; it runs ``apply_fw``, ``leq`` and ``cover``
-    on the cells it leaves undecided, so verdicts and witnesses are the
-    scalar path's.
+    ``family`` is any mapping lambda -> p_lambda, read as runs of one
+    projection; each clause is checked per run, jump or nonzero cell, with
+    the verdict and witness of a point-by-point scan.  An entry outside the
+    carrier fails (i), and the later clauses are skipped.  (iii) runs once
+    (ii) has passed: the family is a chain, so it compares neighbouring
+    runs.  (iv) lists its cells (w, p_hi, p_lo') in grid order per level
+    and reports the first that fails.  On an enumerable base each cell
+    forms one ``meet_proj``, and a base with ``factors`` decides it from
+    its leaf cells (``_leaf_verdict``).  The matrix base decides all cells
+    from one stacked ``eigh`` and ``eigvalsh`` (``cb.doubling_cells``)
+    where rounding cannot tip ``_doubling_cell``, which decides the rest.
     """
     n = check_depth(n)
     E = cb.algebra
@@ -594,21 +578,21 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
             break
     rep.add("(i)-projections-commuting-with-a", ok_i, witness=w_i)
 
-    ok_ii = E.leq(runs[0][2], E.ortho(a)) and E.eq(runs[-1][2], E.one)
+    inside = ok_i or all(_in_carrier(E, p) for _, _, p in runs)
+    ok_ii = inside and E.leq(runs[0][2], E.ortho(a)) and E.eq(runs[-1][2], E.one)
     if ok_ii:  # within a run the order holds by reflexivity
         ok_ii = all(E.leq(p, q) for (_, _, p), (_, _, q) in zip(runs, runs[1:]))
-    rep.add("(ii)-boundary-and-monotone", ok_ii)
+    rep.add("(ii)-boundary-and-monotone", ok_ii,
+            detail="" if inside else "skipped: an entry is not in the carrier")
 
     if not (ok_i and ok_ii):
         rep.add("(iii)-right-continuous", False, detail="skipped: (i)/(ii) failed")
         rep.add("(iv)-doubling-maps-exist", False, detail="skipped: (i)/(ii) failed")
         return rep
 
-    # (ii) makes the runs a chain, so the meet of the entries strictly
-    # above a point is the next entry: p itself inside a run, and the next
-    # run's projection at its last point.  Only points of level < n are
-    # checked (every point at depth 0): no strictly finer grid lies to the
-    # right of a level-n point, and the top is not checked.
+    # (ii) makes the runs a chain, so the meet of the entries strictly above
+    # a point is the next entry.  Only points of level < n are checked (every
+    # point at depth 0): no finer grid lies right of a level-n point.
     ok_iii, w_iii = True, None
     for (_, hi, p), (_, _, q) in zip(runs, runs[1:]):
         if hi % 2 == 0 and not E.eq(q, p):
@@ -616,29 +600,36 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
             break
     rep.add("(iii)-right-continuous", ok_iii, witness=w_iii)
 
-    # A zero cell (both ends in one run, u_w = p ^ p' = 0) passes (iv)
-    # trivially: apply_fw(cb, w, 0, 0) is 0 and cover(0) is 0.  So only
-    # the cells that contain a jump are checked, in grid order per level.
+    # A zero cell (both ends in one run, u_w = p ^ p' = 0) passes (iv): f_w(0)
+    # and cover(0) are 0.  So only the cells that contain a jump are checked.
+    cells = [(string_of(k, level), fam.at_index((k + 1) << (n - level)),
+              E.ortho(fam.at_index(k << (n - level))))
+             for level in range(n + 1)
+             for k in sorted({(j - 1) >> (n - level) for j, _ in fam.jumps[1:]})]
+    leaves = cb.enumerable and cb.factors is not None and _leaves(cb, a)
+    decided = cb.doubling_cells(a, cells) if not cb.enumerable else \
+        ((cb.meet_proj(hi, lo), "undecided") for _, hi, lo in cells)  # stops where (iv) does
     ok_iv, w_iv = True, None
-    for level in range(n + 1):
-        shift = n - level
-        for k in sorted({(j - 1) >> shift for j, _ in fam.jumps[1:]}):
-            w = tuple((k >> (level - 1 - i)) & 1 for i in range(level))
-            u_w = cb.meet_proj(fam.at_index((k + 1) << shift),
-                               E.ortho(fam.at_index(k << shift)))
-            if u_w is None:
-                ok_iv, w_iv = False, (w, "meet")
-                break
-            verdict = "undecided" if cb.enumerable else cb.doubling_cell(w, a, u_w)
-            if verdict == "undecided":
-                verdict = _doubling_cell(cb, w, a, u_w)
-            if verdict != "pass":
-                ok_iv, w_iv = False, w if verdict == "fail" else (w, "cover")
-                break
-        if not ok_iv:
+    for (w, _, _), (u_w, verdict) in zip(cells, decided):
+        if u_w is None:
+            ok_iv, w_iv = False, (w, "meet")
+            break
+        if verdict == "undecided":
+            verdict = _leaf_verdict(w, leaves, _leaves(cb, u_w)) if leaves else \
+                _doubling_cell(cb, w, a, u_w)
+        if verdict != "pass":
+            ok_iv, w_iv = False, w if verdict == "fail" else (w, "cover")
             break
     rep.add("(iv)-doubling-maps-exist", ok_iv, witness=w_iv)
     return rep
+
+
+def _in_carrier(E, p) -> bool:
+    try:
+        E.check_element(p)
+        return True
+    except ElementNotInCarrier:
+        return False
 
 
 def _doubling_cell(cb, w, a, u_w) -> str:
@@ -650,6 +641,19 @@ def _doubling_cell(cb, w, a, u_w) -> str:
     if img is None or not E.leq(img, u_w):
         return "fail"
     return "pass" if E.eq(cb.cover(img), u_w) else "cover"
+
+
+def _leaf_verdict(w, a_leaves, u_leaves) -> str:
+    """``_doubling_cell`` on a cell of a base with ``factors``, from a's and
+    u_w's ``_leaves``.  J_u, f_w, img <= u_w and the cover are componentwise:
+    the cell fails if a leaf cell fails, else asks every leaf for its cover,
+    as the product's cover does.  A leaf where u_w is zero passes."""
+    cells = [(leaf, u, apply_fw(leaf, w, leaf.apply(u, x), u))
+             for (leaf, x, _), (_, u, _) in zip(a_leaves, u_leaves) if u != leaf.algebra.zero]
+    if any(img is None or not leaf.algebra.leq(img, u) for leaf, u, img in cells):
+        return "fail"
+    covers = [leaf.cover(img) for leaf, _, img in cells]
+    return "pass" if covers == [u for _, u, _ in cells] else "cover"
 
 
 def _as_resolution(E, a, family: Mapping, n: int):
@@ -672,9 +676,8 @@ def _as_resolution(E, a, family: Mapping, n: int):
 
 
 def _identical(p, q) -> bool:
-    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
-        return np.array_equal(p, q)
-    return p == q
+    return np.array_equal(p, q) if isinstance(p, np.ndarray) or isinstance(q, np.ndarray) \
+        else p == q
 
 
 # ---------------------------------------------------------------------------

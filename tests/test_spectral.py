@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from bisect import bisect_right
@@ -6,7 +8,8 @@ from pathlib import Path
 
 from effalg import core, instances, spectral
 from effalg.compbase import central_base
-from effalg.errors import EffalgError, InternalConsistencyError, InvalidDepth, NotSpectral
+from effalg.errors import (EffalgError, InternalConsistencyError, InvalidDepth, NoCover,
+                           NotSpectral)
 from effalg.matrices import CLUSTER_GAP, sym
 from effalg.spectral import (
     DyadicRational,
@@ -542,6 +545,37 @@ def test_verify_matrix_families(matrix2):
         assert verdict_rows(rep) == reference_verify(cb, a, fam, 6)
 
 
+OUTSIDE_THE_CARRIER = {
+    "mv(4,2) None": (lambda: instances.make_mv_product(4, 2), 7, None),
+    "mv(4,2) 10**6": (lambda: instances.make_mv_product(4, 2), 7, 10 ** 6),
+    "mv(8,1) 'x'": (lambda: instances.make_mv_product(8, 1), 3, "x"),
+    "mv(8,1) 2.5": (lambda: instances.make_mv_product(8, 1), 3, 2.5),
+    "matrix(2) 3x3 identity": (lambda: instances.make_matrix(2), np.diag([3 / 16, 11 / 16]),
+                               np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTSIDE_THE_CARRIER))
+def test_an_entry_outside_the_carrier_fails_clause_i(name, monkeypatch):
+    """An entry that is no element of the carrier fails (i) at its first
+    grid point, and the later clauses fail as skipped, with no exception;
+    the matrix base stacks no cell of such a family."""
+    make, a, entry = OUTSIDE_THE_CARRIER[name]
+    E, cb = make()
+    if not cb.enumerable:
+        monkeypatch.setattr(cb, "doubling_cells", lambda a, cells: pytest.fail("stacked"),
+                            raising=False)
+    family = {**binary_resolution(cb, a, 3).entries, Fraction(1, 4): entry}
+    rows = [(c.name, c.passed, c.witness, c.detail) for c in
+            verify_resolution(cb, a, family, 3).checks]
+    assert rows[:2] == [("grid-complete", True, None, ""),
+                        ("(i)-projections-commuting-with-a", False, Fraction(1, 4), "")]
+    assert [(c[0], c[1], c[2]) for c in rows[2:]] == [
+        ("(ii)-boundary-and-monotone", False, None), ("(iii)-right-continuous", False, None),
+        ("(iv)-doubling-maps-exist", False, None)]
+    assert all(c[3].startswith("skipped") for c in rows[2:])
+
+
 def test_rational_resolution_at_depth_zero(l8):
     """Depth 0 lists only lambda = 0 and 1: the value at 1 is the unit, and
     below 1 no grid point lies above lambda, which is refused, not indexed."""
@@ -682,6 +716,57 @@ def test_product_meets_in_p_are_the_meet_table(name):
         for q in ps:
             m = cb.meet_proj(P.ortho(p), P.ortho(q))
             assert cb.join_proj(p, q) == (None if m is None else P.ortho(m))
+
+
+def _leaf_route_cases():
+    """(name, (E, cb)) of the carriers the leaf route is held to: grids
+    and products, MO2 and L8+L8 times boolean(1), and the 20 seeded broken
+    tables of ``test_structural`` times boolean(1), in both orders."""
+    from test_structural import GRIDS, MUTATIONS, _broken_table
+
+    named = _criterion_01_instances()
+    b1 = instances.make_boolean(1)
+    mv83 = instances.make_mv_product(8, 3)
+    yield "boolean(2) x mv(8,3)", instances.make_product(instances.make_boolean(2), mv83)
+    yield "mv(4,2) x mv(4,2)", instances.make_product(instances.make_mv_product(4, 2),
+                                                      instances.make_mv_product(4, 2))
+    yield "mv(8,3)", mv83
+    yield "MO2 x boolean(1)", instances.make_product(named["MO2"], b1, validate=False)
+    yield "L8+L8 x boolean(1)", instances.make_product(named["L8+L8"], b1, validate=False)
+    rng = np.random.default_rng(8)
+    for i in range(4 * len(GRIDS)):
+        broken = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
+        yield f"broken {i} x boolean(1)", instances.make_product(broken, b1, validate=False)
+        yield f"boolean(1) x broken {i}", instances.make_product(b1, broken, validate=False)
+
+
+LEAF_ROUTE_STRINGS = [w for n in range(5) for w in itertools.product((0, 1), repeat=n)]
+
+
+def test_leaf_cells_decide_the_product_cell():
+    """``spectral._leaf_verdict`` on a's and u's leaves gives what
+    ``_doubling_cell`` gives on the product itself, or raises the same
+    error: on every (a, u in P, w) with len(w) <= 4 of the carriers of at
+    most 100 elements, and on 600 seeded triples with len(w) <= 6 of the
+    others.  The broken tables reach all three verdicts and ``NoCover``,
+    which the product raises only once no leaf cell fails."""
+    rng = np.random.default_rng(44)
+    outcomes = set()
+    for name, (E, cb) in _leaf_route_cases():
+        if E.size <= 100:
+            triples = [(a, u, w) for a in range(E.size) for u in cb.projections
+                       for w in LEAF_ROUTE_STRINGS]
+        else:
+            triples = [(int(rng.integers(E.size)), int(rng.choice(cb.projections)),
+                        tuple(rng.integers(0, 2, int(rng.integers(0, 7))).tolist()))
+                       for _ in range(600)]
+        for a, u, w in triples:
+            want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
+            got = _factor_outcome(lambda: spectral._leaf_verdict(
+                w, spectral._leaves(cb, a), spectral._leaves(cb, u)))
+            assert got == want, (name, a, u, w)
+            outcomes.add(want)
+    assert outcomes == {"pass", "fail", "cover", NoCover}, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -875,20 +960,23 @@ def _edge_matrix_families(E, cb, rng, n):
 
 def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
     """``verify_resolution`` gives the same rows and witnesses when every
-    cell of clause (iv) is decided by the scalar path (``doubling_cell``
-    answering "undecided"), on seeded good and broken families, on the
-    tolerance edges and on ``perfbench``'s verify families; the eigenvalue
-    path decides some cells at the edges, passes others on, and both reach
-    the cover witness."""
+    cell of clause (iv) is decided by the scalar path (``doubling_cells``
+    answering "undecided" on every cell), on seeded good and broken
+    families, on the tolerance edges and on ``perfbench``'s verify
+    families; the eigenvalue path decides some cells at the edges, passes
+    others on, and both reach the cover witness."""
     rng = np.random.default_rng(17)
     seen, verdicts = set(), set()
     for E, cb in (matrix2, matrix3):
-        doubling_cell = cb.doubling_cell
+        doubling_cells = cb.doubling_cells
 
-        def recording(w, a, u):
-            verdict = doubling_cell(w, a, u)
-            verdicts.add(verdict)
-            return verdict
+        def recording(a, cells):
+            out = doubling_cells(a, cells)
+            verdicts.update(verdict for _, verdict in out)
+            return out
+
+        def scalar(a, cells):
+            return [(u, "undecided") for u, _ in doubling_cells(a, cells)]
 
         cases = [(a, fam, 5) for a, fam in _matrix_families(E, cb, rng, 5, 5)]
         cases += [(a, fam, n) for n in (3, 5) for a, fam in _edge_matrix_families(E, cb, rng, n)]
@@ -899,10 +987,10 @@ def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
                 rep = verify_resolution(cb, a, fam, n)
                 return [(c.name, c.passed, c.mode, c.witness, c.detail) for c in rep.checks]
             with monkeypatch.context() as m:
-                m.setattr(cb, "doubling_cell", recording)
+                m.setattr(cb, "doubling_cells", recording)
                 got = rows()
             with monkeypatch.context() as m:
-                m.setattr(cb, "doubling_cell", lambda w, a, u: "undecided")
+                m.setattr(cb, "doubling_cells", scalar)
                 assert rows() == got, (E.label(a), n)
             _, passed, _, witness, detail = got[-1]
             seen.add("pass" if passed else "skipped" if "skipped" in detail
@@ -954,14 +1042,50 @@ def _perfbench_families(monkeypatch, cb, count):
         yield a, checks.perturb(family, cb.algebra.zero, same)
 
 
-def test_clause_iv_on_matrices_is_one_eigvalsh_per_cell(monkeypatch):
-    """On a depth-5 verify of ``perfbench``'s matrix stream, each cell that
-    clause (iv) checks makes one ``meet_proj`` and one ``eigvalsh``, and
-    the clause makes no ``leq`` and no ``cover`` call: no cell falls back
-    to the scalar path."""
+def test_clause_iv_on_matrices_is_one_stacked_eigh_and_eigvalsh(monkeypatch):
+    """On a depth-5 verify of ``perfbench``'s matrix stream, clause (iv)
+    hands every cell it checks to one ``doubling_cells`` call, which makes
+    one stacked ``eigh`` (the meets) and one stacked ``eigvalsh``, and no
+    cell falls back to the scalar ``_doubling_cell``."""
     E, cb = instances.make_matrix(3)
     effects = _perfbench_matrices(monkeypatch, 50)
-    calls = {"meet": 0, "leq": 0, "cover": 0, "eigvalsh": 0}
+    calls = {"doubling_cells": 0, "cells": 0, "eigh": 0, "eigvalsh": 0, "scalar": 0}
+    inside = []
+
+    def counting(name, fn):
+        def call(*args):
+            if inside or name == "scalar":
+                calls[name] += 1
+            return fn(*args)
+        return call
+
+    def doubling_cells(a, cells, real=cb.doubling_cells):
+        calls["doubling_cells"] += 1
+        calls["cells"] += len(cells)
+        inside.append(1)
+        try:
+            return real(a, cells)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(cb, "doubling_cells", doubling_cells)
+    monkeypatch.setattr(spectral, "_doubling_cell", counting("scalar", spectral._doubling_cell))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for a in effects:
+        res = binary_resolution(cb, a, 5)
+        calls.update(doubling_cells=0, cells=0, eigh=0, eigvalsh=0, scalar=0)
+        assert verify_resolution(cb, a, res.entries, 5).passed
+        assert calls == {"doubling_cells": 1, "cells": _cells_across_jumps(res), "eigh": 1,
+                         "eigvalsh": 1, "scalar": 0}, calls
+
+
+def test_clause_iv_on_a_product_makes_no_scalar_op_on_the_product():
+    """On ``boolean(2) x mv(8,3)`` each cell of clause (iv) is decided on the
+    leaf bases: from the first meet on, no ``sum``, ``leq`` or ``ominus``
+    of the product carrier is called."""
+    E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
+    calls = {"meet": 0, "sum": 0, "leq": 0, "ominus": 0}
 
     def counting(name, fn):
         def call(*args):
@@ -970,20 +1094,19 @@ def test_clause_iv_on_matrices_is_one_eigvalsh_per_cell(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(cb, "meet_proj", counting("meet", cb.meet_proj))
-    monkeypatch.setattr(E, "leq", counting("leq", E.leq))
-    monkeypatch.setattr(cb, "cover", counting("cover", cb.cover))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    for a in effects:
-        res = binary_resolution(cb, a, 5)
-        calls.update(meet=0, leq=0, cover=0, eigvalsh=0)
-        assert verify_resolution(cb, a, res.entries, 5).passed
-        cells = _cells_across_jumps(res)
-        assert calls == {"meet": cells, "leq": 0, "cover": 0, "eigvalsh": cells}, calls
+    for a in np.random.default_rng(6).permutation(E.size)[:25].tolist():
+        res = binary_resolution(cb, a, 4)
+        with pytest.MonkeyPatch.context() as m:
+            for name, owner in (("meet", cb), ("sum", E), ("leq", E), ("ominus", E)):
+                attr = "meet_proj" if name == "meet" else name
+                m.setattr(owner, attr, counting(name, getattr(owner, attr)))
+            calls.update(meet=0, sum=0, leq=0, ominus=0)
+            assert verify_resolution(cb, a, res.entries, 4).passed
+        assert calls == {"meet": _cells_across_jumps(res), "sum": 0, "leq": 0, "ominus": 0}, a
 
 
 def test_scalar_tests_lie_within_the_rounding_bound(matrix2, matrix3):
-    """The premise of ``doubling_cell``'s bands, on seeded cells: each
+    """The premise of ``doubling_cells``' bands, on seeded cells: each
     eigenvalue of every matrix whose least eigenvalue ``apply_fw`` or the
     test img <= u reads, formed by the same arithmetic, and of the image,
     lies within beta = 32 * dim * eps * 2^len(w) of the value that the
@@ -1033,6 +1156,48 @@ def test_scalar_tests_lie_within_the_rounding_bound(matrix2, matrix3):
                     assert np.abs(cb.cover(cur) - u).max() <= dk <= E.tol
 
 
+def _meet_per_pair(p, q):
+    """A meet of matrix projections as ``meet_proj`` formed it one pair at a
+    time: the eigenvectors of p + q kept by a mask, times their transpose."""
+    vals, vecs = np.linalg.eigh(sym(p + q))
+    block = vecs[:, vals > 2 - 1e-6]
+    return sym(block @ block.T)
+
+
+def test_stacked_calls_give_each_cell_its_own_bits(monkeypatch):
+    """The premise of ``doubling_cells``: on the cells that clause (iv)
+    lists for seeded and edge families of matrix(2..4), the stacked
+    ``eigh`` of p + q, the stacked meets, u a u and ``eigvalsh`` of b + 2u
+    are bit for bit the calls on one cell, and each stacked meet is
+    ``meet_proj`` and the mask-per-pair meet."""
+    rng = np.random.default_rng(47)
+    checked = 0
+    for dim in (2, 3, 4):
+        E, cb = instances.make_matrix(dim)
+        seen = []
+        real = cb.doubling_cells
+        monkeypatch.setattr(cb, "doubling_cells",
+                            lambda a, cells: seen.append((a, cells)) or real(a, cells))
+        for a, fam in list(_matrix_families(E, cb, rng, 4, 5)) + \
+                list(_edge_matrix_families(E, cb, rng, 6)):
+            verify_resolution(cb, a, fam, max(f.denominator for f in fam).bit_length() - 1)
+        for a, cells in seen:
+            ps, qs = (np.array([cell[i] for cell in cells]) for i in (1, 2))
+            vals, vecs = np.linalg.eigh(sym(ps + qs))
+            us = cb.meets(ps, qs)
+            bs = sym(us @ a @ us)
+            spectra = np.linalg.eigvalsh(bs + 2.0 * us)
+            for i, (_, p, q) in enumerate(cells):
+                one_vals, one_vecs = np.linalg.eigh(sym(p + q))
+                assert np.array_equal(vals[i], one_vals) and np.array_equal(vecs[i], one_vecs)
+                assert np.array_equal(us[i], cb.meet_proj(p, q))
+                assert np.array_equal(us[i], _meet_per_pair(p, q))
+                assert np.array_equal(bs[i], cb.apply(us[i], a))
+                assert np.array_equal(spectra[i], np.linalg.eigvalsh(cb.apply(us[i], a) + 2.0 * us[i]))
+                checked += 1
+    assert checked > 1000, checked
+
+
 def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
     """Rows and witnesses equal the point-by-point scan, whose clause (iii)
     forms the meets in P, on seeded good and broken matrix families."""
@@ -1048,10 +1213,17 @@ def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
 
 
 def _counting_meets(cb, monkeypatch) -> list:
-    """The (p, q) of every ``cb.meet_proj`` call from now on."""
+    """The (p, q) of every meet in P from now on: each ``cb.meet_proj``
+    call, and on the matrix base, whose ``meet_proj`` is the one-pair case
+    of the stacked ``meets``, the pairs of each ``meets`` call as a list."""
     calls = []
-    meet = cb.meet_proj
-    monkeypatch.setattr(cb, "meet_proj", lambda p, q: calls.append((p, q)) or meet(p, q))
+    if cb.enumerable:
+        meet = cb.meet_proj
+        monkeypatch.setattr(cb, "meet_proj", lambda p, q: calls.append((p, q)) or meet(p, q))
+    else:
+        meets = cb.meets
+        monkeypatch.setattr(cb, "meets", lambda ps, qs: calls.append(list(zip(ps, qs)))
+                            or meets(ps, qs))
     return calls
 
 
@@ -1090,8 +1262,9 @@ MEET_CASES = {
 @pytest.mark.parametrize("name", list(MEET_CASES))
 def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
     """``rational_resolution`` forms no meet in P, and ``verify_resolution``
-    forms one per cell that clause (iv) checks: the resolution is a chain,
-    so the meet of its entries above a point is the next entry."""
+    forms one per cell that clause (iv) checks, all in one stacked call on
+    the matrix base: the resolution is a chain, so the meet of its entries
+    above a point is the next entry."""
     E, cb, elements = MEET_CASES[name]()
     calls = _counting_meets(cb, monkeypatch)
     rng = np.random.default_rng(5)
@@ -1103,6 +1276,9 @@ def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
             res = binary_resolution(cb, a, n)
             for family in (res.entries, dict(res.entries)):
                 assert verify_resolution(cb, a, family, n).passed, (a, n)
+                if not cb.enumerable:  # one stacked call for all the cells
+                    assert len(calls) == 1, (a, n)
+                    calls[:] = calls[0]
                 assert len(calls) == _cells_across_jumps(res), (a, n)
                 calls.clear()
 
