@@ -8,7 +8,10 @@ those, e.g. ``"boolean(2) x mv(8,3)"``.  Each instance is copied as a
 factors, so that ``core._scan_axioms``, ``compbase._scan_base`` and
 ``comparability._scan_spectral`` scan it as they scan any carrier without
 factors.  For each scan the script prints its wall seconds, then one line
-per row: name, verdict, mode and detail.
+per row: name, verdict, mode and detail.  Before the scans it prints the
+wall seconds and the traced peak (``tracemalloc``, a second run) of
+``compbase._central_base`` on a fresh copy of the table, with the size of
+the centre it finds.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +59,16 @@ def scan(name: str) -> list:
     """The printed lines for one instance."""
     T, tcb = table_copy(*build(name))
     lines = [f"{name} table copy (n = {T.size}, |P| = {len(tcb.projections)})"]
+    t0 = time.perf_counter()
+    centre = compbase._central_base(core.TableAlgebra(T.sum_table, T.zero, T.one))
+    took = time.perf_counter() - t0
+    fresh = core.TableAlgebra(T.sum_table, T.zero, T.one)
+    tracemalloc.start()
+    compbase._central_base(fresh)
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    lines.append(f"  central_base: {took:.2f} s, peak {peak:.1f} MB, "
+                 f"|centre| = {len(centre.projections)}")
     for what, run in (("axioms", lambda: core._scan_axioms(T)),
                       ("base", lambda: compbase._scan_base(T, tcb)),
                       ("spectral", lambda: comparability._scan_spectral(tcb))):

@@ -249,8 +249,8 @@ def _comparability_failure(cb):
     bit matrix, one row of ``n`` bits per e.  For each p in turn the pairs
     with p in P(e, f), ``J_p(e) <= J_p(f)`` and ``J_p'(f) <= J_p'(e)`` are
     closed.  Each test gathers the order table at the distinct values of
-    the map only, in steps of ``kernels.CHUNK_BYTES``; the bit matrices
-    take ``n^2 / 8`` bytes each.
+    the map only, which are found for every map at once, in steps of
+    ``kernels.CHUNK_BYTES``; the bit matrices take ``n^2 / 8`` bytes each.
     """
     E = cb.algebra
     n = E.size
@@ -261,23 +261,26 @@ def _comparability_failure(cb):
     both = (rows[:, None, :] & rows[None, :, :]).reshape(-1, m)  # PC({e, f})
     p_ef = (both & ~(both @ ncomp)).reshape(u, u, m)  # P(e, f)
     step = max(1, kernels.CHUNK_BYTES // n)
+    J = cb.map_stack()
+    seen = np.zeros(J.shape, dtype=bool)  # seen[k, v]: J at P[k] takes the value v
+    seen[np.arange(m)[:, None], J] = True
 
-    def order_rows(table, j):
-        """Row e holds the bits ``table[j[e], j[f]]`` over f, gathered at
-        the distinct values of ``j`` only."""
-        values, at = np.unique(j, return_inverse=True)
+    def order_rows(table, k):
+        """Row e holds the bits ``table[j[e], j[f]]`` over f for the map
+        ``j = J[k]``, gathered at its distinct values only."""
+        values = np.flatnonzero(seen[k])
         out = np.empty((values.size, (n + 7) // 8), dtype=np.uint8)
         for i in range(0, values.size, step):
-            out[i:i + step] = np.packbits(table[values[i:i + step]][:, j], axis=1)
-        return out[at]
+            out[i:i + step] = np.packbits(table[values[i:i + step]][:, J[k]], axis=1)
+        return out[(np.cumsum(seen[k]) - 1)[J[k]]]
 
     open_pairs = np.packbits(t.commuting[:, cls], axis=1)[cls]
-    for k, p in enumerate(cb.projections):
+    for k, k_ortho in enumerate(cb.ortho_rows()):
         if not open_pairs.any():
             return None
         # p in P(e, f), J_p(e) <= J_p(f) and J_p'(f) <= J_p'(e)
         open_pairs &= ~(np.packbits(p_ef[:, cls, k], axis=1)[cls] & order_rows(
-            leq, cb.map_table(p)) & order_rows(leq.T, cb.map_table(E.ortho(p))))
+            leq, k) & order_rows(leq.T, k_ortho))
     bits = np.unpackbits(open_pairs, axis=1, count=n).ravel()
     i = int(np.argmax(bits))
     return (i // n, i % n) if bits[i] else None

@@ -8,7 +8,6 @@ on Mackey-compatible pairs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
@@ -19,7 +18,6 @@ from .core import (
     Check,
     FiniteAlgebra,
     Report,
-    is_principal,
     mackey_compatible,
     product_report,
     remembered,
@@ -148,7 +146,7 @@ class CompressionBase:
         left, right = self.factors
         at1, at2 = np.divmod(at, self._radix)
         a, b = left._pair_rows(op, at1), right._pair_rows(op, at2)
-        return a & b if op == "leq_pairs" else self.algebra._pairs[a, b]
+        return a & b if op == "leq_pairs" else core.pair_indices(a, b, right.algebra.size)
 
     def apply(self, p: int, a: int) -> int:
         if self.factors is None:
@@ -265,12 +263,7 @@ class CompressionBase:
         if self._elem_leq_proj is None:
             self._require_projections()
             E = self.algebra
-            P = np.array(self.projections)
-            n, m = E.size, P.size
-            out = np.empty((n, m), dtype=bool)
-            for i, p in enumerate(P):
-                out[:, i] = E.lower_bounds(p)
-            self._elem_leq_proj = out
+            self._elem_leq_proj = E.leq_pairs(np.arange(E.size)[:, None], self.p_array)
         return self._elem_leq_proj
 
     def proj_leq(self) -> np.ndarray:
@@ -806,12 +799,6 @@ def _mackey_pair(E: FiniteAlgebra, p: int, q: int) -> bool:
 # the central base
 
 
-def meet_with_all(E: FiniteAlgebra, p: int) -> Optional[np.ndarray]:
-    """Vector of meets a ^ p over the carrier; None when some meet fails."""
-    out = E.meet_pairs(np.arange(E.size), p)
-    return None if (out < 0).any() else out
-
-
 def central_base(E: FiniteAlgebra) -> CompressionBase:
     """The base of central projections, with U_p(a) = a ^ p.
 
@@ -828,25 +815,52 @@ def central_base(E: FiniteAlgebra) -> CompressionBase:
 
 
 def _central_base(E: FiniteAlgebra) -> CompressionBase:
-    """``central_base``, built."""
+    """``central_base``, built.  Without factors, one pass per test, each
+    element tested once though p and p' are both sharp: principality, the
+    meets with every element (``meet_pairs`` calls of 2048 pairs) and
+    a = (a ^ p) + (a ^ p').  A missing p' (-1) is the index -1, as in ``E.ortho``."""
     if E.factors is not None:
         left, right = E.factors
         return product_base(E, central_base(left), central_base(right))
-    # p and p' are both sharp, so each element's tests are made once and kept
-    principal = functools.cache(lambda x: is_principal(E, x))
-    meets = functools.cache(lambda x: meet_with_all(E, x))
+    n = E.size
+    p = sharp_elements(E)
+    q = E.ortho_all()[p]
+    tested = np.zeros(n, dtype=bool)
+    tested[p] = tested[q] = True
+    principal = _principal(E, tested)
+    p, q = p[principal[p] & principal[q]], q[principal[p] & principal[q]]
+    tested[:] = False
+    tested[p] = tested[q] = True
+    elems, row = np.flatnonzero(tested), np.cumsum(tested) - 1  # row[x]: x's row in `meets`
+    meets = np.empty((elems.size, n), dtype=np.int32)
+    step = max(1, kernels.CHUNK_BYTES // 4096 // n)  # elements; calls of 2048 pairs or one element
+    for i in range(0, elems.size, step):
+        meets[i:i + step] = E.meet_pairs(elems[i:i + step, None], np.arange(n))
+    whole = (meets >= 0).all(axis=1)  # a ^ x exists for every a
     centre = []
-    maps = {}
-    arange = np.arange(E.size)
-    for p in map(int, sharp_elements(E)):
-        q = E.ortho(p)
-        if not (principal(p) and principal(q)):
-            continue
-        mp, mq = meets(p), meets(q)
-        if mp is not None and mq is not None and (E.sum_pairs(mp, mq) == arange).all():
-            centre.append(p)
-            maps[p] = mp
-    return CompressionBase(E, centre, maps)
+    for i in range(0, p.size, step):
+        rp, rq = row[p[i:i + step]], row[q[i:i + step]]
+        split = (E.sum_table[meets[rp], meets[rq]] == np.arange(n)).all(axis=1)
+        centre += p[i:i + step][whole[rp] & whole[rq] & split].tolist()
+    return CompressionBase(E, centre, {x: meets[row[x]] for x in centre})
+
+
+def _principal(E: FiniteAlgebra, tested: np.ndarray) -> np.ndarray:
+    """``core.is_principal`` where ``tested`` holds, else False: a fails iff
+    a defined x + y has x, y <= a and x + y not <= a, read off the packed
+    order bits of the tested columns for the defined pairs of a run of rows."""
+    cols = np.flatnonzero(tested)
+    below = np.packbits(E.leq_table[:, cols], axis=1)  # below[x]: x <= a, a in cols
+    S, n = E.sum_table, E.size
+    bad = np.zeros(below.shape[1], dtype=np.uint8)
+    step = max(1, kernels.CHUNK_BYTES // (16 * max(1, below.shape[1]) * n))  # rows; 1/4 of it
+    for i in range(0, n, step):
+        x, y = np.nonzero(S[i:i + step] >= 0)
+        x += i
+        bad |= np.bitwise_or.reduce(below[x] & below[y] & ~below[S[x, y]], axis=0)
+    out = np.zeros(n, dtype=bool)
+    out[cols] = ~np.unpackbits(bad, count=cols.size).astype(bool)
+    return out
 
 
 def product_base(E: FiniteAlgebra, left: CompressionBase,

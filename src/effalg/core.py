@@ -247,12 +247,6 @@ class FiniteAlgebra(EffectAlgebra):
         self._n = int(n)
         self.zero = int(zero)
         self.one = int(one)
-        if self.factors is not None:
-            # _pairs[x, y] is the index of factor indices (x, y); its last
-            # row and column hold -1, which a factor's -1 reads
-            left, right = self.factors
-            self._pairs = np.full((left.size + 1, right.size + 1), -1, dtype=np.int64)
-            self._pairs[:-1, :-1] = np.arange(self._n).reshape(left.size, right.size)
         self._sum_table = None
         self._leq_table = None
         self._ominus_table = None
@@ -318,11 +312,11 @@ class FiniteAlgebra(EffectAlgebra):
     def _through_factors(self, op: str, xs, ys):
         """The pair operation ``op`` of a carrier with factors: each factor's
         ``op`` on the factor indices of ``xs`` and ``ys``, and the pairs of
-        their answers (``_pairs``, or a conjunction for the order)."""
+        their answers (``pair_indices``, or a conjunction for the order)."""
         (xa, xb), (ya, yb) = self.split_index(xs), self.split_index(ys)
         left, right = self.factors
         a, b = getattr(left, op)(xa, ya), getattr(right, op)(xb, yb)
-        return a & b if op == "leq_pairs" else self._pairs[a, b]
+        return a & b if op == "leq_pairs" else pair_indices(a, b, right._n)
 
     def _meet_pairs(self, xs, ys) -> np.ndarray:
         """``meet_pairs`` of a carrier without factors.
@@ -512,6 +506,12 @@ class FiniteAlgebra(EffectAlgebra):
         return out
 
 
+def pair_indices(a, b, size: int):
+    """``a * size + b`` for factor answers ``a`` and ``b``, -1 wherever either
+    is -1: ``(a | b) >> 63`` is -1 where one is negative, else 0."""
+    return (a * size + b) | ((a | b) >> 63)
+
+
 def _product_table(A: np.ndarray, B: np.ndarray, size: int | None = None) -> np.ndarray:
     """The table of a direct product from the tables of its factors.
 
@@ -572,15 +572,21 @@ class TableAlgebra(FiniteAlgebra):
         return cls(S, zero, one, labels=labels)
 
     def _derive_order(self):
-        n = self._n
-        S = self._sum_table
+        """``a <= a + b`` and ``(a + b) - a = b`` (the last such b where a
+        broken row holds one sum twice) over the defined pairs of a run of rows."""
+        n, S = self._n, self._sum_table
         leq = np.zeros((n, n), dtype=bool)
-        omi = -np.ones((n, n), dtype=np.int32)
-        for a in range(n):
-            row = S[a]
-            idx = np.flatnonzero(row >= 0)
-            leq[a, row[idx]] = True
-            omi[row[idx], a] = idx
+        omi = np.full((n, n), -1, dtype=np.int32)
+        step = max(1, kernels.CHUNK_BYTES // (192 * n))  # rows; 1/4 of it, ~48 bytes a pair
+        for i in range(0, n, step):
+            a, b = np.nonzero(S[i:i + step] >= 0)  # row-major: b ascends in each row
+            a += i
+            s = S[a, b]
+            leq[a, s] = True
+            key = a * n + s
+            order = np.argsort(key, kind="stable")  # by a, then sum, then b
+            last = order[np.diff(key[order], append=-1) != 0]  # the last b of each run
+            omi[s[last], a[last]] = b[last]
         self._leq_table = leq
         self._ominus_table = omi
         self._ortho_vec = omi[self.one].copy()

@@ -8,9 +8,9 @@ base of a grid is the product of its chain's and its rest's), and they
 are validated and judged spectral through their factors, reusing the
 reports the factors keep.  Horizontal sums, ``mo2`` and ``table``
 documents are scanned: their laws on seeded samples above the scan
-budget, their spectrality exactly.  The built algebra carries
-``document``, a JSON-serializable description that reparses to an
-index-isomorphic instance.
+budget, their spectrality exactly; ``mo2`` pastes two bare Boolean
+squares.  The built algebra carries ``document``, a JSON-serializable
+description that reparses to an index-isomorphic instance.
 """
 
 from __future__ import annotations
@@ -128,38 +128,26 @@ def make_product(left, right, validate: bool = True):
 
 
 def _hsum_carrier(E1: FiniteAlgebra, E2: FiniteAlgebra):
-    """Disjoint union with the two zeros and the two units identified."""
-    parts = []
-    labels = ["0", "1"]
-    index = {}
-    for side, Epart in (("L", E1), ("R", E2)):
-        for x in range(Epart.size):
-            if x in (Epart.zero, Epart.one):
-                continue
-            index[(side, x)] = len(labels)
-            labels.append(f"{side}:{Epart.label(x)}")
-            parts.append((side, x))
-    n = len(labels)
-
-    def glob(side, x, Epart):
-        if x == Epart.zero:
-            return 0
-        if x == Epart.one:
-            return 1
-        return index[(side, x)]
-
-    triples = [(0, 0, 0), (0, 1, 1)]
-    for side, Epart in (("L", E1), ("R", E2)):
-        for x in range(Epart.size):
-            for y in range(Epart.size):
-                s = Epart.sum(x, y)
-                if s is None:
-                    continue
-                gx, gy, gs = (glob(side, v, Epart) for v in (x, y, s))
-                if (gx, gy) == (0, 0) or gx == 1 or gy == 1:
-                    continue  # shared elements handled once
-                triples.append((gx, gy, gs))
-    E = TableAlgebra.from_triples(n, triples, 0, 1, labels=labels)
+    """Disjoint union with the two zeros and the two units identified, and
+    ``glob``, per side "L"/"R" the union index of each part element.  One
+    gather per part: a pair takes the sum of its order with the larger
+    first index if defined, else the other's; with 1 only 0 + 1 is defined."""
+    labels, index, glob = ["0", "1"], {}, {}
+    n = E1.size + E2.size - 2
+    S = np.full((n, n), -1, dtype=np.int32)
+    for side, F in (("L", E1), ("R", E2)):
+        inner = [x for x in range(F.size) if x not in (F.zero, F.one)]
+        g = glob[side] = np.zeros(F.size, dtype=np.int64)
+        g[F.one], g[inner] = 1, np.arange(len(labels), len(labels) + len(inner))
+        index.update({(side, x): int(g[x]) for x in inner})
+        labels += [f"{side}:{F.label(x)}" for x in inner]
+        T, late = F.sum_table, np.tri(F.size, dtype=bool)  # late[x, y]: x >= y
+        first = np.where(late, T, T.T)
+        pair = np.where(first >= 0, first, np.where(late, T.T, T))
+        keep = np.flatnonzero(np.arange(F.size) != F.one)
+        S[np.ix_(g[keep], g[keep])] = np.where(pair >= 0, g[pair], -1)[np.ix_(keep, keep)]
+    S[:2, :2] = [[0, 1], [1, -1]]
+    E = TableAlgebra(S, 0, 1, labels=labels)
     E.part_index = index  # interior elements only
     E.part_units = {"L": (E1.zero, E1.one), "R": (E2.zero, E2.one)}
     return E, glob
@@ -192,10 +180,8 @@ def make_horizontal_sum(left, right, state1, state2, validate: bool = True):
         """J with focus p (interior, in `side`): own part by the inherited
         compression, other part scaled into [0, p]."""
         tbl = np.zeros(E.size, dtype=np.int64)
-        own = cbown.map_table(p)
-        for x in range(Eown.size):
-            tbl[glob(side, x, Eown)] = glob(side, int(own[x]), Eown)
-        other_side = "R" if side == "L" else "L"
+        own, other = glob[side], glob["R" if side == "L" else "L"]
+        tbl[own] = own[cbown.map_table(p)]
         for y in range(Eother.size):
             if y in (Eother.zero, Eother.one):
                 continue
@@ -205,23 +191,17 @@ def make_horizontal_sum(left, right, state1, state2, validate: bool = True):
             if scaled is None:
                 raise ScaleMismatch(
                     f"state value {val} times {Eown.label(p)} is off the carrier")
-            tbl[glob(other_side, y, Eother)] = glob(side, int(scaled), Eown)
-        tbl[1] = glob(side, p, Eown)
+            tbl[other[y]] = own[int(scaled)]
+        tbl[1] = own[p]
         tbl[0] = 0
         return tbl
 
-    for p in cb1.projections:
-        if p in (E1.zero, E1.one):
-            continue
-        g = glob("L", p, E1)
-        projs.add(g)
-        maps[g] = cross_table("L", p, E1, cb1, E2, s2)
-    for p in cb2.projections:
-        if p in (E2.zero, E2.one):
-            continue
-        g = glob("R", p, E2)
-        projs.add(g)
-        maps[g] = cross_table("R", p, E2, cb2, E1, s1)
+    for side, Eown, cbown, Eother, sother in (("L", E1, cb1, E2, s2), ("R", E2, cb2, E1, s1)):
+        for p in cbown.projections:
+            if p not in (Eown.zero, Eown.one):
+                g = int(glob[side][p])
+                projs.add(g)
+                maps[g] = cross_table(side, p, Eown, cbown, Eother, sother)
 
     cb = CompressionBase(E, sorted(projs), maps)
     E.kind = "horizontal_sum"
@@ -238,9 +218,7 @@ def make_mo2(validate: bool = True):
     so there are no compressions focused at the atoms; the only base is
     the trivial one, and sharp atoms stay outside P.
     """
-    E1, _ = make_boolean(2)
-    E2, _ = make_boolean(2)
-    E, _ = _hsum_carrier(E1, E2)
+    E, _ = _hsum_carrier(BooleanAlgebra(2), BooleanAlgebra(2))
     cb = central_base(E)
     E.kind = "mo2"
     E.document = {"kind": "mo2"}
@@ -249,13 +227,8 @@ def make_mo2(validate: bool = True):
 
 def torsion_witness(E: TableAlgebra):
     """A pair e != f with 2e = 2f = 1, or None; exists in chain pastings."""
-    for e in range(E.size):
-        if E.sum(e, e) != E.one:
-            continue
-        for f in range(e + 1, E.size):
-            if E.sum(f, f) == E.one:
-                return e, f
-    return None
+    halves = np.flatnonzero(E.sum_table.diagonal() == E.one)
+    return (int(halves[0]), int(halves[1])) if halves.size > 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -126,16 +126,16 @@ def test_two_bases_same_projections(mv42):
         projs = {0, 1}
         maps = {0: np.zeros(E.size, dtype=np.int64), 1: np.arange(E.size)}
         for p in (E1.index_of([4, 0]), E1.index_of([0, 4])):
-            g = glob("L", p, E1)
+            g = int(glob["L"][p])
             tbl = np.zeros(E.size, dtype=np.int64)
             own = cb1.map_table(p)
             for x in range(E1.size):
-                tbl[glob("L", x, E1)] = glob("L", int(own[x]), E1)
+                tbl[glob["L"][x]] = glob["L"][own[x]]
             for y in range(E2.size):
                 if y in (E2.zero, E2.one):
                     continue
-                tbl[glob("R", y, E2)] = glob("L", E1.scale(phi(y), p), E1)
-            tbl[1] = glob("L", p, E1)
+                tbl[glob["R"][y]] = glob["L"][E1.scale(phi(y), p)]
+            tbl[1] = g
             projs.add(g)
             maps[g] = tbl
         return CompressionBase(E, sorted(projs), maps)

@@ -1,5 +1,6 @@
 """scripts/scan_modes.py: the scans' rows and seconds on table copies."""
 
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,8 @@ def test_boolean_3_table_copy_is_scanned_in_full():
     took = time.perf_counter() - t0
     lines = run.stdout.splitlines()
     assert lines[0] == "boolean(3) table copy (n = 8, |P| = 8)"
+    assert re.fullmatch(r"  central_base: \d+\.\d\d s, peak \d+\.\d MB, \|centre\| = 8",
+                        lines[1]), lines[1]
     assert [line.split(":")[0].strip() for line in lines if line.endswith(" s")] == \
         ["axioms", "base", "spectral"]
     rows = [line.split() for line in lines if line.startswith("    ")]

@@ -1338,15 +1338,21 @@ def test_drawn_product_states_match_the_scan(left, right, seed, weights, moves):
 # the central base tests each sharp element once
 
 
+def _meet_with_all(E, p):
+    """Vector of meets a ^ p over the carrier; None when some meet fails."""
+    out = E.meet_pairs(np.arange(E.size), p)
+    return None if (out < 0).any() else out
+
+
 def _plain_central(E):
     """The central projections and their maps, every test made afresh for
-    p and for p'."""
+    p and for p', one element at a time."""
     centre, maps = [], {}
     for p in map(int, core.sharp_elements(E)):
         q = E.ortho(p)
-        if not (compbase.is_principal(E, p) and compbase.is_principal(E, q)):
+        if not (core.is_principal(E, p) and core.is_principal(E, q)):
             continue
-        mp, mq = compbase.meet_with_all(E, p), compbase.meet_with_all(E, q)
+        mp, mq = _meet_with_all(E, p), _meet_with_all(E, q)
         if mp is not None and mq is not None and \
                 (E.sum_pairs(mp, mq) == np.arange(E.size)).all():
             centre.append(p)
@@ -1354,51 +1360,57 @@ def _plain_central(E):
     return centre, maps
 
 
-def _counted(build, E, monkeypatch):
-    """``build(E)`` and the arguments of its ``is_principal`` and
-    ``meet_with_all`` calls, in call order."""
-    calls = {"is_principal": [], "meet_with_all": []}
+def _met(E):
+    """The elements the plain loop meets every element with: each sharp p
+    and its p' where both are principal, a missing p' (-1) as n - 1."""
+    return {x % E.size for p in map(int, core.sharp_elements(E)) for x in (p, E.ortho(p))
+            if core.is_principal(E, p) and core.is_principal(E, E.ortho(p))}
+
+
+def _counted_meets(E, monkeypatch):
+    """``compbase._central_base(E)`` and the pairs of each ``meet_pairs``
+    call it makes on ``E``, as a set of ``(element, element)``."""
+    calls = []
     with monkeypatch.context() as m:
-        for name, seen in calls.items():
-            test = getattr(compbase, name)
-            m.setattr(compbase, name,
-                      lambda E, x, test=test, seen=seen: seen.append(int(x)) or test(E, x))
-        return build(E), calls
-
-
-def _first_calls(calls):
-    return {name: list(dict.fromkeys(seen)) for name, seen in calls.items()}
+        meet = E.meet_pairs
+        m.setattr(E, "meet_pairs", lambda xs, ys: calls.append(
+            set(zip(*(v.ravel().tolist() for v in np.broadcast_arrays(xs, ys))))) or meet(xs, ys))
+        return compbase._central_base(E), calls
 
 
 @pytest.mark.parametrize("name, tests", [("chain", 2), ("mo2", 6), ("hsum", 2)])
 def test_central_base_tests_each_element_once(name, tests, l8, mo2, hsum_l8, monkeypatch):
-    """p and p' are both sharp, so each is tested once, not once for its
-    own turn and once for its partner's: the chain and the horizontal sum
-    test 0 and 1, and MO2 its six elements."""
+    """p and p' are both sharp, but the meets with each are formed once,
+    in one ``meet_pairs`` call for the whole carrier: the chain and the
+    horizontal sum meet every element with 0 and 1, and MO2 with its six
+    elements.  ``core.is_principal`` is not called."""
     E, _ = {"chain": l8, "mo2": mo2, "hsum": hsum_l8}[name]
-    base, calls = _counted(compbase._central_base, E, monkeypatch)
-    (centre, _), plain = _counted(_plain_central, E, monkeypatch)
-    assert {name: len(seen) for name, seen in calls.items()} == \
-        {"is_principal": tests, "meet_with_all": tests}
-    assert {name: len(seen) for name, seen in plain.items()} == \
-        {"is_principal": 2 * tests, "meet_with_all": 2 * tests}
-    assert calls == _first_calls(plain)
+    with monkeypatch.context() as m:
+        m.setattr(core, "is_principal", None)
+        base, calls = _counted_meets(E, monkeypatch)
+    centre, _ = _plain_central(E)
+    assert len(calls) == 1 and len(_met(E)) == tests
+    assert calls[0] == {(x, a) for x in _met(E) for a in range(E.size)}
     assert base.projections == centre == [E.zero, E.one]
 
 
 def test_central_base_matches_the_plain_loop_on_broken_tables(monkeypatch):
     """On the 20 seeded broken tables the projections and maps equal the
-    plain loop's, and each element that loop tests is tested once, in the
-    same order, also where ' is not an involution."""
+    plain loop's, also where ' is not an involution, and each base makes
+    one ``meet_pairs`` call, with one pair per element and each element
+    the plain loop meets with, or none where that loop meets with none."""
     rng = np.random.default_rng(8)
-    not_involutive = 0
+    not_involutive = made = 0
     for i in range(4 * len(GRIDS)):
         T, _ = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])
         not_involutive += any(T.ortho(T.ortho(x)) != x for x in range(T.size))
-        base, calls = _counted(compbase._central_base, T, monkeypatch)
-        (centre, maps), plain = _counted(_plain_central, T, monkeypatch)
-        assert calls == _first_calls(plain), i
+        base, calls = _counted_meets(T, monkeypatch)
+        made += len(calls)
+        centre, maps = _plain_central(T)
+        met = _met(T)
+        assert len(calls) == (1 if met else 0), i
+        assert calls[:1] == [{(x, a) for x in met for a in range(T.size)}][:len(calls)], i
         assert base.projections == centre, i
         for p in centre:
             assert np.array_equal(base.map_table(p), maps[p]), (i, p)
-    assert not_involutive
+    assert not_involutive and made
