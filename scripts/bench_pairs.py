@@ -17,14 +17,12 @@ of each side, the change's wins (pairs in which it reads better), whether
 the change's median is worse than the parent's by more than the metric's
 bound, and whether it is a gain by the rule of nine wins in ten with a
 median gap wider than the parent's interquartile range.  The file also
-records the Python and numpy versions, the core count and the
-``EA_MAX_CARRIER`` the runs use.
+records the Python and numpy versions, the core count and the machine.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -92,15 +90,11 @@ def compare(metric: dict, parent: list, change: list) -> dict:
             "gain": better and wins >= 0.9 * len(parent) and gap > p["q3"] - p["q1"]}
 
 
-def environment(change: Path) -> dict:
+def environment() -> dict:
     import numpy
 
-    spec = importlib.util.spec_from_file_location("bench_run", change / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "cores": len(os.sched_getaffinity(0)), "machine": platform.machine(),
-            "EA_MAX_CARRIER": run.program_env()["EA_MAX_CARRIER"]}
+            "cores": len(os.sched_getaffinity(0)), "machine": platform.machine()}
 
 
 def main(argv=None) -> int:
@@ -120,7 +114,7 @@ def main(argv=None) -> int:
                  "change": checkout(args.change, Path(tmp), "--change")}
         result = {"parent": args.parent, "change": args.change, "pairs": args.pairs,
                   "seconds": args.seconds, "seed": args.seed,
-                  "environment": environment(sides["change"]), "workloads": {}}
+                  "environment": environment(), "workloads": {}}
         for workload in args.workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):

@@ -12,6 +12,9 @@ each instance: every element's computed resolution, the same perturbed by
   effects of ``perfbench``'s matrix stream, whose neighbour is the next
   effect, and edge spectra, with one eigenvalue at j/32 + d and the
   neighbour's at j/32 - d on the same eigenvectors, d from 5e-10 to 1e-6.
+* the chain ``mv(16,1)`` and ``restrict(mv(8,3), (8,8,0))``, a table of
+  81 elements (depths 3 and 5): two bases without factors, each its own
+  one leaf in clause (iv); families as on the grids.
 
 It prints one line per instance: the sha256 of every family's report
 rows (name, verdict, mode, witness and detail; or the error a step
@@ -98,7 +101,7 @@ def matrix_cases(E, cb, rng, depths):
 
 def instances_to_digest():
     """``(name, (E, cb), cases, depths)`` for each instance, in print order."""
-    from effalg import instances
+    from effalg import comparability, instances
 
     mv83 = instances.make_mv_product(8, 3)
     yield "mv(8,3)", mv83, finite_cases, (3, 5)
@@ -107,6 +110,10 @@ def instances_to_digest():
            finite_cases, (2, 4))
     for dim in (2, 3, 4):
         yield f"matrix({dim})", instances.make_matrix(dim), matrix_cases, MATRIX_DEPTHS
+    yield "mv(16,1)", instances.make_mv_product(16, 1), finite_cases, (3, 5)
+    E, cb = mv83
+    yield ("restrict(mv(8,3), (8,8,0))", comparability.restrict(cb, E.index_of([8, 8, 0])),
+           finite_cases, (3, 5))
 
 
 def main(argv=None) -> int:

@@ -43,10 +43,10 @@ class CompressionBase:
     ``factors`` holds the two factor bases of a product base, whose
     projections are the pairs ``P1 x P2`` and whose maps are
     ``J_(p1, p2) = J_p1 x J_p2`` (``product_base``).  Such a base keeps
-    no maps: ``map_table``, ``map_values``, ``map_pairs`` and ``apply``
-    answer through the factor bases, ``map_stack`` composes their stacks
-    for the reference scans, and ``validate_base`` validates it through
-    them.
+    no maps: ``map_table``, ``_map_at`` and ``apply`` read them through
+    the factor bases, ``map_values`` and ``map_pairs`` through
+    ``_map_at``, ``map_stack`` composes the factors' stacks for the
+    reference scans, and ``validate_base`` validates it through them.
     """
 
     enumerable = True
@@ -67,8 +67,6 @@ class CompressionBase:
             self._stack.flags.writeable = False
         else:
             self._stack = None
-            # (|P2|, n2, n2) as a column: what _pair_rows divides by
-            self._radix = np.array([[len(factors[1].projections)]] + [[factors[1].algebra.size]] * 2)
         self._pcompat = None
         self._pc_matrix = None
         self._classes = None
@@ -116,37 +114,25 @@ class CompressionBase:
         top = self.p_array.size - 1
         if ps.size and (top < 0 or (self.p_array[np.minimum(rows, top)] != ps).any()):
             raise KeyError(f"not all of {ps.tolist()} are projections")
-        return self._map_rows(rows, xs)
+        return self._map_at(rows[:, None], xs)
 
     def map_pairs(self, op: str, rows, xs, ys) -> np.ndarray:
         """``E.op(J_p(x), J_p(y))`` entrywise, for p at the positions ``rows``
         of P and x, y in the equally long ``xs`` and ``ys``, with ``op`` one
-        of ``sum_pairs``, ``leq_pairs`` and ``ominus_pairs``.  The maps and
-        the operations are componentwise, so a product base answers in its
-        factors and composes no product index of a map value on the way."""
-        return self._pair_rows(op, np.array([rows, xs, ys], dtype=np.int64))
+        of ``sum_pairs``, ``leq_pairs`` and ``ominus_pairs``: the carrier's
+        pair operation on two gathers of map values."""
+        return getattr(self.algebra, op)(self._map_at(rows, xs), self._map_at(rows, ys))
 
-    def _map_rows(self, rows: np.ndarray, xs) -> np.ndarray:
-        """``map_values`` at the positions ``rows`` of P, unchecked."""
+    def _map_at(self, rows, xs) -> np.ndarray:
+        """J_p(x) for p at the positions ``rows`` of P and x in ``xs``, which
+        broadcast against each other; unchecked."""
         if self.factors is None:
-            return self._stack[rows[:, None], xs]
+            return self._stack[rows, xs]
         left, right = self.factors
         r = right.algebra.size
         i1, i2 = np.divmod(rows, len(right.projections))
         x1, x2 = np.divmod(xs, r)
-        return left._map_rows(i1, x1) * r + right._map_rows(i2, x2)
-
-    def _pair_rows(self, op: str, at: np.ndarray) -> np.ndarray:
-        """``map_pairs`` on the columns ``(position in P, x, y)`` of ``at``;
-        a product base splits all three rows at once and pairs its factors'
-        answers as ``FiniteAlgebra._through_factors`` does."""
-        if self.factors is None:
-            values = self._stack[at[0], at[1:]]
-            return getattr(self.algebra, op)(values[0], values[1])
-        left, right = self.factors
-        at1, at2 = np.divmod(at, self._radix)
-        a, b = left._pair_rows(op, at1), right._pair_rows(op, at2)
-        return a & b if op == "leq_pairs" else core.pair_indices(a, b, right.algebra.size)
+        return left._map_at(i1, x1) * r + right._map_at(i2, x2)
 
     def apply(self, p: int, a: int) -> int:
         if self.factors is None:
@@ -180,12 +166,7 @@ class CompressionBase:
         return E.sum_pairs(jp, jq) == np.arange(E.size)
 
     def in_commutant(self, a: int, p: int) -> bool:
-        """a = J_p(a) + J_p'(a).  The maps, ' and the sum are componentwise,
-        so a product base asks each factor base about a's coordinate."""
-        if self.factors is not None:
-            left, right = self.factors
-            r = right.algebra.size
-            return left.in_commutant(a // r, p // r) and right.in_commutant(a % r, p % r)
+        """a = J_p(a) + J_p'(a), through ``apply`` and the carrier's sum."""
         E = self.algebra
         s = E.sum(self.apply(p, a), self.apply(self.p_ortho(p), a))
         return s is not None and s == a

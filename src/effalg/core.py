@@ -13,7 +13,6 @@ validators decide it from its factors.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,16 +32,13 @@ from .errors import (
 DENSE_LIMIT = 5000  # dense tables need n <= this (3 tables, 9 n^2 bytes)
 TRIPLE_BUDGET = 2_000_000_000  # elementary operations of one exact scan; each row counts its own
 SAMPLE_SIZE = 20_000
+MAX_CARRIER = 600_000  # constructors refuse larger carriers (SizeLimit)
 
 
 # for a byte of np.packbits output: the position of its first set bit (8 in
 # a zero byte), and the byte with only position i set (none for i = 8)
 _LEADING_BIT = np.array([8 - v.bit_length() for v in range(256)], dtype=np.int64)
 _BIT = np.array([0x80 >> i for i in range(8)] + [0], dtype=np.uint8)
-
-
-def carrier_cap() -> int:
-    return int(os.environ.get("EA_MAX_CARRIER", 100_000))
 
 
 def _draws(seed: int, *bounds: int) -> list:

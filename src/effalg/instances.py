@@ -23,6 +23,7 @@ import numpy as np
 from . import groups, matrices
 from .compbase import CompressionBase, central_base, product_base, validate_base
 from .core import (
+    MAX_CARRIER,
     BooleanAlgebra,
     FiniteAlgebra,
     GridAlgebra,
@@ -30,7 +31,6 @@ from .core import (
     State,
     TableAlgebra,
     as_fraction,
-    carrier_cap,
     validate_axioms,
 )
 from .errors import (
@@ -45,8 +45,8 @@ from .spectral import SplittingTree
 
 
 def _guard_size(n: int):
-    if n > carrier_cap():
-        raise SizeLimit(f"carrier of size {n} exceeds EA_MAX_CARRIER={carrier_cap()}")
+    if n > MAX_CARRIER:
+        raise SizeLimit(f"carrier of size {n} exceeds MAX_CARRIER={MAX_CARRIER}")
 
 
 def _validated(E, cb, what: str, validate: bool = True):

@@ -126,15 +126,16 @@ class MatrixEffectAlgebra(EffectAlgebra):
 # eigenstructure helpers
 
 
-def eig_clusters(a, gap: float = CLUSTER_GAP):
-    """[(eigenvalue, projector)] with nearby eigenvalues merged."""
-    return _clusters(*np.linalg.eigh(sym(np.asarray(a, dtype=float))), gap)
+def eig_clusters(a):
+    """[(eigenvalue, projector)] with eigenvalues within ``CLUSTER_GAP`` merged."""
+    return _clusters(*np.linalg.eigh(sym(np.asarray(a, dtype=float))))
 
 
-def _clusters(vals, vecs, gap: float):
+def _clusters(vals, vecs):
     """(mean, projector) per run of ascending eigenvalues ``vals`` (of the
-    columns of ``vecs``) whose neighbours lie within gap."""
-    cuts = [0] + [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] > gap] + [len(vals)]
+    columns of ``vecs``) whose neighbours lie within ``CLUSTER_GAP``."""
+    gaps = [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] > CLUSTER_GAP]
+    cuts = [0] + gaps + [len(vals)]
     return [(float(vals[i:j].mean()), sym(vecs[:, i:j] @ vecs[:, i:j].T))
             for i, j in zip(cuts, cuts[1:]) if i < j]
 
@@ -154,13 +155,13 @@ def chi_leq(a, lam, tol: float) -> np.ndarray:
     return sym(block @ block.T)
 
 
-def joint_eigenprojections(e, f, gap: float = CLUSTER_GAP):
+def joint_eigenprojections(e, f):
     """Common eigenprojections of a commuting symmetric pair."""
     out = []
-    for _, p in eig_clusters(e, gap):
+    for _, p in eig_clusters(e):
         vals, vecs = np.linalg.eigh(sym(p @ f @ p + 2.0 * (np.eye(len(p)) - p)))
         inside = vals < 1.5  # eigenvectors inside range(p)
-        out += [q for _, q in _clusters(vals[inside], vecs[:, inside], gap)]
+        out += [q for _, q in _clusters(vals[inside], vecs[:, inside])]
     return out
 
 

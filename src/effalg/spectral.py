@@ -8,21 +8,21 @@ of the deepest layer, so at most |layer| + 1 however deep the grid.
 Exact dyadic bookkeeping (binary strings w, lambda(w) = k(w)/2^l(w),
 grid indices j for lambda = j/2^n) is kept in integers end to end.
 
-A resolution is a chain: its prefix sums are checked monotone where they
-are built, on every base, by one route (``_layer_jumps``).  So the meet
-of its entries above a point is the next entry, and neither
+A resolution is a chain: each prefix sum is checked defined where it is
+built, on every base (``_layer_jumps``), so it lies below the next.  So
+the meet of its entries above a point is the next entry, and neither
 ``rational_resolution`` nor clause (iii) of ``verify_resolution`` forms a
 meet in P; only the cells of clause (iv), p_hi ^ p_lo', need one.
 
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
 of the factor trees node by node, and a cell of clause (iv) is decided
-by its leaf cells.  ``splitting_tree`` follows the factors down to the
-leaf bases (those without factors), so a grid goes to its chains, and
-composes their trees.  Only a leaf base runs the split loop, with all
-its checks.  It keeps one tree per element, the deepest asked for so
-far: shallower requests read its top layers, deeper ones split on from
-its deepest layer.  Product bases and the matrix base keep none.
+by its leaf cells (a leaf base is one leaf).  ``splitting_tree``
+follows the factors down to the leaf bases (those without factors), so
+a grid goes to its chains, and composes their trees.  Only a leaf base
+runs the split loop, with all its checks.  It keeps one tree per
+element, the deepest asked for so far: shallower requests read its top
+layers, deeper ones split on from its deepest layer.  Product bases and the matrix base keep none.
 
 The matrix base reads a tree off one eigendecomposition of its element
 (``MatrixCompressionBase.tree_nodes``): each eigenvector walks its binary
@@ -403,7 +403,7 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
 
     The cell u_w with k(w) = j - 1 joins the resolution from the grid
     index j on (``_layer_jumps``), on every base.  Each prefix sum is
-    checked defined and monotone, the last to be the unit, so the work is
+    checked defined (so monotone), the last to be the unit, so the work is
     O(depth * |layer|), and every resolution is a chain where it is built.
     """
     n = check_depth(n)
@@ -413,17 +413,15 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
 
 def _layer_jumps(E, tree: SplittingTree, n: int) -> list:
     """The jumps of the depth-n resolution, from the tree's depth-n layer,
-    each prefix sum checked to be defined and monotone, the last to be
-    the unit."""
+    each prefix sum checked to be defined, the last to be the unit.
+    ``acc <= acc + u`` holds by the order's definition (``a <= a + b`` in
+    ``TableAlgebra._derive_order``; ``min eig(u) >= -tol`` on matrices)."""
     acc = E.ortho(tree._u.get((), E.zero))
     jumps = [(0, acc)]
     for w, u in tree.layer(n):
-        s = E.sum(acc, u)
-        if s is None:
+        acc = E.sum(acc, u)
+        if acc is None:
             raise InternalConsistencyError("resolution prefix sum undefined")
-        if not E.leq(acc, s):
-            raise InternalConsistencyError("resolution is not monotone")
-        acc = s
         jumps.append((k_of(w) + 1, acc))
     if not E.eq(acc, E.one):
         raise InternalConsistencyError("resolution does not reach the unit")
@@ -506,8 +504,8 @@ def apply_fw(cb, w, b, q):
     pass q - b <= b and still miss 2(q - b) <= 1.
 
     The reference for clause (iv) of ``verify_resolution``, which runs it
-    on leaf bases and on the matrix cells that the eigenvalue walk of
-    ``MatrixCompressionBase.doubling_cells`` leaves undecided.
+    on leaf cells (``_leaf_verdict``) and on the matrix cells that the
+    eigenvalue walk of ``MatrixCompressionBase.doubling_cells`` leaves undecided.
     """
     E = cb.algebra
     cur = b
@@ -556,13 +554,16 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     (ii) has passed: the family is a chain, so it compares neighbouring
     runs.  (iv) lists its cells (w, p_hi, p_lo') in grid order per level
     and reports the first that fails.  On an enumerable base each cell
-    forms one ``meet_proj``, and a base with ``factors`` decides it from
-    its leaf cells (``_leaf_verdict``).  The matrix base decides all cells
-    from one stacked ``eigh`` and ``eigvalsh`` (``cb.doubling_cells``)
-    where rounding cannot tip ``_doubling_cell``, which decides the rest.
+    forms one ``meet_proj`` and is decided from its leaf cells
+    (``_leaf_verdict``), after ``a`` is checked (``ElementNotInCarrier``).
+    The matrix base decides all cells from one stacked ``eigh`` and
+    ``eigvalsh`` (``cb.doubling_cells``) where rounding cannot tip
+    ``_doubling_cell``, which decides the rest.
     """
     n = check_depth(n)
     E = cb.algebra
+    if cb.enumerable:
+        a = E.check_element(a)
     rep = Report(f"resolution family for {E.label(a)} at depth {n}")
     fam = _as_resolution(E, a, family, n)
     rep.add("grid-complete", fam is not None)
@@ -606,7 +607,7 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
               E.ortho(fam.at_index(k << (n - level))))
              for level in range(n + 1)
              for k in sorted({(j - 1) >> (n - level) for j, _ in fam.jumps[1:]})]
-    leaves = cb.enumerable and cb.factors is not None and _leaves(cb, a)
+    leaves = cb.enumerable and _leaves(cb, a)
     decided = cb.doubling_cells(a, cells) if not cb.enumerable else \
         ((cb.meet_proj(hi, lo), "undecided") for _, hi, lo in cells)  # stops where (iv) does
     ok_iv, w_iv = True, None
@@ -635,7 +636,8 @@ def _in_carrier(E, p) -> bool:
 def _doubling_cell(cb, w, a, u_w) -> str:
     """Clause (iv) on the cell w by ``apply_fw``: "fail" unless f_w maps
     J_{u_w}(a) into [0, u_w], "cover" unless the image fills its cell
-    (has cover u_w), else "pass"."""
+    (has cover u_w), else "pass".  Clause (iv) runs it on matrices only,
+    as it compares covers with ``E.eq``."""
     E = cb.algebra
     img = apply_fw(cb, w, cb.apply(u_w, a), u_w)
     if img is None or not E.leq(img, u_w):
@@ -644,7 +646,7 @@ def _doubling_cell(cb, w, a, u_w) -> str:
 
 
 def _leaf_verdict(w, a_leaves, u_leaves) -> str:
-    """``_doubling_cell`` on a cell of a base with ``factors``, from a's and
+    """``_doubling_cell`` on a cell of an enumerable base, from a's and
     u_w's ``_leaves``.  J_u, f_w, img <= u_w and the cover are componentwise:
     the cell fails if a leaf cell fails, else asks every leaf for its cover,
     as the product's cover does.  A leaf where u_w is zero passes."""

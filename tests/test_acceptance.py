@@ -1,14 +1,10 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to watch the lines live.
-The large pairwise products need a raised enumeration cap, set below.
 """
 
 import itertools
-import os
 import time
-
-os.environ.setdefault("EA_MAX_CARRIER", "600000")
 
 import numpy as np
 import pytest

@@ -799,12 +799,16 @@ def test_product_maps_answer_through_the_factors(name, monkeypatch):
                     == _outcome(lambda: validate_base(tsub, tcb))), (name, kind, q)
 
 
-def _in_commutant_through_apply(cb, a, p):
-    """a = J_p(a) + J_p'(a), read through ``apply`` and the carrier's sum:
-    the formula every base used before products asked their factors."""
-    E = cb.algebra
-    s = E.sum(cb.apply(p, a), cb.apply(cb.p_ortho(p), a))
-    return s is not None and s == a
+def _in_commutant_through_factors(cb, a, p):
+    """The conjunction of the factor bases' answers about a's and p's
+    coordinates, down to the leaf bases: the route a product base took
+    before ``in_commutant`` read through ``apply`` and the carrier's sum."""
+    if cb.factors is None:
+        return cb.in_commutant(a, p)
+    left, right = cb.factors
+    r = right.algebra.size
+    return (_in_commutant_through_factors(left, a // r, p // r)
+            and _in_commutant_through_factors(right, a % r, p % r))
 
 
 def _answer(fn):
@@ -817,33 +821,41 @@ def _answer(fn):
 
 
 def test_product_in_commutant_is_componentwise():
-    """``in_commutant`` on a product base asks each factor base about its
-    coordinate, and answers what the formula through ``apply`` answers: on
-    every pair of ``boolean(3)`` and ``mv(4,2) x boolean(1)``, and on 2000
+    """``in_commutant`` on a product base, a = J_p(a) + J_p'(a) through
+    ``apply`` and the carrier's sum, answers what its factor bases answer
+    together: on every pair of ``boolean(3)``, ``mv(4,2) x boolean(1)``,
+    ``boolean(2) x mv(4,1)`` and the grids of criterion 01, and on 2000
     seeded pairs of ``boolean(2) x mv(8,3)``.  Their projections are
-    central, so every answer there is yes; products with a broken grid table
-    add projections without an orthosupplement in P, and products with a
-    base whose map at an atom is zero add pairs that do not commute."""
+    central, so every answer there is yes; products with a broken grid
+    table add projections without an orthosupplement in P, and products
+    with a base whose map at an atom is zero add pairs that do not
+    commute."""
+    from test_structural import _criterion_01_instances
+
     mv42, b1 = instances.make_mv_product(4, 2), instances.make_boolean(1)
     T = core.TableAlgebra(GridAlgebra(1, 2).sum_table, 0, 3)
     T.document = {"kind": "table"}
     maps = {p: np.arange(4) & p for p in range(4)}
     maps[1] = np.zeros(4, dtype=np.int64)
     zero_at_atom = T, CompressionBase(T, range(4), maps)
+    grids = [g for name, g in _criterion_01_instances().items()
+             if name.startswith(("boolean", "mv")) and g[1].factors is not None]
     seen = set()
     for E, cb in (instances.make_boolean(3), instances.make_product(mv42, b1),
-                  *_broken_table_products(np.random.default_rng(19)),
+                  instances.make_product(instances.make_boolean(2),
+                                         instances.make_mv_product(4, 1)),
+                  *grids, *_broken_table_products(np.random.default_rng(19)),
                   instances.make_product(zero_at_atom, b1, validate=False),
                   instances.make_product(b1, zero_at_atom, validate=False)):
         assert cb.factors is not None
         for a in range(E.size):
             for p in cb.projections:
                 got = _answer(lambda: cb.in_commutant(a, p))
-                assert got == _answer(lambda: _in_commutant_through_apply(cb, a, p)), (a, p)
+                assert got == _answer(lambda: _in_commutant_through_factors(cb, a, p)), (a, p)
                 seen.add(got)
     assert {True, False, KeyError} <= seen, seen
     E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
     rng = np.random.default_rng(19)
     for a, i in zip(rng.integers(0, E.size, 2000), rng.integers(0, len(cb.projections), 2000)):
         p = cb.projections[i]
-        assert cb.in_commutant(int(a), p) == _in_commutant_through_apply(cb, int(a), p), (a, p)
+        assert cb.in_commutant(int(a), p) == _in_commutant_through_factors(cb, int(a), p), (a, p)

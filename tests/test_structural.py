@@ -620,11 +620,10 @@ def _raises(check, cb, block):
     return None
 
 
-def test_blocks_match_the_distributive_reference(monkeypatch):
+def test_blocks_match_the_distributive_reference():
     """On every valid base of criterion 01, its dense table copies and the
     Boolean algebras up to boolean(8), the atom map finds the blocks that
     the ``b^3`` distributivity check finds."""
-    monkeypatch.setenv("EA_MAX_CARRIER", "600000")  # mv(8,3) x mv(8,3), as in criterion 01
     named = _criterion_01_instances()
     suites = dict(named)
     for a, b in itertools.combinations_with_replacement(sorted(named), 2):

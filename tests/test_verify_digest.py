@@ -33,11 +33,13 @@ def test_one_line_per_instance_the_same_on_each_run(monkeypatch, capsys):
     script = _script(monkeypatch)
     lines = _lines(script, capsys)
     assert [name for _, _, name in lines] == [
-        "mv(8,3)", "mv(16,2)", "boolean(2) x mv(8,3)", "matrix(2)", "matrix(3)", "matrix(4)"]
+        "mv(8,3)", "mv(16,2)", "boolean(2) x mv(8,3)", "matrix(2)", "matrix(3)", "matrix(4)",
+        "mv(16,1)", "restrict(mv(8,3), (8,8,0))"]
     for digest, count, _ in lines:
         assert len(digest) == 64 and int(digest, 16) >= 0
         assert int(count) > 0
-    assert [count for _, count, _ in lines[:3]] == ["12"] * 3  # 2 elements x 2 depths x 3
+    finite = lines[:3] + lines[6:]
+    assert [count for _, count, _ in finite] == ["12"] * 5  # 2 elements x 2 depths x 3
     assert _lines(script, capsys) == lines
 
 
@@ -48,13 +50,14 @@ def test_a_changed_verdict_changes_its_line(monkeypatch, capsys):
 
     def flipped(cb, a, family, n):
         rep = verify(cb, a, family, n)
-        if cb.enumerable and cb.factors is not None:
+        if cb.enumerable:
             rep.checks[-1].passed = not rep.checks[-1].passed
         return rep
 
     monkeypatch.setattr(spectral, "verify_resolution", flipped)
     changed = _lines(script, capsys)
-    assert [a == b for a, b in zip(lines, changed)] == [False, False, False, True, True, True]
+    assert [a == b for a, b in zip(lines, changed)] == [False, False, False, True, True, True,
+                                                        False, False]
 
 
 def test_a_directory_without_sources_exits_2(tmp_path, monkeypatch, capsys):
