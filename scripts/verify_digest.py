@@ -15,6 +15,12 @@ each instance: every element's computed resolution, the same perturbed by
 * the chain ``mv(16,1)`` and ``restrict(mv(8,3), (8,8,0))``, a table of
   81 elements (depths 3 and 5): two bases without factors, each its own
   one leaf in clause (iv); families as on the grids.
+* ``matrix(2)``, ``matrix(3)`` and ``matrix(4)`` at the edge of clause
+  (ii) (depths 3 to 6): on stream effects, the resolution with one run p
+  moved to p + e x x^T, x a unit vector in the kernel of the next run q,
+  so that q - p has the least eigenvalue -e, e = tol +- 1e-12..1e-10;
+  and the resolution with two neighbouring runs swapped, which is not
+  monotone.
 
 It prints one line per instance: the sha256 of every family's report
 rows (name, verdict, mode, witness and detail; or the error a step
@@ -99,6 +105,42 @@ def matrix_cases(E, cb, rng, depths):
                     yield x, checks.perturb(own, E.zero, same), n
 
 
+def clause_ii_edge_cases(E, cb, rng, depths):
+    """``(a, family, n)`` whose clause (ii) sits at the tolerance edge, and
+    one family per effect and depth that is not monotone, as above."""
+    import numpy as np
+
+    from effalg import spectral
+    from perfbench.wl_resolve import matrix_stream
+
+    stream = matrix_stream(rng, E.dim)
+    effects = [next(stream)[0] for _ in range(STREAM_EFFECTS)]
+    for n in depths:
+        for a in effects:
+            res = spectral.binary_resolution(cb, a, n)
+            runs = res.runs()
+            family = dict(res.entries)
+            for i in range(len(runs) - 2):  # the next run is not the unit
+                (lo, hi, p), (_, _, q) = runs[i], runs[i + 1]
+                vals, vecs = np.linalg.eigh(q)
+                x = vecs[:, 0]  # an eigenvalue 0 of q
+                for d in (-1e-10, -1e-11, -1e-12, 1e-12, 1e-11, 1e-10):
+                    moved = p + (E.tol + d) * np.outer(x, x)
+                    yield a, {**family, **{k: moved for k in grid_points(lo, hi, n)}}, n
+            if len(runs) >= 3:
+                (lo, _, p), (_, hi, q) = runs[0], runs[1]
+                swapped = {k: q for k in grid_points(lo, runs[0][1], n)}
+                swapped.update({k: p for k in grid_points(runs[1][0], hi, n)})
+                yield a, {**family, **swapped}, n
+
+
+def grid_points(lo, hi, n):
+    """The grid points j / 2^n for j from lo to hi."""
+    from fractions import Fraction
+
+    return [Fraction(j, 1 << n) for j in range(lo, hi + 1)]
+
+
 def instances_to_digest():
     """``(name, (E, cb), cases, depths)`` for each instance, in print order."""
     from effalg import comparability, instances
@@ -114,6 +156,9 @@ def instances_to_digest():
     E, cb = mv83
     yield ("restrict(mv(8,3), (8,8,0))", comparability.restrict(cb, E.index_of([8, 8, 0])),
            finite_cases, (3, 5))
+    for dim in (2, 3, 4):
+        yield (f"matrix({dim}) at the edge of (ii)", instances.make_matrix(dim),
+               clause_ii_edge_cases, MATRIX_DEPTHS)
 
 
 def main(argv=None) -> int:

@@ -171,6 +171,10 @@ class CompressionBase:
         s = E.sum(self.apply(p, a), self.apply(self.p_ortho(p), a))
         return s is not None and s == a
 
+    def commuting_projections(self, a: int, ps) -> list:
+        """Whether each p of ``ps`` is a projection whose commutant holds a."""
+        return [self.is_projection(p) and self.in_commutant(a, p) for p in ps]
+
     def _require_projections(self, closed=False):
         """Raise IncompleteBase if P is empty or, with ``closed``, if it
         misses the orthosupplement of a member (an unchecked base can)."""

@@ -208,6 +208,17 @@ class EffectAlgebra:
         """The unique c with a + c = b, or None when a is not below b."""
         raise NotImplementedError
 
+    def running_sums(self, start, terms) -> list | None:
+        """start, then each sum of it and the terms up to one, added in
+        order; None once a sum is undefined."""
+        acc, out = start, [start]
+        for t in terms:
+            acc = self.sum(acc, t)
+            if acc is None:
+                return None
+            out.append(acc)
+        return out
+
     def eq(self, a, b) -> bool:
         return a == b
 

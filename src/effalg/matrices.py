@@ -1,20 +1,25 @@
 """Real symmetric matrix effects 0 <= a <= I, compressions a -> p a p.
 
 The carrier is not enumerable; order and equality are decided by
-eigenvalue bounds within a fixed tolerance, covers and positive parts
-by eigendecomposition, and boundary eigenvalues (|mu| <= tol) always
-land on the 'below' side of a split.  A splitting tree is read off one
+eigenvalue bounds within a fixed tolerance, tol in [1e-12, 1e-6], covers
+and positive parts by eigendecomposition, and boundary eigenvalues (|mu|
+<= tol) always land on the 'below' side of a split.  Order tests on many
+pairs are one stacked ``eigvalsh`` (``leq_pairs``), each pair with the
+bits of its own ``leq``.  A splitting tree is read off one
 eigendecomposition of its element (``MatrixCompressionBase.tree_nodes``):
 each split keeps a's eigenvectors and halves their eigenvalues, so the
-tree's cells are the binary digits of a's spectrum.  Likewise the
-verifier reads the doubling maps on all its cells off one stacked
-eigenvalue computation of b + 2u (``MatrixCompressionBase.doubling_cells``):
-each eigenvalue of b walks its binary digits, and only cells where
-rounding could tip an order test or the cover go to the scalar path.
+tree's cells are the binary digits of a's spectrum, and the nodes come
+from one stack of rank-one projectors.  Likewise the verifier reads the
+doubling maps on all its cells off one stacked eigenvalue computation of
+b + 2u with one entry per pair of runs
+(``MatrixCompressionBase.doubling_cells``): each eigenvalue of b walks its
+binary digits, and only cells where rounding could tip an order test or
+the cover go to the scalar path.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +49,13 @@ class MatrixEffectAlgebra(EffectAlgebra):
     def __init__(self, dim: int, tol: float = 1e-9):
         if dim not in (2, 3, 4):
             raise ValueError("matrix algebras are supported for dimensions 2..4")
+        # Below 1e-12 the rounding of an eigendecomposition, about 32 * dim *
+        # eps * 2^depth at depth 9, is no longer small against tol, and the
+        # verifier fails computed resolutions; above 1e-6 the order is
+        # coarser than the fixed 1e-6 thresholds of ``meets`` and
+        # ``bicommutant_test``.  NaN fails both comparisons.
+        if not 1e-12 <= tol <= 1e-6:
+            raise ValueError(f"tol must lie in [1e-12, 1e-6], not {tol!r}")
         self.dim = dim
         self.tol = tol
 
@@ -56,6 +68,15 @@ class MatrixEffectAlgebra(EffectAlgebra):
         return np.eye(self.dim)
 
     def check_element(self, a) -> np.ndarray:
+        a = self.check_symmetric(a)
+        self.check_spectrum(np.linalg.eigvalsh(a))
+        return a
+
+    def check_symmetric(self, a) -> np.ndarray:
+        """sym(a) for a finite matrix a of the carrier's dimension that is
+        symmetric within tol; ``ElementNotInCarrier`` else.  ``check_element``
+        adds ``check_spectrum`` on an ``eigvalsh`` of it; ``tree_nodes`` runs
+        that check on its own ``eigh``."""
         try:
             a = np.asarray(a, dtype=float)
         except (TypeError, ValueError):
@@ -63,16 +84,35 @@ class MatrixEffectAlgebra(EffectAlgebra):
         if a.shape != (self.dim, self.dim) or not np.isfinite(a).all() \
                 or np.abs(a - a.T).max() > self.tol:
             raise ElementNotInCarrier("need a finite symmetric matrix of the right dimension")
-        vals = np.linalg.eigvalsh(sym(a))
-        if vals.min() < -self.tol or vals.max() > 1 + self.tol:
-            raise ElementNotInCarrier("eigenvalues must lie in [0, 1]")
         return sym(a)
+
+    def check_spectrum(self, vals) -> None:
+        """``ElementNotInCarrier`` unless the ascending eigenvalues ``vals``
+        lie in [-tol, 1 + tol]."""
+        if vals[0] < -self.tol or vals[-1] > 1 + self.tol:
+            raise ElementNotInCarrier("eigenvalues must lie in [0, 1]")
 
     def eq(self, a, b) -> bool:
         return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= self.tol)
 
     def leq(self, a, b) -> bool:
         return bool(np.linalg.eigvalsh(sym(b - a)).min() >= -self.tol)
+
+    def leq_pairs(self, xs, ys) -> np.ndarray:
+        """``leq`` on each pair of the stacks xs and ys, which broadcast
+        against each other, from one stacked ``eigvalsh``: each entry
+        has the bits of its own ``leq``."""
+        return np.linalg.eigvalsh(sym(np.asarray(ys) - np.asarray(xs))).min(axis=-1) >= -self.tol
+
+    def running_sums(self, start, terms) -> list | None:
+        """start, then each sum of it and the terms up to one, added in
+        order as ``sum`` adds them, sym(acc + t); None if one is undefined.
+        Each sum is tested below the unit in one ``leq_pairs`` call."""
+        out, raw = [start], []
+        for t in terms:
+            raw.append(out[-1] + t)
+            out.append(sym(raw[-1]))
+        return out if not raw or self.leq_pairs(np.array(raw), self.one).all() else None
 
     def sum(self, a, b):
         s = a + b
@@ -243,6 +283,21 @@ class MatrixCompressionBase:
     def in_commutant(self, a, p) -> bool:
         return bool(np.abs(p @ a - a @ p).max() <= 100 * self.algebra.tol)
 
+    def commuting_projections(self, a, ps) -> list:
+        """Whether each p of ``ps`` is a projection (``is_projection``) that
+        commutes with a (``in_commutant``).  When every p is a finite float
+        matrix of the carrier's shape, the tests run on the stack of them,
+        and each p gets the bits of its own tests."""
+        tol, shape = self.algebra.tol, (self.algebra.dim, self.algebra.dim)
+        stack = np.array(ps) if all(isinstance(p, np.ndarray) and p.dtype == float
+                                    and p.shape == shape for p in ps) else None
+        if stack is None or not np.isfinite(stack).all():
+            return [self.is_projection(p) and self.in_commutant(a, p) for p in ps]
+        ok = (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) <= tol) \
+            & (np.abs(stack @ stack - stack).max(axis=(1, 2)) <= 10 * tol) \
+            & (np.abs(stack @ a - a @ stack).max(axis=(1, 2)) <= 100 * tol)
+        return ok.tolist()
+
     def commute(self, e, f) -> bool:
         return bool(np.abs(e @ f - f @ e).max() <= 100 * self.algebra.tol)
 
@@ -295,15 +350,18 @@ class MatrixCompressionBase:
             out[ranks == r] = sym(block @ np.swapaxes(block, -1, -2))
         return out
 
-    def doubling_cells(self, a, cells) -> list:
+    def doubling_cells(self, a, pairs, cells) -> list:
         """Clause (iv) of ``spectral.verify_resolution`` on its cells
-        ``(w, p_hi, p_lo')``: a ``(u, verdict)`` per cell, with u = p_hi ^
-        p_lo' from one stacked ``meets``, b = J_u(a) = u a u, and the verdict
-        from one stacked ``eigvalsh`` of b + 2u.  It is "fail" where the
-        scalar path (``spectral._doubling_cell``) finds no f_w(b) in [0, u],
-        "cover" where the image's cover is not u, "pass", or "undecided"
-        where rounding may tip the scalar path, which the caller then runs.
-        The stacked calls give each cell the bits of its own calls.
+        ``(w, i)``, each straddling the pair of runs ``pairs[i] = (p_hi,
+        p_lo')``: a ``(u, verdict)`` per cell.  u = p_hi ^ p_lo' and b = J_u(a)
+        = u a u depend on the pair alone, so one stacked ``meets`` and one
+        stacked ``eigvalsh`` of b + 2u hold one entry per pair, and each
+        cell walks its pair's eigenvalues (``_walk``).  The verdict is
+        "fail" where the scalar path (``spectral._doubling_cell``) finds no
+        f_w(b) in [0, u], "cover" where the image's cover is not u, "pass",
+        or "undecided" where rounding may tip the scalar path, which the
+        caller then runs.  The stacked calls give each pair the bits of its
+        own calls.
 
         b and u commute, and 0 <= b <= u, so every iterate of f_w is diagonal
         in their joint eigenbasis.  On range(u), of dimension trace(u), the
@@ -333,25 +391,43 @@ class MatrixCompressionBase:
         """
         if not cells:
             return []
-        us = self.meets(np.array([p for _, p, _ in cells]), np.array([q for _, _, q in cells]))
+        us = self.meets(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
         ranks = np.rint(np.trace(us, axis1=1, axis2=2)).astype(int).tolist()
-        spectra = np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us)
-        return [(u, self._walk(w, (ys[self.algebra.dim - rank:] - 2.0).tolist()))
-                for (w, _, _), u, rank, ys in zip(cells, us, ranks, spectra)]
+        ys = (np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us) - 2.0).tolist()
+        longest = {}  # per pair, the w of its deepest cell: the others are its prefixes
+        for w, i in cells:
+            if len(w) >= len(longest.get(i, ())):
+                longest[i] = w
+        walks = {i: self._walk(w, ys[i][self.algebra.dim - ranks[i]:])
+                 for i, w in longest.items()}
+        return [(us[i], self._verdict(len(w), walks[i])) for w, i in cells]
 
-    def _walk(self, w, ys) -> str:
-        """``doubling_cells``' verdict on w from b's eigenvalues ys on range(u)."""
+    def _walk(self, w, ys):
+        """The walk of b's eigenvalues ys on range(u) along w: per prefix
+        length m, ``(low, least)``, the least test value and the least image
+        eigenvalue of f_w[:m]; None when an eigenvalue lies outside [-tol,
+        1 + tol], where every cell is undecided."""
         tol = self.algebra.tol
-        beta = 32 * self.algebra.dim * np.finfo(float).eps * 2.0 ** len(w)
-        if beta >= tol or ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
-            return "undecided"
-        low, least = 1.0, 1.0  # the least test value, the least image eigenvalue
+        if ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
+            return None
+        lows, leasts = [1.0] * (len(w) + 1), [1.0] * (len(w) + 1)
         for y in ys:
-            low = min(low, 1.0 - y)
-            for bit in w:
+            low = 1.0 - y
+            lows[0], leasts[0] = min(lows[0], low), min(leasts[0], y)
+            for m, bit in enumerate(w, 1):
                 y = 2.0 * y - bit
                 low = min(low, 1.0 - y, y) if bit else min(low, 1.0 - y)
-            least = min(least, y)
+                lows[m], leasts[m] = min(lows[m], low), min(leasts[m], y)
+        return list(zip(lows, leasts))
+
+    def _verdict(self, length: int, walk) -> str:
+        """``doubling_cells``' verdict on a cell of the given length, from its
+        pair's ``_walk``."""
+        tol = self.algebra.tol
+        beta = 32 * self.algebra.dim * sys.float_info.epsilon * 2.0 ** length
+        if beta >= tol or walk is None:
+            return "undecided"
+        low, least = walk[length]
         if low < -tol - beta:
             return "fail"
         if low < -tol + beta:
@@ -405,7 +481,8 @@ class MatrixCompressionBase:
 
     def tree_nodes(self, a, n: int):
         """``(u, c)``: the nonzero nodes of a's depth-n splitting tree, from
-        one eigendecomposition of a.
+        one eigendecomposition of a, which also checks that a lies in the
+        carrier (``ElementNotInCarrier``), as ``check_element`` does.
 
         The root is the cover, spanned by the eigenvectors v of a with
         eigenvalue x > tol, and c_() = a.  A node's c_w has the eigenvalue
@@ -413,7 +490,9 @@ class MatrixCompressionBase:
         tol, where its eigenvalue becomes 2y - bit.  So each v walks its
         bits in scalar arithmetic: u_w is the sum of the rank-one
         projectors of the cell w, and c_w (w nonempty) their sum weighted by
-        the walked values.  The checks of ``spectral._grow`` run on the same
+        the walked values.  The projectors are one stack, and the weighted
+        ones one stacked product; a node adds its members' in eigenvector
+        order.  The checks of ``spectral._grow`` run on the same
         eigendecomposition:
 
         * the eigenbasis is orthonormal within tol, so each layer is
@@ -428,24 +507,39 @@ class MatrixCompressionBase:
         """
         E = self.algebra
         tol = E.tol
-        vals, vecs = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
+        a = E.check_symmetric(a)
+        vals, vecs = np.linalg.eigh(a)
+        E.check_spectrum(vals)
         if np.abs(vecs.T @ vecs - np.eye(E.dim)).max() > tol:
             raise InternalConsistencyError(f"layer {n} is not orthogonal")
         paths = []  # per eigenvector: its depth-n cell w, or None at or below tol
-        u, c = {}, {}
-        for x, v in zip(vals.tolist(), vecs.T):
+        cells, walks = [], []  # per eigenvector above tol: its cell w and value y per level
+        for x in vals.tolist():
             if x <= tol:
                 paths.append(None)
                 continue
-            proj = np.outer(v, v)
-            w, y = (), x
+            w, y, ws, ys = (), x, [], []
             for _ in range(n + 1):
-                u[w] = u[w] + proj if w in u else proj
-                c[w] = c[w] + y * proj if w in c else y * proj
+                ws.append(w)
+                ys.append(y)
                 bit = int(2.0 * y - 1.0 > tol)
                 w, y = w + (bit,), 2.0 * y - bit
-            paths.append(w[:n])
-        if u:
+            paths.append(ws[-1])
+            cells.append(ws)
+            walks.append(ys)
+        u, c = {}, {}
+        if cells:
+            kept = vecs.T[len(vals) - len(cells):]  # the eigenvalues above tol come last
+            projs = kept[:, :, None] * kept[:, None, :]  # np.outer(v, v) per v
+            weighted = np.array(walks)[:, :, None, None] * projs[:, None]  # y * proj per level
+            for ws, proj, ys in zip(cells, projs, weighted):
+                for w, y_proj in zip(ws, ys):
+                    if w in u:
+                        u[w] = u[w] + proj
+                        c[w] = c[w] + y_proj
+                    else:
+                        u[w] = proj
+                        c[w] = y_proj
             c[()] = a
         # Cells follow the eigenvalues' order, so a cluster is cut iff two
         # neighbours in it lie in different cells, and the lowest cell that

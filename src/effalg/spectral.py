@@ -9,10 +9,14 @@ Exact dyadic bookkeeping (binary strings w, lambda(w) = k(w)/2^l(w),
 grid indices j for lambda = j/2^n) is kept in integers end to end.
 
 A resolution is a chain: each prefix sum is checked defined where it is
-built, on every base (``_layer_jumps``), so it lies below the next.  So
-the meet of its entries above a point is the next entry, and neither
-``rational_resolution`` nor clause (iii) of ``verify_resolution`` forms a
-meet in P; only the cells of clause (iv), p_hi ^ p_lo', need one.
+built, on every base, in one ``running_sums`` call (``_layer_jumps``), so
+it lies below the next.  So the meet of its entries above a point is the
+next entry, and neither ``rational_resolution`` nor clause (iii) of
+``verify_resolution`` forms a meet in P; only the cells of clause (iv),
+p_hi ^ p_lo', need one, and a cell's meet depends only on the pair of
+runs it straddles.  So the verifier checks per run or per pair of runs,
+not per cell: one stacked call for each of clauses (i) and (ii), and one
+meet, J_u(a) and spectrum per pair in clause (iv).
 
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
@@ -25,11 +29,12 @@ element, the deepest asked for so far: shallower requests read its top
 layers, deeper ones split on from its deepest layer.  Product bases and the matrix base keep none.
 
 The matrix base reads a tree off one eigendecomposition of its element
-(``MatrixCompressionBase.tree_nodes``): each eigenvector walks its binary
-digits in scalar arithmetic, and the checks of the split loop become one
-orthonormality test of the eigenbasis and one test that no eigenvalue
-cluster is cut.  The generic loop on any base stays as
-``_splitting_tree``, the reference for the factor and matrix routes.
+(``MatrixCompressionBase.tree_nodes``), which also checks the element:
+each eigenvector walks its binary digits in scalar arithmetic, and the
+checks of the split loop become one orthonormality test of the
+eigenbasis and one test that no eigenvalue cluster is cut.  The generic
+loop on any base stays as ``_splitting_tree``, the reference for the
+factor and matrix routes.
 """
 
 from __future__ import annotations
@@ -179,8 +184,10 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
     bases keep (``_leaf_tree``): a base with ``factors`` adds up the leaf
     trees of a's coordinates (``_nodes``), and a leaf base reads its own.
     The matrix base reads the tree off one eigendecomposition of a
-    (``MatrixCompressionBase.tree_nodes``).  The returned tree is the
-    caller's: no base keeps it.
+    (``MatrixCompressionBase.tree_nodes``), which checks a against the
+    carrier on that decomposition.  So an element outside the carrier
+    raises ``ElementNotInCarrier`` on every base.  The returned tree is
+    the caller's: no base keeps it.
     """
     n = check_depth(n)
     comparability.require_spectral(cb)
@@ -412,20 +419,22 @@ def binary_resolution(cb, a, n: int) -> SpectralResolution:
 
 
 def _layer_jumps(E, tree: SplittingTree, n: int) -> list:
-    """The jumps of the depth-n resolution, from the tree's depth-n layer,
-    each prefix sum checked to be defined, the last to be the unit.
-    ``acc <= acc + u`` holds by the order's definition (``a <= a + b`` in
-    ``TableAlgebra._derive_order``; ``min eig(u) >= -tol`` on matrices)."""
-    acc = E.ortho(tree._u.get((), E.zero))
-    jumps = [(0, acc)]
+    """The jumps of the depth-n resolution, from the tree's depth-n layer:
+    the prefix sums, from one ``E.running_sums`` call, each checked to be
+    defined (in one stacked order test on matrices), the last to be the
+    unit.  ``acc <= acc + u`` holds by the order's definition (``a <= a +
+    b`` in ``TableAlgebra._derive_order``; ``min eig(u) >= -tol`` on
+    matrices)."""
+    starts, terms = [0], []
     for w, u in tree.layer(n):
-        acc = E.sum(acc, u)
-        if acc is None:
-            raise InternalConsistencyError("resolution prefix sum undefined")
-        jumps.append((k_of(w) + 1, acc))
-    if not E.eq(acc, E.one):
+        starts.append(k_of(w) + 1)
+        terms.append(u)
+    sums = E.running_sums(E.ortho(tree._u.get((), E.zero)), terms)
+    if sums is None:
+        raise InternalConsistencyError("resolution prefix sum undefined")
+    if not E.eq(sums[-1], E.one):
         raise InternalConsistencyError("resolution does not reach the unit")
-    return jumps
+    return list(zip(starts, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +454,8 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     The depth-n resolution is a chain (``binary_resolution`` checks it
     monotone), so the meet of its entries above lam is the entry at the
     first depth-n point above lam, and no meet in P is formed.  The value
-    at the first depth-m point above lam, for m = 1..n, shows from which
-    depth on it is stable.
+    at the first depth-m point above lam, for m = n - 1 down to 1 until
+    one differs, shows from which depth on it is stable.
 
     Requires an archimedean algebra (right continuity fails otherwise).
     Raises Unstable when the meet still moved between depths n-1 and n,
@@ -469,25 +478,29 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     if n == 0:  # no grid point lies strictly between lam and 1
         raise InvalidDepth("a rational resolution below lambda = 1 needs depth >= 1")
 
+    # Entries of one run are one object, and eq is reflexive, so each
+    # comparison tests identity first.
     num, den = lam.numerator, lam.denominator
     j0, off_grid = divmod(num << n, den)  # lam * 2^n = j0 + off_grid / den
-    if off_grid and not E.eq(res.at_index(j0), res.at_index(j0 + 1)):
-        raise Unstable(n, lam)  # p jumps inside the depth-n cell around lam
+    if off_grid:
+        p, q = res.at_index(j0), res.at_index(j0 + 1)
+        if not (p is q or E.eq(p, q)):
+            raise Unstable(n, lam)  # p jumps inside the depth-n cell around lam
 
     def above(m):
         """Depth-n index of the first depth-m point above lam (lam < 1)."""
         return ((num << m) // den + 1) << (n - m)
 
-    values = [res.at_index(above(m)) for m in range(1, n + 1)]
-    if len(values) >= 2 and not E.eq(values[-1], values[-2]):
-        raise Unstable(n)
+    last = res.at_index(above(n))
     stable_from = n
-    for m in range(len(values) - 1, 0, -1):
-        if E.eq(values[m - 1], values[-1]):
-            stable_from = m
-        else:
+    for m in range(n - 1, 0, -1):
+        value = res.at_index(above(m))
+        if not (value is last or E.eq(value, last)):
+            if m == n - 1:  # the meet still moved between depths n - 1 and n
+                raise Unstable(n)
             break
-    return RationalValue(values[-1], stable_from, n) if details else values[-1]
+        stable_from = m
+    return RationalValue(last, stable_from, n) if details else last
 
 
 # ---------------------------------------------------------------------------
@@ -504,29 +517,32 @@ def apply_fw(cb, w, b, q):
     pass q - b <= b and still miss 2(q - b) <= 1.
 
     The reference for clause (iv) of ``verify_resolution``, which runs it
-    on leaf cells (``_leaf_verdict``) and on the matrix cells that the
-    eigenvalue walk of ``MatrixCompressionBase.doubling_cells`` leaves undecided.
+    on the matrix cells that the eigenvalue walk of
+    ``MatrixCompressionBase.doubling_cells`` leaves undecided, and its
+    steps (``_fw_step``) on leaf cells (``_leaf_cells``).
     """
     E = cb.algebra
-    cur = b
     if not w:
-        return cur if E.leq(cur, q) else None
+        return b if E.leq(b, q) else None
+    cur = b
     for bit in w:
-        comp = E.ominus(q, cur)
-        if comp is None:
-            return None
-        if bit == 0:
-            if not E.leq(cur, comp):
-                return None
-            cur = E.sum(cur, cur)
-        else:
-            if not E.leq(comp, cur):
-                return None
-            double = E.sum(comp, comp)
-            cur = None if double is None else E.ominus(q, double)
+        cur = _fw_step(E, bit, cur, q)
         if cur is None:
             return None
     return cur
+
+
+def _fw_step(E, bit, cur, q):
+    """f_bit(cur) inside [0, q], one step of ``apply_fw``; None where it fails."""
+    comp = E.ominus(q, cur)
+    if comp is None:
+        return None
+    if bit == 0:
+        return E.sum(cur, cur) if E.leq(cur, comp) else None
+    if not E.leq(comp, cur):
+        return None
+    double = E.sum(comp, comp)
+    return None if double is None else E.ominus(q, double)
 
 
 # ---------------------------------------------------------------------------
@@ -547,42 +563,44 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     cell by cell).  For a spectral archimedean algebra the computed
     resolution is the unique family passing all four.
 
+    ``a`` must lie in the carrier (``ElementNotInCarrier``), on every base.
     ``family`` is any mapping lambda -> p_lambda, read as runs of one
     projection; each clause is checked per run, jump or nonzero cell, with
     the verdict and witness of a point-by-point scan.  An entry outside the
-    carrier fails (i), and the later clauses are skipped.  (iii) runs once
-    (ii) has passed: the family is a chain, so it compares neighbouring
-    runs.  (iv) lists its cells (w, p_hi, p_lo') in grid order per level
-    and reports the first that fails.  On an enumerable base each cell
-    forms one ``meet_proj`` and is decided from its leaf cells
-    (``_leaf_verdict``), after ``a`` is checked (``ElementNotInCarrier``).
-    The matrix base decides all cells from one stacked ``eigh`` and
-    ``eigvalsh`` (``cb.doubling_cells``) where rounding cannot tip
-    ``_doubling_cell``, which decides the rest.
+    carrier fails (i), and the later clauses are skipped.  (i) tests every
+    run in one ``cb.commuting_projections`` call, and (ii) the boundary
+    p_0 <= a' and each run below the next in one ``E.leq_pairs`` call.
+    (iii) runs once (ii) has passed: the family is a chain, so it compares
+    neighbouring runs.  (iv) lists its cells (w, p_hi, p_lo') in grid order
+    per level and reports the first that fails.  A cell's u_w depends only
+    on the pair of runs that its ends lie in, so each p_lo' is formed once
+    per run and each meet once per pair of runs.  On an enumerable base the
+    meets are formed leaf by leaf, and each cell is decided from its leaf
+    cells (``_leaf_cells``).  The matrix base decides all cells from one
+    stacked ``eigh`` and ``eigvalsh`` with an entry per pair
+    (``cb.doubling_cells``) where rounding cannot tip ``_doubling_cell``,
+    which decides the rest.
     """
     n = check_depth(n)
     E = cb.algebra
-    if cb.enumerable:
-        a = E.check_element(a)
+    a = E.check_element(a)
     rep = Report(f"resolution family for {E.label(a)} at depth {n}")
     fam = _as_resolution(E, a, family, n)
     rep.add("grid-complete", fam is not None)
     if fam is None:
         return rep
     runs = fam.runs()
+    ps = [p for _, _, p in runs]
     scale = 1 << n
 
-    ok_i, w_i = True, None
-    for lo, _, p in runs:
-        if not (cb.is_projection(p) and cb.in_commutant(a, p)):
-            ok_i, w_i = False, Fraction(lo, scale)
-            break
+    first = next((i for i, ok in enumerate(cb.commuting_projections(a, ps)) if not ok), None)
+    ok_i, w_i = first is None, None if first is None else Fraction(runs[first][0], scale)
     rep.add("(i)-projections-commuting-with-a", ok_i, witness=w_i)
 
-    inside = ok_i or all(_in_carrier(E, p) for _, _, p in runs)
-    ok_ii = inside and E.leq(runs[0][2], E.ortho(a)) and E.eq(runs[-1][2], E.one)
-    if ok_ii:  # within a run the order holds by reflexivity
-        ok_ii = all(E.leq(p, q) for (_, _, p), (_, _, q) in zip(runs, runs[1:]))
+    inside = ok_i or all(_in_carrier(E, p) for p in ps)
+    # p_0 <= a', and each run below the next: within a run by reflexivity
+    ok_ii = inside and E.eq(ps[-1], E.one) and \
+        bool(E.leq_pairs(np.array(ps[:1] + ps[:-1]), np.array([E.ortho(a)] + ps[1:])).all())
     rep.add("(ii)-boundary-and-monotone", ok_ii,
             detail="" if inside else "skipped: an entry is not in the carrier")
 
@@ -595,29 +613,42 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     # a point is the next entry.  Only points of level < n are checked (every
     # point at depth 0): no finer grid lies right of a level-n point.
     ok_iii, w_iii = True, None
-    for (_, hi, p), (_, _, q) in zip(runs, runs[1:]):
+    for (_, hi, p), q in zip(runs, ps[1:]):
         if hi % 2 == 0 and not E.eq(q, p):
             ok_iii, w_iii = False, Fraction(hi, scale)
             break
     rep.add("(iii)-right-continuous", ok_iii, witness=w_iii)
 
     # A zero cell (both ends in one run, u_w = p ^ p' = 0) passes (iv): f_w(0)
-    # and cover(0) are 0.  So only the cells that contain a jump are checked.
-    cells = [(string_of(k, level), fam.at_index((k + 1) << (n - level)),
-              E.ortho(fam.at_index(k << (n - level))))
-             for level in range(n + 1)
-             for k in sorted({(j - 1) >> (n - level) for j, _ in fam.jumps[1:]})]
-    leaves = cb.enumerable and _leaves(cb, a)
-    decided = cb.doubling_cells(a, cells) if not cb.enumerable else \
-        ((cb.meet_proj(hi, lo), "undecided") for _, hi, lo in cells)  # stops where (iv) does
+    # and cover(0) are 0.  So only the cells that contain a jump are checked,
+    # each as (w, its pair of runs).  Jump t (from 0) starts run t + 1 after
+    # grid index ends[t]; the level-l cell k holds the jumps t..t' with
+    # ends >> (n - l) = k, so its ends lie in runs t' + 1 and t, and w is the
+    # first l bits of ends[t].  So every cell of one pair reads a prefix of
+    # one string of n bits.
+    ends = [j - 1 for j, _ in fam.jumps[1:]]
+    bits = [string_of(e, n) for e in ends]
+    orthos = [E.ortho(p) for p in ps[:-1]]  # p_lo' per run; the last run is no lower end
+    pairs, cells = {}, []
+    for level in range(n + 1):
+        shift = n - level
+        start = 0  # the first jump of the current cell
+        for t, e in enumerate(ends):
+            if t + 1 == len(ends) or ends[t + 1] >> shift != e >> shift:
+                cells.append((bits[start][:level], pairs.setdefault((t + 1, start), len(pairs))))
+                start = t + 1
+    if cb.enumerable:
+        decided = _leaf_cells(cb, a, [_leaves(cb, p) for p in ps],
+                              [_leaves(cb, q) for q in orthos], list(pairs), cells)
+    else:
+        decided = cb.doubling_cells(a, [(ps[h], orthos[lo]) for h, lo in pairs], cells)
     ok_iv, w_iv = True, None
-    for (w, _, _), (u_w, verdict) in zip(cells, decided):
+    for (w, _), (u_w, verdict) in zip(cells, decided):
         if u_w is None:
             ok_iv, w_iv = False, (w, "meet")
             break
-        if verdict == "undecided":
-            verdict = _leaf_verdict(w, leaves, _leaves(cb, u_w)) if leaves else \
-                _doubling_cell(cb, w, a, u_w)
+        if verdict == "undecided":  # on matrices, where rounding may tip the walk
+            verdict = _doubling_cell(cb, w, a, u_w)
         if verdict != "pass":
             ok_iv, w_iv = False, w if verdict == "fail" else (w, "cover")
             break
@@ -645,17 +676,67 @@ def _doubling_cell(cb, w, a, u_w) -> str:
     return "pass" if E.eq(cb.cover(img), u_w) else "cover"
 
 
-def _leaf_verdict(w, a_leaves, u_leaves) -> str:
-    """``_doubling_cell`` on a cell of an enumerable base, from a's and
-    u_w's ``_leaves``.  J_u, f_w, img <= u_w and the cover are componentwise:
-    the cell fails if a leaf cell fails, else asks every leaf for its cover,
-    as the product's cover does.  A leaf where u_w is zero passes."""
-    cells = [(leaf, u, apply_fw(leaf, w, leaf.apply(u, x), u))
-             for (leaf, x, _), (_, u, _) in zip(a_leaves, u_leaves) if u != leaf.algebra.zero]
-    if any(img is None or not leaf.algebra.leq(img, u) for leaf, u, img in cells):
+def _leaf_cells(cb, a, his, los, pairs, cells):
+    """Clause (iv) on an enumerable base, as ``doubling_cells`` gives it on
+    matrices: ``(u, verdict)`` per cell ``(w, i)``, u None where the meet
+    is missing, lazily, so that nothing is formed past the first cell that
+    fails.  ``his`` and ``los`` hold the ``_leaves`` of each run's p and
+    p', and ``pairs[i]`` the runs of a cell.  The meets and J_u(a) are
+    formed once per pair (``_leaf_meet``, ``_leaf_walk``), and the cells of
+    one pair share the steps of f_w (``_leaf_verdict``): their w are
+    prefixes of one string.
+    """
+    a_leaves = _leaves(cb, a)
+    walks = {}  # pair -> its _leaf_walk, or None where the meet is missing
+    for w, i in cells:
+        if i not in walks:
+            h, lo = pairs[i]
+            u = _leaf_meet(his[h], los[lo])
+            walks[i] = None if u is None else _leaf_walk(a_leaves, u)
+        yield (None, None) if walks[i] is None else (walks[i], _leaf_verdict(w, walks[i]))
+
+
+def _leaf_meet(hi, lo):
+    """p ^ q leaf by leaf from the ``_leaves`` of p and q, as ``_leaves``;
+    None at the first leaf where they have no meet."""
+    out = []
+    for (leaf, p, stride), (_, q, _) in zip(hi, lo):
+        m = leaf.meet_proj(p, q)
+        if m is None:
+            return None
+        out.append((leaf, m, stride))
+    return out
+
+
+def _leaf_walk(a_leaves, u_leaves) -> list:
+    """``(leaf, u, [J_u(x)])`` per leaf where u is nonzero, from a's and u's
+    ``_leaves``: each leaf cell with the first of its iterates of f_w,
+    which ``_leaf_verdict`` extends."""
+    return [(leaf, u, [leaf.apply(u, x)]) for (leaf, x, _), (_, u, _) in zip(a_leaves, u_leaves)
+            if u != leaf.algebra.zero]
+
+
+def _leaf_verdict(w, walk) -> str:
+    """``_doubling_cell`` on the cell w of an enumerable base, from the
+    ``_leaf_walk`` of a and u_w.  J_u, f_w, img <= u_w and the cover are
+    componentwise: the cell fails if a leaf cell fails, else asks every
+    leaf for its cover, as the product's cover does.  A leaf where u_w is
+    zero passes.  Each leaf keeps the iterates along the longest w walked
+    so far, so the strings of one walk must be prefixes of one string; a
+    step (``_fw_step``) is taken once, and each image is ``apply_fw``'s."""
+    imgs = []
+    for leaf, u, its in walk:
+        E = leaf.algebra
+        if not w:
+            imgs.append(its[0] if E.leq(its[0], u) else None)
+            continue
+        while len(its) <= len(w) and its[-1] is not None:
+            its.append(_fw_step(E, w[len(its) - 1], its[-1], u))
+        imgs.append(its[len(w)] if len(its) > len(w) else None)
+    if any(img is None or not leaf.algebra.leq(img, u) for (leaf, u, _), img in zip(walk, imgs)):
         return "fail"
-    covers = [leaf.cover(img) for leaf, _, img in cells]
-    return "pass" if covers == [u for _, u, _ in cells] else "cover"
+    covers = [leaf.cover(img) for (leaf, _, _), img in zip(walk, imgs)]
+    return "pass" if covers == [u for _, u, _ in walk] else "cover"
 
 
 def _as_resolution(E, a, family: Mapping, n: int):

@@ -778,3 +778,19 @@ def test_sampled_rows_name_their_work_and_the_budget(tmp_path, capsys, monkeypat
     assert cli.main(["--format", "json", "validate", doc]) == 0
     full = json.loads(capsys.readouterr().out)["reports"][1]["checks"]
     assert [c["detail"] for c in full if c["name"] == "C1-compressions"] == ["2 of 2 maps checked"]
+
+
+@pytest.mark.parametrize("tol", [-1, float("nan"), 1e300, 0, 1e-15])
+def test_a_matrix_tol_outside_its_range_exits_2(tmp_path, tol):
+    """A matrix document whose ``tol`` lies outside [1e-12, 1e-6] exits 2
+    with a message that names ``tol``: -1 and NaN leaked a ``TypeError``'s
+    text, 1e300 resolved a matrix with an eigenvalue of 9, 0 raised
+    ``NotCommuting`` in every resolution, and 1e-15 broke the orthogonality
+    of trees."""
+    doc = write(tmp_path, "matrix.json", {"kind": "matrix", "dim": 3, "tol": tol})
+    for argv in (["spectral", doc, "--element", "9,0,0,0,1/2,0,0,0,1/4", "--depth", "3"],
+                 ["spectral", doc, "--element", "1/2,0,0,0,1/2,0,0,0,1/4", "--depth", "3"],
+                 ["validate", doc]):
+        code, err = run_cli(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith("error: ") and "tol must lie in [1e-12, 1e-6]" in err, err

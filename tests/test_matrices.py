@@ -363,3 +363,244 @@ def test_a_matrix_tree_makes_one_eigh_and_no_split(matrix3, monkeypatch):
     assert calls == {"eigh": 1, "split": 0}
     spectral.binary_resolution(cb, a, 8)
     assert calls["split"] == 0
+
+
+# ---------------------------------------------------------------------------
+# stacked order tests and trees, bit for bit against one matrix at a time
+
+
+def _bytes(x) -> bytes:
+    """The bits of a float array: unlike ``np.array_equal``, -0.0 is not 0.0."""
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+def _effects(E, rng):
+    """Seeded effects (``_tree_cases``), edge spectra with one eigenvalue at
+    j/32 +- 5e-10..1e-6 or at tol, and effects perturbed by symmetric
+    noise of 1e-12 to 1e-9 (eigenvalues kept inside [0.01, 0.99])."""
+    yield from (a for _, a in _tree_cases(E, rng))
+    others = list(np.linspace(0.1, 0.9, E.dim - 1))
+    for j in (8, 12, 16, 20):
+        for off in (5e-10, -5e-10, 1e-9, -1e-9, 1e-8, 1e-7, -1e-6):
+            yield rotated(rng, [j / 32 + off] + others)
+    yield rotated(rng, [E.tol] + others)
+    yield rotated(rng, [2 * E.tol] + others)
+    for size in (1e-12, 1e-11, 1e-10, 1e-9):
+        noise = sym(rng.standard_normal((E.dim, E.dim))) * size
+        yield rotated(rng, rng.uniform(0.01, 0.99, E.dim)) + noise
+
+
+def _edge_pairs(E, rng):
+    """(x, y) with y - x's least eigenvalue at -tol + d, d = +-1e-12..1e-9:
+    ``leq`` holds on one side of the edge and fails on the other."""
+    for d in (1e-12, -1e-12, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9):
+        x = rotated(rng, rng.uniform(0.2, 0.4, E.dim))
+        gap = rotated(rng, [-E.tol + d] + list(rng.uniform(0.1, 0.5, E.dim - 1)))
+        yield x, x + gap
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_leq_pairs_is_scalar_leq_bit_for_bit(dim):
+    """``leq_pairs`` on a stack is ``leq`` on each pair: on the boundary
+    and neighbouring runs of resolutions at depths 3 to 6 of seeded, edge
+    and perturbed effects, on each element against the unit (a broadcast
+    one), and on pairs at the ``-tol`` edge, where both answers occur."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(230 + dim)
+    pairs = list(_edge_pairs(E, rng))
+    effects = list(_effects(E, rng))
+    for a in effects:
+        for n in (3, 6):
+            try:
+                ps = [p for _, p in spectral.binary_resolution(cb, a, n).jumps]
+            except InternalConsistencyError:
+                continue
+            pairs += [(ps[0], E.ortho(a))] + list(zip(ps, ps[1:])) + list(zip(ps[1:], ps))
+    xs, ys = (np.array([pair[i] for pair in pairs]) for i in (0, 1))
+    got = E.leq_pairs(xs, ys)
+    assert got.tolist() == [E.leq(x, y) for x, y in pairs]
+    assert set(got[:8].tolist()) == {True, False}
+    assert set(got.tolist()) == {True, False}
+    xs = np.array(effects)
+    assert E.leq_pairs(xs, E.one).tolist() == [E.leq(x, E.one) for x in effects]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_running_sums_are_the_sequential_sums_bit_for_bit(dim):
+    """``running_sums`` on matrices adds in order as ``sum`` does, sym(acc +
+    u), and tests every sum below the unit in one call: on the depth-3 to
+    depth-9 layers of seeded, edge and perturbed effects each sum has the
+    bits of the sequential ``sum``.  Where one sequential ``sum`` is
+    undefined, so is the whole."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(240 + dim)
+    checked = 0
+    for a in _effects(E, rng):
+        for n in (3, 6, 9):
+            try:
+                tree = spectral.splitting_tree(cb, a, n)
+            except InternalConsistencyError:
+                continue
+            start = E.ortho(tree.u(()))
+            terms = [u for _, u in tree.layer(n)]
+            got = E.running_sums(start, terms)
+            want, acc = [start], start
+            for u in terms:
+                acc = E.sum(acc, u)
+                assert acc is not None and _bytes(acc) == _bytes(sym(want[-1] + u))
+                want.append(acc)
+            assert [_bytes(x) for x in got] == [_bytes(x) for x in want]
+            checked += len(terms)
+    assert checked > 200
+    p = E.random_projection(rng, rank=1)
+    half = E.one / 2
+    for start, terms in ((E.one, [p]), (E.zero, [half, half, p]), (half, [p, half])):
+        acc = start
+        for u in terms:
+            acc = None if acc is None else E.sum(acc, u)
+        assert acc is None and E.running_sums(start, terms) is None
+
+
+def _tree_nodes_per_eigenvector(E, a, n):
+    """The nodes of ``tree_nodes`` as it formed them one eigenvector and
+    level at a time, with one ``np.outer`` and one product ``y * proj``
+    each: the reference for its stacked projectors."""
+    tol = E.tol
+    vals, vecs = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
+    u, c = {}, {}
+    for x, v in zip(vals.tolist(), vecs.T):
+        if x <= tol:
+            continue
+        proj = np.outer(v, v)
+        w, y = (), x
+        for _ in range(n + 1):
+            u[w] = u[w] + proj if w in u else proj
+            c[w] = c[w] + y * proj if w in c else y * proj
+            bit = int(2.0 * y - 1.0 > tol)
+            w, y = w + (bit,), 2.0 * y - bit
+    if u:
+        c[()] = a
+    return u, c
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_tree_nodes_match_the_per_eigenvector_loop(dim):
+    """``tree_nodes`` forms its nodes from one stack of rank-one projectors
+    and one stacked ``y * proj``: every node of every tree of seeded, edge
+    and perturbed effects at depths 0 to 10 has the bits of the loop that
+    formed them one eigenvector and level at a time."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(250 + dim)
+    nodes = 0
+    for a in _effects(E, rng):
+        for n in range(11):
+            try:
+                u, c = cb.tree_nodes(a, n)
+            except InternalConsistencyError:
+                continue
+            want_u, want_c = _tree_nodes_per_eigenvector(E, a, n)
+            assert list(u) == list(want_u) and list(c) == list(want_c)
+            assert all(_bytes(u[w]) == _bytes(want_u[w]) for w in u)
+            assert all(_bytes(c[w]) == _bytes(want_c[w]) for w in c)
+            nodes += len(u)
+    assert nodes > 2000
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-15, 1e-13, 2e-6, 1e-3, 1e300, np.inf, np.nan])
+def test_a_tol_outside_its_range_is_refused(tol):
+    """A tolerance below 1e-12 lets rounding tip verdicts on computed
+    resolutions (0 made every resolution raise ``NotCommuting``, 1e-15
+    broke the orthogonality of trees), and one above 1e-6 is coarser than
+    the fixed thresholds of ``meets``; -1 and NaN leaked a ``TypeError``."""
+    with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-6\]"):
+        matrices.MatrixEffectAlgebra(3, tol)
+    from effalg import instances
+    from effalg.errors import MalformedInput
+
+    with pytest.raises(MalformedInput, match="tol"):
+        instances.parse_document({"kind": "matrix", "dim": 3, "tol": tol})
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_a_tol_inside_its_range_resolves(tol):
+    E, cb = matrices.make_matrix_instance(3, tol)
+    a = rotated(np.random.default_rng(9), [1 / 8, 3 / 8, 13 / 16])
+    res = spectral.binary_resolution(cb, a, 6)
+    assert spectral.verify_resolution(cb, a, res.entries, 6).passed
+
+
+MALFORMED_EFFECTS = {
+    "NaN": np.full((3, 3), np.nan),
+    "2x2": np.eye(2) / 2,
+    "text": "x",
+    "eigenvalue 2": np.diag([2.0, 0.5, 0.1]),
+    "not symmetric": np.array([[0.5, 0.1, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_EFFECTS))
+def test_resolutions_refuse_a_matrix_outside_the_carrier(matrix3, name):
+    """``verify_resolution``, ``splitting_tree``, ``binary_resolution`` and
+    ``rational_resolution`` check their element on the matrix base as on
+    every base: a NaN matrix raised ``LinAlgError``, a 2x2 one a numpy
+    ``ValueError``, text a ``TypeError``, and an eigenvalue of 2 or a
+    matrix that is not symmetric gave a report or a resolution."""
+    E, cb = matrix3
+    a = MALFORMED_EFFECTS[name]
+    family = spectral.binary_resolution(cb, rotated(np.random.default_rng(3), [0.2, 0.5, 0.7]),
+                                        4).entries
+    for run in (lambda: spectral.verify_resolution(cb, a, family, 4),
+                lambda: spectral.splitting_tree(cb, a, 4),
+                lambda: spectral.binary_resolution(cb, a, 4),
+                lambda: spectral.rational_resolution(cb, a, Fraction(1, 3), 4)):
+        with pytest.raises(ElementNotInCarrier):
+            run()
+
+
+def _rotations(rng, dim):
+    """Rotations by angles of about 1e-8 to 1e-5, from the Cayley transform
+    of a seeded skew matrix: a projection rotated by one stays a
+    projection and commutes with less."""
+    for angle in (1e-8, 1e-7, 1e-6, 1e-5):
+        g = rng.standard_normal((dim, dim))
+        skew = angle * (g - g.T) / 2
+        yield np.linalg.solve(np.eye(dim) - skew, np.eye(dim) + skew)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_commuting_projections_is_the_per_run_test_bit_for_bit(dim):
+    """Clause (i) tests every run of a family in one stacked pass:
+    ``commuting_projections`` equals ``is_projection`` and ``in_commutant``
+    on each entry, and each stacked product has the bits of the product of
+    one matrix.  Entries: the runs of resolutions at depths 3 and 6 of
+    seeded, edge and perturbed effects, each also moved by symmetric noise
+    of 1e-10 to 1e-6, rotated by 1e-8 to 1e-5, or moved off symmetry by
+    about tol, where both answers occur; a list that holds a non-finite or
+    a non-float entry takes the per-entry tests."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(260 + dim)
+    outcomes = set()
+    for a in _effects(E, rng):
+        for n in (3, 6):
+            try:
+                ps = [p for _, p in spectral.binary_resolution(cb, a, n).jumps]
+            except InternalConsistencyError:
+                continue
+            ps += [p + s * sym(rng.standard_normal((dim, dim)))
+                   for p in ps for s in (1e-10, 1e-8, 1e-7, 1e-6)] + \
+                [sym(r @ p @ r.T) for p in ps for r in _rotations(rng, dim)] + \
+                [p + s * np.triu(rng.standard_normal((dim, dim)))
+                 for p in ps for s in (1e-9, 3e-9)]
+            a = E.check_element(a)
+            got = cb.commuting_projections(a, ps)
+            assert got == [cb.is_projection(p) and cb.in_commutant(a, p) for p in ps]
+            stack = np.array(ps)
+            for p, pp, pa, ap in zip(ps, stack @ stack, stack @ a, a @ stack):
+                assert _bytes(pp) == _bytes(p @ p)
+                assert _bytes(pa) == _bytes(p @ a) and _bytes(ap) == _bytes(a @ p)
+            outcomes.update(got)
+    assert outcomes == {True, False}
+    p = E.random_projection(rng)
+    for odd in (np.full((dim, dim), np.nan), np.eye(dim, dtype=int), p.tolist()):
+        assert cb.commuting_projections(p, [p, odd]) == \
+            [True, cb.is_projection(odd) and cb.in_commutant(p, odd)]

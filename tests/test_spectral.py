@@ -272,15 +272,17 @@ def dense_reference(E, tree, n):
 
 
 def dense_rational(cb, a, lam, n, dense):
-    """rational_resolution read off the dense grid: the entry at the first
-    point above lam per depth, stable over the last two depths and equal
-    at both ends of the depth-n cell around an off-grid lam, which is also
-    the meet of every entry above lam."""
+    """rational_resolution read off the dense grid, with the depth it is
+    stable from: the entry at the first point above lam per depth, stable
+    over the last two depths and equal at both ends of the depth-n cell
+    around an off-grid lam, which is also the meet of every entry above
+    lam; stable from the least depth m whose entry and every later one
+    equal the depth-n entry."""
     from effalg.errors import Unstable
 
     E = cb.algebra
     if lam == 1:
-        return dense[Fraction(1)]
+        return dense[Fraction(1)], 0
     j0 = int(lam * 2 ** n)
     if lam * 2 ** n != j0 and not E.eq(dense[Fraction(j0, 2 ** n)], dense[Fraction(j0 + 1, 2 ** n)]):
         raise Unstable(n)  # p_lam changes inside the depth-n cell around lam
@@ -293,7 +295,12 @@ def dense_rational(cb, a, lam, n, dense):
     for p in tail[1:]:
         meet = cb.meet_proj(meet, p)
     assert E.eq(meet, values[-1])
-    return values[-1]
+    stable_from = n
+    for m in range(len(values) - 1, 0, -1):
+        if not E.eq(values[m - 1], values[-1]):
+            break
+        stable_from = m
+    return values[-1], stable_from
 
 
 def worked_elements(bool3, mv42, matrix2):
@@ -330,12 +337,14 @@ def test_jumps_match_dense_grid(bool3, mv42, matrix2):
                 continue  # the rational extension starts at depth 1
             for lam in lams:
                 try:
-                    want = dense_rational(cb, a, lam, n, dense)
+                    want, stable_from = dense_rational(cb, a, lam, n, dense)
                 except Unstable:
                     with pytest.raises(Unstable):
                         rational_resolution(cb, a, lam, n)
                     continue
-                assert same(rational_resolution(cb, a, lam, n), want), (name, n, lam)
+                got = rational_resolution(cb, a, lam, n, details=True)
+                assert same(got.projection, want), (name, n, lam)
+                assert (got.stable_from, got.depth) == (stable_from, n), (name, n, lam)
 
 
 def test_grid_view_is_a_read_only_mapping(mv83):
@@ -764,11 +773,129 @@ def test_leaf_cells_decide_the_product_cell():
                        for _ in range(600)]
         for a, u, w in triples:
             want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
-            got = _factor_outcome(lambda: spectral._leaf_verdict(
-                w, spectral._leaves(cb, a), spectral._leaves(cb, u)))
+            got = _factor_outcome(lambda: spectral._leaf_verdict(w, spectral._leaf_walk(
+                spectral._leaves(cb, a), spectral._leaves(cb, u))))
             assert got == want, (name, a, u, w)
             outcomes.add(want)
     assert outcomes == {"pass", "fail", "cover", NoCover}, outcomes
+
+
+def test_a_shared_walk_gives_each_prefix_its_own_verdict():
+    """The cells of one pair of runs read prefixes of one string, and
+    ``_leaf_verdict`` keeps each leaf's iterates of f along the longest
+    prefix walked so far.  On every (a, u in P) of the carriers of at most
+    100 elements, and on 300 seeded pairs of the others, one walk asked
+    for every prefix of a string of length 6, shortest first, gives each
+    prefix what ``_doubling_cell`` gives it, or raises the same error."""
+    rng = np.random.default_rng(45)
+    outcomes = set()
+    for name, (E, cb) in _leaf_route_cases():
+        if E.size <= 100:
+            pairs = [(a, u) for a in range(E.size) for u in cb.projections]
+        else:
+            pairs = [(int(rng.integers(E.size)), int(rng.choice(cb.projections)))
+                     for _ in range(300)]
+        for a, u in pairs:
+            string = tuple(rng.integers(0, 2, 6).tolist())
+            walk = _factor_outcome(lambda: spectral._leaf_walk(spectral._leaves(cb, a),
+                                                                spectral._leaves(cb, u)))
+            for level in range(len(string) + 1):
+                w = string[:level]
+                want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
+                got = walk if isinstance(walk, type) else \
+                    _factor_outcome(lambda: spectral._leaf_verdict(w, walk))
+                assert got == want, (name, a, u, w)
+                outcomes.add(want)
+    assert outcomes == {"pass", "fail", "cover", NoCover}, outcomes
+
+
+def _outcome_or_error(fn):
+    """What ``fn`` returns, or the class of whatever it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # a broken table can raise KeyError too
+        return type(exc)
+
+
+def test_leaf_meets_are_the_product_meet():
+    """``_leaf_meet`` forms a meet in P leaf by leaf, left to right, and
+    stops at the first missing one, as ``meet_proj`` of a base with factors
+    does: on every pair (p, q) and (p, q') of P of the carriers of
+    ``_leaf_route_cases``, the seeded broken tables among them, it gives
+    the ``_leaves`` of the product's meet, None where that is missing, or
+    raises the same error."""
+    outcomes = set()
+    for name, (E, cb) in _leaf_route_cases():
+        for p in cb.projections:
+            for q in cb.projections:
+                for r in (q, _outcome_or_error(lambda: E.ortho(q))):
+                    want = _outcome_or_error(lambda: cb.meet_proj(p, r))
+                    if not isinstance(want, type) and want is not None:
+                        want = spectral._leaves(cb, want)
+                    got = _outcome_or_error(lambda: spectral._leaf_meet(
+                        spectral._leaves(cb, p), spectral._leaves(cb, r)))
+                    assert got == want, (name, p, r)
+                    outcomes.add("meet" if isinstance(want, list) else want)
+    assert outcomes == {"meet", None, KeyError}, outcomes
+
+
+def _clause_iv_per_cell(cb, a, fam):
+    """Clause (iv) one cell at a time, each cell's u_w from ``meet_proj`` of
+    its own ends and decided by ``_doubling_cell`` on the carrier itself:
+    ``(passed, witness)``."""
+    E, n = cb.algebra, fam.depth
+    for level in range(n + 1):
+        for k in sorted({(j - 1) >> (n - level) for j, _ in fam.jumps[1:]}):
+            w = string_of(k, level)
+            u = cb.meet_proj(fam.at_index((k + 1) << (n - level)),
+                             E.ortho(fam.at_index(k << (n - level))))
+            if u is None:
+                return False, (w, "meet")
+            verdict = spectral._doubling_cell(cb, w, a, u)
+            if verdict != "pass":
+                return False, w if verdict == "fail" else (w, "cover")
+    return True, None
+
+
+def test_clause_iv_per_pair_gives_the_per_cell_witness():
+    """Clause (iv) forms each meet once per pair of runs, leaf by leaf, and
+    walks each pair's cells together; its row equals the one that forms
+    ``meet_proj`` of the carrier and runs ``_doubling_cell`` cell by cell,
+    or both raise the same error.  Families: on each carrier of
+    ``_leaf_route_cases`` (at most 20 elements each), every chain p <= q <=
+    1 of P cut at seeded points of the depth-3 grid, and each element's
+    resolution where it has one.  No family there that passes (i) and (ii)
+    has a cell without a meet (where P holds 0 and 1, a chain's meets
+    exist); ``test_leaf_meets_are_the_product_meet`` reaches that case."""
+    rng = np.random.default_rng(46)
+    witnesses = set()
+    for name, (E, cb) in _leaf_route_cases():
+        elements = range(E.size) if E.size <= 20 else rng.permutation(E.size)[:20].tolist()
+        chains = [(p, q) for p in cb.projections for q in cb.projections
+                  if _outcome_or_error(lambda: E.leq(p, q)) is True]
+        for a in elements:
+            families = []
+            for p, q in chains:
+                j1, j2 = sorted(rng.integers(1, 9, 2).tolist())
+                families.append({Fraction(j, 8): p if j < j1 else q if j < j2 else E.one
+                                 for j in range(9)})
+            res = _outcome_or_error(lambda: binary_resolution(cb, a, 3))
+            if not isinstance(res, type):
+                families.append(res.entries)
+            for family in families:
+                rep = _outcome_or_error(lambda: verify_resolution(cb, a, family, 3))
+                fam = spectral._as_resolution(E, a, family, 3)
+                if isinstance(rep, type):
+                    got = rep
+                elif rep.checks[-1].detail:  # skipped: (i) or (ii) failed
+                    continue
+                else:
+                    got = rep.checks[-1].passed, rep.checks[-1].witness
+                want = _outcome_or_error(lambda: _clause_iv_per_cell(cb, a, fam))
+                assert got == want, (name, a)
+                witnesses.add(want if isinstance(want, type) else "pass" if want[0] else
+                              want[1][1] if isinstance(want[1][-1], str) else "w")
+    assert witnesses == {"pass", "w", "cover", KeyError}, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -972,13 +1099,13 @@ def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
     for E, cb in (matrix2, matrix3):
         doubling_cells = cb.doubling_cells
 
-        def recording(a, cells):
-            out = doubling_cells(a, cells)
+        def recording(a, pairs, cells):
+            out = doubling_cells(a, pairs, cells)
             verdicts.update(verdict for _, verdict in out)
             return out
 
-        def scalar(a, cells):
-            return [(u, "undecided") for u, _ in doubling_cells(a, cells)]
+        def scalar(a, pairs, cells):
+            return [(u, "undecided") for u, _ in doubling_cells(a, pairs, cells)]
 
         cases = [(a, fam, 5) for a, fam in _matrix_families(E, cb, rng, 5, 5)]
         cases += [(a, fam, n) for n in (3, 5) for a, fam in _edge_matrix_families(E, cb, rng, n)]
@@ -1046,27 +1173,32 @@ def _perfbench_families(monkeypatch, cb, count):
 
 def test_clause_iv_on_matrices_is_one_stacked_eigh_and_eigvalsh(monkeypatch):
     """On a depth-5 verify of ``perfbench``'s matrix stream, clause (iv)
-    hands every cell it checks to one ``doubling_cells`` call, which makes
-    one stacked ``eigh`` (the meets) and one stacked ``eigvalsh``, and no
-    cell falls back to the scalar ``_doubling_cell``."""
+    hands every cell it checks to one ``doubling_cells`` call, with one
+    pair of ends per pair of runs that a cell straddles.  It makes one
+    stacked ``eigh`` (the meets) and one stacked ``eigvalsh``, each of one
+    matrix per pair, and no cell falls back to the scalar
+    ``_doubling_cell``: 657 cells on 50 effects, but 234 pairs."""
     E, cb = instances.make_matrix(3)
     effects = _perfbench_matrices(monkeypatch, 50)
-    calls = {"doubling_cells": 0, "cells": 0, "eigh": 0, "eigvalsh": 0, "scalar": 0}
-    inside = []
+    calls = {"doubling_cells": 0, "pairs": 0, "cells": 0, "eigh": 0, "eigvalsh": 0, "scalar": 0}
+    stacks, inside = [], []
 
     def counting(name, fn):
         def call(*args):
             if inside or name == "scalar":
                 calls[name] += 1
+                if name != "scalar":
+                    stacks.append(len(args[0]))
             return fn(*args)
         return call
 
-    def doubling_cells(a, cells, real=cb.doubling_cells):
+    def doubling_cells(a, pairs, cells, real=cb.doubling_cells):
         calls["doubling_cells"] += 1
+        calls["pairs"] += len(pairs)
         calls["cells"] += len(cells)
         inside.append(1)
         try:
-            return real(a, cells)
+            return real(a, pairs, cells)
         finally:
             inside.clear()
 
@@ -1074,55 +1206,74 @@ def test_clause_iv_on_matrices_is_one_stacked_eigh_and_eigvalsh(monkeypatch):
     monkeypatch.setattr(spectral, "_doubling_cell", counting("scalar", spectral._doubling_cell))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    totals = [0, 0]
     for a in effects:
         res = binary_resolution(cb, a, 5)
-        calls.update(doubling_cells=0, cells=0, eigh=0, eigvalsh=0, scalar=0)
+        calls.update(doubling_cells=0, pairs=0, cells=0, eigh=0, eigvalsh=0, scalar=0)
+        stacks.clear()
         assert verify_resolution(cb, a, res.entries, 5).passed
-        assert calls == {"doubling_cells": 1, "cells": _cells_across_jumps(res), "eigh": 1,
+        pairs, cells = _pairs_across_jumps(res), _cells_across_jumps(res)
+        assert calls == {"doubling_cells": 1, "pairs": pairs, "cells": cells, "eigh": 1,
                          "eigvalsh": 1, "scalar": 0}, calls
+        assert stacks == [pairs, pairs]
+        totals[0] += cells
+        totals[1] += pairs
+    assert totals == [657, 234]
 
 
 def test_clause_iv_on_a_product_makes_no_scalar_op_on_the_product():
-    """On ``boolean(2) x mv(8,3)`` each cell of clause (iv) is decided on the
-    leaf bases: from the first meet on, no ``sum``, ``leq`` or ``ominus``
-    of the product carrier is called."""
+    """On ``boolean(2) x mv(8,3)`` clause (ii) calls no ``leq`` of the
+    product, and each cell of clause (iv) is decided on the leaf bases: no
+    base with factors forms a meet, each leaf forms one per pair of runs,
+    and from the first leaf meet on no ``sum``, ``leq`` or ``ominus`` of the
+    product carrier is called."""
     E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
-    calls = {"meet": 0, "sum": 0, "leq": 0, "ominus": 0}
+    calls = {"product meet": 0, "meet": 0, "sum": 0, "leq": 0, "ominus": 0}
 
     def counting(name, fn):
         def call(*args):
-            if calls["meet"] or name == "meet":  # clause (iv) starts at its first meet
+            if calls["meet"] or name in ("meet", "product meet", "leq"):
                 calls[name] += 1
             return fn(*args)
         return call
 
+    bases = {id(b): b for b in _bases_below(cb)}.values()
     for a in np.random.default_rng(6).permutation(E.size)[:25].tolist():
         res = binary_resolution(cb, a, 4)
         with pytest.MonkeyPatch.context() as m:
-            for name, owner in (("meet", cb), ("sum", E), ("leq", E), ("ominus", E)):
-                attr = "meet_proj" if name == "meet" else name
-                m.setattr(owner, attr, counting(name, getattr(owner, attr)))
-            calls.update(meet=0, sum=0, leq=0, ominus=0)
+            for base in bases:
+                name = "meet" if base.factors is None else "product meet"
+                m.setattr(base, "meet_proj", counting(name, base.meet_proj))
+            for name in ("sum", "leq", "ominus"):
+                m.setattr(E, name, counting(name, getattr(E, name)))
+            calls.update({name: 0 for name in calls})
             assert verify_resolution(cb, a, res.entries, 4).passed
-        assert calls == {"meet": _cells_across_jumps(res), "sum": 0, "leq": 0, "ominus": 0}, a
+        leaves = len(spectral._leaves(cb, a))
+        assert calls == {"product meet": 0, "meet": _pairs_across_jumps(res) * leaves,
+                         "sum": 0, "leq": 0, "ominus": 0}, a
 
 
 def test_prefix_sums_test_no_order_past_the_sum(monkeypatch):
     """A defined sum lies above its summands, so ``_layer_jumps`` tests no
-    order of its own.  A depth-8 ``rational_resolution`` of each of 50
-    effects of ``perfbench``'s matrix stream makes one ``eigvalsh`` per
-    cell of the depth-8 layer, the ``leq(s, 1)`` of that cell's ``sum``:
-    142 in all, 2.84 a call.  On ``boolean(2) x mv(8,3)`` ``_layer_jumps``
-    calls no ``leq`` of the product or of a leaf carrier."""
+    order of its own, and on matrices it tests all its prefix sums below
+    the unit in one stacked ``eigvalsh``.  A depth-8 ``rational_resolution``
+    of each of 50 effects of ``perfbench``'s matrix stream makes one
+    ``eigh``, its tree's, which also checks the element, and one
+    ``eigvalsh`` of one matrix per cell of the depth-8 layer: 142 in all.
+    On ``boolean(2) x mv(8,3)`` ``_layer_jumps`` calls no ``leq`` of the
+    product or of a leaf carrier."""
     E, cb = instances.make_matrix(3)
-    calls, cells = [], 0
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    calls, cells = {"eigh": [], "eigvalsh": []}, 0
+    for name in calls:
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, name=name, real=real: calls[name].append(len(m)) or real(m))
     for a in _perfbench_matrices(monkeypatch, 50):
         layer = len(splitting_tree(cb, a, 8).layer(8))
-        calls.clear()
+        calls["eigh"].clear()
+        calls["eigvalsh"].clear()
         rational_resolution(cb, a, Fraction(1, 3), 8)
-        assert len(calls) == layer
+        assert calls == {"eigh": [E.dim], "eigvalsh": [layer]}
         cells += layer
     assert cells == 142
 
@@ -1136,6 +1287,28 @@ def test_prefix_sums_test_no_order_past_the_sum(monkeypatch):
         leqs.clear()
         assert spectral._layer_jumps(P, res.tree, 4) == list(res.jumps)
         assert leqs == [], a
+
+
+def test_clause_ii_on_matrices_is_one_stacked_eigvalsh(monkeypatch):
+    """Clause (ii) tests the boundary p_0 <= a' and each run below the
+    next in one ``leq_pairs`` call: on depth-5 verifies of ``perfbench``'s
+    matrix stream, one ``eigvalsh`` with one matrix per run.  The verify
+    makes three in all: the element's check, clause (ii) and clause (iv)."""
+    E, cb = instances.make_matrix(3)
+    stacks = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(np.shape(m)) or real(m))
+    pairs = []
+    leq_pairs = E.leq_pairs
+    monkeypatch.setattr(E, "leq_pairs", lambda xs, ys: pairs.append(len(xs)) or leq_pairs(xs, ys))
+    for a in _perfbench_matrices(monkeypatch, 50):
+        res = binary_resolution(cb, a, 5)
+        stacks.clear()
+        pairs.clear()
+        assert verify_resolution(cb, a, res.entries, 5).passed
+        runs = len(res.jumps)
+        assert pairs == [runs]
+        assert stacks == [(3, 3), (runs, 3, 3), (_pairs_across_jumps(res), 3, 3)]
 
 
 def _leaf_bases():
@@ -1185,7 +1358,7 @@ def test_a_leaf_base_is_its_own_one_leaf(monkeypatch):
                     for w, u in _clause_iv_cells(cb, fam):
                         want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
                         got = _factor_outcome(lambda: spectral._leaf_verdict(
-                            w, [(cb, a, 1)], [(cb, u, 1)]))
+                            w, spectral._leaf_walk([(cb, a, 1)], [(cb, u, 1)])))
                         assert got == want, (name, n, a, w, u)
                         outcomes.add(want)
     assert outcomes == {"pass", "fail", "cover"}, outcomes
@@ -1267,29 +1440,34 @@ def _meet_per_pair(p, q):
 
 
 def test_stacked_calls_give_each_cell_its_own_bits(monkeypatch):
-    """The premise of ``doubling_cells``: on the cells that clause (iv)
-    lists for seeded and edge families of matrix(2..4), the stacked
-    ``eigh`` of p + q, the stacked meets, u a u and ``eigvalsh`` of b + 2u
-    are bit for bit the calls on one cell, and each stacked meet is
-    ``meet_proj`` and the mask-per-pair meet."""
+    """The premise of ``doubling_cells``: on the pairs of runs that clause
+    (iv) lists for seeded, perturbed and edge families of matrix(2..4), the
+    stacked ``eigh`` of p + q, the stacked meets, u a u and ``eigvalsh`` of
+    b + 2u, with one entry per pair, are bit for bit the calls on one pair,
+    and each stacked meet is ``meet_proj`` and the mask-per-pair meet.  Each
+    cell's pair holds the ends that the cell reads off the family, and the
+    meet and spectrum that a stack of one entry per cell gives that cell."""
     rng = np.random.default_rng(47)
-    checked = 0
+    checked = cells_checked = 0
     for dim in (2, 3, 4):
         E, cb = instances.make_matrix(dim)
         seen = []
         real = cb.doubling_cells
-        monkeypatch.setattr(cb, "doubling_cells",
-                            lambda a, cells: seen.append((a, cells)) or real(a, cells))
-        for a, fam in list(_matrix_families(E, cb, rng, 4, 5)) + \
-                list(_edge_matrix_families(E, cb, rng, 6)):
-            verify_resolution(cb, a, fam, max(f.denominator for f in fam).bit_length() - 1)
-        for a, cells in seen:
-            ps, qs = (np.array([cell[i] for cell in cells]) for i in (1, 2))
+        monkeypatch.setattr(cb, "doubling_cells", lambda a, pairs, cells: seen.append(
+            (a, pairs, cells)) or real(a, pairs, cells))
+        for a, fam in _bit_families(E, cb, rng, monkeypatch):
+            n = max(f.denominator for f in fam).bit_length() - 1
+            seen.clear()
+            verify_resolution(cb, a, fam, n)
+            if not seen:
+                continue
+            (_, pairs, cells), = seen
+            ps, qs = (np.array([pair[i] for pair in pairs]) for i in (0, 1))
             vals, vecs = np.linalg.eigh(sym(ps + qs))
             us = cb.meets(ps, qs)
             bs = sym(us @ a @ us)
             spectra = np.linalg.eigvalsh(bs + 2.0 * us)
-            for i, (_, p, q) in enumerate(cells):
+            for i, (p, q) in enumerate(pairs):
                 one_vals, one_vecs = np.linalg.eigh(sym(p + q))
                 assert np.array_equal(vals[i], one_vals) and np.array_equal(vecs[i], one_vecs)
                 assert np.array_equal(us[i], cb.meet_proj(p, q))
@@ -1297,7 +1475,34 @@ def test_stacked_calls_give_each_cell_its_own_bits(monkeypatch):
                 assert np.array_equal(bs[i], cb.apply(us[i], a))
                 assert np.array_equal(spectra[i], np.linalg.eigvalsh(cb.apply(us[i], a) + 2.0 * us[i]))
                 checked += 1
-    assert checked > 1000, checked
+            res = spectral._as_resolution(E, a, fam, n)
+            ends = [(res.at_index((k_of(w) + 1) << (n - len(w))),
+                     E.ortho(res.at_index(k_of(w) << (n - len(w))))) for w, _ in cells]
+            cell_us = cb.meets(np.array([p for p, _ in ends]), np.array([q for _, q in ends]))
+            cell_spectra = np.linalg.eigvalsh(sym(cell_us @ a @ cell_us) + 2.0 * cell_us)
+            for (w, i), (p, q), u, spectrum in zip(cells, ends, cell_us, cell_spectra):
+                assert np.array_equal(pairs[i][0], p) and np.array_equal(pairs[i][1], q), w
+                assert np.array_equal(us[i], u) and np.array_equal(spectra[i], spectrum), w
+                cells_checked += 1
+    assert checked > 600 and cells_checked > 1500, (checked, cells_checked)
+
+
+def _bit_families(E, cb, rng, monkeypatch):
+    """Seeded and broken families (``_matrix_families``), ``perfbench``'s
+    perturbation of stream effects' resolutions, and edge families."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import checks
+    from perfbench.wl_resolve import matrix_stream
+
+    yield from _matrix_families(E, cb, rng, 4, 5)
+    stream = matrix_stream(rng, E.dim)
+    for _ in range(6):
+        a = next(stream)[0]
+        for n in (4, 6):
+            family = binary_resolution(cb, a, n).entries
+            yield a, dict(family)
+            yield a, checks.perturb(family, E.zero, lambda p, q: np.allclose(p, q, atol=1e-9))
+    yield from _edge_matrix_families(E, cb, rng, 6)
 
 
 def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
@@ -1315,13 +1520,18 @@ def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
 
 
 def _counting_meets(cb, monkeypatch) -> list:
-    """The (p, q) of every meet in P from now on: each ``cb.meet_proj``
-    call, and on the matrix base, whose ``meet_proj`` is the one-pair case
-    of the stacked ``meets``, the pairs of each ``meets`` call as a list."""
+    """Every meet in P from now on: each ``cb.meet_proj`` call as
+    ``("P", p, q)``, each meet formed leaf by leaf (``spectral._leaf_meet``)
+    as ``("leaves", hi, lo)``, and on the matrix base, whose ``meet_proj``
+    is the one-pair case of the stacked ``meets``, the pairs of each
+    ``meets`` call as a list."""
     calls = []
     if cb.enumerable:
-        meet = cb.meet_proj
-        monkeypatch.setattr(cb, "meet_proj", lambda p, q: calls.append((p, q)) or meet(p, q))
+        meet, leaf_meet = cb.meet_proj, spectral._leaf_meet
+        monkeypatch.setattr(cb, "meet_proj",
+                            lambda p, q: calls.append(("P", p, q)) or meet(p, q))
+        monkeypatch.setattr(spectral, "_leaf_meet",
+                            lambda hi, lo: calls.append(("leaves", hi, lo)) or leaf_meet(hi, lo))
     else:
         meets = cb.meets
         monkeypatch.setattr(cb, "meets", lambda ps, qs: calls.append(list(zip(ps, qs)))
@@ -1339,6 +1549,19 @@ def _cells_across_jumps(res) -> int:
 
     return sum(run(k << (n - level)) != run((k + 1) << (n - level))
                for level in range(n + 1) for k in range(1 << level))
+
+
+def _pairs_across_jumps(res) -> int:
+    """The pairs (run of the upper end, run of the lower end) of the cells
+    that ``_cells_across_jumps`` counts: one meet each in clause (iv)."""
+    n = res.depth
+
+    def run(j):
+        return bisect_right(res._starts, j)
+
+    return len({(run((k + 1) << (n - level)), run(k << (n - level)))
+                for level in range(n + 1) for k in range(1 << level)
+                if run(k << (n - level)) != run((k + 1) << (n - level))})
 
 
 def _seeded_matrices(E, rng, count):
@@ -1364,9 +1587,10 @@ MEET_CASES = {
 @pytest.mark.parametrize("name", list(MEET_CASES))
 def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
     """``rational_resolution`` forms no meet in P, and ``verify_resolution``
-    forms one per cell that clause (iv) checks, all in one stacked call on
-    the matrix base: the resolution is a chain, so the meet of its entries
-    above a point is the next entry."""
+    forms one per pair of runs that the cells of clause (iv) straddle, all
+    in one stacked call on the matrix base and leaf by leaf, never through
+    ``meet_proj`` of a base with factors, on the others: the resolution is
+    a chain, so the meet of its entries above a point is the next entry."""
     E, cb, elements = MEET_CASES[name]()
     calls = _counting_meets(cb, monkeypatch)
     rng = np.random.default_rng(5)
@@ -1378,10 +1602,12 @@ def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
             res = binary_resolution(cb, a, n)
             for family in (res.entries, dict(res.entries)):
                 assert verify_resolution(cb, a, family, n).passed, (a, n)
-                if not cb.enumerable:  # one stacked call for all the cells
+                if not cb.enumerable:  # one stacked call for all the pairs
                     assert len(calls) == 1, (a, n)
                     calls[:] = calls[0]
-                assert len(calls) == _cells_across_jumps(res), (a, n)
+                else:
+                    assert {kind for kind, *_ in calls} == {"leaves"}, (a, n)
+                assert len(calls) == _pairs_across_jumps(res), (a, n)
                 calls.clear()
 
 

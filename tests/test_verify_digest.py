@@ -34,11 +34,12 @@ def test_one_line_per_instance_the_same_on_each_run(monkeypatch, capsys):
     lines = _lines(script, capsys)
     assert [name for _, _, name in lines] == [
         "mv(8,3)", "mv(16,2)", "boolean(2) x mv(8,3)", "matrix(2)", "matrix(3)", "matrix(4)",
-        "mv(16,1)", "restrict(mv(8,3), (8,8,0))"]
+        "mv(16,1)", "restrict(mv(8,3), (8,8,0))", "matrix(2) at the edge of (ii)",
+        "matrix(3) at the edge of (ii)", "matrix(4) at the edge of (ii)"]
     for digest, count, _ in lines:
         assert len(digest) == 64 and int(digest, 16) >= 0
         assert int(count) > 0
-    finite = lines[:3] + lines[6:]
+    finite = lines[:3] + lines[6:8]
     assert [count for _, count, _ in finite] == ["12"] * 5  # 2 elements x 2 depths x 3
     assert _lines(script, capsys) == lines
 
@@ -57,7 +58,7 @@ def test_a_changed_verdict_changes_its_line(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "verify_resolution", flipped)
     changed = _lines(script, capsys)
     assert [a == b for a, b in zip(lines, changed)] == [False, False, False, True, True, True,
-                                                        False, False]
+                                                        False, False, True, True, True]
 
 
 def test_a_directory_without_sources_exits_2(tmp_path, monkeypatch, capsys):
