@@ -24,8 +24,16 @@ each instance: every element's computed resolution, the same perturbed by
 
 It prints one line per instance: the sha256 of every family's report
 rows (name, verdict, mode, witness and detail; or the error a step
-raised), the number of families, and the instance.  Two checkouts that
-reach the same verdicts and witnesses print the same lines.
+raised), the number of families, and the instance.  Then, after those
+lines, one more per instance, named ``resolutions on`` the instance: the
+sha256 of what the resolution routes return on each element and depth of
+its families, the number of them, and the instance.  Per element and
+depth it hashes the jumps of ``binary_resolution``, ``rational_resolution``
+with ``details=True`` at 1/3, 2/5 and 1/5, and ``expectation_bounds`` on a
+seeded state of the instance, each as the bits of its value or the class
+and message of the error it raised.  Two checkouts that reach the same
+verdicts and witnesses, and the same resolutions bit for bit, print the
+same lines.
 ``perfbench`` is imported from the checkout that holds this script,
 never changed.
 """
@@ -35,9 +43,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LAMBDAS = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 5))
 FINITE_ELEMENTS = 40
 MATRIX_DEPTHS = (3, 4, 5, 6)
 STREAM_EFFECTS = 12
@@ -136,29 +146,108 @@ def clause_ii_edge_cases(E, cb, rng, depths):
 
 def grid_points(lo, hi, n):
     """The grid points j / 2^n for j from lo to hi."""
-    from fractions import Fraction
-
     return [Fraction(j, 1 << n) for j in range(lo, hi + 1)]
 
 
+def bits(x):
+    """x with each array as its shape and bytes, so that equal bits hash
+    equal and nothing else does."""
+    import numpy as np
+
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(y) for y in x)
+    return repr(x)
+
+
+def value(fn):
+    """The bits of what ``fn`` returns, or the class and message of its error."""
+    from effalg.errors import EffalgError
+
+    try:
+        return bits(fn())
+    except EffalgError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def resolution_rows(cb, state, a, n) -> list:
+    """What the resolution routes return on a at depth n, as above."""
+    from effalg import spectral
+
+    def rational(lam):
+        got = spectral.rational_resolution(cb, a, lam, n, details=True)
+        return got.projection, got.stable_from, got.depth
+
+    return ([value(lambda: spectral.binary_resolution(cb, a, n).jumps)]
+            + [value(lambda: rational(lam)) for lam in LAMBDAS]
+            + [value(lambda: spectral.expectation_bounds(cb, a, state, n))])
+
+
+def elements_of(cases):
+    """The distinct ``(a, n)`` of a case list, in order of first appearance."""
+    seen = {}
+    for a, _, n in cases:
+        seen.setdefault((bits(a), n), (a, n))
+    return list(seen.values())
+
+
+def seeded_state(E, rng):
+    """A state of E from rng: a density matrix on a matrix carrier, a
+    weighted state on a grid, and on a product a mixture of its factors'
+    states."""
+    import numpy as np
+
+    from effalg import core, instances, matrices
+
+    if isinstance(E, matrices.MatrixEffectAlgebra):
+        x = rng.standard_normal((E.dim, E.dim))
+        rho = x @ x.T
+        return matrices.DensityState(E, rho / np.trace(rho))
+    if isinstance(E, core.ProductAlgebra):
+        left, right = seeded_state(E.left, rng), seeded_state(E.right, rng)
+        mix = Fraction(int(rng.integers(1, 8)), 8)
+        ia, ib = E.split_index(np.arange(E.size))
+        return core.State(E, [mix * left(int(x)) + (1 - mix) * right(int(y))
+                              for x, y in zip(ia.tolist(), ib.tolist())])
+    raw = rng.integers(1, 9, E.d).tolist()
+    return instances.weighted_state(E, [Fraction(x, sum(raw)) for x in raw])
+
+
+def interval_state(G, E, rng):
+    """A state of an interval E = [0, q] of the grid G
+    (``comparability.restrict``) from rng: a weighted state of G on the
+    coordinates that q fills, read through ``E.parent_index``."""
+    from effalg import core, instances
+
+    top = G.coords[E.parent_index[E.one]].tolist()
+    raw = [x if t == G.k else 0 for x, t in zip(rng.integers(1, 9, G.d).tolist(), top)]
+    state = instances.weighted_state(G, [Fraction(x, sum(raw)) for x in raw])
+    return core.State(E, [state(g) for g in E.parent_index.tolist()])
+
+
 def instances_to_digest():
-    """``(name, (E, cb), cases, depths)`` for each instance, in print order."""
+    """``(name, (E, cb), cases, depths, state)`` for each instance, in print
+    order; ``state(E, rng)`` makes the seeded state of the resolution lines."""
+    from functools import partial
+
     from effalg import comparability, instances
 
     mv83 = instances.make_mv_product(8, 3)
-    yield "mv(8,3)", mv83, finite_cases, (3, 5)
-    yield "mv(16,2)", instances.make_mv_product(16, 2), finite_cases, (3, 5)
+    yield "mv(8,3)", mv83, finite_cases, (3, 5), seeded_state
+    yield "mv(16,2)", instances.make_mv_product(16, 2), finite_cases, (3, 5), seeded_state
     yield ("boolean(2) x mv(8,3)", instances.make_product(instances.make_boolean(2), mv83),
-           finite_cases, (2, 4))
+           finite_cases, (2, 4), seeded_state)
     for dim in (2, 3, 4):
-        yield f"matrix({dim})", instances.make_matrix(dim), matrix_cases, MATRIX_DEPTHS
-    yield "mv(16,1)", instances.make_mv_product(16, 1), finite_cases, (3, 5)
+        yield (f"matrix({dim})", instances.make_matrix(dim), matrix_cases, MATRIX_DEPTHS,
+               seeded_state)
+    yield "mv(16,1)", instances.make_mv_product(16, 1), finite_cases, (3, 5), seeded_state
     E, cb = mv83
     yield ("restrict(mv(8,3), (8,8,0))", comparability.restrict(cb, E.index_of([8, 8, 0])),
-           finite_cases, (3, 5))
+           finite_cases, (3, 5), partial(interval_state, E))
     for dim in (2, 3, 4):
         yield (f"matrix({dim}) at the edge of (ii)", instances.make_matrix(dim),
-               clause_ii_edge_cases, MATRIX_DEPTHS)
+               clause_ii_edge_cases, MATRIX_DEPTHS, seeded_state)
 
 
 def main(argv=None) -> int:
@@ -174,13 +263,22 @@ def main(argv=None) -> int:
 
     from effalg import spectral
 
-    for seed, (name, (E, cb), cases, depths) in enumerate(instances_to_digest()):
+    todo = list(instances_to_digest())
+    for seed, (name, (E, cb), cases, depths, _) in enumerate(todo):
         digest, count = hashlib.sha256(), 0
         for a, fam, n in cases(E, cb, np.random.default_rng(seed), depths):
             rows = outcome(lambda: spectral.verify_resolution(cb, a, fam, n))
             digest.update(repr(rows).encode())
             count += 1
         print(digest.hexdigest(), count, name, flush=True)
+    # the resolution lines, on the elements and depths of the lines above
+    for seed, (name, (E, cb), cases, depths, state) in enumerate(todo):
+        digest = hashlib.sha256()
+        elements = elements_of(cases(E, cb, np.random.default_rng(seed), depths))
+        s = state(E, np.random.default_rng(len(todo) + seed))
+        for a, n in elements:
+            digest.update(repr(resolution_rows(cb, s, a, n)).encode())
+        print(digest.hexdigest(), len(elements), f"resolutions on {name}", flush=True)
     return 0
 
 

@@ -73,6 +73,7 @@ class CompressionBase:
         self._elem_leq_proj = None
         self._cover_vec = None
         self._pcp = None  # has_pcp(), read off cover_vec once
+        self._spectral = None  # is_spectral(), decided once
         self._ortho_rows = None
         self._p_meet = None
         # spectral: one splitting tree per element, on a base without factors
@@ -334,10 +335,13 @@ class CompressionBase:
 
     def is_spectral(self) -> bool:
         """Projection covers plus b-comparability, whose report the base
-        keeps (``comparability.check_b_comparability``)."""
-        from . import comparability
+        keeps (``comparability.check_b_comparability``); the base keeps the
+        verdict too."""
+        if self._spectral is None:
+            from . import comparability
 
-        return comparability.check_b_comparability(self).passed and self.has_pcp()
+            self._spectral = comparability.check_b_comparability(self).passed and self.has_pcp()
+        return self._spectral
 
 
 @dataclass(frozen=True)

@@ -58,14 +58,10 @@ class MatrixEffectAlgebra(EffectAlgebra):
             raise ValueError(f"tol must lie in [1e-12, 1e-6], not {tol!r}")
         self.dim = dim
         self.tol = tol
-
-    @property
-    def zero(self) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
-
-    @property
-    def one(self) -> np.ndarray:
-        return np.eye(self.dim)
+        # the units, made once and read-only: every caller shares them
+        self.zero = np.zeros((dim, dim))
+        self.one = np.eye(dim)
+        self.zero.flags.writeable = self.one.flags.writeable = False
 
     def check_element(self, a) -> np.ndarray:
         a = self.check_symmetric(a)
@@ -479,10 +475,11 @@ class MatrixCompressionBase:
         c1 = sym(u1 - 2.0 * (u1 @ (q - c) @ u1))
         return SplitResult(u0=u0, u1=u1, c0=c0, c1=c1)
 
-    def tree_nodes(self, a, n: int):
-        """``(u, c)``: the nonzero nodes of a's depth-n splitting tree, from
-        one eigendecomposition of a, which also checks that a lies in the
-        carrier (``ElementNotInCarrier``), as ``check_element`` does.
+    def tree_nodes(self, a, n: int, levels):
+        """``(u, c)``: the nonzero nodes of a's depth-n splitting tree at the
+        given levels, from one eigendecomposition of a, which also checks
+        that a lies in the carrier (``ElementNotInCarrier``), as
+        ``check_element`` does.
 
         The root is the cover, spanned by the eigenvectors v of a with
         eigenvalue x > tol, and c_() = a.  A node's c_w has the eigenvalue
@@ -491,9 +488,10 @@ class MatrixCompressionBase:
         bits in scalar arithmetic: u_w is the sum of the rank-one
         projectors of the cell w, and c_w (w nonempty) their sum weighted by
         the walked values.  The projectors are one stack, and the weighted
-        ones one stacked product; a node adds its members' in eigenvector
-        order.  The checks of ``spectral._grow`` run on the same
-        eigendecomposition:
+        ones one stacked product at the levels asked for; a node adds its
+        members' in eigenvector order, so it has the same bits whichever
+        levels are asked for.  The checks of ``spectral._grow`` run on the
+        same eigendecomposition, on the depth-n paths, whatever the levels:
 
         * the eigenbasis is orthonormal within tol, so each layer is
           orthogonal and adds up to the cover;
@@ -510,21 +508,24 @@ class MatrixCompressionBase:
         a = E.check_symmetric(a)
         vals, vecs = np.linalg.eigh(a)
         E.check_spectrum(vals)
-        if np.abs(vecs.T @ vecs - np.eye(E.dim)).max() > tol:
+        if np.abs(vecs.T @ vecs - E.one).max() > tol:
             raise InternalConsistencyError(f"layer {n} is not orthogonal")
+        wanted = set(levels)
         paths = []  # per eigenvector: its depth-n cell w, or None at or below tol
-        cells, walks = [], []  # per eigenvector above tol: its cell w and value y per level
+        cells, walks = [], []  # per eigenvector above tol: its cell w and value y per wanted level
         for x in vals.tolist():
             if x <= tol:
                 paths.append(None)
                 continue
             w, y, ws, ys = (), x, [], []
-            for _ in range(n + 1):
-                ws.append(w)
-                ys.append(y)
-                bit = int(2.0 * y - 1.0 > tol)
-                w, y = w + (bit,), 2.0 * y - bit
-            paths.append(ws[-1])
+            for level in range(n + 1):
+                if level in wanted:
+                    ws.append(w)
+                    ys.append(y)
+                if level < n:
+                    bit = int(2.0 * y - 1.0 > tol)
+                    w, y = w + (bit,), 2.0 * y - bit
+            paths.append(w)
             cells.append(ws)
             walks.append(ys)
         u, c = {}, {}
@@ -540,7 +541,8 @@ class MatrixCompressionBase:
                     else:
                         u[w] = proj
                         c[w] = y_proj
-            c[()] = a
+            if 0 in wanted:
+                c[()] = a
         # Cells follow the eigenvalues' order, so a cluster is cut iff two
         # neighbours in it lie in different cells, and the lowest cell that
         # holds part of a cut cluster is the lower neighbour's.

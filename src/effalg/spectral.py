@@ -21,12 +21,13 @@ meet, J_u(a) and spectrum per pair in clause (iv).
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
 of the factor trees node by node, and a cell of clause (iv) is decided
-by its leaf cells (a leaf base is one leaf).  ``splitting_tree``
-follows the factors down to the leaf bases (those without factors), so
-a grid goes to its chains, and composes their trees.  Only a leaf base
-runs the split loop, with all its checks.  It keeps one tree per
-element, the deepest asked for so far: shallower requests read its top
-layers, deeper ones split on from its deepest layer.  Product bases and the matrix base keep none.
+by its leaf cells (a leaf base is one leaf).  ``_nodes`` follows the
+factors down to the leaf bases (those without factors), so a grid goes
+to its chains, and composes their trees at the levels asked for.  Only a
+leaf base runs the split loop, with all its checks.  It keeps one tree
+per element, the deepest asked for so far, with its nodes indexed by
+level: shallower requests read its top layers, deeper ones split on from
+its deepest layer.  Product bases and the matrix base keep none.
 
 The matrix base reads a tree off one eigendecomposition of its element
 (``MatrixCompressionBase.tree_nodes``), which also checks the element:
@@ -35,6 +36,13 @@ checks of the split loop become one orthonormality test of the
 eigenbasis and one test that no eigenvalue cluster is cut.  The generic
 loop on any base stays as ``_splitting_tree``, the reference for the
 factor and matrix routes.
+
+A resolution reads two levels of the tree, the root for p_0 and the
+depth-n layer for the jumps, so ``binary_resolution``,
+``rational_resolution`` and ``expectation_bounds`` compose only those
+two, on every base, and make every check of the tree on the way.
+``splitting_tree`` composes every level; a resolution's ``tree`` calls
+it when it is first read.
 """
 
 from __future__ import annotations
@@ -149,7 +157,8 @@ class SplittingTree:
 
     Only nodes with nonzero u_w are stored; missing strings read as the
     zero element, which is what the construction produces below a dead
-    branch.
+    branch.  A tree from ``_grow`` also holds its nodes by level
+    (``levels``); one from ``splitting_tree`` does not.
     """
 
     def __init__(self, algebra, element, depth: int):
@@ -158,6 +167,7 @@ class SplittingTree:
         self.depth = depth
         self._u: Dict[tuple, object] = {}
         self._c: Dict[tuple, object] = {}
+        self.levels = None
 
     def u(self, w):
         return self._u.get(tuple(w), self.algebra.zero)
@@ -166,10 +176,8 @@ class SplittingTree:
         return self._c.get(tuple(w), self.algebra.zero)
 
     def layer(self, level: int):
-        """Nonzero (w, u_w) at one level, ordered by k(w): strings of one
-        length sort by k(w) as tuples."""
-        return sorted([(w, u) for w, u in self._u.items() if len(w) == level],
-                      key=operator.itemgetter(0))
+        """Nonzero (w, u_w) at one level, ordered by k(w)."""
+        return _layer(self._u, level)
 
     def layer_full(self, level: int):
         for j in range(2 ** level):
@@ -178,7 +186,8 @@ class SplittingTree:
 
 
 def splitting_tree(cb, a, n: int) -> SplittingTree:
-    """Iterated halving of a below its cover, to depth n.
+    """Iterated halving of a below its cover, to depth n: ``_compose`` at
+    every level.
 
     On an enumerable base the tree is read from the trees that its leaf
     bases keep (``_leaf_tree``): a base with ``factors`` adds up the leaf
@@ -194,8 +203,25 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
     if cb.enumerable:
         a = cb.algebra.check_element(a)
     tree = SplittingTree(cb.algebra, a, n)
-    tree._u, tree._c = _nodes(cb, a, n) if cb.enumerable else cb.tree_nodes(a, n)
+    tree._u, tree._c = _compose(cb, a, n, range(n + 1))
     return tree
+
+
+def _compose(cb, a, n: int, levels):
+    """``(u, c)``: the nonzero nodes of a's depth-n tree at the given
+    levels, as new dicts, from ``_nodes`` on an enumerable base (where the
+    caller has checked a) and from ``tree_nodes`` on the matrix base.
+    Every check of the tree runs whatever the levels: a leaf tree is grown
+    and checked layer by layer to depth n, and the matrix base checks the
+    depth-n paths of its eigenvectors."""
+    return _nodes(cb, a, n, levels) if cb.enumerable else cb.tree_nodes(a, n, levels)
+
+
+def _layer(u: dict, level: int) -> list:
+    """The nonzero (w, u_w) of the nodes u at one level, ordered by k(w):
+    strings of one length sort by k(w) as tuples."""
+    return sorted([(w, v) for w, v in u.items() if len(w) == level],
+                  key=operator.itemgetter(0))
 
 
 def _splitting_tree(cb, a, n: int) -> SplittingTree:
@@ -219,8 +245,9 @@ def _leaves(cb, a: int, stride: int = 1) -> list:
     return _leaves(left, x, stride * r) + _leaves(right, y, stride)
 
 
-def _nodes(cb, a: int, n: int):
-    """``(u, c)``: the nonzero nodes of a's depth-n tree, as new dicts.
+def _nodes(cb, a: int, n: int, levels):
+    """``(u, c)``: the nonzero nodes of a's depth-n tree at the given
+    levels, as new dicts.
 
     In ``E1 x E2`` every ingredient of a split is componentwise: ``P(e, f)``
     and ``P_<=(e, f)`` (``check_b_comparability``), the positive part, the
@@ -229,9 +256,10 @@ def _nodes(cb, a: int, n: int):
     ``(a1, a2)`` at each node w is ``(u1_w, u2_w)``, ``(c1_w, c2_w)``; a node
     that a factor tree lacks is that factor's zero.  Unfolded down to the
     leaf bases, a node is the product's zero plus, per leaf, the leaf node's
-    offset from the leaf's zero times the leaf's stride (``_leaves``).  The
-    checks of the generic loop hold in the product because they hold in
-    each leaf:
+    offset from the leaf's zero times the leaf's stride (``_leaves``), and
+    each leaf tree hands over the nodes of one level at a time.  The checks
+    of the generic loop hold in the product because they hold in each leaf,
+    whose tree ``_grow`` checked at every level to depth n:
 
     * the sum of a layer is the pair of the factor layers' sums, so the
       layer is orthogonal and adds up to the cover ``(cover a1, cover a2)``;
@@ -240,21 +268,23 @@ def _nodes(cb, a: int, n: int):
       element, and C(0) is the whole carrier), so each u_w lies in ``P(a)``.
     """
     zero = cb.algebra.zero
+    levels = sorted(set(levels))
     u, c = {}, {}
     for leaf, x, stride in _leaves(cb, a):
-        tree = _leaf_tree(leaf, x, n)
+        by_level = _leaf_tree(leaf, x, n).levels
         z = leaf.algebra.zero
-        for w, v in tree._u.items():
-            if len(w) <= n:
+        for level in levels:
+            for w, v, cv in by_level[level]:
                 u[w] = u.get(w, zero) + (v - z) * stride
-                c[w] = c.get(w, zero) + (tree._c[w] - z) * stride
+                c[w] = c.get(w, zero) + (cv - z) * stride
     return u, c
 
 
 def _leaf_tree(cb, a: int, n: int) -> SplittingTree:
     """a's tree on a base without factors, of depth n or more: the one
     tree of ``a`` that the base keeps, grown to depth n first when it is
-    shallower.  So the base keeps at most one tree per element."""
+    shallower.  So the base keeps at most one tree per element, and hands
+    it to no caller."""
     tree = cb._trees.get(a)
     if tree is None or tree.depth < n:
         tree = cb._trees[a] = _grow(cb, a, tree, n)
@@ -267,31 +297,32 @@ def _grow(cb, a, tree: Optional[SplittingTree], n: int) -> SplittingTree:
 
     Each layer must lie in the bicommutant P(a), be orthogonal and add up
     to the cover of a; a failure raises ``InternalConsistencyError``.
+    Besides ``_u`` and ``_c`` the tree keeps ``levels``: per level, its
+    nonzero ``(w, u_w, c_w)`` ordered by k(w), which ``_nodes`` reads.
     ``tree`` is not changed, so a failure leaves a kept tree as it was.
     """
     E = cb.algebra
-    out = SplittingTree(E, a, n)
     if tree is None:
-        first = 0
         root = cb.cover(a)
-        if not E.eq(root, E.zero):
-            out._u[()] = root
-            out._c[()] = a
+        levels = [[] if E.eq(root, E.zero) else [((), root, a)]]
+        first = 0
     else:
-        first = tree.depth + 1
-        out._u, out._c = dict(tree._u), dict(tree._c)
+        levels = list(tree.levels)
+        first = len(levels)
     in_bic = cb.bicommutant_test(a)
-    for level in range(max(first - 1, 0), n):
-        for w, u in out.layer(level):
-            sr = comparability.split(cb, out.c(w), u)
+    # the children of a layer ordered by k(w) are again ordered by k(w)
+    while len(levels) <= n:
+        layer = []
+        for w, u, c in levels[-1]:
+            sr = comparability.split(cb, c, u)
             for bit, (uc, cc) in enumerate([(sr.u0, sr.c0), (sr.u1, sr.c1)]):
                 if not E.eq(uc, E.zero):
-                    out._u[w + (bit,)] = uc
-                    out._c[w + (bit,)] = cc
-    root = out._u.get((), E.zero)
+                    layer.append((w + (bit,), uc, cc))
+        levels.append(layer)
+    root = levels[0][0][1] if levels[0] else E.zero
     for level in range(first, n + 1):
         total = E.zero
-        for w, u in out.layer(level):
+        for w, u, _ in levels[level]:
             if not in_bic(u):
                 raise InternalConsistencyError(
                     f"u_{w} escaped the bicommutant of {E.label(a)}")
@@ -301,6 +332,12 @@ def _grow(cb, a, tree: Optional[SplittingTree], n: int) -> SplittingTree:
             total = s
         if not E.eq(total, root):
             raise InternalConsistencyError(f"layer {level} does not add up to the cover")
+    out = SplittingTree(E, a, n)
+    out.levels = levels
+    for layer in levels:
+        for w, u, c in layer:
+            out._u[w] = u
+            out._c[w] = c
     return out
 
 
@@ -314,16 +351,27 @@ class SpectralResolution:
     ``jumps`` lists ``(j, p)`` in ascending ``j``, starting at ``j = 0``:
     p_lambda = p for j / 2^depth <= lambda until the next jump.  Each
     layer of the splitting tree partitions the cover, so a resolution
-    has at most ``|layer| + 1`` jumps however deep the grid.
+    has at most ``|layer| + 1`` jumps however deep the grid.  ``base`` is
+    the compression base that resolved the element, if one did.
     """
 
-    def __init__(self, algebra, element, depth: int, jumps, tree=None):
+    def __init__(self, algebra, element, depth: int, jumps, base=None):
         self.algebra = algebra
         self.element = element
         self.depth = depth
         self.jumps = tuple(jumps)
-        self.tree = tree
+        self._base = base
+        self._tree = None
         self._starts = [j for j, _ in self.jumps]
+
+    @property
+    def tree(self) -> Optional[SplittingTree]:
+        """The element's depth-n splitting tree, from ``splitting_tree`` on
+        the first read and kept from then on, the caller's to change; None
+        when no base resolved the element."""
+        if self._tree is None and self._base is not None:
+            self._tree = splitting_tree(self._base, self.element, self.depth)
+        return self._tree
 
     @property
     def entries(self) -> "GridView":
@@ -408,28 +456,45 @@ def check_depth(n) -> int:
 def binary_resolution(cb, a, n: int) -> SpectralResolution:
     """p_0 = (cover a)', then one jump per cell of the depth-n layer, p_1 = 1.
 
-    The cell u_w with k(w) = j - 1 joins the resolution from the grid
-    index j on (``_layer_jumps``), on every base.  Each prefix sum is
-    checked defined (so monotone), the last to be the unit, so the work is
-    O(depth * |layer|), and every resolution is a chain where it is built.
+    Only the root and the depth-n layer of a's tree are composed
+    (``_resolution_nodes``); the tree itself is built when the
+    resolution's ``tree`` is first read.  The cell u_w with k(w) = j - 1
+    joins the resolution from the grid index j on (``_layer_jumps``), on
+    every base.  Each prefix sum is checked defined (so monotone), the
+    last to be the unit, so every resolution is a chain where it is built.
     """
     n = check_depth(n)
-    tree = splitting_tree(cb, a, n)
-    return SpectralResolution(cb.algebra, a, n, _layer_jumps(cb.algebra, tree, n), tree=tree)
+    comparability.require_spectral(cb)
+    return _resolution(cb, a, n)
 
 
-def _layer_jumps(E, tree: SplittingTree, n: int) -> list:
-    """The jumps of the depth-n resolution, from the tree's depth-n layer:
-    the prefix sums, from one ``E.running_sums`` call, each checked to be
-    defined (in one stacked order test on matrices), the last to be the
-    unit.  ``acc <= acc + u`` holds by the order's definition (``a <= a +
-    b`` in ``TableAlgebra._derive_order``; ``min eig(u) >= -tol`` on
-    matrices)."""
+def _resolution(cb, a, n: int) -> SpectralResolution:
+    """``binary_resolution`` on a checked depth and a spectral base."""
+    jumps = _layer_jumps(cb.algebra, _resolution_nodes(cb, a, n), n)
+    return SpectralResolution(cb.algebra, a, n, jumps, base=cb)
+
+
+def _resolution_nodes(cb, a, n: int) -> dict:
+    """The nonzero u_w of a's depth-n tree at levels 0 and n, the two that
+    a resolution reads, with every check of ``splitting_tree`` but that
+    of the base's spectrality (``_compose``)."""
+    if cb.enumerable:
+        a = cb.algebra.check_element(a)
+    return _compose(cb, a, n, (0, n))[0]
+
+
+def _layer_jumps(E, u: dict, n: int) -> list:
+    """The jumps of the depth-n resolution, from the nodes u of its tree
+    (at least the root and the depth-n layer): the prefix sums, from one
+    ``E.running_sums`` call, each checked to be defined (in one stacked
+    order test on matrices), the last to be the unit.  ``acc <= acc + u``
+    holds by the order's definition (``a <= a + b`` in
+    ``TableAlgebra._derive_order``; ``min eig(u) >= -tol`` on matrices)."""
     starts, terms = [0], []
-    for w, u in tree.layer(n):
+    for w, v in _layer(u, n):
         starts.append(k_of(w) + 1)
-        terms.append(u)
-    sums = E.running_sums(E.ortho(tree._u.get((), E.zero)), terms)
+        terms.append(v)
+    sums = E.running_sums(E.ortho(u.get((), E.zero)), terms)
     if sums is None:
         raise InternalConsistencyError("resolution prefix sum undefined")
     if not E.eq(sums[-1], E.one):
@@ -471,7 +536,7 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
     lam = Fraction(lam)
     if not 0 <= lam <= 1:
         raise ValueError("lambda must lie in [0, 1]")
-    res = binary_resolution(cb, a, n)
+    res = _resolution(cb, a, n)
     if lam == 1:
         out = res.at_index(1 << n)
         return RationalValue(out, 0, n) if details else out
@@ -768,12 +833,13 @@ def _identical(p, q) -> bool:
 
 
 def expectation_bounds(cb, a, state, n: int):
-    """(lo, hi) with lo <= s(a) <= hi = lo + 2^-n, from the depth-n layer."""
+    """(lo, hi) with lo <= s(a) <= hi = lo + 2^-n, from the depth-n layer
+    (``_resolution_nodes``)."""
     comparability.require_spectral(cb)
     state.require_valid()
-    tree = splitting_tree(cb, a, n)
+    n = check_depth(n)
     lo = None
-    for w, u in tree.layer(n):
+    for w, u in _layer(_resolution_nodes(cb, a, n), n):
         term = lam_of(w) * state(u)
         lo = term if lo is None else lo + term
     if lo is None:

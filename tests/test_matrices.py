@@ -495,7 +495,7 @@ def test_tree_nodes_match_the_per_eigenvector_loop(dim):
     for a in _effects(E, rng):
         for n in range(11):
             try:
-                u, c = cb.tree_nodes(a, n)
+                u, c = cb.tree_nodes(a, n, range(n + 1))
             except InternalConsistencyError:
                 continue
             want_u, want_c = _tree_nodes_per_eigenvector(E, a, n)
@@ -504,6 +504,68 @@ def test_tree_nodes_match_the_per_eigenvector_loop(dim):
             assert all(_bytes(c[w]) == _bytes(want_c[w]) for w in c)
             nodes += len(u)
     assert nodes > 2000
+
+
+def _nodes_or_error(fn):
+    """``(u, c)`` with each node as its bytes, or the class and message of
+    the error ``fn`` raised."""
+    try:
+        u, c = fn()
+    except (InternalConsistencyError, ElementNotInCarrier) as exc:
+        return type(exc), str(exc)
+    return [{w: _bytes(v) for w, v in nodes.items()} for nodes in (u, c)]
+
+
+def _cut_and_foreign(E, rng):
+    """Effects with an eigenvalue cluster cut at the cover, at level 1 or at
+    level 2, and matrices outside the carrier."""
+    gap = 0.3 * matrices.CLUSTER_GAP
+    others = list(np.linspace(0.6, 0.9, E.dim - 2))
+    for centre in (0.0, 0.5, 0.25):
+        yield rotated(rng, [max(centre - gap, 0.0), centre + gap] + others)
+    yield rotated(rng, [1.5] + [0.5] * (E.dim - 1))
+    yield rotated(rng, [-0.1] + [0.5] * (E.dim - 1))
+    yield np.triu(np.full((E.dim, E.dim), 0.2))  # not symmetric
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_tree_nodes_at_levels_0_and_n_are_the_full_calls_bits(dim):
+    """``tree_nodes(a, n, (0, n))``, which the resolutions call, gives
+    levels 0 and n of the full call bit for bit, on seeded, edge, perturbed
+    and cluster-cutting effects at depths 0 to 10; where the full call
+    raises, it raises the same error with the same message, and so does
+    ``binary_resolution``."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(280 + dim)
+    raised = 0
+    for a in [*_effects(E, rng), *_cut_and_foreign(E, rng)]:
+        for n in range(11):
+            full = _nodes_or_error(lambda: cb.tree_nodes(a, n, range(n + 1)))
+            got = _nodes_or_error(lambda: cb.tree_nodes(a, n, (0, n)))
+            if isinstance(full, tuple):
+                raised += 1
+                assert got == full
+                with pytest.raises(full[0]) as exc:
+                    spectral.binary_resolution(cb, a, n)
+                assert str(exc.value) == full[1]
+                continue
+            assert got == [{w: v for w, v in nodes.items() if len(w) in (0, n)}
+                           for nodes in full], n
+    assert raised > 50
+
+
+def test_the_units_are_fixed_and_read_only(matrix3):
+    """``zero`` and ``one`` are made once; writing into either raises
+    ``ValueError``, so no caller can change what every other reads."""
+    E, _ = matrix3
+    assert E.zero is E.zero and E.one is E.one
+    assert np.array_equal(E.zero, np.zeros((3, 3))) and np.array_equal(E.one, np.eye(3))
+    for unit in (E.zero, E.one):
+        with pytest.raises(ValueError):
+            unit[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            np.add(unit, 1.0, out=unit)
+    assert np.array_equal(E.zero, np.zeros((3, 3))) and np.array_equal(E.one, np.eye(3))
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-15, 1e-13, 2e-6, 1e-3, 1e300, np.inf, np.nan])

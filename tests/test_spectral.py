@@ -10,8 +10,8 @@ from pathlib import Path
 from effalg import core, instances, spectral
 from effalg.compbase import central_base
 from effalg.errors import (EffalgError, ElementNotInCarrier, InternalConsistencyError,
-                           InvalidDepth, NoCover, NotSpectral)
-from effalg.matrices import CLUSTER_GAP, sym
+                           InvalidDepth, NoCover, NotSpectral, Unstable)
+from effalg.matrices import CLUSTER_GAP, DensityState, sym
 from effalg.spectral import (
     DyadicRational,
     apply_fw,
@@ -699,7 +699,7 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
             res = binary_resolution(cb, a, n)
             assert (res.tree._u, res.tree._c) == _top(generic, n), (a, n)
             assert res.tree.depth == n
-            assert list(res.jumps) == spectral._layer_jumps(P, generic, n), (a, n)
+            assert list(res.jumps) == spectral._layer_jumps(P, generic._u, n), (a, n)
         for lam in ORACLE_LAMBDAS:
             got = _factor_outcome(lambda: rational_resolution(cb, a, lam, ORACLE_DEPTH))
             v1 = of(0, x, "rational", lam, ORACLE_DEPTH)
@@ -920,7 +920,8 @@ def test_composed_trees_equal_the_generic_loop(name):
             tree = splitting_tree(cb, a, n)
             assert (tree._u, tree._c) == _top(generic, n), (a, n)
             assert (tree.algebra, tree.element, tree.depth) == (E, a, n)
-            assert list(binary_resolution(cb, a, n).jumps) == spectral._layer_jumps(E, generic, n)
+            jumps = spectral._layer_jumps(E, generic._u, n)
+            assert list(binary_resolution(cb, a, n).jumps) == jumps
 
 
 def test_both_paths_refuse_a_product_that_is_not_spectral():
@@ -983,6 +984,167 @@ def test_trees_are_kept_on_leaf_bases_only(matrix2):
     M, mcb = matrix2
     binary_resolution(mcb, M.random_effect(np.random.default_rng(3)), 4)
     assert not hasattr(mcb, "_trees")
+
+
+# ---------------------------------------------------------------------------
+# the layer route: resolutions compose the root and the depth-n layer only
+
+
+def _levels(nodes, levels):
+    """The entries of a node dict at the given levels."""
+    return {w: v for w, v in nodes.items() if len(w) in levels}
+
+
+LAYER_ROUTE_BASES = {  # name -> (E, cb), elements
+    "mv(4,2)": lambda: _every_element(instances.make_mv_product(4, 2)),
+    "boolean(3)": lambda: _every_element(instances.make_boolean(3)),
+    "table mv(4,2)": lambda: _every_element(_table_copy(instances.make_mv_product(4, 2)[0])),
+    "boolean(2) x mv(8,3)": lambda: _some_elements(instances.make_product(
+        instances.make_boolean(2), instances.make_mv_product(8, 3)), 300),
+}
+
+
+def _every_element(inst):
+    return inst, range(inst[0].size)
+
+
+def _some_elements(inst, count):
+    return inst, np.random.default_rng(28).permutation(inst[0].size)[:count].tolist()
+
+
+@pytest.mark.parametrize("name", list(LAYER_ROUTE_BASES))
+def test_levels_0_and_n_are_the_full_trees(name):
+    """``_nodes(cb, a, n, (0, n))``, which the resolutions compose, holds
+    levels 0 and n of the full tree, at depths 0 to 8 asked in an order
+    that is both shallower and deeper than the trees kept."""
+    (E, cb), elements = LAYER_ROUTE_BASES[name]()
+    for a in elements:
+        for n in DEPTH_ORDER:
+            full = splitting_tree(cb, a, n)
+            u, c = spectral._nodes(cb, a, n, (0, n))
+            assert (u, c) == (_levels(full._u, (0, n)), _levels(full._c, (0, n))), (name, a, n)
+
+
+def test_a_grown_tree_checks_each_new_layer(monkeypatch):
+    """A resolution that grows a kept depth-2 tree to depth 4 checks the
+    layers the kept tree did not hold, from level 3 on: with a bicommutant
+    test that refuses every node it fails naming a level-3 node, and the
+    base keeps the depth-2 tree."""
+    T, cb = _table_copy(instances.make_mv_product(4, 2)[0])
+    for a in range(1, T.size):
+        binary_resolution(cb, a, 2)
+        kept = cb._trees[a]
+        with monkeypatch.context() as m:
+            m.setattr(cb, "bicommutant_test", lambda x: lambda u: False)
+            with pytest.raises(InternalConsistencyError, match=r"^u_\(\d, \d, \d\) escaped"):
+                binary_resolution(cb, a, 4)
+        assert cb._trees[a] is kept and kept.depth == 2
+
+
+def test_a_resolutions_tree_is_built_when_read(matrix2, monkeypatch):
+    """``binary_resolution`` builds no tree; ``res.tree`` calls
+    ``splitting_tree`` on its first read and keeps what it returns, which
+    is the caller's to change: a later resolution reads a tree of its own."""
+    mv = instances.make_mv_product(8, 3)
+    P = instances.make_product(instances.make_boolean(2), mv)
+    built = []
+    real = spectral.splitting_tree
+    monkeypatch.setattr(spectral, "splitting_tree",
+                        lambda cb, a, n: built.append((a, n)) or real(cb, a, n))
+    rng = np.random.default_rng(12)
+    for (E, cb), a in ((mv, 300), (P, 1500), (_table_copy(mv[0]), 13),
+                       (matrix2, matrix2[0].random_effect(rng))):
+        for n in (0, 3, 6):
+            res = binary_resolution(cb, a, n)
+            assert built == []
+            tree = res.tree
+            assert len(built) == 1 and res.tree is tree and len(built) == 1
+            built.clear()
+            want = real(cb, a, n)
+            assert (tree.algebra, tree.depth, sorted(tree._u), sorted(tree._c)) == \
+                (E, n, sorted(want._u), sorted(want._c))
+            assert all(np.array_equal(tree._u[w], want._u[w]) and
+                       np.array_equal(tree._c[w], want._c[w]) for w in want._u)
+            tree._u.clear()
+            again = binary_resolution(cb, a, n)
+            assert again.tree is not tree and sorted(again.tree._u) == sorted(want._u)
+            built.clear()
+    family = dict(binary_resolution(mv[1], 300, 3).entries)  # no base resolved it
+    assert spectral._as_resolution(mv[0], 300, family, 3).tree is None
+    assert built == []
+
+
+def test_resolutions_compose_levels_0_and_n_only(matrix3, monkeypatch):
+    """``binary_resolution``, ``rational_resolution`` and
+    ``expectation_bounds`` call no ``splitting_tree``, and each composes
+    its tree once, at levels 0 and n: through ``_nodes`` on a grid, a
+    product and a table, through ``tree_nodes`` on the matrix base."""
+    mv = instances.make_mv_product(8, 3)
+    P = instances.make_product(instances.make_boolean(2), mv)
+    M, mcb = matrix3
+    states = {id(mv[1]): instances.weighted_state(mv[0], [Fraction(1, 2), Fraction(1, 3),
+                                                           Fraction(1, 6)]),
+              id(mcb): DensityState(M, np.eye(3) / 3)}
+
+    def no_tree(cb, a, n):
+        raise AssertionError("splitting_tree called")
+
+    composed = []
+    nodes, tree_nodes = spectral._nodes, type(mcb).tree_nodes
+    monkeypatch.setattr(spectral, "splitting_tree", no_tree)
+    monkeypatch.setattr(spectral, "_nodes", lambda cb, a, n, levels: composed.append(
+        (n, sorted(set(levels)))) or nodes(cb, a, n, levels))
+    monkeypatch.setattr(type(mcb), "tree_nodes", lambda self, a, n, levels: composed.append(
+        (n, sorted(set(levels)))) or tree_nodes(self, a, n, levels))
+    rng = np.random.default_rng(4)
+    for (E, cb), a in ((mv, 300), (P, 1500), (_table_copy(mv[0]), 13),
+                       (matrix3, M.random_effect(rng))):
+        for n in (0, 1, 5, 8):
+            routes = [lambda: binary_resolution(cb, a, n)]
+            if n:
+                routes.append(lambda: rational_resolution(cb, a, Fraction(1, 3), n))
+            if id(cb) in states:
+                routes.append(lambda: expectation_bounds(cb, a, states[id(cb)], n))
+            for route in routes:
+                try:
+                    route()
+                except Unstable:
+                    pass
+                assert composed == [(n, sorted({0, n}))], (E.kind, n)
+                composed.clear()
+
+
+def test_each_route_requires_spectrality_once(matrix3, monkeypatch):
+    """A compression base keeps its spectral verdict, and each resolution
+    route asks for it once."""
+    mv = instances.make_mv_product(8, 3)
+    P = instances.make_product(instances.make_boolean(2), mv)
+    M, mcb = matrix3
+    state = instances.weighted_state(mv[0], [Fraction(1, 3)] * 3)
+    for E, cb in (mv, P):
+        assert cb.is_spectral() and cb._spectral is True
+    monkeypatch.setattr(spectral.comparability, "check_b_comparability",
+                        lambda cb: pytest.fail("the kept verdict is not read"))
+    for E, cb in (mv, P, matrix3):
+        assert cb.is_spectral()
+    asked = []
+    for cb in (mv[1], P[1], mcb):
+        monkeypatch.setattr(cb, "is_spectral", lambda real=cb.is_spectral: asked.append(1) or
+                            real())
+    a_m = M.random_effect(np.random.default_rng(9))
+    calls = [lambda: binary_resolution(mv[1], 300, 6),
+             lambda: rational_resolution(mv[1], 300, Fraction(2, 5), 6, details=True),
+             lambda: rational_resolution(P[1], 1500, Fraction(1, 5), 6),
+             lambda: rational_resolution(mcb, a_m, Fraction(1, 3), 6),
+             lambda: expectation_bounds(mv[1], 300, state, 6),
+             lambda: expectation_bounds(mcb, a_m, DensityState(M, np.eye(3) / 3), 6)]
+    for call in calls:
+        try:
+            call()
+        except Unstable:
+            pass
+        assert asked == [1]
+        asked.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1221,6 +1383,22 @@ def test_clause_iv_on_matrices_is_one_stacked_eigh_and_eigvalsh(monkeypatch):
     assert totals == [657, 234]
 
 
+def test_a_matrix_verify_makes_no_unit(monkeypatch):
+    """The matrix carrier makes its units once: depth-5 verifies of
+    ``perfbench``'s matrix stream, the computed families and the perturbed
+    ones, call no ``np.eye``.  A unit made on each access cost 3.4 calls
+    per verify here."""
+    E, cb = instances.make_matrix(3)
+    eyes = []
+    real = np.eye
+    monkeypatch.setattr(np, "eye", lambda *args, **kw: eyes.append(args) or real(*args, **kw))
+    families = list(_perfbench_families(monkeypatch, cb, 20))
+    eyes.clear()
+    verdicts = [verify_resolution(cb, a, family, 5).passed for a, family in families]
+    assert verdicts == [True, False] * 20
+    assert eyes == []
+
+
 def test_clause_iv_on_a_product_makes_no_scalar_op_on_the_product():
     """On ``boolean(2) x mv(8,3)`` clause (ii) calls no ``leq`` of the
     product, and each cell of clause (iv) is decided on the leaf bases: no
@@ -1285,7 +1463,7 @@ def test_prefix_sums_test_no_order_past_the_sum(monkeypatch):
     for a in np.random.default_rng(6).permutation(P.size)[:25].tolist():
         res = binary_resolution(pcb, a, 4)
         leqs.clear()
-        assert spectral._layer_jumps(P, res.tree, 4) == list(res.jumps)
+        assert spectral._layer_jumps(P, res.tree._u, 4) == list(res.jumps)
         assert leqs == [], a
 
 

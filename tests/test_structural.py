@@ -1264,7 +1264,7 @@ def test_resolutions_with_a_broken_table_factor_fail_as_the_generic_loop():
                     want = generic, generic
                 else:
                     want = ((generic._u, generic._c),
-                            _outcome(lambda: spectral._layer_jumps(E, generic, 4)))
+                            _outcome(lambda: spectral._layer_jumps(E, generic._u, 4)))
                 tree = _outcome(lambda: spectral.splitting_tree(cb, a, 4))
                 got = (tree if isinstance(tree, type) else (tree._u, tree._c),
                        _outcome(lambda: list(spectral.binary_resolution(cb, a, 4).jumps)))

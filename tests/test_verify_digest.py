@@ -1,4 +1,4 @@
-"""scripts/verify_digest.py: one digest line per instance, on short lists."""
+"""scripts/verify_digest.py: two digest lines per instance, on short lists."""
 
 import importlib.util
 import sys
@@ -29,19 +29,50 @@ def _lines(script, capsys):
     return [line.split(" ", 2) for line in capsys.readouterr().out.splitlines()]
 
 
-def test_one_line_per_instance_the_same_on_each_run(monkeypatch, capsys):
+INSTANCES = [
+    "mv(8,3)", "mv(16,2)", "boolean(2) x mv(8,3)", "matrix(2)", "matrix(3)", "matrix(4)",
+    "mv(16,1)", "restrict(mv(8,3), (8,8,0))", "matrix(2) at the edge of (ii)",
+    "matrix(3) at the edge of (ii)", "matrix(4) at the edge of (ii)"]
+FINITE = [0, 1, 2, 6, 7]  # the positions of the finite instances
+
+
+def test_two_lines_per_instance_the_same_on_each_run(monkeypatch, capsys):
+    """The verify lines, then one resolution line per instance after them."""
     script = _script(monkeypatch)
     lines = _lines(script, capsys)
-    assert [name for _, _, name in lines] == [
-        "mv(8,3)", "mv(16,2)", "boolean(2) x mv(8,3)", "matrix(2)", "matrix(3)", "matrix(4)",
-        "mv(16,1)", "restrict(mv(8,3), (8,8,0))", "matrix(2) at the edge of (ii)",
-        "matrix(3) at the edge of (ii)", "matrix(4) at the edge of (ii)"]
+    assert [name for _, _, name in lines] == \
+        INSTANCES + [f"resolutions on {name}" for name in INSTANCES]
     for digest, count, _ in lines:
         assert len(digest) == 64 and int(digest, 16) >= 0
         assert int(count) > 0
-    finite = lines[:3] + lines[6:8]
-    assert [count for _, count, _ in finite] == ["12"] * 5  # 2 elements x 2 depths x 3
+    assert [lines[i][1] for i in FINITE] == ["12"] * 5  # 2 elements x 2 depths x 3
+    assert [lines[11 + i][1] for i in FINITE] == ["4"] * 5  # 2 elements x 2 depths
     assert _lines(script, capsys) == lines
+
+
+def test_a_changed_resolution_changes_its_line(monkeypatch, capsys):
+    """Moving the upper expectation bound, or the depth from which a
+    rational value is stable on the finite instances, changes only the
+    resolution lines that it reaches."""
+    script = _script(monkeypatch)
+    lines = _lines(script, capsys)
+    bounds, rational = spectral.expectation_bounds, spectral.rational_resolution
+    monkeypatch.setattr(spectral, "expectation_bounds",
+                        lambda cb, a, state, n: (bounds(cb, a, state, n)[0], 2))
+    changed = _lines(script, capsys)
+    assert [a == b for a, b in zip(lines, changed)] == [True] * 11 + [False] * 11
+    monkeypatch.setattr(spectral, "expectation_bounds", bounds)
+
+    def later(cb, a, lam, n, details=False):
+        got = rational(cb, a, lam, n, details)
+        if cb.enumerable and details:
+            got.stable_from += 1
+        return got
+
+    monkeypatch.setattr(spectral, "rational_resolution", later)
+    changed = _lines(script, capsys)
+    assert [a != b for a, b in zip(lines, changed)] == \
+        [False] * 11 + [i in FINITE for i in range(11)]
 
 
 def test_a_changed_verdict_changes_its_line(monkeypatch, capsys):
@@ -58,7 +89,8 @@ def test_a_changed_verdict_changes_its_line(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "verify_resolution", flipped)
     changed = _lines(script, capsys)
     assert [a == b for a, b in zip(lines, changed)] == [False, False, False, True, True, True,
-                                                        False, False, True, True, True]
+                                                        False, False, True, True, True] + \
+        [True] * 11
 
 
 def test_a_directory_without_sources_exits_2(tmp_path, monkeypatch, capsys):
