@@ -11,7 +11,8 @@ factors.  For each scan the script prints its wall seconds, then one line
 per row: name, verdict, mode and detail.  Before the scans it prints the
 wall seconds and the traced peak (``tracemalloc``, a second run) of
 ``compbase._central_base`` on a fresh copy of the table, with the size of
-the centre it finds.
+the centre it finds, and the wall seconds of ``p_meet_table`` on a fresh
+copy of the base.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ def scan(name: str) -> list:
     tracemalloc.stop()
     lines.append(f"  central_base: {took:.2f} s, peak {peak:.1f} MB, "
                  f"|centre| = {len(centre.projections)}")
+    fresh_cb = table_copy(T, tcb)[1]
+    t0 = time.perf_counter()
+    fresh_cb.p_meet_table()
+    lines.append(f"  p_meet_table: {time.perf_counter() - t0:.2f} s")
     for what, run in (("axioms", lambda: core._scan_axioms(T)),
                       ("base", lambda: compbase._scan_base(T, tcb)),
                       ("spectral", lambda: comparability._scan_spectral(tcb))):

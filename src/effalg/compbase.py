@@ -288,31 +288,28 @@ class CompressionBase:
     # -- lattice structure of P ----------------------------------------------------
 
     def p_meet_table(self) -> np.ndarray:
-        """Pairwise meets inside P (as a sub-poset); -1 where none.  On a
-        product base they are the pairs of the factors' meets, -1 where
-        either is missing: P is ``P1 x P2`` in the product order, so the
-        common lower bounds of two pairs are the pairs of common lower
-        bounds, and they have a greatest iff both factor sets do."""
+        """Pairwise meets inside P (as a sub-poset); -1 where none:
+        ``core.meet_search`` on the order of P (``proj_leq``), on a band of
+        rows from the diagonal on at a time (about 64 bytes a pair, in steps
+        of ``kernels.CHUNK_BYTES``), mirrored below it.  On a product base
+        they are the pairs of the factors' meets, -1 where either is
+        missing: P is ``P1 x P2`` in the product order, so the common lower
+        bounds of two pairs are the pairs of common lower bounds, and they
+        have a greatest iff both factor sets do."""
         if self._p_meet is None and self.factors is not None:
             self._require_projections()
             left, right = self.factors
             self._p_meet = core._product_table(left.p_meet_table(), right.p_meet_table(),
                                                right.algebra.size)
         if self._p_meet is None:
-            # the meet, when it exists, is the common lower bound with the
-            # most members of P below it, and every common lower bound is
-            # below it
-            down = self.proj_leq().T  # down[i, k]: P[k] <= P[i]
-            m = down.shape[0]
-            height = down.sum(axis=1)
-            P = np.array(self.projections, dtype=np.int64)
-            out = np.full((m, m), -1, dtype=np.int64)
-            step = max(1, kernels.CHUNK_BYTES // (16 * m * m))
+            below = self.proj_leq()
+            bits, m = core.order_bits(below), below.shape[0]
+            out = np.empty((m, m), dtype=np.int64)
+            step = max(1, kernels.CHUNK_BYTES // (64 * m))
             for i in range(0, m, step):
-                common = down[i:i + step, None, :] & down[None, :, :]  # [i, j, k]
-                top = np.argmax(np.where(common, height, -1), axis=2)
-                found = common.any(axis=2) & ~(common & ~down[top]).any(axis=2)
-                out[i:i + step][found] = P[top[found]]
+                pos = core.meet_search(below, bits, np.arange(m)[i:i + step, None], np.arange(i, m))
+                out[i:i + step, i:] = np.where(pos < 0, -1, self.p_array[pos])
+                out[i + step:, i:i + step] = out[i:i + step, i + step:].T
             self._p_meet = out
         return self._p_meet
 

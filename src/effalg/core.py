@@ -32,7 +32,7 @@ from .errors import (
 DENSE_LIMIT = 5000  # dense tables need n <= this (3 tables, 9 n^2 bytes)
 TRIPLE_BUDGET = 2_000_000_000  # elementary operations of one exact scan; each row counts its own
 SAMPLE_SIZE = 20_000
-MAX_CARRIER = 600_000  # constructors refuse larger carriers (SizeLimit)
+MAX_CARRIER = 600_000  # FiniteAlgebra refuses larger carriers (SizeLimit)
 
 
 # for a byte of np.packbits output: the position of its first set bit (8 in
@@ -72,6 +72,70 @@ def as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise MalformedInput(f"not an exact rational: {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# meets in a finite order
+
+
+def order_bits(below: np.ndarray) -> tuple:
+    """``(order, down, up)`` of the boolean order matrix ``below``
+    (``below[c, x]``: c <= x): the indices, those with the most indices
+    below first, and per index the bit rows over ``order`` of the indices
+    below it and above it."""
+    order = np.argsort(-below.sum(axis=0), kind="stable")
+    return order, np.packbits(below.T[:, order], axis=1), np.packbits(below[:, order], axis=1)
+
+
+def meet_search(below: np.ndarray, bits: tuple, xs, ys) -> np.ndarray:
+    """Pointwise greatest lower bounds in the boolean order matrix
+    ``below``, whose ``order_bits`` are ``bits``; -1 where a pair has none.
+
+    Each distinct pair is answered once; a meet is symmetric, so
+    ``(x, y)`` and ``(y, x)`` count as one.  The bit rows are read for a
+    run of pairs at a time, in steps of ``kernels.CHUNK_BYTES``: the
+    candidate is the common lower bound with the most elements below it,
+    and it is the meet when every common lower bound lies below it and no
+    other lies above it as well.  That decides every pair that has a meet
+    in a partial order.  The pairs it leaves open, those with no meet and
+    the ties of a broken table whose order is not antisymmetric or not
+    transitive, get ``scalar_meet``, which defines the answer.
+    """
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
+    n = below.shape[0]
+    keys, inv = np.unique((np.minimum(xs, ys) * n + np.maximum(xs, ys)).ravel(),
+                          return_inverse=True)
+    out = np.full(keys.size, -1, dtype=np.int64)
+    order, down, up = bits
+    step = max(1, kernels.CHUNK_BYTES // (4 * down.shape[1]))
+    for i in range(0, keys.size, step):
+        x, y = np.divmod(keys[i:i + step], n)
+        common = down[x] & down[y]
+        rows = np.arange(x.size)
+        byte = np.argmax(common != 0, axis=1)
+        bit = _LEADING_BIT[common[rows, byte]]  # 8 where no bound is common
+        top = order[np.minimum(byte * 8 + bit, n - 1)]
+        tied = common & up[top]  # common bounds above the candidate
+        tied[rows, byte] &= ~_BIT[bit]  # less the candidate itself
+        found = (bit < 8) & ~(common & ~down[top]).any(axis=1) & ~tied.any(axis=1)
+        out[i:i + step][found] = top[found]
+    for i in np.flatnonzero(out < 0):
+        m = scalar_meet(below, *divmod(int(keys[i]), n))
+        out[i] = -1 if m is None else m
+    return out[inv].reshape(xs.shape)
+
+
+def scalar_meet(below: np.ndarray, a: int, b: int):
+    """The meet of ``a`` and ``b`` in the boolean order matrix ``below``,
+    or None: of their common lower bounds, the first that every one of
+    them lies below (or the only one)."""
+    cand = np.flatnonzero(below[:, a] & below[:, b])
+    if cand.size <= 1:  # a broken table can leave a pair no lower bound
+        return int(cand[0]) if cand.size else None
+    # the maximum, if any, is the candidate every candidate sits below
+    ranks = below[cand[:, None], cand].sum(axis=0)
+    best = int(np.argmax(ranks))
+    return int(cand[best]) if ranks[best] == cand.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +315,8 @@ class FiniteAlgebra(EffectAlgebra):
     factors = None
 
     def __init__(self, n, zero, one):
+        if n > MAX_CARRIER:
+            raise SizeLimit(f"carrier of size {n} exceeds MAX_CARRIER={MAX_CARRIER}")
         self._n = int(n)
         self.zero = int(zero)
         self.one = int(one)
@@ -259,7 +325,7 @@ class FiniteAlgebra(EffectAlgebra):
         self._ominus_table = None
         self._defined_pairs = None
         self._ortho_vec = None
-        self._order_index = None  # _order_bits(), for meet_pairs
+        self._order_index = None  # order_bits(leq_table), for meet_pairs
         self._reports = {}  # "axioms": the validate_axioms report
         self._central = None  # compbase.central_base(self), built on first use
 
@@ -326,53 +392,11 @@ class FiniteAlgebra(EffectAlgebra):
         return a & b if op == "leq_pairs" else pair_indices(a, b, right._n)
 
     def _meet_pairs(self, xs, ys) -> np.ndarray:
-        """``meet_pairs`` of a carrier without factors.
-
-        Each distinct pair is answered once; a meet is symmetric, so
-        ``(x, y)`` and ``(y, x)`` count as one.  The order table is read
-        for a run of pairs at a time, in steps of ``kernels.CHUNK_BYTES``,
-        as ``CompressionBase.p_meet_table`` does for P: the candidate is
-        the common lower bound with the most elements below it, and it is
-        the meet when every common lower bound lies below it and no other
-        lies above it as well.  That decides every pair that has a meet in
-        a partial order.  The pairs it leaves open, those with no meet and
-        the ties of a broken table whose order is not antisymmetric or not
-        transitive, get the scalar ``meet`` search, which defines the
-        answer.
-        """
-        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
-        n = self._n
-        keys, inv = np.unique((np.minimum(xs, ys) * n + np.maximum(xs, ys)).ravel(),
-                              return_inverse=True)
-        out = np.full(keys.size, -1, dtype=np.int64)
-        order, down, up = self._order_bits()
-        step = max(1, kernels.CHUNK_BYTES // (4 * down.shape[1]))
-        for i in range(0, keys.size, step):
-            x, y = np.divmod(keys[i:i + step], n)
-            common = down[x] & down[y]
-            rows = np.arange(x.size)
-            byte = np.argmax(common != 0, axis=1)
-            bit = _LEADING_BIT[common[rows, byte]]  # 8 where no bound is common
-            top = order[np.minimum(byte * 8 + bit, n - 1)]
-            tied = common & up[top]  # common bounds above the candidate
-            tied[rows, byte] &= ~_BIT[bit]  # less the candidate itself
-            found = (bit < 8) & ~(common & ~down[top]).any(axis=1) & ~tied.any(axis=1)
-            out[i:i + step][found] = top[found]
-        for i in np.flatnonzero(out < 0):
-            m = self.meet(int(keys[i]) // n, int(keys[i]) % n)
-            out[i] = -1 if m is None else m
-        return out[inv].reshape(xs.shape)
-
-    def _order_bits(self):
-        """``(order, down, up)``: the elements, those with the most elements
-        below first, and per element the bit rows over ``order`` of the
-        elements below it and above it; built once from the order table."""
+        """``meet_pairs`` of a carrier without factors: ``meet_search`` on
+        its order table, whose ``order_bits`` it keeps once built."""
         if self._order_index is None:
-            below = self.leq_table  # below[c, x]: c <= x
-            order = np.argsort(-below.sum(axis=0), kind="stable")
-            self._order_index = (order, np.packbits(below.T[:, order], axis=1),
-                                 np.packbits(below[:, order], axis=1))
-        return self._order_index
+            self._order_index = order_bits(self.leq_table)
+        return meet_search(self.leq_table, self._order_index, xs, ys)
 
     def ortho_all(self) -> np.ndarray:
         if self._ortho_vec is None:
@@ -485,23 +509,10 @@ class FiniteAlgebra(EffectAlgebra):
         return self.leq_pairs(np.arange(self._n), a)
 
     def meet(self, a, b):
-        """Greatest common lower bound, or None when it does not exist."""
-        if self.factors is not None:
-            m = int(self.meet_pairs(a, b))
-            return None if m < 0 else m
-        cand = np.flatnonzero(self.lower_bounds(a) & self.lower_bounds(b))
-        if cand.size <= 1:  # a broken table can leave a pair no lower bound
-            return int(cand[0]) if cand.size else None
-        # the maximum, if any, is the candidate every candidate sits below
-        ranks = self.leq_pairs(cand[:, None], cand).sum(axis=0)
-        best = int(np.argmax(ranks))
-        if ranks[best] == cand.size:
-            return int(cand[best])
-        return None
-
-    def join(self, a, b):
-        d = self.meet(self.ortho(a), self.ortho(b))
-        return None if d is None else self.ortho(d)
+        """Greatest common lower bound, or None when it does not exist:
+        ``meet_pairs`` of one pair."""
+        m = int(self.meet_pairs(a, b))
+        return None if m < 0 else m
 
     def meet_many(self, elems):
         it = list(elems)
@@ -564,8 +575,9 @@ class TableAlgebra(FiniteAlgebra):
         self._derive_order()
 
     @classmethod
-    def from_triples(cls, n, triples, zero, one, labels=None, symmetrize=True):
-        """Build from explicit (a, b, a+b) triples; everything else undefined."""
+    def from_triples(cls, n, triples, zero, one, labels=None):
+        """Build from explicit (a, b, a+b) triples, each also read as (b, a,
+        a+b); everything else undefined."""
         if not 1 <= n <= DENSE_LIMIT:
             raise SizeLimit(f"explicit tables need 1 <= n <= {DENSE_LIMIT}, not {n}")
         S = -np.ones((n, n), dtype=np.int32)
@@ -573,9 +585,7 @@ class TableAlgebra(FiniteAlgebra):
             if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (a, b, s)):
                 raise ElementNotInCarrier(f"table entry {[a, b, s]} is not three indices "
                                           f"below {n}")
-            S[a, b] = s
-            if symmetrize:
-                S[b, a] = s
+            S[a, b] = S[b, a] = s
         return cls(S, zero, one, labels=labels)
 
     def _derive_order(self):
@@ -621,12 +631,12 @@ class GridAlgebra(FiniteAlgebra):
             raise ValueError("need k >= 1 and d >= 1")
         self.k = int(k)
         self.d = int(d)
+        n = (k + 1) ** d
+        super().__init__(n, 0, n - 1)
         if d > 1:
             rest = self._with_arity(d - 1)
             self.chain = rest.chain
             self.factors = (self.chain, rest)
-        n = (k + 1) ** d
-        super().__init__(n, 0, n - 1)
         # little-endian index: coordinate i carries stride (k+1)^i
         self.strides = (k + 1) ** np.arange(d, dtype=np.int64)
         idx = np.arange(n, dtype=np.int64)

@@ -23,7 +23,6 @@ import numpy as np
 from . import groups, matrices
 from .compbase import CompressionBase, central_base, product_base, validate_base
 from .core import (
-    MAX_CARRIER,
     BooleanAlgebra,
     FiniteAlgebra,
     GridAlgebra,
@@ -42,11 +41,6 @@ from .errors import (
     SizeLimit,
 )
 from .spectral import SplittingTree
-
-
-def _guard_size(n: int):
-    if n > MAX_CARRIER:
-        raise SizeLimit(f"carrier of size {n} exceeds MAX_CARRIER={MAX_CARRIER}")
 
 
 def _validated(E, cb, what: str, validate: bool = True):
@@ -69,7 +63,6 @@ def make_boolean(n_atoms: int, validate: bool = True):
     """Powerset of n atoms with U_p(a) = a ^ p over every element."""
     if not 1 <= n_atoms <= 16:
         raise SizeLimit("boolean instances support 1..16 atoms")
-    _guard_size(2 ** n_atoms)
     E = BooleanAlgebra(n_atoms)
     E.document = {"kind": "boolean", "n_atoms": n_atoms}
     return _validated(E, central_base(E), "boolean", validate)
@@ -81,7 +74,6 @@ def make_mv_product(denominator: int, arity: int, validate: bool = True):
         raise ValueError("denominator must be one of 2, 4, 8, 16")
     if not 1 <= arity <= 4:
         raise ValueError("arity must be 1..4")
-    _guard_size((denominator + 1) ** arity)
     E = GridAlgebra(denominator, arity)
     E.document = {"kind": "mv_product", "denominator": denominator, "arity": arity}
     return _validated(E, central_base(E), "mv_product", validate)
@@ -116,7 +108,6 @@ def make_table(sums, n: int, zero: int, one: int, labels=None):
 def make_product(left, right, validate: bool = True):
     """Componentwise product of two instances; base is the pair base."""
     (E1, cb1), (E2, cb2) = left, right
-    _guard_size(E1.size * E2.size)
     E = ProductAlgebra(E1, E2)
     E.document = {"kind": "product",
                   "factors": [E1.document, E2.document]}

@@ -142,7 +142,7 @@ class MatrixEffectAlgebra(EffectAlgebra):
         p = np.asarray(p)
         return bool(p.shape == (self.dim, self.dim) and p.dtype.kind in "fiu"
                     and np.abs(p - p.T).max() <= self.tol
-                    and np.abs(p @ p - p).max() <= 10 * self.tol)
+                    and np.abs(p @ p - p).max() <= self.tol)
 
     # sharpness via idempotence; the order-theoretic scan is not available
     def is_sharp(self, a) -> bool:
@@ -290,7 +290,7 @@ class MatrixCompressionBase:
         if stack is None or not np.isfinite(stack).all():
             return [self.is_projection(p) and self.in_commutant(a, p) for p in ps]
         ok = (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) <= tol) \
-            & (np.abs(stack @ stack - stack).max(axis=(1, 2)) <= 10 * tol) \
+            & (np.abs(stack @ stack - stack).max(axis=(1, 2)) <= tol) \
             & (np.abs(stack @ a - a @ stack).max(axis=(1, 2)) <= 100 * tol)
         return ok.tolist()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effalg import compbase, core, instances
+from effalg import compbase, core, instances, kernels
 from effalg.compbase import (
     CompressionBase,
     blocks,
@@ -317,6 +317,8 @@ def _ref_p_meet_table(cb):
     for i in range(m):
         for j in range(m):
             idx = np.flatnonzero(Pleq[:, i] & Pleq[:, j])
+            if not idx.size:
+                continue
             ranks = Pleq[np.ix_(idx, idx)].sum(axis=0)
             k = int(np.argmax(ranks))
             if ranks[k] == idx.size:
@@ -399,6 +401,34 @@ def test_p_meet_table_matches_pairwise():
     # without 0 two atoms have no common lower bound in P at all
     atoms = CompressionBase(E, [0b0001, 0b0010], {p: np.arange(E.size) for p in (1, 2)})
     assert atoms.p_meet_table().tolist() == [[1, -1], [-1, 2]]
+
+
+def test_p_meet_table_of_a_broken_table_with_all_of_it_in_p(monkeypatch):
+    """With P the whole carrier of a broken grid table, whose order is
+    reflexive but not always antisymmetric or transitive, the meets in P
+    are the reference's on every pair, and the carrier's ``meet_pairs``,
+    in one band of rows and in bands of one to three rows; the tables
+    reach pairs with no meet in P.  So does the meet table of the table
+    copy of ``boolean(3) x boolean(3)`` in bands of five rows."""
+    from test_structural import GRIDS, MUTATIONS, _broken_table
+
+    rng = np.random.default_rng(29)
+    missing = 0
+    for i in range(400):
+        T = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])[0]
+        n = T.size
+        want = _ref_p_meet_table(CompressionBase(T, range(n), {p: np.arange(n) for p in range(n)}))
+        assert np.array_equal(want, T.meet_pairs(np.arange(n)[:, None], np.arange(n))), i
+        for rows in (n, 1 + i % 3):
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "CHUNK_BYTES", 64 * n * rows)
+                cb = CompressionBase(T, range(n), {p: np.arange(n) for p in range(n)})
+                assert np.array_equal(cb.p_meet_table(), want), (i, rows)
+        missing += int((want < 0).sum())
+    assert missing
+    flat = _table_copy(*_bases()["boolean(3) x boolean(3)"])[1]
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 64 * 64 * 5)
+    assert np.array_equal(flat.p_meet_table(), _ref_p_meet_table(flat))
 
 
 def _ref_classify(E, J, maps, seed=0):

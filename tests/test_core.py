@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from effalg import core
 from effalg.core import GridAlgebra, ProductAlgebra, TableAlgebra
-from effalg.errors import ElementNotInCarrier
+from effalg.errors import ElementNotInCarrier, SizeLimit
 
 
 def test_boolean_sum_is_disjoint_union(bool3):
@@ -204,3 +204,26 @@ def test_element_bounds_checked(mv42):
         E.index_of([9, 0])
     with pytest.raises(ElementNotInCarrier):
         E.check_element(E.size)
+
+
+def test_oversized_carriers_are_refused_before_their_tower(monkeypatch):
+    """Every finite carrier refuses more than ``MAX_CARRIER`` elements with
+    one message: a product at once, and a grid after its ``k``/``d`` check
+    but before it builds a level of its tower."""
+    def no_tower(self, d):
+        raise AssertionError("a tower level was built")
+
+    monkeypatch.setattr(GridAlgebra, "_with_arity", no_tower)
+    monkeypatch.setattr(core.BooleanAlgebra, "_with_arity", no_tower)
+    cap = f"exceeds MAX_CARRIER={core.MAX_CARRIER}"
+    with pytest.raises(SizeLimit, match=f"carrier of size 1419857 {cap}"):
+        GridAlgebra(16, 5)
+    with pytest.raises(SizeLimit, match=f"carrier of size 1048576 {cap}"):
+        core.BooleanAlgebra(20)
+    with pytest.raises(ValueError, match="need k >= 1 and d >= 1"):
+        GridAlgebra(0, 100)
+    monkeypatch.undo()
+    grid = GridAlgebra(16, 3)
+    with pytest.raises(SizeLimit, match=f"carrier of size 24137569 {cap}"):
+        ProductAlgebra(grid, grid)
+    assert ProductAlgebra(GridAlgebra(8, 3), GridAlgebra(8, 3)).size == 531441

@@ -666,3 +666,21 @@ def test_commuting_projections_is_the_per_run_test_bit_for_bit(dim):
     for odd in (np.full((dim, dim), np.nan), np.eye(dim, dtype=int), p.tolist()):
         assert cb.commuting_projections(p, [p, odd]) == \
             [True, cb.is_projection(odd) and cb.in_commutant(p, odd)]
+
+
+def test_an_idempotent_within_tol_is_its_own_meet():
+    """Idempotence is decided at ``tol``, the precision of ``eq`` and the
+    meets: ``p = (1 - e) P`` for a rank-2 projection P of ``matrix(3)`` is
+    refused at ``e = 3 tol`` and ``7 tol``, whose ``meet_proj(p, p)`` is P
+    and not ``eq`` to p, and accepted at ``e = tol / 4``, where it is; the
+    stacked check of ``commuting_projections`` gives the same bits."""
+    for tol in (1e-12, 1e-9, 1e-6):
+        E, cb = matrices.make_matrix_instance(3, tol=tol)
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            P = E.random_projection(rng, rank=2)
+            for e, accepted in ((3 * tol, False), (7 * tol, False), (tol / 4, True)):
+                p = (1 - e) * P
+                assert E.is_projection(p) is accepted
+                assert E.eq(cb.meet_proj(p, p), p) is accepted
+                assert cb.commuting_projections(P, [P, p]) == [True, accepted]

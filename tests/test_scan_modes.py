@@ -18,8 +18,9 @@ def test_boolean_3_table_copy_is_scanned_in_full():
     assert lines[0] == "boolean(3) table copy (n = 8, |P| = 8)"
     assert re.fullmatch(r"  central_base: \d+\.\d\d s, peak \d+\.\d MB, \|centre\| = 8",
                         lines[1]), lines[1]
+    assert re.fullmatch(r"  p_meet_table: \d+\.\d\d s", lines[2]), lines[2]
     assert [line.split(":")[0].strip() for line in lines if line.endswith(" s")] == \
-        ["axioms", "base", "spectral"]
+        ["p_meet_table", "axioms", "base", "spectral"]
     rows = [line.split() for line in lines if line.startswith("    ")]
     assert [row[0] for row in rows] == [
         "E1-commutative", "E2-associative", "E3-orthosupplement-exists",
