@@ -11,8 +11,9 @@ factors.  For each scan the script prints its wall seconds, then one line
 per row: name, verdict, mode and detail.  Before the scans it prints the
 wall seconds and the traced peak (``tracemalloc``, a second run) of
 ``compbase._central_base`` on a fresh copy of the table, with the size of
-the centre it finds, and the wall seconds of ``p_meet_table`` on a fresh
-copy of the base.
+the centre it finds, the wall seconds of ``p_meet_table`` on a fresh
+copy of the base, and those of ``compbase.check_oml`` on another fresh
+copy, with the name of the error it raises, if any.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from effalg import comparability, compbase, core, instances  # noqa: E402
+from effalg.errors import EffalgError  # noqa: E402
 
 
 def build(name: str):
@@ -74,6 +76,14 @@ def scan(name: str) -> list:
     t0 = time.perf_counter()
     fresh_cb.p_meet_table()
     lines.append(f"  p_meet_table: {time.perf_counter() - t0:.2f} s")
+    fresh_cb = table_copy(T, tcb)[1]
+    t0 = time.perf_counter()
+    try:
+        compbase.check_oml(fresh_cb)
+        raised = ""
+    except EffalgError as exc:
+        raised = f", {type(exc).__name__}"
+    lines.append(f"  check_oml: {time.perf_counter() - t0:.4f} s{raised}")
     for what, run in (("axioms", lambda: core._scan_axioms(T)),
                       ("base", lambda: compbase._scan_base(T, tcb)),
                       ("spectral", lambda: comparability._scan_spectral(tcb))):

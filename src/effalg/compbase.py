@@ -8,6 +8,7 @@ on Mackey-compatible pairs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
@@ -183,11 +184,14 @@ class CompressionBase:
         if not self.projections:
             raise IncompleteBase(f"the compression base on {E.kind} has no projections")
         if closed:
-            ortho = E.ortho_all()[self.projections]
-            missing = ortho[~np.isin(ortho, self.projections)]
+            ortho = E.ortho_all()[self.p_array]
+            missing = np.flatnonzero(~np.isin(ortho, self.p_array))
             if missing.size:
-                raise IncompleteBase(f"the compression base on {E.kind} has no map "
-                                     f"at {E.label(int(missing[0]))}")
+                k = missing[0]
+                raise IncompleteBase(
+                    f"the member {E.label(self.projections[k])} of the compression base on "
+                    f"{E.kind} has no orthosupplement" if ortho[k] < 0 else
+                    f"the compression base on {E.kind} has no map at {E.label(int(ortho[k]))}")
 
     def pc_matrix(self) -> np.ndarray:
         """Boolean (n, |P|) table of commutant membership."""
@@ -326,10 +330,6 @@ class CompressionBase:
         v = self.p_meet_table().item(self.p_pos[p], self.p_pos[q])
         return None if v < 0 else v
 
-    def join_proj(self, p: int, q: int) -> Optional[int]:
-        v = self.meet_proj(self.p_ortho(p), self.p_ortho(q))
-        return None if v is None else self.p_ortho(v)
-
     def is_spectral(self) -> bool:
         """Projection covers plus b-comparability, whose report the base
         keeps (``comparability.check_b_comparability``); the base keeps the
@@ -429,7 +429,8 @@ class MapSample:
     Every defined pair of a dense carrier when ``maps`` times their count
     fits ``core.TRIPLE_BUDGET``, else ``core.SAMPLE_SIZE`` seeded pairs,
     with ``over`` the sampled row's detail; past ``4 * core.SAMPLE_SIZE``
-    elements, a seeded sample of elements plus the boundary ones.
+    elements, a seeded sample of elements plus the boundary ones.  Each
+    order test is one ``leq_pairs`` call over them.
     """
 
     def __init__(self, E: FiniteAlgebra, maps: int = 1):
@@ -461,18 +462,14 @@ class MapSample:
             return MapClassification("not_additive", None, witness)
 
         focus = int(J[E.one])
-        idx = _with_elements(self.idx, [focus, E.ortho(focus)]) if self.drawn else self.idx
-
-        def below(b):  # over idx; lower_bounds builds no product order table
-            return E.leq_pairs(idx, b) if self.drawn else E.lower_bounds(b)
-
-        lower = idx[below(focus)]
+        idx = np.union1d(self.idx, [focus, E.ortho(focus)]) if self.drawn else self.idx
+        lower = idx[E.leq_pairs(idx, focus)]
         fixed = J[lower] == lower
         if not fixed.all():
             return MapClassification("not_additive", None, int(lower[np.argmin(fixed)]))
 
         kernel = J[idx] == E.zero
-        should = below(E.ortho(focus))
+        should = E.leq_pairs(idx, E.ortho(focus))
         if (kernel == should).all():
             return MapClassification("compression", focus)
         return MapClassification("retraction", focus, int(idx[np.argmax(kernel != should)]))
@@ -486,14 +483,6 @@ class MapSample:
         rhs = np.where(ok, E.sum_pairs(J[xs], J[ys]), -1)
         bad = np.flatnonzero(ok & (lhs != rhs))
         return (int(xs[bad[0]]), int(ys[bad[0]])) if bad.size else None
-
-
-def _with_elements(idx: np.ndarray, extra) -> np.ndarray:
-    """The sorted union of the sorted unique ``idx`` with ``extra``."""
-    extra = np.unique(extra)
-    at = np.searchsorted(idx, extra)
-    new = extra[(at == idx.size) | (idx[np.minimum(at, idx.size - 1)] != extra)]
-    return np.insert(idx, np.searchsorted(idx, new), new) if new.size else idx
 
 
 # ---------------------------------------------------------------------------
@@ -1021,51 +1010,65 @@ def has_pcp(cb: CompressionBase) -> bool:
 
 
 def check_oml(cb: CompressionBase) -> Report:
-    """P under the cover property: an orthomodular lattice, sup/inf-closed in E."""
+    """P under the cover property: an orthomodular lattice, sup/inf-closed in E.
+
+    Meets in P come from ``p_meet_table``, joins are (p' ^ q')' through
+    ``ortho_rows`` (``IncompleteBase`` unless P is closed under '), and the
+    orthomodular law is one gather over the pairs of ``proj_leq``.  The
+    E-meets of the subsets of two and three members, and of their
+    orthosupplements, are stacked ``meet_pairs`` calls in chunks, in
+    ``itertools.combinations`` order; a witness is the first failing pair
+    or subset, its meet checked before its join (whose witness is -1 where
+    the meet of the orthosupplements has none)."""
     if not cb.enumerable:
         raise NotEnumerable("the projection lattice of a lazy carrier is not listable")
     if not cb.has_pcp():
         missing = int(np.argmax(cb.cover_vec() < 0))
         raise NoCover(cb.algebra.label(missing))
-    E = cb.algebra
-    rep = Report(f"OML structure of P (|P|={len(cb.projections)})")
-    m = len(cb.projections)
+    E, P = cb.algebra, cb.p_array
+    rep = Report(f"OML structure of P (|P|={P.size})")
     meets = cb.p_meet_table()
     rep.add("pairwise-meets-exist", bool((meets >= 0).all()))
-    joins_ok = all(cb.join_proj(p, q) is not None
-                   for p in cb.projections for q in cb.projections)
-    rep.add("pairwise-joins-exist", joins_ok)
+    o = cb.ortho_rows()
+    at = np.where(meets < 0, -1, np.searchsorted(P, meets))  # meets as positions in P
+    rep.add("pairwise-joins-exist", bool((at[o[:, None], o] >= 0).all()))
 
-    om_ok, om_w = True, None
-    Pleq = cb.proj_leq()
-    for i, p in enumerate(cb.projections):
-        for j, q in enumerate(cb.projections):
-            if not Pleq[i, j]:
-                continue
-            inner = cb.meet_proj(q, cb.p_ortho(p))
-            rhs = None if inner is None else cb.join_proj(p, inner)
-            if rhs != q:
-                om_ok, om_w = False, (p, q)
-                break
-        if not om_ok:
-            break
-    rep.add("orthomodular-law", om_ok, witness=om_w)
+    # q = p v (q ^ p') for p <= q, read off ``at`` (at -1 too, masked)
+    i, j = np.nonzero(cb.proj_leq())
+    inner = at[j, o[i]]
+    dual = at[o[i], o[inner]]
+    bad = np.flatnonzero((inner < 0) | (dual < 0) | (o[dual] != j))
+    om_w = (int(P[i[bad[0]]]), int(P[j[bad[0]]])) if bad.size else None
+    rep.add("orthomodular-law", om_w is None, witness=om_w)
 
-    # sup/inf closure in E for subsets of two and three projections
-    import itertools
-
-    cl_ok, cl_w = True, None
+    # sup/inf closure in E for subsets of two and three projections, about
+    # 128 bytes a member of a subset, in steps of kernels.CHUNK_BYTES
+    cl_w = None
     for size in (2, 3):
-        for subset in itertools.combinations(cb.projections, size):
-            mv = E.meet_many(subset)
-            if mv is not None and mv not in cb.p_set:
-                cl_ok, cl_w = False, ("meet", subset, mv)
+        subsets = itertools.combinations(range(P.size), size)
+        step = max(1, kernels.CHUNK_BYTES // (128 * size))
+        while cl_w is None:
+            rows = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, step)),
+                               dtype=np.int64).reshape(-1, size)
+            if not rows.size:
                 break
-            jv = E.meet_many([E.ortho(p) for p in subset])
-            if jv is not None and E.ortho(jv) not in cb.p_set:
-                cl_ok, cl_w = False, ("join", subset, E.ortho(jv))
-                break
-        if not cl_ok:
-            break
-    rep.add("sup-inf-closed-(subsets ≤ 3)", cl_ok, witness=cl_w)
+            mv, jv = _meets_of_rows(E, P[rows]), _meets_of_rows(E, P[o[rows]])
+            jo = E.ortho_all()[jv]  # -1 where it is undefined, so not in P
+            bad_meet = (mv >= 0) & ~np.isin(mv, P)
+            bad = np.flatnonzero(bad_meet | ((jv >= 0) & ~np.isin(jo, P)))
+            if bad.size:
+                k = bad[0]
+                kind, v = ("meet", mv[k]) if bad_meet[k] else ("join", jo[k])
+                cl_w = (kind, tuple(P[rows[k]].tolist()), int(v))
+    rep.add("sup-inf-closed-(subsets ≤ 3)", cl_w is None, witness=cl_w)
     return rep
+
+
+def _meets_of_rows(E: FiniteAlgebra, rows: np.ndarray) -> np.ndarray:
+    """The E-meet of each row of elements, folded left to right with one
+    ``meet_pairs`` call per column; -1 from the first missing meet on."""
+    out = rows[:, 0].copy()
+    for col in rows.T[1:]:
+        ok = out >= 0
+        out[ok] = E.meet_pairs(out[ok], col[ok])
+    return out

@@ -514,15 +514,6 @@ class FiniteAlgebra(EffectAlgebra):
         m = int(self.meet_pairs(a, b))
         return None if m < 0 else m
 
-    def meet_many(self, elems):
-        it = list(elems)
-        out = it[0]
-        for x in it[1:]:
-            out = self.meet(out, x)
-            if out is None:
-                return None
-        return out
-
 
 def pair_indices(a, b, size: int):
     """``a * size + b`` for factor answers ``a`` and ``b``, -1 wherever either
@@ -1074,11 +1065,9 @@ def sharp_elements(E: FiniteAlgebra) -> np.ndarray:
 
 
 def is_principal(E: FiniteAlgebra, a) -> bool:
-    """x, y <= a and x + y defined imply x + y <= a."""
+    """x, y <= a and x + y defined imply x + y <= a, in one ``sum_pairs`` and
+    one ``leq_pairs`` call, which read the tables where they exist."""
     idx = np.flatnonzero(E.lower_bounds(a))
-    if E.dense:  # the block stays int32; sum_pairs would widen it to int64
-        sums = E.sum_table[np.ix_(idx, idx)]
-        return bool(E.leq_table[sums[sums >= 0], a].all())
     sums = E.sum_pairs(idx[:, None], idx)
     return bool(E.leq_pairs(sums[sums >= 0], a).all())
 

@@ -3,9 +3,10 @@
 The carrier is not enumerable; order and equality are decided by
 eigenvalue bounds within a fixed tolerance, tol in [1e-12, 1e-6], covers
 and positive parts by eigendecomposition, and boundary eigenvalues (|mu|
-<= tol) always land on the 'below' side of a split.  Order tests on many
-pairs are one stacked ``eigvalsh`` (``leq_pairs``), each pair with the
-bits of its own ``leq``.  A splitting tree is read off one
+<= tol) always land on the 'below' side of a split.  The order tests are
+one stacked ``eigvalsh`` (``leq_pairs``; ``leq`` is one pair), and the
+projection and commutation tests one stack (``projection_tests``; e.g.
+``is_projection`` is one entry).  A splitting tree is read off one
 eigendecomposition of its element (``MatrixCompressionBase.tree_nodes``):
 each split keeps a's eigenvectors and halves their eigenvalues, so the
 tree's cells are the binary digits of a's spectrum, and the nodes come
@@ -92,7 +93,7 @@ class MatrixEffectAlgebra(EffectAlgebra):
         return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= self.tol)
 
     def leq(self, a, b) -> bool:
-        return bool(np.linalg.eigvalsh(sym(b - a)).min() >= -self.tol)
+        return bool(self.leq_pairs(a, b))
 
     def leq_pairs(self, xs, ys) -> np.ndarray:
         """``leq`` on each pair of the stacks xs and ys, which broadcast
@@ -139,14 +140,22 @@ class MatrixEffectAlgebra(EffectAlgebra):
         return sym(q[:, :rank] @ q[:, :rank].T)
 
     def is_projection(self, p) -> bool:
-        p = np.asarray(p)
-        return bool(p.shape == (self.dim, self.dim) and p.dtype.kind in "fiu"
-                    and np.abs(p - p.T).max() <= self.tol
-                    and np.abs(p @ p - p).max() <= self.tol)
+        return bool(self.projection_tests([p], self.zero)[0][0])
 
-    # sharpness via idempotence; the order-theoretic scan is not available
-    def is_sharp(self, a) -> bool:
-        return self.is_projection(a)
+    def projection_tests(self, ps, a) -> tuple:
+        """``(projection, commutes)``, boolean per entry of ``ps``: whether it
+        is symmetric and idempotent within tol, and whether it commutes with
+        a within 100 tol.  An entry that is not a numeric dim x dim array
+        fails both; the others are tested as one float stack."""
+        d = self.dim
+        arrays = [np.asarray(p) for p in ps]
+        good = np.array([x.shape == (d, d) and x.dtype.kind in "fiu" for x in arrays], dtype=bool)
+        s = np.array([x for x, ok in zip(arrays, good) if ok], dtype=float).reshape(-1, d, d)
+        proj, comm = np.zeros((2, good.size), dtype=bool)
+        proj[good] = (np.abs(s - np.swapaxes(s, 1, 2)).max(axis=(1, 2)) <= self.tol) \
+            & (np.abs(s @ s - s).max(axis=(1, 2)) <= self.tol)
+        comm[good] = np.abs(s @ a - a @ s).max(axis=(1, 2)) <= 100 * self.tol
+        return proj, comm
 
     def mackey_compatible(self, a, b):
         """Projection case only: a <-> p iff a = p a p + p' a p'."""
@@ -277,25 +286,16 @@ class MatrixCompressionBase:
         return self.algebra.is_projection(p)
 
     def in_commutant(self, a, p) -> bool:
-        return bool(np.abs(p @ a - a @ p).max() <= 100 * self.algebra.tol)
+        return self.commute(p, a)
 
     def commuting_projections(self, a, ps) -> list:
-        """Whether each p of ``ps`` is a projection (``is_projection``) that
-        commutes with a (``in_commutant``).  When every p is a finite float
-        matrix of the carrier's shape, the tests run on the stack of them,
-        and each p gets the bits of its own tests."""
-        tol, shape = self.algebra.tol, (self.algebra.dim, self.algebra.dim)
-        stack = np.array(ps) if all(isinstance(p, np.ndarray) and p.dtype == float
-                                    and p.shape == shape for p in ps) else None
-        if stack is None or not np.isfinite(stack).all():
-            return [self.is_projection(p) and self.in_commutant(a, p) for p in ps]
-        ok = (np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2)) <= tol) \
-            & (np.abs(stack @ stack - stack).max(axis=(1, 2)) <= tol) \
-            & (np.abs(stack @ a - a @ stack).max(axis=(1, 2)) <= 100 * tol)
-        return ok.tolist()
+        """Whether each p of ``ps`` is a projection that commutes with a: one
+        ``projection_tests`` call, as ``is_projection`` and ``commute`` are."""
+        proj, comm = self.algebra.projection_tests(ps, a)
+        return (proj & comm).tolist()
 
     def commute(self, e, f) -> bool:
-        return bool(np.abs(e @ f - f @ e).max() <= 100 * self.algebra.tol)
+        return bool(self.algebra.projection_tests([e], f)[1][0])
 
     def has_b_property(self, a) -> bool:
         return True  # a's double commutant is spanned by its eigenprojections
@@ -575,7 +575,8 @@ class MatrixCompressionBase:
 
         ok = all(self.p_le_set(*commuting_pair()) for _ in range(25))
         rep.add("comparability", ok, mode="sampled")
-        ok_sharp = all(E.is_sharp(E.random_projection(rng)) for _ in range(8))
+        # sharp means idempotent here; the order-theoretic scan is not available
+        ok_sharp = all(E.is_projection(E.random_projection(rng)) for _ in range(8))
         rep.add("sharp-elements-are-projections", ok_sharp, mode="sampled")
         return rep
 

@@ -62,6 +62,10 @@ from .core import Report, is_archimedean
 from .errors import (ElementNotInCarrier, InternalConsistencyError, InvalidDepth,
                      NotSpectral, Unstable)
 
+# The deepest grid resolved: a leaf tree's memory grows with the square of
+# the depth, and the matrix verifier's 2^depth overflows a float past 1023.
+MAX_DEPTH = 512
+
 # ---------------------------------------------------------------------------
 # binary strings and dyadic rationals
 
@@ -443,13 +447,15 @@ class GridView(Mapping):
 
 
 def check_depth(n) -> int:
-    """n as an int; InvalidDepth unless it is a nonnegative integer."""
+    """n as an int; InvalidDepth unless it is an integer in [0, MAX_DEPTH]."""
     try:
         n = operator.index(n)
     except TypeError:
         raise InvalidDepth(f"depth must be a nonnegative integer, not {n!r}") from None
     if n < 0:
         raise InvalidDepth(f"depth must be a nonnegative integer, not {n}")
+    if n > MAX_DEPTH:
+        raise InvalidDepth(f"depth {n} is past the bound MAX_DEPTH = {MAX_DEPTH}")
     return n
 
 

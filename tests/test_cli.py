@@ -237,6 +237,23 @@ def test_bad_depth_exits_2(docs, capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+def test_depth_past_the_bound_exits_2_at_once(docs):
+    """``spectral --lambda`` and ``expect`` refuse a depth past
+    ``spectral.MAX_DEPTH`` before they resolve anything."""
+    import time
+
+    message = "error: depth 64000 is past the bound MAX_DEPTH = 512\n"
+    for argv in (["spectral", docs["mv83"], "--element", "2,4,7", "--lambda", "1/3"],
+                 ["spectral", docs["mv83"], "--element", "2,4,7"],
+                 ["spectral", docs["matrix"], "--element", "1/2,0,0,1/4", "--lambda", "1/3"],
+                 ["expect", docs["mv83"], "--element", "2,4,7", "--state", "1/3,1/3,1/3"]):
+        t0 = time.perf_counter()
+        assert run_cli(argv + ["--depth", "64000"]) == (2, message), argv
+        assert time.perf_counter() - t0 < 1.0, argv
+    assert run_cli(["spectral", docs["mv83"], "--element", "2,4,7", "--lambda", "1/3",
+                    "--depth", "512"])[0] == 0
+
+
 def test_lambda_at_depth_64(docs, capsys):
     from effalg import core, groups, instances
 

@@ -103,35 +103,6 @@ def test_principal_implies_sharp(mv42, mo2):
                 assert a in sharp
 
 
-def _broken_grid_tables(count, seed):
-    """Sum tables of mv(4,2) with a few entries changed, symmetrically."""
-    S = GridAlgebra(4, 2).sum_table
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        bad = S.copy()
-        for _ in range(3):
-            i, j = (int(x) for x in rng.integers(0, S.shape[0], 2))
-            bad[i, j] = bad[j, i] = int(rng.integers(-1, S.shape[0]))
-        out.append(TableAlgebra(bad, 0, S.shape[0] - 1))
-    return out
-
-
-def test_is_principal_dense_matches_pairwise(mv42, mo2, hsum_l8, bool3, monkeypatch):
-    """The dense-table path of is_principal and the pairwise path (taken
-    above DENSE_LIMIT) agree on every element."""
-    algebras = [mv42[0], mo2[0], hsum_l8[0], ProductAlgebra(bool3[0], mv42[0]),
-                ProductAlgebra(mo2[0], GridAlgebra(4, 1)), *_broken_grid_tables(6, 5)]
-    dense = [[core.is_principal(E, a) for a in range(E.size)] for E in algebras]
-    assert all(E.dense for E in algebras)
-    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
-    assert not any(E.dense for E in algebras)
-    pairwise = [[core.is_principal(E, a) for a in range(E.size)] for E in algebras]
-    assert dense == pairwise
-    verdicts = {v for row in dense for v in row}
-    assert verdicts == {True, False}
-
-
 def test_mackey_compatibility(mv83, mo2):
     E, _ = mv83
     rng = np.random.default_rng(0)

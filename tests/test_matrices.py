@@ -637,8 +637,8 @@ def test_commuting_projections_is_the_per_run_test_bit_for_bit(dim):
     one matrix.  Entries: the runs of resolutions at depths 3 and 6 of
     seeded, edge and perturbed effects, each also moved by symmetric noise
     of 1e-10 to 1e-6, rotated by 1e-8 to 1e-5, or moved off symmetry by
-    about tol, where both answers occur; a list that holds a non-finite or
-    a non-float entry takes the per-entry tests."""
+    about tol, where both answers occur; then a non-finite, an int and a
+    list entry beside a projection."""
     E, cb = matrices.make_matrix_instance(dim)
     rng = np.random.default_rng(260 + dim)
     outcomes = set()
@@ -666,6 +666,48 @@ def test_commuting_projections_is_the_per_run_test_bit_for_bit(dim):
     for odd in (np.full((dim, dim), np.nan), np.eye(dim, dtype=int), p.tolist()):
         assert cb.commuting_projections(p, [p, odd]) == \
             [True, cb.is_projection(odd) and cb.in_commutant(p, odd)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_one_entry_tests_are_the_stacked_test(dim):
+    """``is_projection``, ``in_commutant`` and ``commute`` are
+    ``projection_tests`` of one entry, and ``commuting_projections`` one
+    call of it over all entries: on seeded projections and effects, near
+    misses, a's eigenprojections rotated by 1e-8 to 1e-5, edge entries (0, 1, an int identity, a list) and malformed ones
+    (NaN, a wrong shape, a bool array, text, None), the
+    one-entry forms give the stacked bits, and on a float matrix those are
+    the matrix expressions of one entry.  ``leq`` is ``leq_pairs`` of one
+    pair."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(300 + dim)
+    tol = E.tol
+    for a in list(_effects(E, rng))[:12]:
+        a = E.check_element(a)
+        ps = [E.random_projection(rng) for _ in range(3)]
+        ps += [p + s * sym(rng.standard_normal((dim, dim))) for p in ps for s in (1e-10, 1e-7)]
+        clusters = [c for _, c in eig_clusters(a)]
+        ps += clusters + [sym(r @ c @ r.T) for c in clusters for r in _rotations(rng, dim)]
+        ps += [a, a @ a, E.zero, E.one]
+        floats = list(ps)
+        ps += [np.eye(dim, dtype=int), np.diag(np.arange(dim) % 2), ps[0].tolist(),
+               np.full((dim, dim), np.nan), np.eye(dim + 1), np.eye(dim, dtype=bool), "x",
+               None]
+        proj, comm = E.projection_tests(ps, a)
+        assert [E.is_projection(p) for p in ps] == [cb.is_projection(p) for p in ps] \
+            == proj.tolist()
+        assert [cb.in_commutant(a, p) for p in ps] == [cb.commute(p, a) for p in ps] \
+            == comm.tolist()
+        assert cb.commuting_projections(a, ps) == (proj & comm).tolist()
+        assert proj[len(floats):].tolist() == [True, True, True] + [False] * 5
+        diag = ps[len(floats) + 1]
+        assert comm[len(floats):].tolist() == \
+            [True, np.abs(diag @ a - a @ diag).max() <= 100 * tol, comm[0]] + [False] * 5
+        for p, is_p, commutes in zip(floats, proj, comm):
+            assert is_p == (np.abs(p - p.T).max() <= tol and np.abs(p @ p - p).max() <= tol)
+            assert commutes == (np.abs(p @ a - a @ p).max() <= 100 * tol)
+        for b in floats[-4:]:
+            assert E.leq(a, b) is bool(E.leq_pairs(a, b)) \
+                is bool(np.linalg.eigvalsh(sym(b - a)).min() >= -tol)
 
 
 def test_an_idempotent_within_tol_is_its_own_meet():

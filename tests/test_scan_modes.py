@@ -19,8 +19,9 @@ def test_boolean_3_table_copy_is_scanned_in_full():
     assert re.fullmatch(r"  central_base: \d+\.\d\d s, peak \d+\.\d MB, \|centre\| = 8",
                         lines[1]), lines[1]
     assert re.fullmatch(r"  p_meet_table: \d+\.\d\d s", lines[2]), lines[2]
+    assert re.fullmatch(r"  check_oml: \d+\.\d{4} s", lines[3]), lines[3]
     assert [line.split(":")[0].strip() for line in lines if line.endswith(" s")] == \
-        ["p_meet_table", "axioms", "base", "spectral"]
+        ["p_meet_table", "check_oml", "axioms", "base", "spectral"]
     rows = [line.split() for line in lines if line.startswith("    ")]
     assert [row[0] for row in rows] == [
         "E1-commutative", "E2-associative", "E3-orthosupplement-exists",

@@ -434,6 +434,35 @@ def test_depth_must_be_a_nonnegative_integer(mv42):
     assert binary_resolution(cb, 1, np.int64(3)).depth == 3
 
 
+def test_depth_past_the_bound_fails_fast(mv42, matrix2):
+    """Every route refuses a depth past ``MAX_DEPTH = 512`` with
+    ``InvalidDepth`` naming the bound, before it resolves anything; a
+    matrix verify at the bound returns a report, as its rounding bound
+    2^depth is still a float."""
+    assert spectral.MAX_DEPTH == 512
+    for E, cb in (mv42, matrix2):
+        a = E.one if E.enumerable else E.one / 4
+        state = instances.weighted_state(E, [Fraction(1, 2)] * 2) if E.enumerable \
+            else DensityState(E, E.one / 2)
+        for call in (lambda n: binary_resolution(cb, a, n),
+                     lambda n: splitting_tree(cb, a, n),
+                     lambda n: spectral._splitting_tree(cb, a, n),
+                     lambda n: rational_resolution(cb, a, Fraction(1, 3), n),
+                     lambda n: verify_resolution(cb, a, {}, n),
+                     lambda n: expectation_bounds(cb, a, state, n),
+                     lambda n: spectral.commutes_iff_spectrum(cb, a, E.one, n)):
+            assert call(4) is not None
+            for n in (513, 1030, 64000, 2 ** 70):
+                with pytest.raises(InvalidDepth, match=f"depth {n} is past the bound "
+                                                       "MAX_DEPTH = 512"):
+                    call(n)
+    E, cb = matrix2
+    a = sym(np.array([[0.3, 0.1], [0.1, 0.6]]))
+    res = binary_resolution(cb, a, 512)
+    rep = verify_resolution(cb, a, res.entries, 512)
+    assert [c.name for c in rep.checks][-1] == "(iv)-doubling-maps-exist"
+
+
 # ---------------------------------------------------------------------------
 # the verifier against a point-by-point scan
 
@@ -715,18 +744,13 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
 def test_product_meets_in_p_are_the_meet_table(name):
     """``meet_proj`` on a product base pairs its factor bases' meets, and no
     product base below builds a meet table; it equals the composed
-    ``p_meet_table`` on every pair of P, and ``join_proj`` is its
-    orthosupplement dual."""
+    ``p_meet_table`` on every pair of P."""
     (P, cb), _, _, _ = ORACLE_CASES[name]()
     ps = cb.projections
     got = [[cb.meet_proj(p, q) for q in ps] for p in ps]
     assert all(b._p_meet is None for b in _bases_below(cb) if b.factors is not None)
     table = cb.p_meet_table()
     assert got == [[None if v < 0 else int(v) for v in row] for row in table.tolist()]
-    for p in ps:
-        for q in ps:
-            m = cb.meet_proj(P.ortho(p), P.ortho(q))
-            assert cb.join_proj(p, q) == (None if m is None else P.ortho(m))
 
 
 def _leaf_route_cases():
