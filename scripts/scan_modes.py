@@ -11,9 +11,10 @@ factors.  For each scan the script prints its wall seconds, then one line
 per row: name, verdict, mode and detail.  Before the scans it prints the
 wall seconds and the traced peak (``tracemalloc``, a second run) of
 ``compbase._central_base`` on a fresh copy of the table, with the size of
-the centre it finds, the wall seconds of ``p_meet_table`` on a fresh
-copy of the base, and those of ``compbase.check_oml`` on another fresh
-copy, with the name of the error it raises, if any.
+the centre it finds, and the wall seconds of ``p_meet_table`` on a fresh
+copy of the base.  ``compbase.check_oml`` is measured the same way as the
+central base, each run on its own fresh copy of the base, and its rows
+follow in the same form, or the name of the error it raises.
 """
 
 from __future__ import annotations
@@ -58,41 +59,55 @@ def table_copy(E, cb):
                                        {p: cb.map_table(p) for p in cb.projections})
 
 
+def measured(run, fresh):
+    """``run`` on one ``fresh()`` argument timed, and on another traced
+    (``tracemalloc``): its result or ``EffalgError``, seconds and peak MB."""
+    def outcome(arg):
+        try:
+            return run(arg)
+        except EffalgError as exc:
+            return exc
+    arg = fresh()
+    t0 = time.perf_counter()
+    out = outcome(arg)
+    took = time.perf_counter() - t0
+    arg = fresh()
+    tracemalloc.start()
+    outcome(arg)
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    return out, took, peak
+
+
+def rows(rep) -> list:
+    """One line per row of a report: name, verdict, mode and detail."""
+    return [f"    {c.name:<30} {'PASS' if c.passed else 'FAIL'} {c.mode:<8} {c.detail}".rstrip()
+            for c in rep.checks]
+
+
 def scan(name: str) -> list:
     """The printed lines for one instance."""
     T, tcb = table_copy(*build(name))
     lines = [f"{name} table copy (n = {T.size}, |P| = {len(tcb.projections)})"]
-    t0 = time.perf_counter()
-    centre = compbase._central_base(core.TableAlgebra(T.sum_table, T.zero, T.one))
-    took = time.perf_counter() - t0
-    fresh = core.TableAlgebra(T.sum_table, T.zero, T.one)
-    tracemalloc.start()
-    compbase._central_base(fresh)
-    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    tracemalloc.stop()
+    centre, took, peak = measured(compbase._central_base,
+                                  lambda: core.TableAlgebra(T.sum_table, T.zero, T.one))
     lines.append(f"  central_base: {took:.2f} s, peak {peak:.1f} MB, "
                  f"|centre| = {len(centre.projections)}")
     fresh_cb = table_copy(T, tcb)[1]
     t0 = time.perf_counter()
     fresh_cb.p_meet_table()
     lines.append(f"  p_meet_table: {time.perf_counter() - t0:.2f} s")
-    fresh_cb = table_copy(T, tcb)[1]
-    t0 = time.perf_counter()
-    try:
-        compbase.check_oml(fresh_cb)
-        raised = ""
-    except EffalgError as exc:
-        raised = f", {type(exc).__name__}"
-    lines.append(f"  check_oml: {time.perf_counter() - t0:.4f} s{raised}")
+    oml, took, peak = measured(compbase.check_oml, lambda: table_copy(T, tcb)[1])
+    raised = f", {type(oml).__name__}" if isinstance(oml, EffalgError) else ""
+    lines.append(f"  check_oml: {took:.4f} s, peak {peak:.1f} MB{raised}")
+    lines += [] if raised else rows(oml)
     for what, run in (("axioms", lambda: core._scan_axioms(T)),
                       ("base", lambda: compbase._scan_base(T, tcb)),
                       ("spectral", lambda: comparability._scan_spectral(tcb))):
         t0 = time.perf_counter()
         rep = run()
         lines.append(f"  {what}: {time.perf_counter() - t0:.2f} s")
-        for c in rep.checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            lines.append(f"    {c.name:<30} {verdict} {c.mode:<8} {c.detail}".rstrip())
+        lines += rows(rep)
     return lines
 
 

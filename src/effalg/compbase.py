@@ -8,7 +8,6 @@ on Mackey-compatible pairs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
@@ -270,8 +269,8 @@ class CompressionBase:
             self._cover_vec = np.where((c1 < 0) | (c2 < 0), -1, c1 * right.algebra.size + c2)
         if self._cover_vec is None:
             cand = self.elem_leq_proj()
-            strictly_above = (~self.proj_leq()).astype(np.int32)
-            misses = cand.astype(np.int32) @ strictly_above.T  # candidates not above P[i]
+            strictly_above = (~self.proj_leq()).astype(np.float32)  # exact below 2^24
+            misses = cand.astype(np.float32) @ strictly_above.T  # candidates not above P[i]
             ok = cand & (misses == 0)
             P = np.array(self.projections)
             have = ok.any(axis=1)
@@ -308,7 +307,7 @@ class CompressionBase:
         if self._p_meet is None:
             below = self.proj_leq()
             bits, m = core.order_bits(below), below.shape[0]
-            out = np.empty((m, m), dtype=np.int64)
+            out = np.empty((m, m), dtype=np.int32)
             step = max(1, kernels.CHUNK_BYTES // (64 * m))
             for i in range(0, m, step):
                 pos = core.meet_search(below, bits, np.arange(m)[i:i + step, None], np.arange(i, m))
@@ -318,15 +317,7 @@ class CompressionBase:
         return self._p_meet
 
     def meet_proj(self, p: int, q: int) -> Optional[int]:
-        """The meet of p and q in P, or None.  On a product base it is the
-        pair of the factor bases' meets, as in ``p_meet_table``, so it
-        builds no ``|P| x |P|`` table."""
-        if self.factors is not None:
-            left, right = self.factors
-            r = right.algebra.size
-            m1 = left.meet_proj(p // r, q // r)
-            m2 = None if m1 is None else right.meet_proj(p % r, q % r)
-            return None if m2 is None else m1 * r + m2
+        """The meet of p and q in P, or None: one entry of ``p_meet_table``."""
         v = self.p_meet_table().item(self.p_pos[p], self.p_pos[q])
         return None if v < 0 else v
 
@@ -1015,22 +1006,20 @@ def check_oml(cb: CompressionBase) -> Report:
     Meets in P come from ``p_meet_table``, joins are (p' ^ q')' through
     ``ortho_rows`` (``IncompleteBase`` unless P is closed under '), and the
     orthomodular law is one gather over the pairs of ``proj_leq``.  The
-    E-meets of the subsets of two and three members, and of their
-    orthosupplements, are stacked ``meet_pairs`` calls in chunks, in
-    ``itertools.combinations`` order; a witness is the first failing pair
-    or subset, its meet checked before its join (whose witness is -1 where
-    the meet of the orthosupplements has none)."""
+    closure row reads one table of E-meets of pairs of P
+    (``_closure_witness``); its witness is the first failing subset of two
+    or three, the join's -1 where the meet of the orthosupplements has none."""
     if not cb.enumerable:
         raise NotEnumerable("the projection lattice of a lazy carrier is not listable")
     if not cb.has_pcp():
         missing = int(np.argmax(cb.cover_vec() < 0))
         raise NoCover(cb.algebra.label(missing))
-    E, P = cb.algebra, cb.p_array
+    P = cb.p_array
     rep = Report(f"OML structure of P (|P|={P.size})")
     meets = cb.p_meet_table()
     rep.add("pairwise-meets-exist", bool((meets >= 0).all()))
     o = cb.ortho_rows()
-    at = np.where(meets < 0, -1, np.searchsorted(P, meets))  # meets as positions in P
+    at = np.where(meets < 0, -1, np.searchsorted(P, meets).astype(np.int32))  # positions in P
     rep.add("pairwise-joins-exist", bool((at[o[:, None], o] >= 0).all()))
 
     # q = p v (q ^ p') for p <= q, read off ``at`` (at -1 too, masked)
@@ -1040,35 +1029,57 @@ def check_oml(cb: CompressionBase) -> Report:
     bad = np.flatnonzero((inner < 0) | (dual < 0) | (o[dual] != j))
     om_w = (int(P[i[bad[0]]]), int(P[j[bad[0]]])) if bad.size else None
     rep.add("orthomodular-law", om_w is None, witness=om_w)
-
-    # sup/inf closure in E for subsets of two and three projections, about
-    # 128 bytes a member of a subset, in steps of kernels.CHUNK_BYTES
-    cl_w = None
-    for size in (2, 3):
-        subsets = itertools.combinations(range(P.size), size)
-        step = max(1, kernels.CHUNK_BYTES // (128 * size))
-        while cl_w is None:
-            rows = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, step)),
-                               dtype=np.int64).reshape(-1, size)
-            if not rows.size:
-                break
-            mv, jv = _meets_of_rows(E, P[rows]), _meets_of_rows(E, P[o[rows]])
-            jo = E.ortho_all()[jv]  # -1 where it is undefined, so not in P
-            bad_meet = (mv >= 0) & ~np.isin(mv, P)
-            bad = np.flatnonzero(bad_meet | ((jv >= 0) & ~np.isin(jo, P)))
-            if bad.size:
-                k = bad[0]
-                kind, v = ("meet", mv[k]) if bad_meet[k] else ("join", jo[k])
-                cl_w = (kind, tuple(P[rows[k]].tolist()), int(v))
+    cl_w = _closure_witness(cb.algebra, P, o)
     rep.add("sup-inf-closed-(subsets ≤ 3)", cl_w is None, witness=cl_w)
     return rep
 
 
-def _meets_of_rows(E: FiniteAlgebra, rows: np.ndarray) -> np.ndarray:
-    """The E-meet of each row of elements, folded left to right with one
-    ``meet_pairs`` call per column; -1 from the first missing meet on."""
-    out = rows[:, 0].copy()
-    for col in rows.T[1:]:
-        ok = out >= 0
-        out[ok] = E.meet_pairs(out[ok], col[ok])
-    return out
+def _closure_witness(E: FiniteAlgebra, P: np.ndarray, o: np.ndarray):
+    """``(kind, subset, value)`` of the first subset of two or three members
+    of P, in ``itertools.combinations`` order, whose E-meet, folded left to
+    right, lies outside P (``meet``, checked first), or the meet of whose
+    orthosupplements has its orthosupplement outside P (``join``).  A fold's
+    step ``x ^ p_k`` is row ``pos(x)`` of W, the E-meets of members of P, or
+    a fresh row for x outside P, so a suffix minimum per row gives the least
+    failing k > j: a pair reads it at ``(p_i, i)``, a subset of three at
+    ``(p_i ^ p_j, j)``.  W is built in bands of ``kernels.CHUNK_BYTES // 64`` pairs."""
+    m, n, cols = P.size, E.size, np.arange(P.size)
+    step = max(1, kernels.CHUNK_BYTES // (64 * m))
+    W = np.empty((m, m), dtype=np.int32)  # symmetric, as meet_pairs is
+    for i in range(0, m, step):
+        r, c = np.nonzero(np.arange(i, min(i + step, m))[:, None] <= cols)
+        W[r + i, c] = W[c, r + i] = E.meet_pairs(P[r + i], P[c])
+    inside = np.isin(np.arange(n + 1), P)  # index -1, no meet, is outside
+    orth = np.append(E.ortho_all(), -1)
+
+    def folds(size):
+        """Per band of rows i, the meet and join side's fold values before k:
+        p_i at column i for pairs, p_i ^ p_j at j > i for three; else -1."""
+        for i in range(0, m, step):
+            rows = np.arange(i, min(i + step, m))
+            mask = rows[:, None] == cols if size == 2 else rows[:, None] < cols
+            xm, xj = (P[rows, None], P[o[rows], None]) if size == 2 else (W[rows], W[o[rows]][:, o])
+            yield rows, np.where(mask, xm, -1), np.where(mask, xj, -1)
+
+    fresh = np.unique(np.concatenate([x[(x >= 0) & ~inside[x]] for _, *xs in folds(3) for x in xs]))
+    W = np.concatenate([W, E.meet_pairs(fresh[:, None], P), np.full((1, m), -1)], dtype=np.int32)
+    rowof = np.full(n + 1, len(W) - 1)  # -1 reads the last row, of no meets
+    rowof[P], rowof[fresh] = cols, m + np.arange(fresh.size)
+    first = np.full((2, len(W), m), m, dtype=np.int32)  # least failing k > j, meet and join
+    for i in range(0, len(W), step):
+        V, Vo = W[i:i + step], W[i:i + step, o]
+        F = np.stack([(V >= 0) & ~inside[V], (Vo >= 0) & ~inside[orth[Vo]]])
+        K = np.where(F[..., 1:], np.arange(1, m), m)
+        first[:, i:i + step, :-1] = np.minimum.accumulate(K[..., ::-1], axis=2)[..., ::-1]
+
+    for size in (2, 3):
+        for rows, xm, xj in folds(size):
+            km, kj = first[0][rowof[xm], cols], first[1][rowof[xj], cols]
+            k = np.minimum(km, kj)
+            if (k < m).any():
+                r, j = divmod(int(np.argmax(k < m)), m)
+                meet, k = km[r, j] == k[r, j], k[r, j]
+                value = W[rowof[xm[r, j]], k] if meet else orth[W[rowof[xj[r, j]], o[k]]]
+                subset = P[[rows[r], j][:size - 1] + [k]]
+                return ("meet" if meet else "join", tuple(subset.tolist()), int(value))
+    return None

@@ -84,7 +84,8 @@ def order_bits(below: np.ndarray) -> tuple:
     below first, and per index the bit rows over ``order`` of the indices
     below it and above it."""
     order = np.argsort(-below.sum(axis=0), kind="stable")
-    return order, np.packbits(below.T[:, order], axis=1), np.packbits(below[:, order], axis=1)
+    down = np.packbits(below.T[:, order], axis=1)  # column-major, as below.T is
+    return order, np.ascontiguousarray(down), np.packbits(below[:, order], axis=1)
 
 
 def meet_search(below: np.ndarray, bits: tuple, xs, ys) -> np.ndarray:

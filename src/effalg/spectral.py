@@ -133,14 +133,6 @@ class DyadicRational:
     num: int
     level: int
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "DyadicRational":
-        f = Fraction(f)
-        den = f.denominator
-        if den & (den - 1):
-            raise ValueError(f"{f} is not dyadic")
-        return cls(f.numerator, den.bit_length() - 1)
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.num, 2 ** self.level)
@@ -182,11 +174,6 @@ class SplittingTree:
     def layer(self, level: int):
         """Nonzero (w, u_w) at one level, ordered by k(w)."""
         return _layer(self._u, level)
-
-    def layer_full(self, level: int):
-        for j in range(2 ** level):
-            w = string_of(j, level)
-            yield w, self.u(w), self.c(w)
 
 
 def splitting_tree(cb, a, n: int) -> SplittingTree:

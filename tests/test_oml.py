@@ -207,6 +207,104 @@ def test_check_oml_makes_no_scalar_meet(monkeypatch):
     assert set(calls) == {"meet", "meet_proj"}
 
 
+def _patched_meets(E, meets):
+    """E, whose ``meet_pairs`` answers each pair ``(a, b)`` of ``meets``
+    (``{(a, b): v}``), in either order, with v and every other pair as
+    before; scalar ``meet`` is ``meet_pairs`` of one pair, so ``check_oml``
+    and the reference both read the change."""
+    real, table = E.meet_pairs, np.full((E.size, E.size), -2)
+    for (a, b), v in meets.items():
+        table[a, b] = table[b, a] = v
+
+    def meet_pairs(xs, ys):
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
+        v = table[xs, ys]
+        return np.where(v == -2, real(xs, ys), v)
+
+    E.meet_pairs = meet_pairs
+    return E
+
+
+def _patched_cases():
+    """(name, base) whose closure row reaches subsets of three, with
+    patched E-meets and ``has_pcp`` overridden:
+
+    - table copies of boolean(4) whose P is the Boolean subalgebra of a
+      seeded partition of the atoms, with three seeded meets of pairs of P
+      moved inside P and two seeded meets ``p ^ p`` moved anywhere, so the
+      pairs pass and a fold can read a diagonal entry;
+    - seeded broken tables whose orthosupplement is not an involution: an
+      element z outside P has its orthosupplement in P, and with every
+      meet in P set to 0, the orthosupplements of the first two members
+      meet at z, and z meets that of the third at some w whose
+      orthosupplement is outside P.  The first fold value of that subset's
+      join side leaves P, and only a fresh row of meets of z reaches w."""
+    rng = np.random.default_rng(31)
+    out = []
+    for i in range(120):
+        T = _table_copy(*instances.make_boolean(4, validate=False))[0]
+        blocks = rng.integers(3, size=4)
+        masks = [sum(1 << a for a in range(4) if blocks[a] == b) for b in range(3)]
+        ps = sorted({sum(itertools.compress(masks, keep)) for keep in np.ndindex(2, 2, 2)})
+        meets = {tuple(rng.choice(ps, size=2, replace=False).tolist()): int(rng.choice(ps))
+                 for _ in range(3)}
+        meets.update({(x, x): int(rng.integers(T.size)) for x in rng.choice(ps, size=2).tolist()})
+        out.append((f"boolean(4) patched {i}",
+                    _without_cover_check(_identity_base(_patched_meets(T, meets), ps))))
+    for i in range(300):
+        T = _broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])[0]
+        o = T.ortho_all()
+        for z in np.flatnonzero((o >= 0) & (o[o] != np.arange(T.size))).tolist():
+            ps = {T.zero, T.one, int(o[z])}  # closed under ' unless -1 joins it
+            while -1 not in ps and not set(o[list(ps)].tolist()) <= ps:
+                ps |= set(o[list(ps)].tolist())
+            ps = sorted(ps)
+            w = np.flatnonzero(~np.isin(o, ps))
+            if -1 in ps or z in ps or len(ps) < 3 or not w.size:
+                continue
+            a, b, c = (int(o[p]) for p in ps[:3])
+            meets = {pair: T.zero for pair in itertools.product(ps + [z], ps)}
+            meets.update({(a, b): z, (z, c): int(w[0])})
+            out.append((f"broken {i} fresh meet",
+                        _without_cover_check(_identity_base(_patched_meets(T, meets), ps))))
+            break
+    return out
+
+
+def test_three_subset_witnesses_match_the_reference():
+    """With patched E-meets, the closure row's subsets of three give the
+    reference's witnesses: meets and joins, through diagonal entries of the
+    table and through fold values outside P."""
+    seen = set()
+    for name, cb in _patched_cases():
+        want, read = _check_oml_reference(cb)
+        got = check_oml(cb)
+        assert not read and _rows(got) == _rows(want), name
+        w = got.checks[-1].witness
+        seen.add(None if w is None else (w[0], len(w[1]), name.endswith("fresh meet")))
+    assert {None, ("meet", 3, False), ("join", 3, False), ("join", 3, True)} <= seen, seen
+
+
+def test_closure_meets_are_pairs_of_p_and_fresh_rows():
+    """``check_oml`` hands ``meet_pairs`` each pair of members of P once,
+    the diagonal included, and one row of |P| pairs per fold value outside
+    P: exactly |P|(|P| + 1)/2 pairs on the boolean(5) table copy."""
+    cases = [("boolean(5) table copy",
+              _table_copy(*instances.make_boolean(5, validate=False))[1])]
+    cases += [case for case in _patched_cases() if case[0].endswith("fresh meet")]
+    for name, cb in cases:
+        E, ps = cb.algebra, cb.projections
+        outside = {v for p, q in itertools.combinations(ps, 2)
+                   for v in (E.meet(p, q), E.meet(E.ortho(p), E.ortho(q)))
+                   if v is not None and v not in cb.p_set}
+        real, handed = E.meet_pairs, []
+        E.meet_pairs = lambda xs, ys: handed.append(np.broadcast(xs, ys).size) or real(xs, ys)
+        check_oml(cb)
+        m = len(ps)
+        assert sum(handed) == m * (m + 1) // 2 + m * len(outside), name
+        assert name.startswith("boolean") or outside, name
+
+
 def test_incomplete_base_names_the_member_without_orthosupplement():
     """A member of P whose orthosupplement is undefined is named, not the
     carrier's last element; one whose orthosupplement lies outside P still

@@ -42,12 +42,12 @@ def test_string_calc():
 
 
 def test_dyadic_canonical_form():
-    d = DyadicRational.from_fraction(Fraction(6, 8))
-    assert (d.num, d.level) == (3, 2)
-    with pytest.raises(ValueError):
-        DyadicRational.from_fraction(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        DyadicRational(2, 2)
+    d = DyadicRational(3, 2)
+    assert d.fraction == Fraction(6, 8)
+    assert DyadicRational(0, 0).fraction == 0 and DyadicRational(1, 0).fraction == 1
+    for num, level in ((2, 2), (0, 1), (5, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            DyadicRational(num, level)
 
 
 def test_tree_matches_closed_form(mv83):
@@ -66,7 +66,7 @@ def test_tree_matches_closed_form(mv83):
 def test_tree_of_zero_and_one(mv42):
     E, cb = mv42
     t0 = splitting_tree(cb, E.zero, 3)
-    assert all(t0.u(w) == E.zero for w, _, _ in t0.layer_full(3))
+    assert t0.layer(3) == []  # only nonzero nodes are stored
     t1 = splitting_tree(cb, E.one, 3)
     layer = t1.layer(3)
     assert layer == [((1, 1, 1), E.one)]
@@ -742,15 +742,20 @@ def test_product_resolutions_are_pairs_of_factor_resolutions(name):
 
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_product_meets_in_p_are_the_meet_table(name):
-    """``meet_proj`` on a product base pairs its factor bases' meets, and no
-    product base below builds a meet table; it equals the composed
-    ``p_meet_table`` on every pair of P."""
+    """A product base composes its meet table in P from its factors' tables;
+    it equals ``core.meet_search`` on the order of P of a table copy of the
+    base, which has no factors, and ``meet_proj`` reads it on every pair."""
+    from test_compbase import _table_copy as base_copy
+
     (P, cb), _, _, _ = ORACLE_CASES[name]()
+    table = cb.p_meet_table()
+    below = base_copy(P, cb)[1].proj_leq()
+    m = below.shape[0]
+    pos = core.meet_search(below, core.order_bits(below), np.arange(m)[:, None], np.arange(m))
+    assert np.array_equal(table, np.where(pos < 0, -1, cb.p_array[pos]))
     ps = cb.projections
     got = [[cb.meet_proj(p, q) for q in ps] for p in ps]
-    assert all(b._p_meet is None for b in _bases_below(cb) if b.factors is not None)
-    table = cb.p_meet_table()
-    assert got == [[None if v < 0 else int(v) for v in row] for row in table.tolist()]
+    assert got == [[None if v < 0 else v for v in row] for row in table.tolist()]
 
 
 def _leaf_route_cases():
@@ -843,11 +848,11 @@ def _outcome_or_error(fn):
 
 def test_leaf_meets_are_the_product_meet():
     """``_leaf_meet`` forms a meet in P leaf by leaf, left to right, and
-    stops at the first missing one, as ``meet_proj`` of a base with factors
-    does: on every pair (p, q) and (p, q') of P of the carriers of
-    ``_leaf_route_cases``, the seeded broken tables among them, it gives
-    the ``_leaves`` of the product's meet, None where that is missing, or
-    raises the same error."""
+    stops at the first missing one: on every pair (p, q) and (p, q') of P
+    of the carriers of ``_leaf_route_cases``, the seeded broken tables
+    among them, it gives the ``_leaves`` of the product's meet, which
+    ``meet_proj`` reads off the composed ``p_meet_table``, None where that
+    is missing, or raises the same error."""
     outcomes = set()
     for name, (E, cb) in _leaf_route_cases():
         for p in cb.projections:
