@@ -12,9 +12,14 @@ per row: name, verdict, mode and detail.  Before the scans it prints the
 wall seconds and the traced peak (``tracemalloc``, a second run) of
 ``compbase._central_base`` on a fresh copy of the table, with the size of
 the centre it finds, and the wall seconds of ``p_meet_table`` on a fresh
-copy of the base.  ``compbase.check_oml`` is measured the same way as the
+copy of the base, with the name of the error it raises, if any.
+``compbase.check_oml`` is measured the same way as the
 central base, each run on its own fresh copy of the base, and its rows
-follow in the same form, or the name of the error it raises.
+follow in the same form, or the name of the error it raises.  Last come
+the public routes ``core.validate_axioms``, ``compbase.validate_base``
+and ``comparability.check_b_comparability``, one line each: its wall
+seconds on a fresh copy of the table and base, then its verdict and the
+modes of its rows, or the name of the error it raises.
 """
 
 from __future__ import annotations
@@ -59,21 +64,23 @@ def table_copy(E, cb):
                                        {p: cb.map_table(p) for p in cb.projections})
 
 
+def timed(run, *args):
+    """``run(*args)`` or the ``EffalgError`` it raises, and its seconds."""
+    t0 = time.perf_counter()
+    try:
+        out = run(*args)
+    except EffalgError as exc:
+        out = exc
+    return out, time.perf_counter() - t0
+
+
 def measured(run, fresh):
     """``run`` on one ``fresh()`` argument timed, and on another traced
     (``tracemalloc``): its result or ``EffalgError``, seconds and peak MB."""
-    def outcome(arg):
-        try:
-            return run(arg)
-        except EffalgError as exc:
-            return exc
-    arg = fresh()
-    t0 = time.perf_counter()
-    out = outcome(arg)
-    took = time.perf_counter() - t0
+    out, took = timed(run, fresh())
     arg = fresh()
     tracemalloc.start()
-    outcome(arg)
+    timed(run, arg)
     peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
     return out, took, peak
@@ -93,10 +100,9 @@ def scan(name: str) -> list:
                                   lambda: core.TableAlgebra(T.sum_table, T.zero, T.one))
     lines.append(f"  central_base: {took:.2f} s, peak {peak:.1f} MB, "
                  f"|centre| = {len(centre.projections)}")
-    fresh_cb = table_copy(T, tcb)[1]
-    t0 = time.perf_counter()
-    fresh_cb.p_meet_table()
-    lines.append(f"  p_meet_table: {time.perf_counter() - t0:.2f} s")
+    table, took = timed(lambda cb: cb.p_meet_table(), table_copy(T, tcb)[1])
+    raised = f", {type(table).__name__}" if isinstance(table, EffalgError) else ""
+    lines.append(f"  p_meet_table: {took:.2f} s{raised}")
     oml, took, peak = measured(compbase.check_oml, lambda: table_copy(T, tcb)[1])
     raised = f", {type(oml).__name__}" if isinstance(oml, EffalgError) else ""
     lines.append(f"  check_oml: {took:.4f} s, peak {peak:.1f} MB{raised}")
@@ -104,10 +110,17 @@ def scan(name: str) -> list:
     for what, run in (("axioms", lambda: core._scan_axioms(T)),
                       ("base", lambda: compbase._scan_base(T, tcb)),
                       ("spectral", lambda: comparability._scan_spectral(tcb))):
-        t0 = time.perf_counter()
-        rep = run()
-        lines.append(f"  {what}: {time.perf_counter() - t0:.2f} s")
+        rep, took = timed(run)
+        lines.append(f"  {what}: {took:.2f} s")
         lines += rows(rep)
+    for what, run in (("validate_axioms", lambda E, cb: core.validate_axioms(E)),
+                      ("validate_base", compbase.validate_base),
+                      ("check_b_comparability",
+                       lambda E, cb: comparability.check_b_comparability(cb))):
+        rep, took = timed(run, *table_copy(T, tcb))
+        verdict = type(rep).__name__ if isinstance(rep, EffalgError) else \
+            f"{'PASS' if rep.passed else 'FAIL'} {','.join(sorted({c.mode for c in rep.checks}))}"
+        lines.append(f"  {what}: {took:.2f} s, {verdict}")
     return lines
 
 

@@ -77,8 +77,6 @@ def _parse(option: str, text: str, parse):
         return parse(text)
     except _MALFORMED as exc:  # MalformedInput included: it is a ValueError
         raise SystemExit(_fail(f"bad {option} value {text!r}: {exc}", 2))
-    except EffalgError as exc:
-        raise SystemExit(_fail(str(exc), 2))
 
 
 def _element_arg(E, text):
@@ -184,21 +182,16 @@ def cmd_spectral(args) -> int:
             f"(at most depth {MAX_LISTED_DEPTH} is listed); "
             f"use --lambda m/n to read one projection at this depth")
     E, cb = _load_instance(args.file)
-    if args.element is None:
-        raise SystemExit(_fail("--element is required", 2))
     a = _element_arg(E, args.element)
     depth = _default_depth(E, depth)
-    try:
-        if not listing:
-            val = spectral.rational_resolution(cb, a, lam, depth, details=True)
-            text = (f"p[{_frac_str(lam)}] = {proj_repr(E, val.projection)} "
-                    f"(stable from depth {val.stable_from})")
-            _emit({"lambda": _frac_str(lam), "projection": proj_repr(E, val.projection),
-                   "stable_from": val.stable_from, "depth": depth}, text, args.format)
-            return 0
-        res = spectral.binary_resolution(cb, a, depth)
-    except (EffalgError, ValueError) as exc:  # ValueError: lambda outside [0, 1]
-        raise SystemExit(_fail(str(exc), 2))
+    if not listing:
+        val = spectral.rational_resolution(cb, a, lam, depth, details=True)
+        text = (f"p[{_frac_str(lam)}] = {proj_repr(E, val.projection)} "
+                f"(stable from depth {val.stable_from})")
+        _emit({"lambda": _frac_str(lam), "projection": proj_repr(E, val.projection),
+               "stable_from": val.stable_from, "depth": depth}, text, args.format)
+        return 0
+    res = spectral.binary_resolution(cb, a, depth)
     sys.stdout.write(_resolution_text(E, a, res, args.format))
     return 0
 
@@ -245,10 +238,7 @@ def cmd_check_spectral(args) -> int:
 
 def cmd_group(args) -> int:
     E, cb = _load_instance(args.file)
-    try:
-        G = instances.universal_group(E)
-    except EffalgError as exc:
-        raise SystemExit(_fail(str(exc), 2))
+    G = instances.universal_group(E)
     if not args.g:
         raise SystemExit(_fail("--g VECTOR is required", 2))
     g = _parse("--g", args.g, _int_vector)
@@ -256,10 +246,7 @@ def cmd_group(args) -> int:
         raise SystemExit(_fail(f"need {G.dim} coordinates", 2))
     if args.approx:
         grid = _parse("--approx", args.approx, _slope_grid)
-        try:
-            pieces, err, gap = groups.dyadic_approximation(G, g, grid, args.scale)
-        except (EffalgError, ValueError) as exc:  # ValueError: fewer than two grid points
-            raise SystemExit(_fail(str(exc), 2))
+        pieces, err, gap = groups.dyadic_approximation(G, g, grid, args.scale)
         text = "\n".join([f"u_{i + 1} = {list(map(int, u))}" for i, u in enumerate(pieces)]
                          + [f"error = {_frac_str(err)} <= {_frac_str(gap)}"])
         _emit({"pieces": [list(map(int, u)) for u in pieces],
@@ -279,11 +266,8 @@ def cmd_expect(args) -> int:
     if not isinstance(E, GridAlgebra):
         raise SystemExit(_fail("--state weights need a grid instance", 2))
     weights = _parse("--state", args.state, lambda t: [Fraction(w) for w in t.split(",")])
-    try:
-        s = instances.weighted_state(E, weights)
-        lo, hi = spectral.expectation_bounds(cb, a, s, depth)
-    except (EffalgError, ValueError) as exc:
-        raise SystemExit(_fail(str(exc), 2))
+    s = instances.weighted_state(E, weights)
+    lo, hi = spectral.expectation_bounds(cb, a, s, depth)
     text = f"{_frac_str(lo)} <= s(a) <= {_frac_str(hi)}   (s(a) = {_frac_str(s(a))})"
     _emit({"lo": _frac_str(lo), "hi": _frac_str(hi), "value": _frac_str(s(a)),
            "depth": depth}, text, args.format)

@@ -43,6 +43,7 @@ from .errors import (
     BPropertyMissing,
     ComparabilityMissing,
     InternalConsistencyError,
+    MalformedInput,
     NotCommuting,
     NotSpectral,
 )
@@ -384,7 +385,7 @@ def split(cb, c, q) -> SplitResult:
         return cb.split(c, q)
     E = cb.algebra
     if not E.leq(c, q):
-        raise ValueError("split needs c <= q")
+        raise MalformedInput("split needs c <= q")
     cq = E.ominus(q, c)  # interval orthosupplement of c in [0, q]
     pp = positive_part(cb, c, cq)  # (c - c'_q)_+, supported inside q
     u1 = cb.cover(pp)

@@ -292,9 +292,10 @@ class CompressionBase:
 
     def p_meet_table(self) -> np.ndarray:
         """Pairwise meets inside P (as a sub-poset); -1 where none:
-        ``core.meet_search`` on the order of P (``proj_leq``), on a band of
-        rows from the diagonal on at a time (about 64 bytes a pair, in steps
-        of ``kernels.CHUNK_BYTES``), mirrored below it.  On a product base
+        ``core.meet_search`` on the order of P (``proj_leq``) over each
+        unordered pair of positions once, in the bands of
+        ``core.meet_table``, which map the positions found to members of P
+        band by band.  On a product base
         they are the pairs of the factors' meets, -1 where either is
         missing: P is ``P1 x P2`` in the product order, so the common lower
         bounds of two pairs are the pairs of common lower bounds, and they
@@ -306,14 +307,12 @@ class CompressionBase:
                                                right.algebra.size)
         if self._p_meet is None:
             below = self.proj_leq()
-            bits, m = core.order_bits(below), below.shape[0]
-            out = np.empty((m, m), dtype=np.int32)
-            step = max(1, kernels.CHUNK_BYTES // (64 * m))
-            for i in range(0, m, step):
-                pos = core.meet_search(below, bits, np.arange(m)[i:i + step, None], np.arange(i, m))
-                out[i:i + step, i:] = np.where(pos < 0, -1, self.p_array[pos])
-                out[i + step:, i:i + step] = out[i:i + step, i + step:].T
-            self._p_meet = out
+            bits = core.order_bits(below)
+
+            def meets(i, j):
+                pos = core.meet_search(below, bits, i, j)
+                return np.where(pos < 0, -1, self.p_array[pos])
+            self._p_meet = core.meet_table(meets, np.arange(below.shape[0]))
         return self._p_meet
 
     def meet_proj(self, p: int, q: int) -> Optional[int]:
@@ -1042,13 +1041,11 @@ def _closure_witness(E: FiniteAlgebra, P: np.ndarray, o: np.ndarray):
     step ``x ^ p_k`` is row ``pos(x)`` of W, the E-meets of members of P, or
     a fresh row for x outside P, so a suffix minimum per row gives the least
     failing k > j: a pair reads it at ``(p_i, i)``, a subset of three at
-    ``(p_i ^ p_j, j)``.  W is built in bands of ``kernels.CHUNK_BYTES // 64`` pairs."""
+    ``(p_i ^ p_j, j)``.  W is ``core.meet_table`` of ``E.meet_pairs`` on P,
+    and the passes over it run in the same bands of rows."""
     m, n, cols = P.size, E.size, np.arange(P.size)
     step = max(1, kernels.CHUNK_BYTES // (64 * m))
-    W = np.empty((m, m), dtype=np.int32)  # symmetric, as meet_pairs is
-    for i in range(0, m, step):
-        r, c = np.nonzero(np.arange(i, min(i + step, m))[:, None] <= cols)
-        W[r + i, c] = W[c, r + i] = E.meet_pairs(P[r + i], P[c])
+    W = core.meet_table(E.meet_pairs, P)
     inside = np.isin(np.arange(n + 1), P)  # index -1, no meet, is outside
     orth = np.append(E.ortho_all(), -1)
 

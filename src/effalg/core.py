@@ -36,9 +36,8 @@ MAX_CARRIER = 600_000  # FiniteAlgebra refuses larger carriers (SizeLimit)
 
 
 # for a byte of np.packbits output: the position of its first set bit (8 in
-# a zero byte), and the byte with only position i set (none for i = 8)
+# a zero byte)
 _LEADING_BIT = np.array([8 - v.bit_length() for v in range(256)], dtype=np.int64)
-_BIT = np.array([0x80 >> i for i in range(8)] + [0], dtype=np.uint8)
 
 
 def _draws(seed: int, *bounds: int) -> list:
@@ -79,13 +78,19 @@ def as_fraction(x) -> Fraction:
 
 
 def order_bits(below: np.ndarray) -> tuple:
-    """``(order, down, up)`` of the boolean order matrix ``below``
+    """``(order, down, exact)`` of the boolean order matrix ``below``
     (``below[c, x]``: c <= x): the indices, those with the most indices
-    below first, and per index the bit rows over ``order`` of the indices
-    below it and above it."""
+    below first, and per index t the bit rows over ``order`` of the indices
+    below t, and of those below t and not above it, t itself included when
+    ``t <= t``.  Both bit arrays are row-major, as ``meet_search`` gathers
+    whole rows of them."""
     order = np.argsort(-below.sum(axis=0), kind="stable")
-    down = np.packbits(below.T[:, order], axis=1)  # column-major, as below.T is
-    return order, np.ascontiguousarray(down), np.packbits(below[:, order], axis=1)
+    lower = below.T[:, order]  # [t, j]: order[j] <= t
+    exact = ~below[:, order]  # [t, j]: not t <= order[j]
+    exact &= lower
+    exact[order, np.arange(order.size)] = below[order, order]  # t itself iff t <= t
+    return (order, np.ascontiguousarray(np.packbits(lower, axis=1)),
+            np.ascontiguousarray(np.packbits(exact, axis=1)))
 
 
 def meet_search(below: np.ndarray, bits: tuple, xs, ys) -> np.ndarray:
@@ -96,34 +101,46 @@ def meet_search(below: np.ndarray, bits: tuple, xs, ys) -> np.ndarray:
     ``(x, y)`` and ``(y, x)`` count as one.  The bit rows are read for a
     run of pairs at a time, in steps of ``kernels.CHUNK_BYTES``: the
     candidate is the common lower bound with the most elements below it,
-    and it is the meet when every common lower bound lies below it and no
-    other lies above it as well.  That decides every pair that has a meet
-    in a partial order.  The pairs it leaves open, those with no meet and
-    the ties of a broken table whose order is not antisymmetric or not
-    transitive, get ``scalar_meet``, which defines the answer.
+    and it is the meet when every common lower bound lies in its ``exact``
+    row, that is below it and, but for itself, not above it.  That holds
+    for any relation, and decides every pair that has a meet in a partial
+    order.  The pairs it leaves open, those with no meet and the ties of a
+    broken table whose order is not antisymmetric or not transitive, get
+    ``scalar_meet``, which defines the answer.
     """
     xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), ys)
     n = below.shape[0]
     keys, inv = np.unique((np.minimum(xs, ys) * n + np.maximum(xs, ys)).ravel(),
                           return_inverse=True)
     out = np.full(keys.size, -1, dtype=np.int64)
-    order, down, up = bits
+    order, down, exact = bits
     step = max(1, kernels.CHUNK_BYTES // (4 * down.shape[1]))
     for i in range(0, keys.size, step):
         x, y = np.divmod(keys[i:i + step], n)
         common = down[x] & down[y]
-        rows = np.arange(x.size)
         byte = np.argmax(common != 0, axis=1)
-        bit = _LEADING_BIT[common[rows, byte]]  # 8 where no bound is common
+        bit = _LEADING_BIT[common[np.arange(x.size), byte]]  # 8 where no bound is common
         top = order[np.minimum(byte * 8 + bit, n - 1)]
-        tied = common & up[top]  # common bounds above the candidate
-        tied[rows, byte] &= ~_BIT[bit]  # less the candidate itself
-        found = (bit < 8) & ~(common & ~down[top]).any(axis=1) & ~tied.any(axis=1)
+        found = (bit < 8) & ~(common & ~exact[top]).any(axis=1)
         out[i:i + step][found] = top[found]
     for i in np.flatnonzero(out < 0):
         m = scalar_meet(below, *divmod(int(keys[i]), n))
         out[i] = -1 if m is None else m
     return out[inv].reshape(xs.shape)
+
+
+def meet_table(meets, xs) -> np.ndarray:
+    """The symmetric int32 table of ``meets(a, b)`` over the pairs of
+    members of ``xs``, built in bands of rows (about 64 bytes a pair, in
+    steps of ``kernels.CHUNK_BYTES``): ``meets`` gets each unordered pair
+    once, the diagonal included, and its answers are mirrored."""
+    m, cols = len(xs), np.arange(len(xs))
+    out = np.empty((m, m), dtype=np.int32)
+    step = max(1, kernels.CHUNK_BYTES // (64 * m))
+    for i in range(0, m, step):
+        r, c = np.nonzero(np.arange(i, min(i + step, m))[:, None] <= cols)
+        out[r + i, c] = out[c, r + i] = meets(xs[r + i], xs[c])
+    return out
 
 
 def scalar_meet(below: np.ndarray, a: int, b: int):
@@ -203,10 +220,10 @@ class Report:
         return out
 
 
-def remembered(owner, key, make) -> Report:
-    """The report ``owner`` keeps under ``key``, made by ``make()`` on the
-    first request.  Validated objects are not changed afterwards, so a
-    report stays true for the object that keeps it."""
+def remembered(owner, key, make):
+    """The report (or row) ``owner`` keeps under ``key``, made by ``make()``
+    on the first request.  Validated objects are not changed afterwards, so
+    a report stays true for the object that keeps it."""
     if key not in owner._reports:
         owner._reports[key] = make()
     return owner._reports[key]
@@ -327,7 +344,7 @@ class FiniteAlgebra(EffectAlgebra):
         self._defined_pairs = None
         self._ortho_vec = None
         self._order_index = None  # order_bits(leq_table), for meet_pairs
-        self._reports = {}  # "axioms": the validate_axioms report
+        self._reports = {}  # "axioms": the validate_axioms report; "cancellation": its row
         self._central = None  # compbase.central_base(self), built on first use
 
     # -- interface ---------------------------------------------------------
@@ -1006,16 +1023,20 @@ def _scan_axioms(E: FiniteAlgebra) -> Report:
 
 
 def _cancellation_check(E: FiniteAlgebra) -> Check:
-    n = E.size
-    if E.dense:
-        w = kernels.cancellation_violation(E.sum_table)
-        return Check("cancellation", w is None, witness=w)
-    xs, ys, cs = _draws(3, n, n, n)
-    sx = E.sum_pairs(xs, cs)
-    sy = E.sum_pairs(ys, cs)
-    bad = np.flatnonzero((sx >= 0) & (sx == sy) & (xs != ys))
-    witness = (int(xs[bad[0]]), int(ys[bad[0]]), int(cs[bad[0]])) if bad.size else None
-    return Check("cancellation", bad.size == 0, "sampled", witness, _no_tables(n))
+    """The ``cancellation`` row, kept on ``E``: ``is_archimedean`` may read
+    it before the axiom scan appends it."""
+    def scan():
+        n = E.size
+        if E.dense:
+            w = kernels.cancellation_violation(E.sum_table)
+            return Check("cancellation", w is None, witness=w)
+        xs, ys, cs = _draws(3, n, n, n)
+        sx = E.sum_pairs(xs, cs)
+        sy = E.sum_pairs(ys, cs)
+        bad = np.flatnonzero((sx >= 0) & (sx == sy) & (xs != ys))
+        witness = (int(xs[bad[0]]), int(ys[bad[0]]), int(cs[bad[0]])) if bad.size else None
+        return Check("cancellation", bad.size == 0, "sampled", witness, _no_tables(n))
+    return remembered(E, "cancellation", scan)
 
 
 def _validate_axioms_sampled(E: EffectAlgebra) -> Report:
@@ -1097,11 +1118,15 @@ def is_archimedean(E: EffectAlgebra) -> bool:
     """Multiples n*a <= 1 for all n force a = 0.
 
     A finite carrier with cancellation is archimedean: n*a = m*a with
-    n < m forces (m-n)*a = 0.  The verdict is the ``cancellation`` row of
-    ``validate_axioms(E)``, which ``E`` keeps.  Lazy
-    algebras are archimedean by construction (operator intervals).
+    n < m forces (m-n)*a = 0.  On a direct product the verdict holds iff
+    it holds in both factors, as the product's ``cancellation`` row does;
+    on any other carrier it is the ``cancellation`` row alone
+    (``_cancellation_check``), which ``E`` keeps and the axiom scan
+    appends.  Lazy algebras are archimedean by construction (operator
+    intervals).
     """
     if not E.enumerable:
         return True
-    rep = validate_axioms(E)
-    return next(c.passed for c in rep.checks if c.name == "cancellation")
+    if E.factors is not None:
+        return all(is_archimedean(F) for F in E.factors)
+    return _cancellation_check(E).passed

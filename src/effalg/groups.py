@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import GridTooNarrow, InternalConsistencyError
+from .errors import GridTooNarrow, InternalConsistencyError, MalformedInput
 
 
 def _vec(x) -> np.ndarray:
@@ -153,9 +153,9 @@ def dyadic_approximation(G: ZGroup, g, grid, scale: int):
     g, unit = _vec(g), G.unit
     grid = [int(m) for m in grid]
     if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
-        raise ValueError("grid must be nondecreasing")
+        raise MalformedInput("grid must be nondecreasing")
     if len(grid) < 2:
-        raise ValueError("grid needs at least two points")
+        raise MalformedInput("grid needs at least two points")
     if 2 * max(abs(scale), abs(grid[0]), abs(grid[-1])) * (
             int(np.abs(g).max(initial=0)) + max(G.u)) >= 2 ** 62:
         g, unit = g.astype(object), unit.astype(object)  # exact past int64

@@ -286,7 +286,7 @@ def coordinate_states(E: GridAlgebra):
 def weighted_state(E: GridAlgebra, weights) -> State:
     weights = [as_fraction(w) for w in weights]
     if len(weights) != E.d or sum(weights) != 1 or any(w < 0 for w in weights):
-        raise ValueError("need nonnegative weights summing to one, one per coordinate")
+        raise MalformedInput("need nonnegative weights summing to one, one per coordinate")
     vals = [sum(w * Fraction(int(c), E.k) for w, c in zip(weights, E.coords[i]))
             for i in range(E.size)]
     return State(E, vals)

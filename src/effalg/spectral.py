@@ -60,7 +60,7 @@ import numpy as np
 from . import comparability
 from .core import Report, is_archimedean
 from .errors import (ElementNotInCarrier, InternalConsistencyError, InvalidDepth,
-                     NotSpectral, Unstable)
+                     MalformedInput, NotSpectral, Unstable)
 
 # The deepest grid resolved: a leaf tree's memory grows with the square of
 # the depth, and the matrix verifier's 2^depth overflows a float past 1023.
@@ -528,7 +528,7 @@ def rational_resolution(cb, a, lam, n: int, details: bool = False):
         raise NotSpectral("rational resolution requires an archimedean algebra")
     lam = Fraction(lam)
     if not 0 <= lam <= 1:
-        raise ValueError("lambda must lie in [0, 1]")
+        raise MalformedInput("lambda must lie in [0, 1]")
     res = _resolution(cb, a, n)
     if lam == 1:
         out = res.at_index(1 << n)
@@ -607,7 +607,7 @@ def _fw_step(E, bit, cur, q):
 # characterization verifier
 
 
-def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
+def verify_resolution(cb, a, family, n: int) -> Report:
     """Check the four characterizing clauses of a depth-n dyadic family.
 
     (i) entries are projections commuting with a; (ii) boundary values
@@ -622,7 +622,8 @@ def verify_resolution(cb, a, family: Mapping, n: int) -> Report:
     resolution is the unique family passing all four.
 
     ``a`` must lie in the carrier (``ElementNotInCarrier``), on every base.
-    ``family`` is any mapping lambda -> p_lambda, read as runs of one
+    ``family`` is a ``SpectralResolution`` (read by its jumps, as its
+    ``entries`` are) or any mapping lambda -> p_lambda, read as runs of one
     projection; each clause is checked per run, jump or nonzero cell, with
     the verdict and witness of a point-by-point scan.  An entry outside the
     carrier fails (i), and the later clauses are skipped.  (i) tests every
@@ -797,11 +798,14 @@ def _leaf_verdict(w, walk) -> str:
     return "pass" if covers == [u for _, u, _ in walk] else "cover"
 
 
-def _as_resolution(E, a, family: Mapping, n: int):
+def _as_resolution(E, a, family, n: int):
     """The family as jumps (one per run of one projection, in grid order);
-    None unless its keys are exactly the depth-n grid."""
-    if isinstance(family, GridView) and family.resolution.depth == n:
-        return family.resolution
+    None unless its keys are exactly the depth-n grid.  A resolution, or a
+    ``GridView`` of one, is read as its own jumps: its keys are the grid of
+    its depth, so at any other depth it is None at once."""
+    res = family.resolution if isinstance(family, GridView) else family
+    if isinstance(res, SpectralResolution):
+        return res if res.depth == n else None
     scale = 1 << n
     try:
         by_j = {grid_index(lam, n): p for lam, p in family.items()}

@@ -376,6 +376,32 @@ def test_approximation_grid_past_int64_exits_2(small_docs):
     assert err.startswith("error: ") and "does not bracket" in err
 
 
+BAD_VALUES = [
+    (["spectral", "l4", "--element", "1", "--lambda", "3/2"], "lambda must lie in [0, 1]"),
+    (["group", "l4", "--g", "1", "--approx=1:1:1"], "grid needs at least two points"),
+    (["group", "l4", "--g", "1", "--approx=2:-2:-1"], "grid must be nondecreasing"),
+    (["expect", "l4", "--element", "1", "--state", "1/2,1/2"],
+     "need nonnegative weights summing to one, one per coordinate"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_VALUES, ids=[" ".join(a) for a, _ in BAD_VALUES])
+def test_values_the_library_refuses_exit_2_through_main(argv, message, small_docs, monkeypatch):
+    """A well-formed value that the library refuses raises ``MalformedInput``,
+    an ``EffalgError`` and a ``ValueError``; ``main`` prints it as one
+    ``error:`` line with exit 2, and no command catches it on its own."""
+    caught, real = [], cli._fail
+
+    def fail(message, code):
+        caught.append(sys._getframe(1).f_code.co_name)  # the function that printed
+        return real(message, code)
+
+    monkeypatch.setattr(cli, "_fail", fail)
+    code, err = run_cli([small_docs.get(a, a) for a in argv])
+    assert (code, err) == (2, f"error: {message}\n")
+    assert caught == ["main"]
+
+
 # option values the fuzz test draws from: numbers, fractions, lists, and junk
 _token = st.one_of(st.integers(-20, 20).map(str),
                    st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map("{0[0]}/{0[1]}".format),

@@ -355,6 +355,69 @@ def _table_carriers():
     return out
 
 
+def _random_relations(rng, count):
+    """Seeded boolean relations of 1-40 elements, ``below[c, x]`` read as
+    c <= x: partial orders (transitive closures of random DAGs on a
+    shuffled index), the same with diagonal entries dropped, with a cycle
+    of two added or with a covering pair of a chain removed, and relations
+    drawn entry by entry."""
+    for t in range(count):
+        n = int(rng.integers(1, 41))
+        perm = rng.permutation(n)
+        below = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5)) | np.eye(n, dtype=bool)
+        for _ in range(n):  # transitive closure
+            below = below | ((below.astype(np.int32) @ below.astype(np.int32)) > 0)
+        below = below[np.ix_(perm, perm)]
+        kind = t % 5
+        if kind == 1:
+            below[np.diag_indices(n)] &= rng.random(n) < 0.5
+        elif kind == 2 and n > 1:
+            x, y = rng.choice(n, 2, replace=False)
+            below[x, y] = below[y, x] = True
+        elif kind == 3 and n > 2:
+            chain = rng.choice(n, 3, replace=False)
+            below[np.ix_(chain, chain)] = np.triu(np.ones((3, 3), dtype=bool))
+            below[chain[0], chain[1]] = False
+        elif kind == 4:
+            below = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+        yield below
+
+
+def test_meet_search_is_the_scalar_meet_on_any_relation(monkeypatch):
+    """On every pair of seeded random relations ``core.meet_search`` equals
+    ``core.scalar_meet``, in one chunk and in chunks of 64 bytes; the
+    relations include ones that are not reflexive, not antisymmetric or
+    not transitive, and pairs with a meet and with none.  On a partial
+    order the search decides every pair that has a meet: only the pairs
+    without one reach the scalar search."""
+    rng = np.random.default_rng(32)
+    flaws, answers = set(), set()
+    real, scalar = core.scalar_meet, []
+    monkeypatch.setattr(core, "scalar_meet", lambda *args: scalar.append(args) or real(*args))
+    for below in _random_relations(rng, 150):
+        n = below.shape[0]
+        I, L = np.eye(n, dtype=bool), below.astype(np.int32)
+        found = {name for name, flawed in (("reflexive", (below & I).sum() < n),
+                                           ("antisymmetric", (below & below.T & ~I).any()),
+                                           ("transitive", ((L @ L > 0) & ~below).any()))
+                 if flawed}
+        xs, ys = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        want = np.array([-1 if (m := real(below, int(x), int(y))) is None else m
+                         for x, y in zip(xs, ys)])
+        bits = core.order_bits(below)
+        assert all(b.flags.c_contiguous for b in bits[1:])
+        scalar.clear()
+        assert np.array_equal(core.meet_search(below, bits, xs, ys), want), below.tolist()
+        if not found:
+            assert len(scalar) == ((want < 0).sum() + (np.diag(want.reshape(n, n)) < 0).sum()) // 2
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "CHUNK_BYTES", 64)
+            assert np.array_equal(core.meet_search(below, bits, xs, ys), want), below.tolist()
+        flaws |= found
+        answers |= {bool(v >= 0) for v in want}
+    assert flaws == {"reflexive", "antisymmetric", "transitive"} and answers == {True, False}
+
+
 def test_dense_meets_match_the_scalar_search(monkeypatch):
     """On every pair of each carrier the chunked meets of the order table
     equal ``core.scalar_meet``, ties and missing meets included, in one

@@ -305,6 +305,32 @@ def test_closure_meets_are_pairs_of_p_and_fresh_rows():
         assert name.startswith("boolean") or outside, name
 
 
+def test_p_meet_table_searches_each_pair_of_p_once(monkeypatch):
+    """``p_meet_table`` of a base without factors hands ``core.meet_search``
+    each pair of positions in P once, the diagonal included: exactly
+    |P|(|P| + 1)/2 pairs on the boolean(5) table copy, in one band of rows
+    and in bands of three, with the same table."""
+    from effalg import kernels
+
+    real, handed = core.meet_search, []
+
+    def counted(below, bits, xs, ys):
+        handed.extend(zip(*np.broadcast_arrays(xs, ys)))
+        return real(below, bits, xs, ys)
+
+    monkeypatch.setattr(core, "meet_search", counted)
+    E, cb = instances.make_boolean(5, validate=False)
+    m = len(cb.projections)
+    tables = []
+    for rows in (m, 3):
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", 64 * m * rows)
+        tables.append(_table_copy(E, cb)[1].p_meet_table())
+        assert sorted(map(tuple, np.sort(handed, axis=1).tolist())) == \
+            [(i, j) for i in range(m) for j in range(i, m)], rows
+        handed.clear()
+    assert np.array_equal(*tables) and tables[0].dtype == np.int32
+
+
 def test_incomplete_base_names_the_member_without_orthosupplement():
     """A member of P whose orthosupplement is undefined is named, not the
     carrier's last element; one whose orthosupplement lies outside P still

@@ -34,5 +34,7 @@ def test_boolean_3_table_copy_is_scanned_in_full():
         "sharp-elements-are-projections", "C-blocks-are-MV"]
     assert {row[1:3] for row in rows} == {("PASS", "full")}
     assert rows[12][3] == "8 of 8 maps checked"
+    assert [re.fullmatch(r"  (\w+): \d+\.\d\d s, PASS full", line)[1] for line in lines[-3:]] == \
+        ["validate_axioms", "validate_base", "check_b_comparability"]
     assert run.stderr == ""
     assert took < 1.0, f"took {took:.2f} s"

@@ -1818,6 +1818,63 @@ def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
                 calls.clear()
 
 
+VERIFY_CASES = {  # the instances of perfbench's resolve workload, at its verify depths
+    "mv(8,3)": (MEET_CASES["mv(8,3)"], 5),
+    "mv(16,2)": (lambda: (*instances.make_mv_product(16, 2), _seeded_elements), 5),
+    "boolean(2) x mv(8,3)": (MEET_CASES["boolean(2) x mv(8,3)"], 4),
+    "matrix(3)": (MEET_CASES["matrix(3)"], 5),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_CASES))
+def test_verify_reads_a_resolution_by_its_jumps(name, monkeypatch):
+    """``verify_resolution`` handed a resolution reports row for row what it
+    reports on its ``entries`` and on the same family as a plain dict, for
+    the element's own resolution (every row passes) and for another
+    element's (some row fails), and it converts no grid point to do so."""
+    make, n = VERIFY_CASES[name]
+    E, cb, elements = make()
+    rng = np.random.default_rng(32)
+    picked = list(elements(E, rng, 13))
+    calls = []
+    real = spectral.grid_index
+
+    def counted(lam, depth):
+        calls.append(lam)
+        return real(lam, depth)
+
+    monkeypatch.setattr(spectral, "grid_index", counted)
+    failing = 0
+    for a, b in zip(picked, picked[1:] + picked[:1]):
+        for own, x in ((True, a), (False, b)):
+            res = binary_resolution(cb, x, n)
+            rows = [[(c.name, c.passed, c.mode, c.witness, c.detail)
+                     for c in verify_resolution(cb, a, family, n).checks]
+                    for family in (res, res.entries, dict(res.items()))]
+            assert rows[0] == rows[1] == rows[2], (name, own)
+            passed = all(ok for _, ok, *_ in rows[0])
+            assert passed or not own, name
+            failing += not passed
+        assert calls, name  # the dict is read point by point
+        calls.clear()
+        verify_resolution(cb, a, binary_resolution(cb, b, n), n)
+        assert calls == [], name
+    assert failing
+
+
+def test_verify_refuses_a_resolution_of_another_depth_at_once():
+    """A resolution, or its ``entries``, of another depth than the one
+    verified fails ``grid-complete`` alone, without expanding its grid:
+    a depth-40 family has 2^40 + 1 points."""
+    E, cb = instances.make_mv_product(8, 3)
+    a = E.index_of((3, 5, 1))
+    for depth in (40, 2):
+        res = binary_resolution(cb, a, depth)
+        for family in (res, res.entries):
+            rep = verify_resolution(cb, a, family, 4)
+            assert [(c.name, c.passed) for c in rep.checks] == [("grid-complete", False)]
+
+
 @pytest.mark.parametrize("name", list(_criterion_01_instances()))
 def test_meet_of_a_comparable_pair_is_its_lesser(name):
     """The lemma that lets resolutions skip their meets: for p <= q in P,

@@ -380,14 +380,15 @@ def _cancellation_breaker():
 
 
 def test_archimedean_reads_the_cancellation_row(monkeypatch):
-    T = _cancellation_breaker()
-    assert not core._cancellation_check(T).passed
-    hosts = [T, instances.make_mv_product(8, 3, validate=False)[0],
-             instances.make_product(instances.make_boolean(2), instances.make_mv_product(4, 2),
-                                    validate=False)[0],
-             instances.make_mo2(validate=False)[0]]
-    want = [core._cancellation_check(E).passed for E in hosts]
+    def build():
+        return [_cancellation_breaker(), instances.make_mv_product(8, 3, validate=False)[0],
+                instances.make_product(instances.make_boolean(2),
+                                       instances.make_mv_product(4, 2), validate=False)[0],
+                instances.make_mo2(validate=False)[0]]
+
+    want = [core._cancellation_check(E).passed for E in build()]  # on copies of their own
     assert want == [False, True, True, True]
+    hosts = build()
     for E in hosts:
         core.validate_axioms(E)
 
@@ -396,7 +397,39 @@ def test_archimedean_reads_the_cancellation_row(monkeypatch):
 
     monkeypatch.setattr(kernels, "cancellation_violation", scanned)
     assert [core.is_archimedean(E) for E in hosts] == want
-    assert not hasattr(T, "_archimedean")
+    assert not hasattr(hosts[0], "_archimedean")
+
+
+def test_archimedean_without_a_report_scans_cancellation_only(monkeypatch):
+    """With no kept axiom report, ``is_archimedean`` reads a product's
+    factors and runs ``_cancellation_check`` alone on any other carrier: no
+    associativity scan, on a table copy of ``boolean(2) x mv(8,3)`` and on
+    the seeded broken tables.  The carrier keeps the row, and a later axiom
+    scan appends that same check."""
+    from test_table_passes import _broken_tables
+
+    E = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3),
+                               validate=False)[0]
+
+    def build():
+        return [core.TableAlgebra(E.sum_table, E.zero, E.one)] + _broken_tables()
+
+    want = [core._cancellation_check(T).passed for T in build()]  # on copies of their own
+    tables = build()
+    assert want[0] and not all(want)
+    product = instances.make_product(instances.make_boolean(2), instances.make_mv_product(4, 2),
+                                     validate=False)[0]
+
+    def scanned(*args):
+        raise AssertionError("is_archimedean ran the associativity scan")
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "associativity_violation", scanned)
+        assert [core.is_archimedean(T) for T in tables] == want
+        assert core.is_archimedean(product) and "cancellation" not in product._reports
+    for T in tables[1:]:  # the copy's associativity scan alone takes most of a second
+        rows = [c for c in core.validate_axioms(T).checks if c.name == "cancellation"]
+        assert len(rows) == 1 and rows[0] is T._reports["cancellation"]
 
 
 # ---------------------------------------------------------------------------
