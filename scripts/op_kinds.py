@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     print(f"{'op kind':<{width}}  {'ops':>5}  {'p50 ms':>9}  {'share':>6}")
     for kind, count, p50, share in rows:
         print(f"{kind:<{width}}  {count:>5}  {p50:>9.4f}  {share:>6.1%}")
-    print(f"{len(run.latencies)} ops, {sum(run.latencies) * 1000.0:.1f} ms busy at reference "
+    print(f"{len(run.latencies)} ops, {sum(run.latencies) * 1000.0:.3f} ms busy at reference "
           f"speed, {run.failed} failed, correct {not run.errors}")
     return 0 if not run.errors else 1
 

@@ -78,6 +78,24 @@ class CompressionBase:
         self._p_meet = None
         # spectral: one splitting tree per element, on a base without factors
         self._trees = {} if factors is None else None
+        # built on first use: cover_vec as a list, the leaf_layout of a product
+        # base, and per projection the commutant_row and doubling_rows
+        self._covers = self._layout = self._commutant_rows = self._doubling = None
+
+    @property
+    def leaf_layout(self) -> tuple:
+        """The bases without factors below this one, left to right, as
+        ``(leaf, size, stride)``: x's coordinate there is x // stride % size.
+        A base without factors is its own one leaf, in a tuple made on each
+        read so that the base holds no reference to itself."""
+        if self.factors is None:
+            return ((self, self.algebra.size, 1),)
+        if self._layout is None:
+            left, right = self.factors
+            r = right.algebra.size
+            self._layout = tuple((leaf, size, stride * r) for leaf, size, stride
+                                 in left.leaf_layout) + right.leaf_layout
+        return self._layout
 
     # -- maps ----------------------------------------------------------------
     # A product base splits a projection, and an element, into the indices
@@ -172,9 +190,38 @@ class CompressionBase:
         s = E.sum(self.apply(p, a), self.apply(self.p_ortho(p), a))
         return s is not None and s == a
 
-    def commuting_projections(self, a: int, ps) -> list:
-        """Whether each p of ``ps`` is a projection whose commutant holds a."""
-        return [self.is_projection(p) and self.in_commutant(a, p) for p in ps]
+    def commutant_row(self, p: int) -> list:
+        """``commutant_mask(p)`` as a list, built once per p and kept, for
+        scalar reads on a leaf base (``spectral.verify_resolution``)."""
+        if self._commutant_rows is None:
+            self._commutant_rows = {}
+        row = self._commutant_rows.get(p)
+        if row is None:
+            row = self._commutant_rows[p] = self.commutant_mask(p).tolist()
+        return row
+
+    def doubling_rows(self, u: int) -> tuple:
+        """``(J_u, f_0, f_1, inside)`` as lists over the carrier, built once
+        per u from the pair operations and kept, for the walks of clause (iv)
+        on a leaf base (``spectral._pair_walk``).  ``f_bit(x)`` is
+        ``spectral._fw_step`` inside [0, u], -1 where that is None, and
+        ``inside`` whether x <= u; the last three have an entry appended
+        that the dead value -1 reads (-1, False)."""
+        if self._doubling is None:
+            self._doubling = {}
+        rows = self._doubling.get(u)
+        if rows is None:
+            E, xs = self.algebra, np.arange(self.algebra.size)
+            comp = E.ominus_pairs(u, xs)  # u - x, -1 unless x <= u
+            c = np.maximum(comp, 0)
+            double = E.sum_pairs(c, c)
+            f0 = np.where((comp >= 0) & E.leq_pairs(xs, c), E.sum_pairs(xs, xs), -1)
+            f1 = np.where((comp >= 0) & E.leq_pairs(c, xs) & (double >= 0),
+                          E.ominus_pairs(u, np.maximum(double, 0)), -1)
+            rows = self._doubling[u] = (self.map_table(u).tolist(),
+                                        *(np.maximum(f, -1).tolist() + [-1] for f in (f0, f1)),
+                                        E.leq_pairs(xs, u).tolist() + [False])
+        return rows
 
     def _require_projections(self, closed=False):
         """Raise IncompleteBase if P is empty or, with ``closed``, if it
@@ -278,7 +325,10 @@ class CompressionBase:
         return self._cover_vec
 
     def cover(self, a: int) -> int:
-        c = int(self.cover_vec()[a])
+        """The least projection above a (NoCover where none), read from a list."""
+        if self._covers is None:
+            self._covers = self.cover_vec().tolist()
+        c = self._covers[a]
         if c < 0:
             raise NoCover(self.algebra.label(a))
         return c

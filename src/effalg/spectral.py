@@ -11,19 +11,16 @@ grid indices j for lambda = j/2^n) is kept in integers end to end.
 A resolution is a chain: each prefix sum is checked defined where it is
 built, on every base, in one ``running_sums`` call (``_layer_jumps``), so
 it lies below the next.  So the meet of its entries above a point is the
-next entry, and neither ``rational_resolution`` nor clause (iii) of
-``verify_resolution`` forms a meet in P; only the cells of clause (iv),
-p_hi ^ p_lo', need one, and a cell's meet depends only on the pair of
-runs it straddles.  So the verifier checks per run or per pair of runs,
-not per cell: one stacked call for each of clauses (i) and (ii), and one
-meet, J_u(a) and spectrum per pair in clause (iv).
+next entry, and only the cells p_hi ^ p_lo' of clause (iv) of
+``verify_resolution`` form a meet in P, one per pair of runs straddled.
+So the verifier checks per run or per pair of runs, not per cell.
 
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
-of the factor trees node by node, and a cell of clause (iv) is decided
-by its leaf cells (a leaf base is one leaf).  ``_nodes`` follows the
-factors down to the leaf bases (those without factors), so a grid goes
-to its chains, and composes their trees at the levels asked for.  Only a
+of the factor trees node by node, and clauses (i) and (iv) are decided
+leaf by leaf, from rows that each leaf base (one without factors) keeps.
+``_nodes`` follows the factors down to the leaf bases, so a grid goes to
+its chains, and composes their trees at the levels asked for.  Only a
 leaf base runs the split loop, with all its checks.  It keeps one tree
 per element, the deepest asked for so far, with its nodes indexed by
 level: shallower requests read its top layers, deeper ones split on from
@@ -223,17 +220,15 @@ def _splitting_tree(cb, a, n: int) -> SplittingTree:
     return _grow(cb, a, None, n)
 
 
-def _leaves(cb, a: int, stride: int = 1) -> list:
-    """``(leaf base, x, stride)`` for each leaf base below ``cb``, the bases
-    without ``factors``, left to right: ``x`` is a's coordinate there.  In
-    the index layout of a direct product, ``(a1, a2)`` sits at
-    ``a1 * |E2| + a2``, so a is the sum of ``x * stride`` over its leaves."""
-    if cb.factors is None:
-        return [(cb, a, stride)]
-    left, right = cb.factors
-    r = right.algebra.size
-    x, y = divmod(a, r)
-    return _leaves(left, x, stride * r) + _leaves(right, y, stride)
+def _leaves(cb, a: int) -> list:
+    """``(leaf base, x, stride)`` per leaf of ``cb.leaf_layout``: in the index
+    layout of a direct product ``(a1, a2)`` sits at ``a1 * |E2| + a2``, so a
+    is the sum of its coordinates x times their strides.  The first is not
+    reduced, so an index off the carrier (an undefined p', -1) stays off."""
+    out = [(leaf, a // stride % size, stride) for leaf, size, stride in cb.leaf_layout]
+    leaf, _, top = out[0]
+    out[0] = (leaf, a // top, top)
+    return out
 
 
 def _nodes(cb, a: int, n: int, levels):
@@ -576,8 +571,8 @@ def apply_fw(cb, w, b, q):
 
     The reference for clause (iv) of ``verify_resolution``, which runs it
     on the matrix cells that the eigenvalue walk of
-    ``MatrixCompressionBase.doubling_cells`` leaves undecided, and its
-    steps (``_fw_step``) on leaf cells (``_leaf_cells``).
+    ``MatrixCompressionBase.doubling_cells`` leaves undecided, and reads
+    its steps (``_fw_step``) on leaf cells as rows (``doubling_rows``).
     """
     E = cb.algebra
     if not w:
@@ -626,19 +621,17 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     ``entries`` are) or any mapping lambda -> p_lambda, read as runs of one
     projection; each clause is checked per run, jump or nonzero cell, with
     the verdict and witness of a point-by-point scan.  An entry outside the
-    carrier fails (i), and the later clauses are skipped.  (i) tests every
-    run in one ``cb.commuting_projections`` call, and (ii) the boundary
-    p_0 <= a' and each run below the next in one ``E.leq_pairs`` call.
-    (iii) runs once (ii) has passed: the family is a chain, so it compares
-    neighbouring runs.  (iv) lists its cells (w, p_hi, p_lo') in grid order
-    per level and reports the first that fails.  A cell's u_w depends only
-    on the pair of runs that its ends lie in, so each p_lo' is formed once
-    per run and each meet once per pair of runs.  On an enumerable base the
-    meets are formed leaf by leaf, and each cell is decided from its leaf
-    cells (``_leaf_cells``).  The matrix base decides all cells from one
-    stacked ``eigh`` and ``eigvalsh`` with an entry per pair
-    (``cb.doubling_cells``) where rounding cannot tip ``_doubling_cell``,
-    which decides the rest.
+    carrier fails (i), and the later clauses are skipped.  (ii) is one
+    ``E.leq_pairs`` call, and (iii) compares neighbouring runs of the chain
+    that (ii) has found.  (iv) forms each p_lo' once per run and each meet
+    once per pair of runs, and reports the first cell that fails.  On an
+    enumerable base a and each run are split into leaf coordinates once
+    (``_leaves``): (i) reads one ``commutant_row`` per leaf and run, and
+    (iv) walks each pair's leaves through their doubling rows
+    (``_leaf_cells``).  The matrix base tests (i) in one
+    ``commuting_projections`` call and decides (iv) from one stacked
+    ``eigh`` and ``eigvalsh`` (``doubling_cells``) where rounding cannot
+    tip ``_doubling_cell``, which decides the rest.
     """
     n = check_depth(n)
     E = cb.algebra
@@ -652,7 +645,14 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     ps = [p for _, _, p in runs]
     scale = 1 << n
 
-    first = next((i for i, ok in enumerate(cb.commuting_projections(a, ps)) if not ok), None)
+    if cb.enumerable:  # P of a product is the product of its leaves' P, and C(p) too
+        a_leaves = _leaves(cb, a)
+        his = [_leaves(cb, p) if cb.is_projection(p) else None for p in ps]
+        oks = [hi is not None and all([leaf.commutant_row(q)[x] for (leaf, x, _), (_, q, _)
+                                       in zip(a_leaves, hi)]) for hi in his]
+    else:
+        oks = cb.commuting_projections(a, ps)
+    first = next((i for i, ok in enumerate(oks) if not ok), None)
     ok_i, w_i = first is None, None if first is None else Fraction(runs[first][0], scale)
     rep.add("(i)-projections-commuting-with-a", ok_i, witness=w_i)
 
@@ -697,8 +697,8 @@ def verify_resolution(cb, a, family, n: int) -> Report:
                 cells.append((bits[start][:level], pairs.setdefault((t + 1, start), len(pairs))))
                 start = t + 1
     if cb.enumerable:
-        decided = _leaf_cells(cb, a, [_leaves(cb, p) for p in ps],
-                              [_leaves(cb, q) for q in orthos], list(pairs), cells)
+        decided = _leaf_cells(a_leaves, his, [_leaves(cb, q) for q in orthos], list(pairs),
+                              bits, cells)
     else:
         decided = cb.doubling_cells(a, [(ps[h], orthos[lo]) for h, lo in pairs], cells)
     ok_iv, w_iv = True, None
@@ -735,24 +735,21 @@ def _doubling_cell(cb, w, a, u_w) -> str:
     return "pass" if E.eq(cb.cover(img), u_w) else "cover"
 
 
-def _leaf_cells(cb, a, his, los, pairs, cells):
+def _leaf_cells(a_leaves, his, los, pairs, bits, cells):
     """Clause (iv) on an enumerable base, as ``doubling_cells`` gives it on
-    matrices: ``(u, verdict)`` per cell ``(w, i)``, u None where the meet
-    is missing, lazily, so that nothing is formed past the first cell that
-    fails.  ``his`` and ``los`` hold the ``_leaves`` of each run's p and
-    p', and ``pairs[i]`` the runs of a cell.  The meets and J_u(a) are
-    formed once per pair (``_leaf_meet``, ``_leaf_walk``), and the cells of
-    one pair share the steps of f_w (``_leaf_verdict``): their w are
-    prefixes of one string.
-    """
-    a_leaves = _leaves(cb, a)
-    walks = {}  # pair -> its _leaf_walk, or None where the meet is missing
+    matrices: ``(u, verdict)`` per cell ``(w, i)``, u None where the meet is
+    missing, lazily: nothing is formed past the first cell that fails.
+    ``a_leaves``, ``his`` and ``los`` are the ``_leaves`` of a and of each
+    run's p and p'.  A pair ``pairs[i] = (h, lo)`` forms its meet
+    (``_leaf_meet``) and its walk along ``bits[lo]`` once; the w of its
+    cells are prefixes of that string."""
+    walks = {}  # pair -> its _pair_walk, or None where the meet is missing
     for w, i in cells:
         if i not in walks:
             h, lo = pairs[i]
-            u = _leaf_meet(his[h], los[lo])
-            walks[i] = None if u is None else _leaf_walk(a_leaves, u)
-        yield (None, None) if walks[i] is None else (walks[i], _leaf_verdict(w, walks[i]))
+            us = _leaf_meet(his[h], los[lo])
+            walks[i] = None if us is None else _pair_walk(a_leaves, us, bits[lo])
+        yield (None, None) if walks[i] is None else (walks[i], _cell_verdict(walks[i], len(w)))
 
 
 def _leaf_meet(hi, lo):
@@ -767,35 +764,31 @@ def _leaf_meet(hi, lo):
     return out
 
 
-def _leaf_walk(a_leaves, u_leaves) -> list:
-    """``(leaf, u, [J_u(x)])`` per leaf where u is nonzero, from a's and u's
-    ``_leaves``: each leaf cell with the first of its iterates of f_w,
-    which ``_leaf_verdict`` extends."""
-    return [(leaf, u, [leaf.apply(u, x)]) for (leaf, x, _), (_, u, _) in zip(a_leaves, u_leaves)
-            if u != leaf.algebra.zero]
+def _pair_walk(a_leaves, us, string) -> list:
+    """``(leaf, u, its, inside)`` per leaf where u is nonzero, from the
+    ``_leaves`` of a and u: ``its[k]`` is f_w(J_u(x)) for w the first k bits
+    of ``string``, -1 once a step fails, one lookup per step in the leaf's
+    ``doubling_rows``, whose last row is ``inside``."""
+    walk = []
+    for (leaf, x, _), (_, u, _) in zip(a_leaves, us):
+        if u != leaf.algebra.zero:
+            ju, f0, f1, inside = leaf.doubling_rows(u)
+            its = [ju[x]]
+            for bit in string:
+                its.append((f1 if bit else f0)[its[-1]])
+            walk.append((leaf, u, its, inside))
+    return walk
 
 
-def _leaf_verdict(w, walk) -> str:
-    """``_doubling_cell`` on the cell w of an enumerable base, from the
-    ``_leaf_walk`` of a and u_w.  J_u, f_w, img <= u_w and the cover are
-    componentwise: the cell fails if a leaf cell fails, else asks every
-    leaf for its cover, as the product's cover does.  A leaf where u_w is
-    zero passes.  Each leaf keeps the iterates along the longest w walked
-    so far, so the strings of one walk must be prefixes of one string; a
-    step (``_fw_step``) is taken once, and each image is ``apply_fw``'s."""
-    imgs = []
-    for leaf, u, its in walk:
-        E = leaf.algebra
-        if not w:
-            imgs.append(its[0] if E.leq(its[0], u) else None)
-            continue
-        while len(its) <= len(w) and its[-1] is not None:
-            its.append(_fw_step(E, w[len(its) - 1], its[-1], u))
-        imgs.append(its[len(w)] if len(its) > len(w) else None)
-    if any(img is None or not leaf.algebra.leq(img, u) for (leaf, u, _), img in zip(walk, imgs)):
-        return "fail"
-    covers = [leaf.cover(img) for (leaf, _, _), img in zip(walk, imgs)]
-    return "pass" if covers == [u for _, u, _ in walk] else "cover"
+def _cell_verdict(walk, k: int) -> str:
+    """``_doubling_cell`` on the cell of the first k bits of a ``_pair_walk``'s
+    string.  J_u, f_w, img <= u_w and the cover are componentwise: the cell
+    fails if a leaf cell fails, else asks every leaf for its cover, as the
+    product's cover does.  A leaf where u_w is zero passes."""
+    for _, _, its, inside in walk:
+        if not inside[its[k]]:
+            return "fail"
+    return "pass" if all([leaf.cover(its[k]) == u for leaf, u, its, _ in walk]) else "cover"
 
 
 def _as_resolution(E, a, family, n: int):

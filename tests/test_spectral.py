@@ -784,12 +784,13 @@ LEAF_ROUTE_STRINGS = [w for n in range(5) for w in itertools.product((0, 1), rep
 
 
 def test_leaf_cells_decide_the_product_cell():
-    """``spectral._leaf_verdict`` on a's and u's leaves gives what
-    ``_doubling_cell`` gives on the product itself, or raises the same
-    error: on every (a, u in P, w) with len(w) <= 4 of the carriers of at
-    most 100 elements, and on 600 seeded triples with len(w) <= 6 of the
-    others.  The broken tables reach all three verdicts and ``NoCover``,
-    which the product raises only once no leaf cell fails."""
+    """``spectral._cell_verdict`` on the ``_pair_walk`` of a's and u's
+    leaves along w gives what ``_doubling_cell`` gives on the product
+    itself, or raises the same error: on every (a, u in P, w) with len(w)
+    <= 4 of the carriers of at most 100 elements, and on 600 seeded triples
+    with len(w) <= 6 of the others.  The broken tables reach all three
+    verdicts and ``NoCover``, which the product raises only once no leaf
+    cell fails."""
     rng = np.random.default_rng(44)
     outcomes = set()
     for name, (E, cb) in _leaf_route_cases():
@@ -802,8 +803,8 @@ def test_leaf_cells_decide_the_product_cell():
                        for _ in range(600)]
         for a, u, w in triples:
             want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
-            got = _factor_outcome(lambda: spectral._leaf_verdict(w, spectral._leaf_walk(
-                spectral._leaves(cb, a), spectral._leaves(cb, u))))
+            got = _factor_outcome(lambda: spectral._cell_verdict(spectral._pair_walk(
+                spectral._leaves(cb, a), spectral._leaves(cb, u), w), len(w)))
             assert got == want, (name, a, u, w)
             outcomes.add(want)
     assert outcomes == {"pass", "fail", "cover", NoCover}, outcomes
@@ -811,10 +812,10 @@ def test_leaf_cells_decide_the_product_cell():
 
 def test_a_shared_walk_gives_each_prefix_its_own_verdict():
     """The cells of one pair of runs read prefixes of one string, and
-    ``_leaf_verdict`` keeps each leaf's iterates of f along the longest
-    prefix walked so far.  On every (a, u in P) of the carriers of at most
-    100 elements, and on 300 seeded pairs of the others, one walk asked
-    for every prefix of a string of length 6, shortest first, gives each
+    ``_pair_walk`` keeps each leaf's iterates of f along the whole string.
+    On every (a, u in P) of the carriers of at most 100 elements, and on
+    300 seeded pairs of the others, one walk along a string of length 6,
+    asked by ``_cell_verdict`` for every prefix, shortest first, gives each
     prefix what ``_doubling_cell`` gives it, or raises the same error."""
     rng = np.random.default_rng(45)
     outcomes = set()
@@ -826,16 +827,54 @@ def test_a_shared_walk_gives_each_prefix_its_own_verdict():
                      for _ in range(300)]
         for a, u in pairs:
             string = tuple(rng.integers(0, 2, 6).tolist())
-            walk = _factor_outcome(lambda: spectral._leaf_walk(spectral._leaves(cb, a),
-                                                                spectral._leaves(cb, u)))
+            walk = _factor_outcome(lambda: spectral._pair_walk(spectral._leaves(cb, a),
+                                                                spectral._leaves(cb, u), string))
             for level in range(len(string) + 1):
                 w = string[:level]
                 want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
                 got = walk if isinstance(walk, type) else \
-                    _factor_outcome(lambda: spectral._leaf_verdict(w, walk))
+                    _factor_outcome(lambda: spectral._cell_verdict(walk, level))
                 assert got == want, (name, a, u, w)
                 outcomes.add(want)
     assert outcomes == {"pass", "fail", "cover", NoCover}, outcomes
+
+
+def test_leaf_rows_are_the_scalar_path():
+    """Every leaf base below the carriers of ``_leaf_route_cases``, the
+    seeded broken tables among them, keeps rows that equal the scalar path
+    entry by entry.  For every u in P and x, ``leaf.doubling_rows(u)``
+    holds ``J_u(x)``, ``_fw_step`` of each bit (-1 for None) and ``x <=
+    u``, with the dead entry -1 (False) appended.  For every p in P and
+    x, ``commutant_row(p)[x]`` is ``in_commutant(x, p)``, or both raise
+    the same error: ``KeyError`` where p' is not in P.  Every base there is
+    central, so the seeded changed bases of ``test_structural`` on
+    ``boolean(2)`` and ``mv(4,1)`` join them for commutants that fail."""
+    from test_structural import _changed_bases
+
+    rng = np.random.default_rng(48)
+    changed = [(f"changed {i}", (None, broken)) for i, (E, cb) in enumerate(
+        (instances.make_boolean(2), instances.make_mv_product(4, 1)))
+        for broken in _changed_bases(rng, E, cb)]
+    leaves, outcomes = {}, set()
+    for name, (_, cb) in itertools.chain(_leaf_route_cases(), changed):
+        for leaf, size, _ in cb.leaf_layout:
+            if leaves.setdefault(id(leaf), leaf) is not leaf:
+                continue
+            L, xs = leaf.algebra, range(size)
+            for u in leaf.projections:
+                ju, f0, f1, inside = leaf.doubling_rows(u)
+                assert ju == [leaf.apply(u, x) for x in xs], (name, u)
+                for bit, row in ((0, f0), (1, f1)):
+                    steps = [spectral._fw_step(L, bit, x, u) for x in xs]
+                    assert row == [-1 if v is None else v for v in steps] + [-1], (name, u, bit)
+                assert inside == [L.leq(x, u) for x in xs] + [False], (name, u)
+            for p in leaf.projections:
+                for x in xs:
+                    want = _outcome_or_error(lambda: leaf.in_commutant(x, p))
+                    assert _outcome_or_error(lambda: leaf.commutant_row(p)[x]) == want, \
+                        (name, p, x)
+                    outcomes.add(want)
+    assert outcomes == {True, False, KeyError}, outcomes
 
 
 def _outcome_or_error(fn):
@@ -1545,7 +1584,7 @@ def _clause_iv_cells(cb, fam):
 
 def test_a_leaf_base_is_its_own_one_leaf(monkeypatch):
     """On a base without factors clause (iv) decides each cell by
-    ``_leaf_verdict`` on one leaf.  On every cell of the computed,
+    ``_cell_verdict`` on one leaf.  On every cell of the computed,
     perturbed and neighbour families of every element at depths 3 and 5
     of the chain ``mv(16,1)`` and of the table ``restrict(mv(8,3),
     (8,8,0))``, it gives what ``_doubling_cell`` gives, or raises the
@@ -1564,8 +1603,8 @@ def test_a_leaf_base_is_its_own_one_leaf(monkeypatch):
                     fam = spectral._as_resolution(E, a, family, n)
                     for w, u in _clause_iv_cells(cb, fam):
                         want = _factor_outcome(lambda: spectral._doubling_cell(cb, w, a, u))
-                        got = _factor_outcome(lambda: spectral._leaf_verdict(
-                            w, spectral._leaf_walk([(cb, a, 1)], [(cb, u, 1)])))
+                        got = _factor_outcome(lambda: spectral._cell_verdict(
+                            spectral._pair_walk([(cb, a, 1)], [(cb, u, 1)], w), len(w)))
                         assert got == want, (name, n, a, w, u)
                         outcomes.add(want)
     assert outcomes == {"pass", "fail", "cover"}, outcomes
