@@ -223,21 +223,26 @@ class CompressionBase:
                                         E.leq_pairs(xs, u).tolist() + [False])
         return rows
 
+    def _ortho_gap(self) -> Optional[int]:
+        """The position in P of the first member whose orthosupplement is
+        not in P (or undefined, -1), or None: P's closure test under '."""
+        ortho = self.algebra.ortho_all()  # a loop: cheaper than a vector test for a leaf's small P
+        return next((k for k, p in enumerate(self.projections) if ortho.item(p) not in self.p_set),
+                    None)
+
     def _require_projections(self, closed=False):
         """Raise IncompleteBase if P is empty or, with ``closed``, if it
         misses the orthosupplement of a member (an unchecked base can)."""
         E = self.algebra
         if not self.projections:
             raise IncompleteBase(f"the compression base on {E.kind} has no projections")
-        if closed:
-            ortho = E.ortho_all()[self.p_array]
-            missing = np.flatnonzero(~np.isin(ortho, self.p_array))
-            if missing.size:
-                k = missing[0]
-                raise IncompleteBase(
-                    f"the member {E.label(self.projections[k])} of the compression base on "
-                    f"{E.kind} has no orthosupplement" if ortho[k] < 0 else
-                    f"the compression base on {E.kind} has no map at {E.label(int(ortho[k]))}")
+        k = self._ortho_gap() if closed else None
+        if k is not None:
+            p, q = self.projections[k], E.ortho(self.projections[k])
+            raise IncompleteBase(
+                f"the member {E.label(p)} of the compression base on {E.kind} has no "
+                f"orthosupplement" if q < 0 else
+                f"the compression base on {E.kind} has no map at {E.label(q)}")
 
     def pc_matrix(self) -> np.ndarray:
         """Boolean (n, |P|) table of commutant membership."""
@@ -470,8 +475,8 @@ class MapSample:
     fits ``core.TRIPLE_BUDGET``, else ``core.SAMPLE_SIZE`` seeded pairs,
     with ``over`` the sampled row's detail; past ``4 * core.SAMPLE_SIZE``
     elements, a seeded sample of elements plus the boundary ones.  Each
-    order test is one ``leq_pairs`` call over them.
-    """
+    order test is one ``leq_pairs`` call over them.  A map whose focus has
+    no p' is no compression, as its kernel should be the empty ``[0, p']``."""
 
     def __init__(self, E: FiniteAlgebra, maps: int = 1):
         self.E = E
@@ -502,17 +507,19 @@ class MapSample:
             return MapClassification("not_additive", None, witness)
 
         focus = int(J[E.one])
-        idx = np.union1d(self.idx, [focus, E.ortho(focus)]) if self.drawn else self.idx
+        q = E.ortho(focus)  # -1: no p'
+        idx = np.union1d(self.idx, [focus, q] if q >= 0 else [focus]) if self.drawn else self.idx
         lower = idx[E.leq_pairs(idx, focus)]
         fixed = J[lower] == lower
         if not fixed.all():
             return MapClassification("not_additive", None, int(lower[np.argmin(fixed)]))
 
-        kernel = J[idx] == E.zero
-        should = E.leq_pairs(idx, E.ortho(focus))
-        if (kernel == should).all():
+        should = E.leq_pairs(idx, q) if q >= 0 else False  # the kernel is [0, p'], empty without p'
+        bad = (J[idx] == E.zero) != should
+        if q >= 0 and not bad.any():
             return MapClassification("compression", focus)
-        return MapClassification("retraction", focus, int(idx[np.argmax(kernel != should)]))
+        return MapClassification("retraction", focus,
+                                 int(idx[np.argmax(bad)]) if bad.any() else None)
 
     def _additivity_violation(self, J):
         E = self.E
@@ -636,7 +643,9 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
 
     C1 classifies each map against one ``MapSample`` of the carrier; C2
     and the triple law compare composites of the stacked map tables in
-    chunked gathers (``kernels.composition_violation``).  Each row but the
+    chunked gathers (``kernels.composition_violation``), on the pairs of P
+    that ``kernels.mackey_matrix`` finds compatible, or when sampled on the
+    128 drawn pairs that ``core.mackey_compatible`` does.  Each row but the
     exact supplement pairing counts the work of its exact scan (``m =
     |P|``): C1 ``m`` times the defined pairs, C2 ``m^2 n``, P-normal ``m``
     times the rows ``(d, p)`` with ``d <= p`` outside P, the triple law
@@ -660,12 +669,9 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
         rep.add(name, passed, "sampled" if over else "full", witness, over or detail)
 
     # sub-effect algebra: contains 1, closed under ' and partial sums
-    ok = E.one in cb.p_set and E.zero in cb.p_set
-    closure_w = None
-    for p in P:
-        if E.ortho(p) not in cb.p_set:
-            ok, closure_w = False, ("ortho", p)
-            break
+    bounds, gap = E.one in cb.p_set and E.zero in cb.p_set, cb._ortho_gap()
+    ok = bounds and gap is None
+    closure_w = ("ortho", P[gap]) if bounds and gap is not None else None
     if ok:
         sums = pq[pq >= 0]
         outside = np.flatnonzero(~in_p[sums])
@@ -687,10 +693,11 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     if not c1_ok:
         return rep
 
-    # supplements: kernel of J_p is the range [0, p'] of J_p'
+    # supplements: kernel of J_p is the range [0, p'] of J_p' (empty without p')
     supp_w = None
     for p in P:
-        if not ((cb.map_table(p) == E.zero) == E.lower_bounds(E.ortho(p))).all():
+        q = E.ortho(p)
+        if q < 0 or not ((cb.map_table(p) == E.zero) == E.lower_bounds(q)).all():
             supp_w = p
             break
     rep.add("supplement-pairing", supp_w is None, witness=supp_w)
@@ -708,7 +715,7 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
         cols = rng.integers(0, n, size=min(n, 2000))
         drawn = list({(int(i), int(j))
                       for i, j in zip(rng.integers(0, m, 128), rng.integers(0, m, 128))})
-        pairs = np.array([ij for ij in drawn if _mackey_pair(E, P[ij[0]], P[ij[1]])],
+        pairs = np.array([ij for ij in drawn if mackey_compatible(E, P[ij[0]], P[ij[1]])[0]],
                          dtype=np.int64).reshape(-1, 2)
         ii, jj = pairs[:, 0], pairs[:, 1]
     stack = cb.map_stack()
@@ -796,20 +803,6 @@ def _summable_triples(E: FiniteAlgebra, pa: np.ndarray, pq: np.ndarray,
         yield i2[good], j2[good], k2[good]
 
 
-def _mackey_pair(E: FiniteAlgebra, p: int, q: int) -> bool:
-    # direct witness search; validation must not trust the maps under test.
-    # For projections the shared summand, when it exists, is the meet.
-    c = E.meet(p, q)
-    if c is not None:
-        a1, b1 = E.ominus(p, c), E.ominus(q, c)
-        if a1 is not None and b1 is not None:
-            s = E.sum(a1, b1)
-            if s is not None and E.sum(s, c) is not None:
-                return True
-    ok, _ = mackey_compatible(E, p, q)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # the central base
 
@@ -833,7 +826,7 @@ def _central_base(E: FiniteAlgebra) -> CompressionBase:
     """``central_base``, built.  Without factors, one pass per test, each
     element tested once though p and p' are both sharp: principality, the
     meets with every element (``meet_pairs`` calls of 2048 pairs) and
-    a = (a ^ p) + (a ^ p').  A missing p' (-1) is the index -1, as in ``E.ortho``."""
+    a = (a ^ p) + (a ^ p').  A sharp p has its p', so no -1 is read as an index."""
     if E.factors is not None:
         left, right = E.factors
         return product_base(E, central_base(left), central_base(right))
@@ -913,13 +906,11 @@ def bicommutant(cb: CompressionBase, a: int):
     if not cb.enumerable:
         return cb.bicommutant(a)  # sums of eigenprojections
     out = cb.bicommutant_set(a)
-    pos = [cb.p_pos[int(p)] for p in out]
-    compat = cb.pcompat()[np.ix_(pos, pos)]
-    if not compat.all():
+    pos = np.searchsorted(cb.p_array, out)
+    if not cb.pcompat()[np.ix_(pos, pos)].all():
         raise InternalConsistencyError("bicommutant is not pairwise compatible")
-    for p in out:
-        if cb.p_ortho(int(p)) not in set(int(x) for x in out):
-            raise InternalConsistencyError("bicommutant not closed under orthosupplement")
+    if not np.isin(cb.algebra.ortho_all()[out], out).all():
+        raise InternalConsistencyError("bicommutant not closed under orthosupplement")
     return out
 
 

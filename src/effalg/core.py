@@ -1074,21 +1074,27 @@ def _validate_axioms_sampled(E: EffectAlgebra) -> Report:
 
 
 def sharp_elements(E: FiniteAlgebra) -> np.ndarray:
-    """Indices a with a ^ a' = 0 (only common lower bound is zero)."""
+    """Indices a with a ^ a' = 0 (only common lower bound is zero); none
+    without an orthosupplement, whose index -1 names no element."""
     if not E.enumerable:
         raise NotEnumerable("sharpness scan needs an enumerable carrier")
     if E.factors is not None:  # a ^ a' is componentwise
         left, right = E.factors
         sa, sb = sharp_elements(left), sharp_elements(right)
         return np.sort((sa[:, None] * right.size + sb[None, :]).ravel())
-    L = E.leq_table
-    common = L & L[:, E.ortho_all()]
-    return np.flatnonzero(common.sum(axis=0) == 1)
+    L, ortho = E.leq_table, E.ortho_all()
+    return np.flatnonzero(((L & L[:, ortho]).sum(axis=0) == 1) & (ortho >= 0))
 
 
 def is_principal(E: FiniteAlgebra, a) -> bool:
-    """x, y <= a and x + y defined imply x + y <= a, in one ``sum_pairs`` and
-    one ``leq_pairs`` call, which read the tables where they exist."""
+    """x, y <= a and x + y defined imply x + y <= a: the conjunction of
+    the coordinates' answers on a carrier with factors whose zero is a unit
+    of both sums (``_zero_is_unit``), as ``(x1, 0)`` and ``(y1, 0)`` lift a
+    failing factor pair (without it, a factor with no pair below its
+    coordinate makes the product principal vacuously); elsewhere one
+    ``sum_pairs`` and one ``leq_pairs`` call over the pairs of lower bounds."""
+    if E.factors is not None and _zero_is_unit(E):
+        return all(map(is_principal, E.factors, E.split_index(a)))
     idx = np.flatnonzero(E.lower_bounds(a))
     sums = E.sum_pairs(idx[:, None], idx)
     return bool(E.leq_pairs(sums[sums >= 0], a).all())
@@ -1099,18 +1105,24 @@ def mackey_compatible(E: FiniteAlgebra, a, b):
 
     Returns (True, (a1, b1, c)) or (False, None).  The scan walks common
     lower bounds c in ascending index order, so witnesses are canonical.
+    On a carrier with factors it pairs the factors' answers: order, sums
+    and differences are componentwise, so the witnesses are the pairs of
+    factor witnesses, and the first is the pair of the first ones.
     """
-    if E.dense:  # perfbench/tracing.py times kernels.mackey_witness by name
-        c = kernels.mackey_witness(E.sum_table, E.ominus_table, E.leq_table, a, b)
-    else:
-        cand = np.flatnonzero(E.lower_bounds(a) & E.lower_bounds(b))
-        s = E.sum_pairs(E.ominus_pairs(a, cand), E.ominus_pairs(b, cand))
-        ok = s >= 0
-        ok[ok] = E.sum_pairs(s[ok], cand[ok]) >= 0
-        hits = np.flatnonzero(ok)
-        c = int(cand[hits[0]]) if hits.size else None
-    if c is None:
+    if E.factors is not None:
+        (left, right), (a1, a2), (b1, b2) = E.factors, E.split_index(a), E.split_index(b)
+        ok, w1 = mackey_compatible(left, a1, b1)
+        if ok:
+            ok, w2 = mackey_compatible(right, a2, b2)
+        return (True, tuple(map(E.pair_index, w1, w2))) if ok else (False, None)
+    cand = np.flatnonzero(E.lower_bounds(a) & E.lower_bounds(b))
+    s = E.sum_pairs(E.ominus_pairs(a, cand), E.ominus_pairs(b, cand))
+    ok = s >= 0
+    ok[ok] = E.sum_pairs(s[ok], cand[ok]) >= 0
+    hits = np.flatnonzero(ok)
+    if not hits.size:
         return False, None
+    c = int(cand[hits[0]])
     return True, (E.ominus(a, c), E.ominus(b, c), c)
 
 

@@ -49,9 +49,10 @@ def _validated(E, cb, what: str, validate: bool = True):
     rep = validate_axioms(E)
     if not rep.passed:
         raise InternalConsistencyError(f"{what}: axioms failed\n{rep.summary()}")
-    rep = validate_base(E, cb)
-    if not rep.passed:
-        raise InternalConsistencyError(f"{what}: base failed\n{rep.summary()}")
+    if E.enumerable:
+        rep = validate_base(E, cb)
+        if not rep.passed:
+            raise InternalConsistencyError(f"{what}: base failed\n{rep.summary()}")
     return E, cb
 
 
@@ -83,12 +84,7 @@ def make_matrix(dim: int, tol: float = 1e-9, validate: bool = True):
     """Symmetric matrix effects with the full projection base (lazy carrier)."""
     E, cb = matrices.make_matrix_instance(dim, tol=tol)
     E.document = {"kind": "matrix", "dim": dim, "tol": tol}
-    if not validate:
-        return E, cb
-    rep = validate_axioms(E)  # sampled triples; the carrier cannot be listed
-    if not rep.passed:
-        raise InternalConsistencyError(f"matrix axioms failed\n{rep.summary()}")
-    return E, cb
+    return _validated(E, cb, "matrix", validate)
 
 
 def make_table(sums, n: int, zero: int, one: int, labels=None):

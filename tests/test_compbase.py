@@ -561,7 +561,7 @@ def _ref_base_laws(E, cb, budget, seed=0):
     else:
         drawn = list({(int(pa[i]), int(pa[j]))
                       for i, j in zip(rng.integers(0, m, 128), rng.integers(0, m, 128))})
-        pairs = [pq for pq in drawn if compbase._mackey_pair(E, *pq)]
+        pairs = [pq for pq in drawn if core.mackey_compatible(E, *pq)[0]]
     w = None
     for p, q in pairs:
         jp, jq = cb.map_table(p), cb.map_table(q)
@@ -856,8 +856,10 @@ def test_product_in_commutant_is_componentwise():
     together: on every pair of ``boolean(3)``, ``mv(4,2) x boolean(1)``,
     ``boolean(2) x mv(4,1)`` and the grids of criterion 01, and on 2000
     seeded pairs of ``boolean(2) x mv(8,3)``.  Their projections are
-    central, so every answer there is yes; products with a broken grid
-    table add projections without an orthosupplement in P, and products
+    central, so every answer there is yes; products with broken grid
+    tables add their central bases, products with a base on the
+    ``boolean(2)`` table whose P misses the orthosupplement of an atom add
+    projections without an orthosupplement in P (KeyError), and products
     with a base whose map at an atom is zero add pairs that do not
     commute."""
     from test_structural import _criterion_01_instances
@@ -868,6 +870,7 @@ def test_product_in_commutant_is_componentwise():
     maps = {p: np.arange(4) & p for p in range(4)}
     maps[1] = np.zeros(4, dtype=np.int64)
     zero_at_atom = T, CompressionBase(T, range(4), maps)
+    no_ortho = T, CompressionBase(T, (0, 1, 3), {p: np.arange(4) & p for p in (0, 1, 3)})
     grids = [g for name, g in _criterion_01_instances().items()
              if name.startswith(("boolean", "mv")) and g[1].factors is not None]
     seen = set()
@@ -876,7 +879,9 @@ def test_product_in_commutant_is_componentwise():
                                          instances.make_mv_product(4, 1)),
                   *grids, *_broken_table_products(np.random.default_rng(19)),
                   instances.make_product(zero_at_atom, b1, validate=False),
-                  instances.make_product(b1, zero_at_atom, validate=False)):
+                  instances.make_product(b1, zero_at_atom, validate=False),
+                  instances.make_product(no_ortho, b1, validate=False),
+                  instances.make_product(b1, no_ortho, validate=False)):
         assert cb.factors is not None
         for a in range(E.size):
             for p in cb.projections:

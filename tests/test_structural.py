@@ -1378,11 +1378,11 @@ def _meet_with_all(E, p):
 
 def _plain_central(E):
     """The central projections and their maps, every test made afresh for
-    p and for p', one element at a time."""
+    p and for p', one element at a time; a p without p' is not central."""
     centre, maps = [], {}
     for p in map(int, core.sharp_elements(E)):
         q = E.ortho(p)
-        if not (core.is_principal(E, p) and core.is_principal(E, q)):
+        if q < 0 or not (core.is_principal(E, p) and core.is_principal(E, q)):
             continue
         mp, mq = _meet_with_all(E, p), _meet_with_all(E, q)
         if mp is not None and mq is not None and \
@@ -1394,9 +1394,9 @@ def _plain_central(E):
 
 def _met(E):
     """The elements the plain loop meets every element with: each sharp p
-    and its p' where both are principal, a missing p' (-1) as n - 1."""
-    return {x % E.size for p in map(int, core.sharp_elements(E)) for x in (p, E.ortho(p))
-            if core.is_principal(E, p) and core.is_principal(E, E.ortho(p))}
+    and its p' where p' exists and both are principal."""
+    return {x for p in map(int, core.sharp_elements(E)) for x in (p, E.ortho(p))
+            if E.ortho(p) >= 0 and core.is_principal(E, p) and core.is_principal(E, E.ortho(p))}
 
 
 def _counted_meets(E, monkeypatch):
@@ -1446,3 +1446,90 @@ def test_central_base_matches_the_plain_loop_on_broken_tables(monkeypatch):
         for p in centre:
             assert np.array_equal(base.map_table(p), maps[p]), (i, p)
     assert not_involutive and made
+
+
+# single-element questions on a product, through its factors
+
+
+def _single_element_products():
+    """Products of up to 625 elements: valid carriers, the chain {0, 1/2, 1}
+    (1/2 is not principal), seeded broken grid tables with partners in
+    both orders, and factors whose zero is no unit of their sum, some
+    nested."""
+    named = _criterion_01_instances()
+    valid = [named[k][0] for k in ("boolean(1)", "boolean(2)", "MO2", "L8+L8")]
+    chain = instances.make_mv_product(2, 1, validate=False)[0]
+    zeros = [_zero_without_unit(), core.TableAlgebra(np.full((2, 2), -1), 0, 1)]
+    rng = np.random.default_rng(34)
+    broken = [_broken_table(rng, *GRIDS[i % len(GRIDS)], MUTATIONS[i % len(MUTATIONS)])[0]
+              for i in range(12)]
+    out = [core.ProductAlgebra(named["mv(4,2)"][0], named["mv(4,2)"][0]),
+           core.ProductAlgebra(valid[2], valid[3]), core.ProductAlgebra(chain, valid[1])]
+    for i, B in enumerate(broken):
+        partner = [valid[0], chain, valid[2], zeros[0]][i % 4]
+        out += [core.ProductAlgebra(B, partner), core.ProductAlgebra(partner, B)]
+    for Z in zeros:
+        out += [core.ProductAlgebra(chain, Z), core.ProductAlgebra(Z, chain),
+                core.ProductAlgebra(core.ProductAlgebra(Z, broken[1]), valid[2]),
+                core.ProductAlgebra(valid[1], core.ProductAlgebra(chain, Z))]
+    return out
+
+
+def _queried_pairs(E, rng):
+    """Every pair of a carrier of up to 40 elements, else 400 seeded pairs."""
+    if E.size <= 40:
+        return list(itertools.product(range(E.size), repeat=2))
+    return rng.integers(0, E.size, size=(400, 2)).tolist()
+
+
+def test_single_element_queries_through_the_factors_are_the_leaf_path():
+    """``mackey_compatible`` and ``is_principal`` on a product answer what
+    the pair-operation path answers on the product's table copy, a carrier
+    without factors; each witness ``(a1, b1, c)`` has ``c + a1 = a``, ``c +
+    b1 = b`` and ``(a1 + b1) + c`` defined in the sum table as lists.
+    Among the pairs, each factor alone refuses some that the other
+    accepts, and on the products whose zero is no unit some element's
+    principality is not its coordinates'."""
+    rng = np.random.default_rng(34)
+    refused = set()
+    guarded = 0
+    for E in _single_element_products():
+        T = core.TableAlgebra(E._tabulate("sum"), E.zero, E.one)
+        S = T.sum_table.tolist()
+        principal = [core.is_principal(E, a) for a in range(E.size)]
+        assert principal == [core.is_principal(T, a) for a in range(E.size)], E.label(0)
+        if not core._zero_is_unit(E):
+            (left, right), (ia, ib) = E.factors, E.split_index(np.arange(E.size))
+            guarded += sum(p != (core.is_principal(left, x) and core.is_principal(right, y))
+                           for p, x, y in zip(principal, ia.tolist(), ib.tolist()))
+        for a, b in _queried_pairs(E, rng):
+            got = core.mackey_compatible(E, a, b)
+            assert got == core.mackey_compatible(T, a, b), (a, b)
+            if got[0]:
+                a1, b1, c = got[1]
+                assert S[c][a1] == a and S[c][b1] == b and S[a1][b1] >= 0 \
+                    and S[S[a1][b1]][c] >= 0, (a, b, got)
+            (a1, a2), (b1, b2) = E.split_index(a), E.split_index(b)
+            refused.add((core.mackey_compatible(E.factors[0], a1, b1)[0],
+                         core.mackey_compatible(E.factors[1], a2, b2)[0]))
+    assert refused == {(True, True), (True, False), (False, True), (False, False)}
+    assert guarded > 0
+
+
+def test_single_element_queries_on_a_product_build_no_table():
+    """On ``boolean(6) x boolean(6)`` (4096 elements) each query reads its
+    factors: no carrier with factors gains a table, and the traced peak
+    of each stays under 1 MiB."""
+    import tracemalloc
+
+    B6 = instances.make_boolean(6, validate=False)
+    E, _ = instances.make_product(B6, B6, validate=False)
+    for query, want in ((lambda: core.mackey_compatible(E, 5, 9), (True, (4, 8, 1))),
+                        (lambda: core.is_principal(E, E.one), True)):
+        tracemalloc.start()
+        try:
+            assert query() == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and _tabled(E) == []

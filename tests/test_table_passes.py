@@ -262,3 +262,89 @@ def test_mo2_builds_no_other_carrier_checks(monkeypatch):
     assert {id(carrier) for _, carrier in seen} == {id(E)}
     assert [name for name, _ in seen] == ["central_base", "_central_base"]
     assert cb.projections == [E.zero, E.one]
+
+
+# an undefined orthosupplement (-1) names no element
+
+
+def _five_element_layouts():
+    """The table 0, u, a, b, c with 0 + x = x for every x and a + b = u, in
+    three layouts: the unit last, a last and c last.  c has no
+    orthosupplement; the layouts are relabelings of each other."""
+    out = []
+    for order in ("0abcu", "0ubca", "0uabc"):
+        at = {x: i for i, x in enumerate(order)}
+        triples = [(at["0"], at[x], at[x]) for x in order] + [(at["a"], at["b"], at["u"])]
+        out.append(TableAlgebra.from_triples(5, triples, at["0"], at["u"], labels=list(order)))
+    return out
+
+
+def _relabeled(T, perm):
+    """The table T with element x renamed perm[x]."""
+    S = T.sum_table
+    out = np.full_like(S, -1)
+    out[np.ix_(perm, perm)] = np.where(S >= 0, perm[S], -1)
+    return TableAlgebra(out, int(perm[T.zero]), int(perm[T.one]))
+
+
+def _meet_base(E):
+    """The maps x -> x ^ p at every p whose meets with all elements exist,
+    focus without orthosupplement included: a base that validation rejects
+    somewhere when P is not closed under '."""
+    meets = E.meet_pairs(np.arange(E.size)[:, None], np.arange(E.size))
+    P = np.flatnonzero((meets >= 0).all(axis=0))
+    return compbase.CompressionBase(E, P, {int(p): meets[:, p] for p in P})
+
+
+def _layout_free(E):
+    """What must not depend on the index layout, with elements named by
+    index: the sharp elements, the central projections and maps, and the
+    verdicts of ``validate_base`` on the central base and on ``_meet_base``."""
+    cb = compbase._central_base(E)
+    rows = [[(c.name, c.passed) for c in compbase._scan_base(E, base).checks]
+            for base in (cb, _meet_base(E))]
+    return (set(core.sharp_elements(E).tolist()), set(cb.projections),
+            {p: cb.map_table(p).tolist() for p in cb.projections}, rows)
+
+
+def _renamed(found, perm):
+    """``_layout_free``'s answer on T, in the names of ``_relabeled(T, perm)``."""
+    sharp, centre, maps, rows = found
+    inv = np.argsort(perm)
+    return ({int(perm[x]) for x in sharp}, {int(perm[p]) for p in centre},
+            {int(perm[p]): perm[np.asarray(J)[inv]].tolist() for p, J in maps.items()}, rows)
+
+
+def _layout_free_table(T):
+    """No row of T holds one sum twice, and its order is antisymmetric:
+    else ``a' `` and some meets are the last or first of several candidates
+    in index order, which a relabeling may change."""
+    S, L = T.sum_table, T.leq_table
+    repeated = any(np.unique(row[row >= 0]).size < np.count_nonzero(row >= 0) for row in S)
+    return not repeated and not (L & L.T & ~np.eye(T.size, dtype=bool)).any()
+
+
+def test_verdicts_do_not_depend_on_the_index_layout():
+    """An element without orthosupplement is neither sharp nor central,
+    and a map focused there is no compression, wherever the table puts its
+    last index: on the five-element table in its three layouts, and on
+    the hosts of the central base tests relabeled so that the unit is not
+    last.  Read as index -1, its missing p' was the last element."""
+    first, *others = _five_element_layouts()
+    perms = [np.array([o.labels.index(x) for x in first.labels]) for o in others]
+    found = _layout_free(first)
+    assert found[0] == {0, 1, 2, 4} and 3 not in found[1]  # c, at index 3, is neither
+    for other, perm in zip(others, perms):
+        assert _layout_free(other) == _renamed(found, perm)
+    rng = np.random.default_rng(34)
+    moved = 0
+    for E in _central_hosts():
+        n = E.size
+        if n < 2 or not _layout_free_table(E):
+            continue
+        perm = rng.permutation(n)
+        while perm[E.one] == n - 1:
+            perm = rng.permutation(n)
+        moved += bool((E.ortho_all() < 0).any())
+        assert _layout_free(_relabeled(E, perm)) == _renamed(_layout_free(E), perm)
+    assert moved > 20
