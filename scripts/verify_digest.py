@@ -29,9 +29,10 @@ lines, one more per instance, named ``resolutions on`` the instance: the
 sha256 of what the resolution routes return on each element and depth of
 its families, the number of them, and the instance.  Per element and
 depth it hashes the jumps of ``binary_resolution``, ``rational_resolution``
-with ``details=True`` at 1/3, 2/5 and 1/5, and ``expectation_bounds`` on a
-seeded state of the instance, each as the bits of its value or the class
-and message of the error it raised.  Two checkouts that reach the same
+with ``details=True`` at 1/3, 2/5 and 1/5, ``expectation_bounds`` on a
+seeded state of the instance, and the nodes of ``splitting_tree``: every
+``(w, u_w, c_w)``, sorted by w.  Each is hashed as the bits of its value
+or the class and message of the error it raised.  Two checkouts that reach the same
 verdicts and witnesses, and the same resolutions bit for bit, print the
 same lines.
 ``perfbench`` is imported from the checkout that holds this script,
@@ -179,9 +180,14 @@ def resolution_rows(cb, state, a, n) -> list:
         got = spectral.rational_resolution(cb, a, lam, n, details=True)
         return got.projection, got.stable_from, got.depth
 
+    def nodes():
+        tree = spectral.splitting_tree(cb, a, n)
+        return sorted([(w, u, tree.c(w)) for level in range(n + 1) for w, u in tree.layer(level)],
+                      key=lambda node: node[0])
+
     return ([value(lambda: spectral.binary_resolution(cb, a, n).jumps)]
             + [value(lambda: rational(lam)) for lam in LAMBDAS]
-            + [value(lambda: spectral.expectation_bounds(cb, a, state, n))])
+            + [value(lambda: spectral.expectation_bounds(cb, a, state, n)), value(nodes)])
 
 
 def elements_of(cases):

@@ -41,7 +41,6 @@ from .comparability import (
     split,
 )
 from .spectral import (
-    DyadicRational,
     SpectralResolution,
     SplittingTree,
     apply_fw,
@@ -50,7 +49,6 @@ from .spectral import (
     expectation_bounds,
     rational_resolution,
     splitting_tree,
-    string_calc,
     verify_resolution,
 )
 from .groups import (

@@ -76,7 +76,7 @@ class CompressionBase:
         self._spectral = None  # is_spectral(), decided once
         self._ortho_rows = None
         self._p_meet = None
-        # spectral: one splitting tree per element, on a base without factors
+        # spectral: per element, the layers of its splitting tree; no factors
         self._trees = {} if factors is None else None
         # built on first use: cover_vec as a list, the leaf_layout of a product
         # base, and per projection the commutant_row and doubling_rows
@@ -473,10 +473,12 @@ class MapSample:
 
     Every defined pair of a dense carrier when ``maps`` times their count
     fits ``core.TRIPLE_BUDGET``, else ``core.SAMPLE_SIZE`` seeded pairs,
-    with ``over`` the sampled row's detail; past ``4 * core.SAMPLE_SIZE``
-    elements, a seeded sample of elements plus the boundary ones.  Each
-    order test is one ``leq_pairs`` call over them.  A map whose focus has
-    no p' is no compression, as its kernel should be the empty ``[0, p']``."""
+    with ``over`` the sampled row's detail (also on a carrier past
+    ``core.DENSE_LIMIT``, which only a product can be); past ``4 *
+    core.SAMPLE_SIZE`` elements, a seeded sample of elements plus the
+    boundary ones.  Each order test is one ``leq_pairs`` call over them.  A
+    map whose focus has no p' is no compression, as its kernel should be
+    the empty ``[0, p']``."""
 
     def __init__(self, E: FiniteAlgebra, maps: int = 1):
         self.E = E
@@ -651,7 +653,9 @@ def _scan_base(E: FiniteAlgebra, cb: CompressionBase) -> Report:
     times the rows ``(d, p)`` with ``d <= p`` outside P, the triple law
     ``n`` times the summable triples.  Past ``core.TRIPLE_BUDGET``, or on
     a carrier past ``core.DENSE_LIMIT``, a row runs on seeded draws and is
-    ``sampled``, with a detail that says why.
+    ``sampled``, with a detail that says why.  The library builds every base
+    past the limit with factors, so only direct calls (criterion 01's on
+    large products) and bases built by hand read the limit's detail.
     """
     rep = Report(f"compression base on {E.kind} (|P|={len(cb.projections)})")
     n = E.size

@@ -885,9 +885,12 @@ def validate_axioms(E: EffectAlgebra) -> Report:
     """Check E1-E4 plus orthosupplement uniqueness and cancellation.
 
     A row whose exact scan would pass ``TRIPLE_BUDGET`` (E2: its defined
-    triples), or whose carrier is past ``DENSE_LIMIT``, runs on
-    ``SAMPLE_SIZE`` seeded draws and is ``sampled``, with a ``detail`` that
-    names the count, or ``n``, and the bound.  A finite algebra keeps its one report, under ``"axioms"``.
+    triples) runs on ``SAMPLE_SIZE`` seeded draws and is ``sampled``, with a
+    ``detail`` that names the count and the bound.  A finite algebra keeps
+    its one report, under ``"axioms"``.  The scan (``_scan_axioms``) would
+    sample every row of a carrier past ``DENSE_LIMIT`` too, naming ``n``
+    and the limit, but none reaches it here: a table or chain that large is
+    refused when it is built, and a larger grid or product has factors.
 
     A direct product (an algebra with ``factors``) is not scanned: its
     factors are validated (each through its own factors, if it has them)

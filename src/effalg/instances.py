@@ -230,11 +230,11 @@ def closed_form_mv_resolution(E: GridAlgebra, a: int, n: int) -> SplittingTree:
         raise ElementNotInCarrier("closed form applies to grid instances")
     coords = E.coords[a].astype(np.int64)
     k = E.k
-    tree = SplittingTree(E, a, n)
+    u, c = {}, {}
     support = coords > 0
     if support.any():
-        tree._u[()] = int(np.where(support, k, 0) @ E.strides)
-        tree._c[()] = a
+        u[()] = int(np.where(support, k, 0) @ E.strides)
+        c[()] = a
     exact = coords.tolist()  # Python ints: c_i 2^level outgrows int64 past depth ~60
     for level in range(1, n + 1):
         cells = {}
@@ -251,9 +251,9 @@ def closed_form_mv_resolution(E: GridAlgebra, a: int, n: int) -> SplittingTree:
             cvec = np.zeros(E.d, dtype=np.int64)
             for i in idxs:
                 cvec[i] = exact[i] * 2 ** level - kw * k
-            tree._u[w] = int(mask @ E.strides)
-            tree._c[w] = int(cvec @ E.strides)
-    return tree
+            u[w] = int(mask @ E.strides)
+            c[w] = int(cvec @ E.strides)
+    return SplittingTree(E, a, n, u, c)
 
 
 def trees_equal(t1: SplittingTree, t2: SplittingTree) -> bool:
@@ -289,6 +289,9 @@ def weighted_state(E: GridAlgebra, weights) -> State:
 
 
 def separating_states(E):
+    """A separating family of states of a grid or a matrix algebra, or of a
+    product whose factors both have one (each factor's states read through
+    its coordinate); None on any other carrier."""
     if isinstance(E, GridAlgebra):
         return coordinate_states(E)
     if isinstance(E, matrices.MatrixEffectAlgebra):
@@ -296,6 +299,8 @@ def separating_states(E):
     if isinstance(E, ProductAlgebra):
         left = separating_states(E.left)
         right = separating_states(E.right)
+        if left is None or right is None:
+            return None
         ia, ib = E.split_index(np.arange(E.size))
         out = []
         for s in left:

@@ -22,9 +22,11 @@ leaf by leaf, from rows that each leaf base (one without factors) keeps.
 ``_nodes`` follows the factors down to the leaf bases, so a grid goes to
 its chains, and composes their trees at the levels asked for.  Only a
 leaf base runs the split loop, with all its checks.  It keeps one tree
-per element, the deepest asked for so far, with its nodes indexed by
-level: shallower requests read its top layers, deeper ones split on from
-its deepest layer.  Product bases and the matrix base keep none.
+per element, the deepest asked for so far, as the list of its layers (per
+level, the nonzero ``(w, u_w, c_w)`` ordered by k(w)): shallower requests
+read its top layers, deeper ones split on from its deepest layer.
+Product bases and the matrix base keep none.  A ``SplittingTree`` is
+built from the node dicts that its route composed, and handed out.
 
 The matrix base reads a tree off one eigendecomposition of its element
 (``MatrixCompressionBase.tree_nodes``), which also checks the element:
@@ -50,7 +52,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +66,7 @@ from .errors import (ElementNotInCarrier, InternalConsistencyError, InvalidDepth
 MAX_DEPTH = 512
 
 # ---------------------------------------------------------------------------
-# binary strings and dyadic rationals
+# binary strings
 
 
 def lam_of(w) -> Fraction:
@@ -84,83 +86,25 @@ def string_of(k: int, length: int) -> tuple:
     return tuple((k >> (length - 1 - i)) & 1 for i in range(length))
 
 
-def succ(w) -> Optional[tuple]:
-    """Next string of the same length; None past the all-ones string."""
-    k = k_of(w) + 1
-    return None if k >> len(w) else string_of(k, len(w))
-
-
-def pred(w) -> Optional[tuple]:
-    k = k_of(w) - 1
-    return None if k < 0 else string_of(k, len(w))
-
-
-def lam_succ(w) -> Fraction:
-    return Fraction(k_of(w) + 1, 2 ** len(w))
-
-
-def lam_pred(w) -> Fraction:
-    return Fraction(max(k_of(w) - 1, 0), 2 ** len(w))
-
-
-@dataclass(frozen=True)
-class StringCalc:
-    lam: Fraction
-    k: int
-    length: int
-    successor: Optional[tuple]
-    predecessor: Optional[tuple]
-    lam_successor: Fraction
-    lam_predecessor: Fraction
-
-
-def string_calc(w) -> StringCalc:
-    """All dyadic bookkeeping for one binary string."""
-    w = tuple(int(b) for b in w)
-    if any(b not in (0, 1) for b in w):
-        raise ValueError("binary strings only")
-    return StringCalc(lam_of(w), k_of(w), len(w), succ(w), pred(w),
-                      lam_succ(w), lam_pred(w))
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    """num / 2^level in [0, 1], canonical (odd numerator or level 0)."""
-
-    num: int
-    level: int
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, 2 ** self.level)
-
-    def __post_init__(self):
-        if not 0 <= self.num <= 2 ** self.level:
-            raise ValueError("dyadic rational outside [0, 1]")
-        if self.level > 0 and self.num % 2 == 0:
-            raise ValueError("numerator must be odd in canonical form")
-
-
 # ---------------------------------------------------------------------------
 # splitting tree
 
 
 class SplittingTree:
-    """Families u_w (projections) and c_w to a fixed depth.
+    """Families u_w (projections) and c_w to a fixed depth, held as the
+    node dicts ``u`` and ``c`` (string -> node) that its builder composed.
 
     Only nodes with nonzero u_w are stored; missing strings read as the
     zero element, which is what the construction produces below a dead
-    branch.  A tree from ``_grow`` also holds its nodes by level
-    (``levels``); one from ``splitting_tree`` does not.
+    branch.
     """
 
-    def __init__(self, algebra, element, depth: int):
+    def __init__(self, algebra, element, depth: int, u: dict, c: dict):
         self.algebra = algebra
         self.element = element
         self.depth = depth
-        self._u: Dict[tuple, object] = {}
-        self._c: Dict[tuple, object] = {}
-        self.levels = None
+        self._u = u
+        self._c = c
 
     def u(self, w):
         return self._u.get(tuple(w), self.algebra.zero)
@@ -190,9 +134,7 @@ def splitting_tree(cb, a, n: int) -> SplittingTree:
     comparability.require_spectral(cb)
     if cb.enumerable:
         a = cb.algebra.check_element(a)
-    tree = SplittingTree(cb.algebra, a, n)
-    tree._u, tree._c = _compose(cb, a, n, range(n + 1))
-    return tree
+    return SplittingTree(cb.algebra, a, n, *_compose(cb, a, n, range(n + 1)))
 
 
 def _compose(cb, a, n: int, levels):
@@ -217,7 +159,9 @@ def _splitting_tree(cb, a, n: int) -> SplittingTree:
     kept tree: the reference that the tests hold ``splitting_tree`` to."""
     n = check_depth(n)
     comparability.require_spectral(cb)
-    return _grow(cb, a, None, n)
+    nodes = [node for layer in _grow(cb, a, None, n) for node in layer]
+    return SplittingTree(cb.algebra, a, n, {w: u for w, u, _ in nodes},
+                         {w: c for w, _, c in nodes})
 
 
 def _leaves(cb, a: int) -> list:
@@ -257,44 +201,41 @@ def _nodes(cb, a: int, n: int, levels):
     levels = sorted(set(levels))
     u, c = {}, {}
     for leaf, x, stride in _leaves(cb, a):
-        by_level = _leaf_tree(leaf, x, n).levels
+        layers = _leaf_tree(leaf, x, n)
         z = leaf.algebra.zero
         for level in levels:
-            for w, v, cv in by_level[level]:
+            for w, v, cv in layers[level]:
                 u[w] = u.get(w, zero) + (v - z) * stride
                 c[w] = c.get(w, zero) + (cv - z) * stride
     return u, c
 
 
-def _leaf_tree(cb, a: int, n: int) -> SplittingTree:
-    """a's tree on a base without factors, of depth n or more: the one
-    tree of ``a`` that the base keeps, grown to depth n first when it is
-    shallower.  So the base keeps at most one tree per element, and hands
-    it to no caller."""
-    tree = cb._trees.get(a)
-    if tree is None or tree.depth < n:
-        tree = cb._trees[a] = _grow(cb, a, tree, n)
-    return tree
+def _leaf_tree(cb, a: int, n: int) -> list:
+    """The layers of a's tree on a base without factors, to depth n or
+    deeper: the one tree of ``a`` that the base keeps, as its layers, grown
+    to depth n first when it is shallower.  So the base keeps at most one
+    tree per element, and hands it to no caller."""
+    layers = cb._trees.get(a)
+    if layers is None or len(layers) <= n:
+        layers = cb._trees[a] = _grow(cb, a, layers, n)
+    return layers
 
 
-def _grow(cb, a, tree: Optional[SplittingTree], n: int) -> SplittingTree:
-    """A new depth-n tree of a: ``tree`` (the root alone when None) split
-    on from its deepest layer, and the layers it did not hold checked.
+def _grow(cb, a, layers: Optional[list], n: int) -> list:
+    """The layers of a's depth-n tree: per level, its nonzero ``(w, u_w,
+    c_w)`` ordered by k(w).  ``layers`` (the root alone when None) is split
+    on from its deepest layer, and the layers it did not hold are checked.
 
     Each layer must lie in the bicommutant P(a), be orthogonal and add up
     to the cover of a; a failure raises ``InternalConsistencyError``.
-    Besides ``_u`` and ``_c`` the tree keeps ``levels``: per level, its
-    nonzero ``(w, u_w, c_w)`` ordered by k(w), which ``_nodes`` reads.
-    ``tree`` is not changed, so a failure leaves a kept tree as it was.
+    ``layers`` is not changed, so a failure leaves a kept tree as it was.
     """
     E = cb.algebra
-    if tree is None:
+    if layers is None:
         root = cb.cover(a)
-        levels = [[] if E.eq(root, E.zero) else [((), root, a)]]
-        first = 0
+        levels, first = [[] if E.eq(root, E.zero) else [((), root, a)]], 0
     else:
-        levels = list(tree.levels)
-        first = len(levels)
+        levels, first = list(layers), len(layers)
     in_bic = cb.bicommutant_test(a)
     # the children of a layer ordered by k(w) are again ordered by k(w)
     while len(levels) <= n:
@@ -318,13 +259,7 @@ def _grow(cb, a, tree: Optional[SplittingTree], n: int) -> SplittingTree:
             total = s
         if not E.eq(total, root):
             raise InternalConsistencyError(f"layer {level} does not add up to the cover")
-    out = SplittingTree(E, a, n)
-    out.levels = levels
-    for layer in levels:
-        for w, u, c in layer:
-            out._u[w] = u
-            out._c[w] = c
-    return out
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,20 @@ def test_spectral_csv_and_json(docs, capsys):
     assert payload["entries"][1]["projection"] == "110"
 
 
+def test_analyze_on_a_matrix_document(docs, capsys):
+    assert cli.main(["analyze", docs["matrix"]]) == 0
+    assert capsys.readouterr().out == "kind: matrix dim 2\ncarrier: not enumerable\nspectral: yes\n"
+    assert cli.main(["--format", "json", "analyze", docs["matrix"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "matrix", "spectral": True}
+
+
+def test_spectral_listing_on_a_boolean_prints_bitmasks(docs, capsys):
+    """p_lambda = a' below 1 and the unit at 1, each as its bitmask."""
+    assert cli.main(["spectral", docs["bool3"], "--element", "5", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  p[       0] = 2", "  p[     1/2] = 2", "  p[       1] = 7"]
+
+
 def test_check_spectral_exit_codes(docs, capsys):
     assert cli.main(["check-spectral", docs["bool3"]]) == 0
     assert cli.main(["check-spectral", docs["mo2"]]) == 1
@@ -441,6 +455,28 @@ def test_option_fuzz_never_tracebacks(small_docs, argv):
 PRODUCT_DOC = {"kind": "product", "factors": [{"kind": "boolean", "n_atoms": 2},
                                               {"kind": "mv_product", "denominator": 8,
                                                "arity": 3}]}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_spectral_element_by_its_factors(tmp_path, capsys, fmt):
+    """``--element '{"factors": [fa, fb]}'`` on the product document prints
+    what the element's index prints; a one- or three-item list exits 2."""
+    from effalg import instances
+
+    path = write(tmp_path, "prod.json", PRODUCT_DOC)
+    E, _ = instances.parse_document(PRODUCT_DOC)
+    index = str(E.pair_index(2, E.right.index_of([2, 4, 7])))
+    outs = []
+    for element in ('{"factors": [2, "2,4,7"]}', index):
+        assert cli.main(["--format", fmt, "spectral", path, "--element", element,
+                         "--depth", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+    for bad in ('{"factors": [2]}', '{"factors": [2, "2,4,7", 0]}'):
+        code, err = run_cli(["spectral", path, "--element", bad])
+        assert code == 2 and err.startswith("error: bad --element value"), (bad, err)
+
+
 AXIOM_ROWS = ["E1-commutative", "E2-associative", "E3-orthosupplement-exists",
               "E3-orthosupplement-valid", "E3-orthosupplement-unique", "E4-unit-maximal",
               "cancellation"]

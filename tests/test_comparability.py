@@ -221,3 +221,23 @@ def test_comparability_missing_reported():
     assert cmp.p_le_set(cb, la, ra).size == 0
     with pytest.raises(ComparabilityMissing):
         cmp.positive_part(cb, ra, la)
+
+
+def test_free_functions_on_a_matrix_base_are_its_methods(matrix2):
+    """Each free function hands a base that cannot be enumerated to the
+    base's own method, and returns what the method returns."""
+    M, mcb = matrix2
+    rng = np.random.default_rng(4)
+    q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    e, f = (q @ np.diag(v) @ q.T for v in ([0.25, 0.75], [0.5, 0.125]))  # one eigenbasis
+    g = M.random_effect(rng)
+    assert cmp.has_b_property(mcb, g) == mcb.has_b_property(g)
+    assert cmp.all_b(mcb) == mcb.all_b()
+    for x, y in ((e, f), (e, g)):
+        assert cmp.commute(mcb, x, y) == mcb.commute(x, y)
+    got, want = cmp.p_le_set(mcb, e, f), mcb.p_le_set(e, f)
+    assert len(got) == len(want) > 0 and all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert np.array_equal(cmp.positive_part(mcb, f, e), mcb.positive_part(f, e))
+    rows = [[(c.name, c.passed, c.mode, c.detail) for c in rep.checks]
+            for rep in (cmp.check_b_comparability(mcb), mcb.check_b_comparability())]
+    assert rows[0] == rows[1]

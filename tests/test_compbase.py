@@ -894,3 +894,13 @@ def test_product_in_commutant_is_componentwise():
     for a, i in zip(rng.integers(0, E.size, 2000), rng.integers(0, len(cb.projections), 2000)):
         p = cb.projections[i]
         assert cb.in_commutant(int(a), p) == _in_commutant_through_factors(cb, int(a), p), (a, p)
+
+
+def test_a_sum_outside_p_is_the_closure_witness():
+    """On the chain {0..4} with P = {0, 1, 3, 4}, P holds every
+    orthosupplement but not 1 + 1: the closure row names that sum."""
+    E, _ = instances.make_mv_product(4, 1)
+    P = (0, 1, 3, 4)
+    rep = compbase._scan_base(E, CompressionBase(E, P, {p: np.arange(E.size) for p in P}))
+    row = rep.checks[0]
+    assert (row.name, row.passed, row.witness) == ("P-sub-effect-algebra", False, ("sum", 2))

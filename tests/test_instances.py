@@ -11,6 +11,7 @@ from effalg.compbase import CompressionBase, validate_base
 from effalg.core import State
 from effalg.errors import (EffalgError, ElementNotInCarrier, MalformedInput, NotFaithful,
                            ScaleMismatch, SizeLimit)
+from test_spectral import _table_copy
 
 
 def test_boolean_sizes():
@@ -371,3 +372,59 @@ def test_state_fuzz_raises_only_named_errors(name, values):
         state.validate()
     except EffalgError:
         return
+
+
+# ---------------------------------------------------------------------------
+# separating states of products and matrices
+
+
+@pytest.mark.parametrize("name", ["table", "mo2", "hsum_l8"])
+def test_a_product_with_a_factor_without_states_has_none(name, request):
+    """A table, ``MO2`` or ``L8+L8`` factor has no separating family, so
+    its products have none, in either factor order."""
+    factor = (_table_copy(instances.make_mv_product(4, 1)[0]) if name == "table"
+              else request.getfixturevalue(name))
+    other = instances.make_boolean(1)
+    assert instances.separating_states(factor[0]) is None
+    for left, right in ((factor, other), (other, factor)):
+        assert instances.separating_states(instances.make_product(left, right)[0]) is None
+
+
+PRODUCTS_WITH_STATES = {
+    "boolean(2) x mv(4,2)": lambda: instances.make_product(instances.make_boolean(2),
+                                                           instances.make_mv_product(4, 2)),
+    "(boolean(1) x mv(4,1)) x mv(2,2)": lambda: instances.make_product(
+        instances.make_product(instances.make_boolean(1), instances.make_mv_product(4, 1)),
+        instances.make_mv_product(2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS_WITH_STATES))
+def test_separating_states_of_a_product_validate_and_separate(name):
+    E, _ = PRODUCTS_WITH_STATES[name]()
+    states = instances.separating_states(E)
+    assert len(states) == len(instances.separating_states(E.left)) + \
+        len(instances.separating_states(E.right))
+    assert all(s.validate().passed for s in states)
+    values = {tuple(s(a) for s in states) for a in range(E.size)}
+    assert len(values) == E.size  # distinct elements, distinct value vectors
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_separating_density_states_validate(dim):
+    M, _ = instances.make_matrix(dim)
+    states = instances.separating_states(M)
+    assert len(states) == dim * (dim + 1) // 2
+    assert all(s.validate().passed for s in states)
+
+
+def test_a_product_element_by_its_factors():
+    """``{"factors": [fa, fb]}`` addresses the pair of the factors' elements,
+    each in its factor's own form; a list of another length is refused."""
+    E, _ = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
+    want = E.pair_index(2, E.right.index_of([2, 4, 7]))
+    assert instances.parse_element(E, {"factors": [2, "2,4,7"]}) == want
+    assert instances.parse_element(E, {"factors": ["2", "2/8,4/8,7/8"]}) == want
+    for bad in ([2], [2, "2,4,7", 0]):
+        with pytest.raises(MalformedInput):
+            instances.parse_element(E, {"factors": bad})

@@ -13,41 +13,22 @@ from effalg.errors import (EffalgError, ElementNotInCarrier, InternalConsistency
                            InvalidDepth, NoCover, NotSpectral, Unstable)
 from effalg.matrices import CLUSTER_GAP, DensityState, sym
 from effalg.spectral import (
-    DyadicRational,
     apply_fw,
     binary_resolution,
     expectation_bounds,
     k_of,
     lam_of,
-    lam_succ,
     rational_resolution,
     splitting_tree,
-    string_calc,
     string_of,
     verify_resolution,
 )
 from test_structural import _criterion_01_instances
 
 
-def test_string_calc():
-    sc = string_calc((1, 0, 1))
-    assert sc.lam == Fraction(5, 8)
-    assert sc.k == 5 and sc.length == 3
-    assert sc.successor == (1, 1, 0)
-    assert sc.predecessor == (1, 0, 0)
-    empty = string_calc(())
-    assert empty.lam == 0 and empty.k == 0 and empty.length == 0
-    assert string_calc((1, 1)).lam_successor == 1  # past the all-ones string
-    assert string_calc((0, 0)).lam_predecessor == 0
-
-
-def test_dyadic_canonical_form():
-    d = DyadicRational(3, 2)
-    assert d.fraction == Fraction(6, 8)
-    assert DyadicRational(0, 0).fraction == 0 and DyadicRational(1, 0).fraction == 1
-    for num, level in ((2, 2), (0, 1), (5, 2), (-1, 0)):
-        with pytest.raises(ValueError):
-            DyadicRational(num, level)
+def _lam_next(w) -> Fraction:
+    """lambda(w) + 2^-l(w): the right end of the cell of w."""
+    return Fraction(k_of(w) + 1, 2 ** len(w))
 
 
 def test_tree_matches_closed_form(mv83):
@@ -119,7 +100,7 @@ def test_step_lemma(mv42):
                 mid = Fraction(2 * k_of(w) + 1, 2 ** (level + 1))
                 assert E.meet(res.entries[mid], u) == tree.u(w + (0,))
                 # p_{lam(w+1)} = p_{lam(w)} + u_w
-                assert E.sum(res.entries[lam_of(w)], u) == res.entries[lam_succ(w)]
+                assert E.sum(res.entries[lam_of(w)], u) == res.entries[_lam_next(w)]
 
 
 def test_group_identity(mv42):
@@ -502,7 +483,7 @@ def reference_verify(cb, a, family, n):
     for level in range(n + 1):
         for j in range(2 ** level):
             w = tuple((j >> (level - 1 - i)) & 1 for i in range(level))
-            u_w = cb.meet_proj(family[lam_succ(w)], E.ortho(family[lam_of(w)]))
+            u_w = cb.meet_proj(family[_lam_next(w)], E.ortho(family[lam_of(w)]))
             img = apply_fw(cb, w, cb.apply(u_w, a), u_w)
             if img is None or not E.leq(img, u_w):
                 w_iv = w
@@ -1007,12 +988,14 @@ def test_a_kept_tree_grows_to_the_generic_tree():
     assert cb.factors is None and len(cb.projections) == 4
     for a in range(T.size):
         splitting_tree(cb, a, 4)
-        assert cb._trees[a].depth == 4
+        assert len(cb._trees[a]) == 5
         deep = splitting_tree(cb, a, 8)
         kept = cb._trees[a]
         generic = spectral._splitting_tree(cb, a, 8)
-        assert kept.depth == 8
-        assert (kept._u, kept._c) == (deep._u, deep._c) == (generic._u, generic._c), a
+        assert len(kept) == 9
+        assert all(level == [(w, generic.u(w), generic.c(w)) for w, _ in generic.layer(i)]
+                   for i, level in enumerate(kept)), a
+        assert (deep._u, deep._c) == (generic._u, generic._c), a
         assert (splitting_tree(cb, a, 3)._u, splitting_tree(cb, a, 3)._c) == _top(generic, 3)
         assert cb._trees[a] is kept
     assert sorted(cb._trees) == list(range(T.size))
@@ -1048,7 +1031,7 @@ def test_trees_are_kept_on_leaf_bases_only(matrix2):
     assert len(leaves) == 2
     for leaf in leaves:
         assert sorted(leaf._trees) == list(range(leaf.algebra.size))
-        assert {t.depth for t in leaf._trees.values()} == {5}
+        assert {len(layers) for layers in leaf._trees.values()} == {6}
     M, mcb = matrix2
     binary_resolution(mcb, M.random_effect(np.random.default_rng(3)), 4)
     assert not hasattr(mcb, "_trees")
@@ -1106,7 +1089,7 @@ def test_a_grown_tree_checks_each_new_layer(monkeypatch):
             m.setattr(cb, "bicommutant_test", lambda x: lambda u: False)
             with pytest.raises(InternalConsistencyError, match=r"^u_\(\d, \d, \d\) escaped"):
                 binary_resolution(cb, a, 4)
-        assert cb._trees[a] is kept and kept.depth == 2
+        assert cb._trees[a] is kept and len(kept) == 3
 
 
 def test_a_resolutions_tree_is_built_when_read(matrix2, monkeypatch):

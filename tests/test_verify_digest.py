@@ -97,3 +97,22 @@ def test_a_directory_without_sources_exits_2(tmp_path, monkeypatch, capsys):
     assert _script(monkeypatch).main([str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "src/effalg/spectral.py" in err
+
+
+def test_a_changed_tree_node_changes_only_the_resolution_lines(monkeypatch, capsys):
+    """Swapping the root node of every tree that ``splitting_tree`` returns
+    (zero for the unit, anything else for zero) changes every resolution
+    line and no verify line: each resolution line hashes the tree's nodes."""
+    script = _script(monkeypatch)
+    lines = _lines(script, capsys)
+    real = spectral.splitting_tree
+
+    def swapped(cb, a, n):
+        tree = real(cb, a, n)
+        E = tree.algebra
+        root = E.one if E.eq(tree.u(()), E.zero) else E.zero
+        return spectral.SplittingTree(E, a, n, {**tree._u, (): root}, tree._c)
+
+    monkeypatch.setattr(spectral, "splitting_tree", swapped)
+    changed = _lines(script, capsys)
+    assert [a == b for a, b in zip(lines, changed)] == [True] * 11 + [False] * 11
