@@ -438,7 +438,13 @@ def parse_element(E, spec):
         return E.check_element(np.array(vals).reshape(E.dim, E.dim))
     if isinstance(spec, dict):
         if isinstance(E, ProductAlgebra) and "factors" in spec:
-            fa, fb = spec["factors"]
+            items = spec["factors"]
+            if not isinstance(items, (list, tuple)) or len(items) != 2:
+                raise MalformedInput(
+                    f"an element of the product {E.left.kind} x {E.right.kind} is "
+                    f'{{"factors": [an element of {E.left.kind}, an element of '
+                    f'{E.right.kind}]}}, two items, not {items!r}')
+            fa, fb = items
             return E.pair_index(parse_element(E.left, fa), parse_element(E.right, fb))
         if hasattr(E, "part_index") and "part" in spec:
             part, inner = _whole(spec, "part"), _whole(spec, "element")

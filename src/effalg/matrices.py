@@ -13,14 +13,16 @@ tree's cells are the binary digits of a's spectrum, and the nodes come
 from one stack of rank-one projectors.  Likewise the verifier reads the
 doubling maps on all its cells off one stacked eigenvalue computation of
 b + 2u with one entry per pair of runs
-(``MatrixCompressionBase.doubling_cells``): each eigenvalue of b walks its
-binary digits, and only cells where rounding could tip an order test or
-the cover go to the scalar path.
+(``MatrixCompressionBase.doubling_cells``): the least and the greatest
+eigenvalue of b walk their binary digits into one row of verdicts per
+pair, and only cells where rounding could tip an order test or the cover
+go to the scalar path.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -40,7 +42,7 @@ CLUSTER_GAP = 1e-7  # eigenvalues closer than this count as one spectral point
 
 def sym(x: np.ndarray) -> np.ndarray:
     """The symmetric part of a matrix, or of each matrix of a stack."""
-    return (x + np.swapaxes(x, -1, -2)) / 2.0
+    return (x + x.mT) / 2.0
 
 
 class MatrixEffectAlgebra(EffectAlgebra):
@@ -63,6 +65,7 @@ class MatrixEffectAlgebra(EffectAlgebra):
         self.zero = np.zeros((dim, dim))
         self.one = np.eye(dim)
         self.zero.flags.writeable = self.one.flags.writeable = False
+        self._limits = np.array([[tol], [tol], [100 * tol]])  # of ``projection_tests``
 
     def check_element(self, a) -> np.ndarray:
         a = self.check_symmetric(a)
@@ -90,7 +93,12 @@ class MatrixEffectAlgebra(EffectAlgebra):
             raise ElementNotInCarrier("eigenvalues must lie in [0, 1]")
 
     def eq(self, a, b) -> bool:
-        return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= self.tol)
+        return bool(self.eq_pairs(a, b))
+
+    def eq_pairs(self, xs, ys) -> np.ndarray:
+        """``eq`` on each pair of the stacks xs and ys: the greatest entry of
+        |x - y| within tol."""
+        return np.abs(np.asarray(xs) - np.asarray(ys)).max(axis=(-2, -1)) <= self.tol
 
     def leq(self, a, b) -> bool:
         return bool(self.leq_pairs(a, b))
@@ -115,6 +123,14 @@ class MatrixEffectAlgebra(EffectAlgebra):
         s = a + b
         return sym(s) if self.leq(s, self.one) else None
 
+    def sum_pairs(self, xs, ys) -> tuple:
+        """``sum`` on each pair of the stacks xs and ys: ``(sums, defined)``,
+        the symmetric parts of the raw sums and whether each raw sum lies
+        below the unit, from one ``leq_pairs`` call.  Each entry has the
+        bits of its own ``sum``, which is None where it is not defined."""
+        s = np.asarray(xs) + np.asarray(ys)
+        return sym(s), self.leq_pairs(s, self.one)
+
     def ominus(self, b, a):
         return sym(b - a) if self.leq(a, b) else None
 
@@ -122,16 +138,29 @@ class MatrixEffectAlgebra(EffectAlgebra):
         return self.one - a
 
     def label(self, a) -> str:
-        rows = ["[" + ", ".join(f"{x:.6g}" for x in row) + "]" for row in np.asarray(a)]
-        return "[" + ", ".join(rows) + "]"
+        """The entries to six significant digits, row by row, formatted as
+        Python numbers (``tolist``), which print as numpy's do."""
+        return "[" + ", ".join(["[" + ", ".join([f"{x:.6g}" for x in row]) + "]"
+                                for row in np.asarray(a).tolist()]) + "]"
 
     def sample_elements(self, rng, count):
-        return [self.random_effect(rng) for _ in range(count)]
+        """``count`` effects, each from a normal matrix and then its
+        eigenvalues, uniform on [0, 1], drawn from rng in turn: the
+        eigenvalues rotated by the Q of the normal matrix, in one stacked QR
+        and one stacked product, which give each effect its own bits."""
+        d = self.dim
+        draws = [(rng.standard_normal((d, d)), rng.uniform(0, 1, d)) for _ in range(count)]
+        q = np.linalg.qr(np.array([g for g, _ in draws]).reshape(count, d, d))[0]
+        diag = np.array([v for _, v in draws]).reshape(count, d, 1) * self.one
+        return list(sym(q @ diag @ q.mT))
 
     def random_effect(self, rng, eigenvalues=None) -> np.ndarray:
+        """An effect drawn as ``sample_elements`` draws each, or with the
+        given eigenvalues in a random eigenbasis."""
+        if eigenvalues is None:
+            return self.sample_elements(rng, 1)[0]
         q = np.linalg.qr(rng.standard_normal((self.dim, self.dim)))[0]
-        vals = rng.uniform(0, 1, self.dim) if eigenvalues is None else np.asarray(eigenvalues)
-        return sym(q @ np.diag(vals) @ q.T)
+        return sym(q @ np.diag(np.asarray(eigenvalues)) @ q.T)
 
     def random_projection(self, rng, rank=None) -> np.ndarray:
         if rank is None:
@@ -146,16 +175,33 @@ class MatrixEffectAlgebra(EffectAlgebra):
         """``(projection, commutes)``, boolean per entry of ``ps``: whether it
         is symmetric and idempotent within tol, and whether it commutes with
         a within 100 tol.  An entry that is not a numeric dim x dim array
-        fails both; the others are tested as one float stack."""
-        d = self.dim
-        arrays = [np.asarray(p) for p in ps]
-        good = np.array([x.shape == (d, d) and x.dtype.kind in "fiu" for x in arrays], dtype=bool)
-        s = np.array([x for x, ok in zip(arrays, good) if ok], dtype=float).reshape(-1, d, d)
-        proj, comm = np.zeros((2, good.size), dtype=bool)
-        proj[good] = (np.abs(s - np.swapaxes(s, 1, 2)).max(axis=(1, 2)) <= self.tol) \
-            & (np.abs(s @ s - s).max(axis=(1, 2)) <= self.tol)
-        comm[good] = np.abs(s @ a - a @ s).max(axis=(1, 2)) <= 100 * self.tol
-        return proj, comm
+        (``_matrix_or_none``) fails both.  The entries are one float stack,
+        the zero matrix standing in for each malformed one, and the three
+        differences p - p^T, p p - p and p a - a p one stack, whose
+        absolute maxima are read and compared with their bounds
+        (``_limits``) at once."""
+        arrays = [self._matrix_or_none(p) for p in ps]
+        s = np.array([self.zero if x is None else x for x in arrays],
+                     dtype=float).reshape(-1, self.dim, self.dim)
+        diffs = np.empty((3,) + s.shape)
+        np.subtract(s, s.mT, out=diffs[0])
+        np.subtract(s @ s, s, out=diffs[1])
+        np.subtract(s @ a, a @ s, out=diffs[2])
+        ok = np.abs(diffs, out=diffs).max(axis=(2, 3)) <= self._limits
+        good = [x is not None for x in arrays]
+        if not all(good):
+            ok &= good
+        return ok[0] & ok[1], ok[2]
+
+    def _matrix_or_none(self, p):
+        """p as an array if it is a dim x dim array of numbers (a float, int or
+        unsigned dtype), else None: a wrong shape, text, complex or bool
+        entries, objects, or nested lists that make no array (ragged)."""
+        try:
+            x = np.asarray(p)
+        except ValueError:
+            return None
+        return x if x.shape == self.one.shape and x.dtype.kind in "fiu" else None
 
     def mackey_compatible(self, a, b):
         """Projection case only: a <-> p iff a = p a p + p' a p'."""
@@ -273,6 +319,12 @@ class MatrixCompressionBase:
     def __init__(self, algebra: MatrixEffectAlgebra):
         self.algebra = algebra
         self._spectral = None
+        # ``doubling_cells``' bands per cell length m, while beta = 32 dim eps
+        # 2^m < tol: (fail below, undecided below, cover at or below, undecided
+        # below), the last two on the least image eigenvalue
+        tol, self._bands = algebra.tol, []
+        while (beta := 32 * algebra.dim * sys.float_info.epsilon * 2.0 ** len(self._bands)) < tol:
+            self._bands.append((-tol - beta, -tol + beta, tol - beta, beta + beta / (tol - beta)))
 
     # shared surface with the finite base -----------------------------------
 
@@ -336,39 +388,41 @@ class MatrixCompressionBase:
 
     def meets(self, ps, qs) -> np.ndarray:
         """The meet of each pair of the stacks ps and qs: the eigenvalue-2
-        space of p + q, from one stacked ``eigh``.  Its r kept eigenvalues
-        are the last r, so the pairs of one rank share one product."""
+        space of p + q, from one stacked ``eigh``.  The eigenvectors are
+        masked, a column kept where its eigenvalue is above 2 - 1e-6 and
+        zeroed elsewhere, and the meets are one stacked product of the
+        masked stack with its transpose: a zeroed column adds exact zeros,
+        so each meet has the bits of the product of its kept columns."""
         vals, vecs = np.linalg.eigh(sym(ps + qs))
-        ranks = (vals > 2 - 1e-6).sum(axis=1)
-        out = np.empty_like(vecs)
-        for r in set(ranks.tolist()):
-            block = vecs[ranks == r][..., vecs.shape[-1] - r:]
-            out[ranks == r] = sym(block @ np.swapaxes(block, -1, -2))
-        return out
+        kept = vecs * (vals > 2 - 1e-6)[..., None, :]
+        return sym(kept @ kept.mT)
 
     def doubling_cells(self, a, pairs, cells) -> list:
         """Clause (iv) of ``spectral.verify_resolution`` on its cells
         ``(w, i)``, each straddling the pair of runs ``pairs[i] = (p_hi,
-        p_lo')``: a ``(u, verdict)`` per cell.  u = p_hi ^ p_lo' and b = J_u(a)
-        = u a u depend on the pair alone, so one stacked ``meets`` and one
-        stacked ``eigvalsh`` of b + 2u hold one entry per pair, and each
-        cell walks its pair's eigenvalues (``_walk``).  The verdict is
-        "fail" where the scalar path (``spectral._doubling_cell``) finds no
-        f_w(b) in [0, u], "cover" where the image's cover is not u, "pass",
-        or "undecided" where rounding may tip the scalar path, which the
-        caller then runs.  The stacked calls give each pair the bits of its
-        own calls.
+        p_lo')``: a ``(u, verdict)`` per cell, for a in the carrier.  u = p_hi
+        ^ p_lo' and b = J_u(a) = u a u depend on the pair alone, so one
+        stacked ``meets`` and one stacked ``eigvalsh`` of b + 2u hold one
+        entry per pair.  The cells of one pair are prefixes of its longest
+        w, so each pair walks its eigenvalues once, along that w, into one
+        row of verdicts, one per prefix length (``_verdicts``), which its
+        cells read.  The verdict is "fail" where
+        the scalar path (``spectral._doubling_cell``) finds no f_w(b) in [0,
+        u], "cover" where the image's cover is not u, "pass", or "undecided"
+        where rounding may tip the scalar path, which the caller then runs.
+        The stacked calls give each pair the bits of its own calls.
 
         b and u commute, and 0 <= b <= u, so every iterate of f_w is diagonal
         in their joint eigenbasis.  On range(u), of dimension trace(u), the
-        eigenvalues of b + 2u are b's plus 2, and off it they are 0.  A
-        step sends an eigenvalue y of b on range(u) to 2y - bit, and each
-        order test of the scalar path is the least eigenvalue of a matrix
-        that reads, on range(u), 1 - y at every iterate (``cur <= q``,
-        ``cur <= q - cur`` and ``2 cur <= 1`` on a 0-step, the final img <=
-        u) or y after a 1-step (``q - cur <= cur`` and the two tests on
-        2(q - cur)); off range(u) it reads 0 or 1.  The image's cover is u
-        iff every image eigenvalue on range(u) is above tol.
+        eigenvalues of b + 2u are b's plus 2, and off it they are 0; so the
+        ones above 1, less 2, are b's on range(u).  A step sends an
+        eigenvalue y of b on range(u) to 2y - bit, and each order test of
+        the scalar path is the least eigenvalue of a matrix that reads, on
+        range(u), 1 - y at every iterate (``cur <= q``, ``cur <= q - cur``
+        and ``2 cur <= 1`` on a 0-step, the final img <= u) or y after a
+        1-step (``q - cur <= cur`` and the two tests on 2(q - cur)); off
+        range(u) it reads 0 or 1.  The image's cover is u iff every image
+        eigenvalue on range(u) is above tol.
 
         Rounding bound.  Take an eigenvalue computation to err by at most
         dim * eps * |M| with |M| <= 3, and an elementwise sum or difference
@@ -388,49 +442,57 @@ class MatrixCompressionBase:
         if not cells:
             return []
         us = self.meets(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-        ranks = np.rint(np.trace(us, axis1=1, axis2=2)).astype(int).tolist()
-        ys = (np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us) - 2.0).tolist()
+        spectra = np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us).tolist()
         longest = {}  # per pair, the w of its deepest cell: the others are its prefixes
         for w, i in cells:
             if len(w) >= len(longest.get(i, ())):
                 longest[i] = w
-        walks = {i: self._walk(w, ys[i][self.algebra.dim - ranks[i]:])
-                 for i, w in longest.items()}
-        return [(us[i], self._verdict(len(w), walks[i])) for w, i in cells]
+        rows = {i: self._verdicts(w, spectra[i][bisect_right(spectra[i], 1.0):])
+                for i, w in longest.items()}
+        us = list(us)
+        return [(us[i], rows[i][len(w)]) for w, i in cells]
 
-    def _walk(self, w, ys):
-        """The walk of b's eigenvalues ys on range(u) along w: per prefix
-        length m, ``(low, least)``, the least test value and the least image
-        eigenvalue of f_w[:m]; None when an eigenvalue lies outside [-tol,
-        1 + tol], where every cell is undecided."""
-        tol = self.algebra.tol
-        if ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
-            return None
-        lows, leasts = [1.0] * (len(w) + 1), [1.0] * (len(w) + 1)
-        for y in ys:
-            low = 1.0 - y
-            lows[0], leasts[0] = min(lows[0], low), min(leasts[0], y)
-            for m, bit in enumerate(w, 1):
-                y = 2.0 * y - bit
-                low = min(low, 1.0 - y, y) if bit else min(low, 1.0 - y)
-                lows[m], leasts[m] = min(lows[m], low), min(leasts[m], y)
-        return list(zip(lows, leasts))
+    def _verdicts(self, w, ys) -> list:
+        """``doubling_cells``' verdict on each prefix of w, at its length,
+        from the eigenvalues ys of b + 2u on range(u), ascending: b's plus
+        2, none where u = 0.  Every prefix is "undecided" when b has an
+        eigenvalue outside [-tol, 1 + tol].
 
-    def _verdict(self, length: int, walk) -> str:
-        """``doubling_cells``' verdict on a cell of the given length, from its
-        pair's ``_walk``."""
+        A step y -> 2y - bit keeps the order of the eigenvalues, in floats
+        too, as doubling is exact and rounding is monotone.  So at each
+        length the least test value over all eigenvalues and steps so far,
+        ``low``, and the least image eigenvalue, ``least`` (both at most
+        1), are read off the walks of the least and the greatest, lo and hi,
+        alone.  The verdict of length m compares them with the bands of
+        beta = 32 * dim * eps * 2^m (``_bands``); past the last band beta >=
+        tol, and every prefix is "undecided"."""
         tol = self.algebra.tol
-        beta = 32 * self.algebra.dim * sys.float_info.epsilon * 2.0 ** length
-        if beta >= tol or walk is None:
-            return "undecided"
-        low, least = walk[length]
-        if low < -tol - beta:
-            return "fail"
-        if low < -tol + beta:
-            return "undecided"
-        if least <= tol - beta:
-            return "cover"
-        return "undecided" if least < beta + beta / (tol - beta) else "pass"
+        low = least = 1.0  # below, x = y if y < x is x = min(x, y), a tie kept as min() keeps it
+        if ys:
+            lo, hi = ys[0] - 2.0, ys[-1] - 2.0
+            if lo < -tol or hi > 1.0 + tol:
+                return ["undecided"] * (len(w) + 1)
+            low, least = min(low, 1.0 - hi), min(least, lo)
+        out = []
+        for m, (fail, tip, cover, sure) in enumerate(self._bands[:len(w) + 1]):
+            if m and ys:
+                bit = w[m - 1]
+                lo = 2.0 * lo - bit
+                hi = 2.0 * hi - bit
+                if 1.0 - hi < low:
+                    low = 1.0 - hi
+                if bit and lo < low:
+                    low = lo
+                least = lo if lo < 1.0 else 1.0
+            if low < fail:
+                out.append("fail")
+            elif low < tip:
+                out.append("undecided")
+            elif least <= cover:
+                out.append("cover")
+            else:
+                out.append("undecided" if least < sure else "pass")
+        return out + ["undecided"] * (len(w) + 1 - len(out))
 
     def p_le_set(self, e, f):
         """Joint spectral projections separating e below f."""

@@ -62,7 +62,7 @@ from .errors import (ElementNotInCarrier, InternalConsistencyError, InvalidDepth
                      MalformedInput, NotSpectral, Unstable)
 
 # The deepest grid resolved: a leaf tree's memory grows with the square of
-# the depth, and the matrix verifier's 2^depth overflows a float past 1023.
+# the depth.
 MAX_DEPTH = 512
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def k_of(w) -> int:
 
 def string_of(k: int, length: int) -> tuple:
     """The binary string w of the given length with k(w) = k."""
-    return tuple((k >> (length - 1 - i)) & 1 for i in range(length))
+    return tuple([(k >> i) & 1 for i in range(length - 1, -1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +556,21 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     ``entries`` are) or any mapping lambda -> p_lambda, read as runs of one
     projection; each clause is checked per run, jump or nonzero cell, with
     the verdict and witness of a point-by-point scan.  An entry outside the
-    carrier fails (i), and the later clauses are skipped.  (ii) is one
-    ``E.leq_pairs`` call, and (iii) compares neighbouring runs of the chain
-    that (ii) has found.  (iv) forms each p_lo' once per run and each meet
-    once per pair of runs, and reports the first cell that fails.  On an
-    enumerable base a and each run are split into leaf coordinates once
-    (``_leaves``): (i) reads one ``commutant_row`` per leaf and run, and
+    carrier fails (i), and the later clauses are skipped.  (iii) compares
+    neighbouring runs of the chain that (ii) has found.  (iv) forms each
+    p_lo' once per run and each meet once per pair of runs, lists its
+    cells level by level from the level at which neighbouring jumps part,
+    and reports the first cell that fails.  On an enumerable base a and
+    each run are split into leaf coordinates once (``_leaves``): (i) reads
+    one ``commutant_row`` per leaf and run, (ii) one order-table entry per
+    leaf and pair (an entry that is no projection is split for it), and
     (iv) walks each pair's leaves through their doubling rows
     (``_leaf_cells``).  The matrix base tests (i) in one
-    ``commuting_projections`` call and decides (iv) from one stacked
-    ``eigh`` and ``eigvalsh`` (``doubling_cells``) where rounding cannot
-    tip ``_doubling_cell``, which decides the rest.
+    ``commuting_projections`` call and (ii) in one ``E.leq_pairs`` call,
+    forms the p_lo' as one stack, and decides (iv) from one stacked
+    ``eigh`` and ``eigvalsh`` (``doubling_cells``, one row of verdicts per
+    pair) where rounding cannot tip ``_doubling_cell``, which decides the
+    rest.
     """
     n = check_depth(n)
     E = cb.algebra
@@ -592,9 +596,18 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     rep.add("(i)-projections-commuting-with-a", ok_i, witness=w_i)
 
     inside = ok_i or all(_in_carrier(E, p) for p in ps)
-    # p_0 <= a', and each run below the next: within a run by reflexivity
-    ok_ii = inside and E.eq(ps[-1], E.one) and \
-        bool(E.leq_pairs(np.array(ps[:1] + ps[:-1]), np.array([E.ortho(a)] + ps[1:])).all())
+    # p_0 <= a', and each run below the next: within a run by reflexivity.
+    # The order of a product is componentwise, so on an enumerable base
+    # each pair is read leaf by leaf, from the splits that (i) made.
+    ok_ii = inside and E.eq(ps[-1], E.one)
+    if ok_ii and cb.enumerable:
+        coords = [_leaves(cb, p) if hi is None else hi for hi, p in zip(his, ps)]
+        ok_ii = all([leaf.algebra.leq(x, y) for lo, up in
+                     zip(coords[:1] + coords[:-1], [_leaves(cb, E.ortho(a))] + coords[1:])
+                     for (leaf, x, _), (_, y, _) in zip(lo, up)])
+    elif ok_ii:
+        ok_ii = bool(E.leq_pairs(np.array(ps[:1] + ps[:-1]),
+                                 np.array([E.ortho(a)] + ps[1:])).all())
     rep.add("(ii)-boundary-and-monotone", ok_ii,
             detail="" if inside else "skipped: an entry is not in the carrier")
 
@@ -619,22 +632,25 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     # grid index ends[t]; the level-l cell k holds the jumps t..t' with
     # ends >> (n - l) = k, so its ends lie in runs t' + 1 and t, and w is the
     # first l bits of ends[t].  So every cell of one pair reads a prefix of
-    # one string of n bits.
+    # one string of n bits.  Jumps t and t + 1 share the cells of the levels
+    # below seps[t], the first at which their ends differ in a bit, and the
+    # last jump ends a cell at every level.
     ends = [j - 1 for j, _ in fam.jumps[1:]]
     bits = [string_of(e, n) for e in ends]
-    orthos = [E.ortho(p) for p in ps[:-1]]  # p_lo' per run; the last run is no lower end
+    seps = [n + 1 - (e ^ f).bit_length() for e, f in zip(ends, ends[1:])] + [0]
     pairs, cells = {}, []
-    for level in range(n + 1):
-        shift = n - level
+    for level in range(n + 1 if ends else 0):
         start = 0  # the first jump of the current cell
-        for t, e in enumerate(ends):
-            if t + 1 == len(ends) or ends[t + 1] >> shift != e >> shift:
+        for t, sep in enumerate(seps):
+            if sep <= level:
                 cells.append((bits[start][:level], pairs.setdefault((t + 1, start), len(pairs))))
                 start = t + 1
+    # p_lo' per run, the last run being no lower end: one stack on matrices
     if cb.enumerable:
-        decided = _leaf_cells(a_leaves, his, [_leaves(cb, q) for q in orthos], list(pairs),
-                              bits, cells)
+        decided = _leaf_cells(a_leaves, his, [_leaves(cb, E.ortho(p)) for p in ps[:-1]],
+                              list(pairs), bits, cells)
     else:
+        orthos = E.ortho(np.array(ps[:-1])) if pairs else None
         decided = cb.doubling_cells(a, [(ps[h], orthos[lo]) for h, lo in pairs], cells)
     ok_iv, w_iv = True, None
     for (w, _), (u_w, verdict) in zip(cells, decided):

@@ -477,6 +477,21 @@ def test_spectral_element_by_its_factors(tmp_path, capsys, fmt):
         assert code == 2 and err.startswith("error: bad --element value"), (bad, err)
 
 
+def test_a_product_element_of_the_wrong_form_names_the_form(tmp_path):
+    """A ``{"factors": ...}`` element that is not a list of two items exits
+    2 with one ``error:`` line that names the product, by its factors'
+    kinds, and the form an element of it takes, and shows what it got."""
+    path = write(tmp_path, "prod.json", PRODUCT_DOC)
+    form = ('an element of the product boolean x mv_product is {"factors": '
+            '[an element of boolean, an element of mv_product]}, two items')
+    for bad, got in (('{"factors": [2]}', "[2]"), ('{"factors": []}', "[]"),
+                     ('{"factors": [2, "2,4,7", 0]}', "[2, '2,4,7', 0]"),
+                     ('{"factors": 3}', "3"), ('{"factors": "27"}', "'27'")):
+        code, err = run_cli(["spectral", path, "--element", bad])
+        assert code == 2, (bad, err)
+        assert err == f"error: bad --element value {bad!r}: {form}, not {got}\n", err
+
+
 AXIOM_ROWS = ["E1-commutative", "E2-associative", "E3-orthosupplement-exists",
               "E3-orthosupplement-valid", "E3-orthosupplement-unique", "E4-unit-maximal",
               "cancellation"]

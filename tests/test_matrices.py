@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -619,11 +621,11 @@ def test_resolutions_refuse_a_matrix_outside_the_carrier(matrix3, name):
             run()
 
 
-def _rotations(rng, dim):
-    """Rotations by angles of about 1e-8 to 1e-5, from the Cayley transform
-    of a seeded skew matrix: a projection rotated by one stays a
-    projection and commutes with less."""
-    for angle in (1e-8, 1e-7, 1e-6, 1e-5):
+def _rotations(rng, dim, angles=(1e-8, 1e-7, 1e-6, 1e-5)):
+    """Rotations by angles of about 1e-8 to 1e-5, or ``angles``, from the
+    Cayley transform of a seeded skew matrix: a projection rotated by one
+    stays a projection and commutes with less."""
+    for angle in angles:
         g = rng.standard_normal((dim, dim))
         skew = angle * (g - g.T) / 2
         yield np.linalg.solve(np.eye(dim) - skew, np.eye(dim) + skew)
@@ -726,3 +728,328 @@ def test_an_idempotent_within_tol_is_its_own_meet():
                 assert E.is_projection(p) is accepted
                 assert E.eq(cb.meet_proj(p, p), p) is accepted
                 assert cb.commuting_projections(P, [P, p]) == [True, accepted]
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels of the matrix verifier against the loops they replaced
+
+
+def _meets_per_rank(ps, qs):
+    """The meets as a loop over ranks formed them: per rank r, the last r
+    eigenvectors of p + q of the pairs of that rank, times their transpose."""
+    vals, vecs = np.linalg.eigh(sym(ps + qs))
+    ranks = (vals > 2 - 1e-6).sum(axis=1)
+    out = np.empty_like(vecs)
+    for r in set(ranks.tolist()):
+        block = vecs[ranks == r][..., vecs.shape[-1] - r:]
+        out[ranks == r] = sym(block @ np.swapaxes(block, -1, -2))
+    return out
+
+
+def _basis_projection(q, columns):
+    """The projection onto the given columns of the orthogonal q."""
+    block = q[:, sorted(columns)]
+    return sym(block @ block.T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_meets_are_the_per_rank_products_bit_for_bit(dim):
+    """``meets`` (one masked product) gives each pair the bits, signs of
+    zero included, of the loop over ranks: on seeded stacks of projections
+    onto columns of one rotation, whose meets have every rank from 0 to
+    dim, the same rotated by 1e-8 to 1e-5 (near misses) and by 1e-3 to
+    3e-2 (eigenvalues of p + q about 2 - angle^2 / 2, on both sides of the
+    mask's 2 - 1e-6), and pairs of a projection with itself, 0 and 1."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(360 + dim)
+    ranks = set()
+    for _ in range(30):
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        subsets = [set(np.flatnonzero(rng.integers(0, 2, dim)).tolist()) for _ in range(8)]
+        ps = [_basis_projection(q, s) for s in subsets]
+        qs = [_basis_projection(q, set(range(dim)) - s if k % 3 == 0 else s | {k % dim})
+              for k, s in enumerate(subsets)]
+        wide = _rotations(rng, dim, (1e-3, 3e-3, 1e-2, 3e-2))
+        qs += [sym(r @ p @ r.T) for p, r in zip(ps, itertools.chain(_rotations(rng, dim), wide))]
+        ps += ps[:8]
+        ps += [ps[0], ps[1], E.zero, E.one]
+        qs += [ps[0], E.zero, E.one, E.one]
+        ps, qs = np.array(ps), np.array(qs)
+        got = cb.meets(ps, qs)
+        assert _bytes(got) == _bytes(_meets_per_rank(ps, qs))
+        ranks.update(np.rint(np.trace(got, axis1=1, axis2=2)).astype(int).tolist())
+    assert ranks == set(range(dim + 1)), ranks
+
+
+def _walk_per_eigenvalue(E, w, ys):
+    """The walk of every eigenvalue ys of b on range(u) along w, as
+    ``doubling_cells`` made it per cell: per prefix length, the least test
+    value and the least image eigenvalue; None off [-tol, 1 + tol]."""
+    tol = E.tol
+    if ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
+        return None
+    lows, leasts = [1.0] * (len(w) + 1), [1.0] * (len(w) + 1)
+    for y in ys:
+        low = 1.0 - y
+        lows[0], leasts[0] = min(lows[0], low), min(leasts[0], y)
+        for m, bit in enumerate(w, 1):
+            y = 2.0 * y - bit
+            low = min(low, 1.0 - y, y) if bit else min(low, 1.0 - y)
+            lows[m], leasts[m] = min(lows[m], low), min(leasts[m], y)
+    return list(zip(lows, leasts))
+
+
+def _verdict_per_cell(E, length, walk):
+    """One cell's verdict from its pair's walk, with beta formed per cell."""
+    tol = E.tol
+    beta = 32 * E.dim * np.finfo(float).eps * 2.0 ** length
+    if beta >= tol or walk is None:
+        return "undecided"
+    low, least = walk[length]
+    if low < -tol - beta:
+        return "fail"
+    if low < -tol + beta:
+        return "undecided"
+    if least <= tol - beta:
+        return "cover"
+    return "undecided" if least < beta + beta / (tol - beta) else "pass"
+
+
+def _doubling_cells_per_cell(cb, a, pairs, cells):
+    """``doubling_cells`` as it was: u per pair from the per-rank meets,
+    the rank read off trace(u), every eigenvalue of b walked along its
+    pair's deepest w, and one verdict per cell."""
+    E = cb.algebra
+    us = _meets_per_rank(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
+    ranks = np.rint(np.trace(us, axis1=1, axis2=2)).astype(int).tolist()
+    ys = (np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us) - 2.0).tolist()
+    longest = {}
+    for w, i in cells:
+        if len(w) >= len(longest.get(i, ())):
+            longest[i] = w
+    walks = {i: _walk_per_eigenvalue(E, w, ys[i][E.dim - ranks[i]:]) for i, w in longest.items()}
+    return [(us[i], _verdict_per_cell(E, len(w), walks[i])) for w, i in cells]
+
+
+def _bits_of(y, length, tol):
+    """The first bits of y as ``split`` reads them: 1 where 2y - 1 > tol."""
+    w = []
+    for _ in range(length):
+        w.append(int(2.0 * y - 1.0 > tol))
+        y = 2.0 * y - w[-1]
+    return tuple(w)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_doubling_cells_are_the_per_cell_walk(dim):
+    """``doubling_cells`` (one verdict row per pair, from the walks of the
+    least and the greatest eigenvalue) gives every cell the meet and the
+    verdict of the per-cell walk of every eigenvalue it replaced, and each
+    verdict but "undecided" is the scalar ``_doubling_cell``'s.  Effects
+    with edge spectra j/32 +- d (d from 5e-10 to 1e-6, some eigenvalues
+    just outside [0, 1]), pairs of projections onto columns of their
+    eigenbasis (u of every rank, 0 included) and the same rotated by 1e-8
+    to 1e-5; each pair's cells are the prefixes, from a seeded shortest
+    length, of the bits of one of a's eigenvalues or of a seeded string
+    of up to 12 bits, handed over in a seeded order.  At tol = 1e-12 the
+    bands end before 12 bits, past which every cell is "undecided"."""
+    rng = np.random.default_rng(380 + dim)
+    seen = set()
+    for k in range(30):
+        E, cb = matrices.make_matrix_instance(dim, tol=1e-12 if k % 3 == 2 else 1e-9)
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        offsets = rng.choice([0.0, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6], dim)
+        vals = np.sort(rng.integers(0, 33, dim) / 32 + offsets * rng.choice([-1, 1], dim))
+        a = sym(q @ np.diag(vals) @ q.T)
+        pairs, strings = [], []
+        for _ in range(6):
+            hi = set(np.flatnonzero(rng.integers(0, 2, dim)).tolist())
+            lo = set(np.flatnonzero(rng.integers(0, 2, dim)).tolist())
+            pairs.append((_basis_projection(q, hi), _basis_projection(q, lo)))
+            length = int(rng.integers(0, 13))
+            inside = sorted(hi & lo) or list(range(dim))  # a's eigenvalues on range(u)
+            strings.append(_bits_of(vals[rng.choice(inside)], length, E.tol)
+                           if rng.random() < 0.7 else tuple(rng.integers(0, 2, length).tolist()))
+        for (p, lo), r in zip(pairs[:2], _rotations(rng, dim)):
+            pairs.append((sym(r @ p @ r.T), lo))
+            strings.append(strings[len(pairs) % 6])
+        cells = [(w[:m], i) for i, w in enumerate(strings)
+                 for m in range(int(rng.integers(0, len(w) + 1)), len(w) + 1)]
+        cells = [cells[k] for k in rng.permutation(len(cells))]
+        got = cb.doubling_cells(a, pairs, cells)
+        want = _doubling_cells_per_cell(cb, a, pairs, cells)
+        assert [v for _, v in got] == [v for _, v in want]
+        assert all(_bytes(u) == _bytes(v) for (u, _), (v, _) in zip(got, want))
+        for (w, _), (u, verdict) in zip(cells, got):
+            if verdict != "undecided":
+                assert verdict == spectral._doubling_cell(cb, w, a, u), (vals, w)
+            seen.add(verdict)
+    assert seen == {"pass", "fail", "cover", "undecided"}, seen
+
+
+def _projection_tests_of_the_good(E, ps, a):
+    """``projection_tests`` as it was: the well-formed entries alone as one
+    float stack, the others failing both tests (an entry that makes no
+    array is malformed here too, where ``np.asarray`` raised before)."""
+    d = E.dim
+
+    def array(p):
+        try:
+            return np.asarray(p)
+        except ValueError:
+            return None
+
+    arrays = [array(p) for p in ps]
+    good = np.array([x is not None and x.shape == (d, d) and x.dtype.kind in "fiu"
+                     for x in arrays], dtype=bool)
+    s = np.array([x for x, ok in zip(arrays, good) if ok], dtype=float).reshape(-1, d, d)
+    proj, comm = np.zeros((2, good.size), dtype=bool)
+    proj[good] = (np.abs(s - np.swapaxes(s, 1, 2)).max(axis=(1, 2)) <= E.tol) \
+        & (np.abs(s @ s - s).max(axis=(1, 2)) <= E.tol)
+    comm[good] = np.abs(s @ a - a @ s).max(axis=(1, 2)) <= 100 * E.tol
+    return proj, comm
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_projection_tests_read_each_entry_of_a_mixed_stack_alone(dim):
+    """``projection_tests`` on stacks that mix well-formed entries (runs of
+    resolutions, the same moved off by 1e-10 to 1e-6 or rotated by 1e-8 to
+    1e-5, int and list matrices) with malformed ones (ragged, text, text matrices, complex,
+    bool, object, NaN, wrong shapes, None), in seeded orders: each entry
+    has the bits it has alone and the bits of the stack of the
+    well-formed entries only, and the malformed fail both tests.  A
+    family with a ragged run fails clause (i) at that run."""
+    E, cb = matrices.make_matrix_instance(dim)
+    rng = np.random.default_rng(400 + dim)
+    malformed = [[[1.0] * dim] * (dim - 1) + [[1.0]], "x", [["1"] * dim] * dim,
+                 np.eye(dim, dtype=complex), np.eye(dim, dtype=bool),
+                 np.full((dim, dim), Fraction(1, 2), dtype=object), np.eye(dim + 1),
+                 np.eye(dim)[:, :1], None, 3.0, [[np.nan] * dim] * dim]
+    outcomes = set()
+    for a in list(_effects(E, rng))[:10]:
+        a = E.check_element(a)
+        runs = [p for _, p in spectral.binary_resolution(cb, a, 4).jumps]
+        good = runs + [p + s * sym(rng.standard_normal((dim, dim))) for p in runs
+                       for s in (1e-10, 1e-7, 1e-6)]
+        good += [sym(r @ p @ r.T) for p in runs for r in _rotations(rng, dim)]
+        good += [np.eye(dim, dtype=int), runs[0].tolist()]
+        ps = good + malformed
+        ps = [ps[k] for k in rng.permutation(len(ps))]
+        proj, comm = E.projection_tests(ps, a)
+        want_proj, want_comm = _projection_tests_of_the_good(E, ps, a)
+        assert proj.tolist() == want_proj.tolist() and comm.tolist() == want_comm.tolist()
+        for p, is_p, commutes in zip(ps, proj, comm):
+            one_p, one_c = E.projection_tests([p], a)
+            assert (one_p.tolist(), one_c.tolist()) == ([is_p], [commutes])
+            if any(p is m for m in malformed):
+                assert not is_p and not commutes
+            outcomes.add((bool(is_p), bool(commutes)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}, outcomes
+    a = rotated(rng, np.linspace(0.2, 0.8, dim))
+    family = dict(spectral.binary_resolution(cb, a, 3).entries)
+    family[Fraction(1, 2)] = malformed[0]
+    rep = spectral.verify_resolution(cb, a, family, 3)
+    assert [(c.passed, c.witness) for c in rep.checks[1:3]] == [(False, Fraction(1, 2)),
+                                                                 (False, None)]
+
+
+def _drawn_effect(dim, rng):
+    """An effect drawn one at a time: a normal matrix, then its eigenvalues,
+    rotated by the Q of the matrix."""
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return sym(q @ np.diag(rng.uniform(0, 1, dim)) @ q.T)
+
+
+def _sampled_axioms_per_sample(E):
+    """The spot checks as a loop over the samples, through the scalar
+    ``sum``, ``eq`` and ``ortho``; a sum that a later step reads but that is
+    undefined fails its law (the loop raised ``TypeError`` there)."""
+    def eq(x, y):
+        return x is not None and y is not None and E.eq(x, y)
+
+    rng = np.random.default_rng(0)
+    m = 200
+    elems = [_drawn_effect(E.dim, rng) for _ in range(m)]
+    ok_comm = ok_assoc = True
+    w_comm = w_assoc = None
+    for i in range(m):
+        a, b, c = elems[i], elems[(i * 7 + 1) % m], elems[(i * 13 + 2) % m]
+        ab, ba = E.sum(a, b), E.sum(b, a)
+        if (ab is None) != (ba is None) or (ab is not None and not eq(ab, ba)):
+            ok_comm, w_comm = False, i
+        if ab is not None:
+            abc = E.sum(ab, c)
+            if abc is not None:
+                bc = E.sum(b, c)
+                if bc is None or not eq(E.sum(a, bc), abc):
+                    ok_assoc, w_assoc = False, i
+    ok3 = all(eq(E.sum(a, E.ortho(a)), E.one) for a in elems[:50])
+    ok4 = all(E.sum(a, E.one) is None for a in elems[:50] if not E.eq(a, E.zero))
+    return [("E1-commutative", ok_comm, "sampled", w_comm, ""),
+            ("E2-associative", ok_assoc, "sampled", w_assoc, ""),
+            ("E3-orthosupplement-valid", ok3, "sampled", None, ""),
+            ("E4-unit-maximal", ok4, "sampled", None, "")]
+
+
+class _BandedOrder(matrices.MatrixEffectAlgebra):
+    """A matrix carrier whose order also asks, or with ``loose`` only asks,
+    that seven times the corner entry of y - x, plus 1/2, lie in a band mod
+    1: sums fall undefined, or defined past the unit, by a rule of their
+    bits, and x <= x fails."""
+
+    def __init__(self, dim, tol, loose):
+        super().__init__(dim, tol)
+        self.loose = loose
+
+    def leq_pairs(self, xs, ys):
+        band = ((np.asarray(ys) - np.asarray(xs))[..., 0, 0] * 7 + 0.5) % 1 < 0.4
+        return band if self.loose else super().leq_pairs(xs, ys) & band
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sampled_axioms_are_the_loop_over_samples(dim):
+    """The stacked spot checks give the rows and witnesses (the last
+    failing i) of the loop over the 200 samples, on matrix carriers at
+    three tolerances and on carriers whose order fails sums by a band of
+    their bits, where E2, E3 and E4 fail; the samples are
+    drawn one at a time from the same stream, bit for bit, and leave the
+    stream where that leaves it; ``random_effect`` is one such draw."""
+    outcomes = set()
+    for tol in (1e-12, 1e-9, 1e-6):
+        for E in (matrices.MatrixEffectAlgebra(dim, tol), _BandedOrder(dim, tol, False),
+                  _BandedOrder(dim, tol, True)):
+            rep = core.validate_axioms(E)
+            rows = [(c.name, c.passed, c.mode, c.witness, c.detail) for c in rep.checks]
+            assert rows == _sampled_axioms_per_sample(E)
+            outcomes.update((name, passed) for name, passed, *_ in rows)
+    assert {name for name, passed in outcomes if not passed} == \
+        {"E2-associative", "E3-orthosupplement-valid", "E4-unit-maximal"}, outcomes
+    E = matrices.MatrixEffectAlgebra(dim)
+    stacked, one_by_one = np.random.default_rng(9), np.random.default_rng(9)
+    got = E.sample_elements(stacked, 40) + [E.random_effect(stacked)]
+    assert len(got) == 41
+    assert all(_bytes(x) == _bytes(_drawn_effect(dim, one_by_one)) for x in got)
+    assert stacked.random() == one_by_one.random()
+
+
+def test_labels_are_numpy_formatted_entries():
+    """``label`` prints each entry as numpy's own scalars print with
+    ``:.6g``, row by row, on seeded matrices and on int, bool, NaN and
+    infinite entries, and on stacks of any shape."""
+    def numpy_label(a):
+        rows = ["[" + ", ".join(f"{x:.6g}" for x in row) + "]" for row in np.asarray(a)]
+        return "[" + ", ".join(rows) + "]"
+
+    rng = np.random.default_rng(4)
+    for dim in (2, 3, 4):
+        E = matrices.MatrixEffectAlgebra(dim)
+        cases = [E.random_effect(rng) for _ in range(50)]
+        cases += [rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-9, 9, (dim, dim)),
+                  rng.integers(-5, 5, (dim, dim)), rng.integers(0, 3, (dim, dim)).astype(np.uint8),
+                  np.full((dim, dim), np.nan), np.full((dim, dim), -np.inf),
+                  np.eye(dim).astype(np.float32) / 3, np.eye(dim, dtype=bool),
+                  rng.random((dim + 1, dim))]
+        for a in cases:
+            assert E.label(a) == numpy_label(a), a
+    assert matrices.MatrixEffectAlgebra(2).label([[True, False], [0.5, -0.0]]) == \
+        "[[1, 0], [0.5, -0]]"

@@ -418,8 +418,7 @@ def test_depth_must_be_a_nonnegative_integer(mv42):
 def test_depth_past_the_bound_fails_fast(mv42, matrix2):
     """Every route refuses a depth past ``MAX_DEPTH = 512`` with
     ``InvalidDepth`` naming the bound, before it resolves anything; a
-    matrix verify at the bound returns a report, as its rounding bound
-    2^depth is still a float."""
+    matrix verify at the bound returns a report."""
     assert spectral.MAX_DEPTH == 512
     for E, cb in (mv42, matrix2):
         a = E.one if E.enumerable else E.one / 4
@@ -1540,6 +1539,42 @@ def test_clause_ii_on_matrices_is_one_stacked_eigvalsh(monkeypatch):
         assert stacks == [(3, 3), (runs, 3, 3), (_pairs_across_jumps(res), 3, 3)]
 
 
+def test_clause_ii_on_an_enumerable_base_reads_the_leaves(monkeypatch):
+    """Clause (ii) on an enumerable base reads each pair leaf by leaf, from
+    the splits that (i) made (an entry that is no projection splits on its
+    own), and makes no ``leq_pairs`` call on the carrier: on the carriers
+    of ``_leaf_route_cases``, seeded broken tables among them, its row is
+    what ``E.leq_pairs`` over the pairs (p_0, a'), (p_t, p_t+1) gives, on
+    seeded families of projections and of other elements, ending in 1 or
+    not, in the depth-3 grid."""
+    outcomes = set()
+    rng = np.random.default_rng(52)
+    for name, (E, cb) in _leaf_route_cases():
+        P = cb.projections
+        for _ in range(12):
+            a = int(rng.integers(0, E.size))
+            pool = P if P and rng.random() < 0.5 else range(E.size)
+            ps = sorted(int(pool[k]) for k in rng.integers(0, len(pool), int(rng.integers(1, 4))))
+            if rng.random() < 0.8:
+                ps.append(E.one)
+            starts = [0] + sorted(rng.choice(np.arange(1, 9), len(ps) - 1, replace=False).tolist())
+            family = {Fraction(j, 8): ps[bisect_right(starts, j) - 1] for j in range(9)}
+            runs = [family[Fraction(j, 8)] for j in starts]
+            want = E.eq(runs[-1], E.one) and bool(E.leq_pairs(
+                np.array(runs[:1] + runs[:-1]), np.array([E.ortho(a)] + runs[1:])).all())
+            with monkeypatch.context() as m:
+                m.setattr(E, "leq_pairs", lambda xs, ys: pytest.fail("leq_pairs"))
+                rep = _outcome_or_error(lambda: verify_resolution(cb, a, family, 3))
+            if isinstance(rep, type):  # (i) read a commutant that raised: p' not in P
+                outcomes.add(rep)
+                continue
+            row = rep.checks[2]
+            assert (row.name, row.passed, row.witness, row.detail) == \
+                ("(ii)-boundary-and-monotone", want, None, ""), (name, a, family)
+            outcomes.add((rep.checks[1].passed, want))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= outcomes, outcomes
+
+
 def _leaf_bases():
     """The chain ``mv(16,1)`` and the 81-element table of ``[0, (8,8,0)]``
     in ``mv(8,3)``: two bases without factors."""
@@ -1732,6 +1767,22 @@ def _bit_families(E, cb, rng, monkeypatch):
             yield a, dict(family)
             yield a, checks.perturb(family, E.zero, lambda p, q: np.allclose(p, q, atol=1e-9))
     yield from _edge_matrix_families(E, cb, rng, 6)
+
+
+def test_a_family_of_one_run_verifies_on_matrices(matrix2, matrix3):
+    """The resolution of 0 is one run, p = 1 throughout: it has no jump and
+    clause (iv) no cell, so no p' and no meet are formed, on matrices as
+    on finite bases.  Its rows, and those of 1 and 1/2 at depths 0 to 3,
+    as a resolution and as a dict, are the point-by-point scan's."""
+    for E, cb in (matrix2, matrix3):
+        for a in (E.zero, E.one, 0.5 * E.one):
+            for n in range(4):
+                res = binary_resolution(cb, a, n)
+                assert (len(res.jumps) == 1) == (a is E.zero)
+                for fam in (res.entries, dict(res.entries)):
+                    assert verdict_rows(verify_resolution(cb, a, fam, n)) == \
+                        reference_verify(cb, a, fam, n), (E.label(a), n)
+        assert verify_resolution(cb, E.zero, binary_resolution(cb, E.zero, 3).entries, 3).passed
 
 
 def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
