@@ -71,8 +71,8 @@ def make_boolean(n_atoms: int, validate: bool = True):
 
 def make_mv_product(denominator: int, arity: int, validate: bool = True):
     """Numerator grid {0..k}^d with the central base over zero-one vectors."""
-    if denominator not in (2, 4, 8, 16):
-        raise ValueError("denominator must be one of 2, 4, 8, 16")
+    if not 1 <= denominator <= 16:
+        raise ValueError("denominator must be 1..16")
     if not 1 <= arity <= 4:
         raise ValueError("arity must be 1..4")
     E = GridAlgebra(denominator, arity)

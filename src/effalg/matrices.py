@@ -12,11 +12,11 @@ each split keeps a's eigenvectors and halves their eigenvalues, so the
 tree's cells are the binary digits of a's spectrum, and the nodes come
 from one stack of rank-one projectors.  Likewise the verifier reads the
 doubling maps on all its cells off one stacked eigenvalue computation of
-b + 2u with one entry per pair of runs
+b + 2u with one entry per cell, one cell per jump of the family
 (``MatrixCompressionBase.doubling_cells``): the least and the greatest
-eigenvalue of b walk their binary digits into one row of verdicts per
-pair, and only cells where rounding could tip an order test or the cover
-go to the scalar path.
+eigenvalue of b walk the cell's binary digits to its verdict, and only
+cells where rounding could tip an order test or the cover go to the
+scalar path.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ class MatrixCompressionBase:
     def __init__(self, algebra: MatrixEffectAlgebra):
         self.algebra = algebra
         self._spectral = None
-        # ``doubling_cells``' bands per cell length m, while beta = 32 dim eps
+        # ``_verdict``'s bands per step m of a walk, while beta = 32 dim eps
         # 2^m < tol: (fail below, undecided below, cover at or below, undecided
         # below), the last two on the least image eigenvalue
         tol, self._bands = algebra.tol, []
@@ -397,20 +397,19 @@ class MatrixCompressionBase:
         kept = vecs * (vals > 2 - 1e-6)[..., None, :]
         return sym(kept @ kept.mT)
 
-    def doubling_cells(self, a, pairs, cells) -> list:
-        """Clause (iv) of ``spectral.verify_resolution`` on its cells
-        ``(w, i)``, each straddling the pair of runs ``pairs[i] = (p_hi,
-        p_lo')``: a ``(u, verdict)`` per cell, for a in the carrier.  u = p_hi
-        ^ p_lo' and b = J_u(a) = u a u depend on the pair alone, so one
-        stacked ``meets`` and one stacked ``eigvalsh`` of b + 2u hold one
-        entry per pair.  The cells of one pair are prefixes of its longest
-        w, so each pair walks its eigenvalues once, along that w, into one
-        row of verdicts, one per prefix length (``_verdicts``), which its
-        cells read.  The verdict is "fail" where
-        the scalar path (``spectral._doubling_cell``) finds no f_w(b) in [0,
-        u], "cover" where the image's cover is not u, "pass", or "undecided"
-        where rounding may tip the scalar path, which the caller then runs.
-        The stacked calls give each pair the bits of its own calls.
+    def doubling_cells(self, a, ws, his, los) -> list:
+        """Clause (iv) of ``spectral.verify_resolution`` on its depth-n cells
+        ``ws``, the cell ``ws[i]`` lying between the projections ``his[i]``
+        and ``los[i]`` (a p_hi and a p_lo', as stacks): a ``(u, verdict)``
+        per cell, for a in the carrier.  u = p_hi ^ p_lo' and b = J_u(a) = u
+        a u are formed by one stacked ``meets`` and one stacked ``eigvalsh``
+        of b + 2u, one entry per cell, and each cell walks its eigenvalues
+        once, along its w, to one verdict (``_verdict``).  The verdict is
+        "fail" where the scalar path (``spectral._doubling_cell``) finds no
+        f_w(b) in [0, u], "cover" where the image's cover is not u, "pass",
+        or "undecided" where rounding may tip the scalar path, which the
+        caller then runs.  The stacked calls give each cell the bits of its
+        own calls.
 
         b and u commute, and 0 <= b <= u, so every iterate of f_w is diagonal
         in their joint eigenbasis.  On range(u), of dimension trace(u), the
@@ -431,49 +430,42 @@ class MatrixCompressionBase:
         exactly commuting pair that u and b each lie within 2 dim eps of, a
         step forms at most four matrices and doubles the error it inherits,
         and each test adds one eigenvalue computation; so every scalar test
-        lies within beta = 32 * dim * eps * 2^len(w) of its value here.  A
-        test within beta of -tol is undecided; so is the cover where the
+        of step m lies within beta = 32 * dim * eps * 2^m of its value here.
+        A test within beta of -tol is undecided; so is the cover where the
         least image eigenvalue m lies in (tol - beta, beta + beta / (tol -
-        beta)): above it the scalar cover has u's rank and lies within
-        beta / (m - beta) + beta <= tol of u (Davis-Kahan), and at or below
-        tol - beta it lacks a direction of u.  So is the cell when beta >=
-        tol (len(w) about 15), or when b is no effect of [0, u] within tol.
+        beta)) for beta at len(w): above it the scalar cover has u's rank
+        and lies within beta / (m - beta) + beta <= tol of u (Davis-Kahan),
+        and at or below tol - beta it lacks a direction of u.  So is the
+        cell when beta >= tol (len(w) about 15) with no step failed before,
+        or when b is no effect of [0, u] within tol.
         """
-        if not cells:
-            return []
-        us = self.meets(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
+        us = self.meets(his, los)
         spectra = np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us).tolist()
-        longest = {}  # per pair, the w of its deepest cell: the others are its prefixes
-        for w, i in cells:
-            if len(w) >= len(longest.get(i, ())):
-                longest[i] = w
-        rows = {i: self._verdicts(w, spectra[i][bisect_right(spectra[i], 1.0):])
-                for i, w in longest.items()}
-        us = list(us)
-        return [(us[i], rows[i][len(w)]) for w, i in cells]
+        return [(u, self._verdict(w, ys[bisect_right(ys, 1.0):]))
+                for u, w, ys in zip(us, ws, spectra)]
 
-    def _verdicts(self, w, ys) -> list:
-        """``doubling_cells``' verdict on each prefix of w, at its length,
-        from the eigenvalues ys of b + 2u on range(u), ascending: b's plus
-        2, none where u = 0.  Every prefix is "undecided" when b has an
-        eigenvalue outside [-tol, 1 + tol].
+    def _verdict(self, w, ys) -> str:
+        """``doubling_cells``' verdict on the cell w, from the eigenvalues ys
+        of b + 2u on range(u), ascending: b's plus 2, none where u = 0.  It
+        is "undecided" when b has an eigenvalue outside [-tol, 1 + tol].
 
         A step y -> 2y - bit keeps the order of the eigenvalues, in floats
-        too, as doubling is exact and rounding is monotone.  So at each
-        length the least test value over all eigenvalues and steps so far,
+        too, as doubling is exact and rounding is monotone.  So after each
+        step the least test value over all eigenvalues and steps so far,
         ``low``, and the least image eigenvalue, ``least`` (both at most
         1), are read off the walks of the least and the greatest, lo and hi,
-        alone.  The verdict of length m compares them with the bands of
-        beta = 32 * dim * eps * 2^m (``_bands``); past the last band beta >=
-        tol, and every prefix is "undecided"."""
+        alone.  Every step m compares ``low`` with the fail band of beta =
+        32 * dim * eps * 2^m (``_bands``), as the scalar path stops at the
+        first step that fails, and the cell's verdict after the last step
+        compares both with the bands of len(w); past the last band beta >=
+        tol, and the cell is "undecided" unless a step failed before."""
         tol = self.algebra.tol
         low = least = 1.0  # below, x = y if y < x is x = min(x, y), a tie kept as min() keeps it
         if ys:
             lo, hi = ys[0] - 2.0, ys[-1] - 2.0
             if lo < -tol or hi > 1.0 + tol:
-                return ["undecided"] * (len(w) + 1)
+                return "undecided"
             low, least = min(low, 1.0 - hi), min(least, lo)
-        out = []
         for m, (fail, tip, cover, sure) in enumerate(self._bands[:len(w) + 1]):
             if m and ys:
                 bit = w[m - 1]
@@ -485,14 +477,12 @@ class MatrixCompressionBase:
                     low = lo
                 least = lo if lo < 1.0 else 1.0
             if low < fail:
-                out.append("fail")
-            elif low < tip:
-                out.append("undecided")
-            elif least <= cover:
-                out.append("cover")
-            else:
-                out.append("undecided" if least < sure else "pass")
-        return out + ["undecided"] * (len(w) + 1 - len(out))
+                return "fail"
+        if len(w) >= len(self._bands) or low < tip:
+            return "undecided"
+        if least <= cover:
+            return "cover"
+        return "undecided" if least < sure else "pass"
 
     def p_le_set(self, e, f):
         """Joint spectral projections separating e below f."""

@@ -324,3 +324,62 @@ def test_criterion_10_group_characterization():
     assert elapsed < 10.0
     _verdict(10, True, "200 elements in Z^4: all four clauses + approximation bound",
              elapsed)
+
+
+def _monotone_families(E, P, length):
+    """Every monotone sequence of ``length`` members of P, as tuples."""
+    above = {p: [q for q in P if E.leq(p, q)] for p in P}
+
+    def extend(seq):
+        if len(seq) == length:
+            yield tuple(seq)
+            return
+        for q in above[seq[-1]] if seq else P:
+            seq.append(q)
+            yield from extend(seq)
+            seq.pop()
+
+    yield from extend([])
+
+
+def _chain(k):
+    """The chain {0..k} as a table, i + j defined while it is at most k,
+    with its central base."""
+    E = instances.make_table([(i, j, i + j) for i in range(k + 1) for j in range(k + 1 - i)],
+                             k + 1, 0, k)
+    return E, compbase.central_base(E)
+
+
+def test_criterion_11_unique_resolution_at_every_depth():
+    """The paper's uniqueness theorem, checked exhaustively: for every
+    element and depth, of all the monotone families of members of P on the
+    depth-n grid exactly one passes ``verify_resolution``, and it is the
+    element's ``binary_resolution``, at depths short of the element's
+    spectral values too (the chains' 1/3, 1/5 and 1/6 at every depth)."""
+    t0 = time.perf_counter()
+    cases = [("mv(4,2)", instances.make_mv_product(4, 2, validate=False), range(1, 5)),
+             ("boolean(3)", instances.make_boolean(3, validate=False), range(0, 3)),
+             ("boolean(2) x mv(4,1)", instances.make_product(
+                 instances.make_boolean(2, validate=False),
+                 instances.make_mv_product(4, 1, validate=False), validate=False), range(2, 4))]
+    cases += [(f"chain {{0..{k}}}", _chain(k), range(2, 6)) for k in (3, 5, 6)]
+    verifies, wrong = 0, []
+    for name, (E, cb), depths in cases:
+        P = list(cb.projections)
+        for n in depths:
+            grid = [Fraction(j, 2 ** n) for j in range(2 ** n + 1)]
+            families = list(_monotone_families(E, P, len(grid)))
+            for a in range(E.size):
+                res = spectral.binary_resolution(cb, a, n)
+                own = tuple(res.at_index(j) for j in range(len(grid)))
+                passed = [fam for fam in families
+                          if spectral.verify_resolution(cb, a, dict(zip(grid, fam)), n).passed]
+                verifies += len(families)
+                if passed != [own]:
+                    wrong.append((name, E.label(a), n))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0
+    _verdict(11, not wrong, f"{verifies} families on {len(cases)} instances: one passes per "
+             f"element and depth, its own" if not wrong else
+             f"{len(wrong)} element-depth cases without exactly their own family: {wrong[:4]}",
+             elapsed)

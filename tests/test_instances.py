@@ -6,11 +6,11 @@ import pytest
 from fractions import Fraction
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from effalg import compbase, comparability, core, instances, spectral
+from effalg import compbase, comparability, core, groups, instances, spectral
 from effalg.compbase import CompressionBase, validate_base
 from effalg.core import State
-from effalg.errors import (EffalgError, ElementNotInCarrier, MalformedInput, NotFaithful,
-                           ScaleMismatch, SizeLimit)
+from effalg.errors import (EffalgError, ElementNotInCarrier, InvalidDepth, MalformedInput,
+                           NotFaithful, ScaleMismatch, SizeLimit, Unstable)
 from test_spectral import _table_copy
 
 
@@ -28,10 +28,60 @@ def test_mv_product_family(mv83):
     E, cb = mv83
     assert E.size == 729 and len(cb.projections) == 8
     assert cb.is_spectral()
-    with pytest.raises(ValueError):
-        instances.make_mv_product(3, 2)
-    with pytest.raises(ValueError):
-        instances.make_mv_product(4, 5)
+    for k, d in ((0, 2), (17, 1), (4, 5), (4, 0)):
+        with pytest.raises(ValueError):
+            instances.make_mv_product(k, d)
+
+
+@pytest.mark.parametrize("k, d", [(3, 2), (5, 1), (6, 2), (7, 2), (10, 3), (12, 1), (15, 2)])
+def test_mv_product_takes_every_denominator_up_to_16(k, d):
+    """A grid of any denominator 1..16 is a spectral instance: on every
+    element of the small ones and 24 seeded elements of the others, at
+    depths 0 to 6, its tree is the closed form's, its resolution the group
+    oracle's at every grid point and verified, and ``rational_resolution``
+    at 1/3, 2/5 and 1/5 is the group oracle's wherever it is stable."""
+    E, cb = instances.make_mv_product(k, d)
+    G = instances.universal_group(E)
+    rng = np.random.default_rng(10 * k + d)
+    elements = range(E.size) if E.size <= 64 else rng.permutation(E.size)[:24].tolist()
+    stable = 0
+    for a in elements:
+        g = instances.embed_element(E, a)
+        for n in range(7):
+            assert instances.trees_equal(spectral.splitting_tree(cb, a, n),
+                                         instances.closed_form_mv_resolution(E, a, n)), (a, n)
+            res = spectral.binary_resolution(cb, a, n)
+            for m in range(2 ** n + 1):
+                assert res.at(Fraction(m, 2 ** n)) == instances.projection_from_group(
+                    E, groups.group_spectral(G, g, m, 2 ** n)), (a, n, m)
+            assert spectral.verify_resolution(cb, a, res, n).passed, (a, n)
+            for lam in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 5)):
+                try:
+                    p = spectral.rational_resolution(cb, a, lam, n)
+                except (Unstable, InvalidDepth):
+                    continue
+                assert p == instances.projection_from_group(
+                    E, groups.group_spectral(G, g, lam.numerator, lam.denominator)), (a, n, lam)
+                stable += 1
+    assert stable > 50, stable
+
+
+def test_cli_takes_denominator_3_and_refuses_17(tmp_path, capsys):
+    """``validate`` and ``check-spectral`` exit 0 on a grid of denominator
+    3; a denominator of 17 exits 2 with one ``error:`` line."""
+    from effalg import cli
+
+    def doc(k):
+        path = tmp_path / f"mv{k}.json"
+        path.write_text(json.dumps({"kind": "mv_product", "denominator": k, "arity": 2}))
+        return str(path)
+
+    assert cli.main(["validate", doc(3)]) == 0
+    assert cli.main(["check-spectral", doc(3)]) == 0
+    capsys.readouterr()
+    assert cli.main(["validate", doc(17)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad instance document: denominator must be 1..16"]
 
 
 def test_total_base_on_grid(mv42):

@@ -783,8 +783,8 @@ def test_meets_are_the_per_rank_products_bit_for_bit(dim):
 
 def _walk_per_eigenvalue(E, w, ys):
     """The walk of every eigenvalue ys of b on range(u) along w, as
-    ``doubling_cells`` made it per cell: per prefix length, the least test
-    value and the least image eigenvalue; None off [-tol, 1 + tol]."""
+    ``doubling_cells`` made it per cell: per step, the least test value so
+    far and the least image eigenvalue; None off [-tol, 1 + tol]."""
     tol = E.tol
     if ys and (ys[0] < -tol or ys[-1] > 1.0 + tol):
         return None
@@ -799,15 +799,19 @@ def _walk_per_eigenvalue(E, w, ys):
     return list(zip(lows, leasts))
 
 
-def _verdict_per_cell(E, length, walk):
-    """One cell's verdict from its pair's walk, with beta formed per cell."""
-    tol = E.tol
-    beta = 32 * E.dim * np.finfo(float).eps * 2.0 ** length
-    if beta >= tol or walk is None:
+def _verdict_per_cell(E, walk):
+    """One cell's verdict from its walk, with beta formed per step: a step
+    whose tests lie surely below -tol fails the cell, as the scalar path
+    stops there; past the last step the bands of its beta decide."""
+    if walk is None:
         return "undecided"
-    low, least = walk[length]
-    if low < -tol - beta:
-        return "fail"
+    tol = E.tol
+    for m, (low, least) in enumerate(walk):
+        beta = 32 * E.dim * np.finfo(float).eps * 2.0 ** m
+        if beta >= tol:
+            return "undecided"
+        if low < -tol - beta:
+            return "fail"
     if low < -tol + beta:
         return "undecided"
     if least <= tol - beta:
@@ -815,20 +819,15 @@ def _verdict_per_cell(E, length, walk):
     return "undecided" if least < beta + beta / (tol - beta) else "pass"
 
 
-def _doubling_cells_per_cell(cb, a, pairs, cells):
-    """``doubling_cells`` as it was: u per pair from the per-rank meets,
-    the rank read off trace(u), every eigenvalue of b walked along its
-    pair's deepest w, and one verdict per cell."""
+def _doubling_cells_per_cell(cb, a, ws, ps, qs):
+    """``doubling_cells`` one cell at a time: u from the per-rank meets, the
+    rank read off trace(u), and every eigenvalue of b walked along w."""
     E = cb.algebra
-    us = _meets_per_rank(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
+    us = _meets_per_rank(ps, qs)
     ranks = np.rint(np.trace(us, axis1=1, axis2=2)).astype(int).tolist()
     ys = (np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us) - 2.0).tolist()
-    longest = {}
-    for w, i in cells:
-        if len(w) >= len(longest.get(i, ())):
-            longest[i] = w
-    walks = {i: _walk_per_eigenvalue(E, w, ys[i][E.dim - ranks[i]:]) for i, w in longest.items()}
-    return [(us[i], _verdict_per_cell(E, len(w), walks[i])) for w, i in cells]
+    return [(u, _verdict_per_cell(E, _walk_per_eigenvalue(E, w, y[E.dim - r:])))
+            for u, w, y, r in zip(us, ws, ys, ranks)]
 
 
 def _bits_of(y, length, tol):
@@ -842,17 +841,18 @@ def _bits_of(y, length, tol):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_doubling_cells_are_the_per_cell_walk(dim):
-    """``doubling_cells`` (one verdict row per pair, from the walks of the
+    """``doubling_cells`` (one verdict per cell, from the walks of the
     least and the greatest eigenvalue) gives every cell the meet and the
-    verdict of the per-cell walk of every eigenvalue it replaced, and each
-    verdict but "undecided" is the scalar ``_doubling_cell``'s.  Effects
-    with edge spectra j/32 +- d (d from 5e-10 to 1e-6, some eigenvalues
-    just outside [0, 1]), pairs of projections onto columns of their
-    eigenbasis (u of every rank, 0 included) and the same rotated by 1e-8
-    to 1e-5; each pair's cells are the prefixes, from a seeded shortest
-    length, of the bits of one of a's eigenvalues or of a seeded string
-    of up to 12 bits, handed over in a seeded order.  At tol = 1e-12 the
-    bands end before 12 bits, past which every cell is "undecided"."""
+    verdict of the walk of every eigenvalue it replaced, and each verdict
+    but "undecided" is the scalar ``_doubling_cell``'s.  Effects with edge
+    spectra j/32 +- d (d from 5e-10 to 1e-6, some eigenvalues just outside
+    [0, 1]), pairs of projections onto columns of their eigenbasis (u of
+    every rank, 0 included) and the same rotated by 1e-8 to 1e-5; each
+    pair gives cells for the prefixes, from a seeded shortest length, of
+    the bits of one of a's eigenvalues or of a seeded string of up to 12
+    bits, handed over in a seeded order.  At tol = 1e-12 the bands end
+    before 12 bits, past which a cell is "undecided" unless a step failed
+    before."""
     rng = np.random.default_rng(380 + dim)
     seen = set()
     for k in range(30):
@@ -876,11 +876,13 @@ def test_doubling_cells_are_the_per_cell_walk(dim):
         cells = [(w[:m], i) for i, w in enumerate(strings)
                  for m in range(int(rng.integers(0, len(w) + 1)), len(w) + 1)]
         cells = [cells[k] for k in rng.permutation(len(cells))]
-        got = cb.doubling_cells(a, pairs, cells)
-        want = _doubling_cells_per_cell(cb, a, pairs, cells)
+        ws = [w for w, _ in cells]
+        ps, qs = (np.array([pairs[i][side] for _, i in cells]) for side in (0, 1))
+        got = cb.doubling_cells(a, ws, ps, qs)
+        want = _doubling_cells_per_cell(cb, a, ws, ps, qs)
         assert [v for _, v in got] == [v for _, v in want]
         assert all(_bytes(u) == _bytes(v) for (u, _), (v, _) in zip(got, want))
-        for (w, _), (u, verdict) in zip(cells, got):
+        for w, (u, verdict) in zip(ws, got):
             if verdict != "undecided":
                 assert verdict == spectral._doubling_cell(cb, w, a, u), (vals, w)
             seen.add(verdict)
