@@ -380,6 +380,15 @@ def _whole(doc: dict, key: str) -> int:
     return int(value)
 
 
+def _two(doc: dict, key: str, items: str) -> list:
+    """``doc[key]``, a list of two items [``items``]; ``MalformedInput`` else."""
+    value = doc[key]
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise MalformedInput(f'a {doc["kind"]} document has "{key}": [{items}], two items, '
+                             f"not {value!r}")
+    return value
+
+
 MAX_NESTING = 64  # products and horizontal sums nested deeper are refused
 
 
@@ -408,12 +417,12 @@ def _parse(doc: dict, validate: bool, depth: int):
     if kind == "matrix":
         return make_matrix(_whole(doc, "dim"), tol=float(doc.get("tol", 1e-9)), validate=validate)
     if kind == "product":
-        f1, f2 = doc["factors"]
+        f1, f2 = _two(doc, "factors", "the left factor, the right factor")
         return make_product(_parse(f1, True, depth + 1), _parse(f2, True, depth + 1),
                             validate=validate)
     if kind == "horizontal_sum":
-        p1, p2 = (_parse(d, True, depth + 1) for d in doc["parts"])
-        s1, s2 = doc["states"]
+        p1, p2 = (_parse(d, True, depth + 1) for d in _two(doc, "parts", "part 0, part 1"))
+        s1, s2 = _two(doc, "states", "a state of part 0, a state of part 1")
         return make_horizontal_sum(p1, p2, [as_fraction(v) for v in s1],
                                    [as_fraction(v) for v in s2], validate=validate)
     if kind == "mo2":

@@ -14,14 +14,12 @@ from one stack of rank-one projectors.  Likewise the verifier reads the
 doubling maps on all its cells off one stacked eigenvalue computation of
 b + 2u with one entry per cell, one cell per jump of the family
 (``MatrixCompressionBase.doubling_cells``): the least and the greatest
-eigenvalue of b walk the cell's binary digits to its verdict, and only
-cells where rounding could tip an order test or the cover go to the
-scalar path.
+eigenvalue of b walk the cell's binary digits to its verdict, each step
+exact in floats where a verdict can turn on it.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from itertools import combinations
 
@@ -319,12 +317,6 @@ class MatrixCompressionBase:
     def __init__(self, algebra: MatrixEffectAlgebra):
         self.algebra = algebra
         self._spectral = None
-        # ``_verdict``'s bands per step m of a walk, while beta = 32 dim eps
-        # 2^m < tol: (fail below, undecided below, cover at or below, undecided
-        # below), the last two on the least image eigenvalue
-        tol, self._bands = algebra.tol, []
-        while (beta := 32 * algebra.dim * sys.float_info.epsilon * 2.0 ** len(self._bands)) < tol:
-            self._bands.append((-tol - beta, -tol + beta, tol - beta, beta + beta / (tol - beta)))
 
     # shared surface with the finite base -----------------------------------
 
@@ -404,40 +396,31 @@ class MatrixCompressionBase:
         per cell, for a in the carrier.  u = p_hi ^ p_lo' and b = J_u(a) = u
         a u are formed by one stacked ``meets`` and one stacked ``eigvalsh``
         of b + 2u, one entry per cell, and each cell walks its eigenvalues
-        once, along its w, to one verdict (``_verdict``).  The verdict is
-        "fail" where the scalar path (``spectral._doubling_cell``) finds no
-        f_w(b) in [0, u], "cover" where the image's cover is not u, "pass",
-        or "undecided" where rounding may tip the scalar path, which the
-        caller then runs.  The stacked calls give each cell the bits of its
-        own calls.
+        once, along its w, to one verdict (``_verdict``): "fail" where f_w
+        maps b out of [0, u], "cover" where the image's cover is not u, else
+        "pass".  The stacked calls give each cell the bits of its own calls.
 
         b and u commute, and 0 <= b <= u, so every iterate of f_w is diagonal
         in their joint eigenbasis.  On range(u), of dimension trace(u), the
         eigenvalues of b + 2u are b's plus 2, and off it they are 0; so the
         ones above 1, less 2, are b's on range(u).  A step sends an
         eigenvalue y of b on range(u) to 2y - bit, and each order test of
-        the scalar path is the least eigenvalue of a matrix that reads, on
-        range(u), 1 - y at every iterate (``cur <= q``, ``cur <= q - cur``
+        ``spectral.apply_fw`` is the least eigenvalue of a matrix that reads,
+        on range(u), 1 - y at every iterate (``cur <= q``, ``cur <= q - cur``
         and ``2 cur <= 1`` on a 0-step, the final img <= u) or y after a
         1-step (``q - cur <= cur`` and the two tests on 2(q - cur)); off
         range(u) it reads 0 or 1.  The image's cover is u iff every image
         eigenvalue on range(u) is above tol.
 
-        Rounding bound.  Take an eigenvalue computation to err by at most
-        dim * eps * |M| with |M| <= 3, and an elementwise sum or difference
-        of matrices with entries of at most 2 by dim * eps in the 2-norm.
-        Then the walked y start within 3 dim eps of the eigenvalues of an
-        exactly commuting pair that u and b each lie within 2 dim eps of, a
-        step forms at most four matrices and doubles the error it inherits,
-        and each test adds one eigenvalue computation; so every scalar test
-        of step m lies within beta = 32 * dim * eps * 2^m of its value here.
-        A test within beta of -tol is undecided; so is the cover where the
-        least image eigenvalue m lies in (tol - beta, beta + beta / (tol -
-        beta)) for beta at len(w): above it the scalar cover has u's rank
-        and lies within beta / (m - beta) + beta <= tol of u (Davis-Kahan),
-        and at or below tol - beta it lacks a direction of u.  So is the
-        cell when beta >= tol (len(w) about 15) with no step failed before,
-        or when b is no effect of [0, u] within tol.
+        Why the walk decides.  It reads b's spectrum once, and a step y -> 2y
+        - bit is exact in floats wherever a verdict can turn on it (doubling
+        is exact, and so is 2y - 1 for 2y in [1/2, 2], by Sterbenz): the
+        verdict is clause (iv) in exact arithmetic on the computed spectrum,
+        tol applied once per test, as ``leq`` applies it.  The scalar
+        reference, ``spectral._doubling_cell``, forms matrices at every step,
+        and its tests at step m err by up to beta = 32 * dim * eps * 2^m:
+        within beta of -tol that rounding, not a, decides, and its cover of an
+        image with a small eigenvalue can miss u by more than tol (Davis-Kahan).
         """
         us = self.meets(his, los)
         spectra = np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us).tolist()
@@ -446,43 +429,26 @@ class MatrixCompressionBase:
 
     def _verdict(self, w, ys) -> str:
         """``doubling_cells``' verdict on the cell w, from the eigenvalues ys
-        of b + 2u on range(u), ascending: b's plus 2, none where u = 0.  It
-        is "undecided" when b has an eigenvalue outside [-tol, 1 + tol].
+        of b + 2u on range(u), ascending: b's plus 2, none where u = 0.
 
         A step y -> 2y - bit keeps the order of the eigenvalues, in floats
-        too, as doubling is exact and rounding is monotone.  So after each
-        step the least test value over all eigenvalues and steps so far,
-        ``low``, and the least image eigenvalue, ``least`` (both at most
-        1), are read off the walks of the least and the greatest, lo and hi,
-        alone.  Every step m compares ``low`` with the fail band of beta =
-        32 * dim * eps * 2^m (``_bands``), as the scalar path stops at the
-        first step that fails, and the cell's verdict after the last step
-        compares both with the bands of len(w); past the last band beta >=
-        tol, and the cell is "undecided" unless a step failed before."""
+        too, as doubling is exact and rounding is monotone.  So every test
+        is read off the walks of the least and the greatest, lo and hi,
+        alone: 1 - hi at every iterate, and lo after a 1-step.  The cell
+        fails at the first test below -tol, where ``apply_fw`` stops, and
+        falls short of its cover where the last lo is at most tol."""
+        if not ys:
+            return "pass"  # u = 0: f_w(0) = 0, whose cover is 0 = u
         tol = self.algebra.tol
-        low = least = 1.0  # below, x = y if y < x is x = min(x, y), a tie kept as min() keeps it
-        if ys:
-            lo, hi = ys[0] - 2.0, ys[-1] - 2.0
-            if lo < -tol or hi > 1.0 + tol:
-                return "undecided"
-            low, least = min(low, 1.0 - hi), min(least, lo)
-        for m, (fail, tip, cover, sure) in enumerate(self._bands[:len(w) + 1]):
-            if m and ys:
-                bit = w[m - 1]
-                lo = 2.0 * lo - bit
-                hi = 2.0 * hi - bit
-                if 1.0 - hi < low:
-                    low = 1.0 - hi
-                if bit and lo < low:
-                    low = lo
-                least = lo if lo < 1.0 else 1.0
-            if low < fail:
+        lo, hi = ys[0] - 2.0, ys[-1] - 2.0
+        if 1.0 - hi < -tol:
+            return "fail"
+        for bit in w:
+            lo = 2.0 * lo - bit
+            hi = 2.0 * hi - bit
+            if 1.0 - hi < -tol or bit and lo < -tol:
                 return "fail"
-        if len(w) >= len(self._bands) or low < tip:
-            return "undecided"
-        if least <= cover:
-            return "cover"
-        return "undecided" if least < sure else "pass"
+        return "cover" if lo <= tol else "pass"
 
     def p_le_set(self, e, f):
         """Joint spectral projections separating e below f."""

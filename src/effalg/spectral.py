@@ -506,10 +506,8 @@ def apply_fw(cb, w, b, q):
     2(q - b) must be defined too; with a tolerance (matrices) a 1-step can
     pass q - b <= b and still miss 2(q - b) <= 1.
 
-    The reference for clause (iv) of ``verify_resolution``, which runs it
-    on the matrix cells that the eigenvalue walk of
-    ``MatrixCompressionBase.doubling_cells`` leaves undecided, and reads
-    its steps (``_fw_step``) on leaf cells as rows (``doubling_rows``).
+    The scalar reference for clause (iv) (``_doubling_cell``); a leaf base
+    reads its steps (``_fw_step``) as rows (``doubling_rows``).
     """
     E = cb.algebra
     if not w:
@@ -595,8 +593,7 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     (``_leaf_cells``).  The matrix base tests (i) in one
     ``commuting_projections`` call and (ii) in one ``E.leq_pairs`` call,
     forms the p_lo' as one stack, and decides (iv) from one stacked
-    ``eigh`` and ``eigvalsh`` (``doubling_cells``, one verdict per cell)
-    where rounding cannot tip ``_doubling_cell``, which decides the rest.
+    ``eigh`` and ``eigvalsh`` (``doubling_cells``, one verdict per cell).
     """
     n = check_depth(n)
     E = cb.algebra
@@ -657,8 +654,6 @@ def verify_resolution(cb, a, family, n: int) -> Report:
         if u_w is None:
             ok_iv, w_iv = False, (w, "meet")
             break
-        if verdict == "undecided":  # on matrices, where rounding may tip the walk
-            verdict = _doubling_cell(cb, w, a, u_w)
         if verdict != "pass":
             ok_iv, w_iv = False, w if verdict == "fail" else (w, "cover")
             break
@@ -679,8 +674,8 @@ def _in_carrier(E, p) -> bool:
 def _doubling_cell(cb, w, a, u_w) -> str:
     """Clause (iv) on the cell w by ``apply_fw``: "fail" unless f_w maps
     J_{u_w}(a) into [0, u_w], "cover" unless the image fills its cell
-    (has cover u_w), else "pass".  Clause (iv) runs it on matrices only,
-    as it compares covers with ``E.eq``."""
+    (has cover u_w), else "pass": the reference that the tests hold
+    ``doubling_cells`` and ``_cell_verdict`` to."""
     E = cb.algebra
     img = apply_fw(cb, w, cb.apply(u_w, a), u_w)
     if img is None or not E.leq(img, u_w):

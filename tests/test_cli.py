@@ -734,6 +734,26 @@ def test_deeply_nested_element_value_exits_2(docs):
     assert code == 2 and err.startswith("error: bad --element value")
 
 
+@pytest.mark.parametrize("kind, key, form", [
+    ("product", "factors", "the left factor, the right factor"),
+    ("horizontal_sum", "parts", "part 0, part 1"),
+    ("horizontal_sum", "states", "a state of part 0, a state of part 1"),
+])
+def test_a_pair_of_the_wrong_form_exits_2(tmp_path, kind, key, form):
+    """A product's ``factors``, or a horizontal sum's ``parts`` or
+    ``states``, that is not a list of two items exits 2 with one ``error:``
+    line that names the kind and the form it needs, and shows what it got."""
+    ident = [f"{i}/8" for i in range(9)]
+    good = {"kind": kind, "factors": [L8_DOC, L8_DOC]} if kind == "product" else \
+        {"kind": kind, "parts": [L8_DOC, L8_DOC], "states": [ident, ident]}
+    for bad in (good[key][:1], good[key] + good[key][:1], dict(zip("ab", good[key]))):
+        path = write(tmp_path, "bad.json", {**good, key: bad})
+        for command in ("validate", "analyze"):
+            assert run_cli([command, path]) == (
+                2, f'error: bad instance document: a {kind} document has "{key}": '
+                   f"[{form}], two items, not {bad!r}\n"), (command, bad)
+
+
 # ---------------------------------------------------------------------------
 # the validate contract
 
