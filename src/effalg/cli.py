@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--element", required=True)
     sp.add_argument("--state", required=True, help="rational weights, comma separated")
     sp.add_argument("--depth", default=None,
-                    help="grid depth n >= 0 (default 16, 8 on matrices)")
+                    help="grid depth n >= 0 (default 16)")
     sp.set_defaults(fn=cmd_expect)
     return p
 

@@ -418,7 +418,7 @@ def restrict(cb: CompressionBase, q: int, validate: bool = True):
     """
     E = cb.algebra
     if q not in cb.p_set:
-        raise ValueError("restriction requires a projection")
+        raise MalformedInput("restriction requires a projection")
     idx = np.flatnonzero(E.lower_bounds(q))
     # position in [0, q] of each element, -1 outside it; where[-1] reads the
     # -1 of an undefined sum.  q is principal: sums below q stay below q.

@@ -161,7 +161,12 @@ class CompressionBase:
         return left.apply(p // r, a // r) * r + right.apply(p % r, a % r)
 
     def p_ortho(self, p: int) -> int:
-        return self.algebra.ortho(p)
+        """p', for p in P: ``IncompleteBase`` (from ``ortho_rows``) where P
+        misses it, as no map J_p' exists then."""
+        q = self.algebra.ortho(p)
+        if q not in self.p_set:
+            self.ortho_rows()
+        return q
 
     def is_projection(self, p) -> bool:
         """Is p an index in P?"""

@@ -571,7 +571,7 @@ class TableAlgebra(FiniteAlgebra):
         sum_table = np.asarray(sum_table, dtype=np.int32)
         n = sum_table.shape[0]
         if sum_table.shape != (n, n):
-            raise ValueError("sum table must be square")
+            raise MalformedInput("sum table must be square")
         if n > DENSE_LIMIT:
             raise SizeLimit(f"explicit tables are capped at n={DENSE_LIMIT}")
         if not (0 <= zero < n and 0 <= one < n):
@@ -637,7 +637,7 @@ class GridAlgebra(FiniteAlgebra):
 
     def __init__(self, k, d):
         if k < 1 or d < 1:
-            raise ValueError("need k >= 1 and d >= 1")
+            raise MalformedInput("need k >= 1 and d >= 1")
         self.k = int(k)
         self.d = int(d)
         n = (k + 1) ** d

@@ -72,9 +72,9 @@ def make_boolean(n_atoms: int, validate: bool = True):
 def make_mv_product(denominator: int, arity: int, validate: bool = True):
     """Numerator grid {0..k}^d with the central base over zero-one vectors."""
     if not 1 <= denominator <= 16:
-        raise ValueError("denominator must be 1..16")
+        raise MalformedInput("denominator must be 1..16")
     if not 1 <= arity <= 4:
-        raise ValueError("arity must be 1..4")
+        raise MalformedInput("arity must be 1..4")
     E = GridAlgebra(denominator, arity)
     E.document = {"kind": "mv_product", "denominator": denominator, "arity": arity}
     return _validated(E, central_base(E), "mv_product", validate)
@@ -432,7 +432,7 @@ def _parse(doc: dict, validate: bool, depth: int):
                        labels=doc.get("labels"))
         cb = central_base(E)
         return E, cb
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise MalformedInput(f"unknown instance kind {kind!r}")
 
 
 @_untrusted

@@ -12,7 +12,8 @@ each split keeps a's eigenvectors and halves their eigenvalues, so the
 tree's cells are the binary digits of a's spectrum, and the nodes come
 from one stack of rank-one projectors.  Likewise the verifier reads the
 doubling maps on all its cells off one stacked eigenvalue computation of
-b + 2u with one entry per cell, one cell per jump of the family
+b + 2u with one entry per cell, u the difference of the runs on either
+side of a jump of the family and b = u a u, no meet formed
 (``MatrixCompressionBase.doubling_cells``): the least and the greatest
 eigenvalue of b walk the cell's binary digits to its verdict, each step
 exact in floats where a verdict can turn on it.
@@ -31,6 +32,7 @@ from .errors import (
     ElementNotInCarrier,
     InternalConsistencyError,
     InvalidState,
+    MalformedInput,
     NotCommuting,
     NotEnumerable,
 )
@@ -49,14 +51,14 @@ class MatrixEffectAlgebra(EffectAlgebra):
 
     def __init__(self, dim: int, tol: float = 1e-9):
         if dim not in (2, 3, 4):
-            raise ValueError("matrix algebras are supported for dimensions 2..4")
+            raise MalformedInput("matrix algebras are supported for dimensions 2..4")
         # Below 1e-12 the rounding of an eigendecomposition, about 32 * dim *
         # eps * 2^depth at depth 9, is no longer small against tol, and the
         # verifier fails computed resolutions; above 1e-6 the order is
-        # coarser than the fixed 1e-6 thresholds of ``meets`` and
+        # coarser than the fixed 1e-6 thresholds of ``meet_proj`` and
         # ``bicommutant_test``.  NaN fails both comparisons.
         if not 1e-12 <= tol <= 1e-6:
-            raise ValueError(f"tol must lie in [1e-12, 1e-6], not {tol!r}")
+            raise MalformedInput(f"tol must lie in [1e-12, 1e-6], not {tol!r}")
         self.dim = dim
         self.tol = tol
         # the units, made once and read-only: every caller shares them
@@ -323,9 +325,6 @@ class MatrixCompressionBase:
     def apply(self, p, a) -> np.ndarray:
         return sym(p @ a @ p)
 
-    def p_ortho(self, p) -> np.ndarray:
-        return self.algebra.ortho(p)
-
     def is_projection(self, p) -> bool:
         return self.algebra.is_projection(p)
 
@@ -375,42 +374,44 @@ class MatrixCompressionBase:
         return True  # support projections cover; spot-checked in is_spectral
 
     def meet_proj(self, p, q) -> np.ndarray:
-        """Projector onto range(p) n range(q): ``meets`` of one pair."""
-        return self.meets(np.asarray(p)[None], np.asarray(q)[None])[0]
+        """Projector onto range(p) n range(q): on the eigenvectors of p + q
+        whose eigenvalue is above 2 - 1e-6."""
+        vals, vecs = np.linalg.eigh(sym(np.asarray(p) + np.asarray(q)))
+        kept = vecs[:, vals > 2 - 1e-6]
+        return sym(kept @ kept.T)
 
-    def meets(self, ps, qs) -> np.ndarray:
-        """The meet of each pair of the stacks ps and qs: the eigenvalue-2
-        space of p + q, from one stacked ``eigh``.  The eigenvectors are
-        masked, a column kept where its eigenvalue is above 2 - 1e-6 and
-        zeroed elsewhere, and the meets are one stacked product of the
-        masked stack with its transpose: a zeroed column adds exact zeros,
-        so each meet has the bits of the product of its kept columns."""
-        vals, vecs = np.linalg.eigh(sym(ps + qs))
-        kept = vecs * (vals > 2 - 1e-6)[..., None, :]
-        return sym(kept @ kept.mT)
-
-    def doubling_cells(self, a, ws, his, los) -> list:
+    def doubling_cells(self, a, ws, us) -> list:
         """Clause (iv) of ``spectral.verify_resolution`` on its depth-n cells
-        ``ws``, the cell ``ws[i]`` lying between the projections ``his[i]``
-        and ``los[i]`` (a p_hi and a p_lo', as stacks): a ``(u, verdict)``
-        per cell, for a in the carrier.  u = p_hi ^ p_lo' and b = J_u(a) = u
-        a u are formed by one stacked ``meets`` and one stacked ``eigvalsh``
-        of b + 2u, one entry per cell, and each cell walks its eigenvalues
-        once, along its w, to one verdict (``_verdict``): "fail" where f_w
-        maps b out of [0, u], "cover" where the image's cover is not u, else
-        "pass".  The stacked calls give each cell the bits of its own calls.
+        ``ws``: one verdict per cell, for a in the carrier, the cell of
+        ``ws[i]`` being u = sym(us[i]), where ``us`` stacks the differences
+        p_{t+1} - p_t of the runs on either side of each jump.  b = J_u(a)
+        = u a u and b + 2u are one stack, and one stacked ``eigvalsh`` of it
+        gives each cell its eigenvalues, which it walks once, along its w,
+        to one verdict (``_verdict``): "fail" where f_w maps b out of [0,
+        u], "cover" where the image's cover is not u, else "pass".  The
+        stacked calls give each cell the bits of its own calls.
 
-        b and u commute, and 0 <= b <= u, so every iterate of f_w is diagonal
-        in their joint eigenbasis.  On range(u), of dimension trace(u), the
-        eigenvalues of b + 2u are b's plus 2, and off it they are 0; so the
-        ones above 1, less 2, are b's on range(u).  A step sends an
-        eigenvalue y of b on range(u) to 2y - bit, and each order test of
-        ``spectral.apply_fw`` is the least eigenvalue of a matrix that reads,
-        on range(u), 1 - y at every iterate (``cur <= q``, ``cur <= q - cur``
-        and ``2 cur <= 1`` on a 0-step, the final img <= u) or y after a
-        1-step (``q - cur <= cur`` and the two tests on 2(q - cur)); off
-        range(u) it reads 0 or 1.  The image's cover is u iff every image
-        eigenvalue on range(u) is above tol.
+        Where u is a projection, b and u commute, and 0 <= b <= u, so every
+        iterate of f_w is diagonal in their joint eigenbasis.  On range(u),
+        of dimension trace(u), the eigenvalues of b + 2u are b's plus 2, and
+        off it they are 0; so the ones above 1, less 2, are b's on range(u).
+        A step sends an eigenvalue y of b on range(u) to 2y - bit, and each
+        order test of ``spectral.apply_fw`` is the least eigenvalue of a
+        matrix that reads, on range(u), 1 - y at every iterate (``cur <=
+        q``, ``cur <= q - cur`` and ``2 cur <= 1`` on a 0-step, the final
+        img <= u) or y after a 1-step (``q - cur <= cur`` and the two tests
+        on 2(q - cur)); off range(u) it reads 0 or 1.  The image's cover is
+        u iff every image eigenvalue on range(u) is above tol.
+
+        Why the difference will do.  u = q - p for projections p <= q that
+        (i) and (ii) accepted within tol.  For exact ones its spectrum is 1
+        (on range(q) n ker(p)), 0 and pairs +-sin t, one per principal angle
+        t between the ranges: -1, on range(p) n ker(q), fails (ii)'s q - p
+        >= -tol, which also bounds each sin t by tol.  (i)'s tolerance moves
+        these by O(tol).  So u = U + R with U a projection and |R| = O(tol),
+        b + 2u is U a U + 2U up to O(tol), and by Weyl's inequality the
+        eigenvalues above 1, less 2, are b's on the 1-eigenspace of u within
+        O(tol), which the walk tests against tol like any other.
 
         Why the walk decides.  It reads b's spectrum once, and a step y -> 2y
         - bit is exact in floats wherever a verdict can turn on it (doubling
@@ -422,10 +423,9 @@ class MatrixCompressionBase:
         within beta of -tol that rounding, not a, decides, and its cover of an
         image with a small eigenvalue can miss u by more than tol (Davis-Kahan).
         """
-        us = self.meets(his, los)
+        us = sym(us)
         spectra = np.linalg.eigvalsh(sym(us @ a @ us) + 2.0 * us).tolist()
-        return [(u, self._verdict(w, ys[bisect_right(ys, 1.0):]))
-                for u, w, ys in zip(us, ws, spectra)]
+        return [self._verdict(w, ys[bisect_right(ys, 1.0):]) for w, ys in zip(ws, spectra)]
 
     def _verdict(self, w, ys) -> str:
         """``doubling_cells``' verdict on the cell w, from the eigenvalues ys

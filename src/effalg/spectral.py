@@ -11,11 +11,12 @@ grid indices j for lambda = j/2^n) is kept in integers end to end.
 A resolution is a chain: each prefix sum is checked defined where it is
 built, on every base, in one ``running_sums`` call (``_layer_jumps``), so
 it lies below the next.  So the meet of its entries above a point is the
-next entry, and only the cells p_hi ^ p_lo' of clause (iv) of
-``verify_resolution`` form a meet in P.  The verifier decides a family
-by clauses (i), (ii) and (iv) on the depth-n cells, one per jump, which
-together make it the element's resolution, right-continuous included;
-so it checks per run or per jump, not per grid point or cell.
+next entry, and no route forms a meet in P.  Nor does the verifier: each
+depth-n cell of clause (iv) is the difference p_hi - p_lo of neighbouring
+runs.  It decides a family by clauses (i), (ii) and (iv) on the depth-n
+cells, one per jump, which together make it the element's resolution,
+right-continuous included; so it checks per run or per jump, not per
+grid point or cell.
 
 A base with ``factors`` is resolved through them: in ``E1 x E2`` a split
 is the pair of the factor splits, so the tree of ``(a1, a2)`` is the pair
@@ -543,19 +544,21 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     (i) entries are projections commuting with a; (ii) boundary values
     (p_0 <= a', p_1 = 1) and monotonicity; (iii) right continuity,
     p_lambda = the meet of the entries above it; (iv) the doubling maps f_w
-    exist on J_{u_w}(a) for u_w = p_hi ^ p_lo' read off the family, and
-    each image has cover u_w.  The family is decided by (i), (ii) and (iv)
-    on the depth-n cells alone, one per jump of the family; the (iii) row
-    carries that verdict, in mode ``structural``, with no witness.  For a
-    spectral archimedean algebra the element's resolution is the unique
+    exist on J_{u_w}(a) for the cell u_w = p_hi - p_lo read off the family,
+    and each image has cover u_w.  The family is decided by (i), (ii) and
+    (iv) on the depth-n cells alone, one per jump of the family; the (iii)
+    row carries that verdict, in mode ``structural``, with no witness.  For
+    a spectral archimedean algebra the element's resolution is the unique
     family that passes, at every depth.
 
-    Why that decides.  Write p_j for p_{j/2^n}, and u_j = p_{j+1} ^ p_j'
+    Why that decides.  Write p_j for p_{j/2^n}, and u_j = p_{j+1} - p_j
     for the depth-n cell of j, whose n bits are w.
 
-    * By (ii) the family is a chain, and P is closed under the difference
-      of comparable projections, so u_j = p_{j+1} - p_j lies in P, the u_j
-      are orthogonal and they add up to p_1 - p_0 = p_0'.
+    * By (ii) the family is a chain, so the u_j are defined, orthogonal,
+      and add up to p_1 - p_0 = p_0'.  P is closed under the difference of
+      comparable projections, so u_j lies in P (a base that is not fails
+      (iv) at such a cell with witness ``(w, "P")``), and where P is an
+      orthomodular lattice u_j is the paper's p_{j+1} ^ p_j'.
     * By (i) each p_j, and so each u_j, lies in C(a), and a projection in
       C(a) splits a: a = J_{p_0}(a) + the sum of the J_{u_j}(a).
     * On cell j, f_w(b) = 2^n b - j u_j inside [0, u_j], each step tested,
@@ -583,17 +586,17 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     ``entries`` are) or any mapping lambda -> p_lambda, read as runs of one
     projection; each clause is checked per run or jump, with the verdict
     and witness of a point-by-point scan.  An entry outside the carrier
-    fails (i), and the later clauses are skipped.  (iv) forms each p_lo'
-    once per run and one meet per jump, in grid order, and reports the
-    first cell that fails.  On an enumerable base a and each run are split
-    into leaf coordinates once (``_leaves``): (i) reads one
-    ``commutant_row`` per leaf and run, (ii) one order-table entry per leaf
-    and pair (an entry that is no projection is split for it), and (iv)
-    walks each cell's leaves through their doubling rows
-    (``_leaf_cells``).  The matrix base tests (i) in one
+    fails (i), and the later clauses are skipped.  (iv) reads one cell per
+    jump, in grid order, and reports the first cell that fails.  On an
+    enumerable base a and each run are split into leaf coordinates once
+    (``_leaves``): (i) reads one ``commutant_row`` per leaf and run, (ii)
+    one difference-table entry per leaf and pair (an entry that is no
+    projection is split for it), and (iv) walks the differences of
+    neighbouring runs through their leaves' doubling rows
+    (``_leaf_cell``).  The matrix base tests (i) in one
     ``commuting_projections`` call and (ii) in one ``E.leq_pairs`` call,
-    forms the p_lo' as one stack, and decides (iv) from one stacked
-    ``eigh`` and ``eigvalsh`` (``doubling_cells``, one verdict per cell).
+    and decides (iv) from one stacked ``eigvalsh`` on the differences of
+    the runs (``doubling_cells``, one verdict per cell).
     """
     n = check_depth(n)
     E = cb.algebra
@@ -621,16 +624,18 @@ def verify_resolution(cb, a, family, n: int) -> Report:
     inside = ok_i or all(_in_carrier(E, p) for p in ps)
     # p_0 <= a', and each run below the next: within a run by reflexivity.
     # The order of a product is componentwise, so on an enumerable base
-    # each pair is read leaf by leaf, from the splits that (i) made.
+    # each pair is read leaf by leaf, from the splits that (i) made, as its
+    # difference up - lo, defined iff lo <= up.
     ok_ii = inside and E.eq(ps[-1], E.one)
     if ok_ii and cb.enumerable:
         coords = [_leaves(cb, p) if hi is None else hi for hi, p in zip(his, ps)]
-        ok_ii = all([leaf.algebra.leq(x, y) for lo, up in
-                     zip(coords[:1] + coords[:-1], [_leaves(cb, E.ortho(a))] + coords[1:])
-                     for (leaf, x, _), (_, y, _) in zip(lo, up)])
+        diffs = [[(leaf, leaf.algebra.ominus(y, x), stride)
+                  for (leaf, x, stride), (_, y, _) in zip(lo, up)] for lo, up in
+                 zip(coords[:1] + coords[:-1], [_leaves(cb, E.ortho(a))] + coords[1:])]
+        ok_ii = all([u is not None for diff in diffs for _, u, _ in diff])
     elif ok_ii:
-        ok_ii = bool(E.leq_pairs(np.array(ps[:1] + ps[:-1]),
-                                 np.array([E.ortho(a)] + ps[1:])).all())
+        lo, up = np.array(ps[:1] + ps[:-1]), np.array([E.ortho(a)] + ps[1:])
+        ok_ii = bool(E.leq_pairs(lo, up).all())
     rep.add("(ii)-boundary-and-monotone", ok_ii,
             detail="" if inside else "skipped: an entry is not in the carrier")
 
@@ -639,24 +644,18 @@ def verify_resolution(cb, a, family, n: int) -> Report:
         rep.add("(iv)-doubling-maps-exist", False, detail="skipped: (i)/(ii) failed")
         return rep
 
-    # (iv) on the depth-n cells.  A zero cell (both ends in one run, u_w = p ^
-    # p' = 0) passes: f_w(0) and cover(0) are 0.  So one cell per jump: jump t
-    # (from 0) starts run t + 1 after grid index j - 1, whose n bits are w,
-    # and u_w = p_{t+1} ^ p_t'.  The p_t' form one stack on matrices.
+    # (iv) on the depth-n cells.  A zero cell (both ends in one run, u_w =
+    # p - p = 0) passes: f_w(0) and cover(0) are 0.  So one cell per jump:
+    # jump t (from 0) starts run t + 1 after grid index j - 1, whose n bits
+    # are w, and u_w = p_{t+1} - p_t, the difference of the pair t + 1 of (ii).
     ws = [string_of(j - 1, n) for j, _ in fam.jumps[1:]]
     if cb.enumerable:
-        decided = _leaf_cells(a_leaves, his, [_leaves(cb, E.ortho(p)) for p in ps[:-1]], ws)
+        verdicts = (_leaf_cell(a_leaves, us, w) for us, w in zip(diffs[1:], ws))
     else:
-        decided = cb.doubling_cells(a, ws, np.array(ps[1:]), E.ortho(np.array(ps[:-1]))) \
-            if ws else []
-    ok_iv, w_iv = True, None
-    for w, (u_w, verdict) in zip(ws, decided):
-        if u_w is None:
-            ok_iv, w_iv = False, (w, "meet")
-            break
-        if verdict != "pass":
-            ok_iv, w_iv = False, w if verdict == "fail" else (w, "cover")
-            break
+        verdicts = cb.doubling_cells(a, ws, up[1:] - lo[1:]) if ws else []
+    w_iv = next((w if v == "fail" else (w, v) for w, v in zip(ws, verdicts) if v != "pass"),
+                None)
+    ok_iv = w_iv is None
     rep.add("(iii)-right-continuous", ok_iv, mode="structural",
             detail="follows from (i), (ii) and (iv): the family is the element's resolution")
     rep.add("(iv)-doubling-maps-exist", ok_iv, witness=w_iv)
@@ -683,28 +682,14 @@ def _doubling_cell(cb, w, a, u_w) -> str:
     return "pass" if E.eq(cb.cover(img), u_w) else "cover"
 
 
-def _leaf_cells(a_leaves, his, los, ws):
-    """Clause (iv) on an enumerable base, as ``doubling_cells`` gives it on
-    matrices: ``(u, verdict)`` per depth-n cell ``ws[t]``, whose ends lie
-    in the runs t + 1 and t, u None where the meet is missing, lazily:
-    nothing is formed past the first cell that fails.  ``a_leaves``,
-    ``his`` and ``los`` are the ``_leaves`` of a and of each run's p and
-    p'; u is their meet, formed leaf by leaf (``_leaf_meet``)."""
-    for t, w in enumerate(ws):
-        us = _leaf_meet(his[t + 1], los[t])
-        yield (None, None) if us is None else (us, _cell_verdict(_pair_walk(a_leaves, us, w)))
-
-
-def _leaf_meet(hi, lo):
-    """p ^ q leaf by leaf from the ``_leaves`` of p and q, as ``_leaves``;
-    None at the first leaf where they have no meet."""
-    out = []
-    for (leaf, p, stride), (_, q, _) in zip(hi, lo):
-        m = leaf.meet_proj(p, q)
-        if m is None:
-            return None
-        out.append((leaf, m, stride))
-    return out
+def _leaf_cell(a_leaves, us, w) -> str:
+    """Clause (iv) on the depth-n cell w of an enumerable base, as
+    ``doubling_cells`` gives it on matrices, from the ``_leaves`` of a and
+    of the cell u: "P" where some leaf of u is no member of its leaf's P,
+    else ``_cell_verdict`` of the ``_pair_walk``."""
+    if not all([u in leaf.p_set for leaf, u, _ in us]):
+        return "P"
+    return _cell_verdict(_pair_walk(a_leaves, us, w))
 
 
 def _pair_walk(a_leaves, us, w) -> list:

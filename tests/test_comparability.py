@@ -4,7 +4,13 @@ from fractions import Fraction
 
 from effalg import comparability as cmp
 from effalg import core, instances
-from effalg.errors import ComparabilityMissing
+from effalg.errors import ComparabilityMissing, MalformedInput
+
+
+def test_a_restriction_to_no_projection_is_malformed_input(mv83):
+    E, cb = mv83
+    with pytest.raises(MalformedInput, match="restriction requires a projection"):
+        cmp.restrict(cb, E.index_of([4, 8, 0]))
 
 
 def test_projections_are_b_elements(mv83, bool3, mo2):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from effalg import core
 from effalg.core import GridAlgebra, ProductAlgebra, TableAlgebra
-from effalg.errors import ElementNotInCarrier, SizeLimit
+from effalg.errors import ElementNotInCarrier, MalformedInput, SizeLimit
 
 
 def test_boolean_sum_is_disjoint_union(bool3):
@@ -12,6 +12,16 @@ def test_boolean_sum_is_disjoint_union(bool3):
     assert E.sum(0b001, 0b010) == 0b011
     assert E.sum(0b001, 0b011) is None  # overlapping atoms
     assert E.label(0b101) == "{1,3}"
+
+
+def test_a_carrier_of_bad_shape_is_malformed_input():
+    """A sum table that is not square and a grid with k or d below 1 raise
+    ``MalformedInput``."""
+    with pytest.raises(MalformedInput, match="sum table must be square"):
+        TableAlgebra(np.zeros((2, 3), dtype=int), 0, 1)
+    for k, d in ((0, 1), (2, 0)):
+        with pytest.raises(MalformedInput, match="need k >= 1 and d >= 1"):
+            GridAlgebra(k, d)
 
 
 def test_chain_sum_overflows(l8):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from effalg import groups, instances
-from effalg.errors import ElementNotInCarrier, GridTooNarrow
+from effalg.errors import ElementNotInCarrier, GridTooNarrow, MalformedInput
 from effalg.groups import (
     ZGroup,
     bounds,
@@ -35,6 +37,31 @@ def test_rickart_examples():
     assert list(rickart(G22, [3, 0])) == [0, 2]
     p = G22.projection([True, False])
     assert list(rickart(G22, p)) == list(G22.proj_complement(p))  # p* = p'
+
+
+@pytest.mark.parametrize("G", [G22, ZGroup([1, 3, 2])], ids=["G22", "G132"])
+def test_rickart_is_the_largest_annihilating_projection(G):
+    """The defining biconditional p <= g*  <=>  (g in C(p) and J_p(g) = 0),
+    over every projection p of G and every g with coordinates in -3..3."""
+    projections = [G.projection(bits) for bits in itertools.product((False, True), repeat=G.dim)]
+    for g in itertools.product(range(-3, 4), repeat=G.dim):
+        star = rickart(G, g)
+        assert any(np.array_equal(star, p) for p in projections), g
+        for p in projections:
+            rhs = G.in_commutant(g, p) and not G.compress(p, g).any()
+            assert (p <= star).all() == rhs, (g, p)
+
+
+def test_bad_group_input_is_malformed_input():
+    """A unit with a coordinate below 1, a spectral projection at m/0 and
+    an equivalence check on a carrier that is no grid raise
+    ``MalformedInput``."""
+    with pytest.raises(MalformedInput, match="order unit"):
+        ZGroup([2, 0])
+    with pytest.raises(MalformedInput, match="need n > 0"):
+        group_spectral(G22, [3, -1], 1, 0)
+    with pytest.raises(MalformedInput, match="needs a grid algebra"):
+        groups.check_comparability_equivalence(*instances.make_matrix(2))
 
 
 def test_group_spectral_examples():
@@ -81,9 +108,9 @@ def test_dyadic_approximation_is_exact_past_int64():
 @settings(deadline=None)
 @given(vectors)
 def test_rickart_laws(g):
-    star = rickart(G22, g, verify=False)
+    star = rickart(G22, g)
     # g** = (g*)'
-    gss = rickart(G22, star, verify=False)
+    gss = rickart(G22, star)
     assert list(gss) == list(G22.proj_complement(star))
 
 
@@ -92,8 +119,8 @@ def test_rickart_laws(g):
 def test_rickart_monotone(g, h):
     g = np.abs(g)
     h = g + np.abs(h)  # 0 <= g <= h
-    gss = G22.proj_complement(rickart(G22, g, verify=False))
-    hss = G22.proj_complement(rickart(G22, h, verify=False))
+    gss = G22.proj_complement(rickart(G22, g))
+    hss = G22.proj_complement(rickart(G22, h))
     assert (gss <= hss).all()
 
 

@@ -33,6 +33,16 @@ def test_mv_product_family(mv83):
             instances.make_mv_product(k, d)
 
 
+def test_bad_instance_arguments_are_malformed_input():
+    """A grid's denominator outside 1..16 or arity outside 1..4, and a
+    document of an unknown kind, raise ``MalformedInput``."""
+    for k, d, message in ((17, 1, "denominator"), (4, 5, "arity")):
+        with pytest.raises(MalformedInput, match=message):
+            instances.make_mv_product(k, d)
+    with pytest.raises(MalformedInput, match="unknown instance kind 'nope'"):
+        instances.parse_document({"kind": "nope"})
+
+
 @pytest.mark.parametrize("k, d", [(3, 2), (5, 1), (6, 2), (7, 2), (10, 3), (12, 1), (15, 2)])
 def test_mv_product_takes_every_denominator_up_to_16(k, d):
     """A grid of any denominator 1..16 is a spectral instance: on every

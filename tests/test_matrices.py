@@ -9,6 +9,7 @@ from effalg.errors import (
     ElementNotInCarrier,
     InternalConsistencyError,
     InvalidState,
+    MalformedInput,
     NotCommuting,
     NotEnumerable,
 )
@@ -575,7 +576,7 @@ def test_a_tol_outside_its_range_is_refused(tol):
     """A tolerance below 1e-12 lets rounding tip verdicts on computed
     resolutions (0 made every resolution raise ``NotCommuting``, 1e-15
     broke the orthogonality of trees), and one above 1e-6 is coarser than
-    the fixed thresholds of ``meets``; -1 and NaN leaked a ``TypeError``."""
+    the fixed thresholds of ``meet_proj``; -1 and NaN leaked a ``TypeError``."""
     with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-6\]"):
         matrices.MatrixEffectAlgebra(3, tol)
     from effalg import instances
@@ -712,6 +713,17 @@ def test_one_entry_tests_are_the_stacked_test(dim):
                 is bool(np.linalg.eigvalsh(sym(b - a)).min() >= -tol)
 
 
+def test_a_dimension_or_tol_out_of_range_is_malformed_input():
+    """The carrier's arguments are checked with ``MalformedInput``, which is
+    a ``ValueError`` too: a dimension outside 2..4 and a tol outside [1e-12,
+    1e-6]."""
+    for dim in (1, 5):
+        with pytest.raises(MalformedInput, match="dimensions 2..4"):
+            matrices.MatrixEffectAlgebra(dim)
+    with pytest.raises(MalformedInput, match="tol must lie"):
+        matrices.MatrixEffectAlgebra(3, 1e-3)
+
+
 def test_an_idempotent_within_tol_is_its_own_meet():
     """Idempotence is decided at ``tol``, the precision of ``eq`` and the
     meets: ``p = (1 - e) P`` for a rank-2 projection P of ``matrix(3)`` is
@@ -754,8 +766,9 @@ def _basis_projection(q, columns):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_meets_are_the_per_rank_products_bit_for_bit(dim):
-    """``meets`` (one masked product) gives each pair the bits, signs of
-    zero included, of the loop over ranks: on seeded stacks of projections
+    """``meet_proj`` (the kept eigenvectors of one pair times their
+    transpose) gives each pair the bits, signs of zero included, of the
+    stacked loop over ranks: on seeded stacks of projections
     onto columns of one rotation, whose meets have every rank from 0 to
     dim, the same rotated by 1e-8 to 1e-5 (near misses) and by 1e-3 to
     3e-2 (eigenvalues of p + q about 2 - angle^2 / 2, on both sides of the
@@ -775,7 +788,7 @@ def test_meets_are_the_per_rank_products_bit_for_bit(dim):
         ps += [ps[0], ps[1], E.zero, E.one]
         qs += [ps[0], E.zero, E.one, E.one]
         ps, qs = np.array(ps), np.array(qs)
-        got = cb.meets(ps, qs)
+        got = np.array([cb.meet_proj(p, q) for p, q in zip(ps, qs)])
         assert _bytes(got) == _bytes(_meets_per_rank(ps, qs))
         ranks.update(np.rint(np.trace(got, axis1=1, axis2=2)).astype(int).tolist())
     assert ranks == set(range(dim + 1)), ranks
@@ -834,12 +847,11 @@ def _cell_spectrum(E, u, a):
     return (np.linalg.eigvalsh(sym(u @ a @ u) + 2.0 * u) - 2.0).tolist()[E.dim - rank:]
 
 
-def _doubling_cells_per_cell(cb, a, ws, ps, qs):
-    """``doubling_cells`` one cell at a time: u from the per-rank meets and
-    every eigenvalue of b walked along w."""
+def _doubling_cells_per_cell(cb, a, ws, us):
+    """``doubling_cells`` one cell at a time: every eigenvalue of b on the
+    cell u, the symmetric part of a difference of ``us``, walked along w."""
     E = cb.algebra
-    us = _meets_per_rank(ps, qs)
-    return [(u, _verdict_per_cell(E, _walk_per_eigenvalue(E, w, _cell_spectrum(E, u, a))))
+    return [_verdict_per_cell(E, _walk_per_eigenvalue(E, w, _cell_spectrum(E, sym(u), a)))
             for u, w in zip(us, ws)]
 
 
@@ -855,18 +867,22 @@ def _bits_of(y, length, tol):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_doubling_cells_are_the_per_cell_walk(dim):
     """``doubling_cells`` (one verdict per cell, from the walks of the
-    least and the greatest eigenvalue) gives every cell the meet and the
-    verdict of the walk of every eigenvalue it replaced, and wherever
-    rounding cannot tip the scalar ``_doubling_cell`` (``_rounding_may_tip``)
-    that is its verdict too.  Effects with edge spectra j/32 +- d (d from
-    5e-10 to 1e-6, some eigenvalues just outside [0, 1]), pairs of
-    projections onto columns of their eigenbasis (u of every rank, 0
-    included) and the same rotated by 1e-8 to 1e-5; each pair gives cells
-    for the prefixes, from a seeded shortest length, of the bits of one of
-    a's eigenvalues or of a seeded string of up to 12 bits, handed over in a
-    seeded order.  At tol = 1e-12 the scalar path's rounding reaches tol
-    before 12 bits.  Cells of every verdict lie off the band, and cells
-    that pass or fall short of their cover inside it."""
+    least and the greatest eigenvalue) gives every cell the verdict of the
+    walk of every eigenvalue it replaced, and wherever rounding cannot tip
+    the scalar ``_doubling_cell`` (``_rounding_may_tip``) that is its
+    verdict too.  Effects with edge spectra j/32 +- d (d from 5e-10 to
+    1e-6, some eigenvalues just outside [0, 1]), differences hi - lo of
+    nested projections onto columns of their eigenbasis (u of every rank,
+    0 included) and the same with hi rotated by 1e-8 to 1e-5, so that u is
+    no projection; each pair gives cells for the prefixes, from a seeded
+    shortest length, of the bits of one of a's eigenvalues (one that lies
+    on a boundary goes below or above it) or of a seeded string of up to
+    12 bits, handed over in a seeded order.  At tol =
+    1e-12 the scalar path's rounding reaches tol before 12 bits.  Cells of
+    every verdict lie off the band, and cells that pass or fall short of
+    their cover inside it.  On every cell the eigenvalues walked lie within
+    5 |u - U| of those of U a U on range(U), U the projection onto u's
+    eigenvalues near 1 (Weyl's inequality)."""
     rng = np.random.default_rng(380 + dim)
     seen = set()
     for k in range(30):
@@ -878,11 +894,12 @@ def test_doubling_cells_are_the_per_cell_walk(dim):
         pairs, strings = [], []
         for _ in range(6):
             hi = set(np.flatnonzero(rng.integers(0, 2, dim)).tolist())
-            lo = set(np.flatnonzero(rng.integers(0, 2, dim)).tolist())
+            lo = {i for i in hi if rng.random() < 0.5}
             pairs.append((_basis_projection(q, hi), _basis_projection(q, lo)))
             length = int(rng.integers(0, 13))
-            inside = sorted(hi & lo) or list(range(dim))  # a's eigenvalues on range(u)
-            strings.append(_bits_of(vals[rng.choice(inside)], length, E.tol)
+            inside = sorted(hi - lo) or list(range(dim))  # a's eigenvalues on range(u)
+            edge = E.tol if rng.random() < 0.5 else -E.tol  # a boundary goes below, or above
+            strings.append(_bits_of(vals[rng.choice(inside)], length, edge)
                            if rng.random() < 0.7 else tuple(rng.integers(0, 2, length).tolist()))
         for (p, lo), r in zip(pairs[:2], _rotations(rng, dim)):
             pairs.append((sym(r @ p @ r.T), lo))
@@ -891,13 +908,19 @@ def test_doubling_cells_are_the_per_cell_walk(dim):
                  for m in range(int(rng.integers(0, len(w) + 1)), len(w) + 1)]
         cells = [cells[k] for k in rng.permutation(len(cells))]
         ws = [w for w, _ in cells]
-        ps, qs = (np.array([pairs[i][side] for _, i in cells]) for side in (0, 1))
-        got = cb.doubling_cells(a, ws, ps, qs)
-        want = _doubling_cells_per_cell(cb, a, ws, ps, qs)
-        assert [v for _, v in got] == [v for _, v in want]
-        assert all(_bytes(u) == _bytes(v) for (u, _), (v, _) in zip(got, want))
-        for w, (u, verdict) in zip(ws, got):
-            tipped = _rounding_may_tip(E, w, _cell_spectrum(E, u, a))
+        us = np.array([pairs[i][0] - pairs[i][1] for _, i in cells])
+        got = cb.doubling_cells(a, ws, us)
+        assert got == _doubling_cells_per_cell(cb, a, ws, us)
+        for w, (_, i), u, verdict in zip(ws, cells, sym(us), got):
+            vals_u, vecs_u = np.linalg.eigh(u)
+            top = vecs_u[:, vals_u > 0.5]
+            off = np.abs(vals_u - np.rint(vals_u)).max()
+            walked = _cell_spectrum(E, u, a)
+            assert np.abs(np.array(walked) - np.linalg.eigvalsh(top.T @ a @ top)).max(
+                initial=0.0) <= 5 * off + 1e-12, (vals, w)
+            if i >= 6:  # rotated: u is no projection, which the scalar path reads as one
+                continue
+            tipped = _rounding_may_tip(E, w, walked)
             if not tipped:
                 assert verdict == spectral._doubling_cell(cb, w, a, u), (vals, w)
             seen.add((verdict, tipped))

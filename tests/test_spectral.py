@@ -7,10 +7,11 @@ from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
-from effalg import core, instances, spectral
+from effalg import comparability, compbase, core, instances, spectral
 from effalg.compbase import central_base
-from effalg.errors import (EffalgError, ElementNotInCarrier, InternalConsistencyError,
-                           InvalidDepth, NoCover, NotSpectral, Unstable)
+from effalg.errors import (EffalgError, ElementNotInCarrier, IncompleteBase,
+                           InternalConsistencyError, InvalidDepth, NoCover, NotSpectral,
+                           Unstable)
 from effalg.matrices import CLUSTER_GAP, DensityState, sym
 from effalg.spectral import (
     apply_fw,
@@ -784,8 +785,8 @@ def test_leaf_rows_are_the_scalar_path():
     holds ``J_u(x)``, ``_fw_step`` of each bit (-1 for None) and ``x <=
     u``, with the dead entry -1 (False) appended.  For every p in P and
     x, ``commutant_row(p)[x]`` is ``in_commutant(x, p)``, or both raise
-    the same error: ``KeyError`` where p' is not in P.  Every base there is
-    central, so the seeded changed bases of ``test_structural`` on
+    the same error: ``IncompleteBase`` where p' is not in P.  Every base
+    there is central, so the seeded changed bases of ``test_structural`` on
     ``boolean(2)`` and ``mv(4,1)`` join them for commutants that fail."""
     from test_structural import _changed_bases
 
@@ -812,7 +813,7 @@ def test_leaf_rows_are_the_scalar_path():
                     assert _outcome_or_error(lambda: leaf.commutant_row(p)[x]) == want, \
                         (name, p, x)
                     outcomes.add(want)
-    assert outcomes == {True, False, KeyError}, outcomes
+    assert outcomes == {True, False, IncompleteBase}, outcomes
 
 
 def _outcome_or_error(fn):
@@ -823,26 +824,36 @@ def _outcome_or_error(fn):
         return type(exc)
 
 
-def test_leaf_meets_are_the_product_meet():
-    """``_leaf_meet`` forms a meet in P leaf by leaf, left to right, and
-    stops at the first missing one: on every pair (p, q) and (p, q') of P
-    of the carriers of ``_leaf_route_cases``, the seeded broken tables
-    among them, it gives the ``_leaves`` of the product's meet, which
-    ``meet_proj`` reads off the composed ``p_meet_table``, None where that
-    is missing, or raises the same error."""
+def test_leaf_differences_are_the_product_difference():
+    """Clause (ii) reads each pair of runs leaf by leaf as the difference
+    ``leaf.algebra.ominus``, and clause (iv) tests each difference of
+    neighbouring runs against the leaves' P: on every pair (p, q) of P of
+    the carriers of ``_leaf_route_cases``, the seeded broken tables among
+    them, the differences of the ``_leaves`` of p and q are the ``_leaves``
+    of the product's ``ominus(q, p)``, with None at some leaf exactly where
+    that is None, or both raise the same error; and where it is defined,
+    every leaf lies in its leaf's P iff the product's difference lies in
+    P.  The broken tables reach differences outside P."""
     outcomes = set()
     for name, (E, cb) in _leaf_route_cases():
         for p in cb.projections:
             for q in cb.projections:
-                for r in (q, _outcome_or_error(lambda: E.ortho(q))):
-                    want = _outcome_or_error(lambda: cb.meet_proj(p, r))
-                    if not isinstance(want, type) and want is not None:
-                        want = spectral._leaves(cb, want)
-                    got = _outcome_or_error(lambda: spectral._leaf_meet(
-                        spectral._leaves(cb, p), spectral._leaves(cb, r)))
-                    assert got == want, (name, p, r)
-                    outcomes.add("meet" if isinstance(want, list) else want)
-    assert outcomes == {"meet", None, KeyError}, outcomes
+                want = _outcome_or_error(lambda: E.ominus(q, p))
+                got = _outcome_or_error(lambda: [
+                    (leaf, leaf.algebra.ominus(y, x), stride) for (leaf, x, stride), (_, y, _)
+                    in zip(spectral._leaves(cb, p), spectral._leaves(cb, q))])
+                if isinstance(want, type):
+                    assert got == want, (name, p, q)
+                    outcomes.add(want)
+                elif want is None:
+                    assert any(d is None for _, d, _ in got), (name, p, q)
+                    outcomes.add(None)
+                else:
+                    assert got == spectral._leaves(cb, want), (name, p, q)
+                    inside = all(d in leaf.p_set for leaf, d, _ in got)
+                    assert inside == cb.is_projection(want), (name, p, q)
+                    outcomes.add("P" if inside else "not P")
+    assert outcomes == {"P", "not P", None}, outcomes
 
 
 def _clause_iv_per_cell(cb, a, fam):
@@ -862,15 +873,16 @@ def _clause_iv_per_cell(cb, a, fam):
 
 
 def test_clause_iv_per_pair_gives_the_per_cell_witness():
-    """Clause (iv) forms one meet per jump, leaf by leaf, and walks each
-    cell's leaves; its row equals the one that forms ``meet_proj`` of the
+    """Clause (iv) reads one difference per jump, leaf by leaf, and walks
+    each cell's leaves; its row equals the one that forms ``meet_proj`` of the
     carrier and runs ``_doubling_cell`` on every depth-n cell, or both
     raise the same error.  Families: on each carrier of
     ``_leaf_route_cases`` (at most 20 elements each), every chain p <= q <=
     1 of P cut at seeded points of the depth-3 grid, and each element's
     resolution where it has one.  No family there that passes (i) and (ii)
     has a cell without a meet (where P holds 0 and 1, a chain's meets
-    exist); ``test_leaf_meets_are_the_product_meet`` reaches that case."""
+    exist) or a difference outside P;
+    ``test_a_difference_outside_p_fails_its_cell`` reaches that case."""
     rng = np.random.default_rng(46)
     witnesses = set()
     for name, (E, cb) in _leaf_route_cases():
@@ -896,10 +908,12 @@ def test_clause_iv_per_pair_gives_the_per_cell_witness():
                 else:
                     got = rep.checks[-1].passed, rep.checks[-1].witness
                 want = _outcome_or_error(lambda: _clause_iv_per_cell(cb, a, fam))
+                if want is KeyError:  # p' outside P, where clause (i) raises first
+                    want = IncompleteBase
                 assert got == want, (name, a)
                 witnesses.add(want if isinstance(want, type) else "pass" if want[0] else
                               want[1][1] if isinstance(want[1][-1], str) else "w")
-    assert witnesses == {"pass", "w", "cover", KeyError}, witnesses
+    assert witnesses == {"pass", "w", "cover", IncompleteBase}, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -1265,14 +1279,17 @@ def _is_own(cb, a, fam, n) -> bool:
 
 def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
     """``verify_resolution`` gives the rows and witnesses of a verify whose
-    cells of clause (iv) all run the scalar ``_doubling_cell``, on seeded
-    good and broken families, on the tolerance edges and on ``perfbench``'s
-    verify families, but where a cell lies in the band where rounding may
-    tip the scalar path (``test_matrices._rounding_may_tip``).  A family
-    that differs there keeps the rows of (i) and (ii), and the scalar path
-    fails it short of its cover where the walk passes it (the element's own
-    resolution among them), or fails it at a step where the walk fails it
-    short of its cover, at that cell or a later one."""
+    cells of clause (iv) all run the scalar ``_doubling_cell`` on the same
+    cells, the symmetric parts of the differences of neighbouring runs, on
+    seeded good and broken families, on the tolerance edges and on
+    ``perfbench``'s verify families, but where a cell lies in the band
+    where rounding may tip the scalar path
+    (``test_matrices._rounding_may_tip``).  A family that differs there
+    keeps the rows of (i) and (ii), and the scalar path fails it short of
+    its cover where the walk passes it (the element's own resolution among
+    them), or fails it at a step where the walk fails it short of its
+    cover, at that cell or a later one, or short of its cover at the cell
+    where the walk fails it at a step."""
     from test_matrices import _cell_spectrum, _rounding_may_tip
 
     rng = np.random.default_rng(17)
@@ -1281,16 +1298,15 @@ def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
         doubling_cells = cb.doubling_cells
         tipped = []
 
-        def recording(a, ws, his, los):
-            out = doubling_cells(a, ws, his, los)
-            verdicts.update(verdict for _, verdict in out)
+        def recording(a, ws, us):
+            out = doubling_cells(a, ws, us)
+            verdicts.update(out)
             tipped.extend(_rounding_may_tip(E, w, _cell_spectrum(E, u, a))
-                          for w, (u, _) in zip(ws, out))
+                          for w, u in zip(ws, sym(us)))
             return out
 
-        def scalar(a, ws, his, los):
-            return [(u, spectral._doubling_cell(cb, w, a, u))
-                    for w, (u, _) in zip(ws, doubling_cells(a, ws, his, los))]
+        def scalar(a, ws, us):
+            return [spectral._doubling_cell(cb, w, a, u) for w, u in zip(ws, sym(us))]
 
         cases = [(a, fam, 5) for a, fam in _matrix_families(E, cb, rng, 5, 5)]
         cases += [(a, fam, n) for n in (3, 5) for a, fam in _edge_matrix_families(E, cb, rng, n)]
@@ -1314,15 +1330,71 @@ def test_matrix_verdicts_do_not_change(matrix2, matrix3, monkeypatch):
                 if passed:
                     assert by_scalar[1:] == ("cover",), (E.label(a), n)
                     differ.add("own" if _is_own(cb, a, fam, n) else "pass")
-                else:
-                    assert witness[1:] == ("cover",) and by_scalar[1:] != ("cover",) \
-                        and witness[0] >= by_scalar, (E.label(a), n)
+                elif witness[1:] == ("cover",):
+                    assert by_scalar[1:] != ("cover",) and witness[0] >= by_scalar, \
+                        (E.label(a), n)
                     differ.add("cover")
+                else:
+                    assert by_scalar == (witness, "cover"), (E.label(a), n)
+                    differ.add("step")
             seen.add("pass" if passed else "skipped" if "skipped" in detail
                      else "cover" if witness[1:] == ("cover",) else "w")
     assert verdicts == {"pass", "fail", "cover"}, verdicts
     assert seen == {"pass", "skipped", "w", "cover"}, seen
-    assert differ == {"own", "pass", "cover"}, differ
+    assert differ == {"own", "pass", "cover", "step"}, differ
+
+
+def _chain_base(k, members):
+    """The chain ``GridAlgebra(k, 1)`` with P = ``members`` and the maps
+    J_p(x) = min(x, p): an unchecked base, which need not be closed under
+    ' or differences."""
+    E = core.GridAlgebra(k, 1)
+    return E, compbase.CompressionBase(E, members,
+                                       {p: np.minimum(np.arange(k + 1), p) for p in members})
+
+
+def test_a_difference_outside_p_fails_its_cell():
+    """Where P is not closed under differences, clause (iv) fails at the
+    cell whose difference of runs lies outside P, with witness ``(w,
+    "P")``: on the chain 0..4 with P = {0, 1, 3, 4} and maps min(x, p),
+    the depth-1 family {0: 1, 1/2: 3, 1: 4} of 0 passes (i) and (ii), and
+    its first cell, w = (0,), is 3 - 1 = 2.  With P = {0, 1, 2, 3, 4}
+    the family fails that cell by its cover.  ``validate_base`` rejects
+    both bases: min(x, p) is not additive."""
+    family = {Fraction(0): 1, Fraction(1, 2): 3, Fraction(1): 4}
+    for members, witness in (([0, 1, 3, 4], ((0,), "P")), (range(5), ((0,), "cover"))):
+        E, cb = _chain_base(4, members)
+        rep = verify_resolution(cb, 0, family, 1)
+        assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+            ("grid-complete", True, None), ("(i)-projections-commuting-with-a", True, None),
+            ("(ii)-boundary-and-monotone", True, None), ("(iii)-right-continuous", False, None),
+            ("(iv)-doubling-maps-exist", False, witness)]
+        assert not compbase.validate_base(E, cb).passed
+
+
+def test_a_base_that_misses_an_orthosupplement_raises_incomplete_base():
+    """On the chain 0..4 with P = {0, 1, 4}, whose member 1 has the
+    orthosupplement 3 outside P, a commutant of 1 raises
+    ``IncompleteBase`` (as ``ortho_rows`` does), not a bare ``KeyError``:
+    ``commutant_mask``, ``commutant_row``, ``in_commutant`` and clause (i)
+    of ``verify_resolution``, on the chain and on its product with
+    ``boolean(1)``."""
+    E, cb = _chain_base(4, [0, 1, 4])
+    with pytest.raises(IncompleteBase, match="no map at 3/4"):
+        cb.ortho_rows()
+    for call in (lambda: cb.commutant_mask(1), lambda: cb.commutant_row(1),
+                 lambda: cb.in_commutant(0, 1),
+                 lambda: verify_resolution(cb, 0, {Fraction(0): 1, Fraction(1, 2): 1,
+                                                   Fraction(1): 4}, 1)):
+        with pytest.raises(IncompleteBase, match="no map at 3/4"):
+            call()
+    B, bcb = instances.make_boolean(1)
+    P = core.ProductAlgebra(E, B)
+    pcb = compbase.product_base(P, cb, bcb)
+    p = P.pair_index(1, 1)
+    with pytest.raises(IncompleteBase):
+        pcb.in_commutant(P.zero, p)
+    assert cb.in_commutant(0, 4) and pcb.in_commutant(P.zero, P.one)
 
 
 def test_a_one_step_whose_double_is_undefined_fails(matrix2):
@@ -1372,19 +1444,22 @@ def _perfbench_families(monkeypatch, cb, count):
         yield a, checks.perturb(family, cb.algebra.zero, same)
 
 
-def test_clause_iv_on_matrices_is_one_stacked_eigh_and_eigvalsh(monkeypatch):
+def test_clause_iv_on_matrices_is_one_stacked_eigvalsh(monkeypatch):
     """On a depth-5 verify of ``perfbench``'s matrix stream, clause (iv)
     hands its cells to one ``doubling_cells`` call, one depth-n cell per
-    jump of the family.  It makes one stacked ``eigh`` (the meets) and one
-    stacked ``eigvalsh``, each of one matrix per cell, and no scalar
-    ``_doubling_cell``: 142 cells on 50 effects."""
+    jump of the family, as one stack of differences of runs.  It makes one
+    stacked ``eigvalsh`` of one matrix per cell, no ``eigh`` and no scalar
+    ``_doubling_cell``: 142 cells on 50 effects.  The whole verify makes
+    three ``eigvalsh`` calls (the element's check, clause (ii) and clause
+    (iv)) and no ``eigh``."""
     E, cb = instances.make_matrix(3)
     effects = _perfbench_matrices(monkeypatch, 50)
     calls = {"doubling_cells": 0, "cells": 0, "eigh": 0, "eigvalsh": 0, "scalar": 0}
-    stacks, inside = [], []
+    stacks, inside, whole = [], [], []
 
     def counting(name, fn):
         def call(*args):
+            whole.append(name)
             if inside or name == "scalar":
                 calls[name] += 1
                 if name != "scalar":
@@ -1392,30 +1467,33 @@ def test_clause_iv_on_matrices_is_one_stacked_eigh_and_eigvalsh(monkeypatch):
             return fn(*args)
         return call
 
-    def doubling_cells(a, ws, his, los, real=cb.doubling_cells):
+    def doubling_cells(a, ws, us, real=cb.doubling_cells):
         calls["doubling_cells"] += 1
         calls["cells"] += len(ws)
-        assert len(his) == len(los) == len(ws)
+        assert len(us) == len(ws)
         inside.append(1)
         try:
-            return real(a, ws, his, los)
+            return real(a, ws, us)
         finally:
             inside.clear()
 
     monkeypatch.setattr(cb, "doubling_cells", doubling_cells)
     monkeypatch.setattr(spectral, "_doubling_cell", counting("scalar", spectral._doubling_cell))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     total = 0
     for a in effects:
         res = binary_resolution(cb, a, 5)
         calls.update(doubling_cells=0, cells=0, eigh=0, eigvalsh=0, scalar=0)
         stacks.clear()
-        assert verify_resolution(cb, a, res.entries, 5).passed
+        whole.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+            m.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+            assert verify_resolution(cb, a, res.entries, 5).passed
         cells = _jumps(res)
-        assert calls == {"doubling_cells": 1, "cells": cells, "eigh": 1, "eigvalsh": 1,
+        assert calls == {"doubling_cells": 1, "cells": cells, "eigh": 0, "eigvalsh": 1,
                          "scalar": 0}, calls
-        assert stacks == [cells, cells]
+        assert stacks == [cells]
+        assert whole == ["eigvalsh"] * 3, whole
         total += cells
     assert total == 142
 
@@ -1437,35 +1515,35 @@ def test_a_matrix_verify_makes_no_unit(monkeypatch):
 
 
 def test_clause_iv_on_a_product_makes_no_scalar_op_on_the_product():
-    """On ``boolean(2) x mv(8,3)`` clause (ii) calls no ``leq`` of the
-    product, and each cell of clause (iv) is decided on the leaf bases: no
-    base with factors forms a meet, each leaf forms one per jump,
-    and from the first leaf meet on no ``sum``, ``leq`` or ``ominus`` of the
-    product carrier is called."""
+    """On ``boolean(2) x mv(8,3)`` clauses (ii) and (iv) are decided on the
+    leaf bases: a verify calls no ``sum``, ``leq`` or ``ominus`` of the
+    product carrier and no ``meet_proj`` of any base, and each leaf forms
+    one difference (``ominus`` of its carrier) per pair of clause (ii),
+    one for p_0 <= a' and one per jump, which clause (iv) reads."""
     E, cb = instances.make_product(instances.make_boolean(2), instances.make_mv_product(8, 3))
-    calls = {"product meet": 0, "meet": 0, "sum": 0, "leq": 0, "ominus": 0}
+    calls = {"meet": 0, "sum": 0, "leq": 0, "ominus": 0, "leaf ominus": 0}
 
     def counting(name, fn):
         def call(*args):
-            if calls["meet"] or name in ("meet", "product meet", "leq"):
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args)
         return call
 
     bases = {id(b): b for b in _bases_below(cb)}.values()
+    carriers = {id(leaf.algebra): leaf.algebra for leaf, _, _ in cb.leaf_layout}.values()
     for a in np.random.default_rng(6).permutation(E.size)[:25].tolist():
         res = binary_resolution(cb, a, 4)
         with pytest.MonkeyPatch.context() as m:
             for base in bases:
-                name = "meet" if base.factors is None else "product meet"
-                m.setattr(base, "meet_proj", counting(name, base.meet_proj))
+                m.setattr(base, "meet_proj", counting("meet", base.meet_proj))
             for name in ("sum", "leq", "ominus"):
                 m.setattr(E, name, counting(name, getattr(E, name)))
+            for leaf in carriers:
+                m.setattr(leaf, "ominus", counting("leaf ominus", leaf.ominus))
             calls.update({name: 0 for name in calls})
             assert verify_resolution(cb, a, res.entries, 4).passed
-        leaves = len(spectral._leaves(cb, a))
-        assert calls == {"product meet": 0, "meet": _jumps(res) * leaves,
-                         "sum": 0, "leq": 0, "ominus": 0}, a
+        assert calls == {"meet": 0, "sum": 0, "leq": 0, "ominus": 0,
+                         "leaf ominus": len(res.jumps) * len(cb.leaf_layout)}, a
 
 
 def test_prefix_sums_test_no_order_past_the_sum(monkeypatch):
@@ -1565,8 +1643,6 @@ def test_clause_ii_on_an_enumerable_base_reads_the_leaves(monkeypatch):
 def _leaf_bases():
     """The chain ``mv(16,1)`` and the 81-element table of ``[0, (8,8,0)]``
     in ``mv(8,3)``: two bases without factors."""
-    from effalg import comparability
-
     E, cb = instances.make_mv_product(8, 3)
     yield "mv(16,1)", instances.make_mv_product(16, 1)
     yield "restrict(mv(8,3), (8,8,0))", comparability.restrict(cb, E.index_of([8, 8, 0]))
@@ -1682,21 +1758,13 @@ def test_scalar_tests_lie_within_the_rounding_bound(matrix2, matrix3):
                     assert np.abs(cb.cover(cur) - u).max() <= dk <= E.tol
 
 
-def _meet_per_pair(p, q):
-    """A meet of matrix projections as ``meet_proj`` formed it one pair at a
-    time: the eigenvectors of p + q kept by a mask, times their transpose."""
-    vals, vecs = np.linalg.eigh(sym(p + q))
-    block = vecs[:, vals > 2 - 1e-6]
-    return sym(block @ block.T)
-
-
 def test_stacked_calls_give_each_cell_its_own_bits(monkeypatch):
     """The premise of ``doubling_cells``: on the cells that clause (iv)
     lists for seeded, perturbed and edge families of matrix(2..4), the
-    stacked ``eigh`` of p + q, the stacked meets, u a u and ``eigvalsh`` of
-    b + 2u, with one entry per cell, are bit for bit the calls on one cell,
-    and each stacked meet is ``meet_proj`` and the mask-per-pair meet.  Each
-    cell's ends are the entries that the cell reads off the family."""
+    stack of differences of runs, its symmetric part, u a u and
+    ``eigvalsh`` of b + 2u, with one entry per cell, are bit for bit the
+    calls on one cell.  Each cell's difference is the one of the entries
+    that the cell reads off the family."""
     rng = np.random.default_rng(47)
     checked = 0
     for dim in (2, 3, 4):
@@ -1710,22 +1778,19 @@ def test_stacked_calls_give_each_cell_its_own_bits(monkeypatch):
             verify_resolution(cb, a, fam, n)
             if not seen:
                 continue
-            (_, ws, ps, qs), = seen
-            vals, vecs = np.linalg.eigh(sym(ps + qs))
-            us = cb.meets(ps, qs)
+            (_, ws, ds), = seen
+            us = sym(ds)
             bs = sym(us @ a @ us)
             spectra = np.linalg.eigvalsh(bs + 2.0 * us)
             res = spectral._as_resolution(E, a, fam, n)
-            for i, (w, p, q) in enumerate(zip(ws, ps, qs)):
+            for i, (w, d) in enumerate(zip(ws, ds)):
                 assert len(w) == n
-                assert np.array_equal(p, res.at_index(k_of(w) + 1)), w
-                assert np.array_equal(q, E.ortho(res.at_index(k_of(w)))), w
-                one_vals, one_vecs = np.linalg.eigh(sym(p + q))
-                assert np.array_equal(vals[i], one_vals) and np.array_equal(vecs[i], one_vecs)
-                assert np.array_equal(us[i], cb.meet_proj(p, q))
-                assert np.array_equal(us[i], _meet_per_pair(p, q))
-                assert np.array_equal(bs[i], cb.apply(us[i], a))
-                assert np.array_equal(spectra[i], np.linalg.eigvalsh(cb.apply(us[i], a) + 2.0 * us[i]))
+                hi, lo = res.at_index(k_of(w) + 1), res.at_index(k_of(w))
+                assert np.array_equal(d, np.asarray(hi) - np.asarray(lo)), w
+                u = sym(d)
+                assert np.array_equal(us[i], u)
+                assert np.array_equal(bs[i], cb.apply(u, a))
+                assert np.array_equal(spectra[i], np.linalg.eigvalsh(cb.apply(u, a) + 2.0 * u))
                 checked += 1
     assert checked > 1000, checked
 
@@ -1826,32 +1891,30 @@ def test_verify_matches_pointwise_scan_on_matrix_families(matrix2, matrix3):
 
 
 # ---------------------------------------------------------------------------
-# resolutions are chains: meets in P only in the cells of clause (iv)
+# resolutions are chains, and cells are differences: no meet in P
 
 
 def _counting_meets(cb, monkeypatch) -> list:
-    """Every meet in P from now on: each ``cb.meet_proj`` call as
-    ``("P", p, q)``, each meet formed leaf by leaf (``spectral._leaf_meet``)
-    as ``("leaves", hi, lo)``, and on the matrix base, whose ``meet_proj``
-    is the one-pair case of the stacked ``meets``, the pairs of each
-    ``meets`` call as a list."""
+    """Every meet from now on, by name: each ``meet_proj`` call of ``cb``
+    and, on an enumerable base, each ``p_meet_table`` call of it and of
+    every base below it, and each ``meet_pairs`` call of their carriers."""
     calls = []
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for base in _bases_below(cb) if cb.enumerable else [cb]:
+        names = ("meet_proj", "p_meet_table") if cb.enumerable else ("meet_proj",)
+        for name in names:
+            monkeypatch.setattr(base, name, counting(name, getattr(base, name)))
     if cb.enumerable:
-        meet, leaf_meet = cb.meet_proj, spectral._leaf_meet
-        monkeypatch.setattr(cb, "meet_proj",
-                            lambda p, q: calls.append(("P", p, q)) or meet(p, q))
-        monkeypatch.setattr(spectral, "_leaf_meet",
-                            lambda hi, lo: calls.append(("leaves", hi, lo)) or leaf_meet(hi, lo))
-    else:
-        meets = cb.meets
-        monkeypatch.setattr(cb, "meets", lambda ps, qs: calls.append(list(zip(ps, qs)))
-                            or meets(ps, qs))
+        for E in {id(b.algebra): b.algebra for b in _bases_below(cb)}.values():
+            monkeypatch.setattr(E, "meet_pairs", counting("meet_pairs", E.meet_pairs))
     return calls
 
 
 def _jumps(res) -> int:
-    """The jumps of ``res``: one depth-n cell of clause (iv) each, and one
-    meet in P."""
+    """The jumps of ``res``: one depth-n cell of clause (iv) each."""
     return len(res.jumps) - 1
 
 
@@ -1867,7 +1930,19 @@ def _seeded_elements(E, rng, count):
     return rng.permutation(E.size)[:count].tolist()
 
 
-MEET_CASES = {
+def _a_state(E):
+    """A state of E: equal weights on a grid, the even mixture of the
+    factors' states on a product, and the maximally mixed density matrix."""
+    if not E.enumerable:
+        return DensityState(E, E.one / E.dim)
+    if isinstance(E, core.ProductAlgebra):
+        left, right = _a_state(E.left), _a_state(E.right)
+        ia, ib = E.split_index(np.arange(E.size))
+        return core.State(E, [(left(x) + right(y)) / 2 for x, y in zip(ia.tolist(), ib.tolist())])
+    return instances.weighted_state(E, [Fraction(1, E.d)] * E.d)
+
+
+RESOLVE_CASES = {
     "mv(8,3)": lambda: (*instances.make_mv_product(8, 3), _seeded_elements),
     "boolean(2) x mv(8,3)": lambda: (*instances.make_product(
         instances.make_boolean(2), instances.make_mv_product(8, 3)), _seeded_elements),
@@ -1875,39 +1950,41 @@ MEET_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(MEET_CASES))
-def test_meets_in_p_only_in_the_cells_of_clause_iv(name, monkeypatch):
-    """``rational_resolution`` forms no meet in P, and ``verify_resolution``
-    forms one per jump, one per cell of clause (iv), all in one stacked
-    call on the matrix base and leaf by leaf, never through ``meet_proj``
-    of a base with factors, on the others: the resolution is a chain, so
-    the meet of its entries above a point is the next entry.  Every family
-    passes, at depth 2 too, short of the spectral values."""
-    E, cb, elements = MEET_CASES[name]()
+@pytest.mark.parametrize("name", list(RESOLVE_CASES))
+def test_no_meet_in_p_once_the_base_is_spectral(name, monkeypatch):
+    """On a base already judged spectral (the spectrality scan reads meets
+    in E), ``binary_resolution``, ``rational_resolution``,
+    ``expectation_bounds`` and ``verify_resolution`` make no
+    ``meet_proj``, ``p_meet_table`` or ``meet_pairs`` call, and a matrix
+    verify makes no ``eigh``: a resolution is a chain, so the meet of its
+    entries above a point is the next entry, and each cell of clause (iv)
+    is the difference of neighbouring runs.  Every family passes, at depth
+    2 too, short of the spectral values."""
+    E, cb, elements = RESOLVE_CASES[name]()
+    comparability.require_spectral(cb)
+    state = _a_state(E)
+    state.require_valid()
     calls = _counting_meets(cb, monkeypatch)
+    eighs, eigh = [], np.linalg.eigh
     rng = np.random.default_rng(5)
     for a in elements(E, rng, 12):
         for n in (2, 5, 6):  # short of the eigenvalues j/16 and the grids' 1/8, and past
             for lam in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1)):
                 _factor_outcome(lambda: rational_resolution(cb, a, lam, n))
-            assert calls == [], (a, n)
+            expectation_bounds(cb, a, state, n)
             res = binary_resolution(cb, a, n)
-            for family in (res.entries, dict(res.entries)):
-                assert verify_resolution(cb, a, family, n).passed, (a, n)
-                if not cb.enumerable:  # one stacked call for all the cells
-                    assert len(calls) == 1, (a, n)
-                    calls[:] = calls[0]
-                else:
-                    assert {kind for kind, *_ in calls} == {"leaves"}, (a, n)
-                assert len(calls) == _jumps(res), (a, n)
-                calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", lambda *args: eighs.append(args) or eigh(*args))
+                for family in (res.entries, dict(res.entries)):
+                    assert verify_resolution(cb, a, family, n).passed, (a, n)
+            assert calls == [] and eighs == [], (a, n)
 
 
 VERIFY_CASES = {  # the instances of perfbench's resolve workload, at its verify depths
-    "mv(8,3)": (MEET_CASES["mv(8,3)"], 5),
+    "mv(8,3)": (RESOLVE_CASES["mv(8,3)"], 5),
     "mv(16,2)": (lambda: (*instances.make_mv_product(16, 2), _seeded_elements), 5),
-    "boolean(2) x mv(8,3)": (MEET_CASES["boolean(2) x mv(8,3)"], 4),
-    "matrix(3)": (MEET_CASES["matrix(3)"], 5),
+    "boolean(2) x mv(8,3)": (RESOLVE_CASES["boolean(2) x mv(8,3)"], 4),
+    "matrix(3)": (RESOLVE_CASES["matrix(3)"], 5),
 }
 
 
